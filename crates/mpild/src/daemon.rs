@@ -1,31 +1,58 @@
 //! The `mpild` daemon: a live MPIL cluster behind a control plane.
 //!
 //! One [`Daemon`] owns a [`LiveCluster`] (one thread per overlay node
-//! over a channel or loopback-UDP mesh) and a [`ControlPlane`] socket.
-//! Its single-threaded event loop multiplexes three sources:
+//! over a channel or loopback-UDP mesh) and a [`ControlPlane`]. It is
+//! event-driven: everything it reacts to arrives on **one inbox**, a
+//! channel of [`Input`]s, and its only thread sleeps in a blocking
+//! receive on that channel.
 //!
 //! 1. **Control requests** — announce / lookup / join / perturb / heal /
-//!    stats / drain frames from clients ([`crate::proto`]);
-//! 2. **Cluster events** — store-acks and lookup replies surfacing on
-//!    the cluster's client endpoint ([`LiveCluster::poll_event`]);
+//!    stats / drain frames from clients ([`crate::proto`]). A blocking
+//!    reader thread per control socket feeds them in ([`UdpControl`]);
+//!    the in-process plane needs no thread, its client sends straight
+//!    into the inbox ([`ChannelControl`]).
+//! 2. **Cluster events** — store-acks and lookup replies, pushed by the
+//!    cluster's reader thread the moment they arrive
+//!    ([`LiveClusterBuilder::spawn_with_sink`]).
 //! 3. **Deadlines** — per-request timeouts tracked by a
 //!    [`RequestTracker`], with bounded retries under fresh message ids.
+//!    The earliest one is the timeout of the blocking receive. The only
+//!    other instant the daemon ever waits for is the one at which its
+//!    admission budget lets the next queued request in, and only a
+//!    daemon that is offered more than it admits has requests queued.
 //!
 //! Data-plane requests are fully pipelined: a control frame is turned
 //! into a [`LiveCluster::submit`] and a tracker entry, and the client
 //! hears back when the matching event arrives (or the retry budget
-//! dies). Every wall-clock read goes through the workspace's sanctioned
+//! dies). Submission is paced by admission control (see `Admission`:
+//! a budget of estimated work per second, sized to keep the data plane
+//! below saturation); requests beyond it wait their turn in a bounded
+//! backlog, and beyond that are turned away with `UNAVAILABLE`.
+//! Every wall-clock read goes through the workspace's sanctioned
 //! [`WallClock`] touchpoint; timestamps inside the daemon are plain
 //! [`Duration`]s since startup.
 //!
-//! Shutdown is graceful by contract: a `Drain` request stops admission,
-//! keeps pumping events until the in-flight set empties (or the drain
-//! budget runs out, failing the stragglers), then drains the node
-//! threads themselves via [`LiveCluster::shutdown_drain`].
+//! Shutdown is graceful by contract: a `Drain` request (or the death of
+//! the control plane) stops admission, keeps serving the inbox until
+//! the in-flight set empties (or the drain budget runs out, failing the
+//! stragglers) while turning new requests away with `UNAVAILABLE`, then
+//! drains the node threads themselves via
+//! [`LiveCluster::shutdown_drain`]. No thread the daemon or its control
+//! plane started outlives [`Daemon::run`].
+//!
+//! [`LiveCluster`]: mpil_net::LiveCluster
+//! [`LiveCluster::submit`]: mpil_net::LiveCluster::submit
+//! [`LiveCluster::shutdown_drain`]: mpil_net::LiveCluster::shutdown_drain
+//! [`LiveClusterBuilder::spawn_with_sink`]: mpil_net::LiveClusterBuilder::spawn_with_sink
 
+use std::collections::VecDeque;
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mpil::{MessageKind, MpilConfig};
 use mpil_harness::WallClock;
 use mpil_id::Id;
@@ -38,30 +65,153 @@ use rand::SeedableRng;
 
 use crate::proto::{err_code, CtrlRequest, CtrlResponse, StatsBody};
 
-/// Smallest poll slice the daemon uses. UDP sockets reject a zero read
-/// timeout, so this is the floor for every blocking wait.
-const POLL: Duration = Duration::from_millis(1);
-/// Control frames handled per loop iteration before the event pump gets
-/// a turn (keeps a flooding client from starving in-flight replies).
-const CTRL_BATCH: usize = 256;
-/// Cluster events handled per loop iteration.
-const EVENT_BATCH: usize = 1024;
+/// Inputs handled per turn of the daemon before deadlines get a look
+/// (keeps a flooding client from starving timeouts and retries).
+const BATCH: usize = 256;
+/// Longest sleep when nothing is in flight. No deadline hides behind
+/// it: with an empty tracker only an input can give the daemon work.
+const IDLE_CAP: Duration = Duration::from_secs(1);
+
+/// Admission budget that may be spent at once after an idle stretch.
+const ADMIT_BURST: Duration = Duration::from_millis(3);
+/// Budget a closed admission waits for before it opens again.
+const ADMIT_WAVE: Duration = Duration::from_micros(1500);
+/// Requests waiting for admission beyond this many are turned away with
+/// `UNAVAILABLE` instead of queued.
+const MAX_BACKLOG: usize = 4096;
+
+/// The admission budget one operation takes: one second of budget
+/// accrues per second, so this is the reciprocal of the rate at which
+/// a daemon serving nothing else admits that operation (3 600 announces
+/// or 8 000 lookups a second on loopback UDP, 7 400 or 16 600 on
+/// channels).
+///
+/// Each figure is the CPU time the operation cost the whole data plane
+/// (every forward, reply and acknowledgement, on every thread they
+/// cross) while admission kept its queues short, plus a margin: about
+/// 175 and 113 µs on UDP and 90 and 45 µs on channels, on one core of
+/// the two-vCPU box `benchmark/run.sh` was calibrated on, with 48 nodes
+/// and `DaemonConfig::default()` parameters. (A saturated data plane
+/// batches frames per wake-up and is a quarter cheaper per operation;
+/// that is not a regime to plan for.) The margin covers what the host
+/// takes away for minutes at a time on that box, 10 to 30 %. UDP
+/// announces get the most of it and lookups the least, because a
+/// closed loop waits in-flight ÷ admitted rate for each lookup.
+fn admit_cost(transport: TransportKind, kind: MessageKind) -> Duration {
+    Duration::from_micros(match (transport, kind) {
+        (TransportKind::Udp, MessageKind::Insert) => 280,
+        (TransportKind::Udp, MessageKind::Lookup) => 125,
+        (TransportKind::Channel, MessageKind::Insert) => 135,
+        (TransportKind::Channel, MessageKind::Lookup) => 60,
+    })
+}
+
+/// Admission control: paces what the daemon submits to the cluster so
+/// that the data plane is offered less than it can serve.
+///
+/// A cluster offered more than it can serve queues the excess where
+/// nobody sees it (node sockets, which drop what does not fit, and then
+/// timeouts turn into retries, which add load), and its throughput is
+/// whatever the host's speed is that minute. Held below saturation it
+/// answers in its own latency, the excess waits in the daemon's backlog
+/// in arrival order, and throughput is the admitted rate. Below the
+/// admitted rate this costs nothing: the budget is there, and a request
+/// is submitted the moment it is read.
+///
+/// The budget accrues with time, up to [`ADMIT_BURST`], and every
+/// submission spends [`admit_cost`] of it (retries too, without waiting
+/// for it). Admission closes when the budget is spent and opens again
+/// once [`ADMIT_WAVE`] has accrued, so a backlog is let in a wave at a
+/// time: operations that enter the cluster together share wake-ups at
+/// the nodes (a fifth less CPU per announce than one timer wake-up per
+/// operation), and the daemon sleeps a wave's worth between them.
+#[derive(Debug)]
+struct Admission {
+    budget_ns: i64,
+    accrued_at: Duration,
+    open: bool,
+}
+
+impl Admission {
+    fn new(now: Duration) -> Self {
+        Admission {
+            budget_ns: ADMIT_BURST.as_nanos() as i64,
+            accrued_at: now,
+            open: true,
+        }
+    }
+
+    fn accrue(&mut self, now: Duration) {
+        let elapsed = now.saturating_sub(self.accrued_at).as_nanos() as i64;
+        self.accrued_at = now;
+        self.budget_ns = self
+            .budget_ns
+            .saturating_add(elapsed)
+            .min(ADMIT_BURST.as_nanos() as i64);
+        if self.budget_ns >= ADMIT_WAVE.as_nanos() as i64 {
+            self.open = true;
+        }
+    }
+
+    fn is_open(&self) -> bool {
+        self.open
+    }
+
+    fn spend(&mut self, cost: Duration) {
+        self.budget_ns -= cost.as_nanos() as i64;
+        if self.budget_ns <= 0 {
+            self.open = false;
+        }
+    }
+
+    /// When a closed admission opens again.
+    fn reopens_at(&self) -> Duration {
+        let short = ADMIT_WAVE.as_nanos() as i64 - self.budget_ns;
+        self.accrued_at + Duration::from_nanos(short.max(0) as u64)
+    }
+}
+
+/// One thing for the daemon to react to.
+#[derive(Debug)]
+pub enum Input<A> {
+    /// A request frame from the client at `from`.
+    Request {
+        /// Where the response goes.
+        from: A,
+        /// The undecoded frame.
+        frame: Vec<u8>,
+    },
+    /// A store-ack or lookup reply from the cluster.
+    Event(ClientEvent),
+    /// The control plane will deliver no more requests (its client is
+    /// gone, or its socket failed): the daemon drains and exits.
+    Closed,
+}
+
+/// Both halves of a daemon's inbox.
+pub type Inbox<A> = (Sender<Input<A>>, Receiver<Input<A>>);
 
 /// One end of the daemon's admin/data socket. `mpild` ships two: a
 /// loopback-UDP implementation for real clients and an in-process
 /// channel pair for embedded/smoke use.
+///
+/// A plane does not hand out requests on demand; it *delivers* them,
+/// as [`Input::Request`]s, into the inbox that [`ControlPlane::open`]
+/// returns, followed by one [`Input::Closed`] if it can deliver no
+/// more. Dropping the plane stops and joins whatever `open` started.
 pub trait ControlPlane: Send {
     /// Client address type, echoed back on [`ControlPlane::send`].
-    type Addr: Clone + std::fmt::Debug + Send;
+    type Addr: Clone + std::fmt::Debug + Send + 'static;
 
-    /// Receives the next request frame, waiting at most `timeout`;
-    /// `Ok(None)` on timeout.
+    /// Starts delivering request frames and returns the inbox they are
+    /// delivered to. The daemon clones the sending half for its other
+    /// sources and sleeps on the receiving half. Called once.
     ///
     /// # Errors
     ///
-    /// `std::io::Error` when the plane is unusable (the daemon treats
-    /// this as a shutdown signal).
-    fn recv(&mut self, timeout: Duration) -> std::io::Result<Option<(Self::Addr, Vec<u8>)>>;
+    /// `std::io::Error` when the plane cannot start (or was opened
+    /// before).
+    fn open(&mut self) -> std::io::Result<Inbox<Self::Addr>>;
 
     /// Sends a response frame to `to`.
     ///
@@ -72,10 +222,13 @@ pub trait ControlPlane: Send {
     fn send(&mut self, to: &Self::Addr, frame: &[u8]) -> std::io::Result<()>;
 }
 
-/// Loopback-UDP control plane: one datagram per request/response.
+/// Loopback-UDP control plane: one datagram per request/response. Once
+/// opened, a reader thread blocks on the socket and forwards every
+/// datagram to the inbox.
 #[derive(Debug)]
 pub struct UdpControl {
     socket: UdpSocket,
+    reader: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
 }
 
 impl UdpControl {
@@ -86,7 +239,10 @@ impl UdpControl {
     /// Socket `bind` failure.
     pub fn bind(port: u16) -> std::io::Result<Self> {
         let socket = UdpSocket::bind(("127.0.0.1", port))?;
-        Ok(UdpControl { socket })
+        Ok(UdpControl {
+            socket,
+            reader: None,
+        })
     }
 
     /// The bound address, for clients to connect to.
@@ -99,22 +255,57 @@ impl UdpControl {
     }
 }
 
-impl ControlPlane for UdpControl {
-    type Addr = SocketAddr;
-
-    fn recv(&mut self, timeout: Duration) -> std::io::Result<Option<(SocketAddr, Vec<u8>)>> {
-        self.socket.set_read_timeout(Some(timeout.max(POLL)))?;
-        let mut buf = [0u8; 512];
-        match self.socket.recv_from(&mut buf) {
-            Ok((len, addr)) => Ok(Some((addr, buf[..len].to_vec()))),
+/// The body of [`UdpControl`]'s reader thread.
+fn read_requests(socket: &UdpSocket, stop: &AtomicBool, inbox: &Sender<Input<SocketAddr>>) {
+    let mut buf = [0u8; 512];
+    loop {
+        let received = socket.recv_from(&mut buf);
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let input = match received {
+            Ok((len, from)) => Input::Request {
+                from,
+                frame: buf[..len].to_vec(),
+            },
+            // The idle cap ran out; `stop` has been looked at.
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                Ok(None)
+                continue
             }
-            Err(e) => Err(e),
+            Err(_) => Input::Closed,
+        };
+        let last = matches!(input, Input::Closed);
+        if inbox.send(input).is_err() || last {
+            return;
         }
+    }
+}
+
+impl ControlPlane for UdpControl {
+    type Addr = SocketAddr;
+
+    fn open(&mut self) -> std::io::Result<Inbox<SocketAddr>> {
+        if self.reader.is_some() {
+            return Err(already_open());
+        }
+        let (tx, rx) = unbounded();
+        let socket = self.socket.try_clone()?;
+        // Set once and never changed. A wake-up datagram ends the
+        // reader's sleep when the plane is dropped; the timeout only
+        // bounds the wait should that datagram be lost.
+        socket.set_read_timeout(Some(IDLE_CAP))?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let handle = std::thread::Builder::new()
+            .name("mpild-ctrl-reader".to_string())
+            .spawn({
+                let (stop, tx) = (Arc::clone(&stop), tx.clone());
+                move || read_requests(&socket, &stop, &tx)
+            })?;
+        self.reader = Some((stop, handle));
+        Ok((tx, rx))
     }
 
     fn send(&mut self, to: &SocketAddr, frame: &[u8]) -> std::io::Result<()> {
@@ -122,31 +313,48 @@ impl ControlPlane for UdpControl {
     }
 }
 
+impl Drop for UdpControl {
+    /// Stops and joins the reader, so that the port is free the moment
+    /// the plane is gone.
+    fn drop(&mut self) {
+        if let Some((stop, handle)) = self.reader.take() {
+            stop.store(true, Ordering::SeqCst);
+            // A datagram to ourselves ends the reader's blocking receive.
+            if let Ok(addr) = self.socket.local_addr() {
+                let _ = self.socket.send_to(&[], addr);
+            }
+            let _ = handle.join();
+        }
+    }
+}
+
 /// In-process control plane for embedded daemons (the CI smoke and
-/// `mpil-load --embedded`): a crossbeam channel pair with a single
-/// client.
+/// `mpil-load --embedded`) with a single client. No thread stands
+/// between the two: the client's sender *is* a sender of the daemon's
+/// inbox.
 #[derive(Debug)]
 pub struct ChannelControl {
-    rx: crossbeam::channel::Receiver<Vec<u8>>,
-    tx: crossbeam::channel::Sender<Vec<u8>>,
+    inbox: Option<Inbox<()>>,
+    tx: Sender<Vec<u8>>,
 }
 
 /// The client half of a [`ChannelControl`] pair; implements the load
-/// generator's connection trait.
+/// generator's connection trait. Dropping it tells the daemon the
+/// control plane is closed.
 #[derive(Debug)]
 pub struct ChannelCtrlClient {
-    rx: crossbeam::channel::Receiver<Vec<u8>>,
-    tx: crossbeam::channel::Sender<Vec<u8>>,
+    rx: Receiver<Vec<u8>>,
+    tx: Sender<Input<()>>,
 }
 
 impl ChannelControl {
     /// A connected (server, client) pair.
     pub fn pair() -> (ChannelControl, ChannelCtrlClient) {
-        let (to_daemon, from_client) = crossbeam::channel::unbounded();
-        let (to_client, from_daemon) = crossbeam::channel::unbounded();
+        let (to_daemon, inbox) = unbounded();
+        let (to_client, from_daemon) = unbounded();
         (
             ChannelControl {
-                rx: from_client,
+                inbox: Some((to_daemon.clone(), inbox)),
                 tx: to_client,
             },
             ChannelCtrlClient {
@@ -161,15 +369,15 @@ fn broken_pipe() -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::BrokenPipe, "control peer disconnected")
 }
 
+fn already_open() -> std::io::Error {
+    std::io::Error::other("control plane already opened")
+}
+
 impl ControlPlane for ChannelControl {
     type Addr = ();
 
-    fn recv(&mut self, timeout: Duration) -> std::io::Result<Option<((), Vec<u8>)>> {
-        match self.rx.recv_timeout(timeout.max(POLL)) {
-            Ok(frame) => Ok(Some(((), frame))),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(broken_pipe()),
-        }
+    fn open(&mut self) -> std::io::Result<Inbox<()>> {
+        self.inbox.take().ok_or_else(already_open)
     }
 
     fn send(&mut self, _to: &(), frame: &[u8]) -> std::io::Result<()> {
@@ -184,7 +392,12 @@ impl ChannelCtrlClient {
     ///
     /// `BrokenPipe` when the daemon is gone.
     pub fn send(&mut self, frame: &[u8]) -> std::io::Result<()> {
-        self.tx.send(frame.to_vec()).map_err(|_| broken_pipe())
+        self.tx
+            .send(Input::Request {
+                from: (),
+                frame: frame.to_vec(),
+            })
+            .map_err(|_| broken_pipe())
     }
 
     /// Receives the next response frame, waiting at most `timeout`.
@@ -193,11 +406,19 @@ impl ChannelCtrlClient {
     ///
     /// `BrokenPipe` when the daemon is gone.
     pub fn recv(&mut self, timeout: Duration) -> std::io::Result<Option<Vec<u8>>> {
-        match self.rx.recv_timeout(timeout.max(POLL)) {
+        match self.rx.recv_timeout(timeout) {
             Ok(frame) => Ok(Some(frame)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(broken_pipe()),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(broken_pipe()),
         }
+    }
+}
+
+impl Drop for ChannelCtrlClient {
+    fn drop(&mut self) {
+        // The inbox has other senders (the cluster's reader), so the
+        // daemon cannot see this one disappear: tell it.
+        let _ = self.tx.send(Input::Closed);
     }
 }
 
@@ -282,6 +503,11 @@ pub struct DaemonReport {
     pub send_errors: u64,
     /// Requests still in flight when the drain budget ran out.
     pub aborted_at_drain: u64,
+    /// Requests turned away because the admission backlog was full.
+    pub shed: u64,
+    /// Turns of the event loop: times the daemon woke from its blocking
+    /// receive, for an input or a deadline (idle, once a second).
+    pub wakeups: u64,
     /// Per-node worker statistics, joined at shutdown.
     pub node_stats: Vec<NodeStats>,
 }
@@ -297,7 +523,8 @@ impl DaemonReport {
             "{{\"uptime_s\":{:.3},\"announces\":{},\"hits\":{},\"lookup_timeouts\":{},\
              \"announce_timeouts\":{},\"retries\":{},\"live_nodes\":{},\"parked\":{},\
              \"joins\":{},\"perturbs\":{},\"heals\":{},\"bad_requests\":{},\
-             \"send_errors\":{},\"aborted_at_drain\":{},\"node_forwards\":{},\
+             \"send_errors\":{},\"aborted_at_drain\":{},\"shed\":{},\"wakeups\":{},\
+             \"node_forwards\":{},\
              \"node_stores\":{},\"node_dropped_perturbed\":{},\"node_dropped_at_drain\":{}}}",
             self.uptime_s,
             self.stats.announces,
@@ -313,6 +540,8 @@ impl DaemonReport {
             self.bad_requests,
             self.send_errors,
             self.aborted_at_drain,
+            self.shed,
+            self.wakeups,
             forwards,
             stores,
             dropped_perturbed,
@@ -326,12 +555,17 @@ pub struct Daemon<C: ControlPlane> {
     config: DaemonConfig,
     cluster: mpil_net::LiveCluster,
     ctrl: C,
+    inbox: Receiver<Input<C::Addr>>,
     clock: WallClock,
     tracker: RequestTracker<Ticket<C::Addr>>,
+    admission: Admission,
+    /// Accepted requests waiting for admission budget, oldest first.
+    backlog: VecDeque<Ticket<C::Addr>>,
     total_nodes: usize,
     parked: u32,
     report: DaemonReport,
-    /// `Some(budget)` once a drain was requested.
+    /// `Some(budget)` once a drain was requested or the control plane
+    /// closed.
     draining: Option<Duration>,
 }
 
@@ -342,7 +576,10 @@ impl<C: ControlPlane> Daemon<C> {
     /// # Errors
     ///
     /// [`DaemonError`] when topology generation or cluster spawn fails.
-    pub fn spawn(config: DaemonConfig, ctrl: C) -> Result<Self, DaemonError> {
+    pub fn spawn(config: DaemonConfig, mut ctrl: C) -> Result<Self, DaemonError> {
+        let (to_inbox, inbox) = ctrl
+            .open()
+            .map_err(|e| DaemonError(format!("control plane: {e}")))?;
         let total = config.nodes + config.spares;
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let topo = generators::random_regular(total, config.degree, &mut rng)
@@ -351,16 +588,22 @@ impl<C: ControlPlane> Daemon<C> {
             .config(config.mpil)
             .transport(config.transport)
             .seed(config.seed)
-            .spawn(&topo)
+            .spawn_with_sink(&topo, move |event| {
+                to_inbox.send(Input::Event(event)).is_ok()
+            })
             .map_err(|e| DaemonError(format!("spawn: {e}")))?;
         for spare in config.nodes..total {
             cluster.park(NodeIdx::new(spare as u32));
         }
+        let clock = WallClock::start();
         Ok(Daemon {
             config,
             cluster,
             ctrl,
-            clock: WallClock::start(),
+            inbox,
+            admission: Admission::new(clock.elapsed()),
+            backlog: VecDeque::new(),
+            clock,
             tracker: RequestTracker::new(config.retry),
             total_nodes: total,
             parked: config.spares as u32,
@@ -400,39 +643,61 @@ impl<C: ControlPlane> Daemon<C> {
         }
     }
 
-    fn submit_tracked(
-        &mut self,
-        addr: C::Addr,
-        token: u64,
-        kind: MessageKind,
-        object: Id,
-        origin: u32,
-    ) {
+    /// Accepts a data-plane request: it joins the admission backlog and
+    /// is submitted as soon as the budget allows, which on a daemon
+    /// that is not overloaded is now.
+    fn accept(&mut self, addr: C::Addr, token: u64, kind: MessageKind, object: Id, origin: u32) {
         if let Some(code) = self.entry_error(origin) {
             self.report.bad_requests += 1;
             self.respond(&addr, token, CtrlResponse::Err { code });
             return;
         }
-        let origin = NodeIdx::new(origin);
-        match self.cluster.submit(kind, origin, object) {
-            Ok(msg_id) => {
-                let ticket = Ticket {
-                    addr,
-                    token,
-                    kind,
-                    object,
-                    origin,
-                };
-                self.tracker.track(msg_id, ticket, self.clock.elapsed());
-            }
-            Err(_) => {
-                self.respond(
-                    &addr,
-                    token,
-                    CtrlResponse::Err {
-                        code: err_code::TRANSPORT,
-                    },
-                );
+        if self.backlog.len() >= MAX_BACKLOG {
+            self.report.shed += 1;
+            self.respond(
+                &addr,
+                token,
+                CtrlResponse::Err {
+                    code: err_code::UNAVAILABLE,
+                },
+            );
+            return;
+        }
+        self.backlog.push_back(Ticket {
+            addr,
+            token,
+            kind,
+            object,
+            origin: NodeIdx::new(origin),
+        });
+        self.admit();
+    }
+
+    /// Submits from the head of the backlog while admission is open.
+    fn admit(&mut self) {
+        let now = self.clock.elapsed();
+        self.admission.accrue(now);
+        while self.admission.is_open() {
+            let Some(ticket) = self.backlog.pop_front() else {
+                return;
+            };
+            self.admission
+                .spend(admit_cost(self.config.transport, ticket.kind));
+            match self
+                .cluster
+                .submit(ticket.kind, ticket.origin, ticket.object)
+            {
+                Ok(msg_id) => self.tracker.track(msg_id, ticket, now),
+                Err(_) => {
+                    let addr = ticket.addr.clone();
+                    self.respond(
+                        &addr,
+                        ticket.token,
+                        CtrlResponse::Err {
+                            code: err_code::TRANSPORT,
+                        },
+                    );
+                }
             }
         }
     }
@@ -470,10 +735,10 @@ impl<C: ControlPlane> Daemon<C> {
         }
         match req {
             CtrlRequest::Announce { object, origin } => {
-                self.submit_tracked(addr, token, MessageKind::Insert, object, origin);
+                self.accept(addr, token, MessageKind::Insert, object, origin);
             }
             CtrlRequest::Lookup { object, origin } => {
-                self.submit_tracked(addr, token, MessageKind::Lookup, object, origin);
+                self.accept(addr, token, MessageKind::Lookup, object, origin);
             }
             CtrlRequest::Join { node } => {
                 let idx = NodeIdx::new(node);
@@ -585,6 +850,10 @@ impl<C: ControlPlane> Daemon<C> {
                     pending.token.origin,
                     pending.token.object,
                 );
+                // A retry is work like any other: it spends budget, but
+                // does not queue for it.
+                self.admission
+                    .spend(admit_cost(self.config.transport, kind));
                 match self.cluster.submit(kind, origin, object) {
                     Ok(new_id) => {
                         self.tracker.retry(new_id, pending, now);
@@ -629,60 +898,95 @@ impl<C: ControlPlane> Daemon<C> {
         }
     }
 
+    fn handle(&mut self, input: Input<C::Addr>) {
+        match input {
+            Input::Request { from, frame } => self.handle_ctrl(from, &frame),
+            Input::Event(event) => self.handle_event(event),
+            Input::Closed => self.close(),
+        }
+    }
+
+    /// The control plane is gone: from here on the daemon is draining
+    /// (nothing is admitted, nothing is retried), on the fallback
+    /// budget unless a `Drain` request named one.
+    fn close(&mut self) {
+        self.draining.get_or_insert(self.config.fallback_drain);
+    }
+
+    /// One turn of the event loop: sleeps until an input arrives or the
+    /// earliest request deadline (or `until`, if that is sooner) passes,
+    /// handles a bounded batch of what is queued, then expires and
+    /// retries. `false` once no input can arrive any more.
+    fn turn(&mut self, until: Option<Duration>) -> bool {
+        let admit_at = (!self.backlog.is_empty()).then(|| self.admission.reopens_at());
+        let wake_at = [self.tracker.next_deadline(), until, admit_at]
+            .into_iter()
+            .flatten()
+            .min();
+        let wait = wake_at.map_or(IDLE_CAP, |at| at.saturating_sub(self.clock.elapsed()));
+        let first = self.inbox.recv_timeout(wait);
+        self.report.wakeups += 1;
+        let connected = !matches!(first, Err(RecvTimeoutError::Disconnected));
+        if let Ok(input) = first {
+            self.handle(input);
+            self.handle_queued(BATCH - 1);
+        }
+        self.handle_expiries();
+        self.admit();
+        connected
+    }
+
+    /// Handles what is already queued on the inbox, `limit` inputs at
+    /// most, without waiting for more.
+    fn handle_queued(&mut self, limit: usize) {
+        for _ in 0..limit {
+            match self.inbox.try_recv() {
+                Ok(input) => self.handle(input),
+                Err(_) => break,
+            }
+        }
+    }
+
     /// Serves until a `Drain` request (or control-plane death), drains,
     /// and returns the final account.
     pub fn run(mut self) -> DaemonReport {
-        let drain_budget = loop {
-            // 1. Admit control requests (bounded batch).
-            let mut ctrl_dead = false;
-            for _ in 0..CTRL_BATCH {
-                match self.ctrl.recv(POLL) {
-                    Ok(Some((addr, frame))) => self.handle_ctrl(addr, &frame),
-                    Ok(None) => break,
-                    Err(_) => {
-                        ctrl_dead = true;
-                        break;
-                    }
-                }
-            }
-            if ctrl_dead {
-                break self.draining.unwrap_or(self.config.fallback_drain);
-            }
-            // 2. Pump cluster events (bounded batch).
-            for _ in 0..EVENT_BATCH {
-                match self.cluster.poll_event(POLL) {
-                    Ok(Some(event)) => self.handle_event(event),
-                    Ok(None) | Err(_) => break,
-                }
-            }
-            // 3. Expire and retry.
-            self.handle_expiries();
-            // 4. A requested drain ends admission once in-flight work
-            //    is resolved (the loop above keeps serving replies).
+        let budget = loop {
             if let Some(budget) = self.draining {
                 break budget;
             }
+            if !self.turn(None) {
+                self.close();
+            }
         };
-        self.drain(drain_budget)
+        self.drain(budget)
     }
 
-    /// Runs the drain protocol: pump events until the in-flight set is
-    /// empty or `budget` elapses, fail the stragglers, then drain the
-    /// node threads.
+    /// Runs the drain protocol: keep serving the inbox until the
+    /// in-flight set is empty or the budget elapses (requests that
+    /// arrive now are answered `UNAVAILABLE`, not left to their
+    /// senders' timeouts), fail the stragglers, then drain the node
+    /// threads and stop the control plane's reader.
     fn drain(mut self, budget: Duration) -> DaemonReport {
         let deadline = self.clock.elapsed() + budget;
-        while !self.tracker.is_idle() && self.clock.elapsed() < deadline {
-            for _ in 0..EVENT_BATCH {
-                match self.cluster.poll_event(POLL) {
-                    Ok(Some(event)) => self.handle_event(event),
-                    Ok(None) | Err(_) => break,
-                }
+        while !(self.tracker.is_idle() && self.backlog.is_empty())
+            && self.clock.elapsed() < deadline
+        {
+            if !self.turn(Some(deadline)) {
+                break;
             }
-            self.handle_expiries();
         }
-        for pending in self.tracker.abort_all() {
+        // What queued up behind the last input handled gets its answer
+        // too.
+        self.handle_queued(BATCH);
+        let unserved: Vec<Ticket<C::Addr>> = self
+            .tracker
+            .abort_all()
+            .into_iter()
+            .map(|pending| pending.token)
+            .chain(self.backlog.drain(..))
+            .collect();
+        for t in unserved {
             self.report.aborted_at_drain += 1;
-            let t = pending.token;
             let resp = match t.kind {
                 MessageKind::Lookup => CtrlResponse::NotFound,
                 MessageKind::Insert => CtrlResponse::Err {
@@ -693,8 +997,11 @@ impl<C: ControlPlane> Daemon<C> {
         }
         self.report.stats = self.stats_body();
         self.report.uptime_s = self.clock.elapsed_s();
-        let remaining = deadline.saturating_sub(self.clock.elapsed()).max(POLL);
+        let remaining = deadline.saturating_sub(self.clock.elapsed());
         self.report.node_stats = self.cluster.shutdown_drain(remaining);
+        // Joins the control plane's reader and frees its port before the
+        // caller sees the report.
+        drop(self.ctrl);
         self.report
     }
 }
@@ -887,5 +1194,328 @@ mod tests {
         drop(client);
         let report = handle.join().expect("daemon thread");
         assert_eq!(report.node_stats.len(), 12, "cluster joined cleanly");
+    }
+
+    /// A UDP client of a daemon running on `UdpControl`.
+    fn spawn_udp_daemon(
+        config: DaemonConfig,
+    ) -> (std::thread::JoinHandle<DaemonReport>, UdpSocket, SocketAddr) {
+        let server = UdpControl::bind(0).expect("bind control port");
+        let addr = server.local_addr().expect("control address");
+        let handle =
+            std::thread::spawn(move || Daemon::spawn(config, server).expect("daemon spawn").run());
+        let client = UdpSocket::bind(("127.0.0.1", 0)).expect("bind client");
+        client.connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        (handle, client, addr)
+    }
+
+    fn udp_round_trip(client: &UdpSocket, req: CtrlRequest, token: u64) -> CtrlResponse {
+        client.send(&frame(req, token)).expect("send");
+        let mut buf = [0u8; 512];
+        let len = client.recv(&mut buf).expect("response within 5 s");
+        let (got, resp) = CtrlResponse::decode(&buf[..len]).expect("decode response");
+        assert_eq!(got, token, "token echo");
+        resp
+    }
+
+    /// Sequential lookups pay the service's own latency and nothing
+    /// else: a daemon that slept a poll interval per stage of a request
+    /// (16 ms a lookup on loopback UDP before the inbox) needs over
+    /// three seconds for these.
+    #[test]
+    fn sequential_udp_lookups_do_not_pay_for_polling() {
+        let (handle, client, _) = spawn_udp_daemon(DaemonConfig {
+            nodes: 24,
+            degree: 6,
+            seed: 9,
+            transport: TransportKind::Udp,
+            ..DaemonConfig::default()
+        });
+        let object = Id::from_low_u64(0xc0de);
+        assert!(matches!(
+            udp_round_trip(&client, CtrlRequest::Announce { object, origin: 0 }, 1),
+            CtrlResponse::Announced { .. }
+        ));
+        let clock = WallClock::start();
+        for i in 0..200u32 {
+            let resp = udp_round_trip(
+                &client,
+                CtrlRequest::Lookup {
+                    object,
+                    origin: i % 24,
+                },
+                2 + u64::from(i),
+            );
+            assert!(
+                matches!(resp, CtrlResponse::Found { .. }),
+                "lookup {i}: {resp:?}"
+            );
+        }
+        let took = clock.elapsed();
+        assert!(took < Duration::from_secs(1), "200 lookups took {took:?}");
+        assert_eq!(
+            udp_round_trip(&client, CtrlRequest::Drain { millis: 200 }, 999),
+            CtrlResponse::Ok
+        );
+        let report = handle.join().expect("daemon thread");
+        assert_eq!(report.stats.hits, 200);
+    }
+
+    #[test]
+    fn an_idle_daemon_sleeps() {
+        let (handle, mut client) = spawn_daemon(DaemonConfig {
+            nodes: 12,
+            degree: 4,
+            seed: 10,
+            ..DaemonConfig::default()
+        });
+        // Make sure the daemon is up before it is left alone.
+        client.send(&frame(CtrlRequest::Stats, 1)).expect("send");
+        let _ = expect_resp(&mut client, 1);
+        std::thread::sleep(Duration::from_millis(300));
+        client
+            .send(&frame(CtrlRequest::Drain { millis: 100 }, 2))
+            .expect("send");
+        let _ = expect_resp(&mut client, 2);
+        let report = handle.join().expect("daemon thread");
+        assert!(
+            report.wakeups <= 5,
+            "two requests and 300 idle ms took {} turns",
+            report.wakeups
+        );
+        assert!(report.to_json().contains("\"wakeups\":"));
+    }
+
+    #[test]
+    fn the_control_port_is_free_when_run_returns() {
+        let (handle, client, addr) = spawn_udp_daemon(DaemonConfig {
+            nodes: 12,
+            degree: 4,
+            seed: 11,
+            ..DaemonConfig::default()
+        });
+        assert_eq!(
+            udp_round_trip(&client, CtrlRequest::Drain { millis: 100 }, 1),
+            CtrlResponse::Ok
+        );
+        handle.join().expect("daemon thread");
+        // The reader thread held the socket too; it has been joined.
+        UdpControl::bind(addr.port()).expect("rebind the control port at once");
+    }
+
+    #[test]
+    fn requests_that_arrive_during_the_drain_are_turned_away() {
+        let (handle, mut client) = spawn_daemon(DaemonConfig {
+            nodes: 16,
+            degree: 4,
+            seed: 12,
+            retry: RetryPolicy {
+                timeout: Duration::from_millis(300),
+                retries: 0,
+            },
+            ..DaemonConfig::default()
+        });
+        let absent = Id::from_low_u64(0xdead);
+        // Keeps the drain busy for 300 ms.
+        client
+            .send(&frame(
+                CtrlRequest::Lookup {
+                    object: absent,
+                    origin: 1,
+                },
+                1,
+            ))
+            .expect("send");
+        client
+            .send(&frame(CtrlRequest::Drain { millis: 2_000 }, 2))
+            .expect("send");
+        assert_eq!(expect_resp(&mut client, 2), CtrlResponse::Ok);
+        // The drain has begun. This lookup is answered now, not after
+        // the first one's deadline: `expect_resp` takes the next frame.
+        client
+            .send(&frame(
+                CtrlRequest::Lookup {
+                    object: absent,
+                    origin: 2,
+                },
+                3,
+            ))
+            .expect("send");
+        assert_eq!(
+            expect_resp(&mut client, 3),
+            CtrlResponse::Err {
+                code: err_code::UNAVAILABLE
+            }
+        );
+        client.send(&frame(CtrlRequest::Stats, 4)).expect("send");
+        assert!(matches!(
+            expect_resp(&mut client, 4),
+            CtrlResponse::Stats(_)
+        ));
+        assert_eq!(expect_resp(&mut client, 1), CtrlResponse::NotFound);
+        let report = handle.join().expect("daemon thread");
+        assert_eq!(report.stats.lookup_timeouts, 1);
+        assert_eq!(report.aborted_at_drain, 0);
+    }
+
+    /// Virtual time: below the admitted rate the budget is never short,
+    /// above it admissions follow the clock, not the demand.
+    #[test]
+    fn admission_is_free_below_its_rate_and_paces_above_it() {
+        let cost = Duration::from_micros(100);
+        let mut now = Duration::ZERO;
+        let mut admission = Admission::new(now);
+        // Arrivals slower than one per `cost`: always let in at once.
+        for _ in 0..10_000 {
+            now += cost + Duration::from_micros(1);
+            admission.accrue(now);
+            assert!(admission.is_open());
+            admission.spend(cost);
+        }
+        // A standing backlog for one second: one operation per `cost`,
+        // give or take the burst and a wave, let in a wave at a time.
+        let end = now + Duration::from_secs(1);
+        let mut admitted = 0u32;
+        while now < end {
+            admission.accrue(now);
+            let before = admitted;
+            while admission.is_open() {
+                admission.spend(cost);
+                admitted += 1;
+            }
+            assert!(admitted - before >= 15, "a wave is 1.5 ms of budget");
+            assert!(
+                admission.reopens_at() > now,
+                "a closed admission names a later instant"
+            );
+            now = admission.reopens_at();
+        }
+        assert!((10_000..=10_000 + 45).contains(&admitted), "{admitted}");
+        // Idle time earns one burst, not more.
+        admission.accrue(now + Duration::from_secs(60));
+        let mut burst = 0;
+        while admission.is_open() {
+            admission.spend(cost);
+            burst += 1;
+        }
+        assert_eq!(burst, 30);
+    }
+
+    /// A flood beyond the backlog: every request is answered, what did
+    /// not fit is turned away, and served + shed adds up. The served ones
+    /// cannot have gone in faster than the admission rate.
+    #[test]
+    fn a_flood_is_paced_shed_and_accounted_for() {
+        let (handle, mut client) = spawn_daemon(DaemonConfig {
+            nodes: 16,
+            degree: 4,
+            seed: 14,
+            ..DaemonConfig::default()
+        });
+        let object = Id::from_low_u64(0xf100d);
+        client
+            .send(&frame(CtrlRequest::Announce { object, origin: 0 }, 1))
+            .expect("send");
+        assert!(matches!(
+            expect_resp(&mut client, 1),
+            CtrlResponse::Announced { .. }
+        ));
+        let flood = 3 * MAX_BACKLOG as u64;
+        let clock = WallClock::start();
+        for i in 0..flood {
+            client
+                .send(&frame(
+                    CtrlRequest::Lookup {
+                        object,
+                        origin: (i % 16) as u32,
+                    },
+                    2 + i,
+                ))
+                .expect("send");
+        }
+        let (mut served, mut turned_away) = (0u64, 0u64);
+        while served + turned_away < flood {
+            let raw = client
+                .recv(Duration::from_secs(10))
+                .expect("daemon alive")
+                .expect("an answer to every request");
+            match CtrlResponse::decode(&raw).expect("decode response").1 {
+                // Which flows a lookup takes depends on arrival order at
+                // the nodes; the odd one may miss the replicas.
+                CtrlResponse::Found { .. } | CtrlResponse::NotFound => served += 1,
+                CtrlResponse::Err {
+                    code: err_code::UNAVAILABLE,
+                } => turned_away += 1,
+                other => panic!("unexpected answer {other:?}"),
+            }
+        }
+        let took = clock.elapsed();
+        client
+            .send(&frame(CtrlRequest::Drain { millis: 500 }, 1))
+            .expect("send");
+        let _ = expect_resp(&mut client, 1);
+        let report = handle.join().expect("daemon thread");
+        assert!(report.shed > 0, "the flood outran the backlog");
+        assert_eq!(report.shed, turned_away);
+        assert_eq!(report.stats.hits + report.stats.lookup_timeouts, served);
+        assert!(served >= MAX_BACKLOG as u64, "a full backlog was served");
+        assert_eq!(report.bad_requests + report.aborted_at_drain, 0);
+        let cost = admit_cost(TransportKind::Channel, MessageKind::Lookup);
+        let floor = cost * served as u32 - ADMIT_BURST;
+        assert!(
+            took >= floor,
+            "{served} lookups in {took:?}, under {floor:?}"
+        );
+    }
+
+    /// Every accepted request is accounted for exactly once when the
+    /// client vanishes mid-flight, and a daemon whose control plane died
+    /// is draining: it retries nothing.
+    #[test]
+    fn accounting_sums_when_the_client_is_dropped_with_requests_in_flight() {
+        let (handle, mut client) = spawn_daemon(DaemonConfig {
+            nodes: 16,
+            degree: 4,
+            seed: 13,
+            retry: RetryPolicy {
+                timeout: Duration::from_millis(100),
+                retries: 5,
+            },
+            fallback_drain: Duration::from_millis(400),
+            ..DaemonConfig::default()
+        });
+        for token in 0..100u64 {
+            let object = Id::from_low_u64(0xdead_0000 + token);
+            client
+                .send(&frame(
+                    CtrlRequest::Lookup {
+                        object,
+                        origin: (token % 16) as u32,
+                    },
+                    token,
+                ))
+                .expect("send");
+        }
+        drop(client);
+        let report = handle.join().expect("daemon thread");
+        let s = &report.stats;
+        assert_eq!(
+            s.hits
+                + s.announces
+                + s.lookup_timeouts
+                + s.announce_timeouts
+                + report.aborted_at_drain,
+            100,
+            "{}",
+            report.to_json()
+        );
+        assert_eq!(s.retries, 0, "a draining daemon re-submits nothing");
+        assert_eq!(
+            report.send_errors, 100,
+            "every answer found the client gone"
+        );
     }
 }

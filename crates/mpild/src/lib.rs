@@ -9,7 +9,11 @@
 //!   behind a datagram control plane ([`proto`]): `announce`, `lookup`,
 //!   and an admin plane (`join`/`perturb`/`heal`/`stats`/`drain`).
 //!   Requests are pipelined through a per-request timeout/retry tracker;
-//!   shutdown drains in-flight work before the node threads exit.
+//!   the daemon is event-driven (one inbox, blocking receives, no poll
+//!   interval) and paces what it submits to the cluster (admission
+//!   control: a budget of estimated work, a bounded backlog, and
+//!   `UNAVAILABLE` beyond it); shutdown drains in-flight work before
+//!   the node threads exit.
 //! * **`mpil-load`** — a load generator driving the daemon with the
 //!   paper's insert-then-lookup workload at a configurable offered rate
 //!   (open loop with a bounded in-flight window, or closed loop),
@@ -39,7 +43,7 @@ pub mod proto;
 
 pub use daemon::{
     ChannelControl, ChannelCtrlClient, ControlPlane, Daemon, DaemonConfig, DaemonError,
-    DaemonReport, UdpControl,
+    DaemonReport, Inbox, Input, UdpControl,
 };
 pub use load::{
     probe_live_nodes, run_embedded, run_load, ChurnPlan, CtrlConnection, CtrlKind, LoadConfig,

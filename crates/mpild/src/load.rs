@@ -36,8 +36,8 @@ use crate::daemon::{
 };
 use crate::proto::{CtrlRequest, CtrlResponse};
 
-/// Smallest poll slice (UDP sockets reject zero read timeouts).
-const POLL: Duration = Duration::from_millis(1);
+/// Shortest read timeout handed to a UDP socket (zero is rejected).
+const MIN_READ_TIMEOUT: Duration = Duration::from_micros(50);
 /// Tokens at or above this mark are admin traffic (churn perturbs,
 /// drains), kept out of the request accounting.
 const ADMIN_BASE: u64 = 1 << 63;
@@ -74,6 +74,9 @@ impl CtrlConnection for ChannelCtrlClient {
 #[derive(Debug)]
 pub struct UdpCtrlClient {
     socket: UdpSocket,
+    /// The read timeout the socket has now: changing it is a system
+    /// call, made only when a different wait is asked for.
+    read_timeout: Option<Duration>,
 }
 
 impl UdpCtrlClient {
@@ -85,7 +88,10 @@ impl UdpCtrlClient {
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         socket.connect(addr)?;
-        Ok(UdpCtrlClient { socket })
+        Ok(UdpCtrlClient {
+            socket,
+            read_timeout: None,
+        })
     }
 }
 
@@ -95,7 +101,11 @@ impl CtrlConnection for UdpCtrlClient {
     }
 
     fn recv(&mut self, timeout: Duration) -> std::io::Result<Option<Vec<u8>>> {
-        self.socket.set_read_timeout(Some(timeout.max(POLL)))?;
+        let timeout = timeout.max(MIN_READ_TIMEOUT);
+        if self.read_timeout != Some(timeout) {
+            self.socket.set_read_timeout(Some(timeout))?;
+            self.read_timeout = Some(timeout);
+        }
         let mut buf = [0u8; 512];
         match self.socket.recv(&mut buf) {
             Ok(len) => Ok(Some(buf[..len].to_vec())),
@@ -387,37 +397,60 @@ fn run_phase<C: CtrlConnection>(
         if let Some(churn) = churn.as_deref_mut() {
             churn.pump(conn, clock.elapsed())?;
         }
-        // 3. Collect responses (the 1 ms poll doubles as the pacing
-        //    sleep when nothing is due or outstanding).
-        while let Some(raw) = conn.recv(POLL)? {
-            let Ok((token, resp)) = CtrlResponse::decode(&raw) else {
-                continue;
-            };
-            if token >= ADMIN_BASE {
-                continue; // churn/drain acks
-            }
-            let Some(p) = deadlines.complete(MessageId(token)) else {
-                continue; // response after the client-side deadline
-            };
-            pacer.record_completed(1);
-            match resp {
-                CtrlResponse::Announced { .. } | CtrlResponse::Found { .. } => {
-                    report.ok += 1;
-                    let ms = clock
-                        .elapsed()
-                        .saturating_sub(p.first_issued_at)
-                        .as_secs_f64()
-                        * 1e3;
-                    latency.push(ms);
-                }
-                _ => report.rejected += 1,
-            }
-        }
-        // 4. Enforce client-side deadlines.
+        // 3. Enforce client-side deadlines.
         let now = clock.elapsed();
         while deadlines.pop_expired(now).is_some() {
             pacer.record_completed(1);
             report.timeouts += 1;
+        }
+        // 4. Sleep until a response arrives or the next thing falls
+        //    due: a scheduled send (if the window has room for it), a
+        //    churn volley, a client deadline. One response a turn, so a
+        //    stream of them never keeps a due send waiting.
+        let next_send = pacer
+            .next_due_at()
+            .filter(|_| pacer.in_flight() < pacer.window())
+            .map(|at| phase_start + at);
+        let wake_at = [
+            next_send,
+            churn.as_deref().map(|c| c.next_at),
+            deadlines.next_deadline(),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        // Nothing to wait for, or something due already: the next turn
+        // issues, pumps or expires it.
+        let Some(wait) = wake_at
+            .map(|at| at.saturating_sub(clock.elapsed()))
+            .filter(|wait| !wait.is_zero())
+        else {
+            continue;
+        };
+        let Some(raw) = conn.recv(wait)? else {
+            continue;
+        };
+        let Ok((token, resp)) = CtrlResponse::decode(&raw) else {
+            continue;
+        };
+        if token >= ADMIN_BASE {
+            continue; // churn/drain acks
+        }
+        let Some(p) = deadlines.complete(MessageId(token)) else {
+            continue; // response after the client-side deadline
+        };
+        pacer.record_completed(1);
+        match resp {
+            CtrlResponse::Announced { .. } | CtrlResponse::Found { .. } => {
+                report.ok += 1;
+                let ms = clock
+                    .elapsed()
+                    .saturating_sub(p.first_issued_at)
+                    .as_secs_f64()
+                    * 1e3;
+                latency.push(ms);
+            }
+            _ => report.rejected += 1,
         }
     }
 
@@ -510,8 +543,11 @@ pub fn probe_live_nodes<C: CtrlConnection>(
 ) -> Result<usize, LoadError> {
     conn.send(&CtrlRequest::Stats.encode(ADMIN_BASE))?;
     let clock = WallClock::start();
-    while clock.elapsed() < timeout {
-        if let Some(raw) = conn.recv(POLL)? {
+    while let Some(remaining) = timeout
+        .checked_sub(clock.elapsed())
+        .filter(|r| !r.is_zero())
+    {
+        if let Some(raw) = conn.recv(remaining)? {
             if let Ok((ADMIN_BASE, CtrlResponse::Stats(body))) = CtrlResponse::decode(&raw) {
                 return Ok(body.live_nodes as usize);
             }

@@ -1,16 +1,27 @@
 //! The live cluster: spawn, drive, perturb, and tear down a real
 //! thread-per-node MPIL deployment.
+//!
+//! Besides the node threads the cluster runs one **reader** thread. It
+//! blocks on the client's receiving endpoint, decodes every `Reply` and
+//! `StoreAck` the moment it arrives and pushes it to the cluster's
+//! event sink: by default a channel that [`LiveCluster::poll_event`]
+//! receives on, or whatever [`LiveClusterBuilder::spawn_with_sink`] was
+//! given (the `mpild` daemon passes the sending half of its inbox, so
+//! it sleeps on one channel and never polls the cluster).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use mpil::{ConfigError, Message, MessageId, MessageKind, MpilConfig};
 use mpil_id::Id;
 use mpil_overlay::{NodeIdx, Topology};
 
-use crate::codec::WireMessage;
-use crate::node::{run_node, NodeControl, NodeSetup, NodeStats};
+use crate::codec::{WireMessage, SHUTDOWN_FRAME};
+use crate::node::{run_node, NodeControl, NodeSetup, NodeStats, IDLE_WAKE};
 use crate::transport::{ChannelMesh, Transport, TransportError, UdpMesh};
 
 /// Which mesh the cluster runs on.
@@ -143,19 +154,55 @@ impl LiveClusterBuilder {
     }
 
     /// Spawns one thread per node of `topo` and returns the running
-    /// cluster.
+    /// cluster. Client-bound events queue up for
+    /// [`LiveCluster::poll_event`].
     ///
     /// # Errors
     ///
     /// [`SpawnError::Config`] if the MPIL parameters are invalid;
-    /// [`SpawnError::Io`] if binding the UDP mesh or spawning a node
-    /// thread fails (any threads already started are shut down and
-    /// joined before the error is returned).
+    /// [`SpawnError::Io`] if binding the UDP mesh or spawning a thread
+    /// fails (any threads already started are shut down and joined
+    /// before the error is returned).
     ///
     /// # Panics
     ///
     /// Panics if the topology is empty.
     pub fn spawn(self, topo: &Topology) -> Result<LiveCluster, SpawnError> {
+        let (tx, rx) = unbounded();
+        self.spawn_inner(topo, move |event| tx.send(event).is_ok(), rx)
+    }
+
+    /// Like [`LiveClusterBuilder::spawn`], but every client-bound event
+    /// is handed to `sink` on the reader thread as it arrives, and
+    /// [`LiveCluster::poll_event`] (and with it the blocking
+    /// [`LiveCluster::insert`] and [`LiveCluster::lookup`]) has nothing
+    /// to receive: drive such a cluster with [`LiveCluster::submit`].
+    /// The reader stops delivering once `sink` returns `false`.
+    ///
+    /// # Errors
+    ///
+    /// As [`LiveClusterBuilder::spawn`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology is empty.
+    pub fn spawn_with_sink(
+        self,
+        topo: &Topology,
+        sink: impl FnMut(ClientEvent) -> bool + Send + 'static,
+    ) -> Result<LiveCluster, SpawnError> {
+        // The sending half is dropped here: polling this cluster
+        // reports `Disconnected` instead of waiting for nothing.
+        let (_, rx) = unbounded();
+        self.spawn_inner(topo, sink, rx)
+    }
+
+    fn spawn_inner(
+        self,
+        topo: &Topology,
+        sink: impl FnMut(ClientEvent) -> bool + Send + 'static,
+        events: Receiver<ClientEvent>,
+    ) -> Result<LiveCluster, SpawnError> {
         assert!(!topo.is_empty(), "cannot spawn an empty cluster");
         self.config.validate()?;
         let n = topo.len();
@@ -166,24 +213,44 @@ impl LiveClusterBuilder {
                 .collect(),
         );
 
+        // Endpoints 0..n are the nodes'. The client has two: `n`, which
+        // replies and store-acks are addressed to and the reader thread
+        // owns, and `n + 1`, which the cluster submits from.
         let mut endpoints: Vec<Box<dyn Transport>> = match self.transport {
-            TransportKind::Channel => ChannelMesh::build(n + 1)
+            TransportKind::Channel => ChannelMesh::build(n + 2)
                 .into_iter()
                 .map(|t| Box::new(t) as Box<dyn Transport>)
                 .collect(),
-            TransportKind::Udp => UdpMesh::build(n + 1)?
+            TransportKind::Udp => UdpMesh::build(n + 2)?
                 .into_iter()
                 .map(|t| Box::new(t) as Box<dyn Transport>)
                 .collect(),
         };
-        // Both mesh builders return exactly the n + 1 endpoints requested.
-        let client = endpoints.pop().expect("n + 1 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly n + 1 endpoints)
+        // Both mesh builders return exactly the n + 2 endpoints requested.
+        let client_tx = endpoints.pop().expect("n + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly n + 2 endpoints)
+        let client_rx = endpoints.pop().expect("n + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly n + 2 endpoints)
 
-        let mut controls: Vec<Arc<NodeControl>> = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
+        let reader_stop = Arc::new(AtomicBool::new(false));
+        let reader = std::thread::Builder::new()
+            .name("mpil-client-reader".to_string())
+            .spawn({
+                let stop = Arc::clone(&reader_stop);
+                move || pump_events(client_rx.as_ref(), &stop, sink)
+            })?;
+        let mut cluster = LiveCluster {
+            n,
+            config: self.config,
+            client: client_tx,
+            events,
+            controls: Vec::with_capacity(n),
+            handles: Vec::with_capacity(n),
+            reader_stop,
+            reader: Some(reader),
+            next_msg: 0,
+        };
         for (i, transport) in endpoints.into_iter().enumerate() {
             let control = Arc::new(NodeControl::default());
-            controls.push(Arc::clone(&control));
+            cluster.controls.push(Arc::clone(&control));
             let setup = NodeSetup {
                 node: NodeIdx::new(i as u32),
                 ids: Arc::clone(&ids),
@@ -196,42 +263,84 @@ impl LiveClusterBuilder {
                 .name(format!("mpil-node-{i}"))
                 .spawn(move || run_node(transport, setup, control));
             match spawned {
-                Ok(handle) => handles.push(handle),
+                Ok(handle) => cluster.handles.push(handle),
                 Err(e) => {
                     // Unwind the partial cluster: stop the threads that
                     // did start, then surface the original error.
-                    for c in &controls {
+                    for c in &cluster.controls {
                         c.request_shutdown();
                     }
-                    for h in handles {
-                        let _ = h.join();
-                    }
+                    cluster.stop_threads();
                     return Err(SpawnError::Io(e));
                 }
             }
         }
-        Ok(LiveCluster {
-            n,
-            config: self.config,
-            client,
-            controls,
-            handles,
-            next_msg: 0,
-        })
+        Ok(cluster)
+    }
+}
+
+/// The reader thread: blocks on the client's receiving endpoint and
+/// hands every decoded reply and store-ack to `sink`, until told to
+/// stop, the mesh is torn down, or `sink` reports its receiver gone.
+fn pump_events(
+    endpoint: &dyn Transport,
+    stop: &AtomicBool,
+    mut sink: impl FnMut(ClientEvent) -> bool,
+) {
+    while !stop.load(Ordering::SeqCst) {
+        let payload = match endpoint.recv_timeout(IDLE_WAKE) {
+            Ok(Some((_, payload))) => payload,
+            Ok(None) => continue,
+            Err(_) => return,
+        };
+        let event = match WireMessage::decode(&payload) {
+            Ok(WireMessage::Reply {
+                msg_id,
+                object,
+                holder,
+                hops,
+            }) => ClientEvent::Reply {
+                msg_id,
+                object,
+                holder,
+                hops,
+            },
+            Ok(WireMessage::StoreAck {
+                msg_id,
+                object,
+                holder,
+            }) => ClientEvent::StoreAck {
+                msg_id,
+                object,
+                holder,
+            },
+            // A `Shutdown` frame is the wake-up that makes the loop read
+            // `stop` again; forwards are never client-bound; garbage is
+            // counted by the nodes, not the client.
+            Ok(WireMessage::Shutdown | WireMessage::Forward(_)) | Err(_) => continue,
+        };
+        if !sink(event) {
+            return;
+        }
     }
 }
 
 /// A running live MPIL deployment.
 ///
-/// The cluster object is the *client*: it owns the extra mesh endpoint,
-/// issues operations through any entry node, and receives replies and
-/// store-acks directly from the holders.
+/// The cluster object is the *client*: it owns the extra mesh
+/// endpoints, issues operations through any entry node, and receives
+/// replies and store-acks directly from the holders.
 pub struct LiveCluster {
     n: usize,
     config: MpilConfig,
+    /// The endpoint operations (and wake-up frames) are sent from.
     client: Box<dyn Transport>,
+    /// The default event sink's receiving half.
+    events: Receiver<ClientEvent>,
     controls: Vec<Arc<NodeControl>>,
     handles: Vec<JoinHandle<NodeStats>>,
+    reader_stop: Arc<AtomicBool>,
+    reader: Option<JoinHandle<()>>,
     next_msg: u64,
 }
 
@@ -300,56 +409,20 @@ impl LiveCluster {
     }
 
     /// Receives the next client-bound event (a lookup reply or a
-    /// store-ack), waiting at most `timeout`. Returns `Ok(None)` on
-    /// timeout; frames that fail to decode are skipped.
+    /// store-ack), waiting at most `timeout`; `Ok(None)` on timeout.
+    /// Events are decoded by the reader thread as they arrive (frames
+    /// that fail to decode are skipped) and wait here in arrival order;
+    /// this is a receive on that queue, not a poll of the transport.
     ///
     /// # Errors
     ///
-    /// [`TransportError`] when the mesh is torn down.
+    /// [`TransportError::Disconnected`] when the mesh is torn down, or
+    /// when the cluster was spawned with a sink of its own.
     pub fn poll_event(&mut self, timeout: Duration) -> Result<Option<ClientEvent>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let Some((_, payload)) = self
-                .client
-                .recv_timeout(remaining.max(Duration::from_millis(1)))?
-            else {
-                return Ok(None);
-            };
-            match WireMessage::decode(&payload) {
-                Ok(WireMessage::Reply {
-                    msg_id,
-                    object,
-                    holder,
-                    hops,
-                }) => {
-                    return Ok(Some(ClientEvent::Reply {
-                        msg_id,
-                        object,
-                        holder,
-                        hops,
-                    }))
-                }
-                Ok(WireMessage::StoreAck {
-                    msg_id,
-                    object,
-                    holder,
-                }) => {
-                    return Ok(Some(ClientEvent::StoreAck {
-                        msg_id,
-                        object,
-                        holder,
-                    }))
-                }
-                // Forwards/shutdowns are never client-bound; garbage is
-                // counted by the nodes, not the client. Keep pumping
-                // until the deadline.
-                Ok(_) | Err(_) => {
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                }
-            }
+        match self.events.recv_timeout(timeout) {
+            Ok(event) => Ok(Some(event)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
         }
     }
 
@@ -485,14 +558,34 @@ impl LiveCluster {
     /// Frames still queued when the deadline passes are counted into
     /// [`NodeStats::dropped_at_drain`]. `Duration::ZERO` is an
     /// immediate shutdown that still accounts for what it drops.
-    pub fn shutdown_drain(self, drain: Duration) -> Vec<NodeStats> {
+    pub fn shutdown_drain(mut self, drain: Duration) -> Vec<NodeStats> {
         for c in &self.controls {
             c.request_drain(drain);
         }
-        self.handles
-            .into_iter()
+        self.stop_threads()
+    }
+
+    /// Wakes every node so it acts on what its control block now asks,
+    /// joins the nodes, then stops and joins the reader (last, so the
+    /// replies of the traffic that drained through are still
+    /// delivered). Returns the nodes' counters.
+    fn stop_threads(&mut self) -> Vec<NodeStats> {
+        let wake = Bytes::from_static(&SHUTDOWN_FRAME);
+        for node in 0..self.handles.len() {
+            // A refused wake-up only delays that node to its idle cap.
+            let _ = self.client.send(node, wake.clone());
+        }
+        let stats = self
+            .handles
+            .drain(..)
             .map(|h| h.join().expect("node thread panicked")) // mpil-lint: allow(P001, re-raises a worker panic at shutdown; swallowing it would hide the crash)
-            .collect()
+            .collect();
+        self.reader_stop.store(true, Ordering::SeqCst);
+        let _ = self.client.send(self.n, wake);
+        if let Some(reader) = self.reader.take() {
+            reader.join().expect("reader thread panicked"); // mpil-lint: allow(P001, re-raises a worker panic at shutdown; swallowing it would hide the crash)
+        }
+        stats
     }
 }
 

@@ -34,6 +34,10 @@ use mpil_overlay::NodeIdx;
 /// Current wire version.
 pub const WIRE_VERSION: u8 = 1;
 
+/// The encoding of [`WireMessage::Shutdown`], for receivers that tell a
+/// wake-up from traffic before they decode anything.
+pub(crate) const SHUTDOWN_FRAME: [u8; 2] = [WIRE_VERSION, 4];
+
 /// A frame of the live MPIL protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMessage {
@@ -328,7 +332,7 @@ mod tests {
     #[test]
     fn shutdown_is_two_bytes() {
         let enc = WireMessage::Shutdown.encode().expect("encode");
-        assert_eq!(enc.len(), 2);
+        assert_eq!(enc[..], SHUTDOWN_FRAME);
         assert_eq!(
             WireMessage::decode(&enc).expect("decode"),
             WireMessage::Shutdown

@@ -7,6 +7,11 @@
 //! suppression, and direct replies. Perturbation is injected by making
 //! the node discard every frame that arrives before a deadline —
 //! behaviorally identical to the paper's "unresponsive" host.
+//!
+//! A node sleeps in a blocking receive on its endpoint and is woken by
+//! frames only: a shutdown or drain request is written to its
+//! [`NodeControl`] and followed by a [`WireMessage::Shutdown`] frame,
+//! on which the node reads the control block again.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,7 +28,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::codec::WireMessage;
+use crate::codec::{WireMessage, SHUTDOWN_FRAME};
 use crate::transport::Transport;
 
 /// Shared control block of one node (cluster-side handle).
@@ -150,14 +155,66 @@ pub struct NodeSetup {
 /// frame for us gets a scheduling window to deliver it.
 const DRAIN_IDLE_POLL: Duration = Duration::from_millis(25);
 
+/// Longest a node (or the cluster's reader) sleeps in one receive when
+/// nothing arrives. Nothing depends on it: work and wake-ups arrive as
+/// frames. It bounds the wait should a wake-up frame be lost on a full
+/// socket buffer.
+pub(crate) const IDLE_WAKE: Duration = Duration::from_secs(1);
+
+/// Distinct message ids one generation of a [`SeenIds`] holds: seven
+/// eighths of 4096, the most a 4096-bucket table takes without growing.
+const SEEN_GENERATION: usize = 3584;
+
+/// The message ids a node has received lately, for duplicate
+/// suppression, in bounded memory.
+///
+/// Two generations: ids are recorded in the current one; when it holds
+/// [`SEEN_GENERATION`] ids it becomes the previous one and what was the
+/// previous is forgotten. An id is therefore remembered for at least
+/// the next [`SEEN_GENERATION`] distinct receptions, and at most twice
+/// that many are held. The copies of one flow reach a node within
+/// milliseconds of each other and a retry carries a fresh id, so
+/// nothing that is still in flight is ever forgotten at the rates one
+/// node thread can serve.
+#[derive(Debug)]
+struct SeenIds {
+    current: FxHashSet<MessageId>,
+    previous: FxHashSet<MessageId>,
+}
+
+impl SeenIds {
+    fn new() -> Self {
+        let generation =
+            || FxHashSet::with_capacity_and_hasher(SEEN_GENERATION, Default::default());
+        SeenIds {
+            current: generation(),
+            previous: generation(),
+        }
+    }
+
+    /// Records `id`; `false` if it was already remembered.
+    fn insert(&mut self, id: MessageId) -> bool {
+        if self.previous.contains(&id) || !self.current.insert(id) {
+            return false;
+        }
+        if self.current.len() >= SEEN_GENERATION {
+            std::mem::swap(&mut self.current, &mut self.previous);
+            self.current.clear();
+        }
+        true
+    }
+}
+
 /// Runs one node until shutdown; returns its counters.
 ///
-/// The loop wakes at least every 25 ms to observe
-/// [`NodeControl::request_shutdown`] and [`NodeControl::request_drain`].
-/// A drain request keeps the node serving until its queue has been
-/// empty for two consecutive idle polls (in-flight multi-hop traffic
-/// drains through) or the drain deadline passes; frames still queued at
-/// the deadline are swept up and counted as
+/// The node blocks on its endpoint; [`NodeControl::request_shutdown`]
+/// and [`NodeControl::request_drain`] take effect when the next frame
+/// arrives, so the cluster follows them with a
+/// [`WireMessage::Shutdown`] frame (a `Shutdown` frame with nothing
+/// requested is ignored). A drain request keeps the node serving until
+/// its queue has been empty for two consecutive idle polls (in-flight
+/// multi-hop traffic drains through) or the drain deadline passes;
+/// frames still queued at the deadline are swept up and counted as
 /// [`NodeStats::dropped_at_drain`].
 pub fn run_node(
     transport: Box<dyn Transport>,
@@ -166,7 +223,7 @@ pub fn run_node(
 ) -> NodeStats {
     let mut stats = NodeStats::default();
     let mut store: FxHashMap<Id, NodeIdx> = FxHashMap::default();
-    let mut seen: FxHashSet<MessageId> = FxHashSet::default();
+    let mut seen = SeenIds::new();
     let mut rng = SmallRng::seed_from_u64(setup.seed);
     let mut idle_polls = 0u32;
     let mut drain_seen = false;
@@ -188,18 +245,18 @@ pub fn run_node(
                 break; // queue stayed empty: drained clean
             }
         }
-        let poll = match draining {
+        let wait = match draining {
             // While draining, poll fast so the empty-queue exit is
             // prompt, but never sleep past the deadline.
             Some(deadline) => {
                 DRAIN_IDLE_POLL.min(deadline.saturating_duration_since(Instant::now()))
             }
-            None => Duration::from_millis(25),
+            None => IDLE_WAKE,
         };
-        let frame = match transport.recv_timeout(poll.max(Duration::from_millis(1))) {
-            Ok(Some(f)) => {
+        let payload = match transport.recv_timeout(wait) {
+            Ok(Some((_, payload))) => {
                 idle_polls = 0;
-                f
+                payload
             }
             Ok(None) => {
                 idle_polls = idle_polls.saturating_add(1);
@@ -207,6 +264,9 @@ pub fn run_node(
             }
             Err(_) => break, // mesh torn down
         };
+        if payload[..] == SHUTDOWN_FRAME {
+            continue; // woken to read the control block again
+        }
         if control.is_parked() {
             stats.dropped_parked += 1;
             continue;
@@ -215,7 +275,6 @@ pub fn run_node(
             stats.dropped_perturbed += 1;
             continue;
         }
-        let (_, payload) = frame;
         let wire = match WireMessage::decode(&payload) {
             Ok(w) => w,
             Err(_) => {
@@ -224,33 +283,31 @@ pub fn run_node(
             }
         };
         stats.frames += 1;
-        match wire {
-            WireMessage::Shutdown => break,
-            WireMessage::Reply { .. } | WireMessage::StoreAck { .. } => {
-                // Client-bound frames are not ours to handle; ignore.
-            }
-            WireMessage::Forward(msg) => {
-                step(
-                    transport.as_ref(),
-                    &setup,
-                    &mut stats,
-                    &mut store,
-                    &mut seen,
-                    &mut rng,
-                    msg,
-                );
-            }
+        // Client-bound frames are not ours to handle; ignore.
+        if let WireMessage::Forward(msg) = wire {
+            step(
+                transport.as_ref(),
+                &setup,
+                &mut stats,
+                &mut store,
+                &mut seen,
+                &mut rng,
+                msg,
+            );
         }
     }
     stats
 }
 
 /// Empties whatever is still queued on `transport`, returning the count
-/// (the frames a drain deadline left unserved).
+/// (the frames a drain deadline left unserved; wake-ups are not
+/// requests and are not counted).
 fn sweep_queue(transport: &dyn Transport) -> u64 {
     let mut dropped = 0;
-    while let Ok(Some(_)) = transport.recv_timeout(Duration::from_millis(1)) {
-        dropped += 1;
+    while let Ok(Some((_, payload))) = transport.recv_timeout(Duration::from_millis(1)) {
+        if payload[..] != SHUTDOWN_FRAME {
+            dropped += 1;
+        }
     }
     dropped
 }
@@ -262,7 +319,7 @@ fn step(
     setup: &NodeSetup,
     stats: &mut NodeStats,
     store: &mut FxHashMap<Id, NodeIdx>,
-    seen: &mut FxHashSet<MessageId>,
+    seen: &mut SeenIds,
     rng: &mut SmallRng,
     mut msg: Message,
 ) {
@@ -369,6 +426,134 @@ fn step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelMesh;
+    use bytes::Bytes;
+
+    /// Two nodes and a client endpoint on a channel mesh; returns node
+    /// 0's setup and every endpoint.
+    fn two_nodes(config: MpilConfig) -> (NodeSetup, Vec<Box<dyn Transport>>) {
+        let setup = NodeSetup {
+            node: NodeIdx::new(0),
+            ids: Arc::new(vec![Id::from_low_u64(1), Id::from_low_u64(2)]),
+            neighbors: Arc::new(vec![vec![NodeIdx::new(1)], vec![NodeIdx::new(0)]]),
+            config,
+            client: 2,
+            seed: 1,
+        };
+        let mesh = ChannelMesh::build(3)
+            .into_iter()
+            .map(|t| Box::new(t) as Box<dyn Transport>)
+            .collect();
+        (setup, mesh)
+    }
+
+    fn lookup(id: u64) -> Message {
+        Message::initial(
+            MessageId(id),
+            MessageKind::Lookup,
+            Id::from_low_u64(0xfeed),
+            NodeIdx::new(0),
+            4,
+            2,
+        )
+    }
+
+    #[test]
+    fn a_duplicate_is_counted_and_suppressed() {
+        for ds in [true, false] {
+            let (setup, mesh) = two_nodes(MpilConfig::default().with_duplicate_suppression(ds));
+            let mut stats = NodeStats::default();
+            let mut store = FxHashMap::default();
+            let mut seen = SeenIds::new();
+            let mut rng = SmallRng::seed_from_u64(1);
+            let mut step = |msg| {
+                step(
+                    mesh[0].as_ref(),
+                    &setup,
+                    &mut stats,
+                    &mut store,
+                    &mut seen,
+                    &mut rng,
+                    msg,
+                );
+            };
+            step(lookup(7));
+            step(lookup(8));
+            step(lookup(7));
+            assert_eq!(stats.duplicates_seen, 1, "ds={ds}");
+            assert_eq!(stats.duplicates_suppressed, u64::from(ds), "ds={ds}");
+        }
+    }
+
+    #[test]
+    fn seen_ids_remember_a_generation_and_stay_bounded() {
+        let mut seen = SeenIds::new();
+        assert!(seen.insert(MessageId(0)));
+        for id in 1..=SEEN_GENERATION as u64 {
+            assert!(seen.insert(MessageId(id)));
+        }
+        assert!(
+            !seen.insert(MessageId(0)),
+            "an id outlives the next SEEN_GENERATION distinct receptions"
+        );
+        for id in SEEN_GENERATION as u64 + 1..1_000_000 {
+            assert!(seen.insert(MessageId(id)));
+        }
+        assert!(!seen.insert(MessageId(999_999)));
+        assert!(seen.insert(MessageId(0)), "old ids are forgotten");
+        assert!(seen.current.len() + seen.previous.len() <= 2 * SEEN_GENERATION);
+        // 4096 buckets a generation: the tables never grew.
+        assert!(seen.current.capacity() + seen.previous.capacity() <= 2 * 4096);
+    }
+
+    /// The wake-up protocol: a `Shutdown` frame makes the node read its
+    /// control block, and only what is asked there ends it.
+    #[test]
+    fn a_node_sleeps_until_a_frame_and_obeys_only_its_control_block() {
+        let (setup, mut mesh) = two_nodes(MpilConfig::default());
+        let client = mesh.pop().expect("client endpoint");
+        let _peer = mesh.pop().expect("node 1 endpoint");
+        let node = mesh.pop().expect("node 0 endpoint");
+        let control = Arc::new(NodeControl::default());
+        let handle = std::thread::spawn({
+            let control = Arc::clone(&control);
+            move || run_node(node, setup, control)
+        });
+        // Nothing requested: the frame is ignored and the node serves on.
+        client
+            .send(0, Bytes::from_static(&SHUTDOWN_FRAME))
+            .expect("send");
+        let insert = Message::initial(
+            MessageId(1),
+            MessageKind::Insert,
+            // Shares more digits with node 0's id than with node 1's.
+            Id::from_low_u64(1),
+            NodeIdx::new(0),
+            4,
+            1,
+        );
+        client
+            .send(0, WireMessage::Forward(insert).encode().expect("encode"))
+            .expect("send");
+        let (_, ack) = client
+            .recv_timeout(Duration::from_secs(5))
+            .expect("recv")
+            .expect("the node is still serving");
+        assert!(matches!(
+            WireMessage::decode(&ack),
+            Ok(WireMessage::StoreAck { .. })
+        ));
+        // A drain request followed by the wake-up ends it, long before
+        // the idle cap would.
+        control.request_drain(Duration::from_secs(30));
+        client
+            .send(0, Bytes::from_static(&SHUTDOWN_FRAME))
+            .expect("send");
+        let stats = handle.join().expect("node thread");
+        assert_eq!(stats.frames, 1, "wake-ups are not traffic");
+        assert_eq!(stats.stores, 1);
+        assert_eq!(stats.dropped_at_drain, 0);
+    }
 
     #[test]
     fn control_flags_toggle() {

@@ -41,8 +41,12 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     /// 150 ms per attempt, two retries — tuned for loopback transports
-    /// where a healthy lookup answers in well under a millisecond and a
-    /// timeout almost always means the flow hit perturbed nodes.
+    /// where a healthy lookup answers in well under a millisecond, on
+    /// channels and on UDP sockets alike, and a timeout almost always
+    /// means the flow hit perturbed nodes. One flat period is hundreds
+    /// of times the typical latency, so it *is* the tail under churn
+    /// (`lookup_p99_ms` of the `svc-*` benchmark workloads); a
+    /// hop-aware deadline is an open ROADMAP item.
     fn default() -> Self {
         RetryPolicy {
             timeout: Duration::from_millis(150),

@@ -11,10 +11,11 @@
 
 use std::net::UdpSocket;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 
 /// Why a transport operation failed.
 #[derive(Debug)]
@@ -183,11 +184,34 @@ pub struct UdpTransport {
     index: usize,
     socket: UdpSocket,
     peers: Arc<Vec<std::net::SocketAddr>>,
+    recv: Mutex<RecvState>,
+}
+
+/// The receive side of a [`UdpTransport`].
+struct RecvState {
+    /// The read timeout the socket has now: changing it is a system
+    /// call, made only when a different wait is asked for.
+    timeout: Option<Duration>,
+    /// Every datagram is received into this buffer and its payload
+    /// copied out, so a frame owns its own bytes and nothing else.
+    buf: Vec<u8>,
+}
+
+impl std::fmt::Debug for RecvState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RecvState")
+            .field("timeout", &self.timeout)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Maximum UDP payload the mesh will attempt (loopback handles the
 /// theoretical UDP maximum, but stay clear of it).
 pub const MAX_DATAGRAM: usize = 60_000;
+
+/// Shortest read timeout handed to a socket (zero is rejected; the
+/// kernel rounds anything this short up to its own timer tick anyway).
+const MIN_READ_TIMEOUT: Duration = Duration::from_micros(50);
 
 impl UdpMesh {
     /// Binds `endpoints` sockets on `127.0.0.1` and wires them together.
@@ -212,6 +236,10 @@ impl UdpMesh {
                 index,
                 socket,
                 peers: Arc::clone(&peers),
+                recv: Mutex::new(RecvState {
+                    timeout: None,
+                    buf: vec![0u8; MAX_DATAGRAM],
+                }),
             })
             .collect())
     }
@@ -247,28 +275,41 @@ impl Transport for UdpTransport {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Bytes)>, TransportError> {
-        self.socket
-            .set_read_timeout(Some(timeout))
-            .map_err(TransportError::Io)?;
-        let mut buf = vec![0u8; MAX_DATAGRAM];
-        match self.socket.recv_from(&mut buf) {
-            Ok((len, _addr)) => {
-                if len < 4 {
-                    // Garbage datagram; surface as a timeout-like miss.
+        let mut state = self.recv.lock();
+        let RecvState { timeout: set, buf } = &mut *state;
+        let deadline = Instant::now() + timeout;
+        // Sockets reject a zero read timeout.
+        let mut wait = timeout.max(MIN_READ_TIMEOUT);
+        loop {
+            if *set != Some(wait) {
+                self.socket
+                    .set_read_timeout(Some(wait))
+                    .map_err(TransportError::Io)?;
+                *set = Some(wait);
+            }
+            match self.socket.recv(buf) {
+                Ok(len) if len >= 4 => {
+                    let from = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+                    return Ok(Some((from, Bytes::copy_from_slice(&buf[4..len]))));
+                }
+                // A datagram too short to carry the sender prefix is
+                // garbage, not a timeout: keep receiving until the
+                // deadline.
+                Ok(_) => {
+                    wait = deadline.saturating_duration_since(Instant::now());
+                    if wait.is_zero() {
+                        return Ok(None);
+                    }
+                    wait = wait.max(MIN_READ_TIMEOUT);
+                }
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
                     return Ok(None);
                 }
-                let from = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-                buf.truncate(len);
-                let payload = Bytes::from(buf).slice(4..);
-                Ok(Some((from, payload)))
+                Err(e) => return Err(TransportError::Io(e)),
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(TransportError::Io(e)),
         }
     }
 }
@@ -326,6 +367,48 @@ mod tests {
                 .expect("recv")
                 .expect("frame");
             assert_eq!(b[0], i);
+        }
+    }
+
+    #[test]
+    fn udp_garbage_datagram_is_not_a_timeout() {
+        let mesh = UdpMesh::build(2).expect("bind");
+        let stranger = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        // Too short to carry a sender index, then a real frame.
+        stranger.send_to(b"xy", mesh[1].peers[1]).expect("send");
+        mesh[0].send(1, Bytes::from_static(b"real")).expect("send");
+        let (from, got) = mesh[1]
+            .recv_timeout(Duration::from_secs(2))
+            .expect("recv")
+            .expect("the frame behind the garbage");
+        assert_eq!((from, &got[..]), (0, &b"real"[..]));
+        // Garbage alone is waited out, not reported early.
+        let wait = Duration::from_millis(40);
+        stranger.send_to(b"xy", mesh[1].peers[1]).expect("send");
+        let started = Instant::now();
+        assert!(mesh[1].recv_timeout(wait).expect("recv").is_none());
+        assert!(started.elapsed() >= wait);
+    }
+
+    #[test]
+    fn udp_frames_own_only_their_bytes() {
+        let mesh = UdpMesh::build(1).expect("bind");
+        for round in 0..3u8 {
+            mesh[0].send(0, Bytes::from(vec![round; 9])).expect("send");
+        }
+        let frames: Vec<Bytes> = (0..3)
+            .map(|_| {
+                mesh[0]
+                    .recv_timeout(Duration::from_secs(1))
+                    .expect("recv")
+                    .expect("frame")
+                    .1
+            })
+            .collect();
+        // One receive buffer serves every datagram; what was handed out
+        // earlier must not change under a later receive.
+        for (round, frame) in frames.iter().enumerate() {
+            assert_eq!(frame[..], [round as u8; 9]);
         }
     }
 

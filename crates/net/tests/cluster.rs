@@ -272,3 +272,48 @@ fn live_replica_holders_are_local_maxima() {
     }
     cluster.shutdown();
 }
+
+/// A cluster spawned with a sink of its own pushes every client-bound
+/// event there, from its reader thread, and has nothing to poll.
+#[test]
+fn events_are_pushed_to_a_custom_sink() {
+    use mpil_net::{ClientEvent, TransportError};
+
+    let topo = topo(16, 4, 14);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut cluster = LiveClusterBuilder::new()
+        .spawn_with_sink(&topo, move |event| tx.send(event).is_ok())
+        .expect("spawn");
+    let object = Id::from_low_u64(0x51);
+    let insert = cluster
+        .submit(MessageKind::Insert, NodeIdx::new(0), object)
+        .expect("submit");
+    match rx.recv_timeout(Duration::from_secs(5)).expect("store-ack") {
+        ClientEvent::StoreAck { msg_id, .. } => assert_eq!(msg_id, insert),
+        other => panic!("expected a store-ack, got {other:?}"),
+    }
+    let lookup = cluster
+        .submit(MessageKind::Lookup, NodeIdx::new(5), object)
+        .expect("submit");
+    loop {
+        match rx.recv_timeout(Duration::from_secs(5)).expect("reply") {
+            ClientEvent::Reply { msg_id, .. } => {
+                assert_eq!(msg_id, lookup);
+                break;
+            }
+            ClientEvent::StoreAck { .. } => continue, // the insert's other replicas
+        }
+    }
+    assert!(matches!(
+        cluster.poll_event(Duration::from_millis(10)),
+        Err(TransportError::Disconnected)
+    ));
+    cluster.shutdown();
+    // The reader was joined and the sink dropped with it: once the
+    // replicas' remaining store-acks are read, the channel is closed.
+    while rx.try_recv().is_ok() {}
+    assert_eq!(
+        rx.try_recv(),
+        Err(std::sync::mpsc::TryRecvError::Disconnected)
+    );
+}
