@@ -1,4 +1,4 @@
-//! `mpilctl live` — spawn a real thread-per-node cluster.
+//! `mpilctl live` — spawn a real cluster of threads and transports.
 
 use std::time::Duration;
 
@@ -43,7 +43,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x11ee);
     let mut out = format!(
-        "live cluster: {nodes} threads over {} transport\n",
+        "live cluster: {nodes} nodes on {} shard thread(s) over {} transport\n",
+        cluster.shards(),
         if args.flag("udp") {
             "loopback UDP"
         } else {

@@ -59,7 +59,7 @@ COMMANDS:
             --nodes N --ops K --idle S --offline S --p P [--loss L] [--seed S]
   sweep     one perturbation scenario across many seeds, in parallel
             (same flags as perturb) [--seeds K] [--workers W] [--json]
-  live      spawn a real thread-per-node cluster and run operations
+  live      spawn a real shard-per-core cluster and run operations
             --nodes N [--degree D] [--ops K] [--udp] [--seed S]
   serve     run the mpild daemon in the foreground (control on loopback UDP)
             [--port P] [--nodes N] [--degree D] [--spares S] [--udp]

@@ -1,6 +1,6 @@
 //! `mpild` — the MPIL service daemon.
 //!
-//! Hosts a live thread-per-node MPIL cluster behind a loopback-UDP
+//! Hosts a live MPIL cluster (one shard thread per core) behind a loopback-UDP
 //! control socket. Prints one JSON line on startup (with the bound
 //! control address) and one final JSON report after a `drain` request
 //! shuts it down.
@@ -32,7 +32,7 @@ mpild — MPIL service daemon (control plane on loopback UDP)
   --retries N      retries per request (default 2)
 
 Stop it with `mpil-load --stop-daemon` or any client sending a drain
-frame; the daemon drains in-flight work, joins the node threads, and
+frame; the daemon drains in-flight work, joins the shard threads, and
 prints its final report as one JSON line.
 ";
 

@@ -5,7 +5,8 @@
 //! one library:
 //!
 //! * **`mpild`** — a long-running daemon hosting a [`LiveCluster`]
-//!   (one thread per overlay node, channel or loopback-UDP data plane)
+//!   (its nodes dealt over one shard thread per core, channel or
+//!   loopback-UDP data plane)
 //!   behind a datagram control plane ([`proto`]): `announce`, `lookup`,
 //!   and an admin plane (`join`/`perturb`/`heal`/`stats`/`drain`).
 //!   Requests are pipelined through a per-request timeout/retry tracker;
@@ -13,7 +14,7 @@
 //!   interval) and paces what it submits to the cluster (admission
 //!   control: a budget of estimated work, a bounded backlog, and
 //!   `UNAVAILABLE` beyond it); shutdown drains in-flight work before
-//!   the node threads exit.
+//!   the shard threads exit.
 //! * **`mpil-load`** — a load generator driving the daemon with the
 //!   paper's insert-then-lookup workload at a configurable offered rate
 //!   (open loop with a bounded in-flight window, or closed loop),

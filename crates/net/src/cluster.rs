@@ -1,7 +1,12 @@
-//! The live cluster: spawn, drive, perturb, and tear down a real
-//! thread-per-node MPIL deployment.
+//! The live cluster: spawn, drive, perturb, and tear down a real MPIL
+//! deployment.
 //!
-//! Besides the node threads the cluster runs one **reader** thread. It
+//! The nodes of a cluster are dealt over **shards** (module `shard`),
+//! one evented thread per core the machine offers and never more than
+//! there are nodes; the count is read once at spawn and is not a
+//! setting. The mesh has one endpoint per shard and two for the client.
+//!
+//! Besides the shards the cluster runs one **reader** thread. It
 //! blocks on the client's receiving endpoint, decodes every `Reply` and
 //! `StoreAck` the moment it arrives and pushes it to the cluster's
 //! event sink: by default a channel that [`LiveCluster::poll_event`]
@@ -21,7 +26,8 @@ use mpil_id::Id;
 use mpil_overlay::{NodeIdx, Topology};
 
 use crate::codec::{WireMessage, SHUTDOWN_FRAME};
-use crate::node::{run_node, NodeControl, NodeSetup, NodeStats, IDLE_WAKE};
+use crate::node::{NodeControl, NodeStats};
+use crate::shard::{Overlay, Shard, ShardControl, IDLE_WAKE};
 use crate::transport::{ChannelMesh, Transport, TransportError, UdpMesh};
 
 /// Which mesh the cluster runs on.
@@ -77,7 +83,7 @@ pub enum ClientEvent {
 pub enum SpawnError {
     /// The MPIL parameters failed [`MpilConfig::validate`].
     Config(ConfigError),
-    /// Binding the UDP mesh or spawning a node thread failed.
+    /// Binding the UDP mesh or spawning a thread failed.
     Io(std::io::Error),
 }
 
@@ -153,8 +159,8 @@ impl LiveClusterBuilder {
         self
     }
 
-    /// Spawns one thread per node of `topo` and returns the running
-    /// cluster. Client-bound events queue up for
+    /// Spawns the shards that host the nodes of `topo` and returns the
+    /// running cluster. Client-bound events queue up for
     /// [`LiveCluster::poll_event`].
     ///
     /// # Errors
@@ -168,8 +174,14 @@ impl LiveClusterBuilder {
     ///
     /// Panics if the topology is empty.
     pub fn spawn(self, topo: &Topology) -> Result<LiveCluster, SpawnError> {
+        self.spawn_on(machine_shards(), topo)
+    }
+
+    /// [`LiveClusterBuilder::spawn`] on a given number of shards (at
+    /// most one per node): what the tests pin a layout with.
+    fn spawn_on(self, shards: usize, topo: &Topology) -> Result<LiveCluster, SpawnError> {
         let (tx, rx) = unbounded();
-        self.spawn_inner(topo, move |event| tx.send(event).is_ok(), rx)
+        self.spawn_inner(shards, topo, move |event| tx.send(event).is_ok(), rx)
     }
 
     /// Like [`LiveClusterBuilder::spawn`], but every client-bound event
@@ -194,11 +206,12 @@ impl LiveClusterBuilder {
         // The sending half is dropped here: polling this cluster
         // reports `Disconnected` instead of waiting for nothing.
         let (_, rx) = unbounded();
-        self.spawn_inner(topo, sink, rx)
+        self.spawn_inner(machine_shards(), topo, sink, rx)
     }
 
     fn spawn_inner(
         self,
+        shards: usize,
         topo: &Topology,
         sink: impl FnMut(ClientEvent) -> bool + Send + 'static,
         events: Receiver<ClientEvent>,
@@ -206,29 +219,36 @@ impl LiveClusterBuilder {
         assert!(!topo.is_empty(), "cannot spawn an empty cluster");
         self.config.validate()?;
         let n = topo.len();
-        let ids = Arc::new(topo.ids().to_vec());
-        let neighbors: Arc<Vec<Vec<NodeIdx>>> = Arc::new(
-            topo.iter_nodes()
-                .map(|v| topo.neighbors(v).to_vec())
-                .collect(),
-        );
+        let shards = shards.clamp(1, n);
 
-        // Endpoints 0..n are the nodes'. The client has two: `n`, which
-        // replies and store-acks are addressed to and the reader thread
-        // owns, and `n + 1`, which the cluster submits from.
+        // Endpoints 0..shards are the shards'. The client has two:
+        // `shards`, which replies and store-acks are addressed to and
+        // the reader thread owns, and `shards + 1`, which the cluster
+        // submits from.
         let mut endpoints: Vec<Box<dyn Transport>> = match self.transport {
-            TransportKind::Channel => ChannelMesh::build(n + 2)
+            TransportKind::Channel => ChannelMesh::build(shards + 2)
                 .into_iter()
                 .map(|t| Box::new(t) as Box<dyn Transport>)
                 .collect(),
-            TransportKind::Udp => UdpMesh::build(n + 2)?
+            TransportKind::Udp => UdpMesh::build(shards + 2)?
                 .into_iter()
                 .map(|t| Box::new(t) as Box<dyn Transport>)
                 .collect(),
         };
-        // Both mesh builders return exactly the n + 2 endpoints requested.
-        let client_tx = endpoints.pop().expect("n + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly n + 2 endpoints)
-        let client_rx = endpoints.pop().expect("n + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly n + 2 endpoints)
+        // Both mesh builders return exactly the endpoints requested.
+        let client_tx = endpoints.pop().expect("shards + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly shards + 2 endpoints)
+        let client_rx = endpoints.pop().expect("shards + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly shards + 2 endpoints)
+        let overlay = Arc::new(Overlay {
+            ids: topo.ids().to_vec(),
+            neighbors: topo
+                .iter_nodes()
+                .map(|v| topo.neighbors(v).to_vec())
+                .collect(),
+            config: self.config,
+            shards,
+            client: shards,
+            epoch: Instant::now(),
+        });
 
         let reader_stop = Arc::new(AtomicBool::new(false));
         let reader = std::thread::Builder::new()
@@ -238,37 +258,35 @@ impl LiveClusterBuilder {
                 move || pump_events(client_rx.as_ref(), &stop, sink)
             })?;
         let mut cluster = LiveCluster {
-            n,
-            config: self.config,
+            overlay: Arc::clone(&overlay),
             client: client_tx,
             events,
-            controls: Vec::with_capacity(n),
-            handles: Vec::with_capacity(n),
+            controls: (0..n).map(|_| Arc::default()).collect(),
+            shards: Vec::with_capacity(shards),
             reader_stop,
             reader: Some(reader),
             next_msg: 0,
         };
-        for (i, transport) in endpoints.into_iter().enumerate() {
-            let control = Arc::new(NodeControl::default());
-            cluster.controls.push(Arc::clone(&control));
-            let setup = NodeSetup {
-                node: NodeIdx::new(i as u32),
-                ids: Arc::clone(&ids),
-                neighbors: Arc::clone(&neighbors),
-                config: self.config,
-                client: n,
-                seed: self.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            };
+        for (k, transport) in endpoints.into_iter().enumerate() {
+            let control = Arc::new(ShardControl::default());
+            let shard = Shard::new(
+                k,
+                transport,
+                Arc::clone(&overlay),
+                Arc::clone(&control),
+                &cluster.controls,
+                self.seed,
+            );
             let spawned = std::thread::Builder::new()
-                .name(format!("mpil-node-{i}"))
-                .spawn(move || run_node(transport, setup, control));
+                .name(format!("mpil-shard-{k}"))
+                .spawn(move || shard.run());
             match spawned {
-                Ok(handle) => cluster.handles.push(handle),
+                Ok(handle) => cluster.shards.push((control, handle)),
                 Err(e) => {
                     // Unwind the partial cluster: stop the threads that
                     // did start, then surface the original error.
-                    for c in &cluster.controls {
-                        c.request_shutdown();
+                    for (control, _) in &cluster.shards {
+                        control.request_shutdown();
                     }
                     cluster.stop_threads();
                     return Err(SpawnError::Io(e));
@@ -277,6 +295,12 @@ impl LiveClusterBuilder {
         }
         Ok(cluster)
     }
+}
+
+/// Shards a cluster spawned on this machine runs: one per core the
+/// process may use.
+fn machine_shards() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// The reader thread: blocks on the client's receiving endpoint and
@@ -331,14 +355,15 @@ fn pump_events(
 /// endpoints, issues operations through any entry node, and receives
 /// replies and store-acks directly from the holders.
 pub struct LiveCluster {
-    n: usize,
-    config: MpilConfig,
+    overlay: Arc<Overlay>,
     /// The endpoint operations (and wake-up frames) are sent from.
     client: Box<dyn Transport>,
     /// The default event sink's receiving half.
     events: Receiver<ClientEvent>,
+    /// One control block per node.
     controls: Vec<Arc<NodeControl>>,
-    handles: Vec<JoinHandle<NodeStats>>,
+    /// The running shards, in mesh order.
+    shards: Vec<(Arc<ShardControl>, JoinHandle<Vec<NodeStats>>)>,
     reader_stop: Arc<AtomicBool>,
     reader: Option<JoinHandle<()>>,
     next_msg: u64,
@@ -347,17 +372,23 @@ pub struct LiveCluster {
 impl LiveCluster {
     /// Number of nodes (excluding the client endpoint).
     pub fn len(&self) -> usize {
-        self.n
+        self.controls.len()
     }
 
     /// Returns `true` if the cluster has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.controls.is_empty()
     }
 
     /// The MPIL parameters the nodes run.
     pub fn config(&self) -> MpilConfig {
-        self.config
+        self.overlay.config
+    }
+
+    /// Shard threads the nodes are dealt over: the cores the machine
+    /// offered at spawn, at most one per node.
+    pub fn shards(&self) -> usize {
+        self.overlay.shards
     }
 
     fn fresh_msg_id(&mut self) -> MessageId {
@@ -375,8 +406,8 @@ impl LiveCluster {
     ///
     /// # Errors
     ///
-    /// [`TransportError`] if the entry node's endpoint refuses the
-    /// frame.
+    /// [`TransportError`] if the endpoint of the entry node's shard
+    /// refuses the frame.
     ///
     /// # Panics
     ///
@@ -387,24 +418,25 @@ impl LiveCluster {
         origin: NodeIdx,
         object: Id,
     ) -> Result<MessageId, TransportError> {
-        assert!(origin.index() < self.n, "origin out of range");
+        assert!(origin.index() < self.len(), "origin out of range");
         let msg_id = self.fresh_msg_id();
+        let config = self.overlay.config;
         let initial = Message::initial(
             msg_id,
             kind,
             object,
             origin,
-            self.config.max_flows,
-            self.config.num_replicas,
+            config.max_flows,
+            config.num_replicas,
         );
-        let frame = match WireMessage::Forward(initial).encode() {
+        let frame = match WireMessage::Forward(initial).encode_for(origin) {
             Ok(frame) => frame,
             // Fresh messages carry no route; encoding cannot hit the
             // route-length limit. Treat a regression as a dropped frame
             // rather than panicking in service-path code.
             Err(_) => return Ok(msg_id),
         };
-        self.client.send(origin.index(), frame)?;
+        self.client.send(self.overlay.shard_of(origin), frame)?;
         Ok(msg_id)
     }
 
@@ -502,7 +534,8 @@ impl LiveCluster {
     ///
     /// Panics if `node` is out of range.
     pub fn perturb(&self, node: NodeIdx, duration: Duration) {
-        self.controls[node.index()].perturb_for(duration);
+        let until = self.overlay.epoch.elapsed().saturating_add(duration);
+        self.controls[node.index()].perturb_until(until);
     }
 
     /// Restores `node` immediately.
@@ -514,8 +547,8 @@ impl LiveCluster {
         self.controls[node.index()].heal();
     }
 
-    /// Parks `node`: provisioned (thread running, mesh endpoint bound)
-    /// but not serving — it drops every frame until
+    /// Parks `node`: provisioned (hosted by its shard, addressable) but
+    /// not serving — it drops every frame until
     /// [`LiveCluster::unpark`]. The daemon uses this for spare capacity
     /// that `join` later brings into service.
     ///
@@ -553,48 +586,197 @@ impl LiveCluster {
         self.shutdown_drain(Self::DEFAULT_DRAIN)
     }
 
-    /// Stops every node, letting each keep serving until its queue has
-    /// drained or `drain` has elapsed, and returns their counters.
-    /// Frames still queued when the deadline passes are counted into
-    /// [`NodeStats::dropped_at_drain`]. `Duration::ZERO` is an
-    /// immediate shutdown that still accounts for what it drops.
+    /// Stops every shard, letting each keep serving until its endpoint
+    /// has run dry or `drain` has elapsed, and returns the nodes'
+    /// counters, one per node in node order. Frames still waiting when
+    /// the deadline passes are counted into
+    /// [`NodeStats::dropped_at_drain`] of the node they were for.
+    /// `Duration::ZERO` is an immediate shutdown that still accounts for
+    /// what it drops.
     pub fn shutdown_drain(mut self, drain: Duration) -> Vec<NodeStats> {
-        for c in &self.controls {
-            c.request_drain(drain);
+        let until = self.overlay.epoch.elapsed().saturating_add(drain);
+        for (control, _) in &self.shards {
+            control.request_drain(until);
         }
         self.stop_threads()
     }
 
-    /// Wakes every node so it acts on what its control block now asks,
-    /// joins the nodes, then stops and joins the reader (last, so the
+    /// Wakes every shard so it acts on what its control block now asks,
+    /// joins the shards, then stops and joins the reader (last, so the
     /// replies of the traffic that drained through are still
-    /// delivered). Returns the nodes' counters.
+    /// delivered). Returns the nodes' counters in node order.
     fn stop_threads(&mut self) -> Vec<NodeStats> {
         let wake = Bytes::from_static(&SHUTDOWN_FRAME);
-        for node in 0..self.handles.len() {
-            // A refused wake-up only delays that node to its idle cap.
-            let _ = self.client.send(node, wake.clone());
+        for shard in 0..self.shards.len() {
+            // A refused wake-up only delays that shard to its idle cap.
+            let _ = self.client.send(shard, wake.clone());
         }
-        let stats = self
-            .handles
+        let by_shard: Vec<Vec<NodeStats>> = self
+            .shards
             .drain(..)
-            .map(|h| h.join().expect("node thread panicked")) // mpil-lint: allow(P001, re-raises a worker panic at shutdown; swallowing it would hide the crash)
+            .map(|(_, handle)| handle.join().expect("shard thread panicked")) // mpil-lint: allow(P001, re-raises a worker panic at shutdown; swallowing it would hide the crash)
             .collect();
         self.reader_stop.store(true, Ordering::SeqCst);
-        let _ = self.client.send(self.n, wake);
+        let _ = self.client.send(self.overlay.client, wake);
         if let Some(reader) = self.reader.take() {
             reader.join().expect("reader thread panicked"); // mpil-lint: allow(P001, re-raises a worker panic at shutdown; swallowing it would hide the crash)
         }
-        stats
+        // After a partial spawn the shards that never started have no
+        // counters.
+        (0..self.len() as u32)
+            .map(NodeIdx::new)
+            .filter_map(|node| {
+                let of_shard = by_shard.get(self.overlay.shard_of(node))?;
+                of_shard.get(self.overlay.slot_of(node)).copied()
+            })
+            .collect()
     }
 }
 
 impl std::fmt::Debug for LiveCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveCluster")
-            .field("nodes", &self.n)
-            .field("config", &self.config)
+            .field("nodes", &self.len())
+            .field("shards", &self.overlay.shards)
+            .field("config", &self.overlay.config)
             .field("operations_issued", &self.next_msg)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpil_overlay::generators;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    fn topo(n: usize, d: usize, seed: u64) -> Topology {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        generators::random_regular(n, d, &mut rng).expect("generator")
+    }
+
+    fn config() -> MpilConfig {
+        MpilConfig::default().with_max_flows(8).with_num_replicas(3)
+    }
+
+    /// Inserts and returns who acked: waits long for the first ack and
+    /// then until the acks stop coming.
+    fn insert_and_settle(cluster: &mut LiveCluster, origin: NodeIdx, object: Id) -> Vec<NodeIdx> {
+        let id = cluster
+            .submit(MessageKind::Insert, origin, object)
+            .expect("submit");
+        let mut holders = Vec::new();
+        let mut wait = Duration::from_secs(5);
+        while let Ok(Some(event)) = cluster.poll_event(wait) {
+            if let ClientEvent::StoreAck { msg_id, holder, .. } = event {
+                if msg_id == id {
+                    holders.push(holder);
+                    wait = Duration::from_millis(25);
+                }
+            }
+        }
+        holders
+    }
+
+    /// The layout is not part of the protocol: the same topology, seed
+    /// and operations give the same answers however the nodes are dealt
+    /// over shards, on either transport.
+    #[test]
+    fn every_layout_serves_the_same_operations() {
+        let topo = topo(24, 6, 31);
+        let n = topo.len();
+        for transport in [TransportKind::Channel, TransportKind::Udp] {
+            for shards in [1, 2, 3, n] {
+                let tag = format!("{transport:?} on {shards} shards");
+                let mut cluster = LiveClusterBuilder::new()
+                    .config(config())
+                    .transport(transport)
+                    .seed(7)
+                    .spawn_on(shards, &topo)
+                    .expect("spawn");
+                assert_eq!(cluster.shards(), shards);
+                let mut rng = SmallRng::seed_from_u64(32);
+                let objects: Vec<Id> = (0..6).map(|_| Id::random(&mut rng)).collect();
+                for (i, &object) in objects.iter().enumerate() {
+                    let origin = NodeIdx::new((5 * i % n) as u32);
+                    let holders = insert_and_settle(&mut cluster, origin, object);
+                    assert!(!holders.is_empty(), "{tag}: insert {i} was never acked");
+                    for holder in holders {
+                        let decision = mpil::routing_decision(
+                            config().space,
+                            object,
+                            holder,
+                            topo.neighbors(holder),
+                            topo.ids(),
+                            |_| false,
+                        );
+                        assert!(
+                            decision.is_local_max,
+                            "{tag}: {holder} acked insert {i} but is no local maximum"
+                        );
+                    }
+                }
+                for (i, &object) in objects.iter().enumerate() {
+                    let origin = NodeIdx::new((7 * i % n + 1) as u32);
+                    let hit = cluster.lookup(origin, object, Duration::from_secs(3));
+                    assert!(hit.is_some(), "{tag}: lookup {i} found nothing");
+                }
+                let absent = Id::random(&mut rng);
+                let miss = cluster.lookup(NodeIdx::new(2), absent, Duration::from_millis(150));
+                assert_eq!(miss, None, "{tag}: found what nobody inserted");
+                let stats = cluster.shutdown();
+                assert_eq!(stats.len(), n, "{tag}");
+                let dropped: u64 = stats.iter().map(|s| s.dropped_at_drain).sum();
+                assert_eq!(dropped, 0, "{tag}: a quiet cluster drains clean");
+            }
+        }
+    }
+
+    /// Counters come back one per node, in node order, whichever shard
+    /// hosted the node.
+    #[test]
+    fn shutdown_returns_counters_in_node_order() {
+        let topo = topo(16, 4, 33);
+        for shards in [1, 3, 16] {
+            let mut cluster = LiveClusterBuilder::new()
+                .config(config())
+                .spawn_on(shards, &topo)
+                .expect("spawn");
+            let object = Id::from_low_u64(0x0bde);
+            let mut holders = insert_and_settle(&mut cluster, NodeIdx::new(0), object);
+            holders.sort();
+            assert!(!holders.is_empty());
+            let stats = cluster.shutdown_drain(Duration::from_secs(5));
+            assert_eq!(stats.len(), 16);
+            let stored: Vec<NodeIdx> = (0..16)
+                .map(NodeIdx::new)
+                .filter(|node| stats[node.index()].stores > 0)
+                .collect();
+            assert_eq!(stored, holders, "{shards} shards");
+            assert_eq!(stats[0].frames, 1, "the entry node saw the insert once");
+        }
+    }
+
+    /// One thread per shard and the reader, however many nodes; the
+    /// shard count comes from the machine and never exceeds the nodes.
+    #[test]
+    fn a_cluster_runs_a_thread_per_shard_not_per_node() {
+        let cores = machine_shards();
+        let cluster = LiveClusterBuilder::new()
+            .spawn(&topo(48, 8, 34))
+            .expect("spawn");
+        assert_eq!(cluster.shards(), cores.min(48));
+        assert_eq!(
+            cluster.shards.len() + usize::from(cluster.reader.is_some()),
+            cluster.shards() + 1
+        );
+        assert_eq!(cluster.shutdown().len(), 48);
+        let cluster = LiveClusterBuilder::new()
+            .spawn_on(64, &topo(5, 2, 35))
+            .expect("spawn");
+        assert_eq!(cluster.shards(), 5);
+        assert_eq!(cluster.shards.len(), 5);
+        cluster.shutdown();
     }
 }

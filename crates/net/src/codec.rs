@@ -38,6 +38,11 @@ pub const WIRE_VERSION: u8 = 1;
 /// wake-up from traffic before they decode anything.
 pub(crate) const SHUTDOWN_FRAME: [u8; 2] = [WIRE_VERSION, 4];
 
+/// Longest route a forwarded message may carry: what fits the format's
+/// 16-bit length field. A copy handed over inside a shard never meets
+/// the encoder and is held to the same limit.
+pub(crate) const MAX_ROUTE: usize = u16::MAX as usize;
+
 /// A frame of the live MPIL protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMessage {
@@ -126,13 +131,28 @@ impl WireMessage {
     /// would silently truncate on the wire otherwise).
     pub fn encode(&self) -> Result<Bytes, EncodeError> {
         let mut buf = BytesMut::with_capacity(64);
+        self.write(&mut buf)?;
+        Ok(buf.freeze())
+    }
+
+    /// Encodes the frame behind the envelope a shard's endpoint expects:
+    /// the index of the node it is for, four bytes, big-endian. The
+    /// envelope belongs to the cluster's mesh, not to the wire format.
+    pub(crate) fn encode_for(&self, node: NodeIdx) -> Result<Bytes, EncodeError> {
+        let mut buf = BytesMut::with_capacity(72);
+        buf.put_u32(node.index() as u32);
+        self.write(&mut buf)?;
+        Ok(buf.freeze())
+    }
+
+    fn write(&self, buf: &mut BytesMut) -> Result<(), EncodeError> {
         buf.put_u8(WIRE_VERSION);
         match self {
             WireMessage::Forward(m) => {
-                if m.route.len() > usize::from(u16::MAX) {
+                if m.route.len() > MAX_ROUTE {
                     return Err(EncodeError::RouteTooLong {
                         len: m.route.len(),
-                        max: usize::from(u16::MAX),
+                        max: MAX_ROUTE,
                     });
                 }
                 buf.put_u8(match m.kind {
@@ -174,7 +194,7 @@ impl WireMessage {
             }
             WireMessage::Shutdown => buf.put_u8(4),
         }
-        Ok(buf.freeze())
+        Ok(())
     }
 
     /// Decodes a frame.
@@ -289,6 +309,14 @@ mod tests {
         let wire = WireMessage::Forward(m);
         let decoded = WireMessage::decode(&wire.encode().expect("encode")).expect("decode");
         assert_eq!(decoded, wire);
+    }
+
+    #[test]
+    fn the_envelope_is_the_node_index_in_front_of_the_frame() {
+        let wire = WireMessage::Forward(sample_message());
+        let enveloped = wire.encode_for(NodeIdx::new(0x0102_0304)).expect("encode");
+        assert_eq!(enveloped[..4], [1, 2, 3, 4]);
+        assert_eq!(enveloped[4..], wire.encode().expect("encode")[..]);
     }
 
     #[test]

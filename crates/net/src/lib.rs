@@ -10,12 +10,16 @@
 //!   (documented byte-for-byte; round-trip property-tested);
 //! * [`transport`] — a [`Transport`] abstraction with an in-process
 //!   crossbeam-channel mesh and a loopback UDP mesh;
-//! * [`node`] — the per-node worker loop (identical step semantics to
-//!   the simulators: metric scan, local-maximum deposit, quota split,
-//!   duplicate suppression);
-//! * [`cluster`] — [`LiveCluster`]: spawn a topology as one thread per
-//!   node, insert/lookup through any entry node, perturb nodes at will,
-//!   and shut down cleanly (draining in-flight traffic first);
+//! * [`node`] — the state of one overlay node (replica store, bounded
+//!   duplicate memory, counters, perturbation control);
+//! * `shard` — the evented loop that hosts a share of the nodes, one
+//!   per core: identical step semantics to the simulators (metric scan,
+//!   local-maximum deposit, quota split, duplicate suppression), with a
+//!   hop between two nodes of one shard handed over in memory instead of
+//!   through the transport;
+//! * [`cluster`] — [`LiveCluster`]: spawn a topology over those shards,
+//!   insert/lookup through any entry node, perturb nodes at will, and
+//!   shut down cleanly (draining in-flight traffic first);
 //! * [`request`] — [`RequestTracker`]: per-request timeout/retry
 //!   bookkeeping for pipelined clients such as the `mpild` daemon.
 //!
@@ -53,13 +57,14 @@ pub mod cluster;
 pub mod codec;
 pub mod node;
 pub mod request;
+mod shard;
 pub mod transport;
 
 pub use cluster::{
     ClientEvent, LiveCluster, LiveClusterBuilder, LiveLookup, SpawnError, TransportKind,
 };
 pub use codec::{DecodeError, EncodeError, WireMessage, WIRE_VERSION};
-pub use node::{NodeControl, NodeStats};
+pub use node::NodeStats;
 pub use request::{Pending, RequestTracker, RetryPolicy};
 pub use transport::{
     ChannelMesh, ChannelTransport, Transport, TransportError, UdpMesh, UdpTransport,

@@ -1,7 +1,8 @@
 //! Message transports for the live cluster.
 //!
-//! A [`Transport`] is one endpoint of an `n + 1`-endpoint mesh (the extra
-//! endpoint is the client's). Two implementations:
+//! A [`Transport`] is one endpoint of a fully connected mesh (the live
+//! cluster builds one endpoint per shard and two for its client). Two
+//! implementations:
 //!
 //! * [`ChannelMesh`] — in-process crossbeam channels; fast, loss-free,
 //!   used by most tests;
@@ -74,10 +75,10 @@ impl std::error::Error for TransportError {
 
 /// One endpoint of the mesh.
 pub trait Transport: Send {
-    /// This endpoint's index (nodes are `0..n`, the client is `n`).
+    /// This endpoint's index in the mesh.
     fn local_index(&self) -> usize;
 
-    /// Number of endpoints in the mesh (including the client).
+    /// Number of endpoints in the mesh.
     fn endpoints(&self) -> usize;
 
     /// Sends `payload` to endpoint `to`.
@@ -209,6 +210,9 @@ impl std::fmt::Debug for RecvState {
 /// theoretical UDP maximum, but stay clear of it).
 pub const MAX_DATAGRAM: usize = 60_000;
 
+/// Largest datagram [`UdpTransport::send`] assembles without allocating.
+const STACK_DATAGRAM: usize = 512;
+
 /// Shortest read timeout handed to a socket (zero is rejected; the
 /// kernel rounds anything this short up to its own timer tick anyway).
 const MIN_READ_TIMEOUT: Duration = Duration::from_micros(50);
@@ -265,11 +269,23 @@ impl Transport for UdpTransport {
             endpoint: to,
             endpoints: self.peers.len(),
         })?;
-        let mut frame = Vec::with_capacity(payload.len() + 4);
-        frame.extend_from_slice(&(self.index as u32).to_be_bytes());
-        frame.extend_from_slice(&payload);
+        // MPIL frames are a few dozen bytes plus four per hop of route:
+        // prefix and payload meet on the stack, and only a datagram
+        // beyond that takes a buffer from the heap.
+        let len = payload.len() + 4;
+        let mut stack = [0u8; STACK_DATAGRAM];
+        let mut heap = Vec::new();
+        let frame = match stack.get_mut(..len) {
+            Some(frame) => frame,
+            None => {
+                heap.resize(len, 0);
+                &mut heap[..]
+            }
+        };
+        frame[..4].copy_from_slice(&(self.index as u32).to_be_bytes());
+        frame[4..].copy_from_slice(&payload);
         self.socket
-            .send_to(&frame, addr)
+            .send_to(frame, addr)
             .map_err(TransportError::Io)?;
         Ok(())
     }
@@ -409,6 +425,29 @@ mod tests {
         // earlier must not change under a later receive.
         for (round, frame) in frames.iter().enumerate() {
             assert_eq!(frame[..], [round as u8; 9]);
+        }
+    }
+
+    /// Datagrams are assembled on the stack up to a size and on the
+    /// heap beyond it; both sides of the boundary arrive intact.
+    #[test]
+    fn udp_frames_around_the_stack_buffer_arrive_intact() {
+        let mesh = UdpMesh::build(2).expect("bind");
+        for len in [
+            0,
+            1,
+            STACK_DATAGRAM - 5,
+            STACK_DATAGRAM - 4,
+            STACK_DATAGRAM - 3,
+            4000,
+        ] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            mesh[0].send(1, Bytes::from(payload.clone())).expect("send");
+            let (from, got) = mesh[1]
+                .recv_timeout(Duration::from_secs(2))
+                .expect("recv")
+                .expect("frame");
+            assert_eq!((from, &got[..]), (0, &payload[..]), "{len} bytes");
         }
     }
 

@@ -141,7 +141,7 @@ fn udp_cluster_end_to_end() {
 }
 
 /// Shutting down mid-lookup must *drain*: in-flight requests submitted
-/// through the pipelined API are still answered before the node threads
+/// through the pipelined API are still answered before the shard threads
 /// exit, and nothing is counted as dropped at the drain deadline.
 #[test]
 fn shutdown_drains_in_flight_lookups() {

@@ -6,9 +6,9 @@
 //!
 //! Everything else in this repository runs under a deterministic
 //! discrete-event simulator; this example is the "production" path: a
-//! 64-node overlay where every node is an OS thread with its own
-//! loopback UDP socket, speaking the versioned wire format of
-//! [`mpil_net::codec`]. It inserts object pointers, perturbs a quarter
+//! 64-node overlay hosted by one shard thread per core, each with its
+//! own loopback UDP socket, speaking the versioned wire format of
+//! [`mpil_net::codec`] to the other shards and to the client. It inserts object pointers, perturbs a quarter
 //! of the fleet (nodes silently drop every datagram, exactly the
 //! paper's model of an unresponsive host), and shows lookups riding
 //! through on redundant flows.
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SmallRng::seed_from_u64(2005);
     let n = 64;
     let topo = generators::random_regular(n, 8, &mut rng)?;
-    println!("spawning {n} nodes as threads with loopback UDP sockets...");
+    println!("spawning {n} nodes on shard threads with loopback UDP sockets...");
 
     let mut cluster = LiveClusterBuilder::new()
         .transport(TransportKind::Udp)

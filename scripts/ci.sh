@@ -2,7 +2,9 @@
 # CI gate, fully offline: the tier-1 verify plus formatting, lints,
 # bench-target compile checks, and a large-N kernel tripwire.
 #
-#   tier-1:  cargo build --release && cargo test -q
+#   tier-1:  cargo build --release && cargo test -q --no-fail-fast
+#            (a failure here is reported and fails the gate at the end;
+#            the smokes below still run, on the release build it made)
 #   benches: cargo check --benches   (always; they are test = false)
 #   format:  cargo fmt --check       (stable rustfmt; options in rustfmt.toml)
 #   lint:    mpil-lint check         (determinism contract: rules D001-D003,
@@ -32,7 +34,9 @@ export CARGO_NET_OFFLINE=true
 cargo fmt --check
 cargo run -p mpil-lint --release -- check
 cargo clippy --workspace --all-targets -- -D warnings
-scripts/verify.sh --benches
+tier1=ok
+scripts/verify.sh --benches \
+    || { tier1=failed; echo "ci: tier-1 (scripts/verify.sh --benches) failed; carrying on to the smokes" >&2; }
 
 # Kernel scale tripwire: a 20k-node gossip run (the engine with the
 # heaviest event traffic, ~6.5M messages) must finish well inside the
@@ -99,4 +103,5 @@ quiet_udp_smoke() {
 quiet_udp_smoke || quiet_udp_smoke \
     || { echo "ci: quiet UDP service smoke failed a gate twice" >&2; exit 1; }
 
+[[ "$tier1" == ok ]] || { echo "ci: every later step passed, but tier-1 failed (see above)" >&2; exit 1; }
 echo "ci: OK"

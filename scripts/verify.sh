@@ -12,10 +12,17 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo build --release
-cargo test -q
+# --no-fail-fast: one red test binary must not hide the ones behind it.
+# The exit status is non-zero on any failure all the same.
+tests=0
+cargo test -q --no-fail-fast || tests=$?
 
 if [[ "${1:-}" == "--benches" ]]; then
     cargo check --benches
 fi
 
+if [[ "$tests" != 0 ]]; then
+    echo "verify: FAILED (cargo test exited $tests)" >&2
+    exit "$tests"
+fi
 echo "verify: OK"

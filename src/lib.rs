@@ -21,7 +21,7 @@
 //!   α-parallel lookups).
 //! * [`mpil_gossip`] — the epidemic/unstructured engine (gossip partial
 //!   views with suspicion; k-random-walk and expanding-ring lookups).
-//! * [`mpil_net`] — the live thread-per-node runtime (wire codec,
+//! * [`mpil_net`] — the live shard-per-core runtime (wire codec,
 //!   channel/UDP transports, perturbable clusters).
 //! * [`mpil_analysis`] — closed-form analysis from Section 5 of the paper.
 //! * [`mpil_workload`] — workload generators, experiment harness, statistics.
