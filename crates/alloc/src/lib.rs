@@ -20,6 +20,12 @@
 //! the deterministic simulators are). If the allocator is *not*
 //! installed, the counters simply stay at zero.
 //!
+//! Process-global also means: a test binary with several measuring
+//! tests must serialise them (one `static Mutex<()>` each test holds
+//! for its whole body). `cargo test` runs a binary's tests on parallel
+//! threads, so an unserialised window is charged with its neighbours'
+//! set-up allocations and the reading moves with thread timing.
+//!
 //! This is the one crate in the workspace that needs `unsafe`: the
 //! [`GlobalAlloc`] trait is unsafe by definition. The implementation
 //! adds nothing but counter bumps around `std::alloc::System`.

@@ -38,8 +38,7 @@ fn bench_chord_lookup(c: &mut Criterion) {
     let ids = mpil_chord::random_ids(n, &mut rng);
     let states = mpil_chord::build_converged_states(&ids, &config);
     let mut sim = ChordSim::new(
-        ids,
-        states,
+        (ids, states),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(10))),
@@ -69,8 +68,7 @@ fn bench_kademlia_lookup(c: &mut Criterion) {
     let ids = mpil_chord::random_ids(n, &mut rng);
     let tables = mpil_kademlia::build_converged_tables(&ids, &config);
     let mut sim = KademliaSim::new(
-        ids,
-        tables,
+        (ids, tables),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(10))),

@@ -5,8 +5,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mpil::MpilConfig;
 use mpil_analysis::AnalysisModel;
-use mpil_bench::perturb::{run_system, PerturbRun, System};
 use mpil_bench::static_exp::{insertion_behavior, lookup_behavior, paper_insert_config, Family};
+use mpil_harness::{run_scenario, EngineSpec, PerturbRun, Scenario};
 
 fn small_perturb(idle: u64, offline: u64, p: f64) -> PerturbRun {
     PerturbRun {
@@ -25,7 +25,12 @@ fn bench_fig1_point(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig1_pastry_point");
     g.sample_size(10);
     g.bench_function("pastry_30_30_p05", |b| {
-        b.iter(|| black_box(run_system(System::Pastry, small_perturb(30, 30, 0.5))))
+        b.iter(|| {
+            black_box(run_scenario(&Scenario::new(
+                EngineSpec::MSPASTRY,
+                small_perturb(30, 30, 0.5),
+            )))
+        })
     });
     g.finish();
 }
@@ -97,7 +102,12 @@ fn bench_fig11_point(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig11_point");
     g.sample_size(10);
     g.bench_function("mpil_no_ds_300_300_p1", |b| {
-        b.iter(|| black_box(run_system(System::MpilNoDs, small_perturb(300, 300, 1.0))))
+        b.iter(|| {
+            black_box(run_scenario(&Scenario::new(
+                EngineSpec::MPIL_NO_DS,
+                small_perturb(300, 300, 1.0),
+            )))
+        })
     });
     g.finish();
 }

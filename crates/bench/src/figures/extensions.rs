@@ -4,8 +4,8 @@
 
 use mpil::{DynamicConfig, DynamicNetwork, MpilConfig};
 use mpil_harness::{
-    DiscoveryEngine, EngineSpec, ExperimentRunner, LookupStrategy, OverlaySource, PerturbResult,
-    PreparedRun, Report, Scenario,
+    mean_out_degree, DiscoveryEngine, EngineSpec, ExperimentRunner, LookupStrategy, OverlaySource,
+    PerturbResult, PerturbRun, PreparedRun, Report, Scenario,
 };
 use mpil_id::Id;
 use mpil_overlay::transit_stub::{self, TransitStubConfig};
@@ -19,8 +19,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::cli::Args;
-use crate::dhts::mean_out_degree;
-use crate::perturb::{PerturbRun, System};
 
 /// Extension: the Figure 11 comparison widened to three DHT baselines.
 ///
@@ -195,8 +193,8 @@ pub fn ext_link_loss(args: &Args) -> Report {
             run.nodes = nodes;
             run.operations = ops;
             run.seed = seed;
-            points.push(Scenario::new(System::Pastry.spec(), run));
-            points.push(Scenario::new(System::MpilNoDs.spec(), run));
+            points.push(Scenario::new(EngineSpec::MSPASTRY, run));
+            points.push(Scenario::new(EngineSpec::MPIL_NO_DS, run));
         }
     }
     let results = ExperimentRunner::default().run_scenarios(&points);
@@ -603,8 +601,7 @@ fn build_maintained_pastry(
     let states = build_converged_states(&ids, &config, &mut rng);
     let ts = transit_stub::generate(nodes, TransitStubConfig::default(), &mut rng).expect("ts");
     let sim = PastrySim::new(
-        ids,
-        states,
+        (ids, states),
         config,
         Box::new(AlwaysOn),
         Box::new(TransitStubLatency::new(ts, 0.1)),
@@ -627,8 +624,7 @@ fn build_mpil_over_pastry(
     let neighbors: Vec<Vec<NodeIdx>> = states.iter().map(|s| s.neighbor_list()).collect();
     let ts = transit_stub::generate(nodes, TransitStubConfig::default(), &mut rng).expect("ts");
     let net = DynamicNetwork::new(
-        ids,
-        neighbors,
+        (ids, neighbors),
         DynamicConfig {
             mpil: MpilConfig::default().with_duplicate_suppression(false),
             heartbeat_period: None,

@@ -4,16 +4,15 @@
 //! fans it out through [`ExperimentRunner`], and formats the
 //! order-preserved results.
 
-use mpil_harness::{ExperimentRunner, PerturbResult, Scenario};
+use mpil_harness::{EngineSpec, ExperimentRunner, PerturbResult, PerturbRun, Scenario};
 use mpil_workload::Table;
 
 use crate::cli::Args;
-use crate::perturb::{PerturbRun, System};
 use crate::scale::perturb_scale;
 use mpil_harness::Report;
 
 fn point(
-    system: System,
+    system: EngineSpec,
     idle: u64,
     offline: u64,
     p: f64,
@@ -25,7 +24,7 @@ fn point(
     run.nodes = nodes;
     run.operations = ops;
     run.seed = seed;
-    Scenario::new(system.spec(), run)
+    Scenario::new(system, run)
 }
 
 /// Figure 1: the effect of perturbation on MSPastry.
@@ -42,7 +41,7 @@ pub fn fig1_pastry_perturbation(args: &Args) -> Report {
     for &(idle, offline) in settings {
         for &p in scale.probabilities {
             points.push(point(
-                System::Pastry,
+                EngineSpec::MSPASTRY,
                 idle,
                 offline,
                 p,
@@ -94,7 +93,7 @@ pub fn fig11_perturbation(args: &Args) {
     let scale = perturb_scale(full);
     let workers = args.value_or("workers", 2usize);
     let settings: &[(u64, u64)] = &[(1, 1), (30, 30), (300, 300)];
-    let systems = System::all();
+    let systems = EngineSpec::FIGURE_11;
 
     for &(idle, offline) in settings {
         let mut points = Vec::new();
@@ -120,7 +119,7 @@ pub fn fig11_perturbation(args: &Args) {
         let results = ExperimentRunner::new(workers).run_scenarios(&points);
 
         let mut headers = vec!["flap prob".to_string()];
-        headers.extend(systems.iter().map(|s| s.label().to_string()));
+        headers.extend(systems.iter().map(EngineSpec::label));
         let mut table = Table::new(headers);
         for (pi, &p) in scale.probabilities.iter().enumerate() {
             let mut row = vec![format!("{p:.1}")];
@@ -146,7 +145,11 @@ pub fn fig12_traffic(args: &Args) -> Report {
     let (full, _csv, seed) = args.standard();
     let scale = perturb_scale(full);
     let workers = args.value_or("workers", 2usize);
-    let systems = [System::Pastry, System::MpilDs, System::MpilNoDs];
+    let systems = [
+        EngineSpec::MSPASTRY,
+        EngineSpec::MPIL_DS,
+        EngineSpec::MPIL_NO_DS,
+    ];
 
     let mut points = Vec::new();
     for &system in &systems {
@@ -182,7 +185,7 @@ pub fn fig12_traffic(args: &Args) -> Report {
         ),
     ] {
         let mut headers = vec!["flap prob".to_string()];
-        headers.extend(systems.iter().map(|s| s.label().to_string()));
+        headers.extend(systems.iter().map(EngineSpec::label));
         let mut table = Table::new(headers);
         for (pi, &p) in scale.probabilities.iter().enumerate() {
             let mut row = vec![format!("{p:.1}")];

@@ -33,18 +33,15 @@
 //! a [`figures`] function: the experiments fan out through
 //! [`mpil_harness::ExperimentRunner`] and drive the engines through
 //! [`mpil_harness::DiscoveryEngine`], and all output goes through
-//! [`mpil_harness::Report`]. The historical entry points in
-//! [`perturb`] and [`dhts`] remain as wrappers over the harness.
+//! [`mpil_harness::Report`]; the systems are named by
+//! [`mpil_harness::EngineSpec`] directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cli;
-pub mod dhts;
 pub mod figures;
-pub mod perturb;
 pub mod scale;
 pub mod scale_curve;
 pub mod static_exp;
 
-pub use cli::Args;
+pub use mpil_workload::cli::{self, Args};

@@ -14,7 +14,7 @@
 use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Availability, Event, LatencyModel, Network, SimDuration, SimTime};
+use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimTime};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -22,8 +22,9 @@ use crate::config::ChordConfig;
 use crate::state::ChordState;
 
 /// Application payload of a routed message.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Payload {
+pub enum Payload {
     /// Store the object pointer at the key's root.
     Insert { object: Id },
     /// Find the object pointer; reply to `origin`.
@@ -38,8 +39,10 @@ enum Payload {
     JoinFind { joiner: NodeIdx },
 }
 
+/// What Chord nodes send each other (public only as [`Protocol::Msg`]).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-enum Msg {
+pub enum Msg {
     /// A routed message (one per-hop transmission).
     Route {
         key: Id,
@@ -79,8 +82,11 @@ enum Msg {
     },
 }
 
+/// What a Chord node's timer carries (public only as
+/// [`Protocol::Timer`]).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-enum Timer {
+pub enum Timer {
     /// Periodic successor-pointer repair.
     Stabilize,
     /// Periodic finger refresh (one random finger per firing).
@@ -148,132 +154,39 @@ impl ChordStats {
 /// Outcome of one lookup (the shared engine-agnostic enum).
 pub use mpil_sim::LookupOutcome;
 
-#[derive(Debug)]
-struct LookupState {
-    issued_at: SimTime,
-    deadline: SimTime,
-    outcome: LookupOutcome,
-}
+type Cx<'a> = mpil_sim::Cx<'a, Chord>;
 
-/// The Chord overlay simulation.
-///
-/// Drive it like the paper's experiments: build a converged ring
-/// ([`crate::bootstrap::build_converged_states`]), insert on the static
-/// overlay, swap in a flapping availability model, start maintenance,
-/// then issue lookups and run the clock.
-pub struct ChordSim {
+/// The Chord protocol: every node's routing state and pointer store,
+/// and the handlers that drive them. Runs inside a [`ChordSim`].
+pub struct Chord {
     config: ChordConfig,
     ids: Vec<Id>,
     states: Vec<ChordState>,
     stores: Vec<IdSet>,
-    net: Network<Msg, Timer>,
-    /// Reusable same-tick delivery batch (see [`Network::next_batch_before`]).
-    event_batch: Vec<mpil_sim::Event<Msg, Timer>>,
     pending_routes: FxHashMap<u64, PendingRoute>,
     pending_probes: FxHashMap<u64, PendingProbe>,
     pending_stabs: FxHashMap<u64, PendingProbe>,
     probing_pairs: FxHashSet<(NodeIdx, NodeIdx)>,
     seen_uids: Vec<FxHashSet<u64>>,
-    lookups: FxHashMap<u64, LookupState>,
     next_uid: u64,
     next_token: u64,
     next_lookup: u64,
-    maintenance_started: bool,
     stats: ChordStats,
 }
 
-impl ChordSim {
-    /// Builds the simulation from pre-built per-node states (see
-    /// [`crate::bootstrap::build_converged_states`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` and `states` disagree in length or the
-    /// configuration is invalid.
-    pub fn new(
-        ids: Vec<Id>,
-        states: Vec<ChordState>,
-        config: ChordConfig,
-        availability: Box<dyn Availability>,
-        latency: Box<dyn LatencyModel>,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(ids.len(), states.len(), "ids/states length mismatch");
-        config.assert_valid();
-        let n = ids.len();
-        ChordSim {
-            config,
-            states,
-            stores: vec![IdSet::new(); n],
-            net: Network::new(n, availability, latency, seed),
-            pending_routes: FxHashMap::default(),
-            pending_probes: FxHashMap::default(),
-            pending_stabs: FxHashMap::default(),
-            probing_pairs: FxHashSet::default(),
-            seen_uids: vec![FxHashSet::default(); n],
-            lookups: FxHashMap::default(),
-            event_batch: Vec::new(),
-            next_uid: 0,
-            next_token: 0,
-            next_lookup: 0,
-            maintenance_started: false,
-            ids,
-            stats: ChordStats::default(),
-        }
-    }
+/// The Chord overlay simulation.
+///
+/// Drive it like the paper's experiments: build a converged ring
+/// ([`crate::bootstrap::build_converged_states`]) and hand
+/// `(ids, states)` to [`Sim::new`], insert on the static overlay, swap
+/// in a flapping availability model, start maintenance, then issue
+/// lookups and run the clock.
+pub type ChordSim = Sim<Chord>;
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns `true` if the ring has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
+impl Chord {
     /// Protocol counters.
     pub fn stats(&self) -> ChordStats {
         self.stats
-    }
-
-    /// Kernel counters.
-    pub fn net_stats(&self) -> mpil_sim::NetStats {
-        self.net.stats()
-    }
-
-    /// Swaps the availability model (static stage → flapping stage).
-    pub fn set_availability(&mut self, availability: Box<dyn Availability>) {
-        self.net.set_availability(availability);
-    }
-
-    /// Sets the independent per-message link-loss probability (failure
-    /// injection; see [`mpil_sim::Network::set_loss_probability`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn set_loss_probability(&mut self, p: f64) {
-        self.net.set_loss_probability(p);
-    }
-
-    /// Nodes currently storing the pointer for `object`.
-    pub fn replica_holders(&self, object: Id) -> Vec<NodeIdx> {
-        (0..self.ids.len() as u32)
-            .map(NodeIdx::new)
-            .filter(|n| self.stores[n.index()].contains(&object))
-            .collect()
-    }
-
-    /// Number of nodes storing the pointer for `object`, without
-    /// materialising the holder list.
-    pub fn replica_count(&self, object: Id) -> usize {
-        self.stores.iter().filter(|s| s.contains(&object)).count()
     }
 
     /// Each node's frozen neighbor list (successors ∪ fingers ∪
@@ -293,115 +206,7 @@ impl ChordSim {
         &self.states[node.index()]
     }
 
-    /// Starts the periodic maintenance timers on every node, staggered
-    /// uniformly over one period to avoid lockstep rounds.
-    pub fn start_maintenance(&mut self) {
-        assert!(!self.maintenance_started, "maintenance already started");
-        self.maintenance_started = true;
-        let n = self.ids.len();
-        for i in 0..n as u32 {
-            let node = NodeIdx::new(i);
-            let st = {
-                let p = self.config.stabilize_period.as_micros();
-                SimDuration::from_micros(self.net.rng().gen_range(0..p))
-            };
-            self.net.schedule(node, st, Timer::Stabilize);
-            let ff = {
-                let p = self.config.fix_fingers_period.as_micros();
-                SimDuration::from_micros(self.net.rng().gen_range(0..p))
-            };
-            self.net.schedule(node, ff, Timer::FixFingers);
-            let cp = {
-                let p = self.config.check_predecessor_period.as_micros();
-                SimDuration::from_micros(self.net.rng().gen_range(0..p))
-            };
-            self.net.schedule(node, cp, Timer::CheckPredecessor);
-        }
-    }
-
-    /// Starts routing an insertion of `object` from `origin`.
-    pub fn insert(&mut self, origin: NodeIdx, object: Id) {
-        let payload = Payload::Insert { object };
-        self.route_step(origin, object, payload, 0);
-    }
-
-    /// Issues a lookup of `object` from `origin` with the given deadline.
-    pub fn issue_lookup(&mut self, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
-        let lookup_id = self.next_lookup;
-        self.next_lookup += 1;
-        self.lookups.insert(
-            lookup_id,
-            LookupState {
-                issued_at: self.net.now(),
-                deadline,
-                outcome: LookupOutcome::Pending,
-            },
-        );
-        let payload = Payload::Lookup {
-            object,
-            lookup_id,
-            origin,
-        };
-        self.route_step(origin, object, payload, 0);
-        lookup_id
-    }
-
-    /// Outcome of a lookup; `Pending` past its deadline reads as
-    /// `Failed`.
-    pub fn lookup_outcome(&self, lookup_id: u64) -> LookupOutcome {
-        match self.lookups.get(&lookup_id) {
-            None => LookupOutcome::Failed,
-            Some(s) => match s.outcome {
-                LookupOutcome::Pending if self.net.now() >= s.deadline => LookupOutcome::Failed,
-                o => o,
-            },
-        }
-    }
-
-    /// Starts the Chord join protocol: `joiner` (a node constructed with
-    /// empty state) locates its successor through `bootstrap`; the root
-    /// transfers its successor list, and stabilization integrates the
-    /// joiner into predecessor pointers and fingers over time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `joiner == bootstrap`.
-    pub fn join(&mut self, joiner: NodeIdx, bootstrap: NodeIdx) {
-        assert_ne!(joiner, bootstrap, "cannot bootstrap from self");
-        let key = self.ids[joiner.index()];
-        self.stats.maintenance_messages += 1;
-        let uid = self.fresh_uid();
-        self.transmit(joiner, bootstrap, key, Payload::JoinFind { joiner }, 0, uid);
-    }
-
-    /// Runs the event loop until `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while self.net.next_batch_before(deadline, &mut batch) {
-            for ev in batch.drain(..) {
-                self.dispatch(ev);
-            }
-        }
-        self.event_batch = batch;
-    }
-
-    /// Runs until no events remain (only terminates before maintenance
-    /// starts).
-    pub fn run_to_quiescence(&mut self) {
-        assert!(
-            !self.maintenance_started,
-            "periodic maintenance never quiesces; use run_until"
-        );
-        self.run_until(SimTime::from_micros(u64::MAX));
-    }
-
     // --- routing ----------------------------------------------------------
-
-    fn fresh_uid(&mut self) -> u64 {
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        uid
-    }
 
     fn count_route(&mut self, payload: &Payload) {
         match payload {
@@ -415,7 +220,7 @@ impl ChordSim {
 
     /// One routing decision at `at`: deliver locally if `at` is the root
     /// (or has no better hop), otherwise forward with per-hop reliability.
-    fn route_step(&mut self, at: NodeIdx, key: Id, payload: Payload, hops: u32) {
+    fn route_step(&mut self, cx: &mut Cx<'_>, at: NodeIdx, key: Id, payload: Payload, hops: u32) {
         // A lookup can be satisfied by any replica holder on the path.
         if let Payload::Lookup {
             object,
@@ -424,12 +229,12 @@ impl ChordSim {
         } = payload
         {
             if self.stores[at.index()].contains(&object) {
-                self.reply_lookup(at, origin, lookup_id, true, hops);
+                self.reply_lookup(cx, at, origin, lookup_id, true, hops);
                 return;
             }
         }
         if self.states[at.index()].owns(key, &self.ids) {
-            self.deliver(at, payload, hops);
+            self.deliver(cx, at, payload, hops);
             return;
         }
         if hops >= self.config.max_hops {
@@ -438,23 +243,24 @@ impl ChordSim {
         }
         let Some(next) = self.states[at.index()].next_hop(key, &self.ids) else {
             // No known peers at all: act as root.
-            self.deliver(at, payload, hops);
+            self.deliver(cx, at, payload, hops);
             return;
         };
-        let uid = self.fresh_uid();
         self.count_route(&payload);
-        self.transmit(at, next, key, payload, hops + 1, uid);
+        self.transmit(cx, at, next, key, payload, hops + 1);
     }
 
     fn transmit(
         &mut self,
+        cx: &mut Cx<'_>,
         from: NodeIdx,
         to: NodeIdx,
         key: Id,
         payload: Payload,
         hops: u32,
-        uid: u64,
     ) {
+        let uid = self.next_uid;
+        self.next_uid += 1;
         self.pending_routes.insert(
             uid,
             PendingRoute {
@@ -466,7 +272,7 @@ impl ChordSim {
                 attempts: 0,
             },
         );
-        self.net.send(
+        cx.send(
             from,
             to,
             Msg::Route {
@@ -476,12 +282,11 @@ impl ChordSim {
                 uid,
             },
         );
-        self.net
-            .schedule(from, self.config.probe_timeout, Timer::RouteRetry { uid });
+        cx.schedule(from, self.config.probe_timeout, Timer::RouteRetry { uid });
     }
 
     /// The message has reached its root.
-    fn deliver(&mut self, at: NodeIdx, payload: Payload, hops: u32) {
+    fn deliver(&mut self, cx: &mut Cx<'_>, at: NodeIdx, payload: Payload, hops: u32) {
         match payload {
             Payload::Insert { object } => {
                 self.stores[at.index()].insert(object);
@@ -494,7 +299,7 @@ impl ChordSim {
                         .collect();
                     for s in copies {
                         self.stats.insert_messages += 1;
-                        self.net.send(at, s, Msg::Replicate { object });
+                        cx.send(at, s, Msg::Replicate { object });
                     }
                 }
             }
@@ -507,15 +312,14 @@ impl ChordSim {
                 if !found {
                     self.stats.misdeliveries += 1;
                 }
-                self.reply_lookup(at, origin, lookup_id, found, hops);
+                self.reply_lookup(cx, at, origin, lookup_id, found, hops);
             }
             Payload::FingerFix { index, origin } => {
                 if origin == at {
                     self.states[at.index()].set_finger(usize::from(index), at);
                 } else {
                     self.stats.maintenance_messages += 1;
-                    self.net
-                        .send(at, origin, Msg::FingerReply { index, node: at });
+                    cx.send(at, origin, Msg::FingerReply { index, node: at });
                 }
             }
             Payload::JoinFind { joiner } => {
@@ -525,13 +329,14 @@ impl ChordSim {
                 let mut successors = vec![at];
                 successors.extend(self.states[at.index()].successors().iter().copied());
                 self.stats.maintenance_messages += 1;
-                self.net.send(at, joiner, Msg::JoinWelcome { successors });
+                cx.send(at, joiner, Msg::JoinWelcome { successors });
             }
         }
     }
 
     fn reply_lookup(
         &mut self,
+        cx: &mut Cx<'_>,
         at: NodeIdx,
         origin: NodeIdx,
         lookup_id: u64,
@@ -539,10 +344,10 @@ impl ChordSim {
         hops: u32,
     ) {
         if at == origin {
-            self.complete_lookup(lookup_id, found, hops);
+            Self::settle_lookup(cx, lookup_id, found, hops);
         } else {
             self.stats.reply_messages += 1;
-            self.net.send(
+            cx.send(
                 at,
                 origin,
                 Msg::LookupReply {
@@ -554,25 +359,18 @@ impl ChordSim {
         }
     }
 
-    fn complete_lookup(&mut self, lookup_id: u64, found: bool, hops: u32) {
-        let now = self.net.now();
-        if let Some(state) = self.lookups.get_mut(&lookup_id) {
-            if matches!(state.outcome, LookupOutcome::Pending) {
-                state.outcome = if found && now <= state.deadline {
-                    LookupOutcome::Succeeded {
-                        hops,
-                        latency: now.duration_since(state.issued_at),
-                    }
-                } else {
-                    LookupOutcome::Failed
-                };
-            }
+    /// A lookup's answer reached its origin.
+    fn settle_lookup(cx: &mut Cx<'_>, lookup_id: u64, found: bool, hops: u32) {
+        if found {
+            cx.complete_lookup(lookup_id, hops);
+        } else {
+            cx.fail_lookup(lookup_id);
         }
     }
 
     // --- failure handling ---------------------------------------------------
 
-    fn start_probe(&mut self, prober: NodeIdx, target: NodeIdx) {
+    fn start_probe(&mut self, cx: &mut Cx<'_>, prober: NodeIdx, target: NodeIdx) {
         if prober == target || !self.probing_pairs.insert((prober, target)) {
             return;
         }
@@ -587,8 +385,8 @@ impl ChordSim {
             },
         );
         self.stats.maintenance_messages += 1;
-        self.net.send(prober, target, Msg::Probe { token });
-        self.net.schedule(
+        cx.send(prober, target, Msg::Probe { token });
+        cx.schedule(
             prober,
             self.config.probe_timeout,
             Timer::ProbeTimeout { token },
@@ -601,16 +399,7 @@ impl ChordSim {
         }
     }
 
-    // --- event dispatch ------------------------------------------------------
-
-    fn dispatch(&mut self, ev: Event<Msg, Timer>) {
-        match ev {
-            Event::Message { from, to, msg } => self.on_message(from, to, msg),
-            Event::Timer { node, timer } => self.on_timer(node, timer),
-        }
-    }
-
-    fn on_message(&mut self, from: NodeIdx, to: NodeIdx, msg: Msg) {
+    fn on_message(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, msg: Msg) {
         // Any message from a peer is evidence it is alive: re-admit it to
         // the successor list if it improves it (passive re-integration).
         if from != to {
@@ -624,18 +413,18 @@ impl ChordSim {
                 uid,
             } => {
                 self.stats.ack_messages += 1;
-                self.net.send(to, from, Msg::RouteAck { uid });
+                cx.send(to, from, Msg::RouteAck { uid });
                 if !self.seen_uids[to.index()].insert(uid) {
                     return;
                 }
-                self.route_step(to, key, payload, hops);
+                self.route_step(cx, to, key, payload, hops);
             }
             Msg::RouteAck { uid } => {
                 self.pending_routes.remove(&uid);
             }
             Msg::Probe { token } => {
                 self.stats.maintenance_messages += 1;
-                self.net.send(to, from, Msg::ProbeReply { token });
+                cx.send(to, from, Msg::ProbeReply { token });
             }
             Msg::ProbeReply { token } => {
                 if let Some(p) = self.pending_probes.remove(&token) {
@@ -650,7 +439,7 @@ impl ChordSim {
                     successors: st.successors().to_vec(),
                 };
                 self.stats.maintenance_messages += 1;
-                self.net.send(to, from, reply);
+                cx.send(to, from, reply);
             }
             Msg::StabReply {
                 token,
@@ -660,7 +449,7 @@ impl ChordSim {
                 let Some(p) = self.pending_stabs.remove(&token) else {
                     return;
                 };
-                self.finish_stabilize(p.prober, p.target, predecessor, &successors);
+                self.finish_stabilize(cx, p.prober, p.target, predecessor, &successors);
             }
             Msg::Notify => {
                 let fid = self.ids[from.index()];
@@ -676,7 +465,7 @@ impl ChordSim {
                 if let Some((&head, rest)) = successors.split_first() {
                     self.states[to.index()].adopt_successor_list(head, rest, &self.ids);
                     self.stats.maintenance_messages += 1;
-                    self.net.send(to, head, Msg::Notify);
+                    cx.send(to, head, Msg::Notify);
                 }
             }
             Msg::LookupReply {
@@ -684,15 +473,15 @@ impl ChordSim {
                 found,
                 hops,
             } => {
-                self.complete_lookup(lookup_id, found, hops);
+                Self::settle_lookup(cx, lookup_id, found, hops);
             }
         }
     }
 
-    fn on_timer(&mut self, node: NodeIdx, timer: Timer) {
+    fn on_timer(&mut self, cx: &mut Cx<'_>, node: NodeIdx, timer: Timer) {
         match timer {
             Timer::Stabilize => {
-                if self.net.is_online(node) {
+                if cx.is_online(node) {
                     if let Some(succ) = self.states[node.index()].successor() {
                         let token = self.next_token;
                         self.next_token += 1;
@@ -705,22 +494,22 @@ impl ChordSim {
                             },
                         );
                         self.stats.maintenance_messages += 1;
-                        self.net.send(node, succ, Msg::StabRequest { token });
-                        self.net.schedule(
+                        cx.send(node, succ, Msg::StabRequest { token });
+                        cx.schedule(
                             node,
                             self.config.probe_timeout,
                             Timer::StabTimeout { token },
                         );
                     }
                 }
-                self.net
-                    .schedule(node, self.config.stabilize_period, Timer::Stabilize);
+                cx.schedule(node, self.config.stabilize_period, Timer::Stabilize);
             }
             Timer::FixFingers => {
-                if self.net.is_online(node) {
-                    let index = self.net.rng().gen_range(0..mpil_id::ID_BITS) as u16;
+                if cx.is_online(node) {
+                    let index = cx.rng().gen_range(0..mpil_id::ID_BITS) as u16;
                     let key = crate::ring::finger_start(self.ids[node.index()], usize::from(index));
                     self.route_step(
+                        cx,
                         node,
                         key,
                         Payload::FingerFix {
@@ -730,16 +519,15 @@ impl ChordSim {
                         0,
                     );
                 }
-                self.net
-                    .schedule(node, self.config.fix_fingers_period, Timer::FixFingers);
+                cx.schedule(node, self.config.fix_fingers_period, Timer::FixFingers);
             }
             Timer::CheckPredecessor => {
-                if self.net.is_online(node) {
+                if cx.is_online(node) {
                     if let Some(p) = self.states[node.index()].predecessor() {
-                        self.start_probe(node, p);
+                        self.start_probe(cx, node, p);
                     }
                 }
-                self.net.schedule(
+                cx.schedule(
                     node,
                     self.config.check_predecessor_period,
                     Timer::CheckPredecessor,
@@ -749,7 +537,7 @@ impl ChordSim {
                 let Some(pending) = self.pending_probes.get(&token).copied() else {
                     return;
                 };
-                if !self.net.is_online(pending.prober) {
+                if !cx.is_online(pending.prober) {
                     self.pending_probes.remove(&token);
                     self.probing_pairs.remove(&(pending.prober, pending.target));
                     return;
@@ -760,9 +548,8 @@ impl ChordSim {
                         .expect("checked above")
                         .attempts += 1;
                     self.stats.maintenance_messages += 1;
-                    self.net
-                        .send(pending.prober, pending.target, Msg::Probe { token });
-                    self.net.schedule(
+                    cx.send(pending.prober, pending.target, Msg::Probe { token });
+                    cx.schedule(
                         pending.prober,
                         self.config.probe_timeout,
                         Timer::ProbeTimeout { token },
@@ -777,7 +564,7 @@ impl ChordSim {
                 let Some(pending) = self.pending_stabs.get(&token).copied() else {
                     return;
                 };
-                if !self.net.is_online(pending.prober) {
+                if !cx.is_online(pending.prober) {
                     self.pending_stabs.remove(&token);
                     return;
                 }
@@ -787,9 +574,8 @@ impl ChordSim {
                         .expect("checked above")
                         .attempts += 1;
                     self.stats.maintenance_messages += 1;
-                    self.net
-                        .send(pending.prober, pending.target, Msg::StabRequest { token });
-                    self.net.schedule(
+                    cx.send(pending.prober, pending.target, Msg::StabRequest { token });
+                    cx.schedule(
                         pending.prober,
                         self.config.probe_timeout,
                         Timer::StabTimeout { token },
@@ -805,7 +591,7 @@ impl ChordSim {
                 let Some(pending) = self.pending_routes.get(&uid).cloned() else {
                     return;
                 };
-                if !self.net.is_online(pending.from) {
+                if !cx.is_online(pending.from) {
                     self.pending_routes.remove(&uid);
                     return;
                 }
@@ -815,7 +601,7 @@ impl ChordSim {
                         .expect("checked above")
                         .attempts += 1;
                     self.count_route(&pending.payload);
-                    self.net.send(
+                    cx.send(
                         pending.from,
                         pending.to,
                         Msg::Route {
@@ -825,7 +611,7 @@ impl ChordSim {
                             uid,
                         },
                     );
-                    self.net.schedule(
+                    cx.schedule(
                         pending.from,
                         self.config.probe_timeout,
                         Timer::RouteRetry { uid },
@@ -833,7 +619,7 @@ impl ChordSim {
                 } else {
                     self.pending_routes.remove(&uid);
                     self.declare_failed(pending.from, pending.to);
-                    self.route_step(pending.from, pending.key, pending.payload, pending.hops);
+                    self.route_step(cx, pending.from, pending.key, pending.payload, pending.hops);
                 }
             }
         }
@@ -842,6 +628,7 @@ impl ChordSim {
     /// Applies a stabilize reply at `node` (its successor was `target`).
     fn finish_stabilize(
         &mut self,
+        cx: &mut Cx<'_>,
         node: NodeIdx,
         target: NodeIdx,
         succ_pred: Option<NodeIdx>,
@@ -865,18 +652,125 @@ impl ChordSim {
         }
         if let Some(new_succ) = self.states[node.index()].successor() {
             self.stats.maintenance_messages += 1;
-            self.net.send(node, new_succ, Msg::Notify);
+            cx.send(node, new_succ, Msg::Notify);
         }
     }
 }
 
-impl std::fmt::Debug for ChordSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChordSim")
-            .field("nodes", &self.ids.len())
-            .field("now", &self.net.now())
-            .field("stats", &self.stats)
-            .finish()
+impl Protocol for Chord {
+    type Msg = Msg;
+    type Timer = Timer;
+    /// `(ids, states)`: the global ID table and each node's converged
+    /// routing state.
+    type Parts = (Vec<Id>, Vec<ChordState>);
+    type Config = ChordConfig;
+
+    /// # Panics
+    ///
+    /// Panics if `ids` and `states` disagree in length or the
+    /// configuration is invalid.
+    fn build((ids, states): Self::Parts, config: ChordConfig) -> Self {
+        assert_eq!(ids.len(), states.len(), "ids/states length mismatch");
+        config.assert_valid();
+        let n = ids.len();
+        Chord {
+            config,
+            states,
+            stores: vec![IdSet::new(); n],
+            pending_routes: FxHashMap::default(),
+            pending_probes: FxHashMap::default(),
+            pending_stabs: FxHashMap::default(),
+            probing_pairs: FxHashSet::default(),
+            seen_uids: vec![FxHashSet::default(); n],
+            next_uid: 0,
+            next_token: 0,
+            next_lookup: 0,
+            ids,
+            stats: ChordStats::default(),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "Chord"
+    }
+
+    fn nodes(&self) -> usize {
+        self.ids.len()
+    }
+
+    #[inline]
+    fn on_event(&mut self, cx: &mut Cx<'_>, event: Event<Msg, Timer>) {
+        match event {
+            Event::Message { from, to, msg } => self.on_message(cx, from, to, msg),
+            Event::Timer { node, timer } => self.on_timer(cx, node, timer),
+        }
+    }
+
+    /// Starts routing an insertion of `object` from `origin`.
+    fn insert(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id) {
+        let payload = Payload::Insert { object };
+        self.route_step(cx, origin, object, payload, 0);
+    }
+
+    fn lookup(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
+        let lookup_id = self.next_lookup;
+        self.next_lookup += 1;
+        cx.open_lookup(lookup_id, deadline);
+        let payload = Payload::Lookup {
+            object,
+            lookup_id,
+            origin,
+        };
+        self.route_step(cx, origin, object, payload, 0);
+        lookup_id
+    }
+
+    /// Starts the Chord join protocol: `joiner` (a node constructed with
+    /// empty state) locates its successor through `bootstrap`; the root
+    /// transfers its successor list, and stabilization integrates the
+    /// joiner into predecessor pointers and fingers over time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `joiner == bootstrap`.
+    fn join(&mut self, cx: &mut Cx<'_>, joiner: NodeIdx, bootstrap: NodeIdx) -> bool {
+        assert_ne!(joiner, bootstrap, "cannot bootstrap from self");
+        let key = self.ids[joiner.index()];
+        self.stats.maintenance_messages += 1;
+        self.transmit(cx, joiner, bootstrap, key, Payload::JoinFind { joiner }, 0);
+        true
+    }
+
+    /// Starts the periodic maintenance timers on every node, staggered
+    /// uniformly over one period to avoid lockstep rounds.
+    fn start_maintenance(&mut self, cx: &mut Cx<'_>) -> bool {
+        let config = self.config;
+        for i in 0..self.ids.len() as u32 {
+            let node = NodeIdx::new(i);
+            cx.schedule_staggered(node, config.stabilize_period, Timer::Stabilize);
+            cx.schedule_staggered(node, config.fix_fingers_period, Timer::FixFingers);
+            cx.schedule_staggered(
+                node,
+                config.check_predecessor_period,
+                Timer::CheckPredecessor,
+            );
+        }
+        true
+    }
+
+    fn holds(&self, node: NodeIdx, object: Id) -> bool {
+        self.stores[node.index()].contains(&object)
+    }
+
+    fn counters(&self, _net: &NetStats) -> Counters {
+        let s = self.stats;
+        Counters {
+            lookup_messages: s.lookup_messages,
+            insert_messages: s.insert_messages,
+            reply_messages: s.reply_messages,
+            maintenance_messages: s.maintenance_messages,
+            total_messages: s.total_messages(),
+        }
     }
 }
 
@@ -884,7 +778,7 @@ impl std::fmt::Debug for ChordSim {
 mod tests {
     use super::*;
     use crate::bootstrap::{build_converged_states, random_ids};
-    use mpil_sim::{AlwaysOn, ConstantLatency};
+    use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -893,8 +787,7 @@ mod tests {
         let ids = random_ids(n, &mut rng);
         let states = build_converged_states(&ids, &config);
         ChordSim::new(
-            ids,
-            states,
+            (ids, states),
             config,
             Box::new(AlwaysOn),
             Box::new(ConstantLatency(SimDuration::from_millis(10))),
@@ -1039,8 +932,7 @@ mod tests {
             config.successor_list_len,
         ));
         let mut sim = ChordSim::new(
-            ids,
-            states,
+            (ids, states),
             config,
             Box::new(AlwaysOn),
             Box::new(ConstantLatency(SimDuration::from_millis(10))),

@@ -32,8 +32,7 @@
 //! let ids = random_ids(50, &mut rng);
 //! let states = build_converged_states(&ids, &config);
 //! let mut sim = ChordSim::new(
-//!     ids,
-//!     states,
+//!     (ids, states),
 //!     config,
 //!     Box::new(AlwaysOn),
 //!     Box::new(ConstantLatency(SimDuration::from_millis(10))),
@@ -60,5 +59,5 @@ pub mod state;
 
 pub use bootstrap::{build_converged_states, random_ids};
 pub use config::ChordConfig;
-pub use engine::{ChordSim, ChordStats, LookupOutcome};
+pub use engine::{Chord, ChordSim, ChordStats, LookupOutcome};
 pub use state::ChordState;

@@ -17,8 +17,7 @@ fn build_sim(seed: u64, config: ChordConfig) -> (ChordSim, Vec<Id>) {
     let ids = random_ids(N, &mut rng);
     let states = build_converged_states(&ids, &config);
     let sim = ChordSim::new(
-        ids.clone(),
-        states,
+        (ids.clone(), states),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),
@@ -157,8 +156,7 @@ fn mpil_over_frozen_chord_overlay_beats_chord_under_heavy_flapping() {
         ..DynamicConfig::default()
     };
     let mut net = DynamicNetwork::new(
-        ids,
-        neighbors,
+        (ids, neighbors),
         dyn_config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),
@@ -185,7 +183,7 @@ fn mpil_over_frozen_chord_overlay_beats_chord_under_heavy_flapping() {
     }
     let ok = handles
         .iter()
-        .filter(|&&h| matches!(net.lookup_status(h), LookupStatus::Succeeded { .. }))
+        .filter(|&&h| matches!(net.lookup_outcome(h), LookupStatus::Succeeded { .. }))
         .count();
     let mpil_rate = 100.0 * ok as f64 / OBJECTS as f64;
 

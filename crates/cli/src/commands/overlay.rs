@@ -1,7 +1,7 @@
 //! `mpilctl overlay` — generate an overlay and print its statistics.
 
-use mpil_bench::dhts::{mean_out_degree, OverlaySource};
 use mpil_bench::Args;
+use mpil_harness::{mean_out_degree, OverlaySource};
 use mpil_overlay::stats;
 
 use crate::CliError;

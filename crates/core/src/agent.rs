@@ -5,18 +5,22 @@
 //! with real message latencies and perturbed (flapping) nodes. Messages
 //! sent to offline nodes are lost — MPIL never retransmits; its
 //! robustness comes entirely from redundant flows and replicas.
+//!
+//! [`Mpil`] is the protocol — per-node pointer stores, duplicate sets
+//! and heartbeat registries around the shared routing step
+//! ([`crate::step`]); [`DynamicNetwork`] is that protocol inside the
+//! one simulation shell, [`mpil_sim::Sim`].
 
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashSet;
 use mpil_id::{Id, IdMap};
 use mpil_overlay::{NodeIdx, Topology};
-use mpil_sim::{Availability, LatencyModel, Network, SimDuration, SimTime};
+use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::config::MpilConfig;
 use crate::deletion::ReplicaRegistry;
-use crate::flow::{plan_forwarding, select_candidates};
 use crate::message::{Message, MessageId, MessageKind};
-use crate::routing::routing_decision_policy;
+use crate::step::{step, Verdict};
 
 /// Configuration of a [`DynamicNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -48,290 +52,100 @@ pub struct DynamicStats {
     pub deletes_sent: u64,
 }
 
-/// Outcome of a lookup issued through [`DynamicNetwork::issue_lookup`].
+/// Outcome of a lookup issued through [`Sim::issue_lookup`].
 ///
 /// The shared engine-agnostic enum ([`mpil_sim::LookupOutcome`]) under
 /// its historical MPIL name.
 pub type LookupStatus = mpil_sim::LookupOutcome;
 
+/// What MPIL agents send each other (public only as [`Protocol::Msg`]).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-enum Wire {
+pub enum Wire {
     Forward(Message),
     Reply { msg_id: MessageId, hops: u32 },
     Heartbeat { object: Id, holder: NodeIdx },
     Delete { object: Id },
 }
 
+/// What an MPIL agent's timer carries (public only as
+/// [`Protocol::Timer`]).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-enum Timer {
+pub enum Timer {
     Heartbeat { object: Id },
 }
 
-#[derive(Debug)]
-struct LookupState {
-    issued_at: SimTime,
-    deadline: SimTime,
-    status: LookupStatus,
-}
+type Cx<'a> = mpil_sim::Cx<'a, Mpil>;
 
-/// MPIL agents on every node of a (frozen) neighbor graph, driven by the
-/// discrete-event kernel.
-///
-/// The neighbor graph is arbitrary: build it from a [`Topology`]
-/// ([`DynamicNetwork::from_topology`]) or hand in explicit per-node
-/// neighbor lists ([`DynamicNetwork::new`]) — e.g. the union of a Pastry
-/// node's leaf set and routing table, which is how the paper runs "MPIL
-/// over the overlay of MSPastry ... without any of the overlay
-/// maintenance techniques".
-pub struct DynamicNetwork {
+/// MPIL agents on every node of a (frozen) neighbor graph: the
+/// protocol a [`DynamicNetwork`] runs.
+pub struct Mpil {
     ids: Vec<Id>,
     neighbors: Vec<Vec<NodeIdx>>,
     config: DynamicConfig,
     stores: Vec<IdMap<NodeIdx>>,
     forwarded: Vec<FxHashSet<MessageId>>,
-    net: Network<Wire, Timer>,
+    /// One sequence for inserts and lookups: a lookup's ledger id is
+    /// its message id.
     next_msg_id: u64,
-    lookups: FxHashMap<MessageId, LookupState>,
     registries: Vec<ReplicaRegistry>,
     stats: DynamicStats,
-    /// Reusable same-tick delivery batch (see [`Network::next_batch_before`]).
-    event_batch: Vec<mpil_sim::Event<Wire, Timer>>,
 }
 
-impl DynamicNetwork {
-    /// Builds a network whose neighbor lists come from `topo`.
-    pub fn from_topology(
-        topo: &Topology,
-        config: DynamicConfig,
-        availability: Box<dyn Availability>,
-        latency: Box<dyn LatencyModel>,
-        seed: u64,
-    ) -> Self {
-        let neighbors = topo
-            .iter_nodes()
-            .map(|n| topo.neighbors(n).to_vec())
-            .collect();
-        Self::new(
-            topo.ids().to_vec(),
-            neighbors,
-            config,
-            availability,
-            latency,
-            seed,
-        )
-    }
+/// MPIL agents on every node of a (frozen) neighbor graph, driven by the
+/// discrete-event kernel.
+///
+/// The neighbor graph is arbitrary: hand [`Sim::new`] explicit
+/// `(ids, neighbor lists)` — e.g. the union of a Pastry node's leaf set
+/// and routing table, which is how the paper runs "MPIL over the
+/// overlay of MSPastry ... without any of the overlay maintenance
+/// techniques" — or those of a [`Topology`] ([`frozen`]).
+pub type DynamicNetwork = Sim<Mpil>;
 
-    /// Builds a network from explicit per-node neighbor lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` and `neighbors` disagree in length, any neighbor
-    /// index is out of range, or the MPIL configuration is invalid.
-    pub fn new(
-        ids: Vec<Id>,
-        neighbors: Vec<Vec<NodeIdx>>,
-        config: DynamicConfig,
-        availability: Box<dyn Availability>,
-        latency: Box<dyn LatencyModel>,
-        seed: u64,
-    ) -> Self {
-        config.mpil.validate().expect("invalid MPIL configuration");
-        assert_eq!(ids.len(), neighbors.len(), "ids/neighbors length mismatch");
-        let n = ids.len();
-        for list in &neighbors {
-            for nbr in list {
-                assert!(nbr.index() < n, "neighbor {nbr} out of range");
-            }
-        }
-        DynamicNetwork {
-            stores: vec![IdMap::new(); n],
-            forwarded: vec![FxHashSet::default(); n],
-            registries: vec![ReplicaRegistry::new(); n],
-            net: Network::new(n, availability, latency, seed),
-            ids,
-            neighbors,
-            config,
-            next_msg_id: 0,
-            lookups: FxHashMap::default(),
-            stats: DynamicStats::default(),
-            event_batch: Vec::new(),
-        }
-    }
+/// The `(ids, neighbor lists)` of `topo`, as [`DynamicNetwork`] takes
+/// them.
+pub fn frozen(topo: &Topology) -> (Vec<Id>, Vec<Vec<NodeIdx>>) {
+    let neighbors = topo
+        .iter_nodes()
+        .map(|n| topo.neighbors(n).to_vec())
+        .collect();
+    (topo.ids().to_vec(), neighbors)
+}
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns `true` if the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
+impl Mpil {
     /// Protocol counters.
     pub fn stats(&self) -> DynamicStats {
         self.stats
     }
 
-    /// Kernel counters (sends, deliveries, offline drops).
-    pub fn net_stats(&self) -> mpil_sim::NetStats {
-        self.net.stats()
-    }
-
-    /// Replaces the availability model (static stage → flapping stage).
-    pub fn set_availability(&mut self, availability: Box<dyn Availability>) {
-        self.net.set_availability(availability);
-    }
-
-    /// Sets the independent per-message link-loss probability (failure
-    /// injection; see [`mpil_sim::Network::set_loss_probability`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn set_loss_probability(&mut self, p: f64) {
-        self.net.set_loss_probability(p);
-    }
-
-    /// Nodes currently storing a pointer for `object`.
-    pub fn replica_holders(&self, object: Id) -> Vec<NodeIdx> {
-        (0..self.ids.len() as u32)
-            .map(NodeIdx::new)
-            .filter(|n| self.stores[n.index()].contains_key(&object))
-            .collect()
-    }
-
-    /// Number of nodes storing a pointer for `object`, without
-    /// materialising the holder list.
-    pub fn replica_count(&self, object: Id) -> usize {
-        self.stores
-            .iter()
-            .filter(|s| s.contains_key(&object))
-            .count()
-    }
-
-    /// Starts an insertion of `object` (owned by `origin`). Propagation
-    /// happens as the caller runs the clock.
-    pub fn insert(&mut self, origin: NodeIdx, object: Id) -> MessageId {
-        let msg_id = MessageId(self.next_msg_id);
-        self.next_msg_id += 1;
-        let msg = Message::initial(
-            msg_id,
-            MessageKind::Insert,
-            object,
-            origin,
-            self.config.mpil.max_flows,
-            self.config.mpil.num_replicas,
-        );
-        self.handle_forward(origin, msg);
-        msg_id
-    }
-
-    /// Issues a lookup of `object` from `origin`, succeeding only if a
-    /// reply arrives by `deadline`.
-    pub fn issue_lookup(&mut self, origin: NodeIdx, object: Id, deadline: SimTime) -> MessageId {
-        let msg_id = MessageId(self.next_msg_id);
-        self.next_msg_id += 1;
-        self.lookups.insert(
-            msg_id,
-            LookupState {
-                issued_at: self.net.now(),
-                deadline,
-                status: LookupStatus::Pending,
-            },
-        );
-        let msg = Message::initial(
-            msg_id,
-            MessageKind::Lookup,
-            object,
-            origin,
-            self.config.mpil.max_flows,
-            self.config.mpil.num_replicas,
-        );
-        self.handle_forward(origin, msg);
-        msg_id
-    }
-
     /// Owner-driven deletion (Section 4.4): `owner` sends explicit delete
     /// messages to every replica holder it knows of from heartbeats —
-    /// falling back to its own directly-stored copy.
-    pub fn delete(&mut self, owner: NodeIdx, object: Id) {
+    /// falling back to its own directly-stored copy. Reach it through
+    /// [`Sim::with`].
+    pub fn delete(&mut self, cx: &mut Cx<'_>, owner: NodeIdx, object: Id) {
         let holders = self.registries[owner.index()].forget(object);
         for holder in holders {
             self.stats.deletes_sent += 1;
-            self.net.send(owner, holder, Wire::Delete { object });
+            cx.send(owner, holder, Wire::Delete { object });
         }
         self.stores[owner.index()].remove(&object);
     }
 
-    /// Status of a lookup. A lookup still pending at its deadline counts
-    /// as failed (a reply arriving exactly at the deadline is processed
-    /// before the status query observes `now == deadline`, so it wins).
-    pub fn lookup_status(&self, msg_id: MessageId) -> LookupStatus {
-        match self.lookups.get(&msg_id) {
-            None => LookupStatus::Failed,
-            Some(s) => match s.status {
-                LookupStatus::Pending if self.net.now() >= s.deadline => LookupStatus::Failed,
-                other => other,
-            },
-        }
+    fn fresh_message(&mut self, kind: MessageKind, object: Id, origin: NodeIdx) -> Message {
+        let msg_id = MessageId(self.next_msg_id);
+        self.next_msg_id += 1;
+        Message::initial(
+            msg_id,
+            kind,
+            object,
+            origin,
+            self.config.mpil.max_flows,
+            self.config.mpil.num_replicas,
+        )
     }
 
-    /// Runs the event loop until `deadline` (inclusive); the clock ends at
-    /// `deadline` even if the queue drains early.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while self.net.next_batch_before(deadline, &mut batch) {
-            for event in batch.drain(..) {
-                self.dispatch(event);
-            }
-        }
-        self.event_batch = batch;
-    }
-
-    /// Runs until no events remain (only sensible without periodic
-    /// timers, i.e. with heartbeats disabled).
-    pub fn run_to_quiescence(&mut self) {
-        self.run_until(SimTime::from_micros(u64::MAX));
-    }
-
-    fn dispatch(&mut self, event: mpil_sim::Event<Wire, Timer>) {
-        match event {
-            mpil_sim::Event::Message { to, msg, .. } => match msg {
-                Wire::Forward(m) => self.handle_forward(to, m),
-                Wire::Reply { msg_id, hops } => self.handle_reply(msg_id, hops),
-                Wire::Heartbeat { object, holder } => {
-                    let now = self.net.now();
-                    self.registries[to.index()].heartbeat(object, holder, now);
-                }
-                Wire::Delete { object } => {
-                    self.stores[to.index()].remove(&object);
-                }
-            },
-            mpil_sim::Event::Timer { node, timer } => match timer {
-                Timer::Heartbeat { object } => self.handle_heartbeat_timer(node, object),
-            },
-        }
-    }
-
-    fn handle_reply(&mut self, msg_id: MessageId, hops: u32) {
-        let now = self.net.now();
-        if let Some(state) = self.lookups.get_mut(&msg_id) {
-            if matches!(state.status, LookupStatus::Pending) && now <= state.deadline {
-                state.status = LookupStatus::Succeeded {
-                    hops,
-                    latency: now.duration_since(state.issued_at),
-                };
-            }
-        }
-    }
-
-    fn handle_heartbeat_timer(&mut self, node: NodeIdx, object: Id) {
+    fn handle_heartbeat_timer(&mut self, cx: &mut Cx<'_>, node: NodeIdx, object: Id) {
         let Some(period) = self.config.heartbeat_period else {
             return;
         };
@@ -339,9 +153,9 @@ impl DynamicNetwork {
             return; // replica deleted; stop the heartbeat chain
         };
         // A perturbed node cannot send; it resumes on its next timer.
-        if self.net.is_online(node) {
+        if cx.is_online(node) {
             self.stats.heartbeats_sent += 1;
-            self.net.send(
+            cx.send(
                 node,
                 owner,
                 Wire::Heartbeat {
@@ -350,12 +164,12 @@ impl DynamicNetwork {
                 },
             );
         }
-        self.net.schedule(node, period, Timer::Heartbeat { object });
+        cx.schedule(node, period, Timer::Heartbeat { object });
     }
 
-    /// Core MPIL processing of one message copy at `node` (Figure 5).
-    fn handle_forward(&mut self, node: NodeIdx, msg: Message) {
-        let mut msg = msg;
+    /// One message copy at `node`: this world's bookkeeping around the
+    /// shared [`step`].
+    fn handle_forward(&mut self, cx: &mut Cx<'_>, node: NodeIdx, msg: Message) {
         // Duplicate suppression ("DS"): drop anything this node has
         // already processed, silently.
         if !self.forwarded[node.index()].insert(msg.msg_id) {
@@ -366,75 +180,140 @@ impl DynamicNetwork {
             }
         }
 
-        // A lookup stops at any replica holder, which replies directly.
-        if msg.kind == MessageKind::Lookup && self.stores[node.index()].contains_key(&msg.object) {
-            self.stats.replies_sent += 1;
-            let wire = Wire::Reply {
-                msg_id: msg.msg_id,
-                hops: msg.hops,
-            };
-            self.net.send(node, msg.origin, wire);
-            return;
-        }
-
-        let given = if msg.hops == 0 { 0 } else { 1 };
-        let decision = routing_decision_policy(
-            self.config.mpil.space,
-            msg.object,
+        let Message {
+            msg_id,
+            kind,
+            object,
+            origin,
+            hops,
+            ..
+        } = msg;
+        let holds = self.stores[node.index()].contains_key(&object);
+        let verdict = step(
+            &self.config.mpil,
             node,
             &self.neighbors[node.index()],
             &self.ids,
-            |n| msg.visited(n),
-            self.config.mpil.split_policy,
-            msg.quota + given,
-            self.config.mpil.metric,
+            holds,
+            msg,
+            cx.rng(),
         );
-
-        if decision.is_local_max {
-            if msg.kind == MessageKind::Insert {
-                let newly = self.stores[node.index()]
-                    .insert(msg.object, msg.origin)
-                    .is_none();
-                if newly {
-                    if let Some(period) = self.config.heartbeat_period {
-                        self.net
-                            .schedule(node, period, Timer::Heartbeat { object: msg.object });
+        match verdict {
+            // A lookup stops at any replica holder, which replies
+            // directly.
+            Verdict::Replied => {
+                self.stats.replies_sent += 1;
+                cx.send(node, origin, Wire::Reply { msg_id, hops });
+            }
+            Verdict::Routed {
+                deposited, copies, ..
+            } => {
+                if deposited {
+                    let newly = self.stores[node.index()].insert(object, origin).is_none();
+                    if let (true, Some(period)) = (newly, self.config.heartbeat_period) {
+                        cx.schedule(node, period, Timer::Heartbeat { object });
                     }
                 }
+                for (target, copy) in copies {
+                    match kind {
+                        MessageKind::Insert => self.stats.insert_messages += 1,
+                        MessageKind::Lookup => self.stats.lookup_messages += 1,
+                    }
+                    cx.send(node, target, Wire::Forward(copy));
+                }
             }
-            msg.replicas_left -= 1;
-            if msg.replicas_left == 0 {
-                return;
-            }
-        }
-
-        if decision.candidates.is_empty() {
-            return;
-        }
-        let plan = plan_forwarding(msg.quota, given, decision.candidates.len());
-        if plan.m == 0 {
-            return;
-        }
-        let chosen: Vec<NodeIdx> =
-            select_candidates(decision.candidates, plan.m as usize, self.net.rng());
-        for (target, &quota) in chosen.iter().zip(plan.child_quotas.iter()) {
-            match msg.kind {
-                MessageKind::Insert => self.stats.insert_messages += 1,
-                MessageKind::Lookup => self.stats.lookup_messages += 1,
-            }
-            let fwd = msg.forwarded(node, quota);
-            self.net.send(node, *target, Wire::Forward(fwd));
         }
     }
 }
 
-impl std::fmt::Debug for DynamicNetwork {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DynamicNetwork")
-            .field("nodes", &self.ids.len())
-            .field("now", &self.net.now())
-            .field("stats", &self.stats)
-            .finish()
+impl Protocol for Mpil {
+    type Msg = Wire;
+    type Timer = Timer;
+    /// `(ids, neighbor lists)`: the global ID table and each node's
+    /// frozen neighbor list.
+    type Parts = (Vec<Id>, Vec<Vec<NodeIdx>>);
+    type Config = DynamicConfig;
+
+    /// # Panics
+    ///
+    /// Panics if `ids` and `neighbors` disagree in length, any neighbor
+    /// index is out of range, or the MPIL configuration is invalid.
+    fn build((ids, neighbors): Self::Parts, config: DynamicConfig) -> Self {
+        config.mpil.validate().expect("invalid MPIL configuration");
+        assert_eq!(ids.len(), neighbors.len(), "ids/neighbors length mismatch");
+        let n = ids.len();
+        for list in &neighbors {
+            for nbr in list {
+                assert!(nbr.index() < n, "neighbor {nbr} out of range");
+            }
+        }
+        Mpil {
+            stores: vec![IdMap::new(); n],
+            forwarded: vec![FxHashSet::default(); n],
+            registries: vec![ReplicaRegistry::new(); n],
+            ids,
+            neighbors,
+            config,
+            next_msg_id: 0,
+            stats: DynamicStats::default(),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "MPIL"
+    }
+
+    fn nodes(&self) -> usize {
+        self.ids.len()
+    }
+
+    #[inline]
+    fn on_event(&mut self, cx: &mut Cx<'_>, event: Event<Wire, Timer>) {
+        match event {
+            Event::Message { to, msg, .. } => match msg {
+                Wire::Forward(m) => self.handle_forward(cx, to, m),
+                Wire::Reply { msg_id, hops } => cx.complete_lookup(msg_id.0, hops),
+                Wire::Heartbeat { object, holder } => {
+                    self.registries[to.index()].heartbeat(object, holder, cx.now());
+                }
+                Wire::Delete { object } => {
+                    self.stores[to.index()].remove(&object);
+                }
+            },
+            Event::Timer { node, timer } => match timer {
+                Timer::Heartbeat { object } => self.handle_heartbeat_timer(cx, node, object),
+            },
+        }
+    }
+
+    /// Starts an insertion of `object` (owned by `origin`).
+    fn insert(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id) {
+        let msg = self.fresh_message(MessageKind::Insert, object, origin);
+        self.handle_forward(cx, origin, msg);
+    }
+
+    fn lookup(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
+        let msg = self.fresh_message(MessageKind::Lookup, object, origin);
+        let lookup = msg.msg_id.0;
+        cx.open_lookup(lookup, deadline);
+        self.handle_forward(cx, origin, msg);
+        lookup
+    }
+
+    fn holds(&self, node: NodeIdx, object: Id) -> bool {
+        self.stores[node.index()].contains_key(&object)
+    }
+
+    fn counters(&self, net: &NetStats) -> Counters {
+        let s = self.stats;
+        Counters {
+            lookup_messages: s.lookup_messages,
+            insert_messages: s.insert_messages,
+            reply_messages: s.replies_sent,
+            maintenance_messages: s.heartbeats_sent + s.deletes_sent,
+            // MPIL sends no acks: the kernel's send count is the total.
+            total_messages: net.sent,
+        }
     }
 }
 
@@ -442,7 +321,7 @@ impl std::fmt::Debug for DynamicNetwork {
 mod tests {
     use super::*;
     use mpil_overlay::generators;
-    use mpil_sim::{AlwaysOn, ConstantLatency, Flapping, FlappingConfig};
+    use mpil_sim::{AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LatencyModel};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -453,8 +332,8 @@ mod tests {
     fn build_static(n: usize, d: usize, seed: u64) -> DynamicNetwork {
         let mut rng = SmallRng::seed_from_u64(seed);
         let topo = generators::random_regular(n, d, &mut rng).unwrap();
-        DynamicNetwork::from_topology(
-            &topo,
+        DynamicNetwork::new(
+            frozen(&topo),
             DynamicConfig::default(),
             Box::new(AlwaysOn),
             latency_10ms(),
@@ -474,7 +353,7 @@ mod tests {
         let deadline = net.now() + SimDuration::from_secs(60);
         let lk = net.issue_lookup(NodeIdx::new(50), object, deadline);
         net.run_to_quiescence();
-        match net.lookup_status(lk) {
+        match net.lookup_outcome(lk) {
             LookupStatus::Succeeded { hops, latency } => {
                 assert!(hops >= 1);
                 assert!(!latency.is_zero());
@@ -489,7 +368,7 @@ mod tests {
         let deadline = net.now() + SimDuration::from_secs(10);
         let lk = net.issue_lookup(NodeIdx::new(3), Id::from_low_u64(1), deadline);
         net.run_until(deadline);
-        assert_eq!(net.lookup_status(lk), LookupStatus::Failed);
+        assert_eq!(net.lookup_outcome(lk), LookupStatus::Failed);
     }
 
     #[test]
@@ -502,7 +381,7 @@ mod tests {
         let deadline = net.now() + SimDuration::from_millis(1);
         let lk = net.issue_lookup(NodeIdx::new(25), object, deadline);
         net.run_to_quiescence();
-        assert_eq!(net.lookup_status(lk), LookupStatus::Failed);
+        assert_eq!(net.lookup_outcome(lk), LookupStatus::Failed);
     }
 
     #[test]
@@ -512,8 +391,8 @@ mod tests {
         // is strong enough that many seeds ride out p=1 untouched.
         let mut rng = SmallRng::seed_from_u64(0);
         let topo = generators::random_regular(100, 8, &mut rng).unwrap();
-        let mut net = DynamicNetwork::from_topology(
-            &topo,
+        let mut net = DynamicNetwork::new(
+            frozen(&topo),
             DynamicConfig::default(),
             Box::new(AlwaysOn),
             latency_10ms(),
@@ -541,7 +420,7 @@ mod tests {
             let deadline = net.now() + SimDuration::from_secs(60);
             let lk = net.issue_lookup(origin, o, deadline);
             net.run_until(deadline);
-            match net.lookup_status(lk) {
+            match net.lookup_outcome(lk) {
                 LookupStatus::Succeeded { .. } => ok += 1,
                 LookupStatus::Failed => failed += 1,
                 LookupStatus::Pending => panic!("deadline passed {i}"),
@@ -573,7 +452,7 @@ mod tests {
             heartbeat_period: None,
         };
         let mut net =
-            DynamicNetwork::from_topology(&topo, config, Box::new(AlwaysOn), latency_10ms(), 6);
+            DynamicNetwork::new(frozen(&topo), config, Box::new(AlwaysOn), latency_10ms(), 6);
         let object = Id::from_low_u64(88);
         net.insert(NodeIdx::new(0), object);
         net.run_to_quiescence();
@@ -590,7 +469,7 @@ mod tests {
             heartbeat_period: Some(SimDuration::from_secs(5)),
         };
         let mut net =
-            DynamicNetwork::from_topology(&topo, config, Box::new(AlwaysOn), latency_10ms(), 7);
+            DynamicNetwork::new(frozen(&topo), config, Box::new(AlwaysOn), latency_10ms(), 7);
         let owner = NodeIdx::new(0);
         let object = Id::from_low_u64(99);
         net.insert(owner, object);
@@ -599,7 +478,7 @@ mod tests {
         assert!(!holders.is_empty());
         assert!(net.stats().heartbeats_sent > 0);
 
-        net.delete(owner, object);
+        net.with(|mpil, cx| mpil.delete(cx, owner, object));
         net.run_until(net.now() + SimDuration::from_secs(12));
         // All heartbeat-known holders deleted their replicas. (Holders the
         // owner never heard from — none here, two heartbeat rounds ran —

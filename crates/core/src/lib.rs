@@ -21,12 +21,14 @@
 //! perturbation-resistance; the metric's indifference to graph structure
 //! is what buys overlay-independence.
 //!
-//! Two execution engines are provided:
+//! What one node does with one copy of a message — Figure 5 — is one
+//! function, [`step`], free of any world. Two execution engines in this
+//! crate (and the live shards of `mpil_net`) run it:
 //!
 //! * [`StaticEngine`] — a message-level engine over a static
 //!   [`Topology`](mpil_overlay::Topology), equivalent to the paper's
 //!   Python simulator (Section 6.1: Figures 9–10, Tables 1–3);
-//! * [`DynamicNetwork`] — event-driven agents over the
+//! * [`DynamicNetwork`] — event-driven agents ([`Mpil`]) over the
 //!   [`mpil_sim`] kernel with latencies and perturbation (Section 6.2:
 //!   Figures 11–12), including running MPIL over a frozen Pastry overlay.
 //!
@@ -63,8 +65,9 @@ pub mod message;
 pub mod report;
 pub mod routing;
 pub mod static_engine;
+pub mod step;
 
-pub use agent::{DynamicConfig, DynamicNetwork, DynamicStats, LookupStatus};
+pub use agent::{frozen, DynamicConfig, DynamicNetwork, DynamicStats, LookupStatus, Mpil};
 pub use baselines::UnstructuredEngine;
 pub use config::{ConfigError, MpilConfig, RoutingMetric, SplitPolicy};
 pub use flow::{plan_forwarding, select_candidates, ForwardPlan};
@@ -72,3 +75,4 @@ pub use message::{Message, MessageId, MessageKind};
 pub use report::{InsertReport, LookupReport};
 pub use routing::{metric_value, routing_decision, routing_decision_policy, RoutingDecision};
 pub use static_engine::StaticEngine;
+pub use step::{step, Copies, Verdict};

@@ -4,6 +4,11 @@
 //! 6.1): no virtual time, no failures — messages propagate in strict
 //! hop order (breadth-first), which makes "first successful reply" well
 //! defined and every run a deterministic function of the seed.
+//!
+//! What a node does with a copy is the shared routing step
+//! ([`crate::step`]); this world keeps a FIFO queue, one set of nodes
+//! reached per operation (duplicates are met where a copy is enqueued),
+//! and the per-operation reports.
 
 use std::collections::VecDeque;
 
@@ -14,10 +19,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::config::MpilConfig;
-use crate::flow::{plan_forwarding, select_candidates};
 use crate::message::{Message, MessageId, MessageKind};
 use crate::report::{InsertReport, LookupReport};
-use crate::routing::routing_decision_policy;
+use crate::step::{step, Verdict};
 
 /// MPIL over a static [`Topology`].
 ///
@@ -144,62 +148,45 @@ impl<'a> StaticEngine<'a> {
         queue.push_back((origin, initial));
         seen.insert(origin);
 
-        while let Some((at, mut msg)) = queue.pop_front() {
-            // Lookup short-circuit: a recipient holding the object replies
-            // directly and stops forwarding this flow (Section 4.4).
-            if kind == MessageKind::Lookup && self.stores[at.index()].contains_key(&object) {
-                if !look.success {
-                    look.success = true;
-                    look.first_reply_hops = Some(msg.hops);
-                    look.messages_until_first_reply = look.messages;
-                }
-                continue;
-            }
-
-            let given = if msg.hops == 0 { 0 } else { 1 };
-            let decision = routing_decision_policy(
-                self.config.space,
-                object,
+        while let Some((at, msg)) = queue.pop_front() {
+            let hops = msg.hops;
+            let holds = self.stores[at.index()].contains_key(&object);
+            let verdict = step(
+                &self.config,
                 at,
                 self.topo.neighbors(at),
                 self.topo.ids(),
-                |n| msg.visited(n),
-                self.config.split_policy,
-                msg.quota + given,
-                self.config.metric,
+                holds,
+                msg,
+                &mut self.rng,
             );
-
-            if decision.is_local_max {
-                if kind == MessageKind::Insert {
-                    self.stores[at.index()].insert(object, origin);
-                    stored_at.insert(at);
+            let (deposited, flows_created, copies) = match verdict {
+                // Lookup short-circuit: a recipient holding the object
+                // replies directly and stops forwarding this flow
+                // (Section 4.4).
+                Verdict::Replied => {
+                    if !look.success {
+                        look.success = true;
+                        look.first_reply_hops = Some(hops);
+                        look.messages_until_first_reply = look.messages;
+                    }
+                    continue;
                 }
-                msg.replicas_left -= 1;
-                if msg.replicas_left == 0 {
-                    continue; // this flow is done
-                }
+                Verdict::Routed {
+                    deposited,
+                    flows_created,
+                    copies,
+                } => (deposited, flows_created, copies),
+            };
+            if deposited {
+                self.stores[at.index()].insert(object, origin);
+                stored_at.insert(at);
             }
-
-            if decision.candidates.is_empty() {
-                continue;
-            }
-
-            let plan = plan_forwarding(msg.quota, given, decision.candidates.len());
-            if plan.m == 0 {
-                continue;
-            }
-
-            // Choose which tied candidates to use when over quota.
-            let chosen: Vec<NodeIdx> =
-                select_candidates(decision.candidates, plan.m as usize, &mut self.rng);
-
             match kind {
-                MessageKind::Insert => ins.flows_created += plan.flows_created,
-                MessageKind::Lookup => look.flows_created += plan.flows_created,
+                MessageKind::Insert => ins.flows_created += flows_created,
+                MessageKind::Lookup => look.flows_created += flows_created,
             }
-
-            for (target, &child_quota) in chosen.iter().zip(plan.child_quotas.iter()) {
-                let fwd = msg.forwarded(at, child_quota);
+            for (target, fwd) in copies {
                 match kind {
                     MessageKind::Insert => {
                         ins.messages += 1;
@@ -210,7 +197,7 @@ impl<'a> StaticEngine<'a> {
                 // Duplicate accounting happens at reception: a node that
                 // has already received this operation's message counts a
                 // duplicate, and under DS drops it silently.
-                if !seen.insert(*target) {
+                if !seen.insert(target) {
                     match kind {
                         MessageKind::Insert => ins.duplicates += 1,
                         MessageKind::Lookup => look.duplicates += 1,
@@ -219,7 +206,7 @@ impl<'a> StaticEngine<'a> {
                         continue;
                     }
                 }
-                queue.push_back((*target, fwd));
+                queue.push_back((target, fwd));
             }
         }
 

@@ -21,13 +21,11 @@
 use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{
-    Availability, Event, LatencyModel, LookupOutcome, Network, PayloadBuf, SimDuration, SimTime,
-};
-use rand::Rng;
+use mpil_sim::{Counters, Event, NetStats, PayloadBuf, Protocol, Sim, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{GossipConfig, LookupStrategy};
+use crate::ticker::{restore_tick_order, GossipTicker};
 use crate::view::PartialView;
 
 /// A shuffle's peer list, inline up to [`mpil_sim::PAYLOAD_INLINE`]
@@ -39,8 +37,11 @@ use crate::view::PartialView;
 /// payloads are fixed-size scalars and need no buffer at all.
 type Peers = PayloadBuf<NodeIdx, { mpil_sim::PAYLOAD_INLINE }>;
 
+/// What Cyclon nodes send each other (public only as
+/// [`Protocol::Msg`]).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-enum Msg {
+pub enum Msg {
     /// Push half of a shuffle: the initiator's sample, itself included
     /// fresh.
     ShufflePush { token: u64, entries: Peers },
@@ -69,20 +70,16 @@ enum Msg {
     Reply { lookup: u64, hops: u32 },
 }
 
-/// Cap on how many offline grid points one [`GossipSim::arm_gossip`]
-/// pass may pre-skip. It bounds the arming scan when a node stays
-/// offline for a very long stretch (e.g. `probability = 1.0`): the
-/// capped fire lands on an offline grid point and is an ordinary no-op
-/// fire that resumes skipping.
-const MAX_GOSSIP_SKIP: u32 = 1024;
-
+/// What a Cyclon node's timer carries (public only as
+/// [`Protocol::Timer`]).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-enum Timer {
+pub enum Timer {
     /// Periodic per-node shuffle. Fires only on grid points the arming
     /// scan considered live; `epoch` ties the fire to the availability
-    /// model it was armed under (see [`GossipSim::set_availability`]).
+    /// model it was armed under (see [`GossipTicker`]).
     Gossip {
-        /// The value of `GossipSim::timer_epoch` at arm time.
+        /// The ticker's epoch at arm time.
         epoch: u32,
     },
     /// The pull half of shuffle `token` did not arrive in time.
@@ -91,36 +88,10 @@ enum Timer {
     RingRound { lookup: u64 },
 }
 
-/// Restores the baseline intra-tick dispatch order after gossip-timer
-/// pre-skipping ([`GossipSim::arm_gossip`]).
-///
-/// The kernel breaks same-tick ties by push order. Without skipping,
-/// every gossip chain re-pushes once per period — the largest horizon
-/// of any event class — so within a tick the baseline order is always:
-/// gossip timers first, ascending node index (colliding chains share a
-/// stagger start and were first pushed in node order, and per-period
-/// re-pushes preserve that order inductively). Pre-skipped chains push
-/// at their last *real* fire instead, which can permute colliding
-/// fires; this in-place, allocation-free insertion sort (stable, and
-/// O(len) on the already-ordered common case) puts the tick back into
-/// the baseline order.
-fn restore_tick_order(batch: &mut [Event<Msg, Timer>]) {
-    fn key(ev: &Event<Msg, Timer>) -> (bool, usize) {
-        match ev {
-            Event::Timer {
-                node,
-                timer: Timer::Gossip { .. },
-            } => (false, node.index()),
-            _ => (true, 0),
-        }
-    }
-    for i in 1..batch.len() {
-        let mut j = i;
-        while j > 0 && key(&batch[j - 1]) > key(&batch[j]) {
-            batch.swap(j - 1, j);
-            j -= 1;
-        }
-    }
+type Cx<'a> = mpil_sim::Cx<'a, Gossip>;
+
+fn gossip_timer(epoch: u32) -> Timer {
+    Timer::Gossip { epoch }
 }
 
 /// An initiator's outstanding shuffle. Stored in a per-node slab
@@ -134,13 +105,6 @@ struct PendingShuffle {
     token: u64,
     target: NodeIdx,
     sent: Peers,
-}
-
-#[derive(Debug)]
-struct LookupState {
-    issued_at: SimTime,
-    deadline: SimTime,
-    outcome: LookupOutcome,
 }
 
 #[derive(Debug)]
@@ -181,19 +145,13 @@ impl GossipStats {
     }
 }
 
-/// The epidemic/unstructured overlay simulation.
-///
-/// Drive it like every other engine: build converged views
-/// ([`crate::build_converged_views`]), insert on the quiet network,
-/// start maintenance, swap in a perturbed availability model, then
-/// issue lookups and run the clock.
-pub struct GossipSim {
+/// The Cyclon-style gossip protocol: every node's partial view and
+/// pointer store, and the handlers that drive them. Runs inside a
+/// [`GossipSim`].
+pub struct Gossip {
     config: GossipConfig,
     views: Vec<PartialView>,
     stores: Vec<IdSet>,
-    net: Network<Msg, Timer>,
-    /// Reusable same-tick delivery batch (see [`Network::next_batch_before`]).
-    event_batch: Vec<mpil_sim::Event<Msg, Timer>>,
     /// Reusable draw buffer for [`PartialView::sample_into`]: walks and
     /// shuffles fire millions of times per run and must not allocate.
     sample_scratch: Vec<NodeIdx>,
@@ -207,89 +165,25 @@ pub struct GossipSim {
     suspicion_nonempty: Vec<u64>,
     /// Outstanding shuffle per initiator (see [`PendingShuffle`]).
     pending_shuffles: Vec<Option<PendingShuffle>>,
-    lookups: FxHashMap<u64, LookupState>,
     rings: FxHashMap<u64, RingState>,
     next_token: u64,
     next_lookup: u64,
-    maintenance_started: bool,
-    /// Bumped by [`GossipSim::set_availability`]; gossip timers armed
-    /// under an older epoch are superseded chains and fire as no-ops.
-    timer_epoch: u32,
-    /// Per node: the next gossip grid point not yet fired *or*
-    /// pre-skipped under the current availability model — the re-arm
-    /// anchor when the model is swapped mid-skip.
-    next_grid: Vec<SimTime>,
+    ticker: GossipTicker,
     stats: GossipStats,
 }
 
-impl GossipSim {
-    /// Builds the simulation from per-node partial views (see
-    /// [`crate::build_converged_views`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or a view names its owner
-    /// or an out-of-range peer.
-    pub fn new(
-        views: Vec<PartialView>,
-        config: GossipConfig,
-        availability: Box<dyn Availability>,
-        latency: Box<dyn LatencyModel>,
-        seed: u64,
-    ) -> Self {
-        config.assert_valid();
-        let n = views.len();
-        for (i, v) in views.iter().enumerate() {
-            v.assert_invariants();
-            assert_eq!(v.owner(), NodeIdx::new(i as u32), "view {i} owner");
-            for e in v.iter() {
-                assert!(e.peer.index() < n, "view {i} names out-of-range peer");
-            }
-        }
-        GossipSim {
-            config,
-            stores: vec![IdSet::new(); n],
-            net: Network::new(n, availability, latency, seed),
-            suspicion: vec![FxHashMap::default(); n],
-            suspicion_nonempty: vec![0; n.div_ceil(64)],
-            pending_shuffles: vec![None; n],
-            lookups: FxHashMap::default(),
-            event_batch: Vec::new(),
-            sample_scratch: Vec::new(),
-            rings: FxHashMap::default(),
-            next_token: 0,
-            next_lookup: 0,
-            maintenance_started: false,
-            timer_epoch: 0,
-            next_grid: vec![SimTime::ZERO; n],
-            stats: GossipStats::default(),
-            views,
-        }
-    }
+/// The epidemic/unstructured overlay simulation.
+///
+/// Drive it like every other engine: build converged views
+/// ([`crate::build_converged_views`]) and hand them to [`Sim::new`],
+/// insert on the quiet network, start maintenance, swap in a perturbed
+/// availability model, then issue lookups and run the clock.
+pub type GossipSim = Sim<Gossip>;
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.views.len()
-    }
-
-    /// Returns `true` if the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
+impl Gossip {
     /// Protocol counters.
     pub fn stats(&self) -> GossipStats {
         self.stats
-    }
-
-    /// Kernel counters.
-    pub fn net_stats(&self) -> mpil_sim::NetStats {
-        self.net.stats()
     }
 
     /// The configuration the engine runs with.
@@ -308,254 +202,23 @@ impl GossipSim {
         self.views.iter().map(|v| v.peers()).collect()
     }
 
-    /// Swaps the availability model (static stage → flapping stage).
-    ///
-    /// Gossip timer chains pre-skip offline grid points under the model
-    /// live at arm time (see [`GossipSim::arm_gossip`]); grid points in
-    /// the past were therefore evaluated under exactly the model a
-    /// per-period no-op fire would have seen. From `now` on the *new*
-    /// model decides, so every in-flight chain is superseded (epoch
-    /// bump) and each node re-armed from its next unfired grid point.
-    pub fn set_availability(&mut self, availability: Box<dyn Availability>) {
-        self.net.set_availability(availability);
-        if !self.maintenance_started {
-            return;
-        }
-        self.timer_epoch += 1;
-        let now = self.net.now();
-        let period = self.config.gossip_period;
-        for i in 0..self.next_grid.len() {
-            let mut t = self.next_grid[i];
-            while t <= now {
-                // Already fired (or pre-skipped under the model that
-                // was live then); the chain continues on its grid.
-                t += period;
-            }
-            self.arm_gossip(NodeIdx::new(i as u32), t);
-        }
-    }
-
-    /// Sets the independent per-message link-loss probability (see
-    /// [`mpil_sim::Network::set_loss_probability`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn set_loss_probability(&mut self, p: f64) {
-        self.net.set_loss_probability(p);
-    }
-
-    /// Nodes currently storing the pointer for `object`.
-    pub fn replica_holders(&self, object: Id) -> Vec<NodeIdx> {
-        (0..self.views.len() as u32)
-            .map(NodeIdx::new)
-            .filter(|n| self.stores[n.index()].contains(&object))
-            .collect()
-    }
-
-    /// Number of nodes storing the pointer for `object`, without
-    /// materialising the holder list.
-    pub fn replica_count(&self, object: Id) -> usize {
-        self.stores.iter().filter(|s| s.contains(&object)).count()
-    }
-
-    /// Starts the periodic shuffle timers, staggered uniformly over one
-    /// gossip period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if maintenance was already started.
-    pub fn start_maintenance(&mut self) {
-        assert!(!self.maintenance_started, "maintenance already started");
-        self.maintenance_started = true;
-        let period = self.config.gossip_period.as_micros();
-        for i in 0..self.views.len() as u32 {
-            let node = NodeIdx::new(i);
-            let delay = SimDuration::from_micros(self.net.rng().gen_range(0..period));
-            let start = self.net.now() + delay;
-            self.arm_gossip(node, start);
-        }
-    }
-
-    /// Arms `node`'s next shuffle timer at the first gossip grid point
-    /// at or after `start` where the node is online, pre-skipping
-    /// offline grid points without a wheel round-trip for each.
-    ///
-    /// Offline fires are protocol no-ops (the view neither ages nor
-    /// shuffles) and availability models are pure functions of
-    /// `(node, time)`, so evaluating them at arm time is exact: the
-    /// kernel's event stream loses only the no-op pops — under heavy
-    /// churn nearly half of all events. A model swap mid-skip is
-    /// handled by [`GossipSim::set_availability`], which supersedes
-    /// every armed chain and re-arms under the new model.
-    fn arm_gossip(&mut self, node: NodeIdx, start: SimTime) {
-        self.next_grid[node.index()] = start;
-        let period = self.config.gossip_period;
-        let mut at = start;
-        let mut skipped = 0;
-        while skipped < MAX_GOSSIP_SKIP && !self.net.is_online_at(node, at) {
-            at += period;
-            skipped += 1;
-        }
-        let delay = SimDuration::from_micros(at.as_micros() - self.net.now().as_micros());
-        let epoch = self.timer_epoch;
-        self.net.schedule(node, delay, Timer::Gossip { epoch });
-    }
-
-    /// (Re-)joins `joiner` through `bootstrap`: the view collapses to
-    /// the bootstrap peer and an immediate shuffle pulls in a fresh
-    /// sample; subsequent gossip rounds re-diversify it.
-    pub fn join(&mut self, joiner: NodeIdx, bootstrap: NodeIdx) {
-        if joiner == bootstrap {
-            return;
-        }
-        self.views[joiner.index()].clear();
-        self.views[joiner.index()].insert_fresh(bootstrap);
-        self.suspicion[joiner.index()].clear();
-        self.sync_suspicion_bit(joiner);
-        self.initiate_shuffle(joiner, bootstrap);
-    }
-
-    /// Starts an insertion of `object` from `origin`: replication walks
-    /// deposit the pointer at every node they visit. The origin itself
-    /// stores nothing (the paper's engines count remote replicas only).
-    pub fn insert(&mut self, origin: NodeIdx, object: Id) {
-        let walkers = self.config.replication_walkers;
-        let ttl = self.config.replication_ttl;
-        let mut first_hops = std::mem::take(&mut self.sample_scratch);
-        self.views[origin.index()].sample_into(walkers, None, self.net.rng(), &mut first_hops);
-        for &next in &first_hops {
-            self.stats.insert_messages += 1;
-            self.net.send(origin, next, Msg::StoreWalk { object, ttl });
-        }
-        self.sample_scratch = first_hops;
-    }
-
-    /// Issues a lookup of `object` from `origin` with the given
-    /// deadline, using the configured [`LookupStrategy`].
-    pub fn issue_lookup(&mut self, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
-        let lookup = self.next_lookup;
-        self.next_lookup += 1;
-        self.lookups.insert(
-            lookup,
-            LookupState {
-                issued_at: self.net.now(),
-                deadline,
-                outcome: LookupOutcome::Pending,
-            },
-        );
-        if self.stores[origin.index()].contains(&object) {
-            self.complete_lookup(lookup, 0);
-            return lookup;
-        }
-        match self.config.strategy {
-            LookupStrategy::KRandomWalk => {
-                let mut first_hops = std::mem::take(&mut self.sample_scratch);
-                self.views[origin.index()].sample_into(
-                    self.config.walkers,
-                    None,
-                    self.net.rng(),
-                    &mut first_hops,
-                );
-                for &next in &first_hops {
-                    self.stats.lookup_messages += 1;
-                    self.net.send(
-                        origin,
-                        next,
-                        Msg::WalkQuery {
-                            lookup,
-                            origin,
-                            object,
-                            ttl: self.config.ttl,
-                            hops: 1,
-                        },
-                    );
-                }
-                self.sample_scratch = first_hops;
-            }
-            LookupStrategy::ExpandingRing => {
-                self.rings.insert(
-                    lookup,
-                    RingState {
-                        origin,
-                        object,
-                        round: 0,
-                        ttl: 1,
-                        forwarded: FxHashSet::default(),
-                    },
-                );
-                self.flood_round(lookup);
-                self.net.schedule(
-                    origin,
-                    self.config.ring_round_gap,
-                    Timer::RingRound { lookup },
-                );
-            }
-            LookupStrategy::Plumtree | LookupStrategy::Foaf => {
-                // GossipConfig::assert_valid (checked in new) rejects
-                // the tree strategies for the Cyclon engine.
-                unreachable!("tree strategies run on EpidemicSim")
-            }
-        }
-        lookup
-    }
-
-    /// Outcome of a lookup; `Pending` past its deadline reads as
-    /// `Failed`.
-    pub fn lookup_outcome(&self, lookup: u64) -> LookupOutcome {
-        match self.lookups.get(&lookup) {
-            None => LookupOutcome::Failed,
-            Some(s) => match s.outcome {
-                LookupOutcome::Pending if self.net.now() >= s.deadline => LookupOutcome::Failed,
-                o => o,
-            },
-        }
-    }
-
-    /// Runs the event loop until `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while self.net.next_batch_before(deadline, &mut batch) {
-            restore_tick_order(&mut batch);
-            for ev in batch.drain(..) {
-                self.dispatch(ev);
-            }
-        }
-        self.event_batch = batch;
-    }
-
-    /// Runs until no events remain (only terminates before maintenance
-    /// starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics after [`GossipSim::start_maintenance`]: periodic shuffles
-    /// never quiesce.
-    pub fn run_to_quiescence(&mut self) {
-        assert!(
-            !self.maintenance_started,
-            "periodic gossip never quiesces; use run_until"
-        );
-        self.run_until(SimTime::from_micros(u64::MAX));
-    }
-
     // --- membership -----------------------------------------------------------
 
-    fn initiate_shuffle(&mut self, node: NodeIdx, target: NodeIdx) {
+    fn initiate_shuffle(&mut self, cx: &mut Cx<'_>, node: NodeIdx, target: NodeIdx) {
         self.views[node.index()].sample_into(
             self.config.shuffle_len.saturating_sub(1),
             Some(target),
-            self.net.rng(),
+            cx.rng(),
             &mut self.sample_scratch,
         );
         let mut entries = Peers::new();
-        entries.push(node, self.net.payload_pool());
-        entries.extend_from_slice(&self.sample_scratch, self.net.payload_pool());
+        entries.push(node, cx.payload_pool());
+        entries.extend_from_slice(&self.sample_scratch, cx.payload_pool());
         let token = self.next_token;
         self.next_token += 1;
         // The bookkeeping copy stays inline (or draws its spill from the
         // pool), so the old `entries.clone()` heap hit is gone.
-        let sent = entries.clone_in(self.net.payload_pool());
+        let sent = entries.clone_in(cx.payload_pool());
         let fresh = PendingShuffle {
             token,
             target,
@@ -564,51 +227,57 @@ impl GossipSim {
         if let Some(old) = self.pending_shuffles[node.index()].replace(fresh) {
             // Only a re-join inside the timeout window gets here: the
             // superseded shuffle's pull (if any) is now stale.
-            old.sent.recycle(self.net.payload_pool());
+            old.sent.recycle(cx.payload_pool());
         }
         self.stats.maintenance_messages += 1;
-        self.net
-            .send(node, target, Msg::ShufflePush { token, entries });
-        self.net.schedule(
+        cx.send(node, target, Msg::ShufflePush { token, entries });
+        cx.schedule(
             node,
             self.config.shuffle_timeout,
             Timer::ShuffleTimeout { token },
         );
     }
 
-    fn on_gossip_timer(&mut self, node: NodeIdx, epoch: u32) {
+    fn on_gossip_timer(&mut self, cx: &mut Cx<'_>, node: NodeIdx, epoch: u32) {
         // A fire from a chain armed before an availability swap: the
         // swap re-armed every node under the new model, so this chain
         // is superseded and must do nothing (not even re-arm).
-        if epoch != self.timer_epoch {
+        if !self.ticker.is_current(epoch) {
             return;
         }
         // Offline nodes skip the round but keep the timer armed, like
         // the DHT baselines' maintenance. The arming scan pre-skips
         // offline grid points, so an offline fire only happens when the
         // scan hit [`MAX_GOSSIP_SKIP`] — and behaves identically.
-        if self.net.is_online(node) {
+        if cx.is_online(node) {
             self.views[node.index()].age_all();
             if let Some(target) = self.views[node.index()].oldest() {
-                self.initiate_shuffle(node, target);
+                self.initiate_shuffle(cx, node, target);
             }
         }
-        self.arm_gossip(node, self.net.now() + self.config.gossip_period);
+        self.ticker.arm_next(cx, node, gossip_timer);
     }
 
-    fn on_shuffle_push(&mut self, from: NodeIdx, to: NodeIdx, token: u64, entries: Peers) {
+    fn on_shuffle_push(
+        &mut self,
+        cx: &mut Cx<'_>,
+        from: NodeIdx,
+        to: NodeIdx,
+        token: u64,
+        entries: Peers,
+    ) {
         self.views[to.index()].sample_into(
             self.config.shuffle_len,
             Some(from),
-            self.net.rng(),
+            cx.rng(),
             &mut self.sample_scratch,
         );
         self.stats.maintenance_messages += 1;
         // The pull reply copies the scratch draw straight into an inline
         // buffer — this was the `sample_scratch.clone()` heap hit.
         let mut reply = Peers::new();
-        reply.extend_from_slice(&self.sample_scratch, self.net.payload_pool());
-        self.net.send(
+        reply.extend_from_slice(&self.sample_scratch, cx.payload_pool());
+        cx.send(
             to,
             from,
             Msg::ShufflePull {
@@ -617,7 +286,7 @@ impl GossipSim {
             },
         );
         self.views[to.index()].merge(entries.as_slice(), &self.sample_scratch);
-        entries.recycle(self.net.payload_pool());
+        entries.recycle(cx.payload_pool());
         // Hearing a push is direct evidence the initiator is alive. The
         // empty-map guard matters: suspicion maps are empty for all but
         // recently-failed peers, and this runs on every delivery.
@@ -628,17 +297,24 @@ impl GossipSim {
         }
     }
 
-    fn on_shuffle_pull(&mut self, from: NodeIdx, to: NodeIdx, token: u64, entries: Peers) {
+    fn on_shuffle_pull(
+        &mut self,
+        cx: &mut Cx<'_>,
+        from: NodeIdx,
+        to: NodeIdx,
+        token: u64,
+        entries: Peers,
+    ) {
         let slot = &mut self.pending_shuffles[to.index()];
         if slot.as_ref().is_none_or(|p| p.token != token) {
-            entries.recycle(self.net.payload_pool());
+            entries.recycle(cx.payload_pool());
             return; // late pull after the timeout already fired
         }
         let pending = slot.take().expect("token matched above");
         debug_assert_eq!(pending.target, from);
         self.views[to.index()].merge(entries.as_slice(), pending.sent.as_slice());
-        entries.recycle(self.net.payload_pool());
-        pending.sent.recycle(self.net.payload_pool());
+        entries.recycle(cx.payload_pool());
+        pending.sent.recycle(cx.payload_pool());
         if self.has_suspicion(to) {
             self.suspicion[to.index()].remove(&from);
             self.prune_suspicion(to);
@@ -674,13 +350,13 @@ impl GossipSim {
         self.suspicion[node.index()].retain(|&peer, _| view.contains(peer));
     }
 
-    fn on_shuffle_timeout(&mut self, initiator: NodeIdx, token: u64) {
+    fn on_shuffle_timeout(&mut self, cx: &mut Cx<'_>, initiator: NodeIdx, token: u64) {
         let slot = &mut self.pending_shuffles[initiator.index()];
         if slot.as_ref().is_none_or(|p| p.token != token) {
             return; // the pull arrived in time (or the shuffle was superseded)
         }
         let PendingShuffle { target, sent, .. } = slot.take().expect("token matched above");
-        sent.recycle(self.net.payload_pool());
+        sent.recycle(cx.payload_pool());
         let u = initiator.index();
         if !self.views[u].contains(target) {
             // The peer was merged out while the shuffle was in flight;
@@ -702,15 +378,15 @@ impl GossipSim {
 
     // --- replication and lookup ----------------------------------------------
 
-    fn on_store_walk(&mut self, from: NodeIdx, to: NodeIdx, object: Id, ttl: u32) {
+    fn on_store_walk(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, object: Id, ttl: u32) {
         self.stores[to.index()].insert(object);
         if ttl <= 1 {
             return;
         }
-        self.views[to.index()].sample_into(1, Some(from), self.net.rng(), &mut self.sample_scratch);
+        self.views[to.index()].sample_into(1, Some(from), cx.rng(), &mut self.sample_scratch);
         if let Some(&next) = self.sample_scratch.first() {
             self.stats.insert_messages += 1;
-            self.net.send(
+            cx.send(
                 to,
                 next,
                 Msg::StoreWalk {
@@ -724,6 +400,7 @@ impl GossipSim {
     #[allow(clippy::too_many_arguments)]
     fn on_walk_query(
         &mut self,
+        cx: &mut Cx<'_>,
         from: NodeIdx,
         to: NodeIdx,
         lookup: u64,
@@ -734,16 +411,16 @@ impl GossipSim {
     ) {
         if self.stores[to.index()].contains(&object) {
             self.stats.reply_messages += 1;
-            self.net.send(to, origin, Msg::Reply { lookup, hops });
+            cx.send(to, origin, Msg::Reply { lookup, hops });
             return; // the walk stops at a holder
         }
         if ttl <= 1 {
             return;
         }
-        self.views[to.index()].sample_into(1, Some(from), self.net.rng(), &mut self.sample_scratch);
+        self.views[to.index()].sample_into(1, Some(from), cx.rng(), &mut self.sample_scratch);
         if let Some(&next) = self.sample_scratch.first() {
             self.stats.lookup_messages += 1;
-            self.net.send(
+            cx.send(
                 to,
                 next,
                 Msg::WalkQuery {
@@ -758,7 +435,7 @@ impl GossipSim {
     }
 
     /// Launches one flood round for `lookup` at its current TTL.
-    fn flood_round(&mut self, lookup: u64) {
+    fn flood_round(&mut self, cx: &mut Cx<'_>, lookup: u64) {
         let Some(ring) = self.rings.get_mut(&lookup) else {
             return;
         };
@@ -769,7 +446,7 @@ impl GossipSim {
         let ttl = ring.ttl;
         for e in self.views[origin.index()].iter() {
             self.stats.lookup_messages += 1;
-            self.net.send(
+            cx.send(
                 origin,
                 e.peer,
                 Msg::FloodQuery {
@@ -787,6 +464,7 @@ impl GossipSim {
     #[allow(clippy::too_many_arguments)]
     fn on_flood_query(
         &mut self,
+        cx: &mut Cx<'_>,
         from: NodeIdx,
         to: NodeIdx,
         lookup: u64,
@@ -798,7 +476,7 @@ impl GossipSim {
     ) {
         if self.stores[to.index()].contains(&object) {
             self.stats.reply_messages += 1;
-            self.net.send(to, origin, Msg::Reply { lookup, hops });
+            cx.send(to, origin, Msg::Reply { lookup, hops });
             return;
         }
         if ttl <= 1 {
@@ -816,7 +494,7 @@ impl GossipSim {
                 continue;
             }
             self.stats.lookup_messages += 1;
-            self.net.send(
+            cx.send(
                 to,
                 next,
                 Msg::FloodQuery {
@@ -831,67 +509,95 @@ impl GossipSim {
         }
     }
 
-    fn on_ring_round(&mut self, lookup: u64) {
-        let still_pending = matches!(
-            self.lookups.get(&lookup).map(|s| s.outcome),
-            Some(LookupOutcome::Pending)
-        );
+    fn on_ring_round(&mut self, cx: &mut Cx<'_>, lookup: u64) {
         let Some(ring) = self.rings.get_mut(&lookup) else {
             return;
         };
-        let deadline = self.lookups[&lookup].deadline;
         let max_ttl = self.config.ttl;
-        if !still_pending || ring.ttl >= max_ttl || self.net.now() >= deadline {
+        if !cx.lookup_is_open(lookup) || ring.ttl >= max_ttl {
             self.rings.remove(&lookup);
             return;
         }
         ring.ttl = (ring.ttl * 2).min(max_ttl);
         ring.round += 1;
         let origin = ring.origin;
-        self.flood_round(lookup);
-        self.net.schedule(
+        self.flood_round(cx, lookup);
+        cx.schedule(
             origin,
             self.config.ring_round_gap,
             Timer::RingRound { lookup },
         );
     }
 
-    fn complete_lookup(&mut self, lookup: u64, hops: u32) {
-        let now = self.net.now();
-        if let Some(state) = self.lookups.get_mut(&lookup) {
-            if matches!(state.outcome, LookupOutcome::Pending) {
-                state.outcome = if now <= state.deadline {
-                    LookupOutcome::Succeeded {
-                        hops,
-                        latency: now.duration_since(state.issued_at),
-                    }
-                } else {
-                    LookupOutcome::Failed
-                };
-            }
-        }
+    fn complete_lookup(&mut self, cx: &mut Cx<'_>, lookup: u64, hops: u32) {
+        cx.complete_lookup(lookup, hops);
         self.rings.remove(&lookup);
     }
+}
 
-    // --- event dispatch -------------------------------------------------------
+impl Protocol for Gossip {
+    type Msg = Msg;
+    type Timer = Timer;
+    /// Each node's converged partial view.
+    type Parts = Vec<PartialView>;
+    type Config = GossipConfig;
 
-    fn dispatch(&mut self, ev: Event<Msg, Timer>) {
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid or a view names its owner
+    /// or an out-of-range peer.
+    fn build(views: Vec<PartialView>, config: GossipConfig) -> Self {
+        config.assert_valid();
+        let n = views.len();
+        for (i, v) in views.iter().enumerate() {
+            v.assert_invariants();
+            assert_eq!(v.owner(), NodeIdx::new(i as u32), "view {i} owner");
+            for e in v.iter() {
+                assert!(e.peer.index() < n, "view {i} names out-of-range peer");
+            }
+        }
+        Gossip {
+            config,
+            stores: vec![IdSet::new(); n],
+            suspicion: vec![FxHashMap::default(); n],
+            suspicion_nonempty: vec![0; n.div_ceil(64)],
+            pending_shuffles: vec![None; n],
+            sample_scratch: Vec::new(),
+            rings: FxHashMap::default(),
+            next_token: 0,
+            next_lookup: 0,
+            ticker: GossipTicker::new(n, config.gossip_period),
+            stats: GossipStats::default(),
+            views,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "Gossip"
+    }
+
+    fn nodes(&self) -> usize {
+        self.views.len()
+    }
+
+    #[inline]
+    fn on_event(&mut self, cx: &mut Cx<'_>, ev: Event<Msg, Timer>) {
         match ev {
             Event::Message { from, to, msg } => match msg {
                 Msg::ShufflePush { token, entries } => {
-                    self.on_shuffle_push(from, to, token, entries)
+                    self.on_shuffle_push(cx, from, to, token, entries)
                 }
                 Msg::ShufflePull { token, entries } => {
-                    self.on_shuffle_pull(from, to, token, entries)
+                    self.on_shuffle_pull(cx, from, to, token, entries)
                 }
-                Msg::StoreWalk { object, ttl } => self.on_store_walk(from, to, object, ttl),
+                Msg::StoreWalk { object, ttl } => self.on_store_walk(cx, from, to, object, ttl),
                 Msg::WalkQuery {
                     lookup,
                     origin,
                     object,
                     ttl,
                     hops,
-                } => self.on_walk_query(from, to, lookup, origin, object, ttl, hops),
+                } => self.on_walk_query(cx, from, to, lookup, origin, object, ttl, hops),
                 Msg::FloodQuery {
                     lookup,
                     round,
@@ -899,26 +605,137 @@ impl GossipSim {
                     object,
                     ttl,
                     hops,
-                } => self.on_flood_query(from, to, lookup, round, origin, object, ttl, hops),
-                Msg::Reply { lookup, hops } => self.complete_lookup(lookup, hops),
+                } => self.on_flood_query(cx, from, to, lookup, round, origin, object, ttl, hops),
+                Msg::Reply { lookup, hops } => self.complete_lookup(cx, lookup, hops),
             },
             Event::Timer { node, timer } => match timer {
-                Timer::Gossip { epoch } => self.on_gossip_timer(node, epoch),
-                Timer::ShuffleTimeout { token } => self.on_shuffle_timeout(node, token),
-                Timer::RingRound { lookup } => self.on_ring_round(lookup),
+                Timer::Gossip { epoch } => self.on_gossip_timer(cx, node, epoch),
+                Timer::ShuffleTimeout { token } => self.on_shuffle_timeout(cx, node, token),
+                Timer::RingRound { lookup } => self.on_ring_round(cx, lookup),
             },
         }
     }
-}
 
-impl std::fmt::Debug for GossipSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GossipSim")
-            .field("nodes", &self.views.len())
-            .field("now", &self.net.now())
-            .field("strategy", &self.config.strategy)
-            .field("stats", &self.stats)
-            .finish()
+    /// Starts an insertion of `object` from `origin`: replication walks
+    /// deposit the pointer at every node they visit. The origin itself
+    /// stores nothing (the paper's engines count remote replicas only).
+    fn insert(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id) {
+        let walkers = self.config.replication_walkers;
+        let ttl = self.config.replication_ttl;
+        let mut first_hops = std::mem::take(&mut self.sample_scratch);
+        self.views[origin.index()].sample_into(walkers, None, cx.rng(), &mut first_hops);
+        for &next in &first_hops {
+            self.stats.insert_messages += 1;
+            cx.send(origin, next, Msg::StoreWalk { object, ttl });
+        }
+        self.sample_scratch = first_hops;
+    }
+
+    /// Issues a lookup of `object` from `origin` with the given
+    /// deadline, using the configured [`LookupStrategy`].
+    fn lookup(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
+        let lookup = self.next_lookup;
+        self.next_lookup += 1;
+        cx.open_lookup(lookup, deadline);
+        if self.stores[origin.index()].contains(&object) {
+            self.complete_lookup(cx, lookup, 0);
+            return lookup;
+        }
+        match self.config.strategy {
+            LookupStrategy::KRandomWalk => {
+                let mut first_hops = std::mem::take(&mut self.sample_scratch);
+                self.views[origin.index()].sample_into(
+                    self.config.walkers,
+                    None,
+                    cx.rng(),
+                    &mut first_hops,
+                );
+                for &next in &first_hops {
+                    self.stats.lookup_messages += 1;
+                    cx.send(
+                        origin,
+                        next,
+                        Msg::WalkQuery {
+                            lookup,
+                            origin,
+                            object,
+                            ttl: self.config.ttl,
+                            hops: 1,
+                        },
+                    );
+                }
+                self.sample_scratch = first_hops;
+            }
+            LookupStrategy::ExpandingRing => {
+                self.rings.insert(
+                    lookup,
+                    RingState {
+                        origin,
+                        object,
+                        round: 0,
+                        ttl: 1,
+                        forwarded: FxHashSet::default(),
+                    },
+                );
+                self.flood_round(cx, lookup);
+                cx.schedule(
+                    origin,
+                    self.config.ring_round_gap,
+                    Timer::RingRound { lookup },
+                );
+            }
+            LookupStrategy::Plumtree | LookupStrategy::Foaf => {
+                // GossipConfig::assert_valid (checked in new) rejects
+                // the tree strategies for the Cyclon engine.
+                unreachable!("tree strategies run on EpidemicSim")
+            }
+        }
+        lookup
+    }
+
+    /// (Re-)joins `joiner` through `bootstrap`: the view collapses to
+    /// the bootstrap peer and an immediate shuffle pulls in a fresh
+    /// sample; subsequent gossip rounds re-diversify it.
+    fn join(&mut self, cx: &mut Cx<'_>, joiner: NodeIdx, bootstrap: NodeIdx) -> bool {
+        if joiner == bootstrap {
+            return true;
+        }
+        self.views[joiner.index()].clear();
+        self.views[joiner.index()].insert_fresh(bootstrap);
+        self.suspicion[joiner.index()].clear();
+        self.sync_suspicion_bit(joiner);
+        self.initiate_shuffle(cx, joiner, bootstrap);
+        true
+    }
+
+    /// Starts the periodic shuffle timers, staggered uniformly over one
+    /// gossip period.
+    fn start_maintenance(&mut self, cx: &mut Cx<'_>) -> bool {
+        self.ticker.start(cx, gossip_timer);
+        true
+    }
+
+    fn availability_changed(&mut self, cx: &mut Cx<'_>) {
+        self.ticker.rearm(cx, gossip_timer);
+    }
+
+    fn order_tick(batch: &mut [Event<Msg, Timer>]) {
+        restore_tick_order(batch, |timer| matches!(timer, Timer::Gossip { .. }));
+    }
+
+    fn holds(&self, node: NodeIdx, object: Id) -> bool {
+        self.stores[node.index()].contains(&object)
+    }
+
+    fn counters(&self, _net: &NetStats) -> Counters {
+        let s = self.stats;
+        Counters {
+            lookup_messages: s.lookup_messages,
+            insert_messages: s.insert_messages,
+            reply_messages: s.reply_messages,
+            maintenance_messages: s.maintenance_messages,
+            total_messages: s.total_messages(),
+        }
     }
 }
 
@@ -926,7 +743,9 @@ impl std::fmt::Debug for GossipSim {
 mod tests {
     use super::*;
     use crate::view::build_converged_views;
-    use mpil_sim::{AlwaysOn, ConstantLatency, Flapping, FlappingConfig};
+    use mpil_sim::{
+        AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LookupOutcome, SimDuration,
+    };
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1059,7 +878,7 @@ mod tests {
     fn local_holder_succeeds_in_zero_hops() {
         let mut sim = build(30, GossipConfig::default(), 6);
         let object = Id::from_low_u64(7);
-        sim.stores[2].insert(object);
+        sim.with(|gossip, _| gossip.stores[2].insert(object));
         let h = sim.issue_lookup(
             NodeIdx::new(2),
             object,
@@ -1152,16 +971,20 @@ mod tests {
             .expect("view 8 of 29 peers leaves someone out");
         // A stale strike against a peer not in the view is dropped by
         // the next merge-side prune...
-        sim.suspicion[0].insert(absent, 1);
-        sim.prune_suspicion(u);
+        sim.with(|gossip, _| {
+            gossip.suspicion[0].insert(absent, 1);
+            gossip.prune_suspicion(u);
+        });
         assert!(sim.suspicion[0].is_empty(), "stale strike survived prune");
         // ...and a shuffle timeout for a departed target strikes nobody.
-        sim.pending_shuffles[0] = Some(PendingShuffle {
-            token: 999,
-            target: absent,
-            sent: Peers::new(),
+        sim.with(|gossip, cx| {
+            gossip.pending_shuffles[0] = Some(PendingShuffle {
+                token: 999,
+                target: absent,
+                sent: Peers::new(),
+            });
+            gossip.on_shuffle_timeout(cx, u, 999);
         });
-        sim.on_shuffle_timeout(u, 999);
         assert!(sim.suspicion[0].is_empty(), "departed peer was struck");
         assert_eq!(sim.stats().failure_declarations, 0);
     }

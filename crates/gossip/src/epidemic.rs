@@ -32,14 +32,12 @@
 use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdMap, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{
-    Availability, Event, LatencyModel, LookupOutcome, Network, PayloadBuf, SimDuration, SimTime,
-};
-use rand::Rng;
+use mpil_sim::{Counters, Event, NetStats, PayloadBuf, Protocol, Sim, SimTime};
 
 use crate::config::{EpidemicConfig, LookupStrategy};
 use crate::engine::GossipStats;
 use crate::membership::Membership;
+use crate::ticker::{restore_tick_order, GossipTicker};
 use crate::view::PartialView;
 
 /// A shuffle's peer list; one exchange carries `1 + shuffle_active +
@@ -47,16 +45,15 @@ use crate::view::PartialView;
 /// the inline bound so the steady-state message plane never allocates.
 type Peers = PayloadBuf<NodeIdx, { mpil_sim::PAYLOAD_INLINE }>;
 
-/// Cap on offline grid points one [`EpidemicSim::arm_gossip`] pass may
-/// pre-skip (see the identical constant in the Cyclon engine).
-const MAX_GOSSIP_SKIP: u32 = 1024;
-
 /// GRAFT retransmission requests per missing announcement before the
 /// node gives up on lazy repair (lookup retries still cover it).
 const GRAFT_ATTEMPTS: u32 = 3;
 
+/// What HyParView/Plumtree nodes send each other (public only as
+/// [`Protocol::Msg`]).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-enum Msg {
+pub enum Msg {
     /// A (re-)joining node announcing itself to its bootstrap.
     Join,
     /// The join walk: decrement, capture, forward.
@@ -104,10 +101,13 @@ enum Msg {
     Reply { lookup: u64, hops: u32 },
 }
 
+/// What a HyParView/Plumtree node's timer carries (public only as
+/// [`Protocol::Timer`]).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-enum Timer {
-    /// Periodic per-node shuffle + reactive active-view fill. Same
-    /// pre-skip arming and epoch supersession as the Cyclon engine.
+pub enum Timer {
+    /// Periodic per-node shuffle + reactive active-view fill, on the
+    /// shared [`GossipTicker`].
     Gossip { epoch: u32 },
     /// The shuffle reply for `token` did not arrive in time.
     ShuffleTimeout { token: u64 },
@@ -120,27 +120,10 @@ enum Timer {
     QueryRound { lookup: u64 },
 }
 
-/// Restores the baseline intra-tick dispatch order after gossip-timer
-/// pre-skipping, exactly like the Cyclon engine's version: gossip
-/// timers first, ascending node index, everything else stable behind
-/// them.
-fn restore_tick_order(batch: &mut [Event<Msg, Timer>]) {
-    fn key(ev: &Event<Msg, Timer>) -> (bool, usize) {
-        match ev {
-            Event::Timer {
-                node,
-                timer: Timer::Gossip { .. },
-            } => (false, node.index()),
-            _ => (true, 0),
-        }
-    }
-    for i in 1..batch.len() {
-        let mut j = i;
-        while j > 0 && key(&batch[j - 1]) > key(&batch[j]) {
-            batch.swap(j - 1, j);
-            j -= 1;
-        }
-    }
+type Cx<'a> = mpil_sim::Cx<'a, Epidemic>;
+
+fn gossip_timer(epoch: u32) -> Timer {
+    Timer::Gossip { epoch }
 }
 
 /// An initiator's outstanding shuffle (one in flight per node: the
@@ -159,13 +142,6 @@ struct PendingNeighbor {
 }
 
 #[derive(Debug)]
-struct LookupState {
-    issued_at: SimTime,
-    deadline: SimTime,
-    outcome: LookupOutcome,
-}
-
-#[derive(Debug)]
 struct QueryState {
     origin: NodeIdx,
     object: Id,
@@ -175,17 +151,14 @@ struct QueryState {
     forwarded: FxHashSet<NodeIdx>,
 }
 
-/// The HyParView + Plumtree simulation.
-///
-/// Drive it like every other engine: build converged membership
-/// ([`crate::build_converged_membership`]), insert on the quiet
-/// network, start maintenance, swap in a perturbed availability model,
-/// then issue lookups and run the clock. Counters reuse
-/// [`GossipStats`]: announcements (eager pushes + IHAVE digests) are
-/// insert traffic, queries are lookup traffic, and the membership and
-/// tree-repair control plane (join, neighbor, shuffle, graft, prune,
-/// disconnect) is maintenance.
-pub struct EpidemicSim {
+/// The HyParView + Plumtree protocol: every node's membership, tree
+/// links and pointer store, and the handlers that drive them. Runs
+/// inside an [`EpidemicSim`]. Counters reuse [`GossipStats`]:
+/// announcements (eager pushes + IHAVE digests) are insert traffic,
+/// queries are lookup traffic, and the membership and tree-repair
+/// control plane (join, neighbor, shuffle, graft, prune, disconnect)
+/// is maintenance.
+pub struct Epidemic {
     config: EpidemicConfig,
     members: Vec<Membership>,
     /// Per node: the subset of the active view it eager-pushes to (the
@@ -195,8 +168,6 @@ pub struct EpidemicSim {
     /// Per node: announced-but-missing objects -> (announcer, graft
     /// attempts so far).
     missing: Vec<IdMap<(NodeIdx, u32)>>,
-    net: Network<Msg, Timer>,
-    event_batch: Vec<Event<Msg, Timer>>,
     /// Reusable draw buffers (steady-state paths must not allocate).
     sample_scratch: Vec<NodeIdx>,
     sample_scratch2: Vec<NodeIdx>,
@@ -206,96 +177,25 @@ pub struct EpidemicSim {
     suspicion_nonempty: Vec<u64>,
     pending_shuffles: Vec<Option<PendingShuffle>>,
     pending_neighbors: Vec<Option<PendingNeighbor>>,
-    lookups: FxHashMap<u64, LookupState>,
     queries: FxHashMap<u64, QueryState>,
     next_token: u64,
     next_lookup: u64,
-    maintenance_started: bool,
-    timer_epoch: u32,
-    next_grid: Vec<SimTime>,
+    ticker: GossipTicker,
     stats: GossipStats,
 }
 
-impl EpidemicSim {
-    /// Builds the simulation from per-node membership state (see
-    /// [`crate::build_converged_membership`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or a view violates its
-    /// invariants, names an out-of-range peer, or the wrong owner.
-    pub fn new(
-        members: Vec<Membership>,
-        config: EpidemicConfig,
-        availability: Box<dyn Availability>,
-        latency: Box<dyn LatencyModel>,
-        seed: u64,
-    ) -> Self {
-        config.assert_valid();
-        let n = members.len();
-        let mut eager = Vec::with_capacity(n);
-        for (i, m) in members.iter().enumerate() {
-            m.assert_invariants();
-            assert_eq!(m.owner(), NodeIdx::new(i as u32), "membership {i} owner");
-            for e in m.active.iter().chain(m.passive.iter()) {
-                assert!(e.peer.index() < n, "membership {i} names out-of-range peer");
-            }
-            // Every active link starts eager; the first broadcast
-            // prunes the graph into a tree.
-            let mut ev = PartialView::new(m.owner(), config.active_size.max(1));
-            for e in m.active.iter() {
-                ev.insert_fresh(e.peer);
-            }
-            eager.push(ev);
-        }
-        EpidemicSim {
-            config,
-            eager,
-            stores: vec![IdSet::new(); n],
-            missing: vec![IdMap::new(); n],
-            net: Network::new(n, availability, latency, seed),
-            event_batch: Vec::new(),
-            sample_scratch: Vec::new(),
-            sample_scratch2: Vec::new(),
-            suspicion: vec![FxHashMap::default(); n],
-            suspicion_nonempty: vec![0; n.div_ceil(64)],
-            pending_shuffles: vec![None; n],
-            pending_neighbors: vec![None; n],
-            lookups: FxHashMap::default(),
-            queries: FxHashMap::default(),
-            next_token: 0,
-            next_lookup: 0,
-            maintenance_started: false,
-            timer_epoch: 0,
-            next_grid: vec![SimTime::ZERO; n],
-            stats: GossipStats::default(),
-            members,
-        }
-    }
+/// The HyParView + Plumtree simulation.
+///
+/// Drive it like every other engine: build converged membership
+/// ([`crate::build_converged_membership`]) and hand it to [`Sim::new`],
+/// insert on the quiet network, start maintenance, swap in a perturbed
+/// availability model, then issue lookups and run the clock.
+pub type EpidemicSim = Sim<Epidemic>;
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Returns `true` if the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
+impl Epidemic {
     /// Protocol counters.
     pub fn stats(&self) -> GossipStats {
         self.stats
-    }
-
-    /// Kernel counters.
-    pub fn net_stats(&self) -> mpil_sim::NetStats {
-        self.net.stats()
     }
 
     /// The configuration the engine runs with.
@@ -314,196 +214,13 @@ impl EpidemicSim {
         self.members.iter().map(|m| m.active.peers()).collect()
     }
 
-    /// Swaps the availability model (static stage -> flapping stage),
-    /// superseding and re-arming every gossip timer chain exactly like
-    /// the Cyclon engine.
-    pub fn set_availability(&mut self, availability: Box<dyn Availability>) {
-        self.net.set_availability(availability);
-        if !self.maintenance_started {
-            return;
-        }
-        self.timer_epoch += 1;
-        let now = self.net.now();
-        let period = self.config.gossip_period;
-        for i in 0..self.next_grid.len() {
-            let mut t = self.next_grid[i];
-            while t <= now {
-                t += period;
-            }
-            self.arm_gossip(NodeIdx::new(i as u32), t);
-        }
-    }
-
-    /// Sets the independent per-message link-loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn set_loss_probability(&mut self, p: f64) {
-        self.net.set_loss_probability(p);
-    }
-
-    /// Nodes currently storing the pointer for `object`.
-    pub fn replica_holders(&self, object: Id) -> Vec<NodeIdx> {
-        (0..self.members.len() as u32)
-            .map(NodeIdx::new)
-            .filter(|n| self.stores[n.index()].contains(&object))
-            .collect()
-    }
-
-    /// Number of nodes storing the pointer for `object`.
-    pub fn replica_count(&self, object: Id) -> usize {
-        self.stores.iter().filter(|s| s.contains(&object)).count()
-    }
-
-    /// Starts the periodic shuffle/repair timers, staggered uniformly
-    /// over one gossip period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if maintenance was already started.
-    pub fn start_maintenance(&mut self) {
-        assert!(!self.maintenance_started, "maintenance already started");
-        self.maintenance_started = true;
-        let period = self.config.gossip_period.as_micros();
-        for i in 0..self.members.len() as u32 {
-            let node = NodeIdx::new(i);
-            let delay = SimDuration::from_micros(self.net.rng().gen_range(0..period));
-            let start = self.net.now() + delay;
-            self.arm_gossip(node, start);
-        }
-    }
-
-    /// Arms `node`'s next gossip timer at the first live grid point at
-    /// or after `start` (offline grid points pre-skipped, exactly like
-    /// the Cyclon engine's arming scan).
-    fn arm_gossip(&mut self, node: NodeIdx, start: SimTime) {
-        self.next_grid[node.index()] = start;
-        let period = self.config.gossip_period;
-        let mut at = start;
-        let mut skipped = 0;
-        while skipped < MAX_GOSSIP_SKIP && !self.net.is_online_at(node, at) {
-            at += period;
-            skipped += 1;
-        }
-        let delay = SimDuration::from_micros(at.as_micros() - self.net.now().as_micros());
-        let epoch = self.timer_epoch;
-        self.net.schedule(node, delay, Timer::Gossip { epoch });
-    }
-
-    /// (Re-)joins `joiner` through `bootstrap`: both views collapse,
-    /// the bootstrap link opens optimistically, and a JOIN message
-    /// triggers FORWARD-JOIN walks that seat the joiner in active and
-    /// passive views across the overlay.
-    pub fn join(&mut self, joiner: NodeIdx, bootstrap: NodeIdx) {
-        if joiner == bootstrap {
-            return;
-        }
-        let u = joiner.index();
-        self.members[u].active.clear();
-        self.members[u].passive.clear();
-        self.eager[u].clear();
-        self.missing[u].clear();
-        self.suspicion[u].clear();
-        self.sync_suspicion_bit(joiner);
-        self.pending_neighbors[u] = None;
-        if let Some(stale) = self.pending_shuffles[u].take() {
-            let _ = stale; // its reply/timeout will fail the token match
-        }
-        self.add_active(joiner, bootstrap, true);
-        self.stats.maintenance_messages += 1;
-        self.net.send(joiner, bootstrap, Msg::Join);
-    }
-
-    /// Starts an insertion of `object` from `origin`: the announcement
-    /// is broadcast down the Plumtree and every node that delivers it
-    /// stores the pointer. The origin itself stores nothing (the
-    /// paper's engines count remote replicas only).
-    pub fn insert(&mut self, origin: NodeIdx, object: Id) {
-        self.push_announcement(origin, None, object, 1);
-    }
-
-    /// Issues a lookup of `object` from `origin` with the given
-    /// deadline, using the configured [`LookupStrategy`].
-    pub fn issue_lookup(&mut self, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
-        let lookup = self.next_lookup;
-        self.next_lookup += 1;
-        self.lookups.insert(
-            lookup,
-            LookupState {
-                issued_at: self.net.now(),
-                deadline,
-                outcome: LookupOutcome::Pending,
-            },
-        );
-        if self.stores[origin.index()].contains(&object) {
-            self.complete_lookup(lookup, 0);
-            return lookup;
-        }
-        self.queries.insert(
-            lookup,
-            QueryState {
-                origin,
-                object,
-                round: 0,
-                forwarded: FxHashSet::default(),
-            },
-        );
-        self.launch_query_round(lookup);
-        self.net.schedule(
-            origin,
-            self.config.query_round_gap,
-            Timer::QueryRound { lookup },
-        );
-        lookup
-    }
-
-    /// Outcome of a lookup; `Pending` past its deadline reads as
-    /// `Failed`.
-    pub fn lookup_outcome(&self, lookup: u64) -> LookupOutcome {
-        match self.lookups.get(&lookup) {
-            None => LookupOutcome::Failed,
-            Some(s) => match s.outcome {
-                LookupOutcome::Pending if self.net.now() >= s.deadline => LookupOutcome::Failed,
-                o => o,
-            },
-        }
-    }
-
-    /// Runs the event loop until `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while self.net.next_batch_before(deadline, &mut batch) {
-            restore_tick_order(&mut batch);
-            for ev in batch.drain(..) {
-                self.dispatch(ev);
-            }
-        }
-        self.event_batch = batch;
-    }
-
-    /// Runs until no events remain (only terminates before maintenance
-    /// starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics after [`EpidemicSim::start_maintenance`]: periodic
-    /// shuffles never quiesce.
-    pub fn run_to_quiescence(&mut self) {
-        assert!(
-            !self.maintenance_started,
-            "periodic gossip never quiesces; use run_until"
-        );
-        self.run_until(SimTime::from_micros(u64::MAX));
-    }
-
     // --- membership -----------------------------------------------------------
 
     /// Opens the `node -> peer` half of an active link: removes `peer`
     /// from the passive view, makes room (random eviction + DISCONNECT
     /// when `force`), and starts the link eager. Returns whether the
     /// active view changed.
-    fn add_active(&mut self, node: NodeIdx, peer: NodeIdx, force: bool) -> bool {
+    fn add_active(&mut self, cx: &mut Cx<'_>, node: NodeIdx, peer: NodeIdx, force: bool) -> bool {
         let u = node.index();
         if peer == node || self.members[u].active.contains(peer) {
             return false;
@@ -515,12 +232,12 @@ impl EpidemicSim {
             }
             self.members[u]
                 .active
-                .sample_into(1, None, self.net.rng(), &mut self.sample_scratch);
+                .sample_into(1, None, cx.rng(), &mut self.sample_scratch);
             if let Some(&victim) = self.sample_scratch.first() {
                 self.drop_active(node, victim, false);
                 self.stats.maintenance_messages += 1;
-                self.net.send(node, victim, Msg::Disconnect);
-                self.integrate_into_passive(node, victim);
+                cx.send(node, victim, Msg::Disconnect);
+                self.integrate_into_passive(cx, node, victim);
             }
         }
         self.members[u].active.insert_fresh(peer);
@@ -549,7 +266,7 @@ impl EpidemicSim {
 
     /// Admits `peer` to `node`'s passive view (random eviction on
     /// overflow, never displacing toward the active view).
-    fn integrate_into_passive(&mut self, node: NodeIdx, peer: NodeIdx) {
+    fn integrate_into_passive(&mut self, cx: &mut Cx<'_>, node: NodeIdx, peer: NodeIdx) {
         let u = node.index();
         if peer == node
             || self.members[u].active.contains(peer)
@@ -560,7 +277,7 @@ impl EpidemicSim {
         if self.members[u].passive.len() >= self.config.passive_size {
             self.members[u]
                 .passive
-                .sample_into(1, None, self.net.rng(), &mut self.sample_scratch);
+                .sample_into(1, None, cx.rng(), &mut self.sample_scratch);
             if let Some(&victim) = self.sample_scratch.first() {
                 self.members[u].passive.remove(victim);
             }
@@ -570,7 +287,7 @@ impl EpidemicSim {
 
     /// Starts a NEIGHBOR promotion of a random passive candidate if the
     /// active view is underfull and no promotion is in flight.
-    fn try_neighbor(&mut self, node: NodeIdx) {
+    fn try_neighbor(&mut self, cx: &mut Cx<'_>, node: NodeIdx) {
         let u = node.index();
         if self.pending_neighbors[u].is_some()
             || self.members[u].active.len() >= self.config.active_size
@@ -579,7 +296,7 @@ impl EpidemicSim {
         }
         self.members[u]
             .passive
-            .sample_into(1, None, self.net.rng(), &mut self.sample_scratch);
+            .sample_into(1, None, cx.rng(), &mut self.sample_scratch);
         let Some(&candidate) = self.sample_scratch.first() else {
             return; // empty passive view; shuffles will refill it
         };
@@ -588,7 +305,7 @@ impl EpidemicSim {
         self.pending_neighbors[u] = Some(PendingNeighbor { token, candidate });
         let high_priority = self.members[u].active.is_empty();
         self.stats.maintenance_messages += 1;
-        self.net.send(
+        cx.send(
             node,
             candidate,
             Msg::Neighbor {
@@ -596,66 +313,66 @@ impl EpidemicSim {
                 high_priority,
             },
         );
-        self.net.schedule(
+        cx.schedule(
             node,
             self.config.exchange_timeout,
             Timer::NeighborTimeout { token },
         );
     }
 
-    fn initiate_shuffle(&mut self, node: NodeIdx, target: NodeIdx) {
+    fn initiate_shuffle(&mut self, cx: &mut Cx<'_>, node: NodeIdx, target: NodeIdx) {
         let u = node.index();
         self.members[u].active.sample_into(
             self.config.shuffle_active,
             Some(target),
-            self.net.rng(),
+            cx.rng(),
             &mut self.sample_scratch,
         );
         self.members[u].passive.sample_into(
             self.config.shuffle_passive,
             Some(target),
-            self.net.rng(),
+            cx.rng(),
             &mut self.sample_scratch2,
         );
         let mut entries = Peers::new();
-        entries.push(node, self.net.payload_pool());
-        entries.extend_from_slice(&self.sample_scratch, self.net.payload_pool());
-        entries.extend_from_slice(&self.sample_scratch2, self.net.payload_pool());
+        entries.push(node, cx.payload_pool());
+        entries.extend_from_slice(&self.sample_scratch, cx.payload_pool());
+        entries.extend_from_slice(&self.sample_scratch2, cx.payload_pool());
         let token = self.next_token;
         self.next_token += 1;
         self.pending_shuffles[u] = Some(PendingShuffle { token, target });
         self.stats.maintenance_messages += 1;
-        self.net.send(node, target, Msg::Shuffle { token, entries });
-        self.net.schedule(
+        cx.send(node, target, Msg::Shuffle { token, entries });
+        cx.schedule(
             node,
             self.config.exchange_timeout,
             Timer::ShuffleTimeout { token },
         );
     }
 
-    fn on_gossip_timer(&mut self, node: NodeIdx, epoch: u32) {
-        if epoch != self.timer_epoch {
+    fn on_gossip_timer(&mut self, cx: &mut Cx<'_>, node: NodeIdx, epoch: u32) {
+        if !self.ticker.is_current(epoch) {
             return; // superseded chain (availability swap)
         }
-        if self.net.is_online(node) {
+        if cx.is_online(node) {
             // Reactive repair first: an underfull active view promotes
             // a passive candidate without waiting for a shuffle.
-            self.try_neighbor(node);
+            self.try_neighbor(cx, node);
             self.members[node.index()].active.sample_into(
                 1,
                 None,
-                self.net.rng(),
+                cx.rng(),
                 &mut self.sample_scratch,
             );
             if let Some(&target) = self.sample_scratch.first() {
-                self.initiate_shuffle(node, target);
+                self.initiate_shuffle(cx, node, target);
             }
         }
-        self.arm_gossip(node, self.net.now() + self.config.gossip_period);
+        self.ticker.arm_next(cx, node, gossip_timer);
     }
 
-    fn on_join(&mut self, joiner: NodeIdx, to: NodeIdx) {
-        self.add_active(to, joiner, true);
+    fn on_join(&mut self, cx: &mut Cx<'_>, joiner: NodeIdx, to: NodeIdx) {
+        self.add_active(cx, to, joiner, true);
         let ttl = self.config.arwl;
         let mut walk_targets = std::mem::take(&mut self.sample_scratch);
         walk_targets.clear();
@@ -668,12 +385,19 @@ impl EpidemicSim {
         );
         for &peer in &walk_targets {
             self.stats.maintenance_messages += 1;
-            self.net.send(to, peer, Msg::ForwardJoin { joiner, ttl });
+            cx.send(to, peer, Msg::ForwardJoin { joiner, ttl });
         }
         self.sample_scratch = walk_targets;
     }
 
-    fn on_forward_join(&mut self, from: NodeIdx, to: NodeIdx, joiner: NodeIdx, ttl: u32) {
+    fn on_forward_join(
+        &mut self,
+        cx: &mut Cx<'_>,
+        from: NodeIdx,
+        to: NodeIdx,
+        joiner: NodeIdx,
+        ttl: u32,
+    ) {
         if joiner == to {
             return;
         }
@@ -689,7 +413,7 @@ impl EpidemicSim {
                     candidate: joiner,
                 });
                 self.stats.maintenance_messages += 1;
-                self.net.send(
+                cx.send(
                     to,
                     joiner,
                     Msg::Neighbor {
@@ -697,26 +421,26 @@ impl EpidemicSim {
                         high_priority: true,
                     },
                 );
-                self.net.schedule(
+                cx.schedule(
                     to,
                     self.config.exchange_timeout,
                     Timer::NeighborTimeout { token },
                 );
             } else {
-                self.integrate_into_passive(to, joiner);
+                self.integrate_into_passive(cx, to, joiner);
             }
             return;
         }
         if ttl == self.config.prwl {
-            self.integrate_into_passive(to, joiner);
+            self.integrate_into_passive(cx, to, joiner);
         }
         self.members[u]
             .active
-            .sample_into(1, Some(from), self.net.rng(), &mut self.sample_scratch);
+            .sample_into(1, Some(from), cx.rng(), &mut self.sample_scratch);
         match self.sample_scratch.first() {
             Some(&next) if next != joiner => {
                 self.stats.maintenance_messages += 1;
-                self.net.send(
+                cx.send(
                     to,
                     next,
                     Msg::ForwardJoin {
@@ -727,23 +451,36 @@ impl EpidemicSim {
             }
             _ => {
                 // Nowhere to walk: capture the joiner locally instead.
-                self.integrate_into_passive(to, joiner);
+                self.integrate_into_passive(cx, to, joiner);
             }
         }
     }
 
-    fn on_neighbor(&mut self, from: NodeIdx, to: NodeIdx, token: u64, high_priority: bool) {
+    fn on_neighbor(
+        &mut self,
+        cx: &mut Cx<'_>,
+        from: NodeIdx,
+        to: NodeIdx,
+        token: u64,
+        high_priority: bool,
+    ) {
         let full = self.members[to.index()].active.len() >= self.config.active_size;
         let accepted = high_priority || !full;
         if accepted {
-            self.add_active(to, from, true);
+            self.add_active(cx, to, from, true);
         }
         self.stats.maintenance_messages += 1;
-        self.net
-            .send(to, from, Msg::NeighborReply { token, accepted });
+        cx.send(to, from, Msg::NeighborReply { token, accepted });
     }
 
-    fn on_neighbor_reply(&mut self, from: NodeIdx, to: NodeIdx, token: u64, accepted: bool) {
+    fn on_neighbor_reply(
+        &mut self,
+        cx: &mut Cx<'_>,
+        from: NodeIdx,
+        to: NodeIdx,
+        token: u64,
+        accepted: bool,
+    ) {
         let u = to.index();
         let slot = &mut self.pending_neighbors[u];
         if slot.is_none_or(|p| p.token != token) {
@@ -751,7 +488,7 @@ impl EpidemicSim {
         }
         *slot = None;
         if accepted {
-            self.add_active(to, from, false);
+            self.add_active(cx, to, from, false);
         }
         // A rejection leaves the candidate in the passive view (it is
         // alive, just full); the next gossip tick tries another.
@@ -772,24 +509,31 @@ impl EpidemicSim {
         self.members[u].passive.remove(pending.candidate);
     }
 
-    fn on_disconnect(&mut self, from: NodeIdx, to: NodeIdx) {
+    fn on_disconnect(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx) {
         if self.drop_active(to, from, false) {
-            self.integrate_into_passive(to, from);
+            self.integrate_into_passive(cx, to, from);
         }
     }
 
-    fn on_shuffle(&mut self, from: NodeIdx, to: NodeIdx, token: u64, entries: Peers) {
+    fn on_shuffle(
+        &mut self,
+        cx: &mut Cx<'_>,
+        from: NodeIdx,
+        to: NodeIdx,
+        token: u64,
+        entries: Peers,
+    ) {
         let reply_len = entries.len();
         self.members[to.index()].passive.sample_into(
             reply_len,
             Some(from),
-            self.net.rng(),
+            cx.rng(),
             &mut self.sample_scratch,
         );
         let mut reply = Peers::new();
-        reply.extend_from_slice(&self.sample_scratch, self.net.payload_pool());
+        reply.extend_from_slice(&self.sample_scratch, cx.payload_pool());
         self.stats.maintenance_messages += 1;
-        self.net.send(
+        cx.send(
             to,
             from,
             Msg::ShuffleReply {
@@ -799,28 +543,35 @@ impl EpidemicSim {
         );
         for i in 0..entries.len() {
             let peer = entries.as_slice()[i];
-            self.integrate_into_passive(to, peer);
+            self.integrate_into_passive(cx, to, peer);
         }
-        entries.recycle(self.net.payload_pool());
+        entries.recycle(cx.payload_pool());
         self.clear_suspicion_of(to, from);
     }
 
-    fn on_shuffle_reply(&mut self, from: NodeIdx, to: NodeIdx, token: u64, entries: Peers) {
+    fn on_shuffle_reply(
+        &mut self,
+        cx: &mut Cx<'_>,
+        from: NodeIdx,
+        to: NodeIdx,
+        token: u64,
+        entries: Peers,
+    ) {
         let slot = &mut self.pending_shuffles[to.index()];
         if slot.is_none_or(|p| p.token != token) {
-            entries.recycle(self.net.payload_pool());
+            entries.recycle(cx.payload_pool());
             return; // late reply after the timeout already fired
         }
         *slot = None;
         for i in 0..entries.len() {
             let peer = entries.as_slice()[i];
-            self.integrate_into_passive(to, peer);
+            self.integrate_into_passive(cx, to, peer);
         }
-        entries.recycle(self.net.payload_pool());
+        entries.recycle(cx.payload_pool());
         self.clear_suspicion_of(to, from);
     }
 
-    fn on_shuffle_timeout(&mut self, initiator: NodeIdx, token: u64) {
+    fn on_shuffle_timeout(&mut self, cx: &mut Cx<'_>, initiator: NodeIdx, token: u64) {
         let u = initiator.index();
         let slot = &mut self.pending_shuffles[u];
         if slot.is_none_or(|p| p.token != token) {
@@ -839,7 +590,7 @@ impl EpidemicSim {
             self.drop_active(initiator, target, true);
             // Reactive replacement: promote a passive candidate now
             // instead of waiting for the next gossip tick.
-            self.try_neighbor(initiator);
+            self.try_neighbor(cx, initiator);
         } else {
             self.sync_suspicion_bit(initiator);
         }
@@ -876,6 +627,7 @@ impl EpidemicSim {
     /// (the delivering peer) skipped on both.
     fn push_announcement(
         &mut self,
+        cx: &mut Cx<'_>,
         node: NodeIdx,
         exclude: Option<NodeIdx>,
         object: Id,
@@ -890,7 +642,7 @@ impl EpidemicSim {
                 continue;
             }
             self.stats.insert_messages += 1;
-            self.net.send(node, peer, Msg::Gossip { object, hops });
+            cx.send(node, peer, Msg::Gossip { object, hops });
         }
         targets.clear();
         targets.extend(
@@ -905,7 +657,7 @@ impl EpidemicSim {
                 continue;
             }
             self.stats.insert_messages += 1;
-            self.net.send(node, peer, Msg::IHave { object });
+            cx.send(node, peer, Msg::IHave { object });
         }
         self.sample_scratch = targets;
     }
@@ -923,32 +675,38 @@ impl EpidemicSim {
         self.eager[node.index()].remove(peer);
     }
 
-    fn on_gossip_msg(&mut self, from: NodeIdx, to: NodeIdx, object: Id, hops: u32) {
+    fn on_gossip_msg(
+        &mut self,
+        cx: &mut Cx<'_>,
+        from: NodeIdx,
+        to: NodeIdx,
+        object: Id,
+        hops: u32,
+    ) {
         let u = to.index();
         if self.stores[u].insert(object) {
             // First delivery: the sender is our tree parent.
             self.missing[u].remove(&object);
             self.promote_eager(to, from);
-            self.push_announcement(to, Some(from), object, hops + 1);
+            self.push_announcement(cx, to, Some(from), object, hops + 1);
         } else {
             // Duplicate: this link is redundant for the tree.
             self.demote_eager(to, from);
             self.stats.maintenance_messages += 1;
-            self.net.send(to, from, Msg::Prune);
+            cx.send(to, from, Msg::Prune);
         }
     }
 
-    fn on_ihave(&mut self, from: NodeIdx, to: NodeIdx, object: Id) {
+    fn on_ihave(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, object: Id) {
         let u = to.index();
         if self.stores[u].contains(&object) || self.missing[u].contains_key(&object) {
             return;
         }
         self.missing[u].insert(object, (from, 0));
-        self.net
-            .schedule(to, self.config.graft_timeout, Timer::GraftRetry { object });
+        cx.schedule(to, self.config.graft_timeout, Timer::GraftRetry { object });
     }
 
-    fn on_graft_timer(&mut self, node: NodeIdx, object: Id) {
+    fn on_graft_timer(&mut self, cx: &mut Cx<'_>, node: NodeIdx, object: Id) {
         let u = node.index();
         let Some(&(announcer, attempts)) = self.missing[u].get(&object) else {
             return; // the eager copy arrived in time
@@ -959,12 +717,12 @@ impl EpidemicSim {
         }
         self.promote_eager(node, announcer);
         self.stats.maintenance_messages += 1;
-        self.net.send(node, announcer, Msg::Graft { object });
+        cx.send(node, announcer, Msg::Graft { object });
         if attempts + 1 >= GRAFT_ATTEMPTS {
             self.missing[u].remove(&object);
         } else {
             self.missing[u].insert(object, (announcer, attempts + 1));
-            self.net.schedule(
+            cx.schedule(
                 node,
                 self.config.graft_timeout,
                 Timer::GraftRetry { object },
@@ -972,11 +730,11 @@ impl EpidemicSim {
         }
     }
 
-    fn on_graft(&mut self, from: NodeIdx, to: NodeIdx, object: Id) {
+    fn on_graft(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, object: Id) {
         self.promote_eager(to, from);
         if self.stores[to.index()].contains(&object) {
             self.stats.insert_messages += 1;
-            self.net.send(to, from, Msg::Gossip { object, hops: 1 });
+            cx.send(to, from, Msg::Gossip { object, hops: 1 });
         }
     }
 
@@ -987,7 +745,7 @@ impl EpidemicSim {
     // --- lookup ---------------------------------------------------------------
 
     /// Launches one query wave for `lookup` at its current round.
-    fn launch_query_round(&mut self, lookup: u64) {
+    fn launch_query_round(&mut self, cx: &mut Cx<'_>, lookup: u64) {
         let Some(q) = self.queries.get_mut(&lookup) else {
             return;
         };
@@ -1005,7 +763,7 @@ impl EpidemicSim {
                 targets.extend(self.members[u].active.iter().map(|e| e.peer));
                 for &peer in &targets {
                     self.stats.lookup_messages += 1;
-                    self.net.send(
+                    cx.send(
                         origin,
                         peer,
                         Msg::TreeQuery {
@@ -1023,12 +781,12 @@ impl EpidemicSim {
                 self.members[u].active.sample_into(
                     self.config.foaf_fanout,
                     None,
-                    self.net.rng(),
+                    cx.rng(),
                     &mut targets,
                 );
                 for &peer in &targets {
                     self.stats.lookup_messages += 1;
-                    self.net.send(
+                    cx.send(
                         origin,
                         peer,
                         Msg::FoafQuery {
@@ -1051,23 +809,18 @@ impl EpidemicSim {
         self.sample_scratch = targets;
     }
 
-    fn on_query_round(&mut self, lookup: u64) {
-        let still_pending = matches!(
-            self.lookups.get(&lookup).map(|s| s.outcome),
-            Some(LookupOutcome::Pending)
-        );
+    fn on_query_round(&mut self, cx: &mut Cx<'_>, lookup: u64) {
         let Some(q) = self.queries.get_mut(&lookup) else {
             return;
         };
-        let deadline = self.lookups[&lookup].deadline;
-        if !still_pending || self.net.now() >= deadline {
+        if !cx.lookup_is_open(lookup) {
             self.queries.remove(&lookup);
             return;
         }
         q.round += 1;
         let origin = q.origin;
-        self.launch_query_round(lookup);
-        self.net.schedule(
+        self.launch_query_round(cx, lookup);
+        cx.schedule(
             origin,
             self.config.query_round_gap,
             Timer::QueryRound { lookup },
@@ -1077,6 +830,7 @@ impl EpidemicSim {
     #[allow(clippy::too_many_arguments)]
     fn on_tree_query(
         &mut self,
+        cx: &mut Cx<'_>,
         from: NodeIdx,
         to: NodeIdx,
         lookup: u64,
@@ -1088,7 +842,7 @@ impl EpidemicSim {
     ) {
         if self.stores[to.index()].contains(&object) {
             self.stats.reply_messages += 1;
-            self.net.send(to, origin, Msg::Reply { lookup, hops });
+            cx.send(to, origin, Msg::Reply { lookup, hops });
             return;
         }
         if ttl <= 1 {
@@ -1115,7 +869,7 @@ impl EpidemicSim {
                 continue;
             }
             self.stats.lookup_messages += 1;
-            self.net.send(
+            cx.send(
                 to,
                 peer,
                 Msg::TreeQuery {
@@ -1134,6 +888,7 @@ impl EpidemicSim {
     #[allow(clippy::too_many_arguments)]
     fn on_foaf_query(
         &mut self,
+        cx: &mut Cx<'_>,
         from: NodeIdx,
         to: NodeIdx,
         lookup: u64,
@@ -1145,7 +900,7 @@ impl EpidemicSim {
     ) {
         if self.stores[to.index()].contains(&object) {
             self.stats.reply_messages += 1;
-            self.net.send(to, origin, Msg::Reply { lookup, hops });
+            cx.send(to, origin, Msg::Reply { lookup, hops });
             return;
         }
         if ttl <= 1 {
@@ -1160,7 +915,7 @@ impl EpidemicSim {
         self.members[to.index()].active.sample_into(
             self.config.foaf_fanout,
             Some(from),
-            self.net.rng(),
+            cx.rng(),
             &mut self.sample_scratch,
         );
         let targets = std::mem::take(&mut self.sample_scratch);
@@ -1169,7 +924,7 @@ impl EpidemicSim {
                 continue;
             }
             self.stats.lookup_messages += 1;
-            self.net.send(
+            cx.send(
                 to,
                 peer,
                 Msg::FoafQuery {
@@ -1185,45 +940,93 @@ impl EpidemicSim {
         self.sample_scratch = targets;
     }
 
-    fn complete_lookup(&mut self, lookup: u64, hops: u32) {
-        let now = self.net.now();
-        if let Some(state) = self.lookups.get_mut(&lookup) {
-            if matches!(state.outcome, LookupOutcome::Pending) {
-                state.outcome = if now <= state.deadline {
-                    LookupOutcome::Succeeded {
-                        hops,
-                        latency: now.duration_since(state.issued_at),
-                    }
-                } else {
-                    LookupOutcome::Failed
-                };
-            }
-        }
+    fn complete_lookup(&mut self, cx: &mut Cx<'_>, lookup: u64, hops: u32) {
+        cx.complete_lookup(lookup, hops);
         self.queries.remove(&lookup);
     }
+}
 
-    // --- event dispatch -------------------------------------------------------
+impl Protocol for Epidemic {
+    type Msg = Msg;
+    type Timer = Timer;
+    /// Each node's converged active and passive views.
+    type Parts = Vec<Membership>;
+    type Config = EpidemicConfig;
 
-    fn dispatch(&mut self, ev: Event<Msg, Timer>) {
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid or a view violates its
+    /// invariants, names an out-of-range peer, or the wrong owner.
+    fn build(members: Vec<Membership>, config: EpidemicConfig) -> Self {
+        config.assert_valid();
+        let n = members.len();
+        let mut eager = Vec::with_capacity(n);
+        for (i, m) in members.iter().enumerate() {
+            m.assert_invariants();
+            assert_eq!(m.owner(), NodeIdx::new(i as u32), "membership {i} owner");
+            for e in m.active.iter().chain(m.passive.iter()) {
+                assert!(e.peer.index() < n, "membership {i} names out-of-range peer");
+            }
+            // Every active link starts eager; the first broadcast
+            // prunes the graph into a tree.
+            let mut ev = PartialView::new(m.owner(), config.active_size.max(1));
+            for e in m.active.iter() {
+                ev.insert_fresh(e.peer);
+            }
+            eager.push(ev);
+        }
+        Epidemic {
+            config,
+            eager,
+            stores: vec![IdSet::new(); n],
+            missing: vec![IdMap::new(); n],
+            sample_scratch: Vec::new(),
+            sample_scratch2: Vec::new(),
+            suspicion: vec![FxHashMap::default(); n],
+            suspicion_nonempty: vec![0; n.div_ceil(64)],
+            pending_shuffles: vec![None; n],
+            pending_neighbors: vec![None; n],
+            queries: FxHashMap::default(),
+            next_token: 0,
+            next_lookup: 0,
+            ticker: GossipTicker::new(n, config.gossip_period),
+            stats: GossipStats::default(),
+            members,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self.config.strategy {
+            LookupStrategy::Foaf => "FOAF",
+            _ => "Plumtree",
+        }
+    }
+
+    fn nodes(&self) -> usize {
+        self.members.len()
+    }
+
+    #[inline]
+    fn on_event(&mut self, cx: &mut Cx<'_>, ev: Event<Msg, Timer>) {
         match ev {
             Event::Message { from, to, msg } => match msg {
-                Msg::Join => self.on_join(from, to),
-                Msg::ForwardJoin { joiner, ttl } => self.on_forward_join(from, to, joiner, ttl),
+                Msg::Join => self.on_join(cx, from, to),
+                Msg::ForwardJoin { joiner, ttl } => self.on_forward_join(cx, from, to, joiner, ttl),
                 Msg::Neighbor {
                     token,
                     high_priority,
-                } => self.on_neighbor(from, to, token, high_priority),
+                } => self.on_neighbor(cx, from, to, token, high_priority),
                 Msg::NeighborReply { token, accepted } => {
-                    self.on_neighbor_reply(from, to, token, accepted)
+                    self.on_neighbor_reply(cx, from, to, token, accepted)
                 }
-                Msg::Disconnect => self.on_disconnect(from, to),
-                Msg::Shuffle { token, entries } => self.on_shuffle(from, to, token, entries),
+                Msg::Disconnect => self.on_disconnect(cx, from, to),
+                Msg::Shuffle { token, entries } => self.on_shuffle(cx, from, to, token, entries),
                 Msg::ShuffleReply { token, entries } => {
-                    self.on_shuffle_reply(from, to, token, entries)
+                    self.on_shuffle_reply(cx, from, to, token, entries)
                 }
-                Msg::Gossip { object, hops } => self.on_gossip_msg(from, to, object, hops),
-                Msg::IHave { object } => self.on_ihave(from, to, object),
-                Msg::Graft { object } => self.on_graft(from, to, object),
+                Msg::Gossip { object, hops } => self.on_gossip_msg(cx, from, to, object, hops),
+                Msg::IHave { object } => self.on_ihave(cx, from, to, object),
+                Msg::Graft { object } => self.on_graft(cx, from, to, object),
                 Msg::Prune => self.on_prune(from, to),
                 Msg::TreeQuery {
                     lookup,
@@ -1232,7 +1035,7 @@ impl EpidemicSim {
                     ttl,
                     hops,
                     round,
-                } => self.on_tree_query(from, to, lookup, origin, object, ttl, hops, round),
+                } => self.on_tree_query(cx, from, to, lookup, origin, object, ttl, hops, round),
                 Msg::FoafQuery {
                     lookup,
                     origin,
@@ -1240,28 +1043,108 @@ impl EpidemicSim {
                     ttl,
                     hops,
                     round,
-                } => self.on_foaf_query(from, to, lookup, origin, object, ttl, hops, round),
-                Msg::Reply { lookup, hops } => self.complete_lookup(lookup, hops),
+                } => self.on_foaf_query(cx, from, to, lookup, origin, object, ttl, hops, round),
+                Msg::Reply { lookup, hops } => self.complete_lookup(cx, lookup, hops),
             },
             Event::Timer { node, timer } => match timer {
-                Timer::Gossip { epoch } => self.on_gossip_timer(node, epoch),
-                Timer::ShuffleTimeout { token } => self.on_shuffle_timeout(node, token),
+                Timer::Gossip { epoch } => self.on_gossip_timer(cx, node, epoch),
+                Timer::ShuffleTimeout { token } => self.on_shuffle_timeout(cx, node, token),
                 Timer::NeighborTimeout { token } => self.on_neighbor_timeout(node, token),
-                Timer::GraftRetry { object } => self.on_graft_timer(node, object),
-                Timer::QueryRound { lookup } => self.on_query_round(lookup),
+                Timer::GraftRetry { object } => self.on_graft_timer(cx, node, object),
+                Timer::QueryRound { lookup } => self.on_query_round(cx, lookup),
             },
         }
     }
-}
 
-impl std::fmt::Debug for EpidemicSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpidemicSim")
-            .field("nodes", &self.members.len())
-            .field("now", &self.net.now())
-            .field("strategy", &self.config.strategy)
-            .field("stats", &self.stats)
-            .finish()
+    /// Starts an insertion of `object` from `origin`: the announcement
+    /// is broadcast down the Plumtree and every node that delivers it
+    /// stores the pointer. The origin itself stores nothing (the
+    /// paper's engines count remote replicas only).
+    fn insert(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id) {
+        self.push_announcement(cx, origin, None, object, 1);
+    }
+
+    /// Issues a lookup of `object` from `origin` with the given
+    /// deadline, using the configured [`LookupStrategy`].
+    fn lookup(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
+        let lookup = self.next_lookup;
+        self.next_lookup += 1;
+        cx.open_lookup(lookup, deadline);
+        if self.stores[origin.index()].contains(&object) {
+            self.complete_lookup(cx, lookup, 0);
+            return lookup;
+        }
+        self.queries.insert(
+            lookup,
+            QueryState {
+                origin,
+                object,
+                round: 0,
+                forwarded: FxHashSet::default(),
+            },
+        );
+        self.launch_query_round(cx, lookup);
+        cx.schedule(
+            origin,
+            self.config.query_round_gap,
+            Timer::QueryRound { lookup },
+        );
+        lookup
+    }
+
+    /// (Re-)joins `joiner` through `bootstrap`: both views collapse,
+    /// the bootstrap link opens optimistically, and a JOIN message
+    /// triggers FORWARD-JOIN walks that seat the joiner in active and
+    /// passive views across the overlay.
+    fn join(&mut self, cx: &mut Cx<'_>, joiner: NodeIdx, bootstrap: NodeIdx) -> bool {
+        if joiner == bootstrap {
+            return true;
+        }
+        let u = joiner.index();
+        self.members[u].active.clear();
+        self.members[u].passive.clear();
+        self.eager[u].clear();
+        self.missing[u].clear();
+        self.suspicion[u].clear();
+        self.sync_suspicion_bit(joiner);
+        self.pending_neighbors[u] = None;
+        if let Some(stale) = self.pending_shuffles[u].take() {
+            let _ = stale; // its reply/timeout will fail the token match
+        }
+        self.add_active(cx, joiner, bootstrap, true);
+        self.stats.maintenance_messages += 1;
+        cx.send(joiner, bootstrap, Msg::Join);
+        true
+    }
+
+    /// Starts the periodic shuffle/repair timers, staggered uniformly
+    /// over one gossip period.
+    fn start_maintenance(&mut self, cx: &mut Cx<'_>) -> bool {
+        self.ticker.start(cx, gossip_timer);
+        true
+    }
+
+    fn availability_changed(&mut self, cx: &mut Cx<'_>) {
+        self.ticker.rearm(cx, gossip_timer);
+    }
+
+    fn order_tick(batch: &mut [Event<Msg, Timer>]) {
+        restore_tick_order(batch, |timer| matches!(timer, Timer::Gossip { .. }));
+    }
+
+    fn holds(&self, node: NodeIdx, object: Id) -> bool {
+        self.stores[node.index()].contains(&object)
+    }
+
+    fn counters(&self, _net: &NetStats) -> Counters {
+        let s = self.stats;
+        Counters {
+            lookup_messages: s.lookup_messages,
+            insert_messages: s.insert_messages,
+            reply_messages: s.reply_messages,
+            maintenance_messages: s.maintenance_messages,
+            total_messages: s.total_messages(),
+        }
     }
 }
 
@@ -1269,7 +1152,9 @@ impl std::fmt::Debug for EpidemicSim {
 mod tests {
     use super::*;
     use crate::membership::build_converged_membership;
-    use mpil_sim::{AlwaysOn, ConstantLatency, Flapping, FlappingConfig};
+    use mpil_sim::{
+        AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LookupOutcome, SimDuration,
+    };
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1402,7 +1287,7 @@ mod tests {
     fn local_holder_succeeds_in_zero_hops() {
         let mut sim = build(30, EpidemicConfig::default(), 6);
         let object = Id::from_low_u64(7);
-        sim.stores[2].insert(object);
+        sim.with(|epidemic, _| epidemic.stores[2].insert(object));
         let h = sim.issue_lookup(
             NodeIdx::new(2),
             object,

@@ -50,11 +50,12 @@ pub mod config;
 pub mod engine;
 pub mod epidemic;
 pub mod membership;
+mod ticker;
 pub mod view;
 
 pub use config::{EpidemicConfig, GossipConfig, LookupStrategy};
-pub use engine::{GossipSim, GossipStats};
-pub use epidemic::EpidemicSim;
+pub use engine::{Gossip, GossipSim, GossipStats};
+pub use epidemic::{Epidemic, EpidemicSim};
 pub use membership::{build_converged_membership, Membership};
 pub use view::{build_converged_views, PartialView, ViewEntry};
 

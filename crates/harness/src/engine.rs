@@ -2,8 +2,10 @@
 
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Availability, LookupOutcome, NetStats, SimDuration, SimTime};
+use mpil_sim::{Availability, LookupOutcome, NetStats, Protocol, Sim, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+pub use mpil_sim::Counters;
 
 /// An opaque handle to a lookup in flight, engine-independent.
 ///
@@ -12,83 +14,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LookupHandle(pub u64);
 
-/// Protocol counters in a shape every engine can fill, attributing the
-/// kernel's raw sends to operations.
-///
-/// Attribution contract (checked by [`Counters::checked_sum`] in the
-/// engine-conformance suite):
-///
-/// * every transmission is attributed to **at most one** class —
-///   lookup, insert, reply, or maintenance — at the moment it is handed
-///   to the kernel;
-/// * `total_messages` is everything the engine put on the wire, so each
-///   class, and the sum of all four, never exceeds it.
-///
-/// The DHT baselines and the gossip engine attribute every send, so
-/// their class sum *equals* `total_messages`; an engine with
-/// unattributed traffic (protocol acks, transport chatter) may leave
-/// the sum strictly below the total, never above it. MPIL has no acks:
-/// its class sum coincides with the kernel's send count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counters {
-    /// Transmissions carrying lookups.
-    pub lookup_messages: u64,
-    /// Transmissions carrying inserts (and replication pushes).
-    pub insert_messages: u64,
-    /// Direct lookup replies.
-    pub reply_messages: u64,
-    /// Maintenance traffic: probes, stabilization, refreshes,
-    /// heartbeats, deletes.
-    pub maintenance_messages: u64,
-    /// Everything sent, including acks where the protocol has them.
-    pub total_messages: u64,
-}
-
-impl Counters {
-    /// Sum of the four per-class counters.
-    pub fn class_sum(&self) -> u64 {
-        self.lookup_messages
-            + self.insert_messages
-            + self.reply_messages
-            + self.maintenance_messages
-    }
-
-    /// Returns [`Counters::class_sum`] after asserting the attribution
-    /// contract: no class, and no sum of classes, exceeds
-    /// `total_messages`. The conformance suite runs this against every
-    /// engine at every lifecycle stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any per-class counter, or the class sum, exceeds
-    /// `total_messages` (a double-counted or unsent attribution).
-    pub fn checked_sum(&self) -> u64 {
-        for (class, count) in [
-            ("lookup_messages", self.lookup_messages),
-            ("insert_messages", self.insert_messages),
-            ("reply_messages", self.reply_messages),
-            ("maintenance_messages", self.maintenance_messages),
-        ] {
-            assert!(
-                count <= self.total_messages,
-                "{class} = {count} exceeds total_messages = {}",
-                self.total_messages
-            );
-        }
-        let sum = self.class_sum();
-        assert!(
-            sum <= self.total_messages,
-            "class sum {sum} exceeds total_messages = {} (a send was attributed twice)",
-            self.total_messages
-        );
-        sum
-    }
-}
-
-/// The lifecycle shared by all four discovery engines.
+/// The lifecycle shared by every discovery engine.
 ///
 /// The paper's experiments drive every system the same way; this trait
-/// is that drive order, as API:
+/// is that drive order as an object-safe API, so a [`crate::Scenario`]
+/// can hand back "some engine". It is implemented exactly once, for
+/// [`Sim<P>`] of any [`Protocol`]: the lifecycle itself lives in
+/// `mpil_sim`, and a new substrate gets this trait by implementing
+/// `Protocol`. The drive order:
 ///
 /// 1. **build** — construct the engine converged
 ///    ([`crate::Scenario::build`] does this per substrate);
@@ -101,8 +34,7 @@ impl Counters {
 /// 5. read outcomes and **stats** ([`Counters`] + [`NetStats`]).
 ///
 /// Engines without a notion of explicit joins (MPIL over a frozen
-/// graph, Kademlia's converged tables) keep the default [`join`]
-/// returning `false`; Chord and Pastry override it.
+/// graph, Kademlia's converged tables) answer [`join`] with `false`.
 ///
 /// [`join`]: DiscoveryEngine::join
 pub trait DiscoveryEngine {
@@ -135,15 +67,12 @@ pub trait DiscoveryEngine {
     /// Lets `joiner` (re-)join the overlay through `bootstrap`.
     ///
     /// Returns `false` when the engine has no join protocol (the frozen
-    /// MPIL graphs, Kademlia's converged tables); the default does
-    /// nothing.
-    fn join(&mut self, _joiner: NodeIdx, _bootstrap: NodeIdx) -> bool {
-        false
-    }
+    /// MPIL graphs, Kademlia's converged tables).
+    fn join(&mut self, joiner: NodeIdx, bootstrap: NodeIdx) -> bool;
 
     /// Turns on periodic overlay maintenance. A no-op for engines that
     /// are maintenance-free by design (MPIL).
-    fn start_maintenance(&mut self) {}
+    fn start_maintenance(&mut self);
 
     /// Replaces the availability model (static stage → perturbed stage).
     fn set_availability(&mut self, availability: Box<dyn Availability>);
@@ -154,12 +83,9 @@ pub trait DiscoveryEngine {
     /// Nodes currently storing a replica/pointer for `object`.
     fn replica_holders(&self, object: Id) -> Vec<NodeIdx>;
 
-    /// Number of replica holders for `object`. Engines override this
-    /// with a count that never materialises the holder list; the
-    /// default allocates via [`Self::replica_holders`].
-    fn replica_count(&self, object: Id) -> usize {
-        self.replica_holders(object).len()
-    }
+    /// Number of replica holders for `object`, without materialising
+    /// the holder list.
+    fn replica_count(&self, object: Id) -> usize;
 
     /// Runs the event loop until `deadline` (inclusive); the clock ends
     /// at `deadline` even if the queue drains early.
@@ -188,50 +114,79 @@ pub trait DiscoveryEngine {
     fn net_stats(&self) -> NetStats;
 }
 
+impl<P: Protocol> DiscoveryEngine for Sim<P> {
+    fn name(&self) -> &'static str {
+        Sim::name(self)
+    }
+
+    fn len(&self) -> usize {
+        Sim::len(self)
+    }
+
+    fn now(&self) -> SimTime {
+        Sim::now(self)
+    }
+
+    fn insert(&mut self, origin: NodeIdx, object: Id) {
+        Sim::insert(self, origin, object);
+    }
+
+    fn issue_lookup(&mut self, origin: NodeIdx, object: Id, deadline: SimTime) -> LookupHandle {
+        LookupHandle(Sim::issue_lookup(self, origin, object, deadline))
+    }
+
+    fn lookup_outcome(&self, lookup: LookupHandle) -> LookupOutcome {
+        Sim::lookup_outcome(self, lookup.0)
+    }
+
+    fn join(&mut self, joiner: NodeIdx, bootstrap: NodeIdx) -> bool {
+        Sim::join(self, joiner, bootstrap)
+    }
+
+    fn start_maintenance(&mut self) {
+        Sim::start_maintenance(self);
+    }
+
+    fn set_availability(&mut self, availability: Box<dyn Availability>) {
+        Sim::set_availability(self, availability);
+    }
+
+    fn set_loss_probability(&mut self, p: f64) {
+        Sim::set_loss_probability(self, p);
+    }
+
+    fn replica_holders(&self, object: Id) -> Vec<NodeIdx> {
+        Sim::replica_holders(self, object)
+    }
+
+    fn replica_count(&self, object: Id) -> usize {
+        Sim::replica_count(self, object)
+    }
+
+    fn run_until(&mut self, deadline: SimTime) {
+        Sim::run_until(self, deadline);
+    }
+
+    fn run_to_quiescence(&mut self) {
+        Sim::run_to_quiescence(self);
+    }
+
+    fn counters(&self) -> Counters {
+        Sim::counters(self)
+    }
+
+    fn net_stats(&self) -> NetStats {
+        Sim::net_stats(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_default_to_zero() {
-        let c = Counters::default();
-        assert_eq!(c.total_messages, 0);
-        assert_eq!(c.lookup_messages, 0);
-    }
-
-    #[test]
     fn lookup_handles_are_plain_values() {
         assert_eq!(LookupHandle(7), LookupHandle(7));
         assert_ne!(LookupHandle(7), LookupHandle(8));
-    }
-
-    #[test]
-    fn checked_sum_accepts_attributed_and_unattributed_traffic() {
-        let exact = Counters {
-            lookup_messages: 3,
-            insert_messages: 2,
-            reply_messages: 1,
-            maintenance_messages: 4,
-            total_messages: 10,
-        };
-        assert_eq!(exact.checked_sum(), 10);
-        let with_acks = Counters {
-            total_messages: 12,
-            ..exact
-        };
-        assert_eq!(with_acks.checked_sum(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds total_messages")]
-    fn checked_sum_rejects_overattribution() {
-        let broken = Counters {
-            lookup_messages: 6,
-            insert_messages: 6,
-            reply_messages: 0,
-            maintenance_messages: 0,
-            total_messages: 10,
-        };
-        let _ = broken.checked_sum();
     }
 }

@@ -2,11 +2,13 @@
 //!
 //! The paper's central claim is *overlay-independence*: MPIL runs
 //! unchanged over any substrate. This crate turns that claim into an
-//! API. [`DiscoveryEngine`] is the one lifecycle every engine speaks —
-//! MPIL's [`mpil::DynamicNetwork`], [`mpil_chord::ChordSim`],
-//! [`mpil_kademlia::KademliaSim`], [`mpil_pastry::PastrySim`], and the
-//! epidemic [`mpil_gossip::GossipSim`] all implement it — and
-//! [`Scenario`] is the one experiment descriptor
+//! API. [`DiscoveryEngine`] is the one lifecycle every engine speaks:
+//! it is implemented once, for [`mpil_sim::Sim`] of any
+//! [`mpil_sim::Protocol`], so MPIL's [`mpil::DynamicNetwork`],
+//! [`mpil_chord::ChordSim`], [`mpil_kademlia::KademliaSim`],
+//! [`mpil_pastry::PastrySim`] and the epidemic
+//! [`mpil_gossip::GossipSim`] / [`mpil_gossip::EpidemicSim`] all have
+//! it by being `Sim<P>`. [`Scenario`] is the one experiment descriptor
 //! every figure driver speaks: which engine, how many nodes, which
 //! perturbation schedule, which workload.
 //!
@@ -23,8 +25,8 @@
 //! emit uniformly as text tables, CSV ([`Report`]), or JSON
 //! ([`SeedSweep::to_json`]).
 //!
-//! Adding a new substrate = implementing [`DiscoveryEngine`] (see the
-//! conformance suite in `tests/conformance.rs`) and, if its frozen
+//! Adding a new substrate = implementing [`mpil_sim::Protocol`] (see
+//! the conformance suite in `tests/conformance.rs`) and, if its frozen
 //! pointer graph should also serve as an MPIL overlay, an
 //! [`OverlaySource`] variant.
 
@@ -32,8 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+#[cfg(test)]
+mod dhts;
 pub mod engine;
-pub mod engines;
+#[cfg(test)]
+mod perturb;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -43,4 +48,4 @@ pub use engine::{Counters, DiscoveryEngine, LookupHandle};
 pub use mpil_gossip::LookupStrategy;
 pub use report::Report;
 pub use runner::{run_scenario, ExperimentRunner, PerturbResult, SeedStats, SeedSweep};
-pub use scenario::{EngineSpec, OverlaySource, PerturbRun, PreparedRun, Scenario};
+pub use scenario::{mean_out_degree, EngineSpec, OverlaySource, PerturbRun, PreparedRun, Scenario};

@@ -10,15 +10,17 @@
 
 use std::fmt;
 
-use mpil::{DynamicConfig, DynamicNetwork, MpilConfig};
-use mpil_chord::{ChordConfig, ChordSim};
-use mpil_gossip::{EpidemicConfig, EpidemicSim, GossipConfig, GossipSim, LookupStrategy};
+use mpil::{DynamicConfig, Mpil, MpilConfig};
+use mpil_chord::{Chord, ChordConfig};
+use mpil_gossip::{Epidemic, EpidemicConfig, Gossip, GossipConfig, LookupStrategy};
 use mpil_id::Id;
-use mpil_kademlia::{KademliaConfig, KademliaSim};
+use mpil_kademlia::{Kademlia, KademliaConfig};
 use mpil_overlay::transit_stub::{self, TransitStubConfig};
 use mpil_overlay::{generators, NodeIdx};
-use mpil_pastry::{PastryConfig, PastrySim};
-use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration, TransitStubLatency};
+use mpil_pastry::{Pastry, PastryConfig};
+use mpil_sim::{
+    AlwaysOn, ConstantLatency, LatencyModel, Protocol, Sim, SimDuration, TransitStubLatency,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -98,20 +100,12 @@ impl OverlaySource {
             }
             OverlaySource::RandomRegular(d) => {
                 let topo = generators::random_regular(nodes, *d, &mut rng).expect("generator"); // mpil-lint: allow(P001, generator failure on these fixed parameters is a programming error in the spec)
-                let nbrs = topo
-                    .iter_nodes()
-                    .map(|n| topo.neighbors(n).to_vec())
-                    .collect();
-                (topo.ids().to_vec(), nbrs)
+                mpil::frozen(&topo)
             }
             OverlaySource::PowerLaw => {
                 let topo =
                     generators::power_law(nodes, Default::default(), &mut rng).expect("generator"); // mpil-lint: allow(P001, generator failure on these fixed parameters is a programming error in the spec)
-                let nbrs = topo
-                    .iter_nodes()
-                    .map(|n| topo.neighbors(n).to_vec())
-                    .collect();
-                (topo.ids().to_vec(), nbrs)
+                mpil::frozen(&topo)
             }
             OverlaySource::Gossip { view } => {
                 let ids = mpil_chord::random_ids(nodes, &mut rng);
@@ -132,6 +126,16 @@ impl OverlaySource {
             }
         }
     }
+}
+
+/// Mean out-degree of a frozen neighbor-list set (what
+/// [`OverlaySource::build`] returns), for the degree columns of the
+/// tables.
+pub fn mean_out_degree(neighbors: &[Vec<NodeIdx>]) -> f64 {
+    if neighbors.is_empty() {
+        return 0.0;
+    }
+    neighbors.iter().map(Vec::len).sum::<usize>() as f64 / neighbors.len() as f64
 }
 
 impl fmt::Display for OverlaySource {
@@ -255,6 +259,30 @@ pub enum EngineSpec {
 }
 
 impl EngineSpec {
+    /// "MSPastry" in Figures 1, 11 and 12.
+    pub const MSPASTRY: EngineSpec = EngineSpec::Pastry {
+        replication_on_route: false,
+    };
+    /// "MSPastry with RR" in Figure 11.
+    pub const MSPASTRY_RR: EngineSpec = EngineSpec::Pastry {
+        replication_on_route: true,
+    };
+    /// "MPIL with DS" in Figures 11 and 12.
+    pub const MPIL_DS: EngineSpec = EngineSpec::MpilOverPastry {
+        duplicate_suppression: true,
+    };
+    /// "MPIL without DS" in Figures 11 and 12.
+    pub const MPIL_NO_DS: EngineSpec = EngineSpec::MpilOverPastry {
+        duplicate_suppression: false,
+    };
+    /// The four systems Figure 11 compares, in the paper's legend order.
+    pub const FIGURE_11: [EngineSpec; 4] = [
+        EngineSpec::MSPASTRY,
+        EngineSpec::MSPASTRY_RR,
+        EngineSpec::MPIL_DS,
+        EngineSpec::MPIL_NO_DS,
+    ];
+
     /// The system label used in figure legends and table rows.
     pub fn label(&self) -> String {
         match self {
@@ -338,151 +366,70 @@ impl Scenario {
     /// perturbation stage expects it.
     pub fn build(&self) -> PreparedRun {
         let run = self.run;
-        match self.engine {
+        let mut rng = SmallRng::seed_from_u64(run.seed);
+        let lan = || Box::new(ConstantLatency(SimDuration::from_millis(20)));
+        // (engine, maintenance, warm-up seconds); every arm draws from
+        // `rng` in its original order and leaves it for the objects.
+        let (engine, maintenance, warmup_secs) = match self.engine {
             EngineSpec::Pastry {
                 replication_on_route,
             } => {
-                let mut rng = SmallRng::seed_from_u64(run.seed);
                 let config =
                     PastryConfig::default().with_replication_on_route(replication_on_route);
                 let ids = mpil_pastry::bootstrap::random_ids(run.nodes, &mut rng);
                 let states = mpil_pastry::build_converged_states(&ids, &config, &mut rng);
-                let ts = transit_stub::generate(run.nodes, TransitStubConfig::default(), &mut rng)
-                    .expect("transit-stub generation"); // mpil-lint: allow(P001, default transit-stub parameters always produce a graph)
-                let latency = TransitStubLatency::new(ts, 0.1);
-                let sim = PastrySim::new(
-                    ids,
-                    states,
-                    config,
-                    Box::new(AlwaysOn),
-                    Box::new(latency),
-                    run.seed ^ 0x5151,
-                );
-                let objects = draw_objects(run.operations, &mut rng);
-                PreparedRun {
-                    engine: Box::new(sim),
-                    origin: NodeIdx::new(0),
-                    objects,
-                    rng,
-                    maintenance: true,
-                    warmup_secs: 90,
-                }
+                let wan = transit_stub_latency(run.nodes, &mut rng);
+                (
+                    quiet::<Pastry>((ids, states), config, wan, run.seed),
+                    true,
+                    90,
+                )
             }
             EngineSpec::Chord => {
                 let config = ChordConfig::default();
-                let mut rng = SmallRng::seed_from_u64(run.seed);
                 let ids = mpil_chord::random_ids(run.nodes, &mut rng);
                 let states = mpil_chord::build_converged_states(&ids, &config);
-                let sim = ChordSim::new(
-                    ids,
-                    states,
-                    config,
-                    Box::new(AlwaysOn),
-                    Box::new(ConstantLatency(SimDuration::from_millis(20))),
-                    run.seed ^ 0x5151,
-                );
-                let objects = draw_objects(run.operations, &mut rng);
-                PreparedRun {
-                    engine: Box::new(sim),
-                    origin: NodeIdx::new(0),
-                    objects,
-                    rng,
-                    maintenance: true,
-                    warmup_secs: 0,
-                }
+                (
+                    quiet::<Chord>((ids, states), config, lan(), run.seed),
+                    true,
+                    0,
+                )
             }
             EngineSpec::Kademlia { k, alpha } => {
                 let config = KademliaConfig::default().with_k(k).with_alpha(alpha);
-                let mut rng = SmallRng::seed_from_u64(run.seed);
                 // Historical quirk, kept for stream compatibility: the
                 // Kademlia baseline (and OverlaySource::Kademlia) draw
                 // their ids through the Chord helper.
                 let ids = mpil_chord::random_ids(run.nodes, &mut rng);
                 let tables = mpil_kademlia::build_converged_tables(&ids, &config);
-                let sim = KademliaSim::new(
-                    ids,
-                    tables,
-                    config,
-                    Box::new(AlwaysOn),
-                    Box::new(ConstantLatency(SimDuration::from_millis(20))),
-                    run.seed ^ 0x5151,
-                );
-                let objects = draw_objects(run.operations, &mut rng);
-                PreparedRun {
-                    engine: Box::new(sim),
-                    origin: NodeIdx::new(0),
-                    objects,
-                    rng,
-                    maintenance: true,
-                    warmup_secs: 0,
-                }
+                (
+                    quiet::<Kademlia>((ids, tables), config, lan(), run.seed),
+                    true,
+                    0,
+                )
             }
             EngineSpec::MpilOverPastry {
                 duplicate_suppression,
             } => {
-                let mut rng = SmallRng::seed_from_u64(run.seed);
                 // Build the same structured overlay MSPastry would have...
                 let pastry_config = PastryConfig::default();
                 let ids = mpil_pastry::bootstrap::random_ids(run.nodes, &mut rng);
                 let states = mpil_pastry::build_converged_states(&ids, &pastry_config, &mut rng);
-                let neighbors: Vec<Vec<NodeIdx>> =
-                    states.iter().map(|s| s.neighbor_list()).collect();
-                let ts = transit_stub::generate(run.nodes, TransitStubConfig::default(), &mut rng)
-                    .expect("transit-stub generation"); // mpil-lint: allow(P001, default transit-stub parameters always produce a graph)
-                let latency = TransitStubLatency::new(ts, 0.1);
+                let neighbors = states.iter().map(|s| s.neighbor_list()).collect();
+                let wan = transit_stub_latency(run.nodes, &mut rng);
                 // ...then route on it with MPIL and zero maintenance.
-                let mpil_config = MpilConfig::default()
-                    .with_max_flows(10)
-                    .with_num_replicas(5)
-                    .with_duplicate_suppression(duplicate_suppression);
-                let net = DynamicNetwork::new(
-                    ids,
-                    neighbors,
-                    DynamicConfig {
-                        mpil: mpil_config,
-                        heartbeat_period: None,
-                    },
-                    Box::new(AlwaysOn),
-                    Box::new(latency),
-                    run.seed ^ 0x5151,
-                );
-                let objects = draw_objects(run.operations, &mut rng);
-                PreparedRun {
-                    engine: Box::new(net),
-                    origin: NodeIdx::new(0),
-                    objects,
-                    rng,
-                    maintenance: false,
-                    warmup_secs: 0,
-                }
+                let config = unmaintained_mpil(duplicate_suppression);
+                (
+                    quiet::<Mpil>((ids, neighbors), config, wan, run.seed),
+                    false,
+                    0,
+                )
             }
             EngineSpec::MpilOver(source) => {
-                let (ids, neighbors) = source.build(run.nodes, run.seed);
-                let mut rng = SmallRng::seed_from_u64(run.seed ^ 0xdada);
-                let mpil_config = MpilConfig::default()
-                    .with_max_flows(10)
-                    .with_num_replicas(5)
-                    .with_duplicate_suppression(false);
-                let net = DynamicNetwork::new(
-                    ids,
-                    neighbors,
-                    DynamicConfig {
-                        mpil: mpil_config,
-                        heartbeat_period: None,
-                    },
-                    Box::new(AlwaysOn),
-                    Box::new(ConstantLatency(SimDuration::from_millis(20))),
-                    run.seed ^ 0x5151,
-                );
-                let objects = draw_objects(run.operations, &mut rng);
-                PreparedRun {
-                    engine: Box::new(net),
-                    origin: NodeIdx::new(0),
-                    objects,
-                    rng,
-                    maintenance: false,
-                    warmup_secs: 0,
-                }
+                let frozen = source.build(run.nodes, run.seed);
+                rng = SmallRng::seed_from_u64(run.seed ^ 0xdada);
+                let config = unmaintained_mpil(false);
+                (quiet::<Mpil>(frozen, config, lan(), run.seed), false, 0)
             }
             EngineSpec::Gossip {
                 view,
@@ -490,59 +437,72 @@ impl Scenario {
                 ttl,
                 strategy,
             } => {
-                let mut rng = SmallRng::seed_from_u64(run.seed);
                 let config = GossipConfig::default()
                     .with_view_size(view)
                     .with_walkers(walkers)
                     .with_ttl(ttl)
                     .with_strategy(strategy);
                 let views = mpil_gossip::build_converged_views(run.nodes, view, &mut rng);
-                let sim = GossipSim::new(
-                    views,
-                    config,
-                    Box::new(AlwaysOn),
-                    Box::new(ConstantLatency(SimDuration::from_millis(20))),
-                    run.seed ^ 0x5151,
-                );
-                let objects = draw_objects(run.operations, &mut rng);
-                PreparedRun {
-                    engine: Box::new(sim),
-                    origin: NodeIdx::new(0),
-                    objects,
-                    rng,
-                    maintenance: true,
-                    warmup_secs: 0,
-                }
+                (quiet::<Gossip>(views, config, lan(), run.seed), true, 0)
             }
             EngineSpec::Epidemic {
                 active,
                 passive,
                 strategy,
             } => {
-                let mut rng = SmallRng::seed_from_u64(run.seed);
                 let config = EpidemicConfig::default()
                     .with_views(active, passive)
                     .with_strategy(strategy);
                 let members =
                     mpil_gossip::build_converged_membership(run.nodes, active, passive, &mut rng);
-                let sim = EpidemicSim::new(
-                    members,
-                    config,
-                    Box::new(AlwaysOn),
-                    Box::new(ConstantLatency(SimDuration::from_millis(20))),
-                    run.seed ^ 0x5151,
-                );
-                let objects = draw_objects(run.operations, &mut rng);
-                PreparedRun {
-                    engine: Box::new(sim),
-                    origin: NodeIdx::new(0),
-                    objects,
-                    rng,
-                    maintenance: true,
-                    warmup_secs: 0,
-                }
+                (quiet::<Epidemic>(members, config, lan(), run.seed), true, 0)
             }
+        };
+        PreparedRun {
+            engine,
+            origin: NodeIdx::new(0),
+            objects: (0..run.operations).map(|_| Id::random(&mut rng)).collect(),
+            rng,
+            maintenance,
+            warmup_secs,
         }
+    }
+}
+
+/// The engine of a scenario before stage 2: every node online, the
+/// kernel on the scenario's derived seed.
+fn quiet<P: Protocol + 'static>(
+    parts: P::Parts,
+    config: P::Config,
+    latency: Box<dyn LatencyModel>,
+    seed: u64,
+) -> Box<dyn DiscoveryEngine> {
+    Box::new(Sim::<P>::new(
+        parts,
+        config,
+        Box::new(AlwaysOn),
+        latency,
+        seed ^ 0x5151,
+    ))
+}
+
+/// Shortest-path latencies over a fresh GT-ITM-style transit-stub
+/// hierarchy (the Figure 1/11/12 network).
+fn transit_stub_latency(nodes: usize, rng: &mut SmallRng) -> Box<dyn LatencyModel> {
+    let ts = transit_stub::generate(nodes, TransitStubConfig::default(), rng)
+        .expect("transit-stub generation"); // mpil-lint: allow(P001, default transit-stub parameters always produce a graph)
+    Box::new(TransitStubLatency::new(ts, 0.1))
+}
+
+/// MPIL as the perturbation experiments run it: ten flows, five
+/// replicas, no heartbeats.
+fn unmaintained_mpil(duplicate_suppression: bool) -> DynamicConfig {
+    DynamicConfig {
+        mpil: MpilConfig::default()
+            .with_max_flows(10)
+            .with_num_replicas(5)
+            .with_duplicate_suppression(duplicate_suppression),
+        heartbeat_period: None,
     }
 }
 
@@ -579,10 +539,6 @@ pub struct PreparedRun {
     pub maintenance: bool,
     /// Seconds to run between starting maintenance and perturbing.
     pub warmup_secs: u64,
-}
-
-fn draw_objects(operations: usize, rng: &mut SmallRng) -> Vec<Id> {
-    (0..operations).map(|_| Id::random(rng)).collect()
 }
 
 #[cfg(test)]

@@ -10,6 +10,14 @@
 //! for a node, a wheel slot growing past its warmed capacity) are
 //! allowed a trickle. The bound of 0.01 allocations per shuffle round
 //! is ~500x below the two-allocations-per-message plane this replaced.
+//!
+//! The allocator's counters are process-global, and `cargo test` runs
+//! the tests of one binary on several threads: a measured window would
+//! be charged with whatever a neighbouring test allocates while
+//! building its 10k-node overlay. Every test therefore holds [`SERIAL`]
+//! for its whole body.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mpil_gossip::{
     build_converged_membership, build_converged_views, EpidemicConfig, EpidemicSim, GossipConfig,
@@ -24,8 +32,18 @@ use rand::SeedableRng;
 #[global_allocator]
 static ALLOC: mpil_alloc::CountingAlloc = mpil_alloc::CountingAlloc;
 
+/// One test at a time (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a test that failed while holding it must not fail
+/// the others too, so poisoning is ignored.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn warmed_up_shuffle_rounds_allocate_nothing() {
+    let _serial = serial();
     const NODES: usize = 10_000;
     let config = GossipConfig::default();
     let mut rng = SmallRng::seed_from_u64(7);
@@ -68,6 +86,7 @@ fn warmed_up_shuffle_rounds_allocate_nothing() {
 
 #[test]
 fn warmed_up_epidemic_rounds_allocate_nothing() {
+    let _serial = serial();
     // Same gate for the HyParView/Plumtree engine: once the timer
     // wheel, payload pool, and per-node maps are warm, the combined
     // shuffle + NEIGHBOR control plane must stay on the pooled plane.
@@ -110,6 +129,7 @@ fn warmed_up_epidemic_rounds_allocate_nothing() {
 
 #[test]
 fn warmed_up_plumtree_broadcasts_and_lookups_stay_on_the_pooled_plane() {
+    let _serial = serial();
     // The dissemination plane: Gossip/IHave/Graft/Prune broadcasts and
     // TreeQuery/Reply lookups ride plain pooled events, so a warmed
     // overlay must push announcements and answer lookups with only a

@@ -13,15 +13,18 @@
 use fxhash::FxHashMap;
 use mpil_id::{xor_distance, Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Availability, Event, LatencyModel, Network, SimDuration, SimTime};
+use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimTime};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::KademliaConfig;
 use crate::table::{Admission, RoutingTable};
 
+/// What Kademlia nodes send each other (public only as
+/// [`Protocol::Msg`]).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-enum Msg {
+pub enum Msg {
     /// Iterative query: "send me your k closest to `target`". With
     /// `find_value` set, a holder of the `target` object says so.
     FindNode {
@@ -43,8 +46,11 @@ enum Msg {
     Pong { token: u64 },
 }
 
+/// What a Kademlia node's timer carries (public only as
+/// [`Protocol::Timer`]).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-enum Timer {
+pub enum Timer {
     /// An iterative query to `peer` went unanswered.
     RpcTimeout { op: u64, peer: NodeIdx },
     /// An eviction ping went unanswered.
@@ -132,126 +138,37 @@ impl KademliaStats {
 /// Outcome of one lookup (the shared engine-agnostic enum).
 pub use mpil_sim::LookupOutcome;
 
-#[derive(Debug)]
-struct LookupState {
-    issued_at: SimTime,
-    deadline: SimTime,
-    outcome: LookupOutcome,
+type Cx<'a> = mpil_sim::Cx<'a, Kademlia>;
+
+/// The Kademlia protocol: every node's k-buckets and pointer store,
+/// the originators' iterative operations, and the handlers that drive
+/// them. Runs inside a [`KademliaSim`].
+pub struct Kademlia {
+    config: KademliaConfig,
+    ids: Vec<Id>,
+    tables: Vec<RoutingTable>,
+    stores: Vec<IdSet>,
+    ops: FxHashMap<u64, Operation>,
+    evictions: FxHashMap<u64, PendingEviction>,
+    next_op: u64,
+    next_token: u64,
+    next_lookup: u64,
+    stats: KademliaStats,
 }
 
 /// The Kademlia overlay simulation.
 ///
 /// Drive it like the paper's experiments: build converged tables
-/// ([`crate::table::build_converged_tables`]), insert on the static
-/// network, swap in a flapping availability model, start maintenance,
-/// then issue lookups and run the clock.
-pub struct KademliaSim {
-    config: KademliaConfig,
-    ids: Vec<Id>,
-    tables: Vec<RoutingTable>,
-    stores: Vec<IdSet>,
-    net: Network<Msg, Timer>,
-    /// Reusable same-tick delivery batch (see [`Network::next_batch_before`]).
-    event_batch: Vec<mpil_sim::Event<Msg, Timer>>,
-    ops: FxHashMap<u64, Operation>,
-    evictions: FxHashMap<u64, PendingEviction>,
-    lookups: FxHashMap<u64, LookupState>,
-    next_op: u64,
-    next_token: u64,
-    next_lookup: u64,
-    maintenance_started: bool,
-    stats: KademliaStats,
-}
+/// ([`crate::table::build_converged_tables`]) and hand `(ids, tables)`
+/// to [`Sim::new`], insert on the static network, swap in a flapping
+/// availability model, start maintenance, then issue lookups and run
+/// the clock.
+pub type KademliaSim = Sim<Kademlia>;
 
-impl KademliaSim {
-    /// Builds the simulation from pre-built routing tables (see
-    /// [`crate::table::build_converged_tables`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` and `tables` disagree in length or the
-    /// configuration is invalid.
-    pub fn new(
-        ids: Vec<Id>,
-        tables: Vec<RoutingTable>,
-        config: KademliaConfig,
-        availability: Box<dyn Availability>,
-        latency: Box<dyn LatencyModel>,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(ids.len(), tables.len(), "ids/tables length mismatch");
-        config.assert_valid();
-        let n = ids.len();
-        KademliaSim {
-            config,
-            tables,
-            stores: vec![IdSet::new(); n],
-            net: Network::new(n, availability, latency, seed),
-            ops: FxHashMap::default(),
-            evictions: FxHashMap::default(),
-            lookups: FxHashMap::default(),
-            event_batch: Vec::new(),
-            next_op: 0,
-            next_token: 0,
-            next_lookup: 0,
-            maintenance_started: false,
-            ids,
-            stats: KademliaStats::default(),
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns `true` if the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
+impl Kademlia {
     /// Protocol counters.
     pub fn stats(&self) -> KademliaStats {
         self.stats
-    }
-
-    /// Kernel counters.
-    pub fn net_stats(&self) -> mpil_sim::NetStats {
-        self.net.stats()
-    }
-
-    /// Swaps the availability model (static stage → flapping stage).
-    pub fn set_availability(&mut self, availability: Box<dyn Availability>) {
-        self.net.set_availability(availability);
-    }
-
-    /// Sets the independent per-message link-loss probability (failure
-    /// injection; see [`mpil_sim::Network::set_loss_probability`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn set_loss_probability(&mut self, p: f64) {
-        self.net.set_loss_probability(p);
-    }
-
-    /// Nodes currently storing the pointer for `object`.
-    pub fn replica_holders(&self, object: Id) -> Vec<NodeIdx> {
-        (0..self.ids.len() as u32)
-            .map(NodeIdx::new)
-            .filter(|n| self.stores[n.index()].contains(&object))
-            .collect()
-    }
-
-    /// Number of nodes storing the pointer for `object`, without
-    /// materialising the holder list.
-    pub fn replica_count(&self, object: Id) -> usize {
-        self.stores.iter().filter(|s| s.contains(&object)).count()
     }
 
     /// Each node's frozen neighbor list (every bucket entry) — the
@@ -270,84 +187,9 @@ impl KademliaSim {
         &self.tables[node.index()]
     }
 
-    /// Starts the periodic bucket-refresh timers, staggered uniformly
-    /// over one period.
-    pub fn start_maintenance(&mut self) {
-        assert!(!self.maintenance_started, "maintenance already started");
-        self.maintenance_started = true;
-        for i in 0..self.ids.len() as u32 {
-            let node = NodeIdx::new(i);
-            let delay = {
-                let p = self.config.bucket_refresh_period.as_micros();
-                SimDuration::from_micros(self.net.rng().gen_range(0..p))
-            };
-            self.net.schedule(node, delay, Timer::BucketRefresh);
-        }
-    }
-
-    /// Starts an insertion of `object` from `origin` (iterative
-    /// convergence, then `STORE` at the `k` closest).
-    pub fn insert(&mut self, origin: NodeIdx, object: Id) {
-        self.start_op(origin, object, OpKind::Insert { object });
-    }
-
-    /// Issues a lookup of `object` from `origin` with the given deadline.
-    pub fn issue_lookup(&mut self, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
-        let lookup_id = self.next_lookup;
-        self.next_lookup += 1;
-        self.lookups.insert(
-            lookup_id,
-            LookupState {
-                issued_at: self.net.now(),
-                deadline,
-                outcome: LookupOutcome::Pending,
-            },
-        );
-        // A node looking up something it already stores succeeds locally.
-        if self.stores[origin.index()].contains(&object) {
-            self.complete_lookup(lookup_id, true, 0);
-            return lookup_id;
-        }
-        self.start_op(origin, object, OpKind::Lookup { lookup_id });
-        lookup_id
-    }
-
-    /// Outcome of a lookup; `Pending` past its deadline reads as
-    /// `Failed`.
-    pub fn lookup_outcome(&self, lookup_id: u64) -> LookupOutcome {
-        match self.lookups.get(&lookup_id) {
-            None => LookupOutcome::Failed,
-            Some(s) => match s.outcome {
-                LookupOutcome::Pending if self.net.now() >= s.deadline => LookupOutcome::Failed,
-                o => o,
-            },
-        }
-    }
-
-    /// Runs the event loop until `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while self.net.next_batch_before(deadline, &mut batch) {
-            for ev in batch.drain(..) {
-                self.dispatch(ev);
-            }
-        }
-        self.event_batch = batch;
-    }
-
-    /// Runs until no events remain (only terminates before maintenance
-    /// starts).
-    pub fn run_to_quiescence(&mut self) {
-        assert!(
-            !self.maintenance_started,
-            "periodic maintenance never quiesces; use run_until"
-        );
-        self.run_until(SimTime::from_micros(u64::MAX));
-    }
-
     // --- iterative operation driver ------------------------------------------
 
-    fn start_op(&mut self, origin: NodeIdx, target: Id, kind: OpKind) {
+    fn start_op(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, target: Id, kind: OpKind) {
         let op_id = self.next_op;
         self.next_op += 1;
         let seeds = self.tables[origin.index()].closest(target, self.config.k, &self.ids);
@@ -370,12 +212,12 @@ impl KademliaSim {
                 done: false,
             },
         );
-        self.pump(op_id);
+        self.pump(cx, op_id);
     }
 
     /// Sends queries until `α` are in flight or the k-closest window is
     /// exhausted; finishes the operation when nothing remains in flight.
-    fn pump(&mut self, op_id: u64) {
+    fn pump(&mut self, cx: &mut Cx<'_>, op_id: u64) {
         let Some(op) = self.ops.get_mut(&op_id) else {
             return;
         };
@@ -415,7 +257,7 @@ impl KademliaSim {
                 OpKind::Lookup { .. } => self.stats.lookup_messages += 1,
                 OpKind::Refresh => self.stats.maintenance_messages += 1,
             }
-            self.net.send(
+            cx.send(
                 origin,
                 peer,
                 Msg::FindNode {
@@ -424,19 +266,19 @@ impl KademliaSim {
                     find_value: matches!(kind, OpKind::Lookup { .. }),
                 },
             );
-            self.net.schedule(
+            cx.schedule(
                 origin,
                 self.config.rpc_timeout,
                 Timer::RpcTimeout { op: op_id, peer },
             );
         }
         if finished {
-            self.finish_op(op_id);
+            self.finish_op(cx, op_id);
         }
     }
 
     /// The iteration converged: act on the final candidate set.
-    fn finish_op(&mut self, op_id: u64) {
+    fn finish_op(&mut self, cx: &mut Cx<'_>, op_id: u64) {
         let Some(op) = self.ops.get_mut(&op_id) else {
             return;
         };
@@ -460,39 +302,15 @@ impl KademliaSim {
                 // remotely only).
                 for peer in closest {
                     self.stats.insert_messages += 1;
-                    self.net.send(origin, peer, Msg::Store { object });
+                    cx.send(origin, peer, Msg::Store { object });
                 }
             }
             OpKind::Lookup { lookup_id } => {
                 // Converged without finding a holder.
                 self.stats.misdeliveries += 1;
-                self.fail_lookup(lookup_id);
+                cx.fail_lookup(lookup_id);
             }
             OpKind::Refresh => {}
-        }
-    }
-
-    fn fail_lookup(&mut self, lookup_id: u64) {
-        if let Some(state) = self.lookups.get_mut(&lookup_id) {
-            if matches!(state.outcome, LookupOutcome::Pending) {
-                state.outcome = LookupOutcome::Failed;
-            }
-        }
-    }
-
-    fn complete_lookup(&mut self, lookup_id: u64, found: bool, hops: u32) {
-        let now = self.net.now();
-        if let Some(state) = self.lookups.get_mut(&lookup_id) {
-            if matches!(state.outcome, LookupOutcome::Pending) {
-                state.outcome = if found && now <= state.deadline {
-                    LookupOutcome::Succeeded {
-                        hops,
-                        latency: now.duration_since(state.issued_at),
-                    }
-                } else {
-                    LookupOutcome::Failed
-                };
-            }
         }
     }
 
@@ -500,7 +318,7 @@ impl KademliaSim {
 
     /// Records evidence that `peer` is alive at `node`, running the
     /// ping-before-evict admission when the bucket is full.
-    fn admit(&mut self, node: NodeIdx, peer: NodeIdx) {
+    fn admit(&mut self, cx: &mut Cx<'_>, node: NodeIdx, peer: NodeIdx) {
         if node == peer {
             return;
         }
@@ -520,25 +338,15 @@ impl KademliaSim {
                     },
                 );
                 self.stats.maintenance_messages += 1;
-                self.net.send(node, lru, Msg::Ping { token });
-                self.net
-                    .schedule(node, self.config.rpc_timeout, Timer::EvictTimeout { token });
+                cx.send(node, lru, Msg::Ping { token });
+                cx.schedule(node, self.config.rpc_timeout, Timer::EvictTimeout { token });
             }
         }
     }
 
-    // --- event dispatch ---------------------------------------------------------
-
-    fn dispatch(&mut self, ev: Event<Msg, Timer>) {
-        match ev {
-            Event::Message { from, to, msg } => self.on_message(from, to, msg),
-            Event::Timer { node, timer } => self.on_timer(node, timer),
-        }
-    }
-
-    fn on_message(&mut self, from: NodeIdx, to: NodeIdx, msg: Msg) {
+    fn on_message(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, msg: Msg) {
         // Every direct message is evidence the sender is alive.
-        self.admit(to, from);
+        self.admit(cx, to, from);
         match msg {
             Msg::FindNode {
                 op,
@@ -549,18 +357,17 @@ impl KademliaSim {
                 let mut closer = self.tables[to.index()].closest(target, self.config.k, &self.ids);
                 closer.retain(|&c| c != from);
                 self.stats.reply_messages += 1;
-                self.net
-                    .send(to, from, Msg::FindReply { op, closer, found });
+                cx.send(to, from, Msg::FindReply { op, closer, found });
             }
             Msg::FindReply { op, closer, found } => {
-                self.on_find_reply(op, from, closer, found);
+                self.on_find_reply(cx, op, from, closer, found);
             }
             Msg::Store { object } => {
                 self.stores[to.index()].insert(object);
             }
             Msg::Ping { token } => {
                 self.stats.maintenance_messages += 1;
-                self.net.send(to, from, Msg::Pong { token });
+                cx.send(to, from, Msg::Pong { token });
             }
             Msg::Pong { token } => {
                 // The LRU answered: it was re-admitted by the admit() at
@@ -570,7 +377,14 @@ impl KademliaSim {
         }
     }
 
-    fn on_find_reply(&mut self, op_id: u64, from: NodeIdx, closer: Vec<NodeIdx>, found: bool) {
+    fn on_find_reply(
+        &mut self,
+        cx: &mut Cx<'_>,
+        op_id: u64,
+        from: NodeIdx,
+        closer: Vec<NodeIdx>,
+        found: bool,
+    ) {
         let Some(op) = self.ops.get_mut(&op_id) else {
             return;
         };
@@ -589,7 +403,7 @@ impl KademliaSim {
                 op.done = true;
                 let hops = replier_depth.max(1);
                 self.ops.remove(&op_id);
-                self.complete_lookup(lookup_id, true, hops);
+                cx.complete_lookup(lookup_id, hops);
                 return;
             }
         }
@@ -613,10 +427,10 @@ impl KademliaSim {
                 },
             );
         }
-        self.pump(op_id);
+        self.pump(cx, op_id);
     }
 
-    fn on_timer(&mut self, node: NodeIdx, timer: Timer) {
+    fn on_timer(&mut self, cx: &mut Cx<'_>, node: NodeIdx, timer: Timer) {
         match timer {
             Timer::RpcTimeout { op, peer } => {
                 let Some(operation) = self.ops.get_mut(&op) else {
@@ -636,7 +450,7 @@ impl KademliaSim {
                 if self.tables[node.index()].remove(peer, peer_id) {
                     self.stats.failure_declarations += 1;
                 }
-                self.pump(op);
+                self.pump(cx, op);
             }
             Timer::EvictTimeout { token } => {
                 if let Some(ev) = self.evictions.remove(&token) {
@@ -645,14 +459,14 @@ impl KademliaSim {
                 }
             }
             Timer::BucketRefresh => {
-                if self.net.is_online(node) {
+                if cx.is_online(node) {
                     let occupied: Vec<usize> = (0..mpil_id::ID_BITS)
                         .filter(|&i| !self.tables[node.index()].bucket(i).is_empty())
                         .collect();
                     if !occupied.is_empty() {
-                        let pick = occupied[self.net.rng().gen_range(0..occupied.len())];
+                        let pick = occupied[cx.rng().gen_range(0..occupied.len())];
                         let target = {
-                            let rng = self.net.rng();
+                            let rng = cx.rng();
                             // Borrow dance: random_id_in_bucket needs the
                             // table and the rng; split via a local copy of
                             // the id is not possible, so draw bits first.
@@ -661,10 +475,10 @@ impl KademliaSim {
                             let table = &self.tables[node.index()];
                             random_target_in_bucket(table.id(), pick, &draw)
                         };
-                        self.start_op(node, target, OpKind::Refresh);
+                        self.start_op(cx, node, target, OpKind::Refresh);
                     }
                 }
-                self.net.schedule(
+                cx.schedule(
                     node,
                     self.config.bucket_refresh_period,
                     Timer::BucketRefresh,
@@ -691,13 +505,94 @@ fn random_target_in_bucket(own: Id, bucket: usize, draw: &[u8; 20]) -> Id {
     Id::from_bytes(bytes)
 }
 
-impl std::fmt::Debug for KademliaSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KademliaSim")
-            .field("nodes", &self.ids.len())
-            .field("now", &self.net.now())
-            .field("stats", &self.stats)
-            .finish()
+impl Protocol for Kademlia {
+    type Msg = Msg;
+    type Timer = Timer;
+    /// `(ids, tables)`: the global ID table and each node's converged
+    /// routing table.
+    type Parts = (Vec<Id>, Vec<RoutingTable>);
+    type Config = KademliaConfig;
+
+    /// # Panics
+    ///
+    /// Panics if `ids` and `tables` disagree in length or the
+    /// configuration is invalid.
+    fn build((ids, tables): Self::Parts, config: KademliaConfig) -> Self {
+        assert_eq!(ids.len(), tables.len(), "ids/tables length mismatch");
+        config.assert_valid();
+        let n = ids.len();
+        Kademlia {
+            config,
+            tables,
+            stores: vec![IdSet::new(); n],
+            ops: FxHashMap::default(),
+            evictions: FxHashMap::default(),
+            next_op: 0,
+            next_token: 0,
+            next_lookup: 0,
+            ids,
+            stats: KademliaStats::default(),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "Kademlia"
+    }
+
+    fn nodes(&self) -> usize {
+        self.ids.len()
+    }
+
+    #[inline]
+    fn on_event(&mut self, cx: &mut Cx<'_>, event: Event<Msg, Timer>) {
+        match event {
+            Event::Message { from, to, msg } => self.on_message(cx, from, to, msg),
+            Event::Timer { node, timer } => self.on_timer(cx, node, timer),
+        }
+    }
+
+    /// Starts an insertion of `object` from `origin` (iterative
+    /// convergence, then `STORE` at the `k` closest).
+    fn insert(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id) {
+        self.start_op(cx, origin, object, OpKind::Insert { object });
+    }
+
+    fn lookup(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
+        let lookup_id = self.next_lookup;
+        self.next_lookup += 1;
+        cx.open_lookup(lookup_id, deadline);
+        // A node looking up something it already stores succeeds locally.
+        if self.stores[origin.index()].contains(&object) {
+            cx.complete_lookup(lookup_id, 0);
+            return lookup_id;
+        }
+        self.start_op(cx, origin, object, OpKind::Lookup { lookup_id });
+        lookup_id
+    }
+
+    /// Starts the periodic bucket-refresh timers, staggered uniformly
+    /// over one period.
+    fn start_maintenance(&mut self, cx: &mut Cx<'_>) -> bool {
+        for i in 0..self.ids.len() as u32 {
+            let period = self.config.bucket_refresh_period;
+            cx.schedule_staggered(NodeIdx::new(i), period, Timer::BucketRefresh);
+        }
+        true
+    }
+
+    fn holds(&self, node: NodeIdx, object: Id) -> bool {
+        self.stores[node.index()].contains(&object)
+    }
+
+    fn counters(&self, _net: &NetStats) -> Counters {
+        let s = self.stats;
+        Counters {
+            lookup_messages: s.lookup_messages,
+            insert_messages: s.insert_messages,
+            reply_messages: s.reply_messages,
+            maintenance_messages: s.maintenance_messages,
+            total_messages: s.total_messages(),
+        }
     }
 }
 
@@ -705,7 +600,7 @@ impl std::fmt::Debug for KademliaSim {
 mod tests {
     use super::*;
     use crate::table::build_converged_tables;
-    use mpil_sim::{AlwaysOn, ConstantLatency};
+    use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -726,8 +621,7 @@ mod tests {
         let ids = random_ids(n, seed);
         let tables = build_converged_tables(&ids, &config);
         KademliaSim::new(
-            ids,
-            tables,
+            (ids, tables),
             config,
             Box::new(AlwaysOn),
             Box::new(ConstantLatency(SimDuration::from_millis(10))),
@@ -828,7 +722,7 @@ mod tests {
         let mut sim = build(30, KademliaConfig::default(), 5);
         let object = Id::from_low_u64(7);
         // Manually plant the object at the origin.
-        sim.stores[2].insert(object);
+        sim.with(|kademlia, _| kademlia.stores[2].insert(object));
         let h = sim.issue_lookup(NodeIdx::new(2), object, SimTime::from_secs(10));
         assert!(matches!(
             sim.lookup_outcome(h),

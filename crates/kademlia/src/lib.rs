@@ -29,8 +29,7 @@
 //! let ids: Vec<mpil_id::Id> = (0..50).map(|_| mpil_id::Id::random(&mut rng)).collect();
 //! let tables = build_converged_tables(&ids, &config);
 //! let mut sim = KademliaSim::new(
-//!     ids,
-//!     tables,
+//!     (ids, tables),
 //!     config,
 //!     Box::new(AlwaysOn),
 //!     Box::new(ConstantLatency(SimDuration::from_millis(10))),
@@ -54,5 +53,5 @@ pub mod engine;
 pub mod table;
 
 pub use config::KademliaConfig;
-pub use engine::{KademliaSim, KademliaStats, LookupOutcome};
+pub use engine::{Kademlia, KademliaSim, KademliaStats, LookupOutcome};
 pub use table::{build_converged_tables, Admission, KBucket, RoutingTable};

@@ -37,8 +37,7 @@ fn kademlia_success_with_config(config: KademliaConfig, probability: f64, seed: 
     let ids = random_ids(N, seed);
     let tables = build_converged_tables(&ids, &config);
     let mut sim = KademliaSim::new(
-        ids,
-        tables,
+        (ids, tables),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),
@@ -148,8 +147,7 @@ fn mpil_over_frozen_kademlia_overlay_at_heavy_flapping() {
     let ids = random_ids(N, seed);
     let tables = build_converged_tables(&ids, &config);
     let sim = KademliaSim::new(
-        ids.clone(),
-        tables,
+        (ids.clone(), tables),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),
@@ -168,8 +166,7 @@ fn mpil_over_frozen_kademlia_overlay_at_heavy_flapping() {
         ..DynamicConfig::default()
     };
     let mut net = DynamicNetwork::new(
-        ids,
-        neighbors,
+        (ids, neighbors),
         dyn_config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),
@@ -196,7 +193,7 @@ fn mpil_over_frozen_kademlia_overlay_at_heavy_flapping() {
     }
     let ok = handles
         .iter()
-        .filter(|&&h| matches!(net.lookup_status(h), LookupStatus::Succeeded { .. }))
+        .filter(|&&h| matches!(net.lookup_outcome(h), LookupStatus::Succeeded { .. }))
         .count();
     let mpil_rate = 100.0 * ok as f64 / OBJECTS as f64;
 

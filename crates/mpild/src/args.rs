@@ -5,8 +5,8 @@
 use std::time::Duration;
 
 use mpil::MpilConfig;
-use mpil_bench::Args;
 use mpil_net::{RetryPolicy, TransportKind};
+use mpil_workload::Args;
 
 use crate::daemon::DaemonConfig;
 use crate::load::{ChurnPlan, LoadConfig};

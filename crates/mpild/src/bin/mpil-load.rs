@@ -20,8 +20,8 @@
 
 use std::time::Duration;
 
-use mpil_bench::Args;
 use mpil_harness::WallClockBudget;
+use mpil_workload::Args;
 use mpild::{
     args, probe_live_nodes, run_embedded, run_load, CtrlKind, CtrlRequest, LoadReport,
     UdpCtrlClient,

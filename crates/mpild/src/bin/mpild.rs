@@ -13,7 +13,7 @@
 
 use std::io::Write;
 
-use mpil_bench::Args;
+use mpil_workload::Args;
 use mpild::{args, Daemon, UdpControl};
 
 const USAGE: &str = "\

@@ -238,12 +238,10 @@ impl LiveClusterBuilder {
         // Both mesh builders return exactly the endpoints requested.
         let client_tx = endpoints.pop().expect("shards + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly shards + 2 endpoints)
         let client_rx = endpoints.pop().expect("shards + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly shards + 2 endpoints)
+        let (ids, neighbors) = mpil::frozen(topo);
         let overlay = Arc::new(Overlay {
-            ids: topo.ids().to_vec(),
-            neighbors: topo
-                .iter_nodes()
-                .map(|v| topo.neighbors(v).to_vec())
-                .collect(),
+            ids,
+            neighbors,
             config: self.config,
             shards,
             client: shards,

@@ -13,8 +13,9 @@
 //! * [`node`] — the state of one overlay node (replica store, bounded
 //!   duplicate memory, counters, perturbation control);
 //! * `shard` — the evented loop that hosts a share of the nodes, one
-//!   per core: identical step semantics to the simulators (metric scan,
-//!   local-maximum deposit, quota split, duplicate suppression), with a
+//!   per core: the very routing step the simulators run
+//!   ([`mpil::step`]: metric scan, local-maximum deposit, quota split)
+//!   behind this world's own duplicate memory and replies, with a
 //!   hop between two nodes of one shard handed over in memory instead of
 //!   through the transport;
 //! * [`cluster`] — [`LiveCluster`]: spawn a topology over those shards,

@@ -4,11 +4,12 @@
 //! A cluster runs as many shards as the machine has cores (never more
 //! than it has nodes); node `i` lives on shard `i % shards`. A shard
 //! owns the state of its nodes ([`Node`]), one [`Transport`] endpoint
-//! and one run queue, and executes the exact MPIL step semantics of the
-//! simulators ([`mpil::routing_decision_policy`] +
-//! [`mpil::plan_forwarding`]): metric scan over the frozen neighbor
-//! list, local-maximum replica deposit, flow-quota splitting, duplicate
-//! suppression, and direct replies.
+//! and one run queue, and runs the same routing step as the simulators
+//! ([`mpil::step`]: metric scan over the frozen neighbor list,
+//! local-maximum replica deposit, flow-quota splitting); what is its
+//! own is where duplicates are remembered ([`crate::node::SeenIds`]),
+//! what a hit and a deposit do (a `Reply` / `StoreAck` to the client)
+//! and where a copy goes (the run queue or the endpoint).
 //!
 //! A **turn** of a shard is one frame taken off its endpoint and every
 //! copy that frame gives rise to on this shard, run to completion: a
@@ -33,9 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpil::{
-    plan_forwarding, routing_decision_policy, select_candidates, Message, MessageKind, MpilConfig,
-};
+use mpil::{step, Message, MpilConfig, Verdict};
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 
@@ -264,10 +263,9 @@ impl Shard {
         }
     }
 
-    /// One MPIL step at the node in `slot` — the live twin of the
-    /// simulators' message handler (same decision, plan, and bookkeeping
-    /// order).
-    fn step(&mut self, slot: usize, mut msg: Message) {
+    /// One copy at the node in `slot`: this world's bookkeeping around
+    /// the shared [`mpil::step`].
+    fn step(&mut self, slot: usize, msg: Message) {
         let Shard {
             index,
             transport,
@@ -294,63 +292,56 @@ impl Shard {
             }
         }
 
-        // Lookup short-circuit: a holder replies (to the client) and stops
-        // this flow.
-        if msg.kind == MessageKind::Lookup && store.contains_key(&msg.object) {
-            let reply = WireMessage::Reply {
-                msg_id: msg.msg_id,
-                object: msg.object,
-                holder: at,
-                hops: msg.hops,
-            };
-            if tell_client(transport.as_ref(), overlay.client, &reply, stats) {
-                stats.replies += 1;
-            }
-            return;
-        }
-
-        let given = if msg.hops == 0 { 0 } else { 1 };
-        let decision = routing_decision_policy(
-            overlay.config.space,
-            msg.object,
+        let Message {
+            msg_id,
+            object,
+            origin,
+            hops,
+            ..
+        } = msg;
+        let verdict = step(
+            &overlay.config,
             at,
             &overlay.neighbors[at.index()],
             &overlay.ids,
-            |n| msg.visited(n),
-            overlay.config.split_policy,
-            msg.quota + given,
-            overlay.config.metric,
+            store.contains_key(&object),
+            msg,
+            rng,
         );
-
-        if decision.is_local_max {
-            if msg.kind == MessageKind::Insert {
-                store.insert(msg.object, msg.origin);
-                stats.stores += 1;
-                let ack = WireMessage::StoreAck {
-                    msg_id: msg.msg_id,
-                    object: msg.object,
+        let copies = match verdict {
+            // Lookup short-circuit: a holder replies (to the client) and
+            // stops this flow.
+            Verdict::Replied => {
+                let reply = WireMessage::Reply {
+                    msg_id,
+                    object,
                     holder: at,
+                    hops,
                 };
-                if tell_client(transport.as_ref(), overlay.client, &ack, stats) {
-                    stats.store_acks += 1;
+                if tell_client(transport.as_ref(), overlay.client, &reply, stats) {
+                    stats.replies += 1;
                 }
-            }
-            msg.replicas_left -= 1;
-            if msg.replicas_left == 0 {
                 return;
             }
-        }
-
-        if decision.candidates.is_empty() {
-            return;
-        }
-        let plan = plan_forwarding(msg.quota, given, decision.candidates.len());
-        if plan.m == 0 {
-            return;
-        }
-        let chosen: Vec<NodeIdx> = select_candidates(decision.candidates, plan.m as usize, rng);
-        for (&target, &child_quota) in chosen.iter().zip(plan.child_quotas.iter()) {
-            let fwd = msg.forwarded(at, child_quota);
+            Verdict::Routed {
+                deposited, copies, ..
+            } => {
+                if deposited {
+                    store.insert(object, origin);
+                    stats.stores += 1;
+                    let ack = WireMessage::StoreAck {
+                        msg_id,
+                        object,
+                        holder: at,
+                    };
+                    if tell_client(transport.as_ref(), overlay.client, &ack, stats) {
+                        stats.store_acks += 1;
+                    }
+                }
+                copies
+            }
+        };
+        for (target, fwd) in copies {
             let shard = overlay.shard_of(target);
             if shard == *index {
                 // Handed over as it is; the limit the encoder would have
@@ -406,7 +397,7 @@ mod tests {
     use super::*;
     use crate::transport::ChannelMesh;
     use bytes::Bytes;
-    use mpil::MessageId;
+    use mpil::{MessageId, MessageKind};
 
     const FAR: Duration = Duration::from_secs(3600);
 

@@ -8,16 +8,16 @@
 use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Availability, Event, LatencyModel, Network, SimDuration, SimTime};
-use rand::Rng;
+use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::config::PastryConfig;
 use crate::state::{NextHop, PastryState};
 
 /// Application payload of a routed message.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Payload {
+pub enum Payload {
     /// Store the object pointer at the key's root.
     Insert { object: Id },
     /// Find the object pointer; reply to `origin`.
@@ -28,8 +28,11 @@ enum Payload {
     },
 }
 
+/// What Pastry nodes send each other (public only as
+/// [`Protocol::Msg`]).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-enum Msg {
+pub enum Msg {
     /// A routed application message (one per-hop transmission).
     Route {
         key: Id,
@@ -65,8 +68,11 @@ enum Msg {
     JoinDone { members: Vec<NodeIdx> },
 }
 
+/// What a Pastry node's timer carries (public only as
+/// [`Protocol::Timer`]).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-enum Timer {
+pub enum Timer {
     /// Periodic leaf-set probing (every `leafset_probe_period`).
     LeafsetProbe,
     /// Periodic routing-table probing (every `rt_probe_period`).
@@ -131,26 +137,16 @@ impl PastryStats {
 /// Outcome of one lookup (the shared engine-agnostic enum).
 pub use mpil_sim::LookupOutcome;
 
-#[derive(Debug)]
-struct LookupState {
-    issued_at: SimTime,
-    deadline: SimTime,
-    outcome: LookupOutcome,
-}
+type Cx<'a> = mpil_sim::Cx<'a, Pastry>;
 
-/// The Pastry overlay simulation.
-///
-/// Drive it like the paper's experiments: build (converged bootstrap),
-/// insert on the static overlay, swap in a flapping availability model,
-/// start maintenance, then issue lookups and run the clock.
-pub struct PastrySim {
+/// The Pastry protocol: every node's leaf set, routing table and
+/// pointer store, and the handlers that drive them. Runs inside a
+/// [`PastrySim`].
+pub struct Pastry {
     config: PastryConfig,
     ids: Vec<Id>,
     states: Vec<PastryState>,
     stores: Vec<IdSet>,
-    net: Network<Msg, Timer>,
-    /// Reusable same-tick delivery batch (see [`Network::next_batch_before`]).
-    event_batch: Vec<mpil_sim::Event<Msg, Timer>>,
     pending_routes: FxHashMap<u64, PendingRoute>,
     pending_probes: FxHashMap<u64, PendingProbe>,
     /// Fast membership view of `pending_probes` keyed by (prober, target),
@@ -159,104 +155,25 @@ pub struct PastrySim {
     /// Per-node set of Route uids already processed (dedup after
     /// retransmission races).
     seen_uids: Vec<FxHashSet<u64>>,
-    lookups: FxHashMap<u64, LookupState>,
     next_uid: u64,
     next_token: u64,
     next_lookup: u64,
-    maintenance_started: bool,
     stats: PastryStats,
 }
 
-impl PastrySim {
-    /// Builds the simulation from pre-built per-node states (see
-    /// [`crate::bootstrap::build_converged_states`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` and `states` disagree in length.
-    pub fn new(
-        ids: Vec<Id>,
-        states: Vec<PastryState>,
-        config: PastryConfig,
-        availability: Box<dyn Availability>,
-        latency: Box<dyn LatencyModel>,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(ids.len(), states.len(), "ids/states length mismatch");
-        config.assert_valid();
-        let n = ids.len();
-        PastrySim {
-            config,
-            states,
-            stores: vec![IdSet::new(); n],
-            net: Network::new(n, availability, latency, seed),
-            pending_routes: FxHashMap::default(),
-            pending_probes: FxHashMap::default(),
-            probing_pairs: FxHashSet::default(),
-            seen_uids: vec![FxHashSet::default(); n],
-            lookups: FxHashMap::default(),
-            event_batch: Vec::new(),
-            next_uid: 0,
-            next_token: 0,
-            next_lookup: 0,
-            maintenance_started: false,
-            ids,
-            stats: PastryStats::default(),
-        }
-    }
+/// The Pastry overlay simulation.
+///
+/// Drive it like the paper's experiments: build (converged bootstrap,
+/// [`crate::bootstrap::build_converged_states`]) and hand
+/// `(ids, states)` to [`Sim::new`], insert on the static overlay, swap
+/// in a flapping availability model, start maintenance, then issue
+/// lookups and run the clock.
+pub type PastrySim = Sim<Pastry>;
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns `true` if the overlay has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
+impl Pastry {
     /// Protocol counters.
     pub fn stats(&self) -> PastryStats {
         self.stats
-    }
-
-    /// Kernel counters.
-    pub fn net_stats(&self) -> mpil_sim::NetStats {
-        self.net.stats()
-    }
-
-    /// Swaps the availability model (static stage → flapping stage).
-    pub fn set_availability(&mut self, availability: Box<dyn Availability>) {
-        self.net.set_availability(availability);
-    }
-
-    /// Sets the independent per-message link-loss probability (failure
-    /// injection; see [`mpil_sim::Network::set_loss_probability`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn set_loss_probability(&mut self, p: f64) {
-        self.net.set_loss_probability(p);
-    }
-
-    /// Nodes currently storing the pointer for `object`.
-    pub fn replica_holders(&self, object: Id) -> Vec<NodeIdx> {
-        (0..self.ids.len() as u32)
-            .map(NodeIdx::new)
-            .filter(|n| self.stores[n.index()].contains(&object))
-            .collect()
-    }
-
-    /// Number of nodes storing the pointer for `object`, without
-    /// materialising the holder list.
-    pub fn replica_count(&self, object: Id) -> usize {
-        self.stores.iter().filter(|s| s.contains(&object)).count()
     }
 
     /// Each node's frozen neighbor list (leaf set ∪ routing table) — the
@@ -270,102 +187,7 @@ impl PastrySim {
         &self.ids
     }
 
-    /// Starts the periodic maintenance timers on every node, staggered
-    /// uniformly over one period to avoid lockstep probing.
-    pub fn start_maintenance(&mut self) {
-        assert!(!self.maintenance_started, "maintenance already started");
-        self.maintenance_started = true;
-        let n = self.ids.len();
-        for i in 0..n as u32 {
-            let node = NodeIdx::new(i);
-            let ls_delay = {
-                let p = self.config.leafset_probe_period.as_micros();
-                SimDuration::from_micros(self.net.rng().gen_range(0..p))
-            };
-            self.net.schedule(node, ls_delay, Timer::LeafsetProbe);
-            let rt_delay = {
-                let p = self.config.rt_probe_period.as_micros();
-                SimDuration::from_micros(self.net.rng().gen_range(0..p))
-            };
-            self.net.schedule(node, rt_delay, Timer::RtProbe);
-            let m_delay = {
-                let p = self.config.rt_maintenance_period.as_micros();
-                SimDuration::from_micros(self.net.rng().gen_range(0..p))
-            };
-            self.net.schedule(node, m_delay, Timer::RtMaintenance);
-        }
-    }
-
-    /// Starts routing an insertion of `object` from `origin`.
-    pub fn insert(&mut self, origin: NodeIdx, object: Id) {
-        let payload = Payload::Insert { object };
-        self.route_step(origin, object, payload, 0);
-    }
-
-    /// Issues a lookup of `object` from `origin` with the given deadline.
-    pub fn issue_lookup(&mut self, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
-        let lookup_id = self.next_lookup;
-        self.next_lookup += 1;
-        self.lookups.insert(
-            lookup_id,
-            LookupState {
-                issued_at: self.net.now(),
-                deadline,
-                outcome: LookupOutcome::Pending,
-            },
-        );
-        let payload = Payload::Lookup {
-            object,
-            lookup_id,
-            origin,
-        };
-        self.route_step(origin, object, payload, 0);
-        lookup_id
-    }
-
-    /// Outcome of a lookup; `Pending` past its deadline reads as
-    /// `Failed`.
-    pub fn lookup_outcome(&self, lookup_id: u64) -> LookupOutcome {
-        match self.lookups.get(&lookup_id) {
-            None => LookupOutcome::Failed,
-            Some(s) => match s.outcome {
-                LookupOutcome::Pending if self.net.now() >= s.deadline => LookupOutcome::Failed,
-                o => o,
-            },
-        }
-    }
-
-    /// Runs the event loop until `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while self.net.next_batch_before(deadline, &mut batch) {
-            for ev in batch.drain(..) {
-                self.dispatch(ev);
-            }
-        }
-        self.event_batch = batch;
-    }
-
-    /// Runs until no events remain (only terminates before maintenance
-    /// starts).
-    pub fn run_to_quiescence(&mut self) {
-        assert!(
-            !self.maintenance_started,
-            "periodic maintenance never quiesces; use run_until"
-        );
-        self.run_until(SimTime::from_micros(u64::MAX));
-    }
-
-    // --- event dispatch --------------------------------------------------
-
-    fn dispatch(&mut self, ev: Event<Msg, Timer>) {
-        match ev {
-            Event::Message { from, to, msg } => self.on_message(from, to, msg),
-            Event::Timer { node, timer } => self.on_timer(node, timer),
-        }
-    }
-
-    fn on_message(&mut self, from: NodeIdx, to: NodeIdx, msg: Msg) {
+    fn on_message(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, msg: Msg) {
         // Any message from a peer is evidence it is alive: re-admit it
         // (passive re-integration of recovered nodes).
         if from != to {
@@ -381,18 +203,18 @@ impl PastrySim {
             } => {
                 // Ack every transmission, then dedup re-deliveries.
                 self.stats.ack_messages += 1;
-                self.net.send(to, from, Msg::RouteAck { uid });
+                cx.send(to, from, Msg::RouteAck { uid });
                 if !self.seen_uids[to.index()].insert(uid) {
                     return;
                 }
-                self.deliver_or_forward(to, key, payload, hops);
+                self.deliver_or_forward(cx, to, key, payload, hops);
             }
             Msg::RouteAck { uid } => {
                 self.pending_routes.remove(&uid);
             }
             Msg::Probe { token } => {
                 self.stats.maintenance_messages += 1;
-                self.net.send(to, from, Msg::ProbeReply { token });
+                cx.send(to, from, Msg::ProbeReply { token });
             }
             Msg::ProbeReply { token } => {
                 if let Some(p) = self.pending_probes.remove(&token) {
@@ -402,7 +224,7 @@ impl PastrySim {
             Msg::LeafsetPull => {
                 let members: Vec<NodeIdx> = self.states[to.index()].leafset.members().collect();
                 self.stats.maintenance_messages += 1;
-                self.net.send(to, from, Msg::LeafsetPush { members });
+                cx.send(to, from, Msg::LeafsetPush { members });
             }
             Msg::LeafsetPush { members } => {
                 for m in members {
@@ -420,7 +242,7 @@ impl PastrySim {
                     .map(|(_, n)| n)
                     .collect();
                 self.stats.maintenance_messages += 1;
-                self.net.send(to, from, Msg::RowReply { entries });
+                cx.send(to, from, Msg::RowReply { entries });
             }
             Msg::RowReply { entries } => {
                 for m in entries {
@@ -431,7 +253,7 @@ impl PastrySim {
                 }
             }
             Msg::JoinRequest { joiner, hops } => {
-                self.handle_join_request(to, joiner, hops);
+                self.handle_join_request(cx, to, joiner, hops);
             }
             Msg::JoinState { members } => {
                 for m in members {
@@ -453,7 +275,7 @@ impl PastrySim {
                 // the passive consider-on-receive path.
                 let known = self.states[to.index()].neighbor_list();
                 for peer in known {
-                    self.start_probe(to, peer);
+                    self.start_probe(cx, to, peer);
                 }
             }
             Msg::LookupReply {
@@ -461,27 +283,19 @@ impl PastrySim {
                 found,
                 hops,
             } => {
-                let now = self.net.now();
-                if let Some(state) = self.lookups.get_mut(&lookup_id) {
-                    if matches!(state.outcome, LookupOutcome::Pending) {
-                        state.outcome = if found && now <= state.deadline {
-                            LookupOutcome::Succeeded {
-                                hops,
-                                latency: now.duration_since(state.issued_at),
-                            }
-                        } else {
-                            LookupOutcome::Failed
-                        };
-                    }
+                if found {
+                    cx.complete_lookup(lookup_id, hops);
+                } else {
+                    cx.fail_lookup(lookup_id);
                 }
             }
         }
     }
 
-    fn on_timer(&mut self, node: NodeIdx, timer: Timer) {
+    fn on_timer(&mut self, cx: &mut Cx<'_>, node: NodeIdx, timer: Timer) {
         match timer {
             Timer::LeafsetProbe => {
-                if self.net.is_online(node) {
+                if cx.is_online(node) {
                     let members: Vec<NodeIdx> = {
                         let mut m: Vec<NodeIdx> =
                             self.states[node.index()].leafset.members().collect();
@@ -490,7 +304,7 @@ impl PastrySim {
                         m
                     };
                     for m in members {
-                        self.start_probe(node, m);
+                        self.start_probe(cx, node, m);
                     }
                     // A shrunken leaf set actively pulls from a survivor.
                     if self.states[node.index()].leafset.has_room() {
@@ -498,15 +312,14 @@ impl PastrySim {
                             self.states[node.index()].leafset.repair_contact(|_| false)
                         {
                             self.stats.maintenance_messages += 1;
-                            self.net.send(node, contact, Msg::LeafsetPull);
+                            cx.send(node, contact, Msg::LeafsetPull);
                         }
                     }
                 }
-                self.net
-                    .schedule(node, self.config.leafset_probe_period, Timer::LeafsetProbe);
+                cx.schedule(node, self.config.leafset_probe_period, Timer::LeafsetProbe);
             }
             Timer::RtProbe => {
-                if self.net.is_online(node) {
+                if cx.is_online(node) {
                     let entries: Vec<NodeIdx> = {
                         let mut e: Vec<NodeIdx> = self.states[node.index()]
                             .rt
@@ -518,14 +331,13 @@ impl PastrySim {
                         e
                     };
                     for m in entries {
-                        self.start_probe(node, m);
+                        self.start_probe(cx, node, m);
                     }
                 }
-                self.net
-                    .schedule(node, self.config.rt_probe_period, Timer::RtProbe);
+                cx.schedule(node, self.config.rt_probe_period, Timer::RtProbe);
             }
             Timer::RtMaintenance => {
-                if self.net.is_online(node) {
+                if cx.is_online(node) {
                     // Ask one random peer per populated row for that row.
                     let requests: Vec<(NodeIdx, u16)> = {
                         let st = &self.states[node.index()];
@@ -542,10 +354,10 @@ impl PastrySim {
                     };
                     for (peer, row) in requests {
                         self.stats.maintenance_messages += 1;
-                        self.net.send(node, peer, Msg::RowRequest { row });
+                        cx.send(node, peer, Msg::RowRequest { row });
                     }
                 }
-                self.net.schedule(
+                cx.schedule(
                     node,
                     self.config.rt_maintenance_period,
                     Timer::RtMaintenance,
@@ -555,7 +367,7 @@ impl PastrySim {
                 let Some(pending) = self.pending_probes.get(&token).copied() else {
                     return;
                 };
-                if !self.net.is_online(pending.prober) {
+                if !cx.is_online(pending.prober) {
                     // The prober itself went offline; abandon the probe.
                     self.pending_probes.remove(&token);
                     self.probing_pairs.remove(&(pending.prober, pending.target));
@@ -567,9 +379,8 @@ impl PastrySim {
                         .expect("checked above")
                         .attempts += 1;
                     self.stats.maintenance_messages += 1;
-                    self.net
-                        .send(pending.prober, pending.target, Msg::Probe { token });
-                    self.net.schedule(
+                    cx.send(pending.prober, pending.target, Msg::Probe { token });
+                    cx.schedule(
                         pending.prober,
                         self.config.probe_timeout,
                         Timer::ProbeTimeout { token },
@@ -577,14 +388,14 @@ impl PastrySim {
                 } else {
                     self.pending_probes.remove(&token);
                     self.probing_pairs.remove(&(pending.prober, pending.target));
-                    self.declare_failed(pending.prober, pending.target);
+                    self.declare_failed(cx, pending.prober, pending.target);
                 }
             }
             Timer::RouteRetry { uid } => {
                 let Some(pending) = self.pending_routes.get(&uid).cloned() else {
                     return;
                 };
-                if !self.net.is_online(pending.from) {
+                if !cx.is_online(pending.from) {
                     // The holder is perturbed; the in-flight message is
                     // lost with it.
                     self.pending_routes.remove(&uid);
@@ -596,7 +407,7 @@ impl PastrySim {
                         .expect("checked above")
                         .attempts += 1;
                     self.count_route(&pending.payload);
-                    self.net.send(
+                    cx.send(
                         pending.from,
                         pending.to,
                         Msg::Route {
@@ -606,7 +417,7 @@ impl PastrySim {
                             uid,
                         },
                     );
-                    self.net.schedule(
+                    cx.schedule(
                         pending.from,
                         self.config.probe_timeout,
                         Timer::RouteRetry { uid },
@@ -615,35 +426,14 @@ impl PastrySim {
                     // Retries exhausted: declare the hop dead and re-route
                     // around it from the holder.
                     self.pending_routes.remove(&uid);
-                    self.declare_failed(pending.from, pending.to);
-                    self.route_step(pending.from, pending.key, pending.payload, pending.hops);
+                    self.declare_failed(cx, pending.from, pending.to);
+                    self.route_step(cx, pending.from, pending.key, pending.payload, pending.hops);
                 }
             }
         }
     }
 
-    /// Starts the Pastry join protocol for `joiner` (a node constructed
-    /// *unjoined*; see
-    /// [`build_converged_states_partial`](crate::bootstrap::build_converged_states_partial)),
-    /// bootstrapping through `bootstrap`. The join request routes toward
-    /// the joiner's own ID; every node on the route shares the routing
-    /// table row the joiner needs, the root transfers its leaf set, and
-    /// the joiner then announces itself by probing everyone it learned
-    /// about (receivers re-admit it through the usual passive
-    /// `consider`). Joins are assumed to run under stable conditions
-    /// (no per-hop retransmission), as in the paper's static stage 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `joiner == bootstrap`.
-    pub fn join(&mut self, joiner: NodeIdx, bootstrap: NodeIdx) {
-        assert_ne!(joiner, bootstrap, "cannot bootstrap from self");
-        self.stats.maintenance_messages += 1;
-        self.net
-            .send(joiner, bootstrap, Msg::JoinRequest { joiner, hops: 0 });
-    }
-
-    fn handle_join_request(&mut self, node: NodeIdx, joiner: NodeIdx, hops: u32) {
+    fn handle_join_request(&mut self, cx: &mut Cx<'_>, node: NodeIdx, joiner: NodeIdx, hops: u32) {
         let joiner_id = self.ids[joiner.index()];
         // Share the row the joiner will index at our shared-prefix depth,
         // plus our leaf set (cheap and accelerates convergence).
@@ -667,9 +457,8 @@ impl PastrySim {
         match next {
             NextHop::Forward(nx) if hops < self.config.max_hops => {
                 self.stats.maintenance_messages += 2;
-                self.net
-                    .send(node, joiner, Msg::JoinState { members: share });
-                self.net.send(
+                cx.send(node, joiner, Msg::JoinState { members: share });
+                cx.send(
                     node,
                     nx,
                     Msg::JoinRequest {
@@ -681,8 +470,7 @@ impl PastrySim {
             _ => {
                 // This node is the joiner's root: final state transfer.
                 self.stats.maintenance_messages += 1;
-                self.net
-                    .send(node, joiner, Msg::JoinDone { members: share });
+                cx.send(node, joiner, Msg::JoinDone { members: share });
             }
         }
         // Every node that saw the request learns the joiner.
@@ -692,7 +480,14 @@ impl PastrySim {
     // --- routing ---------------------------------------------------------
 
     /// Delivers or forwards a routed message currently held by `node`.
-    fn deliver_or_forward(&mut self, node: NodeIdx, key: Id, payload: Payload, hops: u32) {
+    fn deliver_or_forward(
+        &mut self,
+        cx: &mut Cx<'_>,
+        node: NodeIdx,
+        key: Id,
+        payload: Payload,
+        hops: u32,
+    ) {
         // Replication on Route: every node along an insertion's path
         // stores the pointer.
         if self.config.replication_on_route {
@@ -710,7 +505,7 @@ impl PastrySim {
         {
             if self.stores[node.index()].contains(&object) {
                 self.stats.reply_messages += 1;
-                self.net.send(
+                cx.send(
                     node,
                     origin,
                     Msg::LookupReply {
@@ -722,19 +517,21 @@ impl PastrySim {
                 return;
             }
         }
-        self.route_step(node, key, payload, hops);
+        self.route_step(cx, node, key, payload, hops);
     }
 
     /// One routing decision + transmission from `node`.
-    fn route_step(&mut self, node: NodeIdx, key: Id, payload: Payload, hops: u32) {
+    fn route_step(&mut self, cx: &mut Cx<'_>, node: NodeIdx, key: Id, payload: Payload, hops: u32) {
         if hops >= self.config.max_hops {
             self.stats.hop_limit_drops += 1;
-            self.fail_lookup_if_any(&payload);
+            if let Payload::Lookup { lookup_id, .. } = payload {
+                cx.fail_lookup(lookup_id);
+            }
             return;
         }
         let decision = self.states[node.index()].next_hop(self.config.space, key, |_| false);
         match decision {
-            NextHop::Local => self.deliver_local(node, key, payload, hops),
+            NextHop::Local => self.deliver_local(cx, node, key, payload, hops),
             NextHop::Forward(next) => {
                 let uid = self.next_uid;
                 self.next_uid += 1;
@@ -750,7 +547,7 @@ impl PastrySim {
                     },
                 );
                 self.count_route(&payload);
-                self.net.send(
+                cx.send(
                     node,
                     next,
                     Msg::Route {
@@ -760,14 +557,20 @@ impl PastrySim {
                         uid,
                     },
                 );
-                self.net
-                    .schedule(node, self.config.probe_timeout, Timer::RouteRetry { uid });
+                cx.schedule(node, self.config.probe_timeout, Timer::RouteRetry { uid });
             }
         }
     }
 
     /// Terminal delivery at the node that believes itself root.
-    fn deliver_local(&mut self, node: NodeIdx, _key: Id, payload: Payload, hops: u32) {
+    fn deliver_local(
+        &mut self,
+        cx: &mut Cx<'_>,
+        node: NodeIdx,
+        _key: Id,
+        payload: Payload,
+        hops: u32,
+    ) {
         match payload {
             Payload::Insert { object } => {
                 self.stores[node.index()].insert(object);
@@ -782,7 +585,7 @@ impl PastrySim {
                     self.stats.misdeliveries += 1;
                 }
                 self.stats.reply_messages += 1;
-                self.net.send(
+                cx.send(
                     node,
                     origin,
                     Msg::LookupReply {
@@ -802,18 +605,8 @@ impl PastrySim {
         }
     }
 
-    fn fail_lookup_if_any(&mut self, payload: &Payload) {
-        if let Payload::Lookup { lookup_id, .. } = payload {
-            if let Some(state) = self.lookups.get_mut(lookup_id) {
-                if matches!(state.outcome, LookupOutcome::Pending) {
-                    state.outcome = LookupOutcome::Failed;
-                }
-            }
-        }
-    }
-
     /// Starts (or skips, if already probing) a liveness probe.
-    fn start_probe(&mut self, prober: NodeIdx, target: NodeIdx) {
+    fn start_probe(&mut self, cx: &mut Cx<'_>, prober: NodeIdx, target: NodeIdx) {
         if !self.probing_pairs.insert((prober, target)) {
             return;
         }
@@ -828,8 +621,8 @@ impl PastrySim {
             },
         );
         self.stats.maintenance_messages += 1;
-        self.net.send(prober, target, Msg::Probe { token });
-        self.net.schedule(
+        cx.send(prober, target, Msg::Probe { token });
+        cx.schedule(
             prober,
             self.config.probe_timeout,
             Timer::ProbeTimeout { token },
@@ -838,7 +631,7 @@ impl PastrySim {
 
     /// `observer` declares `target` failed: drops it from its tables and
     /// pulls a replacement leaf set from a surviving member.
-    fn declare_failed(&mut self, observer: NodeIdx, target: NodeIdx) {
+    fn declare_failed(&mut self, cx: &mut Cx<'_>, observer: NodeIdx, target: NodeIdx) {
         if self.states[observer.index()].remove(target) {
             self.stats.failure_declarations += 1;
             if let Some(contact) = self.states[observer.index()]
@@ -846,19 +639,125 @@ impl PastrySim {
                 .repair_contact(|n| n == target)
             {
                 self.stats.maintenance_messages += 1;
-                self.net.send(observer, contact, Msg::LeafsetPull);
+                cx.send(observer, contact, Msg::LeafsetPull);
             }
         }
     }
 }
 
-impl std::fmt::Debug for PastrySim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PastrySim")
-            .field("nodes", &self.ids.len())
-            .field("now", &self.net.now())
-            .field("stats", &self.stats)
-            .finish()
+impl Protocol for Pastry {
+    type Msg = Msg;
+    type Timer = Timer;
+    /// `(ids, states)`: the global ID table and each node's converged
+    /// leaf set and routing table.
+    type Parts = (Vec<Id>, Vec<PastryState>);
+    type Config = PastryConfig;
+
+    /// # Panics
+    ///
+    /// Panics if `ids` and `states` disagree in length.
+    fn build((ids, states): Self::Parts, config: PastryConfig) -> Self {
+        assert_eq!(ids.len(), states.len(), "ids/states length mismatch");
+        config.assert_valid();
+        let n = ids.len();
+        Pastry {
+            config,
+            states,
+            stores: vec![IdSet::new(); n],
+            pending_routes: FxHashMap::default(),
+            pending_probes: FxHashMap::default(),
+            probing_pairs: FxHashSet::default(),
+            seen_uids: vec![FxHashSet::default(); n],
+            next_uid: 0,
+            next_token: 0,
+            next_lookup: 0,
+            ids,
+            stats: PastryStats::default(),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "MSPastry"
+    }
+
+    fn nodes(&self) -> usize {
+        self.ids.len()
+    }
+
+    #[inline]
+    fn on_event(&mut self, cx: &mut Cx<'_>, event: Event<Msg, Timer>) {
+        match event {
+            Event::Message { from, to, msg } => self.on_message(cx, from, to, msg),
+            Event::Timer { node, timer } => self.on_timer(cx, node, timer),
+        }
+    }
+
+    /// Starts routing an insertion of `object` from `origin`.
+    fn insert(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id) {
+        let payload = Payload::Insert { object };
+        self.route_step(cx, origin, object, payload, 0);
+    }
+
+    fn lookup(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
+        let lookup_id = self.next_lookup;
+        self.next_lookup += 1;
+        cx.open_lookup(lookup_id, deadline);
+        let payload = Payload::Lookup {
+            object,
+            lookup_id,
+            origin,
+        };
+        self.route_step(cx, origin, object, payload, 0);
+        lookup_id
+    }
+
+    /// Starts the Pastry join protocol for `joiner` (a node constructed
+    /// *unjoined*; see
+    /// [`build_converged_states_partial`](crate::bootstrap::build_converged_states_partial)),
+    /// bootstrapping through `bootstrap`. The join request routes toward
+    /// the joiner's own ID; every node on the route shares the routing
+    /// table row the joiner needs, the root transfers its leaf set, and
+    /// the joiner then announces itself by probing everyone it learned
+    /// about (receivers re-admit it through the usual passive
+    /// `consider`). Joins are assumed to run under stable conditions
+    /// (no per-hop retransmission), as in the paper's static stage 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `joiner == bootstrap`.
+    fn join(&mut self, cx: &mut Cx<'_>, joiner: NodeIdx, bootstrap: NodeIdx) -> bool {
+        assert_ne!(joiner, bootstrap, "cannot bootstrap from self");
+        self.stats.maintenance_messages += 1;
+        cx.send(joiner, bootstrap, Msg::JoinRequest { joiner, hops: 0 });
+        true
+    }
+
+    /// Starts the periodic maintenance timers on every node, staggered
+    /// uniformly over one period to avoid lockstep probing.
+    fn start_maintenance(&mut self, cx: &mut Cx<'_>) -> bool {
+        let config = self.config;
+        for i in 0..self.ids.len() as u32 {
+            let node = NodeIdx::new(i);
+            cx.schedule_staggered(node, config.leafset_probe_period, Timer::LeafsetProbe);
+            cx.schedule_staggered(node, config.rt_probe_period, Timer::RtProbe);
+            cx.schedule_staggered(node, config.rt_maintenance_period, Timer::RtMaintenance);
+        }
+        true
+    }
+
+    fn holds(&self, node: NodeIdx, object: Id) -> bool {
+        self.stores[node.index()].contains(&object)
+    }
+
+    fn counters(&self, _net: &NetStats) -> Counters {
+        let s = self.stats;
+        Counters {
+            lookup_messages: s.lookup_messages,
+            insert_messages: s.insert_messages,
+            reply_messages: s.reply_messages,
+            maintenance_messages: s.maintenance_messages,
+            total_messages: s.total_messages(),
+        }
     }
 }
 
@@ -866,17 +765,16 @@ impl std::fmt::Debug for PastrySim {
 mod tests {
     use super::*;
     use crate::bootstrap::{build_converged_states, random_ids};
-    use mpil_sim::{AlwaysOn, ConstantLatency, Flapping, FlappingConfig};
+    use mpil_sim::{AlwaysOn, ConstantLatency, Flapping, FlappingConfig, SimDuration};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn build(n: usize, seed: u64, config: PastryConfig) -> PastrySim {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ids = random_ids(n, &mut rng);
         let states = build_converged_states(&ids, &config, &mut rng);
         PastrySim::new(
-            ids,
-            states,
+            (ids, states),
             config,
             Box::new(AlwaysOn),
             Box::new(ConstantLatency(SimDuration::from_millis(20))),
@@ -1040,7 +938,7 @@ mod tests {
         sim.start_maintenance();
         // Knock node 1 out from node 0's perspective.
         let victim = NodeIdx::new(1);
-        sim.declare_failed(NodeIdx::new(0), victim);
+        sim.with(|pastry, cx| pastry.declare_failed(cx, NodeIdx::new(0), victim));
         assert!(sim.states[0].neighbor_list().iter().all(|&x| x != victim));
         // Any message from the victim re-admits it; probing will deliver
         // one within a couple of periods.

@@ -17,8 +17,7 @@ fn build(n: usize, unjoined: usize, seed: u64) -> PastrySim {
     let members: Vec<bool> = (0..n).map(|i| i < n - unjoined).collect();
     let states = build_converged_states_partial(&ids, Some(&members), &config, &mut rng);
     PastrySim::new(
-        ids,
-        states,
+        (ids, states),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),

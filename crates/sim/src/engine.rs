@@ -1,0 +1,578 @@
+//! [`Sim`]: the one simulation shell every discovery substrate runs in.
+//!
+//! A substrate is a [`Protocol`] — per-node state plus handlers, with
+//! no clock and no queue of its own. `Sim<P>` owns everything that is
+//! the same for all of them: the [`Network`], the reusable same-tick
+//! event batch, the maintenance flag, and the lookup ledger (issue
+//! time, deadline, outcome — "pending at the deadline reads
+//! [`LookupOutcome::Failed`]"). The lifecycle the paper's experiments
+//! drive — insert → [`Sim::run_to_quiescence`] →
+//! [`Sim::start_maintenance`] → [`Sim::set_availability`] →
+//! [`Sim::run_until`] / [`Sim::issue_lookup`] → [`Sim::lookup_outcome`]
+//! — is implemented here once, so every system a figure compares is
+//! driven by the same loop by construction.
+//!
+//! Handlers reach the world through [`Cx`], a plain borrow of the
+//! network and the ledger: there is one simulated world, so there is no
+//! outbox trait to implement and nothing to configure.
+
+use fxhash::FxHashMap;
+use mpil_id::Id;
+use mpil_overlay::NodeIdx;
+use rand::rngs::SmallRng;
+use rand::Rng;
+use serde::{Deserialize, Serialize};
+
+use crate::availability::Availability;
+use crate::latency::LatencyModel;
+use crate::net::{Event, NetStats, Network};
+use crate::outcome::LookupOutcome;
+use crate::pool::PayloadPool;
+use crate::time::{SimDuration, SimTime};
+
+/// Protocol counters in a shape every engine can fill, attributing the
+/// kernel's raw sends to operations.
+///
+/// Attribution contract (checked by [`Counters::checked_sum`] in the
+/// engine-conformance suite):
+///
+/// * every transmission is attributed to **at most one** class —
+///   lookup, insert, reply, or maintenance — at the moment it is handed
+///   to the kernel;
+/// * `total_messages` is everything the engine put on the wire, so each
+///   class, and the sum of all four, never exceeds it.
+///
+/// The DHT baselines and the gossip engine attribute every send, so
+/// their class sum *equals* `total_messages`; an engine with
+/// unattributed traffic (protocol acks, transport chatter) may leave
+/// the sum strictly below the total, never above it. MPIL has no acks:
+/// its class sum coincides with the kernel's send count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Counters {
+    /// Transmissions carrying lookups.
+    pub lookup_messages: u64,
+    /// Transmissions carrying inserts (and replication pushes).
+    pub insert_messages: u64,
+    /// Direct lookup replies.
+    pub reply_messages: u64,
+    /// Maintenance traffic: probes, stabilization, refreshes,
+    /// heartbeats, deletes.
+    pub maintenance_messages: u64,
+    /// Everything sent, including acks where the protocol has them.
+    pub total_messages: u64,
+}
+
+impl Counters {
+    /// Sum of the four per-class counters.
+    pub fn class_sum(&self) -> u64 {
+        self.lookup_messages
+            + self.insert_messages
+            + self.reply_messages
+            + self.maintenance_messages
+    }
+
+    /// Returns [`Counters::class_sum`] after asserting the attribution
+    /// contract: no class, and no sum of classes, exceeds
+    /// `total_messages`. The conformance suite runs this against every
+    /// engine at every lifecycle stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any per-class counter, or the class sum, exceeds
+    /// `total_messages` (a double-counted or unsent attribution).
+    pub fn checked_sum(&self) -> u64 {
+        for (class, count) in [
+            ("lookup_messages", self.lookup_messages),
+            ("insert_messages", self.insert_messages),
+            ("reply_messages", self.reply_messages),
+            ("maintenance_messages", self.maintenance_messages),
+        ] {
+            assert!(
+                count <= self.total_messages,
+                "{class} = {count} exceeds total_messages = {}",
+                self.total_messages
+            );
+        }
+        let sum = self.class_sum();
+        assert!(
+            sum <= self.total_messages,
+            "class sum {sum} exceeds total_messages = {} (a send was attributed twice)",
+            self.total_messages
+        );
+        sum
+    }
+}
+
+/// One open or settled lookup.
+#[derive(Debug)]
+struct LookupEntry {
+    issued_at: SimTime,
+    deadline: SimTime,
+    outcome: LookupOutcome,
+}
+
+/// The lookup ledger: every lookup a simulation issued, by the id its
+/// protocol gave it.
+#[derive(Debug, Default)]
+struct Ledger {
+    entries: FxHashMap<u64, LookupEntry>,
+}
+
+impl Ledger {
+    fn open(&mut self, id: u64, now: SimTime, deadline: SimTime) {
+        self.entries.insert(
+            id,
+            LookupEntry {
+                issued_at: now,
+                deadline,
+                outcome: LookupOutcome::Pending,
+            },
+        );
+    }
+
+    /// A positive reply reached the origin at `now`: the first one by
+    /// the deadline settles the lookup as succeeded, one after it as
+    /// failed; later ones change nothing.
+    fn complete(&mut self, id: u64, hops: u32, now: SimTime) {
+        if let Some(entry) = self.entries.get_mut(&id) {
+            if entry.outcome == LookupOutcome::Pending {
+                entry.outcome = if now <= entry.deadline {
+                    LookupOutcome::Succeeded {
+                        hops,
+                        latency: now.duration_since(entry.issued_at),
+                    }
+                } else {
+                    LookupOutcome::Failed
+                };
+            }
+        }
+    }
+
+    fn fail(&mut self, id: u64) {
+        if let Some(entry) = self.entries.get_mut(&id) {
+            if entry.outcome == LookupOutcome::Pending {
+                entry.outcome = LookupOutcome::Failed;
+            }
+        }
+    }
+
+    /// A lookup still pending at its deadline reads as failed (a reply
+    /// arriving exactly at the deadline is processed before a query can
+    /// observe `now == deadline`, so it wins); so does an unknown id.
+    fn outcome(&self, id: u64, now: SimTime) -> LookupOutcome {
+        match self.entries.get(&id) {
+            None => LookupOutcome::Failed,
+            Some(entry) => match entry.outcome {
+                LookupOutcome::Pending if now >= entry.deadline => LookupOutcome::Failed,
+                outcome => outcome,
+            },
+        }
+    }
+}
+
+/// What a [`Protocol`] handler can do to the simulated world: send,
+/// arm timers, draw randomness, read the clock and the availability
+/// model, and settle lookups. A borrow of the [`Sim`]'s network and
+/// ledger, handed to every handler call.
+pub struct Cx<'a, P: Protocol> {
+    net: &'a mut Network<P::Msg, P::Timer>,
+    lookups: &'a mut Ledger,
+}
+
+impl<P: Protocol> Cx<'_, P> {
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.net.now()
+    }
+
+    /// Sends `msg` from `from` to `to` (see [`Network::send`]).
+    pub fn send(&mut self, from: NodeIdx, to: NodeIdx, msg: P::Msg) {
+        self.net.send(from, to, msg);
+    }
+
+    /// Schedules `timer` to fire at `node` after `delay`.
+    pub fn schedule(&mut self, node: NodeIdx, delay: SimDuration, timer: P::Timer) {
+        self.net.schedule(node, delay, timer);
+    }
+
+    /// Schedules the first fire of a periodic `timer` at `node`,
+    /// uniformly inside one `period` from now, so that nodes started
+    /// together do not run their rounds in lockstep.
+    pub fn schedule_staggered(&mut self, node: NodeIdx, period: SimDuration, timer: P::Timer) {
+        let delay = self.net.rng().gen_range(0..period.as_micros());
+        self.net
+            .schedule(node, SimDuration::from_micros(delay), timer);
+    }
+
+    /// The deterministic simulation RNG (the one [`Network::send`]
+    /// draws latencies and losses from).
+    pub fn rng(&mut self) -> &mut SmallRng {
+        self.net.rng()
+    }
+
+    /// The kernel's payload spill pool (see [`Network::payload_pool`]).
+    pub fn payload_pool(&mut self) -> &mut PayloadPool<NodeIdx> {
+        self.net.payload_pool()
+    }
+
+    /// Is `node` online right now?
+    pub fn is_online(&self, node: NodeIdx) -> bool {
+        self.net.is_online(node)
+    }
+
+    /// Is `node` online at `at`?
+    pub fn is_online_at(&self, node: NodeIdx, at: SimTime) -> bool {
+        self.net.is_online_at(node, at)
+    }
+
+    /// Opens lookup `id` in the ledger, issued now and due by
+    /// `deadline`. The id sequence is the protocol's own.
+    pub fn open_lookup(&mut self, id: u64, deadline: SimTime) {
+        self.lookups.open(id, self.net.now(), deadline);
+    }
+
+    /// A positive reply for lookup `id`, found `hops` away, reached its
+    /// origin now. Only the first terminal event of a lookup counts.
+    pub fn complete_lookup(&mut self, id: u64, hops: u32) {
+        self.lookups.complete(id, hops, self.net.now());
+    }
+
+    /// Lookup `id` ended without a holder (a negative reply, a hop
+    /// limit, a converged search).
+    pub fn fail_lookup(&mut self, id: u64) {
+        self.lookups.fail(id);
+    }
+
+    /// Is lookup `id` still worth spending messages on — no terminal
+    /// event yet and its deadline ahead?
+    pub fn lookup_is_open(&self, id: u64) -> bool {
+        self.lookups.outcome(id, self.net.now()) == LookupOutcome::Pending
+    }
+}
+
+/// One discovery substrate as a state machine: the state of all its
+/// nodes and the handlers that react to events, nothing else. The
+/// clock, the queue, the run loop and the lookup ledger belong to the
+/// [`Sim`] that hosts it.
+///
+/// Adding a substrate is implementing this trait; `Sim<P>` then speaks
+/// the whole experiment lifecycle (and `mpil_harness::DiscoveryEngine`)
+/// for it.
+pub trait Protocol: Sized {
+    /// What nodes send each other.
+    type Msg;
+    /// What a node's timer carries.
+    type Timer;
+    /// The converged per-node state a simulation starts from (ids,
+    /// routing tables, views, ...), as its bootstrap builds it.
+    type Parts;
+    /// The protocol's knobs.
+    type Config;
+
+    /// Assembles the protocol from converged parts.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic on an invalid configuration or on parts
+    /// that disagree with each other.
+    fn build(parts: Self::Parts, config: Self::Config) -> Self;
+
+    /// Short human-readable engine name ("MPIL", "Chord", ...).
+    fn name(&self) -> &'static str;
+
+    /// Number of nodes.
+    fn nodes(&self) -> usize;
+
+    /// Reacts to one delivered message or fired timer. Implementations
+    /// mark it `#[inline]`: the run loop is instantiated in whichever
+    /// crate first names `Sim<P>`, and the dispatch belongs inside it.
+    fn on_event(&mut self, cx: &mut Cx<'_, Self>, event: Event<Self::Msg, Self::Timer>);
+
+    /// Starts an insertion of `object` from `origin`.
+    fn insert(&mut self, cx: &mut Cx<'_, Self>, origin: NodeIdx, object: Id);
+
+    /// Starts a lookup of `object` from `origin`: opens it in the
+    /// ledger ([`Cx::open_lookup`]) under an id of the protocol's own
+    /// sequence and returns that id.
+    fn lookup(
+        &mut self,
+        cx: &mut Cx<'_, Self>,
+        origin: NodeIdx,
+        object: Id,
+        deadline: SimTime,
+    ) -> u64;
+
+    /// Lets `joiner` (re-)join through `bootstrap`; `false` (the
+    /// default) when the protocol has no join.
+    fn join(&mut self, _cx: &mut Cx<'_, Self>, _joiner: NodeIdx, _bootstrap: NodeIdx) -> bool {
+        false
+    }
+
+    /// Arms the protocol's periodic timers and returns `true`. The
+    /// default has none and returns `false`, which leaves the
+    /// simulation able to quiesce.
+    fn start_maintenance(&mut self, _cx: &mut Cx<'_, Self>) -> bool {
+        false
+    }
+
+    /// The availability model was swapped while maintenance is running:
+    /// re-arm whatever was scheduled against the old one.
+    fn availability_changed(&mut self, _cx: &mut Cx<'_, Self>) {}
+
+    /// Reorders one tick's batch before it is dispatched, for a
+    /// protocol whose timer arming would otherwise permute same-tick
+    /// events. The default keeps the kernel's order.
+    fn order_tick(_batch: &mut [Event<Self::Msg, Self::Timer>]) {}
+
+    /// Does `node` store a replica/pointer for `object`?
+    fn holds(&self, node: NodeIdx, object: Id) -> bool;
+
+    /// Protocol counters attributed to operations; `net` is the
+    /// kernel's view, for protocols whose total is the raw send count.
+    fn counters(&self, net: &NetStats) -> Counters;
+}
+
+/// A [`Protocol`] running on the deterministic kernel: the simulation
+/// every experiment drives.
+///
+/// Derefs to the protocol for its own read accessors (`stats()`,
+/// `ids()`, `neighbor_lists()`, ...).
+pub struct Sim<P: Protocol> {
+    protocol: P,
+    net: Network<P::Msg, P::Timer>,
+    lookups: Ledger,
+    /// Reusable same-tick delivery batch (see
+    /// [`Network::next_batch_before`]).
+    batch: Vec<Event<P::Msg, P::Timer>>,
+    maintenance_started: bool,
+}
+
+impl<P: Protocol> Sim<P> {
+    /// Builds the simulation from converged protocol parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Protocol::build`] does.
+    pub fn new(
+        parts: P::Parts,
+        config: P::Config,
+        availability: Box<dyn Availability>,
+        latency: Box<dyn LatencyModel>,
+        seed: u64,
+    ) -> Self {
+        let protocol = P::build(parts, config);
+        let net = Network::new(protocol.nodes(), availability, latency, seed);
+        Sim {
+            protocol,
+            net,
+            lookups: Ledger::default(),
+            batch: Vec::new(),
+            maintenance_started: false,
+        }
+    }
+
+    /// Runs `f` on the protocol with the world access a handler has.
+    /// The lifecycle below is built on it; callers use it for a
+    /// protocol operation the lifecycle does not name (MPIL's
+    /// owner-driven delete, a test reaching into node state).
+    pub fn with<R>(&mut self, f: impl FnOnce(&mut P, &mut Cx<'_, P>) -> R) -> R {
+        let mut cx = Cx {
+            net: &mut self.net,
+            lookups: &mut self.lookups,
+        };
+        f(&mut self.protocol, &mut cx)
+    }
+
+    /// Short human-readable engine name.
+    pub fn name(&self) -> &'static str {
+        self.protocol.name()
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.protocol.nodes()
+    }
+
+    /// Returns `true` if the simulation has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.net.now()
+    }
+
+    /// Starts an insertion of `object` from `origin`; propagation
+    /// happens as the caller runs the clock.
+    pub fn insert(&mut self, origin: NodeIdx, object: Id) {
+        self.with(|protocol, cx| protocol.insert(cx, origin, object));
+    }
+
+    /// Issues a lookup of `object` from `origin`, succeeding only if a
+    /// positive reply arrives by `deadline`.
+    pub fn issue_lookup(&mut self, origin: NodeIdx, object: Id, deadline: SimTime) -> u64 {
+        self.with(|protocol, cx| protocol.lookup(cx, origin, object, deadline))
+    }
+
+    /// Outcome of a lookup; `Pending` at or past its deadline reads as
+    /// `Failed`.
+    pub fn lookup_outcome(&self, lookup: u64) -> LookupOutcome {
+        self.lookups.outcome(lookup, self.net.now())
+    }
+
+    /// Lets `joiner` (re-)join the overlay through `bootstrap`; `false`
+    /// when the protocol has no join.
+    pub fn join(&mut self, joiner: NodeIdx, bootstrap: NodeIdx) -> bool {
+        self.with(|protocol, cx| protocol.join(cx, joiner, bootstrap))
+    }
+
+    /// Turns on periodic overlay maintenance (a no-op for protocols
+    /// that are maintenance-free by design).
+    ///
+    /// # Panics
+    ///
+    /// Panics if maintenance was already started.
+    pub fn start_maintenance(&mut self) {
+        assert!(!self.maintenance_started, "maintenance already started");
+        self.maintenance_started = self.with(|protocol, cx| protocol.start_maintenance(cx));
+    }
+
+    /// Swaps the availability model (static stage → perturbed stage).
+    /// Takes effect immediately.
+    pub fn set_availability(&mut self, availability: Box<dyn Availability>) {
+        self.net.set_availability(availability);
+        if self.maintenance_started {
+            self.with(|protocol, cx| protocol.availability_changed(cx));
+        }
+    }
+
+    /// Sets the independent per-message link-loss probability (failure
+    /// injection; see [`Network::set_loss_probability`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 <= p <= 1.0`.
+    pub fn set_loss_probability(&mut self, p: f64) {
+        self.net.set_loss_probability(p);
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = NodeIdx> {
+        (0..self.len() as u32).map(NodeIdx::new)
+    }
+
+    /// Nodes currently storing a replica/pointer for `object`.
+    pub fn replica_holders(&self, object: Id) -> Vec<NodeIdx> {
+        self.nodes()
+            .filter(|&n| self.protocol.holds(n, object))
+            .collect()
+    }
+
+    /// Number of replica holders for `object`, without materialising
+    /// the holder list.
+    pub fn replica_count(&self, object: Id) -> usize {
+        self.nodes()
+            .filter(|&n| self.protocol.holds(n, object))
+            .count()
+    }
+
+    /// Runs the event loop until `deadline` (inclusive); the clock ends
+    /// at `deadline` even if the queue drains early.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        let mut batch = std::mem::take(&mut self.batch);
+        while self.net.next_batch_before(deadline, &mut batch) {
+            P::order_tick(&mut batch);
+            self.with(|protocol, cx| {
+                for event in batch.drain(..) {
+                    protocol.on_event(cx, event);
+                }
+            });
+        }
+        self.batch = batch;
+    }
+
+    /// Runs until no events remain.
+    ///
+    /// # Panics
+    ///
+    /// Panics once periodic maintenance timers are armed: they never
+    /// quiesce.
+    pub fn run_to_quiescence(&mut self) {
+        assert!(
+            !self.maintenance_started,
+            "periodic maintenance never quiesces; use run_until"
+        );
+        self.run_until(SimTime::from_micros(u64::MAX));
+    }
+
+    /// Protocol counters attributed to operations.
+    pub fn counters(&self) -> Counters {
+        self.protocol.counters(&self.net.stats())
+    }
+
+    /// Kernel counters (raw sends, deliveries, offline/loss drops).
+    pub fn net_stats(&self) -> NetStats {
+        self.net.stats()
+    }
+}
+
+impl<P: Protocol> std::ops::Deref for Sim<P> {
+    type Target = P;
+
+    fn deref(&self) -> &P {
+        &self.protocol
+    }
+}
+
+impl<P: Protocol> std::fmt::Debug for Sim<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sim")
+            .field("protocol", &self.name())
+            .field("nodes", &self.len())
+            .field("now", &self.net.now())
+            .field("counters", &self.counters())
+            .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counters_default_to_zero() {
+        let c = Counters::default();
+        assert_eq!(c.total_messages, 0);
+        assert_eq!(c.lookup_messages, 0);
+    }
+
+    #[test]
+    fn checked_sum_accepts_attributed_and_unattributed_traffic() {
+        let exact = Counters {
+            lookup_messages: 3,
+            insert_messages: 2,
+            reply_messages: 1,
+            maintenance_messages: 4,
+            total_messages: 10,
+        };
+        assert_eq!(exact.checked_sum(), 10);
+        let with_acks = Counters {
+            total_messages: 12,
+            ..exact
+        };
+        assert_eq!(with_acks.checked_sum(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds total_messages")]
+    fn checked_sum_rejects_overattribution() {
+        let broken = Counters {
+            lookup_messages: 6,
+            insert_messages: 6,
+            reply_messages: 0,
+            maintenance_messages: 0,
+            total_messages: 10,
+        };
+        let _ = broken.checked_sum();
+    }
+}

@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod availability;
+pub mod engine;
 pub mod latency;
 pub mod net;
 pub mod outcome;
@@ -36,6 +37,7 @@ pub mod time;
 mod wheel;
 
 pub use availability::{AlwaysOn, Availability, Flapping, FlappingConfig, TraceChurn};
+pub use engine::{Counters, Cx, Protocol, Sim};
 pub use latency::{ConstantLatency, LatencyModel, TransitStubLatency, UniformLatency};
 pub use net::{Event, NetStats, Network};
 pub use outcome::LookupOutcome;

@@ -1,5 +1,6 @@
-//! A minimal flag parser for the experiment binaries (kept dependency-
-//! free; the offline crate set has no argument-parsing crate).
+//! A minimal flag parser for the experiment binaries, `mpilctl`, `mpild`
+//! and `mpil-load` (kept dependency-free; the offline crate set has no
+//! argument-parsing crate).
 
 use fxhash::FxHashMap;
 

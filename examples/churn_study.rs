@@ -10,7 +10,7 @@
 //! lookup success of Pastry routing (with full maintenance) against MPIL
 //! routing over the *same frozen overlay* with zero maintenance.
 
-use mpil_bench::perturb::{run_system, PerturbRun, System};
+use mpil_harness::{run_scenario, EngineSpec, PerturbRun, Scenario};
 
 fn main() {
     println!("perturbation study: 300 nodes, 40 lookups per point, idle:offline = 30:30\n");
@@ -29,9 +29,9 @@ fn main() {
             loss_probability: 0.0,
             seed: 11,
         };
-        let pastry = run_system(System::Pastry, run);
-        let mpil_ds = run_system(System::MpilDs, run);
-        let mpil_no = run_system(System::MpilNoDs, run);
+        let pastry = run_scenario(&Scenario::new(EngineSpec::MSPASTRY, run));
+        let mpil_ds = run_scenario(&Scenario::new(EngineSpec::MPIL_DS, run));
+        let mpil_no = run_scenario(&Scenario::new(EngineSpec::MPIL_NO_DS, run));
         println!(
             "{p:>10.2} {:>11.1}% {:>13.1}% {:>13.1}%",
             pastry.success_rate, mpil_ds.success_rate, mpil_no.success_rate

@@ -55,7 +55,7 @@ fn run_chord(objects: &[Id], rng: &mut SmallRng, latency: Box<dyn mpil_sim::Late
     let config = ChordConfig::default();
     let ids = mpil_chord::random_ids(N, rng);
     let states = mpil_chord::build_converged_states(&ids, &config);
-    let mut sim = ChordSim::new(ids, states, config, Box::new(AlwaysOn), latency, SEED);
+    let mut sim = ChordSim::new((ids, states), config, Box::new(AlwaysOn), latency, SEED);
     for &o in objects {
         sim.insert(origin, o);
     }
@@ -94,7 +94,7 @@ fn run_kademlia(
     let config = KademliaConfig::default().with_k(k).with_alpha(alpha);
     let ids = mpil_chord::random_ids(N, rng);
     let tables = mpil_kademlia::build_converged_tables(&ids, &config);
-    let mut sim = KademliaSim::new(ids, tables, config, Box::new(AlwaysOn), latency, SEED);
+    let mut sim = KademliaSim::new((ids, tables), config, Box::new(AlwaysOn), latency, SEED);
     for &o in objects {
         sim.insert(origin, o);
     }
@@ -131,8 +131,7 @@ fn run_mpil(objects: &[Id], rng: &mut SmallRng, latency: Box<dyn mpil_sim::Laten
     let states = mpil_chord::build_converged_states(&ids, &config);
     let neighbors: Vec<Vec<NodeIdx>> = states.iter().map(|s| s.neighbor_list()).collect();
     let mut net = DynamicNetwork::new(
-        ids,
-        neighbors,
+        (ids, neighbors),
         DynamicConfig {
             mpil: MpilConfig::default()
                 .with_max_flows(10)
@@ -159,7 +158,7 @@ fn run_mpil(objects: &[Id], rng: &mut SmallRng, latency: Box<dyn mpil_sim::Laten
     }
     let ok = handles
         .iter()
-        .filter(|&&h| matches!(net.lookup_status(h), LookupStatus::Succeeded { .. }))
+        .filter(|&&h| matches!(net.lookup_outcome(h), LookupStatus::Succeeded { .. }))
         .count();
     report("MPIL (frozen graph)", ok, objects.len());
 }

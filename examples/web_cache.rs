@@ -11,7 +11,7 @@
 //! holders heartbeat the owner (Section 4.4's deletion protocol), so when
 //! the owner evicts the entry it can delete every pointer replica.
 
-use mpil::{DynamicConfig, DynamicNetwork, LookupStatus, MpilConfig};
+use mpil::{frozen, DynamicConfig, DynamicNetwork, LookupStatus, MpilConfig};
 use mpil_id::Id;
 use mpil_overlay::{generators, NodeIdx};
 use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration};
@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Replica holders heartbeat the owner every 20 simulated seconds.
         heartbeat_period: Some(SimDuration::from_secs(20)),
     };
-    let mut net = DynamicNetwork::from_topology(
-        &topo,
+    let mut net = DynamicNetwork::new(
+        frozen(&topo),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(15))),
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let deadline = net.now() + SimDuration::from_secs(30);
     let lk = net.issue_lookup(client, url_key(urls[0]), deadline);
     net.run_until(deadline);
-    match net.lookup_status(lk) {
+    match net.lookup_outcome(lk) {
         LookupStatus::Succeeded { hops, latency } => println!(
             "\nproxy {client} resolved {} in {hops} hops ({latency})",
             urls[0]
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The owner evicts one entry: heartbeats told it where the replicas
     // are, so explicit deletes reach all of them.
-    net.delete(owner, url_key(urls[1]));
+    net.with(|mpil, cx| mpil.delete(cx, owner, url_key(urls[1])));
     net.run_until(net.now() + SimDuration::from_secs(30));
     println!(
         "after eviction, {} replicas of {} remain",
@@ -100,6 +100,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net.now() + SimDuration::from_secs(30),
     );
     net.run_until(net.now() + SimDuration::from_secs(31));
-    println!("lookup of evicted entry: {:?}", net.lookup_status(lk2));
+    println!("lookup of evicted entry: {:?}", net.lookup_outcome(lk2));
     Ok(())
 }

@@ -25,7 +25,7 @@
 //!   channel/UDP transports, perturbable clusters).
 //! * [`mpil_analysis`] — closed-form analysis from Section 5 of the paper.
 //! * [`mpil_workload`] — workload generators, experiment harness, statistics.
-//! * [`mpil_harness`] — the `DiscoveryEngine` trait over all five engines,
+//! * [`mpil_harness`] — the `DiscoveryEngine` trait (one impl, for `Sim<P>`),
 //!   `Scenario` descriptors, and the parallel multi-seed `ExperimentRunner`.
 //!
 //! Insert from one node, look up from another, on an arbitrary overlay:

@@ -5,8 +5,8 @@
 
 use mpil::MpilConfig;
 use mpil_analysis::AnalysisModel;
-use mpil_bench::perturb::{run_system, PerturbRun, System};
 use mpil_bench::static_exp::{insertion_behavior, lookup_behavior, paper_insert_config, Family};
+use mpil_harness::{run_scenario, EngineSpec, PerturbRun, Scenario};
 
 fn mini(system_idle: u64, offline: u64, p: f64) -> PerturbRun {
     PerturbRun {
@@ -23,7 +23,7 @@ fn mini(system_idle: u64, offline: u64, p: f64) -> PerturbRun {
 
 #[test]
 fn fig1_point_runs() {
-    let r = run_system(System::Pastry, mini(30, 30, 0.5));
+    let r = run_scenario(&Scenario::new(EngineSpec::MSPASTRY, mini(30, 30, 0.5)));
     assert!((0.0..=100.0).contains(&r.success_rate));
     assert!(r.total_messages > 0);
 }
@@ -102,8 +102,8 @@ fn fig10_metrics_consistent() {
 #[test]
 fn fig11_ordering_holds_at_extreme_perturbation() {
     let run = mini(300, 300, 1.0);
-    let pastry = run_system(System::Pastry, run);
-    let mpil = run_system(System::MpilNoDs, run);
+    let pastry = run_scenario(&Scenario::new(EngineSpec::MSPASTRY, run));
+    let mpil = run_scenario(&Scenario::new(EngineSpec::MPIL_NO_DS, run));
     assert!(
         mpil.success_rate >= pastry.success_rate,
         "MPIL {} vs Pastry {}",
@@ -115,8 +115,8 @@ fn fig11_ordering_holds_at_extreme_perturbation() {
 #[test]
 fn fig12_traffic_relations_hold() {
     let run = mini(30, 30, 0.4);
-    let pastry = run_system(System::Pastry, run);
-    let mpil = run_system(System::MpilDs, run);
+    let pastry = run_scenario(&Scenario::new(EngineSpec::MSPASTRY, run));
+    let mpil = run_scenario(&Scenario::new(EngineSpec::MPIL_DS, run));
     assert!(mpil.lookup_messages > pastry.lookup_messages);
     assert!(pastry.total_messages > mpil.total_messages);
 }

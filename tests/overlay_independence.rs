@@ -3,8 +3,9 @@
 //! Kademlia pointer graphs) and unstructured (random, power-law) —
 //! without parameter retuning.
 
-use mpil_bench::dhts::{mean_out_degree, run_mpil_over, OverlaySource};
-use mpil_bench::perturb::PerturbRun;
+use mpil_harness::{
+    mean_out_degree, run_scenario, EngineSpec, OverlaySource, PerturbRun, Scenario,
+};
 
 const SOURCES: [OverlaySource; 5] = [
     OverlaySource::Pastry,
@@ -30,7 +31,7 @@ fn mini(p: f64, seed: u64) -> PerturbRun {
 #[test]
 fn one_configuration_works_on_every_family() {
     for src in SOURCES {
-        let r = run_mpil_over(src, mini(0.0, 51));
+        let r = run_scenario(&Scenario::new(EngineSpec::MpilOver(src), mini(0.0, 51)));
         assert!(
             r.success_rate >= 90.0,
             "{}: success {} below bar",
@@ -52,7 +53,7 @@ fn cost_stays_in_one_band_across_families() {
     // at max_flows × path work, independent of the graph.
     let mut costs = Vec::new();
     for src in SOURCES {
-        let r = run_mpil_over(src, mini(0.0, 52));
+        let r = run_scenario(&Scenario::new(EngineSpec::MpilOver(src), mini(0.0, 52)));
         let per_lookup = r.lookup_messages as f64 / 20.0;
         assert!(
             per_lookup <= 60.0,
@@ -90,7 +91,7 @@ fn structured_pointer_graphs_have_sane_shape() {
 #[test]
 fn moderate_perturbation_does_not_break_any_family() {
     for src in SOURCES {
-        let r = run_mpil_over(src, mini(0.5, 54));
+        let r = run_scenario(&Scenario::new(EngineSpec::MpilOver(src), mini(0.5, 54)));
         assert!(
             r.success_rate >= 75.0,
             "{} at p=0.5: {}",

@@ -90,8 +90,7 @@ fn overlay_to_sim_lookup_end_to_end() {
         heartbeat_period: None,
     };
     let mut net = DynamicNetwork::new(
-        ids,
-        neighbors,
+        (ids, neighbors),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(10))),
@@ -107,7 +106,7 @@ fn overlay_to_sim_lookup_end_to_end() {
     net.run_until(deadline);
     // hops == 0 is legal: with 5 replicas on 64 nodes the querier itself
     // may hold one, so only the success of the lookup is asserted.
-    match net.lookup_status(lookup) {
+    match net.lookup_outcome(lookup) {
         LookupStatus::Succeeded { .. } => {}
         other => panic!("lookup did not succeed on a healthy overlay: {other:?}"),
     }
