@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Prints one JSON object line per invocation. Run one point per process
-//! so the `VmHWM` peak-RSS reading belongs to that point;
-//! `BENCH_scale.json` is composed from the per-point lines.
+//! so the `VmHWM` peak-RSS reading belongs to that point; a scaling
+//! curve is the per-point lines of several invocations.
 //!
 //! `--strategy` selects the gossip lookup strategy (`walk`, the
 //! default, `ring`, `plumtree`, or `foaf` — the last two pick the

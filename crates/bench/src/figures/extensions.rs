@@ -4,21 +4,37 @@
 
 use mpil::{DynamicConfig, DynamicNetwork, MpilConfig};
 use mpil_harness::{
-    mean_out_degree, DiscoveryEngine, EngineSpec, ExperimentRunner, LookupStrategy, OverlaySource,
-    PerturbResult, PerturbRun, PreparedRun, Report, Scenario,
+    mean_out_degree, run_prepared, run_scenario, DiscoveryEngine, EngineSpec, ExperimentRunner,
+    OverlaySource, PerturbResult, PerturbRun, Report, Scenario,
 };
 use mpil_id::Id;
 use mpil_overlay::transit_stub::{self, TransitStubConfig};
 use mpil_overlay::NodeIdx;
 use mpil_pastry::{build_converged_states, PastryConfig, PastrySim};
-use mpil_sim::{
-    AlwaysOn, Flapping, FlappingConfig, SimDuration, SimTime, TraceChurn, TransitStubLatency,
-};
+use mpil_sim::{AlwaysOn, SimDuration, SimTime, TraceChurn, TransitStubLatency};
 use mpil_workload::Table;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use super::{row, sweep};
 use crate::cli::Args;
+
+/// Every spec at every probability under 30:30 flapping, on one worker
+/// per core: `[spec][probability]`.
+fn sweep_30_30<R: Send>(
+    specs: &[EngineSpec],
+    probabilities: &[f64],
+    nodes: usize,
+    ops: usize,
+    seed: u64,
+    measure: impl Fn(&Scenario) -> R + Sync,
+) -> Vec<Vec<R>> {
+    let rows: Vec<Scenario> = specs
+        .iter()
+        .map(|&spec| row(spec, (30, 30), nodes, ops, seed))
+        .collect();
+    sweep(ExperimentRunner::default(), &rows, probabilities, measure)
+}
 
 /// Extension: the Figure 11 comparison widened to three DHT baselines.
 ///
@@ -40,36 +56,24 @@ pub fn ext_dht_comparison(args: &Args) -> Report {
     let ops = args.value_or("ops", ops);
     let probabilities = [0.2, 0.5, 0.9];
 
-    let specs: Vec<EngineSpec> = vec![
-        EngineSpec::Pastry {
-            replication_on_route: false,
-        },
+    let specs = [
+        EngineSpec::MSPASTRY,
         EngineSpec::Chord,
         EngineSpec::Kademlia { k: 1, alpha: 1 },
-        EngineSpec::Kademlia { k: 8, alpha: 3 },
+        EngineSpec::KADEMLIA,
         EngineSpec::MpilOver(OverlaySource::Pastry),
         EngineSpec::MpilOver(OverlaySource::Chord),
         EngineSpec::MpilOver(OverlaySource::Kademlia),
     ];
-    let mut points = Vec::new();
-    for &spec in &specs {
-        for &p in &probabilities {
-            let mut run = PerturbRun::new(30, 30, p);
-            run.nodes = nodes;
-            run.operations = ops;
-            run.seed = seed;
-            points.push(Scenario::new(spec, run));
-        }
-    }
-    let results = ExperimentRunner::default().run_scenarios(&points);
+    let results = sweep_30_30(&specs, &probabilities, nodes, ops, seed, run_scenario);
 
     let mut header: Vec<String> = vec!["system".into()];
     header.extend(probabilities.iter().map(|p| format!("p={p} %")));
     let mut table = Table::new(header);
-    for (si, spec) in specs.iter().enumerate() {
+    for (spec, results) in specs.iter().zip(&results) {
         let mut cells = vec![spec.label()];
-        for (pi, &p) in probabilities.iter().enumerate() {
-            let rate = results[si * probabilities.len() + pi].success_rate;
+        for (&p, r) in probabilities.iter().zip(results) {
+            let rate = r.success_rate;
             cells.push(format!("{rate:.1}"));
             eprintln!("{} p={p}: {rate:.1}%", spec.label());
         }
@@ -114,17 +118,8 @@ pub fn ext_overlay_independence(args: &Args) -> Report {
         OverlaySource::PowerLaw,
     ];
     let probabilities = [0.0, 0.5, 0.9];
-    let mut points = Vec::new();
-    for &src in &sources {
-        for &p in &probabilities {
-            let mut run = PerturbRun::new(30, 30, p);
-            run.nodes = nodes;
-            run.operations = ops;
-            run.seed = seed;
-            points.push(Scenario::new(EngineSpec::MpilOver(src), run));
-        }
-    }
-    let results = ExperimentRunner::default().run_scenarios(&points);
+    let specs = sources.map(EngineSpec::MpilOver);
+    let results = sweep_30_30(&specs, &probabilities, nodes, ops, seed, run_scenario);
 
     let mut table = Table::new(vec![
         "overlay".into(),
@@ -135,14 +130,13 @@ pub fn ext_overlay_independence(args: &Args) -> Report {
         "hops (p=0)".into(),
         "msgs/lookup (p=0)".into(),
     ]);
-    for (si, src) in sources.iter().enumerate() {
+    for (src, results) in sources.iter().zip(&results) {
         let (_, nbrs) = src.build(nodes, seed);
         let degree = mean_out_degree(&nbrs);
         let mut cells = vec![src.label(), format!("{degree:.1}")];
         let mut calm_hops = String::new();
         let mut calm_msgs = String::new();
-        for (pi, &p) in probabilities.iter().enumerate() {
-            let r = &results[si * probabilities.len() + pi];
+        for (&p, r) in probabilities.iter().zip(results) {
             cells.push(format!("{:.1}", r.success_rate));
             if p == 0.0 {
                 calm_hops = format!("{:.2}", r.mean_reply_hops);
@@ -268,35 +262,15 @@ pub fn ext_gossip_discovery(args: &Args) -> Report {
     }
     let probabilities = [0.0, 0.5, 0.9];
 
-    let specs: Vec<EngineSpec> = vec![
-        EngineSpec::Gossip {
-            view: 8,
-            walkers: 8,
-            ttl: 16,
-            strategy: LookupStrategy::KRandomWalk,
-        },
-        EngineSpec::Gossip {
-            view: 8,
-            walkers: 8,
-            ttl: 8,
-            strategy: LookupStrategy::ExpandingRing,
-        },
+    let specs = [
+        EngineSpec::GOSSIP_WALK,
+        EngineSpec::GOSSIP_RING,
         EngineSpec::Chord,
-        EngineSpec::Kademlia { k: 8, alpha: 3 },
+        EngineSpec::KADEMLIA,
         EngineSpec::MpilOver(OverlaySource::Gossip { view: 8 }),
         EngineSpec::MpilOver(OverlaySource::RandomRegular(8)),
     ];
-    let mut points = Vec::new();
-    for &spec in &specs {
-        for &p in &probabilities {
-            let mut run = PerturbRun::new(30, 30, p);
-            run.nodes = nodes;
-            run.operations = ops;
-            run.seed = seed;
-            points.push(Scenario::new(spec, run));
-        }
-    }
-    let results = ExperimentRunner::default().run_scenarios(&points);
+    let results = sweep_30_30(&specs, &probabilities, nodes, ops, seed, run_scenario);
 
     let mut header: Vec<String> = vec!["system".into()];
     header.extend(probabilities.iter().map(|p| format!("p={p} %")));
@@ -304,15 +278,14 @@ pub fn ext_gossip_discovery(args: &Args) -> Report {
     header.push("msgs/lookup (p=0.9)".into());
     header.push("hops (p=0)".into());
     let mut table = Table::new(header);
-    for (si, spec) in specs.iter().enumerate() {
+    for (spec, results) in specs.iter().zip(&results) {
         let mut cells = vec![spec.label()];
-        for (pi, &p) in probabilities.iter().enumerate() {
-            let rate = results[si * probabilities.len() + pi].success_rate;
+        for (&p, r) in probabilities.iter().zip(results) {
+            let rate = r.success_rate;
             cells.push(format!("{rate:.1}"));
             eprintln!("{} p={p}: {rate:.1}%", spec.label());
         }
-        let calm = &results[si * probabilities.len()];
-        let stormy = &results[si * probabilities.len() + probabilities.len() - 1];
+        let (calm, stormy) = (&results[0], &results[probabilities.len() - 1]);
         cells.push(format!("{:.1}", calm.lookup_messages as f64 / ops as f64));
         cells.push(format!("{:.1}", stormy.lookup_messages as f64 / ops as f64));
         cells.push(format!("{:.2}", calm.mean_reply_hops));
@@ -345,85 +318,22 @@ pub fn ext_gossip_discovery(args: &Args) -> Report {
 /// engines whose view graph healed (HyParView's reactive replacement)
 /// from engines that merely got lucky during the storm.
 fn dissemination_point(scenario: &Scenario) -> (PerturbResult, f64) {
-    let run = scenario.run;
-    let PreparedRun {
-        mut engine,
-        origin,
-        objects,
-        mut rng,
-        maintenance,
-        warmup_secs,
-    } = scenario.build();
-
-    for &object in &objects {
-        engine.insert(origin, object);
-    }
-    engine.run_to_quiescence();
-    let mean_replicas = objects
-        .iter()
-        .map(|&o| engine.replica_count(o) as f64)
-        .sum::<f64>()
-        / objects.len().max(1) as f64;
-
-    if maintenance {
-        engine.start_maintenance();
-    }
-    if warmup_secs > 0 {
-        engine.advance(SimDuration::from_secs(warmup_secs));
-    }
-    let flap_cfg = FlappingConfig {
-        idle: SimDuration::from_secs(run.idle_secs),
-        offline: SimDuration::from_secs(run.offline_secs),
-        probability: run.probability,
-        start: engine.now(),
-    };
-    let mut flap = Flapping::new(flap_cfg, run.nodes, run.seed ^ 0xf1a9, &mut rng);
-    flap.exempt(origin);
-    engine.set_availability(Box::new(flap));
-    let flap_start = engine.now();
-    let period = run.period();
-    let window = run.deadline_window();
-
-    let before = engine.counters();
-    let mut handles = Vec::with_capacity(objects.len());
-    for (i, &object) in objects.iter().enumerate() {
-        let issue_at = flap_start + period * (i as u64 + 1);
-        engine.run_until(issue_at);
-        handles.push(engine.issue_lookup(origin, object, issue_at + window));
-    }
-    engine.run_until(engine.now() + window + SimDuration::from_secs(30));
-    let mut hops = Vec::new();
-    let mut ok = 0u64;
-    for &handle in &handles {
-        if let mpil_sim::LookupOutcome::Succeeded { hops: h, .. } = engine.lookup_outcome(handle) {
-            ok += 1;
-            hops.push(f64::from(h));
-        }
-    }
-    let after = engine.counters();
-    let stormy = PerturbResult {
-        success_rate: 100.0 * ok as f64 / handles.len().max(1) as f64,
-        lookup_messages: after.lookup_messages - before.lookup_messages,
-        total_messages: after.total_messages - before.total_messages,
-        mean_reply_hops: hops.iter().sum::<f64>() / hops.len().max(1) as f64,
-        mean_replicas,
-    };
+    let run = &scenario.run;
+    let mut prepared = scenario.build();
+    let stormy = run_prepared(&mut prepared, run);
 
     // Recovery: the storm ends, the overlay heals, the workload repeats.
+    let engine = &mut prepared.engine;
     engine.set_availability(Box::new(AlwaysOn));
-    engine.run_until(engine.now() + period * 2);
-    let deadline = engine.now() + window;
-    let recovered: Vec<_> = objects
+    engine.run_until(engine.now() + run.period() * 2);
+    let deadline = engine.now() + run.deadline_window();
+    let recovered: Vec<_> = prepared
+        .objects
         .iter()
-        .map(|&o| engine.issue_lookup(origin, o, deadline))
+        .map(|&o| engine.issue_lookup(prepared.origin, o, deadline))
         .collect();
     engine.run_until(deadline + SimDuration::from_secs(30));
-    let rec_ok = recovered
-        .iter()
-        .filter(|&&h| engine.lookup_outcome(h).is_success())
-        .count();
-    let convergence = 100.0 * rec_ok as f64 / recovered.len().max(1) as f64;
-    (stormy, convergence)
+    (stormy, prepared.tally(&recovered).success_rate)
 }
 
 /// The `--dissemination` mode of [`ext_gossip_discovery`]: Plumtree and
@@ -434,36 +344,20 @@ fn dissemination_point(scenario: &Scenario) -> (PerturbResult, f64) {
 /// of the flapping sweep, and convergence after the flap ends.
 fn ext_dissemination(nodes: usize, ops: usize, seed: u64) -> Report {
     let probabilities = [0.0, 0.5, 0.9];
-    let specs: Vec<EngineSpec> = vec![
-        EngineSpec::Gossip {
-            view: 8,
-            walkers: 8,
-            ttl: 8,
-            strategy: LookupStrategy::ExpandingRing,
-        },
-        EngineSpec::Epidemic {
-            active: 5,
-            passive: 24,
-            strategy: LookupStrategy::Plumtree,
-        },
-        EngineSpec::Epidemic {
-            active: 5,
-            passive: 24,
-            strategy: LookupStrategy::Foaf,
-        },
+    let specs = [
+        EngineSpec::GOSSIP_RING,
+        EngineSpec::PLUMTREE,
+        EngineSpec::FOAF,
         EngineSpec::MpilOver(OverlaySource::HyParView { active: 8 }),
     ];
-    let mut points = Vec::new();
-    for &spec in &specs {
-        for &p in &probabilities {
-            let mut run = PerturbRun::new(30, 30, p);
-            run.nodes = nodes;
-            run.operations = ops;
-            run.seed = seed;
-            points.push(Scenario::new(spec, run));
-        }
-    }
-    let results = ExperimentRunner::default().map(&points, dissemination_point);
+    let results = sweep_30_30(
+        &specs,
+        &probabilities,
+        nodes,
+        ops,
+        seed,
+        dissemination_point,
+    );
 
     let mut header: Vec<String> = vec!["system".into()];
     header.extend(probabilities.iter().map(|p| format!("p={p} %")));
@@ -471,15 +365,14 @@ fn ext_dissemination(nodes: usize, ops: usize, seed: u64) -> Report {
     header.push("msgs/lookup (p=0.9)".into());
     header.push("converged % (post-flap)".into());
     let mut table = Table::new(header);
-    for (si, spec) in specs.iter().enumerate() {
+    for (spec, results) in specs.iter().zip(&results) {
         let mut cells = vec![spec.label()];
-        for (pi, &p) in probabilities.iter().enumerate() {
-            let rate = results[si * probabilities.len() + pi].0.success_rate;
+        for (&p, (r, _)) in probabilities.iter().zip(results) {
+            let rate = r.success_rate;
             cells.push(format!("{rate:.1}"));
             eprintln!("{} p={p}: {rate:.1}%", spec.label());
         }
-        let calm = &results[si * probabilities.len()].0;
-        let stormy = &results[si * probabilities.len() + probabilities.len() - 1];
+        let (calm, stormy) = (&results[0].0, &results[probabilities.len() - 1]);
         cells.push(format!("{:.1}", calm.lookup_messages as f64 / ops as f64));
         cells.push(format!(
             "{:.1}",

@@ -4,28 +4,12 @@
 //! fans it out through [`ExperimentRunner`], and formats the
 //! order-preserved results.
 
-use mpil_harness::{EngineSpec, ExperimentRunner, PerturbResult, PerturbRun, Scenario};
+use mpil_harness::{run_scenario, EngineSpec, ExperimentRunner, Report, Scenario};
 use mpil_workload::Table;
 
+use super::{row, sweep};
 use crate::cli::Args;
 use crate::scale::perturb_scale;
-use mpil_harness::Report;
-
-fn point(
-    system: EngineSpec,
-    idle: u64,
-    offline: u64,
-    p: f64,
-    nodes: usize,
-    ops: usize,
-    seed: u64,
-) -> Scenario {
-    let mut run = PerturbRun::new(idle, offline, p);
-    run.nodes = nodes;
-    run.operations = ops;
-    run.seed = seed;
-    Scenario::new(system, run)
-}
 
 /// Figure 1: the effect of perturbation on MSPastry.
 ///
@@ -37,40 +21,32 @@ pub fn fig1_pastry_perturbation(args: &Args) -> Report {
     let workers = args.value_or("workers", 2usize);
     let settings: &[(u64, u64)] = &[(1, 1), (45, 15), (30, 30), (300, 300)];
 
-    let mut points = Vec::new();
-    for &(idle, offline) in settings {
-        for &p in scale.probabilities {
-            points.push(point(
-                EngineSpec::MSPASTRY,
-                idle,
-                offline,
-                p,
-                scale.nodes,
-                scale.operations,
-                seed,
-            ));
-        }
-    }
+    let rows: Vec<Scenario> = settings
+        .iter()
+        .map(|&s| row(EngineSpec::MSPASTRY, s, scale.nodes, scale.operations, seed))
+        .collect();
     eprintln!(
         "fig1: {} runs ({} settings x {} probabilities), {} nodes, {} lookups each",
-        points.len(),
+        rows.len() * scale.probabilities.len(),
         settings.len(),
         scale.probabilities.len(),
         scale.nodes,
         scale.operations
     );
-    let results = ExperimentRunner::new(workers).run_scenarios(&points);
+    let results = sweep(
+        ExperimentRunner::new(workers),
+        &rows,
+        scale.probabilities,
+        run_scenario,
+    );
 
     let mut headers = vec!["flap prob".to_string()];
     headers.extend(settings.iter().map(|&(i, o)| format!("{i}:{o}")));
     let mut table = Table::new(headers);
     for (pi, &p) in scale.probabilities.iter().enumerate() {
-        let mut row = vec![format!("{p:.1}")];
-        for si in 0..settings.len() {
-            let r = &results[si * scale.probabilities.len() + pi];
-            row.push(format!("{:.1}", r.success_rate));
-        }
-        table.row(row);
+        let mut cells = vec![format!("{p:.1}")];
+        cells.extend(results.iter().map(|r| format!("{:.1}", r[pi].success_rate)));
+        table.row(cells);
     }
     let mut report = Report::new();
     report.table(
@@ -96,38 +72,28 @@ pub fn fig11_perturbation(args: &Args) {
     let systems = EngineSpec::FIGURE_11;
 
     for &(idle, offline) in settings {
-        let mut points = Vec::new();
-        for &system in &systems {
-            for &p in scale.probabilities {
-                points.push(point(
-                    system,
-                    idle,
-                    offline,
-                    p,
-                    scale.nodes,
-                    scale.operations,
-                    seed,
-                ));
-            }
-        }
+        let rows =
+            systems.map(|system| row(system, (idle, offline), scale.nodes, scale.operations, seed));
         eprintln!(
             "fig11 idle:offline={idle}:{offline}: {} runs, {} nodes, {} lookups each",
-            points.len(),
+            rows.len() * scale.probabilities.len(),
             scale.nodes,
             scale.operations
         );
-        let results = ExperimentRunner::new(workers).run_scenarios(&points);
+        let results = sweep(
+            ExperimentRunner::new(workers),
+            &rows,
+            scale.probabilities,
+            run_scenario,
+        );
 
         let mut headers = vec!["flap prob".to_string()];
         headers.extend(systems.iter().map(EngineSpec::label));
         let mut table = Table::new(headers);
         for (pi, &p) in scale.probabilities.iter().enumerate() {
-            let mut row = vec![format!("{p:.1}")];
-            for si in 0..systems.len() {
-                let r = &results[si * scale.probabilities.len() + pi];
-                row.push(format!("{:.1}", r.success_rate));
-            }
-            table.row(row);
+            let mut cells = vec![format!("{p:.1}")];
+            cells.extend(results.iter().map(|r| format!("{:.1}", r[pi].success_rate)));
+            table.row(cells);
         }
         let mut report = Report::new();
         report.table(
@@ -151,27 +117,19 @@ pub fn fig12_traffic(args: &Args) -> Report {
         EngineSpec::MPIL_NO_DS,
     ];
 
-    let mut points = Vec::new();
-    for &system in &systems {
-        for &p in scale.probabilities {
-            points.push(point(
-                system,
-                30,
-                30,
-                p,
-                scale.nodes,
-                scale.operations,
-                seed,
-            ));
-        }
-    }
+    let rows = systems.map(|system| row(system, (30, 30), scale.nodes, scale.operations, seed));
     eprintln!(
         "fig12: {} runs, {} nodes, {} lookups each",
-        points.len(),
+        rows.len() * scale.probabilities.len(),
         scale.nodes,
         scale.operations
     );
-    let results = ExperimentRunner::new(workers).run_scenarios(&points);
+    let results = sweep(
+        ExperimentRunner::new(workers),
+        &rows,
+        scale.probabilities,
+        run_scenario,
+    );
 
     let mut report = Report::new();
     for (title, pick) in [
@@ -188,17 +146,16 @@ pub fn fig12_traffic(args: &Args) -> Report {
         headers.extend(systems.iter().map(EngineSpec::label));
         let mut table = Table::new(headers);
         for (pi, &p) in scale.probabilities.iter().enumerate() {
-            let mut row = vec![format!("{p:.1}")];
-            for si in 0..systems.len() {
-                let r: &PerturbResult = &results[si * scale.probabilities.len() + pi];
+            let mut cells = vec![format!("{p:.1}")];
+            cells.extend(results.iter().map(|r| {
                 let v = if pick == 0 {
-                    r.lookup_messages
+                    r[pi].lookup_messages
                 } else {
-                    r.total_messages
+                    r[pi].total_messages
                 };
-                row.push(v.to_string());
-            }
-            table.row(row);
+                v.to_string()
+            }));
+            table.row(cells);
         }
         report.table(title, table);
     }

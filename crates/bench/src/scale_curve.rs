@@ -1,17 +1,17 @@
 //! Kernel-scaling measurement: nodes vs wall-clock vs peak RSS.
 //!
 //! One [`ScalePoint`] is one engine at one overlay size, driven through
-//! the exact two-stage perturbation methodology of
-//! [`mpil_harness::run_scenario`] but with per-stage wall-clock timing
-//! and a peak-RSS reading. The `scale_run` binary runs a single point
-//! per process so the `VmHWM` reading is attributable to that point;
-//! `BENCH_scale.json` is composed from many such invocations.
+//! the two-stage perturbation methodology — the same
+//! [`mpil_harness::PreparedRun`] stages [`mpil_harness::run_scenario`]
+//! calls — with per-stage wall-clock timing and a peak-RSS reading
+//! taken between them. The `scale_run` binary runs a single point
+//! per process so the `VmHWM` reading is attributable to that point; a
+//! curve is composed from many such invocations (the benchmark's
+//! `sim-engines` workload, `benchmark/README.md`, is the ledger of
+//! record for the kernel's speed).
 
 pub use mpil_harness::peak_rss_mib;
-use mpil_harness::{
-    EngineSpec, LookupStrategy, OverlaySource, PerturbRun, PreparedRun, Scenario, WallClock,
-};
-use mpil_sim::{Flapping, FlappingConfig, LookupOutcome, SimDuration};
+use mpil_harness::{EngineSpec, LookupStrategy, OverlaySource, PerturbRun, Scenario, WallClock};
 
 /// One measured point on a scaling curve.
 #[derive(Debug, Clone)]
@@ -108,34 +108,19 @@ impl ScalePoint {
 /// k-random-walk: 8 walkers, ttl 16) or `ring` (expanding-ring flooding,
 /// ttl 8); `plumtree` and `foaf` select the HyParView/Plumtree epidemic
 /// engine with tree-query or bounded-fanout-walk lookups. The
-/// strategies scale very differently — see the notes in
-/// `BENCH_scale.json` (k-walk success collapses to 0% at 10k+ nodes
-/// while ring stays near 100%) and `BENCH_pr9.json` (plumtree matches
-/// ring's success at a fraction of its lookup traffic).
+/// strategies scale very differently: k-walk success collapses to 0% at
+/// 10k+ nodes while ring stays near 100%, and plumtree matches ring's
+/// success at a fraction of its lookup traffic (the `scripts/ci.sh`
+/// traffic tripwire holds it to that).
 pub fn scale_spec(name: &str, strategy: &str) -> Option<EngineSpec> {
     match (name, strategy) {
         ("mpil", _) => Some(EngineSpec::MpilOver(OverlaySource::RandomRegular(8))),
-        ("kademlia", _) => Some(EngineSpec::Kademlia { k: 8, alpha: 3 }),
+        ("kademlia", _) => Some(EngineSpec::KADEMLIA),
         ("chord", _) => Some(EngineSpec::Chord),
-        ("pastry", _) => Some(EngineSpec::Pastry {
-            replication_on_route: false,
-        }),
-        ("plumtree", _) | ("gossip", "plumtree") => Some(EngineSpec::Epidemic {
-            active: 5,
-            passive: 24,
-            strategy: LookupStrategy::Plumtree,
-        }),
-        ("foaf", _) | ("gossip", "foaf") => Some(EngineSpec::Epidemic {
-            active: 5,
-            passive: 24,
-            strategy: LookupStrategy::Foaf,
-        }),
-        ("gossip", "walk") => Some(EngineSpec::Gossip {
-            view: 8,
-            walkers: 8,
-            ttl: 16,
-            strategy: LookupStrategy::KRandomWalk,
-        }),
+        ("pastry", _) => Some(EngineSpec::MSPASTRY),
+        ("plumtree", _) | ("gossip", "plumtree") => Some(EngineSpec::PLUMTREE),
+        ("foaf", _) | ("gossip", "foaf") => Some(EngineSpec::FOAF),
+        ("gossip", "walk") => Some(EngineSpec::GOSSIP_WALK),
         ("gossip", "ring") => Some(EngineSpec::Gossip {
             view: 8,
             walkers: 1,
@@ -146,8 +131,9 @@ pub fn scale_spec(name: &str, strategy: &str) -> Option<EngineSpec> {
     }
 }
 
-/// Runs one scaling point: the same choreography as
-/// [`mpil_harness::run_scenario`], instrumented with per-stage timing.
+/// Runs one scaling point: the stages of [`mpil_harness::run_scenario`]
+/// with a stopwatch around each and the stage-2 counters read on
+/// either side of the perturbed stage, warm-up included.
 pub fn run_point(spec: EngineSpec, nodes: usize, ops: usize, p: f64, seed: u64) -> ScalePoint {
     let mut run = PerturbRun::new(30, 30, p);
     run.nodes = nodes;
@@ -156,64 +142,24 @@ pub fn run_point(spec: EngineSpec, nodes: usize, ops: usize, p: f64, seed: u64) 
     let scenario = Scenario::new(spec, run);
 
     let t0 = WallClock::start();
-    let PreparedRun {
-        mut engine,
-        origin,
-        objects,
-        mut rng,
-        maintenance,
-        warmup_secs,
-    } = scenario.build();
+    let mut prepared = scenario.build();
     let build_s = t0.elapsed_s();
 
     let t1 = WallClock::start();
-    for &object in &objects {
-        engine.insert(origin, object);
-    }
-    engine.run_to_quiescence();
+    prepared.insert_all();
     let insert_s = t1.elapsed_s();
 
-    let stats_before = engine.net_stats();
-    let counters_before = engine.counters();
+    let stats_before = prepared.engine.net_stats();
+    let counters_before = prepared.engine.counters();
     let allocs_before = mpil_alloc::snapshot();
     let t2 = WallClock::start();
-    if maintenance {
-        engine.start_maintenance();
-    }
-    if warmup_secs > 0 {
-        engine.advance(SimDuration::from_secs(warmup_secs));
-    }
-    let flap_cfg = FlappingConfig {
-        idle: SimDuration::from_secs(run.idle_secs),
-        offline: SimDuration::from_secs(run.offline_secs),
-        probability: run.probability,
-        start: engine.now(),
-    };
-    let mut flap = Flapping::new(flap_cfg, run.nodes, run.seed ^ 0xf1a9, &mut rng);
-    flap.exempt(origin);
-    engine.set_availability(Box::new(flap));
-    let flap_start = engine.now();
-    let period = run.period();
-    let window = run.deadline_window();
-    let mut handles = Vec::with_capacity(objects.len());
-    for (i, &object) in objects.iter().enumerate() {
-        let issue_at = flap_start + period * (i as u64 + 1);
-        engine.run_until(issue_at);
-        handles.push(engine.issue_lookup(origin, object, issue_at + window));
-    }
-    let tail = engine.now() + window + SimDuration::from_secs(30);
-    engine.run_until(tail);
+    let flap_start = prepared.perturb(&run);
+    let handles = prepared.lookups(&run, flap_start);
     let lookup_s = t2.elapsed_s();
-    let stats_after = engine.net_stats();
-    let counters_after = engine.counters();
+    let stats_after = prepared.engine.net_stats();
+    let counters_after = prepared.engine.counters();
     let allocs_after = mpil_alloc::snapshot();
-    let events = (stats_after.delivered - stats_before.delivered)
-        + (stats_after.timers_fired - stats_before.timers_fired);
 
-    let ok = handles
-        .iter()
-        .filter(|&&h| matches!(engine.lookup_outcome(h), LookupOutcome::Succeeded { .. }))
-        .count();
     ScalePoint {
         engine: scenario.label(),
         nodes,
@@ -225,10 +171,11 @@ pub fn run_point(spec: EngineSpec, nodes: usize, ops: usize, p: f64, seed: u64) 
         lookup_s,
         total_s: t0.elapsed_s(),
         peak_rss_mib: peak_rss_mib().unwrap_or(0.0),
-        success_rate: 100.0 * ok as f64 / handles.len().max(1) as f64,
-        sent: engine.net_stats().sent,
+        success_rate: prepared.tally(&handles).success_rate,
+        sent: stats_after.sent,
         lookup_msgs: counters_after.lookup_messages - counters_before.lookup_messages,
-        events,
+        events: (stats_after.delivered - stats_before.delivered)
+            + (stats_after.timers_fired - stats_before.timers_fired),
         allocs: allocs_after.since(allocs_before).allocs,
     }
 }

@@ -1,7 +1,7 @@
 //! `mpilctl analyze` — Section 5 closed forms.
 
 use mpil_analysis::AnalysisModel;
-use mpil_bench::Args;
+use mpil_workload::Args;
 
 use crate::CliError;
 

@@ -3,10 +3,10 @@
 use std::time::Duration;
 
 use mpil::MpilConfig;
-use mpil_bench::Args;
 use mpil_id::Id;
 use mpil_net::{LiveClusterBuilder, TransportKind};
 use mpil_overlay::NodeIdx;
+use mpil_workload::Args;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 

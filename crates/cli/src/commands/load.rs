@@ -1,80 +1,28 @@
 //! `mpilctl load` — drive a daemon with the insert-then-lookup load.
 //!
-//! With `--addr HOST:PORT` it targets a running `mpild`; with
-//! `--embedded` it spawns a daemon thread in-process first (all
-//! `mpilctl serve` flags apply). Reports one JSON line; `--min-success`
-//! and `--max-p99-ms` turn it into a pass/fail gate.
+//! The same code as the `mpil-load` binary ([`mpild::front::load`]),
+//! flag for flag: with `--addr HOST:PORT` it targets a running `mpild`;
+//! with `--embedded` it spawns a daemon thread in-process first (all
+//! `mpilctl serve` flags apply). Reports one JSON line; `--min-success`,
+//! `--max-p99-ms` and `--budget-s` turn it into a pass/fail gate.
 
-use mpil_bench::Args;
-use mpild::{
-    args as dargs, probe_live_nodes, run_embedded, run_load, CtrlKind, LoadReport, UdpCtrlClient,
-};
+use mpil_workload::Args;
 
 use crate::CliError;
-
-fn check_gates(args: &Args, report: &LoadReport) -> Result<(), CliError> {
-    if let Some(min) = args
-        .value("min-success")
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let got = report.lookup.success_pct();
-        if got < min {
-            return Err(CliError(format!(
-                "gate failed: lookup success {got:.2}% < {min:.2}%"
-            )));
-        }
-    }
-    if let Some(max) = args.value("max-p99-ms").and_then(|v| v.parse::<f64>().ok()) {
-        let got = report.lookup.p99_ms;
-        if got > max {
-            return Err(CliError(format!(
-                "gate failed: lookup p99 {got:.2} ms > {max:.2} ms"
-            )));
-        }
-    }
-    Ok(())
-}
 
 /// Runs the subcommand.
 ///
 /// # Errors
 ///
 /// [`CliError`] when the daemon is unreachable, fails to spawn, or a
-/// gate is violated.
+/// gate is violated (the error then starts with the JSON report line).
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let (report, daemon_json) = if args.flag("embedded") {
-        let dcfg = dargs::daemon_config(args);
-        let lcfg = dargs::load_config(args, dcfg.nodes);
-        let ctrl = if args.flag("ctrl-udp") {
-            CtrlKind::Udp
-        } else {
-            CtrlKind::Channel
-        };
-        let (report, daemon_report) =
-            run_embedded(dcfg, &lcfg, ctrl).map_err(|e| CliError(e.to_string()))?;
-        (report, Some(daemon_report.to_json()))
+    let (report, failures) = mpild::front::load(args).map_err(CliError)?;
+    if failures.is_empty() {
+        Ok(report)
     } else {
-        let Some(addr) = args.value("addr").and_then(|v| v.parse().ok()) else {
-            return Err(CliError("need --addr HOST:PORT or --embedded".to_string()));
-        };
-        let mut conn =
-            UdpCtrlClient::connect(addr).map_err(|e| CliError(format!("connect {addr}: {e}")))?;
-        // Size the origin space to the actual cluster unless pinned.
-        let nodes = match args.value("nodes").and_then(|v| v.parse().ok()) {
-            Some(n) => n,
-            None => probe_live_nodes(&mut conn, std::time::Duration::from_secs(2))
-                .map_err(|e| CliError(e.to_string()))?,
-        };
-        let lcfg = dargs::load_config(args, nodes);
-        let report = run_load(&mut conn, &lcfg).map_err(|e| CliError(e.to_string()))?;
-        (report, None)
-    };
-    let line = match daemon_json {
-        Some(daemon) => format!("{{\"load\":{},\"daemon\":{daemon}}}\n", report.to_json()),
-        None => format!("{{\"load\":{}}}\n", report.to_json()),
-    };
-    check_gates(args, &report).map_err(|e| CliError(format!("{line}{e}")))?;
-    Ok(line)
+        Err(CliError(format!("{report}{}", failures.join("\n"))))
+    }
 }
 
 #[cfg(test)]
@@ -103,6 +51,20 @@ mod tests {
              --seed 2 --max-p99-ms 0.000001",
         ))
         .expect_err("gate must fail");
-        assert!(err.0.contains("gate failed"), "got: {err}");
+        assert!(err.0.contains("GATE FAILED: lookup p99"), "got: {err}");
+    }
+
+    #[test]
+    fn a_failed_gate_still_returns_the_report_and_names_every_gate() {
+        let err = run(&args(
+            "--embedded --nodes 16 --degree 4 --objects 5 --lookups 10 \
+             --seed 2 --max-p99-ms 0.000001 --min-success 101",
+        ))
+        .expect_err("both gates must fail");
+        let (report, failures) = err.0.split_once('\n').expect("report line, then gates");
+        assert!(report.starts_with("{\"load\":"), "got: {err}");
+        assert!(report.contains("\"daemon\":"), "got: {err}");
+        assert!(failures.contains("lookup success"), "got: {err}");
+        assert!(failures.contains("lookup p99"), "got: {err}");
     }
 }

@@ -1,8 +1,8 @@
 //! `mpilctl overlay` — generate an overlay and print its statistics.
 
-use mpil_bench::Args;
 use mpil_harness::{mean_out_degree, OverlaySource};
 use mpil_overlay::stats;
+use mpil_workload::Args;
 
 use crate::CliError;
 

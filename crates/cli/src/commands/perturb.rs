@@ -1,56 +1,28 @@
 //! `mpilctl perturb` — one perturbation run (Sections 3 / 6.2, plus the
 //! Chord/Kademlia extension baselines).
 
-use mpil_bench::Args;
-use mpil_harness::{
-    run_scenario, EngineSpec, LookupStrategy, OverlaySource, PerturbResult, PerturbRun, Scenario,
-};
+use mpil_harness::{run_scenario, EngineSpec, OverlaySource, PerturbResult, PerturbRun, Scenario};
+use mpil_workload::Args;
 
 use crate::CliError;
 
 /// Parses `--system` into a harness engine spec.
 pub(crate) fn parse_system(system: &str) -> Result<EngineSpec, CliError> {
     Ok(match system {
-        "pastry" => EngineSpec::Pastry {
-            replication_on_route: false,
-        },
-        "pastry-rr" => EngineSpec::Pastry {
-            replication_on_route: true,
-        },
-        "mpil" => EngineSpec::MpilOverPastry {
-            duplicate_suppression: false,
-        },
-        "mpil-ds" => EngineSpec::MpilOverPastry {
-            duplicate_suppression: true,
-        },
+        "pastry" => EngineSpec::MSPASTRY,
+        "pastry-rr" => EngineSpec::MSPASTRY_RR,
+        "mpil" => EngineSpec::MPIL_NO_DS,
+        "mpil-ds" => EngineSpec::MPIL_DS,
         "mpil-chord" => EngineSpec::MpilOver(OverlaySource::Chord),
         "mpil-kademlia" => EngineSpec::MpilOver(OverlaySource::Kademlia),
         "mpil-gossip" => EngineSpec::MpilOver(OverlaySource::Gossip { view: 8 }),
         "chord" => EngineSpec::Chord,
-        "kademlia" => EngineSpec::Kademlia { k: 8, alpha: 3 },
+        "kademlia" => EngineSpec::KADEMLIA,
         "kademlia-1" => EngineSpec::Kademlia { k: 1, alpha: 1 },
-        "gossip" | "gossip-walk" => EngineSpec::Gossip {
-            view: 8,
-            walkers: 8,
-            ttl: 16,
-            strategy: LookupStrategy::KRandomWalk,
-        },
-        "gossip-ring" => EngineSpec::Gossip {
-            view: 8,
-            walkers: 8,
-            ttl: 8,
-            strategy: LookupStrategy::ExpandingRing,
-        },
-        "plumtree" => EngineSpec::Epidemic {
-            active: 5,
-            passive: 24,
-            strategy: LookupStrategy::Plumtree,
-        },
-        "foaf" => EngineSpec::Epidemic {
-            active: 5,
-            passive: 24,
-            strategy: LookupStrategy::Foaf,
-        },
+        "gossip" | "gossip-walk" => EngineSpec::GOSSIP_WALK,
+        "gossip-ring" => EngineSpec::GOSSIP_RING,
+        "plumtree" => EngineSpec::PLUMTREE,
+        "foaf" => EngineSpec::FOAF,
         "mpil-hyparview" => EngineSpec::MpilOver(OverlaySource::HyParView { active: 8 }),
         other => {
             return Err(CliError(format!(

@@ -1,13 +1,11 @@
 //! `mpilctl serve` — run the `mpild` daemon in the foreground.
 //!
-//! A thin wrapper over the `mpild` crate: binds the loopback-UDP
-//! control socket, prints the address, and serves until a client sends
-//! a drain frame (`mpilctl load --stop-daemon`, or `mpil-load`).
+//! The same code as the `mpild` binary ([`mpild::front::serve`]), flag
+//! for flag: binds the loopback-UDP control socket, prints the
+//! start-up line, and serves until a client sends a drain frame
+//! (`mpilctl load --stop-daemon`, or `mpil-load`).
 
-use std::io::Write;
-
-use mpil_bench::Args;
-use mpild::{args as dargs, Daemon, UdpControl};
+use mpil_workload::Args;
 
 use crate::CliError;
 
@@ -19,20 +17,5 @@ use crate::CliError;
 /// [`CliError`] if the control socket cannot bind or the cluster fails
 /// to spawn.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let config = dargs::daemon_config(args);
-    let port: u16 = args.value_or("port", 0);
-    let ctrl =
-        UdpControl::bind(port).map_err(|e| CliError(format!("cannot bind port {port}: {e}")))?;
-    let addr = ctrl
-        .local_addr()
-        .map_err(|e| CliError(format!("control socket has no address: {e}")))?;
-    // Announce the address immediately — scripts parse this line to
-    // find the ephemeral port before the cluster finishes spawning.
-    println!(
-        "{{\"mpild\":\"listening\",\"ctrl_addr\":\"{addr}\",\"nodes\":{},\"spares\":{}}}",
-        config.nodes, config.spares
-    );
-    let _ = std::io::stdout().flush();
-    let daemon = Daemon::spawn(config, ctrl).map_err(|e| CliError(format!("daemon spawn: {e}")))?;
-    Ok(daemon.run().to_json())
+    mpild::front::serve(args).map_err(CliError)
 }

@@ -2,10 +2,9 @@
 //! Section 6.1 methodology at user-chosen parameters).
 
 use mpil::{MpilConfig, StaticEngine};
-use mpil_bench::Args;
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
-use mpil_workload::RunningStats;
+use mpil_workload::{Args, RunningStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -1,9 +1,8 @@
 //! `mpilctl sweep` — one scenario fanned across seeds on the parallel
 //! experiment runner, with merged statistics (and optional JSON).
 
-use mpil_bench::Args;
 use mpil_harness::ExperimentRunner;
-use mpil_workload::RunningStats;
+use mpil_workload::{Args, RunningStats};
 
 use crate::CliError;
 

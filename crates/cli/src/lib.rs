@@ -23,7 +23,7 @@
 
 pub mod commands;
 
-use mpil_bench::Args;
+use mpil_workload::Args;
 
 /// A subcommand failure, rendered to stderr by `main`.
 #[derive(Debug)]
@@ -61,13 +61,15 @@ COMMANDS:
             (same flags as perturb) [--seeds K] [--workers W] [--json]
   live      spawn a real shard-per-core cluster and run operations
             --nodes N [--degree D] [--ops K] [--udp] [--seed S]
-  serve     run the mpild daemon in the foreground (control on loopback UDP)
-            [--port P] [--nodes N] [--degree D] [--spares S] [--udp]
-            [--max-flows F] [--replicas R] [--timeout-ms T] [--retries N]
-  load      drive a daemon with the insert-then-lookup workload
-            --addr HOST:PORT | --embedded [--ctrl-udp]
+  serve     run the mpild daemon in the foreground (control on loopback UDP);
+            the mpild binary's code and flags, `serve --help` lists them all
+            [--port P] [--nodes N] [--degree D] [--spares S] [--seed K] [--udp]
+            [--max-flows F] [--replicas R] [--no-ds] [--timeout-ms T] [--retries N]
+  load      drive a daemon with the insert-then-lookup workload; the mpil-load
+            binary's code and flags, `load --help` lists them all
+            --addr HOST:PORT [--stop-daemon] | --embedded [--ctrl-udp]
             [--objects N] [--lookups K] [--rate R] [--window W] [--workers C]
-            [--churn-period-ms P] [--min-success PCT] [--max-p99-ms MS]
+            [--churn-period-ms P] [--min-success PCT] [--max-p99-ms MS] [--budget-s S]
   help      print this message
 ";
 

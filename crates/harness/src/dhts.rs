@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn labels_are_informative() {
-        let stock = EngineSpec::Kademlia { k: 8, alpha: 3 };
+        let stock = EngineSpec::KADEMLIA;
         assert!(stock.label().contains("k=8"));
         assert!(OverlaySource::RandomRegular(16).label().contains("16"));
     }

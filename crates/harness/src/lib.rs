@@ -16,10 +16,12 @@
 //! (crossbeam scoped threads) that fans scenarios — or one scenario
 //! across many seeds — out in parallel, with deterministic per-seed RNG
 //! streams and order-preserving result collection, so a parallel run is
-//! bit-identical to a sequential one. [`run_scenario`] is the single
-//! implementation of the paper's two-stage perturbation methodology
-//! (insert on the static overlay, then flap and look up), replacing the
-//! per-engine copies the bench crate used to carry.
+//! bit-identical to a sequential one. The paper's two-stage
+//! perturbation methodology (insert on the static overlay, then flap
+//! and look up) is implemented once, as the stage methods of
+//! [`PreparedRun`]; [`run_scenario`] is the plain reader of that
+//! sequence, and the bench crate's instrumented drivers call the same
+//! stages with their own measurements in between.
 //!
 //! Results merge across seeds via [`mpil_workload::RunningStats`] and
 //! emit uniformly as text tables, CSV ([`Report`]), or JSON
@@ -33,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
 #[cfg(test)]
 mod dhts;
 pub mod engine;
@@ -43,9 +44,13 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 
-pub use budget::{peak_rss_mib, RssBudget, TrafficBudget, WallClock, WallClockBudget};
 pub use engine::{Counters, DiscoveryEngine, LookupHandle};
 pub use mpil_gossip::LookupStrategy;
+pub use mpil_workload::{peak_rss_mib, RssBudget, TrafficBudget, WallClock, WallClockBudget};
 pub use report::Report;
-pub use runner::{run_scenario, ExperimentRunner, PerturbResult, SeedStats, SeedSweep};
-pub use scenario::{mean_out_degree, EngineSpec, OverlaySource, PerturbRun, PreparedRun, Scenario};
+pub use runner::{
+    run_prepared, run_scenario, ExperimentRunner, PerturbResult, SeedStats, SeedSweep,
+};
+pub use scenario::{
+    mean_out_degree, EngineSpec, LookupTally, OverlaySource, PerturbRun, PreparedRun, Scenario,
+};

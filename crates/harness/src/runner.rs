@@ -1,12 +1,14 @@
 //! The [`ExperimentRunner`]: one drive loop, many engines, many seeds.
 //!
-//! [`run_scenario`] is the single implementation of the paper's
-//! two-stage perturbation methodology (Sections 3 and 6.2): stage 1
+//! [`run_scenario`] reads the paper's two-stage perturbation
+//! methodology (Sections 3 and 6.2) off [`PreparedRun`]: stage 1
 //! inserts the workload from the designated origin on the quiet
 //! network; stage 2 perturbs everything but the origin and issues one
-//! lookup per flapping period. Every engine runs through this exact
-//! loop via [`DiscoveryEngine`], so cross-engine numbers are produced
+//! lookup per flapping period. Every engine runs through those exact
+//! stages via [`DiscoveryEngine`], so cross-engine numbers are produced
 //! by construction-identical measurement code.
+//!
+//! [`DiscoveryEngine`]: crate::DiscoveryEngine
 //!
 //! [`ExperimentRunner`] fans independent work items — scenario points
 //! or seeds — across a bounded pool of crossbeam scoped threads.
@@ -17,11 +19,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use mpil_sim::{Flapping, FlappingConfig, LookupOutcome, SimDuration};
 use mpil_workload::RunningStats;
 use serde::{Deserialize, Serialize};
 
-use crate::scenario::{PreparedRun, Scenario};
+use crate::scenario::{PerturbRun, PreparedRun, Scenario};
 
 /// What one perturbation scenario measured.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -41,74 +42,25 @@ pub struct PerturbResult {
 
 /// Runs one scenario through the two-stage methodology.
 pub fn run_scenario(scenario: &Scenario) -> PerturbResult {
-    let run = scenario.run;
-    let PreparedRun {
-        mut engine,
-        origin,
-        objects,
-        mut rng,
-        maintenance,
-        warmup_secs,
-    } = scenario.build();
+    run_prepared(&mut scenario.build(), &scenario.run)
+}
 
-    // Stage 1: inserts on the quiet network, all from the origin.
-    for &object in &objects {
-        engine.insert(origin, object);
-    }
-    engine.run_to_quiescence();
-    let mean_replicas = {
-        let mut s = RunningStats::new();
-        for &object in &objects {
-            s.push(engine.replica_count(object) as f64);
-        }
-        s.mean()
-    };
+/// The two stages on an engine the caller built and keeps — for a
+/// driver that appends a stage of its own to the measured run.
+pub fn run_prepared(prepared: &mut PreparedRun, run: &PerturbRun) -> PerturbResult {
+    prepared.insert_all();
+    let mean_replicas = prepared.mean_replicas();
 
-    // Stage 2: (maintenance +) flapping + one lookup per period.
-    if maintenance {
-        engine.start_maintenance();
-    }
-    if warmup_secs > 0 {
-        engine.advance(SimDuration::from_secs(warmup_secs));
-    }
-    let flap_cfg = FlappingConfig {
-        idle: SimDuration::from_secs(run.idle_secs),
-        offline: SimDuration::from_secs(run.offline_secs),
-        probability: run.probability,
-        start: engine.now(),
-    };
-    let mut flap = Flapping::new(flap_cfg, run.nodes, run.seed ^ 0xf1a9, &mut rng);
-    flap.exempt(origin);
-    engine.set_availability(Box::new(flap));
-    engine.set_loss_probability(run.loss_probability);
-    let flap_start = engine.now();
-    let period = run.period();
-    let window = run.deadline_window();
-
-    let before = engine.counters();
-    let mut handles = Vec::with_capacity(objects.len());
-    for (i, &object) in objects.iter().enumerate() {
-        let issue_at = flap_start + period * (i as u64 + 1);
-        engine.run_until(issue_at);
-        handles.push(engine.issue_lookup(origin, object, issue_at + window));
-    }
-    let tail = engine.now() + window + SimDuration::from_secs(30);
-    engine.run_until(tail);
-
-    let mut hops = RunningStats::new();
-    let mut ok = 0u64;
-    for &handle in &handles {
-        if let LookupOutcome::Succeeded { hops: h, .. } = engine.lookup_outcome(handle) {
-            ok += 1;
-            hops.push(f64::from(h));
-        }
-    }
-    let after = engine.counters();
+    let flap_start = prepared.perturb(run);
+    let before = prepared.engine.counters();
+    let handles = prepared.lookups(run, flap_start);
+    let tally = prepared.tally(&handles);
+    let after = prepared.engine.counters();
     PerturbResult {
-        success_rate: 100.0 * ok as f64 / handles.len().max(1) as f64,
+        success_rate: tally.success_rate,
         lookup_messages: after.lookup_messages - before.lookup_messages,
         total_messages: after.total_messages - before.total_messages,
-        mean_reply_hops: hops.mean(),
+        mean_reply_hops: tally.mean_reply_hops,
         mean_replicas,
     }
 }
@@ -267,9 +219,12 @@ impl SeedSweep {
         }
     }
 
-    /// Renders the sweep as a self-describing JSON document (the
-    /// offline crate set has no JSON serializer, so this is hand-built
-    /// but stable). The header names the engine ([`Scenario::label`]),
+    /// Renders the sweep as a self-describing JSON document. It is
+    /// hand-built rather than `serde::json::to_string(self)` because it
+    /// is not the struct: it adds `seed_range`, prints each statistic's
+    /// `mean`/`std_dev`/`min`/`max` where the struct holds an
+    /// accumulator's internals, and fixes four decimals so sweep files
+    /// diff cleanly. The header names the engine ([`Scenario::label`]),
     /// the full scenario (sweep variables included), and the seed
     /// range, so a sweep file needs no out-of-band context to read.
     pub fn to_json(&self) -> String {
@@ -336,7 +291,7 @@ impl SeedSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{EngineSpec, OverlaySource, PerturbRun};
+    use crate::scenario::{EngineSpec, OverlaySource};
 
     fn mini(spec: EngineSpec, p: f64, seed: u64) -> Scenario {
         let mut run = PerturbRun::new(30, 30, p);
@@ -419,14 +374,7 @@ mod tests {
 
     #[test]
     fn quiet_network_succeeds_through_the_unified_loop() {
-        for spec in [
-            EngineSpec::Pastry {
-                replication_on_route: false,
-            },
-            EngineSpec::MpilOverPastry {
-                duplicate_suppression: false,
-            },
-        ] {
+        for spec in [EngineSpec::MSPASTRY, EngineSpec::MPIL_NO_DS] {
             let r = run_scenario(&mini(spec, 0.0, 9));
             assert!(
                 r.success_rate >= 90.0,

@@ -19,13 +19,15 @@ use mpil_overlay::transit_stub::{self, TransitStubConfig};
 use mpil_overlay::{generators, NodeIdx};
 use mpil_pastry::{Pastry, PastryConfig};
 use mpil_sim::{
-    AlwaysOn, ConstantLatency, LatencyModel, Protocol, Sim, SimDuration, TransitStubLatency,
+    AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LatencyModel, LookupOutcome, Protocol,
+    Sim, SimDuration, SimTime, TransitStubLatency,
 };
+use mpil_workload::RunningStats;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::DiscoveryEngine;
+use crate::engine::{DiscoveryEngine, LookupHandle};
 
 /// A source of frozen neighbor graphs for MPIL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,6 +276,38 @@ impl EngineSpec {
     /// "MPIL without DS" in Figures 11 and 12.
     pub const MPIL_NO_DS: EngineSpec = EngineSpec::MpilOverPastry {
         duplicate_suppression: false,
+    };
+    /// HyParView membership (active 5, passive 24) under Plumtree
+    /// tree-query lookups: the epidemic engine as every driver runs it.
+    pub const PLUMTREE: EngineSpec = EngineSpec::Epidemic {
+        active: 5,
+        passive: 24,
+        strategy: LookupStrategy::Plumtree,
+    };
+    /// The same membership with bounded-fanout FOAF-walk lookups.
+    pub const FOAF: EngineSpec = EngineSpec::Epidemic {
+        active: 5,
+        passive: 24,
+        strategy: LookupStrategy::Foaf,
+    };
+    /// Stock Kademlia (`k = 8, α = 3`).
+    pub const KADEMLIA: EngineSpec = EngineSpec::Kademlia { k: 8, alpha: 3 };
+    /// Gossip partial views of 8 with k-random-walk lookups (8 walkers,
+    /// ttl 16).
+    pub const GOSSIP_WALK: EngineSpec = EngineSpec::Gossip {
+        view: 8,
+        walkers: 8,
+        ttl: 16,
+        strategy: LookupStrategy::KRandomWalk,
+    };
+    /// The same views flooded by expanding rings (ttl 8): what the
+    /// figure drivers and `mpilctl` compare the epidemic engines with.
+    /// (`walkers` is unused by the ring; `scale_run`'s ring spec sets 1.)
+    pub const GOSSIP_RING: EngineSpec = EngineSpec::Gossip {
+        view: 8,
+        walkers: 8,
+        ttl: 8,
+        strategy: LookupStrategy::ExpandingRing,
     };
     /// The four systems Figure 11 compares, in the paper's legend order.
     pub const FIGURE_11: [EngineSpec; 4] = [
@@ -525,7 +559,18 @@ impl fmt::Display for Scenario {
 }
 
 /// A converged engine plus everything stage 2 needs, in exact legacy
-/// RNG order.
+/// RNG order — and the paper's two-stage methodology (Sections 3 and
+/// 6.2) as the one sequence of calls every driver makes on it:
+///
+/// ```text
+/// insert_all → perturb → lookups → tally
+/// ```
+///
+/// Each stage is its own call so that a driver can read a clock,
+/// [`DiscoveryEngine::net_stats`], [`DiscoveryEngine::counters`] or an
+/// allocation snapshot between two of them, and append stages of its
+/// own (a recovery stage, say) after the last; what a driver may not do
+/// is re-perform a stage by hand.
 pub struct PreparedRun {
     /// The engine, converged and quiet.
     pub engine: Box<dyn DiscoveryEngine>,
@@ -541,90 +586,123 @@ pub struct PreparedRun {
     pub warmup_secs: u64,
 }
 
+/// What a batch of lookups came to ([`PreparedRun::tally`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LookupTally {
+    /// Percentage answered positively before their deadline.
+    pub success_rate: f64,
+    /// Mean forward-path hops of the successful replies.
+    pub mean_reply_hops: f64,
+}
+
+impl PreparedRun {
+    /// Stage 1: inserts every object from the origin on the quiet
+    /// network and lets the insertions settle.
+    pub fn insert_all(&mut self) {
+        for &object in &self.objects {
+            self.engine.insert(self.origin, object);
+        }
+        self.engine.run_to_quiescence();
+    }
+
+    /// Mean replicas per object (meaningful after [`insert_all`]).
+    ///
+    /// [`insert_all`]: PreparedRun::insert_all
+    pub fn mean_replicas(&self) -> f64 {
+        let mut replicas = RunningStats::new();
+        for &object in &self.objects {
+            replicas.push(self.engine.replica_count(object) as f64);
+        }
+        replicas.mean()
+    }
+
+    /// Stage-2 set-up: starts maintenance where the engine has any,
+    /// runs the warm-up, then flaps every node but the origin on
+    /// `run`'s schedule and injects its link loss. Returns the instant
+    /// the flapping starts, which [`lookups`] counts its periods from.
+    ///
+    /// [`lookups`]: PreparedRun::lookups
+    pub fn perturb(&mut self, run: &PerturbRun) -> SimTime {
+        if self.maintenance {
+            self.engine.start_maintenance();
+        }
+        if self.warmup_secs > 0 {
+            self.engine
+                .advance(SimDuration::from_secs(self.warmup_secs));
+        }
+        let flap_start = self.engine.now();
+        let schedule =
+            FlappingConfig::idle_offline_secs(run.idle_secs, run.offline_secs, run.probability)
+                .starting_at(flap_start);
+        let mut flap = Flapping::new(schedule, run.nodes, run.seed ^ 0xf1a9, &mut self.rng);
+        flap.exempt(self.origin);
+        self.engine.set_availability(Box::new(flap));
+        self.engine.set_loss_probability(run.loss_probability);
+        flap_start
+    }
+
+    /// The lookup loop: one lookup per flapping period counted from
+    /// `flap_start`, each due [`PerturbRun::deadline_window`] after it
+    /// is issued, then a tail long enough for the last to resolve.
+    pub fn lookups(&mut self, run: &PerturbRun, flap_start: SimTime) -> Vec<LookupHandle> {
+        let period = run.period();
+        let window = run.deadline_window();
+        let mut handles = Vec::with_capacity(self.objects.len());
+        for (i, &object) in self.objects.iter().enumerate() {
+            let issue_at = flap_start + period * (i as u64 + 1);
+            self.engine.run_until(issue_at);
+            let handle = self
+                .engine
+                .issue_lookup(self.origin, object, issue_at + window);
+            handles.push(handle);
+        }
+        let tail = self.engine.now() + window + SimDuration::from_secs(30);
+        self.engine.run_until(tail);
+        handles
+    }
+
+    /// Reads the outcomes of `handles` (whose deadlines have passed).
+    pub fn tally(&self, handles: &[LookupHandle]) -> LookupTally {
+        // One sample per successful lookup.
+        let mut hops = RunningStats::new();
+        for &handle in handles {
+            if let LookupOutcome::Succeeded { hops: h, .. } = self.engine.lookup_outcome(handle) {
+                hops.push(f64::from(h));
+            }
+        }
+        LookupTally {
+            success_rate: 100.0 * hops.count() as f64 / handles.len().max(1) as f64,
+            mean_reply_hops: hops.mean(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn labels_match_the_legacy_legend() {
-        assert_eq!(
-            EngineSpec::Pastry {
-                replication_on_route: false
-            }
-            .label(),
-            "MSPastry"
-        );
-        assert_eq!(
-            EngineSpec::Pastry {
-                replication_on_route: true
-            }
-            .label(),
-            "MSPastry with RR"
-        );
-        assert_eq!(
-            EngineSpec::MpilOverPastry {
-                duplicate_suppression: true
-            }
-            .label(),
-            "MPIL with DS"
-        );
-        assert_eq!(
-            EngineSpec::MpilOverPastry {
-                duplicate_suppression: false
-            }
-            .label(),
-            "MPIL without DS"
-        );
-        assert_eq!(
-            EngineSpec::Kademlia { k: 8, alpha: 3 }.label(),
-            "Kademlia k=8 α=3"
-        );
+        assert_eq!(EngineSpec::MSPASTRY.label(), "MSPastry");
+        assert_eq!(EngineSpec::MSPASTRY_RR.label(), "MSPastry with RR");
+        assert_eq!(EngineSpec::MPIL_DS.label(), "MPIL with DS");
+        assert_eq!(EngineSpec::MPIL_NO_DS.label(), "MPIL without DS");
+        assert_eq!(EngineSpec::KADEMLIA.label(), "Kademlia k=8 α=3");
         assert_eq!(
             EngineSpec::MpilOver(OverlaySource::Chord).label(),
             "MPIL over Chord overlay"
         );
         assert_eq!(
-            EngineSpec::Gossip {
-                view: 8,
-                walkers: 8,
-                ttl: 16,
-                strategy: LookupStrategy::KRandomWalk
-            }
-            .label(),
+            EngineSpec::GOSSIP_WALK.label(),
             "Gossip k-walk view=8 k=8 ttl=16"
         );
-        assert_eq!(
-            EngineSpec::Gossip {
-                view: 8,
-                walkers: 8,
-                ttl: 8,
-                strategy: LookupStrategy::ExpandingRing
-            }
-            .label(),
-            "Gossip ring view=8 ttl=8"
-        );
+        assert_eq!(EngineSpec::GOSSIP_RING.label(), "Gossip ring view=8 ttl=8");
         assert_eq!(
             EngineSpec::MpilOver(OverlaySource::Gossip { view: 8 }).label(),
             "MPIL over gossip view=8"
         );
-        assert_eq!(
-            EngineSpec::Epidemic {
-                active: 5,
-                passive: 24,
-                strategy: LookupStrategy::Plumtree
-            }
-            .label(),
-            "Plumtree active=5 passive=24"
-        );
-        assert_eq!(
-            EngineSpec::Epidemic {
-                active: 5,
-                passive: 24,
-                strategy: LookupStrategy::Foaf
-            }
-            .label(),
-            "FOAF active=5 passive=24"
-        );
+        assert_eq!(EngineSpec::PLUMTREE.label(), "Plumtree active=5 passive=24");
+        assert_eq!(EngineSpec::FOAF.label(), "FOAF active=5 passive=24");
         assert_eq!(
             EngineSpec::MpilOver(OverlaySource::HyParView { active: 5 }).label(),
             "MPIL over hyparview active=5"
@@ -646,38 +724,16 @@ mod tests {
         run.nodes = 60;
         run.operations = 3;
         for spec in [
-            EngineSpec::Pastry {
-                replication_on_route: false,
-            },
+            EngineSpec::MSPASTRY,
             EngineSpec::Chord,
             EngineSpec::Kademlia { k: 4, alpha: 2 },
-            EngineSpec::MpilOverPastry {
-                duplicate_suppression: false,
-            },
+            EngineSpec::MPIL_NO_DS,
             EngineSpec::MpilOver(OverlaySource::RandomRegular(8)),
             EngineSpec::MpilOver(OverlaySource::Gossip { view: 8 }),
-            EngineSpec::Gossip {
-                view: 8,
-                walkers: 8,
-                ttl: 16,
-                strategy: LookupStrategy::KRandomWalk,
-            },
-            EngineSpec::Gossip {
-                view: 8,
-                walkers: 8,
-                ttl: 8,
-                strategy: LookupStrategy::ExpandingRing,
-            },
-            EngineSpec::Epidemic {
-                active: 5,
-                passive: 24,
-                strategy: LookupStrategy::Plumtree,
-            },
-            EngineSpec::Epidemic {
-                active: 5,
-                passive: 24,
-                strategy: LookupStrategy::Foaf,
-            },
+            EngineSpec::GOSSIP_WALK,
+            EngineSpec::GOSSIP_RING,
+            EngineSpec::PLUMTREE,
+            EngineSpec::FOAF,
             EngineSpec::MpilOver(OverlaySource::HyParView { active: 5 }),
         ] {
             let prepared = Scenario::new(spec, run).build();

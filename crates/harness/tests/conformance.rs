@@ -11,8 +11,8 @@
 //! a new substrate gets every test here by adding a single line.
 
 use mpil_harness::{
-    run_scenario, Counters, DiscoveryEngine, EngineSpec, LookupStrategy, OverlaySource, PerturbRun,
-    PreparedRun, Scenario, WallClockBudget,
+    run_scenario, Counters, DiscoveryEngine, EngineSpec, OverlaySource, PerturbRun, PreparedRun,
+    Scenario, WallClockBudget,
 };
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
@@ -22,37 +22,15 @@ use mpil_sim::{Flapping, FlappingConfig, SimDuration};
 /// here runs the entire conformance suite.
 fn all_specs() -> Vec<EngineSpec> {
     vec![
-        EngineSpec::Pastry {
-            replication_on_route: false,
-        },
+        EngineSpec::MSPASTRY,
         EngineSpec::Chord,
         EngineSpec::Kademlia { k: 4, alpha: 2 },
-        EngineSpec::MpilOverPastry {
-            duplicate_suppression: false,
-        },
+        EngineSpec::MPIL_NO_DS,
         EngineSpec::MpilOver(OverlaySource::RandomRegular(8)),
-        EngineSpec::Gossip {
-            view: 8,
-            walkers: 8,
-            ttl: 16,
-            strategy: LookupStrategy::KRandomWalk,
-        },
-        EngineSpec::Gossip {
-            view: 8,
-            walkers: 8,
-            ttl: 8,
-            strategy: LookupStrategy::ExpandingRing,
-        },
-        EngineSpec::Epidemic {
-            active: 5,
-            passive: 24,
-            strategy: LookupStrategy::Plumtree,
-        },
-        EngineSpec::Epidemic {
-            active: 5,
-            passive: 24,
-            strategy: LookupStrategy::Foaf,
-        },
+        EngineSpec::GOSSIP_WALK,
+        EngineSpec::GOSSIP_RING,
+        EngineSpec::PLUMTREE,
+        EngineSpec::FOAF,
         EngineSpec::MpilOver(OverlaySource::HyParView { active: 8 }),
     ]
 }

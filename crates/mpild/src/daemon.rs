@@ -55,12 +55,12 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mpil::{MessageKind, MpilConfig};
-use mpil_harness::WallClock;
 use mpil_id::Id;
 use mpil_net::{
     ClientEvent, LiveClusterBuilder, NodeStats, RequestTracker, RetryPolicy, TransportKind,
 };
 use mpil_overlay::{generators, NodeIdx};
+use mpil_workload::WallClock;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 

@@ -28,7 +28,7 @@
 //!
 //! Determinism contract: `mpild` is service code, so it *may* read the
 //! wall clock — but only through the sanctioned
-//! [`mpil_harness::WallClock`] touchpoint, and all pacing decisions are
+//! [`mpil_workload::WallClock`] touchpoint, and all pacing decisions are
 //! made by the clock-free [`mpil_workload::Pacer`] fed with elapsed
 //! durations. Randomness is always seeded (`SmallRng`), never entropy.
 //!
@@ -39,6 +39,7 @@
 
 pub mod args;
 pub mod daemon;
+pub mod front;
 pub mod load;
 pub mod proto;
 

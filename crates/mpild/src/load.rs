@@ -23,11 +23,10 @@ use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
 use mpil::MessageId;
-use mpil_harness::WallClock;
 use mpil_id::Id;
 use mpil_net::{RequestTracker, RetryPolicy};
 use mpil_overlay::NodeIdx;
-use mpil_workload::{InsertLookupWorkload, Pacer, Percentiles, WorkloadConfig};
+use mpil_workload::{InsertLookupWorkload, Pacer, Percentiles, WallClock, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -23,6 +23,7 @@
 //! protocol revision.
 
 use mpil_id::{Id, ID_BYTES};
+use mpil_net::codec::Reader;
 
 /// Control protocol revision. Bump on any frame-layout change.
 pub const CTRL_VERSION: u8 = 1;
@@ -185,41 +186,18 @@ fn header(kind: u8, token: u64, body: usize) -> Vec<u8> {
     f
 }
 
-fn read_u8(frame: &[u8], at: usize) -> Result<u8, CtrlDecodeError> {
-    frame.get(at).copied().ok_or(CtrlDecodeError::Truncated)
+/// A field the cursor ran out of bytes for is a truncated frame.
+fn need<T>(field: Option<T>) -> Result<T, CtrlDecodeError> {
+    field.ok_or(CtrlDecodeError::Truncated)
 }
 
-fn read_u32(frame: &[u8], at: usize) -> Result<u32, CtrlDecodeError> {
-    let bytes: [u8; 4] = frame
-        .get(at..at + 4)
-        .and_then(|s| s.try_into().ok())
-        .ok_or(CtrlDecodeError::Truncated)?;
-    Ok(u32::from_be_bytes(bytes))
-}
-
-fn read_u64(frame: &[u8], at: usize) -> Result<u64, CtrlDecodeError> {
-    let bytes: [u8; 8] = frame
-        .get(at..at + 8)
-        .and_then(|s| s.try_into().ok())
-        .ok_or(CtrlDecodeError::Truncated)?;
-    Ok(u64::from_be_bytes(bytes))
-}
-
-fn read_id(frame: &[u8], at: usize) -> Result<Id, CtrlDecodeError> {
-    let bytes: [u8; ID_BYTES] = frame
-        .get(at..at + ID_BYTES)
-        .and_then(|s| s.try_into().ok())
-        .ok_or(CtrlDecodeError::Truncated)?;
-    Ok(Id::from_bytes(bytes))
-}
-
-fn check_header(frame: &[u8]) -> Result<(u8, u64), CtrlDecodeError> {
-    let version = read_u8(frame, 0)?;
+fn check_header(r: &mut Reader<'_>) -> Result<(u8, u64), CtrlDecodeError> {
+    let version = need(r.u8())?;
     if version != CTRL_VERSION {
         return Err(CtrlDecodeError::BadVersion(version));
     }
-    let kind = read_u8(frame, 1)?;
-    let token = read_u64(frame, 2)?;
+    let kind = need(r.u8())?;
+    let token = need(r.u64())?;
     Ok((kind, token))
 }
 
@@ -271,29 +249,30 @@ impl CtrlRequest {
     /// [`CtrlDecodeError`] on truncation, version mismatch, or a
     /// response-kind (or unknown) kind byte.
     pub fn decode(frame: &[u8]) -> Result<(u64, Self), CtrlDecodeError> {
-        let (kind, token) = check_header(frame)?;
+        let r = &mut Reader::new(frame);
+        let (kind, token) = check_header(r)?;
         let req = match kind {
             K_ANNOUNCE => CtrlRequest::Announce {
-                object: read_id(frame, 10)?,
-                origin: read_u32(frame, 10 + ID_BYTES)?,
+                object: need(r.id())?,
+                origin: need(r.u32())?,
             },
             K_LOOKUP => CtrlRequest::Lookup {
-                object: read_id(frame, 10)?,
-                origin: read_u32(frame, 10 + ID_BYTES)?,
+                object: need(r.id())?,
+                origin: need(r.u32())?,
             },
             K_JOIN => CtrlRequest::Join {
-                node: read_u32(frame, 10)?,
+                node: need(r.u32())?,
             },
             K_PERTURB => CtrlRequest::Perturb {
-                node: read_u32(frame, 10)?,
-                millis: read_u32(frame, 14)?,
+                node: need(r.u32())?,
+                millis: need(r.u32())?,
             },
             K_HEAL => CtrlRequest::Heal {
-                node: read_u32(frame, 10)?,
+                node: need(r.u32())?,
             },
             K_STATS => CtrlRequest::Stats,
             K_DRAIN => CtrlRequest::Drain {
-                millis: read_u32(frame, 10)?,
+                millis: need(r.u32())?,
             },
             other => return Err(CtrlDecodeError::BadKind(other)),
         };
@@ -345,29 +324,30 @@ impl CtrlResponse {
     /// [`CtrlDecodeError`] on truncation, version mismatch, or a
     /// request-kind (or unknown) kind byte.
     pub fn decode(frame: &[u8]) -> Result<(u64, Self), CtrlDecodeError> {
-        let (kind, token) = check_header(frame)?;
+        let r = &mut Reader::new(frame);
+        let (kind, token) = check_header(r)?;
         let resp = match kind {
             K_ANNOUNCED => CtrlResponse::Announced {
-                holder: read_u32(frame, 10)?,
+                holder: need(r.u32())?,
             },
             K_FOUND => CtrlResponse::Found {
-                holder: read_u32(frame, 10)?,
-                hops: read_u32(frame, 14)?,
+                holder: need(r.u32())?,
+                hops: need(r.u32())?,
             },
             K_NOT_FOUND => CtrlResponse::NotFound,
             K_OK => CtrlResponse::Ok,
             K_STATS_BODY => CtrlResponse::Stats(StatsBody {
-                announces: read_u64(frame, 10)?,
-                hits: read_u64(frame, 18)?,
-                lookup_timeouts: read_u64(frame, 26)?,
-                announce_timeouts: read_u64(frame, 34)?,
-                retries: read_u64(frame, 42)?,
-                live_nodes: read_u32(frame, 50)?,
-                parked: read_u32(frame, 54)?,
-                uptime_ms: read_u64(frame, 58)?,
+                announces: need(r.u64())?,
+                hits: need(r.u64())?,
+                lookup_timeouts: need(r.u64())?,
+                announce_timeouts: need(r.u64())?,
+                retries: need(r.u64())?,
+                live_nodes: need(r.u32())?,
+                parked: need(r.u32())?,
+                uptime_ms: need(r.u64())?,
             }),
             K_ERR => CtrlResponse::Err {
-                code: read_u8(frame, 10)?,
+                code: need(r.u8())?,
             },
             other => return Err(CtrlDecodeError::BadKind(other)),
         };

@@ -26,7 +26,7 @@
 //! --- kind 4: no payload ---
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use mpil::{Message, MessageId, MessageKind};
 use mpil_id::{Id, ID_BYTES};
 use mpil_overlay::NodeIdx;
@@ -203,86 +203,118 @@ impl WireMessage {
     ///
     /// Returns [`DecodeError`] on truncation, a version mismatch, or an
     /// unknown kind byte.
-    pub fn decode(mut data: &[u8]) -> Result<WireMessage, DecodeError> {
-        if data.len() < 2 {
-            return Err(DecodeError::Truncated);
+    pub fn decode(data: &[u8]) -> Result<WireMessage, DecodeError> {
+        fn need<T>(field: Option<T>) -> Result<T, DecodeError> {
+            field.ok_or(DecodeError::Truncated)
         }
-        let version = data.get_u8();
+        let r = &mut Reader::new(data);
+        let (version, kind) = (need(r.u8())?, need(r.u8())?);
         if version != WIRE_VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let kind = data.get_u8();
         match kind {
-            0 | 1 => {
-                if data.remaining() < 8 + ID_BYTES + 4 + 4 + 4 + 4 + 2 {
-                    return Err(DecodeError::Truncated);
-                }
-                let msg_id = MessageId(data.get_u64());
-                let object = get_id(&mut data);
-                let origin = NodeIdx::new(data.get_u32());
-                let quota = data.get_u32();
-                let replicas_left = data.get_u32();
-                let hops = data.get_u32();
-                let route_len = usize::from(data.get_u16());
-                if data.remaining() < route_len * 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                let route = (0..route_len)
-                    .map(|_| NodeIdx::new(data.get_u32()))
-                    .collect();
-                Ok(WireMessage::Forward(Message {
-                    msg_id,
-                    kind: if kind == 0 {
-                        MessageKind::Insert
-                    } else {
-                        MessageKind::Lookup
-                    },
-                    object,
-                    origin,
-                    quota,
-                    replicas_left,
-                    hops,
-                    route,
-                }))
-            }
-            2 => {
-                if data.remaining() < 8 + ID_BYTES + 4 + 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                let msg_id = MessageId(data.get_u64());
-                let object = get_id(&mut data);
-                let holder = NodeIdx::new(data.get_u32());
-                let hops = data.get_u32();
-                Ok(WireMessage::Reply {
-                    msg_id,
-                    object,
-                    holder,
-                    hops,
-                })
-            }
-            3 => {
-                if data.remaining() < 8 + ID_BYTES + 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                let msg_id = MessageId(data.get_u64());
-                let object = get_id(&mut data);
-                let holder = NodeIdx::new(data.get_u32());
-                Ok(WireMessage::StoreAck {
-                    msg_id,
-                    object,
-                    holder,
-                })
-            }
+            0 | 1 => Ok(WireMessage::Forward(Message {
+                msg_id: MessageId(need(r.u64())?),
+                kind: if kind == 0 {
+                    MessageKind::Insert
+                } else {
+                    MessageKind::Lookup
+                },
+                object: need(r.id())?,
+                origin: NodeIdx::new(need(r.u32())?),
+                quota: need(r.u32())?,
+                replicas_left: need(r.u32())?,
+                hops: need(r.u32())?,
+                route: {
+                    let len = usize::from(need(r.u16())?);
+                    need(r.u32s(len))?.map(NodeIdx::new).collect()
+                },
+            })),
+            2 => Ok(WireMessage::Reply {
+                msg_id: MessageId(need(r.u64())?),
+                object: need(r.id())?,
+                holder: NodeIdx::new(need(r.u32())?),
+                hops: need(r.u32())?,
+            }),
+            3 => Ok(WireMessage::StoreAck {
+                msg_id: MessageId(need(r.u64())?),
+                object: need(r.id())?,
+                holder: NodeIdx::new(need(r.u32())?),
+            }),
             4 => Ok(WireMessage::Shutdown),
             k => Err(DecodeError::BadKind(k)),
         }
     }
 }
 
-fn get_id(data: &mut &[u8]) -> Id {
-    let mut bytes = [0u8; ID_BYTES];
-    data.copy_to_slice(&mut bytes);
-    Id::from_bytes(bytes)
+/// A checked big-endian cursor over a received frame: each getter takes
+/// its bytes off the front and returns `None` once the frame has run
+/// out, so a decoder names its fields in wire order and maps `None` to
+/// its own "truncated" error instead of summing field widths by hand.
+/// Both of the workspace's frame formats (this module's data plane and
+/// `mpild`'s control plane) read through it; the getters are `#[inline]`
+/// because the second of those decodes in another crate, where a call
+/// per field tripled the cost of a control frame.
+#[derive(Debug)]
+pub struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// A cursor at the first byte of `frame`.
+    #[inline]
+    pub fn new(frame: &'a [u8]) -> Self {
+        Reader(frame)
+    }
+
+    #[inline]
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    /// The next byte.
+    #[inline]
+    pub fn u8(&mut self) -> Option<u8> {
+        self.take::<1>().map(|[b]| b)
+    }
+
+    /// The next two bytes as a big-endian integer.
+    #[inline]
+    pub fn u16(&mut self) -> Option<u16> {
+        self.take().map(u16::from_be_bytes)
+    }
+
+    /// The next four bytes as a big-endian integer.
+    #[inline]
+    pub fn u32(&mut self) -> Option<u32> {
+        self.take().map(u32::from_be_bytes)
+    }
+
+    /// The next eight bytes as a big-endian integer.
+    #[inline]
+    pub fn u64(&mut self) -> Option<u64> {
+        self.take().map(u64::from_be_bytes)
+    }
+
+    /// The next [`ID_BYTES`] bytes as an identifier.
+    #[inline]
+    pub fn id(&mut self) -> Option<Id> {
+        self.take::<ID_BYTES>().map(Id::from_bytes)
+    }
+
+    /// The next `n` big-endian `u32`s, checked as one block: a length
+    /// field read from the frame is held against the bytes that are
+    /// really there before anything is allocated for it, and the
+    /// iterator knows its exact length.
+    #[inline]
+    pub fn u32s(&mut self, n: usize) -> Option<impl ExactSizeIterator<Item = u32> + 'a> {
+        let (head, rest) = self.0.split_at_checked(n.checked_mul(4)?)?;
+        self.0 = rest;
+        Some(
+            head.chunks_exact(4)
+                .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]])),
+        )
+    }
 }
 
 #[cfg(test)]

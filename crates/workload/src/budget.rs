@@ -1,15 +1,17 @@
 //! Wall-clock stopwatches and budgets for scale smokes and benchmark
 //! drivers.
 //!
-//! The harness is a deterministic crate: simulated runs must be a pure
+//! This is a deterministic crate: simulated runs must be a pure
 //! function of the seed, so `mpil-lint` rule D002 bans wall-clock reads
-//! here. Tripwires ("did the 10k smoke finish inside 150 s?") are the
-//! one legitimate exception, and this module is their single home — the
-//! two `Instant` touchpoints below carry the workspace's canonical
-//! `allow(D002)` annotations, and every deterministic-zone caller (the
-//! conformance scale smoke, the `scale_run` CI tripwire, the bench
-//! stage timings) routes through [`WallClock`] / [`WallClockBudget`]
-//! instead of touching `std::time` itself.
+//! here. Tripwires ("did the 10k smoke finish inside 150 s?") and the
+//! service's stopwatch are the legitimate exceptions, and this module is
+//! their single home — the two `Instant` touchpoints below carry the
+//! workspace's canonical `allow(D002)` annotations, and every caller
+//! (the conformance scale smoke, the `scale_run` CI tripwire, the bench
+//! stage timings, `mpild`) routes through [`WallClock`] /
+//! [`WallClockBudget`] instead of touching `std::time` itself. It lives
+//! here, below both the simulation harness (which re-exports it) and
+//! the service, so that neither depends on the other for a clock.
 
 use std::time::Duration;
 #[allow(clippy::disallowed_types)] // the sanctioned wall-clock touchpoint
@@ -95,7 +97,7 @@ impl WallClockBudget {
     /// has been crossed (test-assertion flavor).
     pub fn assert_within(&self, context: &str) {
         if let Err(msg) = self.check(context) {
-            panic!("{msg}"); // mpil-lint: allow(P001, panicking is this assertion helper's contract)
+            panic!("{msg}");
         }
     }
 }

@@ -20,8 +20,7 @@
 //! a pure function of its inputs — this crate sits in the deterministic
 //! zone of the `mpil-lint` contract and must not read wall time itself.
 //!
-//! [`WallClock`]: https://docs.rs/ — see `mpil_harness::WallClock`, the
-//! workspace's sanctioned wall-clock touchpoint.
+//! [`WallClock`]: crate::WallClock
 
 use std::time::Duration;
 

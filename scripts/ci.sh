@@ -12,7 +12,7 @@
 #   lints:   cargo clippy --workspace --all-targets -- -D warnings
 #   scale:   scale_run at 20k nodes under --budget-s — catches an
 #            accidental O(n²) (or worse) regression in the simulation
-#            kernel long before the full BENCH_scale curve would
+#            kernel long before a full scaling curve would
 #   traffic: a 20k-node plumtree point under --max-msgs-per-lookup —
 #            catches the dissemination layer regressing to flood-scale
 #            lookup traffic
@@ -21,6 +21,8 @@
 #            retries, drain) failing under perturbation — and a quiet
 #            one on real sockets, which catches a poll interval coming
 #            back into the request path
+#   oracles: scripts/oracles.sh — the seeded figure CSVs that finish in
+#            seconds, byte for byte against scripts/oracles.sha256
 #
 # Everything resolves from vendor/ path entries (see vendor/README.md),
 # so this must pass from a clean checkout with no network access.
@@ -37,6 +39,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 tier1=ok
 scripts/verify.sh --benches \
     || { tier1=failed; echo "ci: tier-1 (scripts/verify.sh --benches) failed; carrying on to the smokes" >&2; }
+
+# Byte-identity oracle: tier-1 pins counts at 300 nodes; this holds the
+# figure CSVs themselves (~22 s on the release build tier-1 just made).
+scripts/oracles.sh \
+    || { echo "ci: a seeded figure CSV moved (scripts/oracles.sh)" >&2; exit 1; }
 
 # Kernel scale tripwire: a 20k-node gossip run (the engine with the
 # heaviest event traffic, ~6.5M messages) must finish well inside the

@@ -8,8 +8,13 @@
 //! (recorded from commit 806b8e4). A refactor of an engine, of the
 //! shell or of the kernel that changes an RNG draw, a send, or the
 //! order of two same-tick events moves at least one of these counts.
+//!
+//! [`run_scenario`] and [`run_point`] are two readers of one drive (the
+//! stage methods of `mpil_harness::PreparedRun`): on the same scenario
+//! they must report the same success rate and the same lookup traffic.
 
 use mpil_bench::scale_curve::{run_point, scale_spec};
+use mpil_harness::{run_scenario, PerturbRun, Scenario};
 
 const NODES: usize = 300;
 const OPS: usize = 10;
@@ -34,6 +39,17 @@ fn every_scale_engine_repeats_its_pinned_counts() {
         let spec = scale_spec(name, "walk").expect("a scale_run engine");
         let point = run_point(spec, NODES, OPS, P, SEED);
         measured.push((name, point.sent, point.events, point.success_rate));
+
+        let mut run = PerturbRun::new(30, 30, P);
+        run.nodes = NODES;
+        run.operations = OPS;
+        run.seed = SEED;
+        let result = run_scenario(&Scenario::new(spec, run));
+        assert_eq!(
+            (result.success_rate, result.lookup_messages),
+            (point.success_rate, point.lookup_msgs),
+            "{name}: run_scenario and run_point disagree on one drive"
+        );
     }
     assert_eq!(
         measured,
