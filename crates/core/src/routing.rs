@@ -53,6 +53,7 @@ pub fn routing_decision(
 
 /// Evaluates one neighbor's closeness under the configured metric
 /// (higher is closer for all three).
+#[inline]
 pub fn metric_value(metric: RoutingMetric, space: IdSpace, object: Id, id: Id) -> u32 {
     match metric {
         RoutingMetric::CommonDigits => space.common_digits(object, id),
@@ -70,6 +71,16 @@ pub fn metric_value(metric: RoutingMetric, space: IdSpace, object: Id, id: Id) -
 /// descending metric order with neighbor-list order breaking ties —
 /// `budget` should be the message's remaining quota plus `given_flows`,
 /// matching what [`crate::flow::plan_forwarding`] may actually use.
+///
+/// One pass over `neighbors`, O(d + k log k) for degree d and k
+/// candidates kept: under `TopK` the best `max(budget, 1)` so far are
+/// held in order, a neighbor entering after the last one whose metric
+/// is at least its own and pushing the tail out — exactly the first
+/// `k` of a stable sort by descending metric. A hub has thousands of
+/// neighbors and a message a few dozen flows, so nearly every neighbor
+/// is turned away on its metric alone; `visited` (a scan of the
+/// message's route for most callers) is asked only of a neighbor that
+/// would otherwise become a candidate.
 #[allow(clippy::too_many_arguments)]
 pub fn routing_decision_policy(
     space: IdSpace,
@@ -83,43 +94,43 @@ pub fn routing_decision_policy(
     metric: RoutingMetric,
 ) -> RoutingDecision {
     let self_metric = metric_value(metric, space, object, ids[node.index()]);
+    let keep = match policy {
+        SplitPolicy::MetricTies => 0,
+        SplitPolicy::TopK => (budget.max(1) as usize).min(neighbors.len()),
+    };
     let mut best_any = 0u32;
     let mut best_candidate = 0u32;
-    let mut candidates = Vec::new();
-    let mut scored: Vec<(u32, NodeIdx)> = Vec::new();
+    let mut candidates = Vec::with_capacity(keep);
+    // TopK only: `kept[i]` is the metric of `candidates[i]`, descending.
+    let mut kept: Vec<u32> = Vec::with_capacity(keep);
     for &nbr in neighbors {
         let m = metric_value(metric, space, object, ids[nbr.index()]);
-        if m > best_any {
-            best_any = m;
-        }
-        if visited(nbr) || nbr == node {
+        best_any = best_any.max(m);
+        let cannot_enter = match policy {
+            SplitPolicy::MetricTies => m < best_candidate,
+            SplitPolicy::TopK => kept.len() == keep && m <= kept[keep - 1],
+        };
+        if cannot_enter || nbr == node || visited(nbr) {
             continue;
         }
         match policy {
             SplitPolicy::MetricTies => {
-                use std::cmp::Ordering;
-                match m.cmp(&best_candidate) {
-                    Ordering::Greater => {
-                        best_candidate = m;
-                        candidates.clear();
-                        candidates.push(nbr);
-                    }
-                    Ordering::Equal => candidates.push(nbr),
-                    Ordering::Less => {}
+                if m > best_candidate {
+                    candidates.clear();
                 }
+                candidates.push(nbr);
             }
             SplitPolicy::TopK => {
-                best_candidate = best_candidate.max(m);
-                scored.push((m, nbr));
+                if kept.len() == keep {
+                    kept.pop();
+                    candidates.pop();
+                }
+                let at = kept.partition_point(|&have| have >= m);
+                kept.insert(at, m);
+                candidates.insert(at, nbr);
             }
         }
-    }
-    if policy == SplitPolicy::TopK && !scored.is_empty() {
-        let take = (budget as usize).min(scored.len()).max(1);
-        // Stable by neighbor-list order within equal metrics.
-        scored.sort_by_key(|&(m, _)| std::cmp::Reverse(m));
-        scored.truncate(take);
-        candidates = scored.into_iter().map(|(_, n)| n).collect();
+        best_candidate = best_candidate.max(m);
     }
     RoutingDecision {
         self_metric,
@@ -132,6 +143,9 @@ pub fn routing_decision_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
 
     /// Builds the 4-bit toy IDs from the paper's figures, embedded in the
     /// low bits of 160-bit IDs. All high bits are zero, so they are
@@ -239,5 +253,168 @@ mod tests {
         );
         assert_eq!(d.self_metric, 159);
         assert!(d.is_local_max);
+    }
+
+    /// The routing rule as Figure 5 states it: score every neighbor, keep
+    /// the unvisited ones, and under `TopK` stable-sort them by descending
+    /// metric and take the first `budget` (at least one).
+    #[allow(clippy::too_many_arguments)]
+    fn reference_decision(
+        space: IdSpace,
+        object: Id,
+        node: NodeIdx,
+        neighbors: &[NodeIdx],
+        ids: &[Id],
+        visited: impl Fn(NodeIdx) -> bool,
+        policy: SplitPolicy,
+        budget: u32,
+        metric: RoutingMetric,
+    ) -> RoutingDecision {
+        let value = |n: NodeIdx| metric_value(metric, space, object, ids[n.index()]);
+        let self_metric = value(node);
+        let best_any = neighbors.iter().map(|&n| value(n)).max();
+        let mut scored: Vec<(u32, NodeIdx)> = neighbors
+            .iter()
+            .filter(|&&n| n != node && !visited(n))
+            .map(|&n| (value(n), n))
+            .collect();
+        let candidate_metric = scored.iter().map(|&(m, _)| m).max().unwrap_or(0);
+        match policy {
+            SplitPolicy::MetricTies => scored.retain(|&(m, _)| m == candidate_metric),
+            SplitPolicy::TopK => {
+                scored.sort_by_key(|&(m, _)| std::cmp::Reverse(m));
+                scored.truncate((budget as usize).max(1));
+            }
+        }
+        RoutingDecision {
+            self_metric,
+            is_local_max: best_any.is_none_or(|best| self_metric >= best),
+            candidates: scored.into_iter().map(|(_, n)| n).collect(),
+            candidate_metric,
+        }
+    }
+
+    #[test]
+    fn selection_equals_the_stable_sort_it_replaces() {
+        // IDs from a 6-bit space: at most seven metric values in base 2
+        // and four in base 4, so ties are the rule at every degree.
+        let mut rng = SmallRng::seed_from_u64(19);
+        for case in 0..3000 {
+            let n = rng.gen_range(1..=300usize);
+            let ids: Vec<Id> = (0..n)
+                .map(|_| Id::from_low_u64(rng.gen_range(0..64)))
+                .collect();
+            let degree = rng.gen_range(0..=300usize);
+            // Drawn with repetition, so `node` and duplicates turn up.
+            let neighbors: Vec<NodeIdx> = (0..degree)
+                .map(|_| NodeIdx::new(rng.gen_range(0..n as u32)))
+                .collect();
+            let node = match neighbors.first() {
+                Some(&first) if rng.gen_bool(0.5) => first,
+                _ => NodeIdx::new(rng.gen_range(0..n as u32)),
+            };
+            let visited_share = [0.0, 0.1, 0.5, 1.0][case % 4];
+            let visited: Vec<bool> = (0..n).map(|_| rng.gen_bool(visited_share)).collect();
+            let object = Id::from_low_u64(rng.gen_range(0..64));
+            let space = [IdSpace::base2(), IdSpace::base4(), IdSpace::base16()][case % 3];
+            let budget = rng.gen_range(0..=25u32);
+            for policy in [SplitPolicy::MetricTies, SplitPolicy::TopK] {
+                for metric in [
+                    RoutingMetric::CommonDigits,
+                    RoutingMetric::PrefixMatch,
+                    RoutingMetric::SuffixMatch,
+                ] {
+                    let seen = |n: NodeIdx| visited[n.index()];
+                    let got = routing_decision_policy(
+                        space, object, node, &neighbors, &ids, seen, policy, budget, metric,
+                    );
+                    let want = reference_decision(
+                        space, object, node, &neighbors, &ids, seen, policy, budget, metric,
+                    );
+                    assert_eq!(
+                        got, want,
+                        "case {case}: {policy:?} {metric:?} budget {budget} degree {degree}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_takes_the_best_few_in_list_order_within_ties() {
+        // Metrics against object 0 in base 2: 160, 159, 159, 158, 159.
+        let ids: Vec<Id> = [0b111, 0b000, 0b001, 0b010, 0b011, 0b100]
+            .into_iter()
+            .map(id4)
+            .collect();
+        let neighbors: Vec<NodeIdx> = (1..6).map(NodeIdx::new).collect();
+        let decide = |budget| {
+            routing_decision_policy(
+                IdSpace::base2(),
+                id4(0),
+                NodeIdx::new(0),
+                &neighbors,
+                &ids,
+                |_| false,
+                SplitPolicy::TopK,
+                budget,
+                RoutingMetric::CommonDigits,
+            )
+        };
+        let nodes = |v: &[u32]| v.iter().map(|&i| NodeIdx::new(i)).collect::<Vec<_>>();
+        assert_eq!(decide(3).candidates, nodes(&[1, 2, 3]));
+        assert_eq!(decide(4).candidates, nodes(&[1, 2, 3, 5]));
+        assert_eq!(decide(9).candidates, nodes(&[1, 2, 3, 5, 4]));
+        assert_eq!(
+            decide(0).candidates,
+            nodes(&[1]),
+            "a budget of 0 still forwards"
+        );
+        assert_eq!(decide(3).candidate_metric, 160);
+    }
+
+    #[test]
+    fn a_hub_asks_visited_only_of_neighbors_that_can_enter_the_top_k() {
+        let (degree, budget) = (1000u32, 20usize);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let ids: Vec<Id> = (0..=degree).map(|_| Id::random(&mut rng)).collect();
+        let neighbors: Vec<NodeIdx> = (1..=degree).map(NodeIdx::new).collect();
+        let object = Id::random(&mut rng);
+        let asked = RefCell::new(Vec::new());
+        let d = routing_decision_policy(
+            IdSpace::base4(),
+            object,
+            NodeIdx::new(0),
+            &neighbors,
+            &ids,
+            |n| {
+                asked.borrow_mut().push(n);
+                false
+            },
+            SplitPolicy::TopK,
+            budget as u32,
+            RoutingMetric::CommonDigits,
+        );
+        let asked = asked.into_inner();
+        // About k(1 + ln(d/k)) = 98 neighbors ever enter a top-20 of
+        // 1000 distinct values; ties only lower that.
+        assert!(asked.len() < 250, "visited asked {} times", asked.len());
+
+        // Nobody is visited, so whoever was asked went in: replay the
+        // buffer and check each neighbor was asked exactly when it had to be.
+        let mut kept: Vec<u32> = Vec::new();
+        let mut asked = asked.into_iter().peekable();
+        for &nbr in &neighbors {
+            let m = IdSpace::base4().common_digits(object, ids[nbr.index()]);
+            let can_enter = kept.len() < budget || m > kept[budget - 1];
+            assert_eq!(asked.next_if_eq(&nbr).is_some(), can_enter, "{nbr:?}");
+            if can_enter {
+                kept.insert(kept.partition_point(|&have| have >= m), m);
+                kept.truncate(budget);
+            }
+        }
+        assert_eq!(asked.next(), None);
+        assert_eq!(d.candidates.len(), budget);
+        assert_eq!(d.candidate_metric, kept[0]);
     }
 }

@@ -138,33 +138,58 @@ impl Id {
 
     /// Counts leading zero bits.
     pub fn leading_zeros(&self) -> u32 {
-        let mut total = 0;
-        for b in self.0 {
-            if b == 0 {
-                total += 8;
-            } else {
-                total += b.leading_zeros();
-                break;
-            }
+        match self.words() {
+            (0, 0, lo) => 128 + lo.leading_zeros(),
+            (0, mid, _) => 64 + mid.leading_zeros(),
+            (hi, _, _) => hi.leading_zeros(),
         }
-        total
+    }
+
+    /// Counts trailing zero bits.
+    pub(crate) fn trailing_zeros(&self) -> u32 {
+        match self.words() {
+            (hi, 0, 0) => 96 + hi.trailing_zeros(),
+            (_, mid, 0) => 32 + mid.trailing_zeros(),
+            (_, _, lo) => lo.trailing_zeros(),
+        }
     }
 
     /// Returns `true` if every bit is zero.
     pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&b| b == 0)
+        self.words() == (0, 0, 0)
+    }
+
+    /// The identifier as three big-endian words: bits 0–63, 64–127 and
+    /// 128–159, bit 0 being the most significant. Each word is one load
+    /// and one byte swap, so whole-ID scans cost three steps, not twenty.
+    #[inline]
+    pub(crate) fn words(&self) -> (u64, u64, u32) {
+        let b = &self.0;
+        (
+            u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),
+            u64::from_be_bytes([b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15]]),
+            u32::from_be_bytes([b[16], b[17], b[18], b[19]]),
+        )
+    }
+
+    /// Inverse of [`Id::words`].
+    #[inline]
+    fn from_words(hi: u64, mid: u64, lo: u32) -> Id {
+        let mut out = [0u8; ID_BYTES];
+        out[..8].copy_from_slice(&hi.to_be_bytes());
+        out[8..16].copy_from_slice(&mid.to_be_bytes());
+        out[16..].copy_from_slice(&lo.to_be_bytes());
+        Id(out)
     }
 }
 
 impl std::ops::BitXor for Id {
     type Output = Id;
 
+    #[inline]
     fn bitxor(self, rhs: Id) -> Id {
-        let mut out = [0u8; ID_BYTES];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0.iter())) {
-            *o = a ^ b;
-        }
-        Id(out)
+        let (a, b) = (self.words(), rhs.words());
+        Id::from_words(a.0 ^ b.0, a.1 ^ b.1, a.2 ^ b.2)
     }
 }
 

@@ -7,11 +7,20 @@
 //! the common-digit metric distinguishes neighbors far better than prefix
 //! matching on arbitrary overlays, and the ablation benches quantify that.
 
-use crate::id::{Id, ID_BYTES};
+use crate::id::{Id, ID_BITS};
 
 /// Counts digits (width `digit_bits`) equal at the same positions.
 ///
 /// This is the MPIL routing metric. A higher value means "closer".
+///
+/// It is evaluated once per neighbor per routing step, so it works on
+/// words, not digits: the XOR of the two IDs is read as two `u64` and
+/// one `u32`, every non-zero digit of it is folded down to one marker
+/// bit (its lowest), the three marker words are shifted into disjoint
+/// bit lanes of one word where they fit, and a population count gives
+/// the digits that differ. No digit straddles a byte and the count does
+/// not care where in a word a byte sits, so the words are loaded in the
+/// machine's own byte order.
 ///
 /// ```
 /// use mpil_id::{common_digits, Id};
@@ -24,39 +33,54 @@ use crate::id::{Id, ID_BYTES};
 /// # Panics
 ///
 /// Panics if `digit_bits` is not one of 1, 2, 4, 8.
+#[inline]
 pub fn common_digits(a: Id, b: Id, digit_bits: u8) -> u32 {
-    let x = a ^ b;
-    let bytes = x.to_bytes();
-    match digit_bits {
-        1 => {
-            // Zero bits of the XOR.
-            let ones: u32 = bytes.iter().map(|b| b.count_ones()).sum();
-            (ID_BYTES as u32) * 8 - ones
-        }
+    let [x0, x1, x2] = xor_words(&a, &b);
+    let differing = match digit_bits {
+        1 => x0.count_ones() + x1.count_ones() + x2.count_ones(),
+        // 80 markers on every second bit: two words' worth interleave,
+        // the third is counted on its own.
         2 => {
-            let mut zero_digits = 0;
-            for byte in bytes {
-                // A base-4 digit is zero iff both its bits are zero.
-                let pairs = [byte >> 6, (byte >> 4) & 3, (byte >> 2) & 3, byte & 3];
-                zero_digits += pairs.iter().filter(|&&d| d == 0).count() as u32;
-            }
-            zero_digits
+            (markers::<2>(x0) | markers::<2>(x1) << 1).count_ones() + markers::<2>(x2).count_ones()
         }
-        4 => {
-            let mut zero_digits = 0;
-            for byte in bytes {
-                if byte >> 4 == 0 {
-                    zero_digits += 1;
-                }
-                if byte & 0x0f == 0 {
-                    zero_digits += 1;
-                }
-            }
-            zero_digits
-        }
-        8 => bytes.iter().filter(|&&b| b == 0).count() as u32,
+        // 40 (or 20) markers at least four bits apart: all three fit.
+        4 => (markers::<4>(x0) | markers::<4>(x1) << 1 | markers::<4>(x2) << 2).count_ones(),
+        8 => (markers::<8>(x0) | markers::<8>(x1) << 1 | markers::<8>(x2) << 2).count_ones(),
         other => panic!("unsupported digit width {other}"),
+    };
+    ID_BITS as u32 / u32::from(digit_bits) - differing
+}
+
+/// `a ^ b` as three native-endian words: bytes 0–7, 8–15 and 16–19 (the
+/// last zero-extended).
+#[inline]
+fn xor_words(a: &Id, b: &Id) -> [u64; 3] {
+    let load = |id: &Id| {
+        let b = id.as_bytes();
+        [
+            u64::from_ne_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),
+            u64::from_ne_bytes([b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15]]),
+            u64::from(u32::from_ne_bytes([b[16], b[17], b[18], b[19]])),
+        ]
+    };
+    let (a, b) = (load(a), load(b));
+    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2]]
+}
+
+/// The lowest bit of every non-zero `W`-bit digit of `x`, all else clear.
+///
+/// ORing `x` with itself shifted right by 1, 2, .. `W / 2` gathers each
+/// digit's bits in its lowest one; what leaks in from the digit above
+/// lands only in the higher bits, which the mask drops.
+#[inline]
+fn markers<const W: u32>(mut x: u64) -> u64 {
+    let mut shift = 1;
+    while shift < W {
+        x |= x >> shift;
+        shift *= 2;
     }
+    // 0x5555.., 0x1111.., 0x0101..: bit 0 of every W-bit digit.
+    x & (u64::MAX / ((1 << W) - 1))
 }
 
 /// Length of the shared prefix, in digits of width `digit_bits`.
@@ -72,9 +96,7 @@ pub fn prefix_match_digits(a: Id, b: Id, digit_bits: u8) -> u32 {
         matches!(digit_bits, 1 | 2 | 4 | 8),
         "unsupported digit width"
     );
-    let x = a ^ b;
-    let lz = x.leading_zeros();
-    lz / u32::from(digit_bits)
+    (a ^ b).leading_zeros() / u32::from(digit_bits)
 }
 
 /// Length of the shared suffix, in digits of width `digit_bits`.
@@ -90,18 +112,7 @@ pub fn suffix_match_digits(a: Id, b: Id, digit_bits: u8) -> u32 {
         matches!(digit_bits, 1 | 2 | 4 | 8),
         "unsupported digit width"
     );
-    let x = a ^ b;
-    let bytes = x.to_bytes();
-    let mut tz: u32 = 0;
-    for byte in bytes.iter().rev() {
-        if *byte == 0 {
-            tz += 8;
-        } else {
-            tz += byte.trailing_zeros();
-            break;
-        }
-    }
-    tz / u32::from(digit_bits)
+    (a ^ b).trailing_zeros() / u32::from(digit_bits)
 }
 
 /// The Kademlia XOR distance between two IDs (lower is closer).
@@ -115,6 +126,7 @@ pub fn xor_distance(a: Id, b: Id) -> Id {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::ID_BYTES;
 
     #[test]
     fn paper_example_base2() {
@@ -218,5 +230,53 @@ mod tests {
         let c4 = common_digits(a, b, 4);
         assert!(c1 >= 2 * c2);
         assert!(c2 >= 2 * c4);
+    }
+
+    #[test]
+    fn every_digit_position_and_value_counts_once() {
+        for bits in [1u8, 2, 4, 8] {
+            let m = 160 / u32::from(bits);
+            let base = Id::from_bytes([0xa5; ID_BYTES]);
+            for pos in 0..m as usize {
+                for delta in 1..=(u8::MAX >> (8 - bits)) {
+                    let other = base.with_digit(pos, bits, base.digit(pos, bits) ^ delta);
+                    assert_eq!(
+                        common_digits(base, other, bits),
+                        m - 1,
+                        "width {bits}, digit {pos}, xor {delta:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_offset_in_different_words_counts_separately() {
+        // Bytes 0, 8 and 16 open the three words the kernel loads; their
+        // markers share one word after packing, and a wrong lane shift
+        // would merge two of them into one.
+        for bits in [1u8, 2, 4, 8] {
+            let m = 160 / u32::from(bits);
+            let per_byte = 8 / usize::from(bits);
+            for within in 0..8 * per_byte {
+                // The last word is four bytes long.
+                let words: &[usize] = if within < 4 * per_byte {
+                    &[0, 8, 16]
+                } else {
+                    &[0, 8]
+                };
+                for delta in 1..=(u8::MAX >> (8 - bits)) {
+                    let mut other = Id::ZERO;
+                    for (differing, first_byte) in words.iter().enumerate() {
+                        other = other.with_digit(first_byte * per_byte + within, bits, delta);
+                        assert_eq!(
+                            common_digits(Id::ZERO, other, bits),
+                            m - 1 - differing as u32,
+                            "width {bits}, digit {within} of words 0..={differing}, value {delta:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

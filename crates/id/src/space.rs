@@ -116,6 +116,7 @@ impl IdSpace {
     }
 
     /// The MPIL common-digit metric in this space. Higher is closer.
+    #[inline]
     pub fn common_digits(self, a: Id, b: Id) -> u32 {
         metric::common_digits(a, b, self.digit_bits.bits())
     }

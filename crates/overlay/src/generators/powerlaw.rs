@@ -125,8 +125,18 @@ pub fn power_law<R: Rng + ?Sized>(
     // spanning tree over the highest-degree nodes.
     order.sort_by_key(|&v| std::cmp::Reverse(degrees[v as usize]));
     let mut attached: Vec<u32> = vec![order[0]];
+    // Free stubs among the attached nodes, kept up to date as nodes
+    // attach and edges land: summing them afresh for every node made
+    // this phase quadratic.
+    let mut total_stubs = remaining[order[0] as usize];
     for &v in &order[1..] {
-        let total_stubs: usize = attached.iter().map(|&a| remaining[a as usize]).sum();
+        debug_assert_eq!(
+            total_stubs,
+            attached
+                .iter()
+                .map(|&a| remaining[a as usize])
+                .sum::<usize>()
+        );
         let target = if total_stubs == 0 {
             attached[rng.gen_range(0..attached.len())]
         } else {
@@ -144,9 +154,13 @@ pub fn power_law<R: Rng + ?Sized>(
         };
         if b.add_edge(NodeIdx::new(v), NodeIdx::new(target)) {
             remaining[v as usize] = remaining[v as usize].saturating_sub(1);
-            remaining[target as usize] = remaining[target as usize].saturating_sub(1);
+            if remaining[target as usize] > 0 {
+                remaining[target as usize] -= 1;
+                total_stubs -= 1;
+            }
         }
         attached.push(v);
+        total_stubs += remaining[v as usize];
     }
 
     // Phase 2: pair the remaining stubs configuration-model style,

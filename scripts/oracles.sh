@@ -4,12 +4,13 @@
 # recorded. A refactor of the simulator, an engine or the harness that
 # moves one RNG draw, one send or one same-tick order changes a hash.
 #
-# The default set is the eight figure binaries that finish in seconds
-# (~22 s together); --all adds fig1_pastry_perturbation (~110 s) and
-# fig11_perturbation (~190 s). --record runs everything and rewrites
-# scripts/oracles.sha256 — only on a commit whose output is the new
-# reference (a change that is *meant* to move a figure), never to make
-# a refactor pass.
+# The default set is the thirteen figure binaries that finish in seconds
+# (~30 s together; seven are the static engine's own Section 6.1 outputs,
+# both split policies and all three metrics among them); --all adds
+# fig1_pastry_perturbation (~110 s) and fig11_perturbation (~190 s).
+# --record runs everything and rewrites scripts/oracles.sha256 — only on
+# a commit whose output is the new reference (a change that is *meant* to
+# move a figure), never to make a refactor pass.
 #
 # Needs ./target/release (scripts/verify.sh or cargo build --release).
 #
@@ -35,8 +36,13 @@ oracle() {
         || { echo "oracles: $bin $* failed" >&2; exit 1; }
 }
 
+oracle fig9_insertion fig9_insertion
 oracle fig10_lookup_cost fig10_lookup_cost
 oracle fig12_traffic fig12_traffic
+oracle table1_2_lookup_success table1_2_lookup_success
+oracle table3_flows table3_flows
+oracle ablation_split_policy ablation_split_policy
+oracle ablation_metric ablation_metric
 oracle ext_gossip_discovery ext_gossip_discovery
 oracle ext_gossip_discovery.dissemination ext_gossip_discovery --dissemination
 oracle ext_dht_comparison ext_dht_comparison --nodes 200 --ops 40
