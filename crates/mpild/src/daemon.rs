@@ -15,8 +15,12 @@
 //! 2. **Cluster events** — store-acks and lookup replies, pushed by the
 //!    cluster's reader thread the moment they arrive
 //!    ([`LiveClusterBuilder::spawn_with_sink`]).
-//! 3. **Deadlines** — per-request timeouts tracked by a
-//!    [`RequestTracker`], with bounded retries under fresh message ids.
+//! 3. **Deadlines** — per-attempt deadlines tracked by a
+//!    [`RequestTracker`], with re-submission under fresh message ids: an
+//!    announce from the same origin once a whole [`RetryPolicy::timeout`]
+//!    has passed, a lookup through *another* entry node as soon as it
+//!    has been unanswered for longer than answered ones are measured to
+//!    take (see `HedgeDelay`), the earlier attempts still listened for.
 //!    The earliest one is the timeout of the blocking receive. The only
 //!    other instant the daemon ever waits for is the one at which its
 //!    admission budget lets the next queued request in, and only a
@@ -62,6 +66,7 @@ use mpil_net::{
 use mpil_overlay::{generators, NodeIdx};
 use mpil_workload::WallClock;
 use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::proto::{err_code, CtrlRequest, CtrlResponse, StatsBody};
@@ -84,7 +89,7 @@ const MAX_BACKLOG: usize = 4096;
 /// The admission budget one operation takes: one second of budget
 /// accrues per second, so this is the reciprocal of the rate at which
 /// a daemon serving nothing else admits that operation (12 500 announces
-/// or 12 500 lookups a second on loopback UDP, 18 100 or 25 000 on
+/// or 17 500 lookups a second on loopback UDP, 18 100 or 25 000 on
 /// channels).
 ///
 /// Each figure is what the operation costs the whole process (control
@@ -100,18 +105,26 @@ const MAX_BACKLOG: usize = 4096;
 /// on one shard, and four replies; an announce is 28 forwards and five
 /// acknowledgements, and what is left of either cost is the datagrams
 /// to and from the client and the thread hand-offs behind them. The
-/// margins taken are 1.6 (UDP announce), 2.8 (UDP lookup), 1.9 and 2.7:
+/// margins taken are 1.6 (UDP announce), 2.0 (UDP lookup), 1.9 and 2.7:
 /// the host takes 10 to 30 % away for minutes at a time on that box,
 /// and an admitted rate has to be one the slow minutes also serve, or
-/// it follows the host instead of this table. The UDP lookup figure is
-/// held at the announce's although its cost would allow 45: tried at
-/// 70, `lookup_per_s` of three `svc-udp-churn` runs spread over 600 a
-/// second, against 230 at 80, for 0.3 ms of typical latency (a closed
-/// loop waits in-flight ÷ admitted rate for each lookup).
+/// it follows the host instead of this table. The UDP lookup figure
+/// stood at the announce's 80 for as long as a lookup whose entry node
+/// was deaf waited out one flat 150 ms period: 1 250 lookups are
+/// admitted during a 100 ms deaf spell, so every caller of a closed
+/// loop of 48 was parked on that wait within 40 ms of a churn volley,
+/// and how fast they got parked, not this table, set the rate (at 70,
+/// `lookup_per_s` of three `svc-udp-churn` runs spread over 600 a
+/// second). Hedged lookups park nobody and the rate is the admitted
+/// rate (ten seeds at 57 spread 46 a second). A closed loop waits
+/// in-flight ÷ admitted rate for each lookup, and hedges spend budget
+/// on 3 % of them: 57 is the largest figure at which that loop's
+/// typical latency is clear of what it read at 80 with its callers
+/// parked (2.81 ms against 2.89; 58 reads 2.84 to 2.86).
 fn admit_cost(transport: TransportKind, kind: MessageKind) -> Duration {
     Duration::from_micros(match (transport, kind) {
         (TransportKind::Udp, MessageKind::Insert) => 80,
-        (TransportKind::Udp, MessageKind::Lookup) => 80,
+        (TransportKind::Udp, MessageKind::Lookup) => 57,
         (TransportKind::Channel, MessageKind::Insert) => 55,
         (TransportKind::Channel, MessageKind::Lookup) => 40,
     })
@@ -179,6 +192,67 @@ impl Admission {
     fn reopens_at(&self) -> Duration {
         let short = ADMIT_WAVE.as_nanos() as i64 - self.budget_ns;
         self.accrued_at + Duration::from_nanos(short.max(0) as u64)
+    }
+}
+
+/// The shortest a lookup's first attempt is left unanswered before a
+/// second one leaves through another entry node. Measured on the
+/// two-vCPU box as hedges per 1 000 lookups with no churn, when every
+/// hedge is a question asked twice for nothing: a closed loop of 48 on
+/// loopback UDP at the admitted rate, where a lookup let in at the back
+/// of a 3 ms burst waits for the fifty ahead of it, hedges 70 at 1 ms,
+/// 5 to 6 at 2 ms and 1.4 at 3 ms; the quiet open loop of
+/// `scripts/ci.sh` (250 a second) up to 7 at 1 ms and none at 2 or 3 ms,
+/// a stall of the host aside (one hedge in one run of ten). The estimate
+/// reads 0.7 to 1.0 ms on both: `srtt + 4 · rttvar` takes one hump for
+/// granted and a burst gives the reply times two. So on a healthy
+/// cluster it is the floor that holds, and the estimate takes over when
+/// replies slow down.
+const HEDGE_FLOOR: Duration = Duration::from_millis(3);
+
+/// How long a lookup attempt is worth waiting for, from how long the
+/// answered ones took: the retransmission timer of RFC 6298 (Jacobson
+/// and Karels), `srtt + 4 · rttvar` over the submit-to-reply times of
+/// lookups, kept in two integers.
+///
+/// The paper protects a lookup with several flows and several replicas
+/// but exempts the querying node from perturbation; a client of the
+/// daemon names its entry node, and when that node is deaf no flow
+/// leaves at all. Waiting for longer than a healthy attempt takes buys
+/// nothing, so the daemon does not: it sends a second attempt in by
+/// another door and listens for both.
+#[derive(Debug, Default)]
+struct HedgeDelay {
+    /// Smoothed reply time; 0 until the first sample.
+    srtt_ns: u64,
+    /// Smoothed deviation of the samples from `srtt_ns`.
+    rttvar_ns: u64,
+}
+
+impl HedgeDelay {
+    fn sample(&mut self, rtt: Duration) {
+        let rtt_ns = (rtt.as_nanos() as u64).max(1);
+        if self.srtt_ns == 0 {
+            self.srtt_ns = rtt_ns;
+            self.rttvar_ns = rtt_ns / 2;
+        } else {
+            self.rttvar_ns = (3 * self.rttvar_ns + self.srtt_ns.abs_diff(rtt_ns)) / 4;
+            self.srtt_ns = (7 * self.srtt_ns + rtt_ns) / 8;
+        }
+    }
+
+    /// The patience of a lookup's attempt number `attempt` (0 the
+    /// first): the estimate in whole milliseconds, no less than
+    /// [`HEDGE_FLOOR`], doubled for every attempt before this one, and
+    /// never more than `cap`, which it also is while there is nothing
+    /// to estimate from.
+    fn patience(&self, attempt: u32, cap: Duration) -> Duration {
+        if self.srtt_ns == 0 {
+            return cap;
+        }
+        let estimate_ns = self.srtt_ns + 4 * self.rttvar_ns;
+        let first = Duration::from_millis(estimate_ns.div_ceil(1_000_000)).max(HEDGE_FLOOR);
+        first.saturating_mul(1 << attempt.min(20)).min(cap)
     }
 }
 
@@ -514,6 +588,10 @@ pub struct DaemonReport {
     pub send_errors: u64,
     /// Requests still in flight when the drain budget ran out.
     pub aborted_at_drain: u64,
+    /// Re-submissions made before the attempt they follow had waited a
+    /// whole [`RetryPolicy::timeout`] (`stats.retries` counts these and
+    /// the late ones alike).
+    pub hedges: u64,
     /// Requests turned away because the admission backlog was full.
     pub shed: u64,
     /// Turns of the event loop: times the daemon woke from its blocking
@@ -537,7 +615,7 @@ impl DaemonReport {
             "{{\"uptime_s\":{:.3},\"announces\":{},\"hits\":{},\"lookup_timeouts\":{},\
              \"announce_timeouts\":{},\"retries\":{},\"live_nodes\":{},\"parked\":{},\
              \"joins\":{},\"perturbs\":{},\"heals\":{},\"bad_requests\":{},\
-             \"send_errors\":{},\"aborted_at_drain\":{},\"shed\":{},\"wakeups\":{},\
+             \"send_errors\":{},\"aborted_at_drain\":{},\"hedges\":{},\"shed\":{},\"wakeups\":{},\
              \"shards\":{},\"node_forwards\":{},\
              \"node_stores\":{},\"node_dropped_perturbed\":{},\"node_dropped_at_drain\":{}}}",
             self.uptime_s,
@@ -554,6 +632,7 @@ impl DaemonReport {
             self.bad_requests,
             self.send_errors,
             self.aborted_at_drain,
+            self.hedges,
             self.shed,
             self.wakeups,
             self.shards,
@@ -573,6 +652,12 @@ pub struct Daemon<C: ControlPlane> {
     inbox: Receiver<Input<C::Addr>>,
     clock: WallClock,
     tracker: RequestTracker<Ticket<C::Addr>>,
+    hedge_delay: HedgeDelay,
+    /// Where a lookup goes in next when it got no answer through the
+    /// node this is indexed by: the nodes in one seeded cycle, so that
+    /// a request's attempts never come back to an entry they tried
+    /// before every other one has been.
+    next_entry: Vec<NodeIdx>,
     admission: Admission,
     /// Accepted requests waiting for admission budget, oldest first.
     backlog: VecDeque<Ticket<C::Addr>>,
@@ -610,6 +695,12 @@ impl<C: ControlPlane> Daemon<C> {
         for spare in config.nodes..total {
             cluster.park(NodeIdx::new(spare as u32));
         }
+        let mut cycle: Vec<NodeIdx> = (0..total as u32).map(NodeIdx::new).collect();
+        cycle.shuffle(&mut rng);
+        let mut next_entry = cycle.clone();
+        for (at, node) in cycle.iter().enumerate() {
+            next_entry[node.index()] = cycle[(at + 1) % total];
+        }
         let clock = WallClock::start();
         let report = DaemonReport {
             shards: cluster.shards(),
@@ -624,6 +715,8 @@ impl<C: ControlPlane> Daemon<C> {
             backlog: VecDeque::new(),
             clock,
             tracker: RequestTracker::new(config.retry),
+            hedge_delay: HedgeDelay::default(),
+            next_entry,
             total_nodes: total,
             parked: config.spares as u32,
             report,
@@ -706,7 +799,10 @@ impl<C: ControlPlane> Daemon<C> {
                 .cluster
                 .submit(ticket.kind, ticket.origin, ticket.object)
             {
-                Ok(msg_id) => self.tracker.track(msg_id, ticket, now),
+                Ok(msg_id) => {
+                    let patience = self.patience(ticket.kind, 0);
+                    self.tracker.track_for(msg_id, ticket, now, patience);
+                }
                 Err(_) => {
                     let addr = ticket.addr.clone();
                     self.respond(
@@ -719,6 +815,27 @@ impl<C: ControlPlane> Daemon<C> {
                 }
             }
         }
+    }
+
+    /// How long attempt number `attempt` of a request may stay
+    /// unanswered: an announce's one flat period, a lookup's for as long
+    /// as lookups are measured to take.
+    fn patience(&self, kind: MessageKind, attempt: u32) -> Duration {
+        let cap = self.config.retry.timeout;
+        match kind {
+            MessageKind::Insert => cap,
+            MessageKind::Lookup => self.hedge_delay.patience(attempt, cap),
+        }
+    }
+
+    /// The in-service node after `origin` on the entry cycle; `origin`
+    /// itself when every other node is parked.
+    fn another_entry(&self, origin: NodeIdx) -> NodeIdx {
+        let mut node = self.next_entry[origin.index()];
+        while node != origin && self.cluster.is_parked(node) {
+            node = self.next_entry[node.index()];
+        }
+        node
     }
 
     fn handle_ctrl(&mut self, addr: C::Addr, frame: &[u8]) {
@@ -829,10 +946,13 @@ impl<C: ControlPlane> Daemon<C> {
                 hops,
                 ..
             } => {
-                // Later flows of the same lookup produce more replies;
-                // only the first resolves the ticket.
+                // Later flows of the same lookup, and its other
+                // attempts, produce more replies; only the first
+                // resolves the ticket.
                 if let Some(p) = self.tracker.complete(msg_id) {
                     self.report.stats.hits += 1;
+                    self.hedge_delay
+                        .sample(self.clock.elapsed().saturating_sub(p.issued_at));
                     let addr = p.token.addr.clone();
                     self.respond(
                         &addr,
@@ -860,38 +980,48 @@ impl<C: ControlPlane> Daemon<C> {
         }
     }
 
+    /// Re-submits what has run out of patience and fails what has run
+    /// out of budget. Nothing is re-submitted past the drain point.
     fn handle_expiries(&mut self) {
         let now = self.clock.elapsed();
-        while let Some((_, pending)) = self.tracker.pop_expired(now) {
-            if self.tracker.should_retry(&pending) && self.draining.is_none() {
-                let (kind, origin, object) = (
-                    pending.token.kind,
-                    pending.token.origin,
-                    pending.token.object,
-                );
-                // A retry is work like any other: it spends budget, but
-                // does not queue for it.
-                self.admission
-                    .spend(admit_cost(self.config.transport, kind));
-                match self.cluster.submit(kind, origin, object) {
-                    Ok(new_id) => {
-                        self.tracker.retry(new_id, pending, now);
-                        continue;
+        while let Some((old_id, mut pending)) = self.tracker.pop_expired(now) {
+            let left = self.tracker.budget_left(&pending, now);
+            if left.is_zero() || self.draining.is_some() {
+                self.fail_ticket(&pending.token);
+                continue;
+            }
+            let kind = pending.token.kind;
+            // Any node can ask for an object; the origin of an announce
+            // is the owner the pointer will name.
+            if kind == MessageKind::Lookup {
+                pending.token.origin = self.another_entry(pending.token.origin);
+            }
+            // A re-submission is work like any other: it spends budget,
+            // but does not queue for it.
+            self.admission
+                .spend(admit_cost(self.config.transport, kind));
+            match self
+                .cluster
+                .submit(kind, pending.token.origin, pending.token.object)
+            {
+                Ok(new_id) => {
+                    if now.saturating_sub(pending.issued_at) < self.config.retry.timeout {
+                        self.report.hedges += 1;
                     }
-                    Err(_) => {
-                        let addr = pending.token.addr.clone();
-                        self.respond(
-                            &addr,
-                            pending.token.token,
-                            CtrlResponse::Err {
-                                code: err_code::TRANSPORT,
-                            },
-                        );
-                        continue;
-                    }
+                    let patience = self.patience(kind, pending.attempt + 1).min(left);
+                    self.tracker.hedge(new_id, old_id, pending, now, patience);
+                }
+                Err(_) => {
+                    let addr = pending.token.addr.clone();
+                    self.respond(
+                        &addr,
+                        pending.token.token,
+                        CtrlResponse::Err {
+                            code: err_code::TRANSPORT,
+                        },
+                    );
                 }
             }
-            self.fail_ticket(&pending.token);
         }
         self.report.stats.retries = self.tracker.retried();
     }
@@ -1028,6 +1158,7 @@ impl<C: ControlPlane> Daemon<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpil::MessageId;
 
     fn frame(req: CtrlRequest, token: u64) -> Vec<u8> {
         req.encode(token)
@@ -1555,5 +1686,387 @@ mod tests {
             report.send_errors, 100,
             "every answer found the client gone"
         );
+    }
+
+    const MS: Duration = Duration::from_millis(1);
+
+    #[test]
+    fn the_hedge_delay_follows_what_it_is_shown_between_floor_and_cap() {
+        let cap = 150 * MS;
+        let mut delay = HedgeDelay::default();
+        for attempt in 0..4 {
+            assert_eq!(delay.patience(attempt, cap), cap, "nothing measured yet");
+        }
+        for _ in 0..100 {
+            delay.sample(Duration::from_micros(100));
+        }
+        assert_eq!(delay.patience(0, cap), HEDGE_FLOOR);
+        // Doubles per attempt, up to the cap.
+        let schedule: Vec<_> = (0..8).map(|attempt| delay.patience(attempt, cap)).collect();
+        for pair in schedule.windows(2) {
+            assert_eq!(pair[1], (2 * pair[0]).min(cap), "{schedule:?}");
+        }
+        assert_eq!(schedule[7], cap);
+        // Slower replies move it up, in whole milliseconds...
+        let mut last = delay.patience(0, cap);
+        for _ in 0..100 {
+            delay.sample(5 * MS);
+            let now = delay.patience(0, cap);
+            assert!(now >= last || now >= 5 * MS, "{last:?} then {now:?}");
+            assert_eq!(now.subsec_nanos() % 1_000_000, 0);
+            last = now;
+        }
+        assert!((5 * MS..=6 * MS).contains(&last), "{last:?}");
+        // ...and nothing it is shown takes it out of its range.
+        for (i, micros) in [0, 1, 40, 900_000, 3, 10_000_000, 0, 77].iter().enumerate() {
+            delay.sample(Duration::from_micros(*micros));
+            for attempt in [0, 1, i as u32, 31, 32, u32::MAX] {
+                let patience = delay.patience(attempt, cap);
+                assert!((HEDGE_FLOOR..=cap).contains(&patience), "{patience:?}");
+            }
+        }
+        // A cap below the floor is still the cap.
+        assert_eq!(delay.patience(0, MS), MS);
+    }
+
+    /// Whatever the schedule, a request nobody answers is given up
+    /// exactly one budget after it was first submitted.
+    #[test]
+    fn every_schedule_spends_the_whole_budget_and_no_more() {
+        for (timeout_ms, retries, reply_us, expect_attempts) in [
+            (150, 2, None, 3),      // the flat periods, as ever
+            (150, 2, Some(100), 8), // 3, 6, 12, .. 96, 150 ms and the rest
+            (150, 2, Some(5_000), 7),
+            (60, 1, Some(100), 6),
+            (7, 3, Some(100), 5),
+            (2, 0, Some(100), 1),
+            (1_000, 0, Some(40_000), 5),
+        ] {
+            let policy = RetryPolicy {
+                timeout: timeout_ms * MS,
+                retries,
+            };
+            let mut delay = HedgeDelay::default();
+            for _ in 0..reply_us.map_or(0, |_| 100) {
+                delay.sample(Duration::from_micros(reply_us.unwrap_or(0)));
+            }
+            let mut tracker: RequestTracker<()> = RequestTracker::new(policy);
+            let start = 17 * MS;
+            tracker.track_for(MessageId(0), (), start, delay.patience(0, policy.timeout));
+            let mut attempts = 1u64;
+            let gave_up_at = loop {
+                let now = tracker.next_deadline().expect("one request in flight");
+                let (old_id, pending) = tracker.pop_expired(now).expect("due");
+                let left = tracker.budget_left(&pending, now);
+                if left.is_zero() {
+                    break now;
+                }
+                let patience = delay
+                    .patience(pending.attempt + 1, policy.timeout)
+                    .min(left);
+                tracker.hedge(MessageId(attempts), old_id, pending, now, patience);
+                attempts += 1;
+            };
+            assert_eq!(
+                gave_up_at,
+                start + policy.budget(),
+                "{policy:?} after {reply_us:?} us replies, {attempts} attempts"
+            );
+            assert_eq!(attempts, expect_attempts, "{policy:?}, {reply_us:?} us");
+            assert_eq!(tracker.retried() + 1, attempts);
+            assert!(tracker.is_idle());
+        }
+    }
+
+    /// Warms the hedge delay up: until a lookup has been answered an
+    /// attempt waits the whole period, as it always did.
+    fn announce_and_look_up(client: &mut ChannelCtrlClient, object: Id, nodes: u32, token: u64) {
+        client
+            .send(&frame(CtrlRequest::Announce { object, origin: 0 }, token))
+            .expect("send");
+        assert!(matches!(
+            expect_resp(client, token),
+            CtrlResponse::Announced { .. }
+        ));
+        for origin in 0..nodes {
+            let token = token + 1 + u64::from(origin);
+            client
+                .send(&frame(CtrlRequest::Lookup { object, origin }, token))
+                .expect("send");
+            assert!(matches!(
+                expect_resp(client, token),
+                CtrlResponse::Found { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn a_lookup_leaves_a_deaf_entry_node_behind_and_an_announce_waits_for_it() {
+        let timeout = 200 * MS;
+        let (handle, mut client) = spawn_daemon(DaemonConfig {
+            nodes: 24,
+            degree: 6,
+            seed: 15,
+            retry: RetryPolicy {
+                timeout,
+                retries: 2,
+            },
+            ..DaemonConfig::default()
+        });
+        let object = Id::from_low_u64(0x0b1ec7);
+        announce_and_look_up(&mut client, object, 24, 100);
+        let deaf_for = 300 * MS;
+        let clock = WallClock::start();
+        client
+            .send(&frame(
+                CtrlRequest::Perturb {
+                    node: 9,
+                    millis: deaf_for.as_millis() as u32,
+                },
+                1,
+            ))
+            .expect("send");
+        assert_eq!(expect_resp(&mut client, 1), CtrlResponse::Ok);
+        client
+            .send(&frame(CtrlRequest::Lookup { object, origin: 9 }, 2))
+            .expect("send");
+        assert!(matches!(
+            expect_resp(&mut client, 2),
+            CtrlResponse::Found { .. }
+        ));
+        let found_after = clock.elapsed();
+        assert!(
+            found_after < timeout / 2,
+            "answered through another entry, not by waiting: {found_after:?}"
+        );
+        // The owner a pointer names is the origin of its announce, so an
+        // announce goes in through the node the client named or not at
+        // all: it is answered once that node hears again.
+        let other = Id::from_low_u64(0x0b1ec8);
+        client
+            .send(&frame(
+                CtrlRequest::Announce {
+                    object: other,
+                    origin: 9,
+                },
+                3,
+            ))
+            .expect("send");
+        assert!(matches!(
+            expect_resp(&mut client, 3),
+            CtrlResponse::Announced { .. }
+        ));
+        let announced_after = clock.elapsed();
+        assert!(
+            announced_after >= deaf_for,
+            "node 9 was deaf until {deaf_for:?}, announced at {announced_after:?}"
+        );
+        client
+            .send(&frame(CtrlRequest::Drain { millis: 500 }, 4))
+            .expect("send");
+        assert_eq!(expect_resp(&mut client, 4), CtrlResponse::Ok);
+        let report = handle.join().expect("daemon thread");
+        assert!(report.hedges >= 1, "{}", report.to_json());
+        assert!(
+            report.stats.retries > report.hedges,
+            "the announce was re-submitted a whole period later: {}",
+            report.to_json()
+        );
+        assert!(report.to_json().contains("\"hedges\":"));
+        assert_eq!(report.stats.hits, 25);
+        assert_eq!(report.stats.announces, 2);
+        assert_eq!(
+            report.stats.lookup_timeouts + report.stats.announce_timeouts,
+            0
+        );
+    }
+
+    #[test]
+    fn an_absent_id_is_not_found_once_and_no_sooner_than_the_budget() {
+        let policy = RetryPolicy {
+            timeout: 60 * MS,
+            retries: 1,
+        };
+        let (handle, mut client) = spawn_daemon(DaemonConfig {
+            nodes: 16,
+            degree: 4,
+            seed: 16,
+            retry: policy,
+            ..DaemonConfig::default()
+        });
+        announce_and_look_up(&mut client, Id::from_low_u64(0xface), 16, 100);
+        let clock = WallClock::start();
+        client
+            .send(&frame(
+                CtrlRequest::Lookup {
+                    object: Id::from_low_u64(0xdead),
+                    origin: 2,
+                },
+                7,
+            ))
+            .expect("send");
+        assert_eq!(expect_resp(&mut client, 7), CtrlResponse::NotFound);
+        let took = clock.elapsed();
+        assert!(took >= policy.budget(), "gave up after {took:?}");
+        // The next frame is the answer to the next request: no attempt
+        // produced a second NotFound.
+        client.send(&frame(CtrlRequest::Stats, 8)).expect("send");
+        let stats = match expect_resp(&mut client, 8) {
+            CtrlResponse::Stats(s) => s,
+            other => panic!("expected stats, got {other:?}"),
+        };
+        assert_eq!(stats.lookup_timeouts, 1);
+        // 3 + 6 + 12 + 24 + 48 ms and what is left of 120.
+        assert!(stats.retries >= 4, "{} re-submissions", stats.retries);
+        client
+            .send(&frame(CtrlRequest::Drain { millis: 300 }, 9))
+            .expect("send");
+        assert_eq!(expect_resp(&mut client, 9), CtrlResponse::Ok);
+        let report = handle.join().expect("daemon thread");
+        assert_eq!(report.stats.lookup_timeouts, 1);
+        assert_eq!(report.aborted_at_drain, 0);
+        assert!(report.hedges >= 4 && report.hedges <= report.stats.retries);
+    }
+
+    /// The entry cycle, walked from every in-service node: each other
+    /// in-service node once, no parked one, then the start again.
+    fn assert_entries_cycle(daemon: &Daemon<ChannelControl>, in_service: usize) {
+        for start in 0..in_service as u32 {
+            let start = NodeIdx::new(start);
+            let mut seen = vec![start];
+            let mut at = daemon.another_entry(start);
+            while at != start {
+                assert!(!daemon.cluster.is_parked(at), "{at:?} is parked");
+                assert!(!seen.contains(&at), "{at:?} twice from {start:?}");
+                seen.push(at);
+                at = daemon.another_entry(at);
+            }
+            assert_eq!(seen.len(), in_service, "from {start:?}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn no_attempt_enters_through_a_parked_node_or_twice_through_one() {
+        let (server, _client) = ChannelControl::pair();
+        let daemon = Daemon::spawn(
+            DaemonConfig {
+                nodes: 10,
+                degree: 4,
+                spares: 6,
+                seed: 17,
+                ..DaemonConfig::default()
+            },
+            server,
+        )
+        .expect("daemon spawn");
+        assert_entries_cycle(&daemon, 10);
+        // A spare that has joined is an entry like any other.
+        daemon.cluster.unpark(NodeIdx::new(12));
+        assert!((0..10).any(|n| daemon.another_entry(NodeIdx::new(n)) == NodeIdx::new(12)));
+        daemon.drain(Duration::ZERO);
+    }
+
+    #[test]
+    fn with_no_other_node_in_service_the_same_entry_is_tried_again() {
+        let policy = RetryPolicy {
+            timeout: 40 * MS,
+            retries: 1,
+        };
+        let (handle, mut client) = spawn_daemon(DaemonConfig {
+            nodes: 1,
+            degree: 1,
+            spares: 1,
+            seed: 18,
+            retry: policy,
+            ..DaemonConfig::default()
+        });
+        announce_and_look_up(&mut client, Id::from_low_u64(0x501e), 1, 100);
+        client
+            .send(&frame(
+                CtrlRequest::Lookup {
+                    object: Id::from_low_u64(0xdead),
+                    origin: 0,
+                },
+                7,
+            ))
+            .expect("send");
+        assert_eq!(expect_resp(&mut client, 7), CtrlResponse::NotFound);
+        client
+            .send(&frame(CtrlRequest::Drain { millis: 100 }, 8))
+            .expect("send");
+        assert_eq!(expect_resp(&mut client, 8), CtrlResponse::Ok);
+        let report = handle.join().expect("daemon thread");
+        assert!(report.stats.retries >= 2, "{}", report.to_json());
+        assert_eq!(report.node_stats[1].frames, 0, "the spare stayed parked");
+    }
+
+    #[test]
+    fn a_drain_with_hedges_in_flight_answers_every_request_once() {
+        let (handle, mut client) = spawn_daemon(DaemonConfig {
+            nodes: 16,
+            degree: 4,
+            seed: 19,
+            ..DaemonConfig::default()
+        });
+        let object = Id::from_low_u64(0xd2a1);
+        announce_and_look_up(&mut client, object, 16, 100);
+        const ABSENT: u64 = 40;
+        for token in 0..ABSENT {
+            client
+                .send(&frame(
+                    CtrlRequest::Lookup {
+                        object: Id::from_low_u64(0xdead_0000 + token),
+                        origin: (token % 16) as u32,
+                    },
+                    token,
+                ))
+                .expect("send");
+        }
+        // Until every one of them has been re-submitted, on average.
+        let mut token = 1_000;
+        loop {
+            client
+                .send(&frame(CtrlRequest::Stats, token))
+                .expect("send");
+            match expect_resp(&mut client, token) {
+                CtrlResponse::Stats(s) if s.retries >= ABSENT => break,
+                CtrlResponse::Stats(_) => token += 1,
+                other => panic!("expected stats, got {other:?}"),
+            }
+        }
+        client
+            .send(&frame(CtrlRequest::Drain { millis: 5 }, 999))
+            .expect("send");
+        let mut answered = vec![0u32; ABSENT as usize];
+        loop {
+            let raw = client
+                .recv(Duration::from_secs(5))
+                .expect("daemon alive")
+                .expect("an answer to every request");
+            match CtrlResponse::decode(&raw).expect("decode response") {
+                (999, CtrlResponse::Ok) => {}
+                (token, CtrlResponse::NotFound) => answered[token as usize] += 1,
+                other => panic!("unexpected answer {other:?}"),
+            }
+            if answered.iter().sum::<u32>() == ABSENT as u32 {
+                break;
+            }
+        }
+        let report = handle.join().expect("daemon thread");
+        assert!(answered.iter().all(|&n| n == 1), "{answered:?}");
+        // The daemon is gone; what it sent is still queued.
+        assert!(
+            !matches!(client.recv(Duration::from_millis(50)), Ok(Some(_))),
+            "nothing is answered twice"
+        );
+        let s = &report.stats;
+        assert_eq!(s.hits, 16);
+        assert_eq!(
+            s.lookup_timeouts + report.aborted_at_drain,
+            ABSENT,
+            "{}",
+            report.to_json()
+        );
+        assert!(report.hedges >= ABSENT, "{}", report.to_json());
     }
 }

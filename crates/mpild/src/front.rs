@@ -35,8 +35,11 @@ mpild — MPIL service daemon (control plane on loopback UDP)
   --max-flows F    MPIL parallel flows (default 10)
   --replicas R     MPIL replicas (default 3)
   --no-ds          disable duplicate suppression
-  --timeout-ms T   per-request timeout before a retry (default 150)
-  --retries N      retries per request (default 2)
+  --timeout-ms T   longest an attempt waits before the request is re-submitted;
+                   a lookup is re-submitted sooner, through another entry
+                   node, once it is slower than lookups are measured to be
+                   (default 150)
+  --retries N      further such periods before a request is given up (default 2)
 
 Stop it with `mpil-load --stop-daemon` or any client sending a drain
 frame; the daemon drains in-flight work, joins the shard threads, and

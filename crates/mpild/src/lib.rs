@@ -9,7 +9,9 @@
 //!   loopback-UDP data plane)
 //!   behind a datagram control plane ([`proto`]): `announce`, `lookup`,
 //!   and an admin plane (`join`/`perturb`/`heal`/`stats`/`drain`).
-//!   Requests are pipelined through a per-request timeout/retry tracker;
+//!   Requests are pipelined through a per-request timeout/retry tracker
+//!   (a lookup slower than lookups are measured to be is hedged through
+//!   another entry node, an announce retried from its own);
 //!   the daemon is event-driven (one inbox, blocking receives, no poll
 //!   interval) and paces what it submits to the cluster (admission
 //!   control: a budget of estimated work, a bounded backlog, and

@@ -10,20 +10,28 @@
 //!
 //! The tracker never reads the clock itself — every operation takes
 //! `now` as a [`Duration`] since the caller's epoch, so the whole retry
-//! state machine is unit-testable with synthetic time. Feed it
-//! monotonically non-decreasing `now` values; the expiry queue relies on
-//! issue order matching deadline order.
+//! state machine is unit-testable with synthetic time. Attempts may be
+//! given any patience in any order and still expire earliest first: a
+//! deadline no earlier than every one queued before it joins a FIFO,
+//! any other a min-heap, and the earlier of the two heads is next.
 //!
-//! A retried request gets a **fresh** message id (the old flow may still
-//! be limping through the mesh, and a late reply to the old id must not
-//! be double-counted): [`RequestTracker::pop_expired`] hands the expired
-//! request back, the caller re-submits and re-arms it with
-//! [`RequestTracker::retry`] under the new id, or gives up and fails the
-//! ticket.
+//! A re-submitted request gets a **fresh** message id (the old flow may
+//! still be limping through the mesh): [`RequestTracker::pop_expired`]
+//! takes the request whose attempt ran out of patience off the table and
+//! hands it to the caller, who re-submits and puts it back under the new
+//! id, or drops it and fails the ticket. There are two ways back:
+//!
+//! * [`RequestTracker::retry`] forgets the old id. A late reply to it is
+//!   stale, and the new attempt waits one flat [`RetryPolicy::timeout`].
+//! * [`RequestTracker::hedge`] keeps every earlier id resolvable beside
+//!   the new one and takes the new attempt's patience from the caller.
+//!   The first reply to *any* of a request's ids settles it, once; the
+//!   other ids then read unknown. The table counts requests, not ids.
 //!
 //! [`LiveCluster::submit`]: crate::LiveCluster::submit
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 
 use fxhash::FxHashMap;
@@ -32,21 +40,35 @@ use mpil::MessageId;
 /// Per-request timeout/retry parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// How long one attempt may stay unanswered.
+    /// The longest one attempt may stay unanswered before the request is
+    /// re-submitted. A tracker used flat ([`RequestTracker::track`],
+    /// [`RequestTracker::retry`]) waits exactly this long every time; a
+    /// caller that hedges re-submits sooner and treats it as the cap.
     pub timeout: Duration,
-    /// How many *additional* attempts follow a timed-out first try
-    /// (0 = fail on the first timeout).
+    /// How many *additional* such periods follow the first before the
+    /// request is given up (0 = fail after one `timeout`).
     pub retries: u32,
 }
 
+impl RetryPolicy {
+    /// The whole patience a request gets, however its attempts are
+    /// spaced: `(retries + 1) × timeout`.
+    pub fn budget(&self) -> Duration {
+        self.timeout * (self.retries + 1)
+    }
+}
+
 impl Default for RetryPolicy {
-    /// 150 ms per attempt, two retries — tuned for loopback transports
-    /// where a healthy lookup answers in well under a millisecond, on
-    /// channels and on UDP sockets alike, and a timeout almost always
-    /// means the flow hit perturbed nodes. One flat period is hundreds
-    /// of times the typical latency, so it *is* the tail under churn
-    /// (`lookup_p99_ms` of the `svc-*` benchmark workloads); a
-    /// hop-aware deadline is an open ROADMAP item.
+    /// 150 ms per period, two more periods after the first — 450 ms
+    /// before a request is given up. On loopback transports a healthy
+    /// lookup answers in well under a millisecond, on channels and on
+    /// UDP sockets alike, so an attempt unanswered for a whole period
+    /// almost always met perturbed nodes. The period used to be the tail
+    /// under churn as well (`lookup_p99_ms` of the `svc-*` benchmark
+    /// workloads read 150 ms + one lookup): `mpild` now re-submits a
+    /// lookup through another entry node after a delay it derives from
+    /// the replies it sees, and only the cap on that delay and the
+    /// patience for what is never answered come from here.
     fn default() -> Self {
         RetryPolicy {
             timeout: Duration::from_millis(150),
@@ -56,17 +78,67 @@ impl Default for RetryPolicy {
 }
 
 /// One outstanding request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pending<T> {
     /// Caller-supplied per-request payload (client address, ticket, …).
     pub token: T,
-    /// 0-based attempt index of the current try.
+    /// 0-based attempt index of the latest try.
     pub attempt: u32,
     /// When the first attempt was issued (latency is measured from
     /// here, across retries).
     pub first_issued_at: Duration,
-    /// When the current attempt was issued.
+    /// When the latest attempt was issued; on what
+    /// [`RequestTracker::complete`] returns, when the attempt that was
+    /// answered was.
     pub issued_at: Duration,
+    /// Id and issue time of every earlier attempt that is still
+    /// resolvable (hedged requests only; empty costs no allocation).
+    earlier: Vec<(u64, Duration)>,
+}
+
+/// `(deadline, msg_id)`, ordered so that the earliest is the greatest.
+type Due = Reverse<(Duration, u64)>;
+
+/// Deadlines, earliest out first whatever order they came in.
+///
+/// One caller's flat timeouts, and most of any caller's deadlines, are
+/// issued in the order they fall due; those cost a queue's push and pop
+/// (a binary heap of the 16 384 in flight in a retry storm costs six
+/// times that per pop). Only a deadline earlier than one already queued
+/// pays for the heap.
+#[derive(Debug, Default)]
+struct Deadlines {
+    in_order: VecDeque<Due>,
+    early: BinaryHeap<Due>,
+}
+
+impl Deadlines {
+    fn push(&mut self, due: Due) {
+        // `Reverse`: greater is earlier.
+        if self.in_order.back().is_some_and(|last| due > *last) {
+            self.early.push(due);
+        } else {
+            self.in_order.push_back(due);
+        }
+    }
+
+    fn peek(&self) -> Option<Due> {
+        self.in_order.front().max(self.early.peek()).copied()
+    }
+
+    /// Removes what [`Deadlines::peek`] returned.
+    fn pop(&mut self) {
+        if self.early.peek() > self.in_order.front() {
+            self.early.pop();
+        } else {
+            self.in_order.pop_front();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.in_order.clear();
+        self.early.clear();
+    }
 }
 
 /// Outstanding-request table with deadline scanning and retry
@@ -74,11 +146,14 @@ pub struct Pending<T> {
 #[derive(Debug)]
 pub struct RequestTracker<T> {
     policy: RetryPolicy,
+    /// One entry per request, under the id of its latest attempt.
     pending: FxHashMap<u64, Pending<T>>,
-    /// `(deadline, msg_id)` in issue order; entries whose id has left
-    /// `pending` (completed, or re-armed under a new id) are skipped
-    /// lazily.
-    expiry: VecDeque<(Duration, u64)>,
+    /// The ids in the `earlier` lists of `pending`, each with the key
+    /// its request is under.
+    earlier: FxHashMap<u64, u64>,
+    /// Entries whose id has left `pending` (completed, or re-armed
+    /// under a new id) are skipped lazily.
+    expiry: Deadlines,
     completed: u64,
     expired: u64,
     retried: u64,
@@ -90,7 +165,8 @@ impl<T> RequestTracker<T> {
         RequestTracker {
             policy,
             pending: FxHashMap::default(),
-            expiry: VecDeque::new(),
+            earlier: FxHashMap::default(),
+            expiry: Deadlines::default(),
             completed: 0,
             expired: 0,
             retried: 0,
@@ -102,40 +178,76 @@ impl<T> RequestTracker<T> {
         self.policy
     }
 
-    /// Starts tracking a first attempt issued at `now`.
+    /// Starts tracking a first attempt issued at `now`, to expire one
+    /// [`RetryPolicy::timeout`] later.
     pub fn track(&mut self, id: MessageId, token: T, now: Duration) {
-        self.pending.insert(
-            id.0,
-            Pending {
-                token,
-                attempt: 0,
-                first_issued_at: now,
-                issued_at: now,
-            },
-        );
-        self.expiry.push_back((now + self.policy.timeout, id.0));
+        self.track_for(id, token, now, self.policy.timeout);
     }
 
-    /// Resolves `id` (a reply arrived); returns its bookkeeping, or
-    /// `None` for an unknown/stale id (late duplicate, already timed
-    /// out — the caller should ignore those).
+    /// [`RequestTracker::track`] with the attempt's `patience` chosen by
+    /// the caller.
+    pub fn track_for(&mut self, id: MessageId, token: T, now: Duration, patience: Duration) {
+        let pending = Pending {
+            token,
+            attempt: 0,
+            first_issued_at: now,
+            issued_at: now,
+            earlier: Vec::new(),
+        };
+        self.arm(id.0, pending, now + patience);
+    }
+
+    /// Puts a request on the table under `id`, its earlier ids beside it.
+    fn arm(&mut self, id: u64, pending: Pending<T>, deadline: Duration) {
+        for &(earlier, _) in &pending.earlier {
+            self.earlier.insert(earlier, id);
+        }
+        self.pending.insert(id, pending);
+        self.expiry.push(Reverse((deadline, id)));
+    }
+
+    /// Takes the request under `id` off the table, earlier ids and all.
+    fn disarm(&mut self, id: u64) -> Option<Pending<T>> {
+        let pending = self.pending.remove(&id)?;
+        for (earlier, _) in &pending.earlier {
+            self.earlier.remove(earlier);
+        }
+        Some(pending)
+    }
+
+    /// Resolves the request `id` belongs to (a reply arrived) and
+    /// returns its bookkeeping, or `None` for an unknown/stale id (late
+    /// duplicate, another attempt of the request answered first, already
+    /// timed out — the caller should ignore those).
     pub fn complete(&mut self, id: MessageId) -> Option<Pending<T>> {
-        let p = self.pending.remove(&id.0)?;
+        let mut pending = match self.disarm(id.0) {
+            Some(p) => p,
+            None => {
+                let latest = *self.earlier.get(&id.0)?;
+                let mut p = self.disarm(latest)?;
+                if let Some(&(_, at)) = p.earlier.iter().find(|(e, _)| *e == id.0) {
+                    p.issued_at = at;
+                }
+                p
+            }
+        };
+        pending.earlier.clear();
         self.completed += 1;
-        Some(p)
+        Some(pending)
     }
 
-    /// Pops the next request whose deadline has passed at `now`, if
-    /// any. The caller decides its fate: re-arm with
-    /// [`RequestTracker::retry`] (after re-submitting under a fresh
-    /// id) when [`RequestTracker::should_retry`] allows, or fail it.
+    /// Pops the next request whose latest attempt has run out of
+    /// patience at `now`, if any, earliest deadline first, with the id
+    /// of that attempt. The caller decides its fate: re-submit under a
+    /// fresh id and put it back with [`RequestTracker::retry`] or
+    /// [`RequestTracker::hedge`], or fail it.
     pub fn pop_expired(&mut self, now: Duration) -> Option<(MessageId, Pending<T>)> {
-        while let Some(&(deadline, id)) = self.expiry.front() {
+        while let Some(Reverse((deadline, id))) = self.expiry.peek() {
             if deadline > now {
                 return None;
             }
-            self.expiry.pop_front();
-            if let Some(p) = self.pending.remove(&id) {
+            self.expiry.pop();
+            if let Some(p) = self.disarm(id) {
                 self.expired += 1;
                 return Some((MessageId(id), p));
             }
@@ -144,40 +256,65 @@ impl<T> RequestTracker<T> {
         None
     }
 
-    /// Whether an expired request has attempts left under the policy.
-    pub fn should_retry(&self, pending: &Pending<T>) -> bool {
-        pending.attempt < self.policy.retries
+    /// What is left at `now` of the request's whole patience,
+    /// [`RetryPolicy::budget`] from its first attempt: nothing, once an
+    /// expired request is to be failed rather than re-submitted. Under
+    /// flat timeouts that is after `retries` re-submissions.
+    pub fn budget_left(&self, pending: &Pending<T>, now: Duration) -> Duration {
+        (pending.first_issued_at + self.policy.budget()).saturating_sub(now)
     }
 
     /// Re-arms an expired request under the fresh id its re-submission
-    /// got, bumping the attempt counter; `first_issued_at` is
-    /// preserved so end-to-end latency spans all attempts.
-    pub fn retry(&mut self, new_id: MessageId, pending: Pending<T>, now: Duration) {
+    /// got, for one [`RetryPolicy::timeout`], bumping the attempt
+    /// counter; `first_issued_at` is preserved so end-to-end latency
+    /// spans all attempts. Ids of earlier attempts are forgotten.
+    pub fn retry(&mut self, new_id: MessageId, mut pending: Pending<T>, now: Duration) {
+        pending.earlier.clear();
+        self.rearm(new_id, pending, now, self.policy.timeout);
+    }
+
+    /// Like [`RequestTracker::retry`], but `old_id` (the attempt
+    /// [`RequestTracker::pop_expired`] reported) and every id before it
+    /// stay resolvable until the request settles, and the new attempt
+    /// waits `patience`.
+    pub fn hedge(
+        &mut self,
+        new_id: MessageId,
+        old_id: MessageId,
+        mut pending: Pending<T>,
+        now: Duration,
+        patience: Duration,
+    ) {
+        pending.earlier.push((old_id.0, pending.issued_at));
+        self.rearm(new_id, pending, now, patience);
+    }
+
+    fn rearm(
+        &mut self,
+        new_id: MessageId,
+        mut pending: Pending<T>,
+        now: Duration,
+        patience: Duration,
+    ) {
         self.retried += 1;
-        self.pending.insert(
-            new_id.0,
-            Pending {
-                attempt: pending.attempt + 1,
-                issued_at: now,
-                ..pending
-            },
-        );
-        self.expiry.push_back((now + self.policy.timeout, new_id.0));
+        pending.attempt += 1;
+        pending.issued_at = now;
+        self.arm(new_id.0, pending, now + patience);
     }
 
     /// The earliest live deadline, for sizing poll timeouts. Prunes
     /// stale queue entries as a side effect.
     pub fn next_deadline(&mut self) -> Option<Duration> {
-        while let Some(&(deadline, id)) = self.expiry.front() {
+        while let Some(Reverse((deadline, id))) = self.expiry.peek() {
             if self.pending.contains_key(&id) {
                 return Some(deadline);
             }
-            self.expiry.pop_front();
+            self.expiry.pop();
         }
         None
     }
 
-    /// Requests currently outstanding.
+    /// Requests currently outstanding, however many attempts each has.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
     }
@@ -205,14 +342,18 @@ impl<T> RequestTracker<T> {
     }
 
     /// Fails every outstanding request (drain deadline reached),
-    /// returning their tokens.
+    /// returning each once, in the order their first attempts were
+    /// issued.
     pub fn abort_all(&mut self) -> Vec<Pending<T>> {
         self.expiry.clear();
-        let mut ids: Vec<u64> = self.pending.keys().copied().collect();
-        ids.sort_unstable(); // issue order: deterministic abort reporting
-        ids.iter()
-            .filter_map(|id| self.pending.remove(id))
-            .collect()
+        self.earlier.clear();
+        let mut all: Vec<(u64, Pending<T>)> = self
+            .pending
+            .drain()
+            .map(|(id, p)| (p.earlier.first().map_or(id, |&(first, _)| first), p))
+            .collect();
+        all.sort_unstable_by_key(|&(first, _)| first); // deterministic abort reporting
+        all.into_iter().map(|(_, p)| p).collect()
     }
 }
 
@@ -265,7 +406,7 @@ mod tests {
         let mut t = tracker();
         t.track(MessageId(7), "x", Duration::ZERO);
         let (_, p) = t.pop_expired(100 * MS).expect("expired");
-        assert!(t.should_retry(&p));
+        assert!(!t.budget_left(&p, 100 * MS).is_zero());
         t.retry(MessageId(8), p, 100 * MS);
         assert_eq!(t.in_flight(), 1);
         // Old id is stale now.
@@ -287,7 +428,7 @@ mod tests {
         loop {
             now += 100 * MS;
             let (_, p) = t.pop_expired(now).expect("expired");
-            if !t.should_retry(&p) {
+            if t.budget_left(&p, now).is_zero() {
                 break;
             }
             t.retry(MessageId(next_id), p, now);
@@ -330,5 +471,89 @@ mod tests {
         assert_eq!(t.next_deadline(), Some(105 * MS));
         let _ = t.complete(MessageId(2));
         assert_eq!(t.next_deadline(), None);
+    }
+
+    #[test]
+    fn deadlines_out_of_issue_order_pop_in_deadline_order() {
+        let mut t = tracker();
+        t.track(MessageId(1), "flat", Duration::ZERO); // until 100 ms
+        t.track_for(MessageId(2), "short", MS, 3 * MS); // until 4 ms
+        t.track_for(MessageId(3), "mid", 2 * MS, 48 * MS); // until 50 ms
+        assert_eq!(t.next_deadline(), Some(4 * MS));
+        assert!(t.pop_expired(3 * MS).is_none());
+        let (id, p) = t.pop_expired(4 * MS).expect("the short one first");
+        assert_eq!((id, p.token), (MessageId(2), "short"));
+        // Its next attempt is due before either of the others.
+        t.hedge(MessageId(4), id, p, 4 * MS, 6 * MS);
+        assert_eq!(t.next_deadline(), Some(10 * MS));
+        let order: Vec<_> = std::iter::from_fn(|| t.pop_expired(Duration::from_secs(1)))
+            .map(|(id, p)| (id.0, p.token))
+            .collect();
+        assert_eq!(order, vec![(4, "short"), (3, "mid"), (1, "flat")]);
+        assert!(t.is_idle());
+    }
+
+    #[test]
+    fn any_attempt_of_a_hedged_request_settles_it_once() {
+        let mut t = tracker();
+        t.track_for(MessageId(1), "x", Duration::ZERO, 3 * MS);
+        let (first, p) = t.pop_expired(3 * MS).expect("expired");
+        t.hedge(MessageId(2), first, p, 3 * MS, 6 * MS);
+        let (second, p) = t.pop_expired(9 * MS).expect("expired");
+        assert_eq!((second, p.attempt), (MessageId(2), 1));
+        t.hedge(MessageId(3), second, p, 9 * MS, 12 * MS);
+        assert_eq!(t.in_flight(), 1, "three ids, one request");
+        // The second attempt answers, late.
+        let done = t.complete(MessageId(2)).expect("still listened for");
+        assert_eq!(done.token, "x");
+        assert_eq!(done.attempt, 2);
+        assert_eq!(done.first_issued_at, Duration::ZERO);
+        assert_eq!(done.issued_at, 3 * MS, "of the attempt that answered");
+        assert!(t.is_idle());
+        assert_eq!((t.completed(), t.retried()), (1, 2));
+        for sibling in [1, 2, 3] {
+            assert!(t.complete(MessageId(sibling)).is_none(), "id {sibling}");
+        }
+        assert!(t.earlier.is_empty(), "no id outlives its request");
+        assert!(t.pop_expired(Duration::from_secs(1)).is_none());
+        assert_eq!(t.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_request_that_is_dropped_or_aborted_takes_its_ids_along() {
+        let mut t = tracker();
+        for (id, token) in [(5, "b"), (1, "a")] {
+            t.track_for(MessageId(id), token, Duration::ZERO, 3 * MS);
+        }
+        // "a" is re-armed under a higher id than "b" has.
+        let (id, p) = t.pop_expired(3 * MS).expect("expired");
+        assert_eq!(id, MessageId(1));
+        t.hedge(MessageId(9), id, p, 3 * MS, 6 * MS);
+        let (id, p) = t.pop_expired(3 * MS).expect("expired");
+        t.hedge(MessageId(10), id, p, 3 * MS, 6 * MS);
+        assert_eq!(t.in_flight(), 2);
+        // Given up on: no id of "a" is known any more.
+        let (_, gone) = t.pop_expired(9 * MS).expect("expired");
+        assert_eq!(gone.token, "a");
+        assert!(t.complete(MessageId(1)).is_none() && t.complete(MessageId(9)).is_none());
+        assert_eq!(t.earlier.len(), 1, "the one earlier id of \"b\"");
+        t.track(MessageId(11), "c", 9 * MS);
+        let aborted: Vec<_> = t.abort_all().into_iter().map(|p| p.token).collect();
+        assert_eq!(aborted, vec!["b", "c"], "each once, by first id");
+        assert!(t.complete(MessageId(5)).is_none() && t.complete(MessageId(10)).is_none());
+        assert!(t.is_idle() && t.earlier.is_empty());
+    }
+
+    #[test]
+    fn the_budget_is_counted_from_the_first_attempt() {
+        let mut t = tracker();
+        assert_eq!(t.policy().budget(), 300 * MS);
+        t.track_for(MessageId(1), "x", 10 * MS, 3 * MS);
+        let (id, p) = t.pop_expired(13 * MS).expect("expired");
+        assert_eq!(t.budget_left(&p, 13 * MS), 297 * MS);
+        t.hedge(MessageId(2), id, p, 13 * MS, 6 * MS);
+        let (_, p) = t.pop_expired(400 * MS).expect("expired");
+        assert_eq!(t.budget_left(&p, 310 * MS), Duration::ZERO);
+        assert_eq!(t.budget_left(&p, 400 * MS), Duration::ZERO);
     }
 }
