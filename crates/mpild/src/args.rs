@@ -4,7 +4,6 @@
 
 use std::time::Duration;
 
-use mpil::MpilConfig;
 use mpil_net::{RetryPolicy, TransportKind};
 use mpil_workload::Args;
 
@@ -16,9 +15,10 @@ use crate::load::{ChurnPlan, LoadConfig};
 /// --replicas R --no-ds --timeout-ms T --retries N`.
 pub fn daemon_config(args: &Args) -> DaemonConfig {
     let defaults = DaemonConfig::default();
-    let mut mpil = MpilConfig::default()
-        .with_max_flows(args.value_or("max-flows", 10))
-        .with_num_replicas(args.value_or("replicas", 3));
+    let mut mpil = defaults
+        .mpil
+        .with_max_flows(args.value_or("max-flows", defaults.mpil.max_flows))
+        .with_num_replicas(args.value_or("replicas", defaults.mpil.num_replicas));
     if args.flag("no-ds") {
         mpil = mpil.with_duplicate_suppression(false);
     }
@@ -30,14 +30,16 @@ pub fn daemon_config(args: &Args) -> DaemonConfig {
         transport: if args.flag("udp") {
             TransportKind::Udp
         } else {
-            TransportKind::Channel
+            defaults.transport
         },
         mpil,
         retry: RetryPolicy {
-            timeout: Duration::from_millis(args.value_or("timeout-ms", 150)),
-            retries: args.value_or("retries", 2),
+            timeout: Duration::from_millis(
+                args.value_or("timeout-ms", defaults.retry.timeout.as_millis() as u64),
+            ),
+            retries: args.value_or("retries", defaults.retry.retries),
         },
-        fallback_drain: Duration::from_millis(args.value_or("fallback-drain-ms", 500)),
+        fallback_drain: defaults.fallback_drain,
     }
 }
 
@@ -69,5 +71,45 @@ pub fn load_config(args: &Args, nodes: usize) -> LoadConfig {
         seed: args.value_or("seed", defaults.seed),
         churn,
         drain: Duration::from_millis(args.value_or("drain-ms", 500)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The defaults have one owner: no flag restates one.
+    #[test]
+    fn no_flags_is_the_default_daemon_field_for_field() {
+        let DaemonConfig {
+            nodes,
+            degree,
+            spares,
+            seed,
+            transport,
+            mpil,
+            retry,
+            fallback_drain,
+        } = daemon_config(&Args::parse([]));
+        let defaults = DaemonConfig::default();
+        assert_eq!(nodes, defaults.nodes);
+        assert_eq!(degree, defaults.degree);
+        assert_eq!(spares, defaults.spares);
+        assert_eq!(seed, defaults.seed);
+        assert_eq!(transport, defaults.transport);
+        assert_eq!(mpil, defaults.mpil);
+        assert_eq!(retry, defaults.retry);
+        assert_eq!(fallback_drain, defaults.fallback_drain);
+    }
+
+    #[test]
+    fn flags_override_the_defaults_they_name() {
+        let flags = "--udp --max-flows 4 --replicas 2 --no-ds --timeout-ms 40 --retries 0";
+        let config = daemon_config(&Args::parse(flags.split(' ').map(String::from)));
+        assert_eq!(config.transport, TransportKind::Udp);
+        assert_eq!((config.mpil.max_flows, config.mpil.num_replicas), (4, 2));
+        assert!(!config.mpil.duplicate_suppression);
+        assert_eq!(config.retry.budget(), Duration::from_millis(40));
+        assert_eq!(config.nodes, DaemonConfig::default().nodes);
     }
 }

@@ -32,7 +32,9 @@
 //! wall clock — but only through the sanctioned
 //! [`mpil_workload::WallClock`] touchpoint, and all pacing decisions are
 //! made by the clock-free [`mpil_workload::Pacer`] fed with elapsed
-//! durations. Randomness is always seeded (`SmallRng`), never entropy.
+//! durations, as all of the daemon's are by the clock-free
+//! [`daemon::Core`] under the one loop that reads the clock for it.
+//! Randomness is always seeded (`SmallRng`), never entropy.
 //!
 //! [`LiveCluster`]: mpil_net::LiveCluster
 

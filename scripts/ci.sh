@@ -9,6 +9,10 @@
 #   format:  cargo fmt --check       (stable rustfmt; options in rustfmt.toml)
 #   lint:    mpil-lint check         (determinism contract: rules D001-D003,
 #            P001, S001 — see README "Determinism contract & lint rules")
+#   sans-io: the daemon's core (crates/mpild/src/daemon/{core,admission,
+#            hedge}.rs) names no clock, socket or thread outside its
+#            tests: time reaches it as an argument (daemon/mod.rs, "Core
+#            and shell"), so every decision it makes can be replayed
 #   lints:   cargo clippy --workspace --all-targets -- -D warnings
 #   scale:   scale_run at 20k nodes under --budget-s — catches an
 #            accidental O(n²) (or worse) regression in the simulation
@@ -36,6 +40,12 @@ export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
 cargo run -p mpil-lint --release -- check
+if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FILENAME ":" FNR ": " $0 }' \
+    crates/mpild/src/daemon/{core,admission,hedge}.rs \
+    | grep -E 'WallClock|Instant|recv_timeout|UdpSocket|thread::'; then
+    echo "ci: the daemon's core names a clock, a socket or a thread (see crates/mpild/src/daemon/mod.rs)" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 tier1=ok
 scripts/verify.sh --benches \
