@@ -104,7 +104,6 @@ pub fn insertion_behavior(
 
 /// [`insertion_behavior`] on an explicit runner (worker count must not
 /// affect results — the conformance of that claim is tested).
-#[allow(clippy::too_many_arguments)]
 pub fn insertion_behavior_on(
     runner: &ExperimentRunner,
     family: Family,
@@ -215,7 +214,7 @@ pub fn lookup_behavior(
 
 /// [`lookup_behavior`] on an explicit runner (worker count must not
 /// affect results — the conformance of that claim is tested).
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "`lookup_behavior`'s arguments plus the runner")]
 pub fn lookup_behavior_on(
     runner: &ExperimentRunner,
     family: Family,

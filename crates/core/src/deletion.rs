@@ -45,10 +45,11 @@ impl ReplicaRegistry {
     /// Known holders of `object`, in ascending node order (sorted so
     /// downstream message sequences are deterministic).
     pub fn holders(&self, object: Id) -> Vec<NodeIdx> {
+        #[expect(clippy::disallowed_methods, reason = "D003: sorted below")]
         let mut v: Vec<NodeIdx> = self
             .holders
             .get(&object)
-            .map(|m| m.keys().copied().collect()) // mpil-lint: allow(D003, sorted below)
+            .map(|m| m.keys().copied().collect())
             .unwrap_or_default();
         v.sort_unstable();
         v
@@ -56,11 +57,12 @@ impl ReplicaRegistry {
 
     /// Holders heard from since `cutoff`, in ascending node order.
     pub fn fresh_holders(&self, object: Id, cutoff: SimTime) -> Vec<NodeIdx> {
+        #[expect(clippy::disallowed_methods, reason = "D003: sorted below")]
         let mut v: Vec<NodeIdx> = self
             .holders
             .get(&object)
             .map(|m| {
-                m.iter() // mpil-lint: allow(D003, sorted below)
+                m.iter()
                     .filter(|&(_, &t)| t >= cutoff)
                     .map(|(&n, _)| n)
                     .collect()
@@ -74,6 +76,7 @@ impl ReplicaRegistry {
     /// holders that were known, in ascending node order (so the delete
     /// fan-out is a deterministic message sequence).
     pub fn forget(&mut self, object: Id) -> Vec<NodeIdx> {
+        #[expect(clippy::disallowed_methods, reason = "D003: sorted below")]
         let mut v: Vec<NodeIdx> = self
             .holders
             .remove(&object)

@@ -81,7 +81,7 @@ pub fn metric_value(metric: RoutingMetric, space: IdSpace, object: Id, id: Id) -
 /// is turned away on its metric alone; `visited` (a scan of the
 /// message's route for most callers) is asked only of a neighbor that
 /// would otherwise become a candidate.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the inputs of the rule in Figure 5")]
 pub fn routing_decision_policy(
     space: IdSpace,
     object: Id,
@@ -258,7 +258,7 @@ mod tests {
     /// The routing rule as Figure 5 states it: score every neighbor, keep
     /// the unvisited ones, and under `TopK` stable-sort them by descending
     /// metric and take the first `budget` (at least one).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the signature it is the reference for")]
     fn reference_decision(
         space: IdSpace,
         object: Id,

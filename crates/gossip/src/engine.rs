@@ -346,7 +346,10 @@ impl Gossip {
     /// strikes for departed peers must not accumulate as garbage.
     fn prune_suspicion(&mut self, node: NodeIdx) {
         let view = &self.views[node.index()];
-        // mpil-lint: allow(D003, per-entry membership predicate; visit order cannot change the surviving set)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D003: per-entry membership predicate; visit order cannot change the surviving set"
+        )]
         self.suspicion[node.index()].retain(|&peer, _| view.contains(peer));
     }
 
@@ -397,7 +400,7 @@ impl Gossip {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a handler: the message's fields")]
     fn on_walk_query(
         &mut self,
         cx: &mut Cx<'_>,
@@ -461,7 +464,7 @@ impl Gossip {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a handler: the message's fields")]
     fn on_flood_query(
         &mut self,
         cx: &mut Cx<'_>,

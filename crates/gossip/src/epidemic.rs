@@ -827,7 +827,7 @@ impl Epidemic {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a handler: the message's fields")]
     fn on_tree_query(
         &mut self,
         cx: &mut Cx<'_>,
@@ -885,7 +885,7 @@ impl Epidemic {
         self.sample_scratch = targets;
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a handler: the message's fields")]
     fn on_foaf_query(
         &mut self,
         cx: &mut Cx<'_>,

@@ -106,6 +106,10 @@ impl ExperimentRunner {
     /// # Panics
     ///
     /// Propagates a panic from any worker.
+    #[expect(
+        clippy::expect_used,
+        reason = "P001: a poisoned slot means a sibling worker already panicked, the scoped join re-raises that panic, and past it every index ran to completion"
+    )]
     pub fn map<I, O, F>(&self, items: &[I], f: F) -> Vec<O>
     where
         I: Sync,
@@ -122,14 +126,14 @@ impl ExperimentRunner {
                         break;
                     }
                     let out = f(&items[i]);
-                    *slots[i].lock().expect("poisoned") = Some(out); // mpil-lint: allow(P001, a poisoned slot means a sibling worker already panicked)
+                    *slots[i].lock().expect("poisoned") = Some(out);
                 });
             }
         })
-        .expect("worker panicked"); // mpil-lint: allow(P001, scoped-thread join; re-raises the worker panic)
+        .expect("worker panicked");
         slots
             .into_iter()
-            .map(|m| m.into_inner().expect("poisoned").expect("all items run")) // mpil-lint: allow(P001, the scope above ran every index to completion)
+            .map(|m| m.into_inner().expect("poisoned").expect("all items run"))
             .collect()
     }
 

@@ -101,12 +101,20 @@ impl OverlaySource {
                 (ids, nbrs)
             }
             OverlaySource::RandomRegular(d) => {
-                let topo = generators::random_regular(nodes, *d, &mut rng).expect("generator"); // mpil-lint: allow(P001, generator failure on these fixed parameters is a programming error in the spec)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "P001: generator failure on these fixed parameters is a programming error in the spec"
+                )]
+                let topo = generators::random_regular(nodes, *d, &mut rng).expect("generator");
                 mpil::frozen(&topo)
             }
             OverlaySource::PowerLaw => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "P001: generator failure on these fixed parameters is a programming error in the spec"
+                )]
                 let topo =
-                    generators::power_law(nodes, Default::default(), &mut rng).expect("generator"); // mpil-lint: allow(P001, generator failure on these fixed parameters is a programming error in the spec)
+                    generators::power_law(nodes, Default::default(), &mut rng).expect("generator");
                 mpil::frozen(&topo)
             }
             OverlaySource::Gossip { view } => {
@@ -523,8 +531,12 @@ fn quiet<P: Protocol + 'static>(
 /// Shortest-path latencies over a fresh GT-ITM-style transit-stub
 /// hierarchy (the Figure 1/11/12 network).
 fn transit_stub_latency(nodes: usize, rng: &mut SmallRng) -> Box<dyn LatencyModel> {
+    #[expect(
+        clippy::expect_used,
+        reason = "P001: default transit-stub parameters always produce a graph"
+    )]
     let ts = transit_stub::generate(nodes, TransitStubConfig::default(), rng)
-        .expect("transit-stub generation"); // mpil-lint: allow(P001, default transit-stub parameters always produce a graph)
+        .expect("transit-stub generation");
     Box::new(TransitStubLatency::new(ts, 0.1))
 }
 

@@ -277,7 +277,7 @@ impl IdSet {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // std HashMap is the differential oracle here
+#[expect(clippy::disallowed_types, reason = "D001: std HashMap is the differential oracle here")]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

@@ -6,7 +6,7 @@
 //! `#[path]` of the property test in `tests/core_props.rs`: the
 //! including module brings the crate's own names into scope, and
 //! neither uses all of this.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "shared by two test targets; neither uses all of it")]
 
 use std::time::Duration;
 

@@ -361,7 +361,6 @@ impl ChurnState {
 }
 
 /// Runs one phase to completion and returns its report.
-#[allow(clippy::too_many_arguments)]
 fn run_phase<C: CtrlConnection>(
     conn: &mut C,
     clock: &WallClock,

@@ -235,9 +235,16 @@ impl LiveClusterBuilder {
                 .map(|t| Box::new(t) as Box<dyn Transport>)
                 .collect(),
         };
-        // Both mesh builders return exactly the endpoints requested.
-        let client_tx = endpoints.pop().expect("shards + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly shards + 2 endpoints)
-        let client_rx = endpoints.pop().expect("shards + 2 endpoints"); // mpil-lint: allow(P001, mesh builders return exactly shards + 2 endpoints)
+        #[expect(
+            clippy::expect_used,
+            reason = "P001: mesh builders return exactly shards + 2 endpoints"
+        )]
+        let client_tx = endpoints.pop().expect("shards + 2 endpoints");
+        #[expect(
+            clippy::expect_used,
+            reason = "P001: mesh builders return exactly shards + 2 endpoints"
+        )]
+        let client_rx = endpoints.pop().expect("shards + 2 endpoints");
         let (ids, neighbors) = mpil::frozen(topo);
         let overlay = Arc::new(Overlay {
             ids,
@@ -609,15 +616,23 @@ impl LiveCluster {
             // A refused wake-up only delays that shard to its idle cap.
             let _ = self.client.send(shard, wake.clone());
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "P001: re-raises a worker panic at shutdown; swallowing it would hide the crash"
+        )]
         let by_shard: Vec<Vec<NodeStats>> = self
             .shards
             .drain(..)
-            .map(|(_, handle)| handle.join().expect("shard thread panicked")) // mpil-lint: allow(P001, re-raises a worker panic at shutdown; swallowing it would hide the crash)
+            .map(|(_, handle)| handle.join().expect("shard thread panicked"))
             .collect();
         self.reader_stop.store(true, Ordering::SeqCst);
         let _ = self.client.send(self.overlay.client, wake);
         if let Some(reader) = self.reader.take() {
-            reader.join().expect("reader thread panicked"); // mpil-lint: allow(P001, re-raises a worker panic at shutdown; swallowing it would hide the crash)
+            #[expect(
+                clippy::expect_used,
+                reason = "P001: re-raises a worker panic at shutdown; swallowing it would hide the crash"
+            )]
+            reader.join().expect("reader thread panicked");
         }
         // After a partial spawn the shards that never started have no
         // counters.

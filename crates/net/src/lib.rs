@@ -49,10 +49,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The net crate IS the wall-clock zone of the determinism contract
-// (mpil-lint rules D001/D002 exempt it); real sockets and real timeouts
-// are the point here, so the clippy-side mirror is waived crate-wide.
-#![allow(clippy::disallowed_types)]
+#![expect(clippy::disallowed_types, reason = "D002: the wall-clock zone (sockets and timeouts)")]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // P001
 
 pub mod cluster;
 pub mod codec;

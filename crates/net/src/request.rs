@@ -347,6 +347,7 @@ impl<T> RequestTracker<T> {
     pub fn abort_all(&mut self) -> Vec<Pending<T>> {
         self.expiry.clear();
         self.earlier.clear();
+        #[expect(clippy::disallowed_methods, reason = "D003: sorted below")]
         let mut all: Vec<(u64, Pending<T>)> = self
             .pending
             .drain()

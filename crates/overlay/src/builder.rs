@@ -101,8 +101,9 @@ impl TopologyBuilder {
 
     /// Current degree of `node` (linear in the number of edges; intended
     /// for generators that post-process small remainders, not hot loops).
+    #[expect(clippy::disallowed_methods, reason = "D003: count of a predicate; order-free")]
     pub fn degree(&self, node: NodeIdx) -> usize {
-        self.edges // mpil-lint: allow(D003, count of a predicate; order-free)
+        self.edges
             .iter()
             .filter(|&&(a, b)| a == node || b == node)
             .count()
@@ -112,7 +113,7 @@ impl TopologyBuilder {
     pub fn build(self) -> Topology {
         let n = self.ids.len();
         let mut adj: Vec<Vec<NodeIdx>> = vec![Vec::new(); n];
-        // mpil-lint: allow(D003, adjacency lists are sorted below)
+        #[expect(clippy::iter_over_hash_type, reason = "D003: adjacency lists are sorted below")]
         for &(a, b) in &self.edges {
             adj[a.index()].push(b);
             adj[b.index()].push(a);

@@ -227,7 +227,7 @@ impl<M, T> Network<M, T> {
     ///
     /// Not an [`Iterator`]: popping needs `&mut self` *and* interleaved
     /// protocol reactions, so the kernel exposes a plain method.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "reactions interleave with the pops")]
     pub fn next(&mut self) -> Option<Event<M, T>> {
         self.next_before(SimTime::from_micros(u64::MAX))
     }

@@ -53,7 +53,7 @@ enum Repr<T: Copy + Default, const N: usize> {
     /// Past `N` entries the payload moves to a pooled, boxed `Vec`
     /// (boxed so the rare case costs the enum one pointer, not three
     /// words — the double indirection is the point, not an accident).
-    #[allow(clippy::box_collection)]
+    #[expect(clippy::box_collection, reason = "one pointer in the enum, not three words")]
     Spilled(Box<Vec<T>>),
 }
 
@@ -198,7 +198,7 @@ pub struct PoolStats {
 pub struct PayloadPool<T> {
     // Boxed so a vector parks and leaves the free list without its
     // 3-word header moving; the box is what `Repr::Spilled` stores.
-    #[allow(clippy::vec_box)]
+    #[expect(clippy::vec_box, reason = "the box is what `Repr::Spilled` stores")]
     free: Vec<Box<Vec<T>>>,
     stats: PoolStats,
 }

@@ -2,11 +2,12 @@
 //! drivers.
 //!
 //! This is a deterministic crate: simulated runs must be a pure
-//! function of the seed, so `mpil-lint` rule D002 bans wall-clock reads
+//! function of the seed, so rule D002 of the determinism contract
+//! (README "Determinism contract & lint rules") bans wall-clock reads
 //! here. Tripwires ("did the 10k smoke finish inside 150 s?") and the
 //! service's stopwatch are the legitimate exceptions, and this module is
-//! their single home — the two `Instant` touchpoints below carry the
-//! workspace's canonical `allow(D002)` annotations, and every caller
+//! their single home — the `Instant` touchpoints below carry the
+//! workspace's canonical D002 `#[expect]`s, and every caller
 //! (the conformance scale smoke, the `scale_run` CI tripwire, the bench
 //! stage timings, `mpild`) routes through [`WallClock`] /
 //! [`WallClockBudget`] instead of touching `std::time` itself. It lives
@@ -14,24 +15,24 @@
 //! the service, so that neither depends on the other for a clock.
 
 use std::time::Duration;
-#[allow(clippy::disallowed_types)] // the sanctioned wall-clock touchpoint
-// mpil-lint: allow(D002, wall-clock test budget)
+#[expect(clippy::disallowed_types, reason = "D002: wall-clock test budget")]
 use std::time::Instant;
 
 /// A started stopwatch: measures real elapsed time without imposing a
 /// limit. Use for stage timings that end up in benchmark reports.
 #[derive(Debug, Clone, Copy)]
-#[allow(clippy::disallowed_types)] // the sanctioned wall-clock touchpoint
+// `allow`, not `expect`: the derives copy an `allow` onto the impls they
+// generate, which name the field's type again, and do not copy an `expect`.
+#[allow(clippy::disallowed_types, reason = "D002: wall-clock test budget")]
 pub struct WallClock {
     started: Instant,
 }
 
 impl WallClock {
     /// Starts the stopwatch.
-    #[allow(clippy::disallowed_types)] // the sanctioned wall-clock touchpoint
+    #[expect(clippy::disallowed_types, reason = "D002: wall-clock test budget")]
     pub fn start() -> Self {
         WallClock {
-            // mpil-lint: allow(D002, wall-clock test budget)
             started: Instant::now(),
         }
     }

@@ -18,7 +18,8 @@
 //! [`Duration`] since their own epoch (the daemon's [`WallClock`] in
 //! production, a plain constant in tests), so every schedule decision is
 //! a pure function of its inputs — this crate sits in the deterministic
-//! zone of the `mpil-lint` contract and must not read wall time itself.
+//! zone of the contract (README "Determinism contract & lint rules",
+//! rule D002) and must not read wall time itself.
 //!
 //! [`WallClock`]: crate::WallClock
 

@@ -7,13 +7,15 @@
 #            the smokes below still run, on the release build it made)
 #   benches: cargo check --benches   (always; they are test = false)
 #   format:  cargo fmt --check       (stable rustfmt; options in rustfmt.toml)
-#   lint:    mpil-lint check         (determinism contract: rules D001-D003,
-#            P001, S001 — see README "Determinism contract & lint rules")
 #   sans-io: the daemon's core (crates/mpild/src/daemon/{core,admission,
 #            hedge}.rs) names no clock, socket or thread outside its
 #            tests: time reaches it as an argument (daemon/mod.rs, "Core
 #            and shell"), so every decision it makes can be replayed
-#   lints:   cargo clippy --workspace --all-targets -- -D warnings
+#   lints:   cargo clippy --workspace --all-targets -- -D warnings, with
+#            clippy.toml the gate of the determinism contract (rules
+#            D001-D003, P001, S001 — see README "Determinism contract &
+#            lint rules"); then scripts/lint-selftest.sh, the same gate
+#            held to a known-bad and a known-good fixture
 #   scale:   scale_run at 20k nodes under --budget-s — catches an
 #            accidental O(n²) (or worse) regression in the simulation
 #            kernel long before a full scaling curve would
@@ -39,14 +41,16 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
-cargo run -p mpil-lint --release -- check
 if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FILENAME ":" FNR ": " $0 }' \
     crates/mpild/src/daemon/{core,admission,hedge}.rs \
     | grep -E 'WallClock|Instant|recv_timeout|UdpSocket|thread::'; then
     echo "ci: the daemon's core names a clock, a socket or a thread (see crates/mpild/src/daemon/mod.rs)" >&2
     exit 1
 fi
-cargo clippy --workspace --all-targets -- -D warnings
+# The contract's two restriction lints (clippy.toml, "Not in this file").
+contract=(-D warnings -W clippy::iter_over_hash_type -W clippy::allow_attributes_without_reason)
+cargo clippy --workspace --all-targets -- "${contract[@]}"
+scripts/lint-selftest.sh "${contract[@]}"
 tier1=ok
 scripts/verify.sh --benches \
     || { tier1=failed; echo "ci: tier-1 (scripts/verify.sh --benches) failed; carrying on to the smokes" >&2; }
