@@ -1,11 +1,9 @@
 //! The Section 5 probability model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::lgamma::ln_binomial;
 
 /// A degree distribution `P(deg = d)` for the general-topology formula.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeDistribution {
     probs: Vec<(usize, f64)>,
 }

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use mpil_bench::scale_curve::{run_point, scale_spec};
 use mpil_bench::Args;
-use mpil_harness::{RssBudget, TrafficBudget, WallClockBudget};
+use mpil_harness::{EngineSpec, RssBudget, TrafficBudget, WallClockBudget};
 
 /// Count every heap allocation so the point can report steady-state
 /// allocations per kernel event — the enforcement side of the
@@ -37,30 +37,54 @@ use mpil_harness::{RssBudget, TrafficBudget, WallClockBudget};
 #[global_allocator]
 static ALLOC: mpil_alloc::CountingAlloc = mpil_alloc::CountingAlloc;
 
-fn main() {
-    let args = Args::parse_env();
-    let name = args.value_or("engine", "mpil".to_string());
-    let strategy = args.value_or("strategy", "walk".to_string());
-    let Some(spec) = scale_spec(&name, &strategy) else {
-        eprintln!(
+/// What the command line asks for; a budget of zero is no budget.
+struct Plan {
+    spec: EngineSpec,
+    nodes: usize,
+    ops: usize,
+    p: f64,
+    seed: u64,
+    budget_s: u64,
+    max_rss_mib: f64,
+    max_msgs_per_lookup: f64,
+}
+
+/// Reads the whole command line or says which flag cannot be read.
+fn plan(args: &Args) -> Result<Plan, String> {
+    let name = args.try_value("engine")?.unwrap_or("mpil".to_string());
+    let strategy = args.try_value("strategy")?.unwrap_or("walk".to_string());
+    let spec = scale_spec(&name, &strategy).ok_or_else(|| {
+        format!(
             "unknown --engine '{name}' / --strategy '{strategy}' \
              (expected mpil, kademlia, chord, pastry, gossip, plumtree, or foaf; \
              walk, ring, plumtree, or foaf)"
-        );
-        std::process::exit(2);
+        )
+    })?;
+    let plan = Plan {
+        spec,
+        nodes: args.try_value("nodes")?.unwrap_or(1000),
+        ops: args.try_value("ops")?.unwrap_or(20),
+        p: args.try_value("p")?.unwrap_or(0.5),
+        seed: args.try_value("seed")?.unwrap_or(1),
+        budget_s: args.try_value("budget-s")?.unwrap_or(0),
+        max_rss_mib: args.try_value("max-rss-mib")?.unwrap_or(0.0),
+        max_msgs_per_lookup: args.try_value("max-msgs-per-lookup")?.unwrap_or(0.0),
     };
-    let nodes = args.value_or("nodes", 1000usize);
-    let ops = args.value_or("ops", 20usize);
-    let p = args.value_or("p", 0.5f64);
-    let seed = args.value_or("seed", 1u64);
-    let budget_s = args.value_or("budget-s", 0u64);
-    let budget = (budget_s > 0).then(|| WallClockBudget::start(Duration::from_secs(budget_s)));
-    let max_rss_mib = args.value_or("max-rss-mib", 0.0f64);
-    let rss_budget = (max_rss_mib > 0.0).then(|| RssBudget::new(max_rss_mib));
-    let max_msgs_per_lookup = args.value_or("max-msgs-per-lookup", 0.0f64);
+    args.finish()?;
+    Ok(plan)
+}
+
+fn main() {
+    let plan = plan(&Args::parse_env()).unwrap_or_else(|why| {
+        eprintln!("scale_run: {why}");
+        std::process::exit(2);
+    });
+    let budget =
+        (plan.budget_s > 0).then(|| WallClockBudget::start(Duration::from_secs(plan.budget_s)));
+    let rss_budget = (plan.max_rss_mib > 0.0).then(|| RssBudget::new(plan.max_rss_mib));
     let traffic_budget =
-        (max_msgs_per_lookup > 0.0).then(|| TrafficBudget::new(max_msgs_per_lookup));
-    let point = run_point(spec, nodes, ops, p, seed);
+        (plan.max_msgs_per_lookup > 0.0).then(|| TrafficBudget::new(plan.max_msgs_per_lookup));
+    let point = run_point(plan.spec, plan.nodes, plan.ops, plan.p, plan.seed);
     eprintln!(
         "{}: {} nodes in {:.2}s (build {:.2}s, inserts {:.2}s, lookups {:.2}s), peak {:.0} MiB, \
          success {:.0}%, {:.4} allocs/event over {} events",
@@ -77,22 +101,40 @@ fn main() {
     );
     println!("{}", point.to_json());
     let context = format!("{} {}-node point", point.engine, point.nodes);
-    if let Some(budget) = budget {
-        if let Err(msg) = budget.check(&context) {
-            eprintln!("scale_run: {msg}");
-            std::process::exit(1);
-        }
+    let checks = [
+        budget.map(|b| b.check(&context)),
+        rss_budget.map(|b| b.check(&context)),
+        traffic_budget.map(|b| b.check(&context, point.lookup_msgs, point.operations)),
+    ];
+    if let Some(msg) = checks.into_iter().flatten().find_map(Result::err) {
+        eprintln!("scale_run: {msg}");
+        std::process::exit(1);
     }
-    if let Some(rss_budget) = rss_budget {
-        if let Err(msg) = rss_budget.check(&context) {
-            eprintln!("scale_run: {msg}");
-            std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each spelling is refused with the flag named (exit code 2 in
+    /// `main`): a budget that cannot be read must not vanish.
+    #[test]
+    fn a_command_line_that_cannot_be_read_is_refused() {
+        for (line, named) in [
+            ("--nodes banana", "--nodes"),
+            ("--max-rss-mib 1,5", "--max-rss-mib"),
+            ("--budget-s --nodes 50", "--budget-s needs a value"),
+            ("--max-rss 100", "unknown flag --max-rss"),
+            ("--engine warp", "--engine"),
+        ] {
+            let why = plan(&Args::parse(line.split(' ').map(String::from)))
+                .err()
+                .unwrap_or_else(|| panic!("{line:?} was accepted"));
+            assert!(why.contains(named), "{line:?}: {why}");
         }
-    }
-    if let Some(traffic_budget) = traffic_budget {
-        if let Err(msg) = traffic_budget.check(&context, point.lookup_msgs, point.operations) {
-            eprintln!("scale_run: {msg}");
-            std::process::exit(1);
-        }
+        let ci = "--engine plumtree --nodes 20000 --seed 1 --budget-s 120 \
+                  --max-rss-mib 400 --max-msgs-per-lookup 25";
+        let plan = plan(&Args::parse(ci.split_whitespace().map(String::from))).expect("ci's line");
+        assert_eq!((plan.nodes, plan.budget_s), (20_000, 120));
     }
 }

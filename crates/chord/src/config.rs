@@ -1,7 +1,6 @@
 //! Chord configuration.
 
 use mpil_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Chord parameters.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// effort on upkeep: stabilization every 30 s (like leaf-set probing),
 /// finger repair every 90 s (like routing-table probing), a 3 s probe
 /// timeout and 2 retries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChordConfig {
     /// Successor-list length `r` (Stoica et al. recommend `Ω(log N)`;
     /// 8 matches Pastry's leaf-set half-size budget).

@@ -16,7 +16,6 @@ use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
 use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::config::ChordConfig;
 use crate::state::ChordState;
@@ -120,7 +119,7 @@ struct PendingProbe {
 
 /// Counters split by traffic class (field-for-field comparable to the
 /// Pastry baseline's `PastryStats`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChordStats {
     /// Route transmissions carrying lookups (incl. retransmissions).
     pub lookup_messages: u64,

@@ -62,11 +62,6 @@ impl ChordState {
         self.predecessor
     }
 
-    /// Clears the predecessor pointer (failed liveness check).
-    pub fn clear_predecessor(&mut self) {
-        self.predecessor = None;
-    }
-
     /// Finger `i` (the cached successor of `id + 2^i`), if known.
     pub fn finger(&self, i: usize) -> Option<NodeIdx> {
         self.fingers[i]

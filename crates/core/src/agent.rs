@@ -15,7 +15,6 @@ use fxhash::FxHashSet;
 use mpil_id::{Id, IdMap};
 use mpil_overlay::{NodeIdx, Topology};
 use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::config::MpilConfig;
 use crate::deletion::ReplicaRegistry;
@@ -23,7 +22,7 @@ use crate::message::{Message, MessageId, MessageKind};
 use crate::step::{step, Verdict};
 
 /// Configuration of a [`DynamicNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DynamicConfig {
     /// The MPIL algorithm parameters.
     pub mpil: MpilConfig,
@@ -34,7 +33,7 @@ pub struct DynamicConfig {
 
 /// Protocol-level counters (the kernel's [`mpil_sim::NetStats`] counts raw
 /// sends/drops; these attribute them to operations).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DynamicStats {
     /// Insert messages forwarded.
     pub insert_messages: u64,

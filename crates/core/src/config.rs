@@ -3,7 +3,6 @@
 use std::fmt;
 
 use mpil_id::IdSpace;
-use serde::{Deserialize, Serialize};
 
 /// Error returned when an [`MpilConfig`] is inconsistent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +33,7 @@ impl std::error::Error for ConfigError {}
 /// Table 3's realized flow counts (~9 of a budget of 10) are only
 /// reachable when nodes fan out beyond exact ties. Both are provided;
 /// the `split_policy` ablation bench quantifies the difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SplitPolicy {
     /// Forward only to neighbors tied at the single best metric value
     /// (Figure 5's literal pseudo-code).
@@ -52,7 +51,7 @@ pub enum SplitPolicy {
 /// probability that two random IDs share *no* common digit position is
 /// (3/4)^80 ≈ 10^-10, versus 3/4 for sharing no prefix digit). The
 /// `ablation_metric` bench measures what that buys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingMetric {
     /// Digits matching at the same positions (MPIL's metric).
     CommonDigits,
@@ -77,7 +76,7 @@ pub enum RoutingMetric {
 ///   and evaluates both settings under perturbation (Figure 11), finding
 ///   *disabling* DS more robust on flapping overlays.
 /// * `split_policy` — see [`SplitPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpilConfig {
     /// The digit width of the identifier space (paper default: base-4).
     pub space: IdSpace,

@@ -13,10 +13,9 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of the paths-limiting computation at one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForwardPlan {
     /// How many candidates to forward to.
     pub m: u32,

@@ -2,7 +2,6 @@
 
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
-use serde::{Deserialize, Serialize};
 
 /// Unique identifier of one insert or lookup operation.
 ///
@@ -10,9 +9,7 @@ use serde::{Deserialize, Serialize};
 /// queries, "a sequence number or a random number should be attached to
 /// distinguish the message from old messages with the same message ID" —
 /// `MessageId` is that sequence number: every operation gets a fresh one.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MessageId(pub u64);
 
 impl std::fmt::Display for MessageId {
@@ -22,7 +19,7 @@ impl std::fmt::Display for MessageId {
 }
 
 /// What an MPIL message is trying to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// Deposit an object pointer at local maxima.
     Insert,
@@ -36,7 +33,7 @@ pub enum MessageKind {
 /// routed on, the remaining flow quota (`max_flows` field), the per-flow
 /// replica countdown, and the `route` list of visited nodes that prevents
 /// a copy from revisiting nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Operation identity (for duplicate suppression).
     pub msg_id: MessageId,

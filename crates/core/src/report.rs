@@ -1,9 +1,7 @@
 //! Per-operation reports from the MPIL engines.
 
-use serde::{Deserialize, Serialize};
-
 /// What one insertion did (the quantities Figure 9 of the paper plots).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InsertReport {
     /// Distinct nodes storing the object pointer after this insertion.
     pub replicas: u32,
@@ -20,7 +18,7 @@ pub struct InsertReport {
 }
 
 /// What one lookup did (Figure 10 / Tables 1–3 quantities).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LookupReport {
     /// Did any flow find a node storing the object?
     pub success: bool,

@@ -1,7 +1,6 @@
 //! Configuration for the gossip engine.
 
 use mpil_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// How a lookup spreads through the unstructured overlay.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// ([`crate::GossipSim`]); the last two require the HyParView/Plumtree
 /// engine ([`crate::EpidemicSim`]), whose membership layer maintains
 /// the spanning-tree links they ride on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LookupStrategy {
     /// `walkers` independent random walks, each with a hop budget of
     /// `ttl` (Lv et al.'s k-random-walk search; Ferretti's local-
@@ -59,7 +58,7 @@ impl LookupStrategy {
 /// shuffles of half the view every few seconds, a couple of missed
 /// shuffles before a peer is declared dead, and search parameters sized
 /// so the paper-scale 1000-node runs succeed on a quiet network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Bound on each node's partial view (out-degree of the overlay).
     pub view_size: usize,
@@ -174,7 +173,7 @@ impl GossipConfig {
 /// sized so one exchange fits the inline payload buffer, and shallow
 /// retried queries — announcements already planted the pointer nearly
 /// everywhere, so lookups only need to reach one live holder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpidemicConfig {
     /// Bound on the active view (symmetric links; eager/lazy Plumtree
     /// peers are drawn from it).

@@ -22,7 +22,6 @@ use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
 use mpil_sim::{Counters, Event, NetStats, PayloadBuf, Protocol, Sim, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{GossipConfig, LookupStrategy};
 use crate::ticker::{restore_tick_order, GossipTicker};
@@ -120,7 +119,7 @@ struct RingState {
 
 /// Counters split by traffic class (comparable to the DHT baselines and
 /// MPIL through the harness's unified `Counters`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GossipStats {
     /// Walk/flood query transmissions sent by lookups.
     pub lookup_messages: u64,

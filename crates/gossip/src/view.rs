@@ -11,11 +11,10 @@
 
 use mpil_overlay::NodeIdx;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One view slot: a peer and the number of shuffle rounds since it was
 /// last known fresh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViewEntry {
     /// The neighbor.
     pub peer: NodeIdx,
@@ -134,48 +133,6 @@ pub struct PartialView {
     owner: NodeIdx,
     capacity: usize,
     entries: Entries,
-}
-
-// Manual serde impls keeping the wire shape of the formerly derived
-// ones — a map of `owner`, `capacity`, and `entries` as a plain
-// sequence — independent of the inline-vs-heap storage split.
-impl Serialize for PartialView {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("owner".to_string(), self.owner.to_value()),
-            ("capacity".to_string(), self.capacity.to_value()),
-            (
-                "entries".to_string(),
-                serde::Value::Seq(
-                    self.entries
-                        .as_slice()
-                        .iter()
-                        .map(|e| e.to_value())
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for PartialView {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::expected("map", "PartialView"))?;
-        let owner = NodeIdx::from_value(serde::map_get(map, "owner")?)?;
-        let capacity = usize::from_value(serde::map_get(map, "capacity")?)?;
-        let wire = Vec::<ViewEntry>::from_value(serde::map_get(map, "entries")?)?;
-        let mut entries = Entries::new(capacity);
-        for e in wire {
-            entries.push(e);
-        }
-        Ok(PartialView {
-            owner,
-            capacity,
-            entries,
-        })
-    }
 }
 
 impl PartialEq for PartialView {

@@ -3,7 +3,6 @@
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 use mpil_sim::{Availability, LookupOutcome, NetStats, Protocol, Sim, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 pub use mpil_sim::Counters;
 
@@ -11,7 +10,7 @@ pub use mpil_sim::Counters;
 ///
 /// Engines hand these out from [`DiscoveryEngine::issue_lookup`] and
 /// resolve them in [`DiscoveryEngine::lookup_outcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LookupHandle(pub u64);
 
 /// The lifecycle shared by every discovery engine.

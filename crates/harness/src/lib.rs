@@ -13,7 +13,7 @@
 //! perturbation schedule, which workload.
 //!
 //! On top of both sits the [`ExperimentRunner`]: a bounded worker pool
-//! (crossbeam scoped threads) that fans scenarios — or one scenario
+//! (`std::thread::scope` threads) that fans scenarios — or one scenario
 //! across many seeds — out in parallel, with deterministic per-seed RNG
 //! streams and order-preserving result collection, so a parallel run is
 //! bit-identical to a sequential one. The paper's two-stage

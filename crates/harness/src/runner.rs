@@ -11,7 +11,7 @@
 //! [`DiscoveryEngine`]: crate::DiscoveryEngine
 //!
 //! [`ExperimentRunner`] fans independent work items — scenario points
-//! or seeds — across a bounded pool of crossbeam scoped threads.
+//! or seeds — across a bounded pool of `std::thread::scope` threads.
 //! Each item's RNG streams derive only from its own scenario seed and
 //! results are collected in input order, so a parallel run is
 //! bit-identical to a sequential one.
@@ -20,12 +20,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mpil_workload::RunningStats;
-use serde::{Deserialize, Serialize};
 
 use crate::scenario::{PerturbRun, PreparedRun, Scenario};
 
 /// What one perturbation scenario measured.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerturbResult {
     /// Percentage of lookups answered positively before their deadline.
     pub success_rate: f64,
@@ -118,9 +117,9 @@ impl ExperimentRunner {
     {
         let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..self.workers.min(items.len()) {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     if i >= items.len() {
                         break;
@@ -129,8 +128,7 @@ impl ExperimentRunner {
                     *slots[i].lock().expect("poisoned") = Some(out);
                 });
             }
-        })
-        .expect("worker panicked");
+        });
         slots
             .into_iter()
             .map(|m| m.into_inner().expect("poisoned").expect("all items run"))
@@ -160,7 +158,7 @@ impl ExperimentRunner {
 }
 
 /// Per-metric statistics across a seed sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SeedStats {
     /// Success rate (%) across seeds.
     pub success_rate: RunningStats,
@@ -175,7 +173,7 @@ pub struct SeedStats {
 }
 
 /// The merged outcome of one scenario run across many seeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeedSweep {
     /// The engine label ([`Scenario::label`]).
     pub label: String,
@@ -224,11 +222,11 @@ impl SeedSweep {
     }
 
     /// Renders the sweep as a self-describing JSON document. It is
-    /// hand-built rather than `serde::json::to_string(self)` because it
-    /// is not the struct: it adds `seed_range`, prints each statistic's
-    /// `mean`/`std_dev`/`min`/`max` where the struct holds an
-    /// accumulator's internals, and fixes four decimals so sweep files
-    /// diff cleanly. The header names the engine ([`Scenario::label`]),
+    /// hand-built because it is not the struct: it adds `seed_range`,
+    /// prints each statistic's `mean`/`std_dev`/`min`/`max` where the
+    /// struct holds an accumulator's internals, and fixes four decimals
+    /// so sweep files diff cleanly. The header names the engine
+    /// ([`Scenario::label`]),
     /// the full scenario (sweep variables included), and the seed
     /// range, so a sweep file needs no out-of-band context to read.
     pub fn to_json(&self) -> String {

@@ -25,7 +25,6 @@ use mpil_sim::{
 use mpil_workload::RunningStats;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{DiscoveryEngine, LookupHandle};
 
@@ -156,7 +155,7 @@ impl fmt::Display for OverlaySource {
 
 /// One perturbation run's parameters (overlay size, workload, flapping
 /// schedule, failure injection, master seed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerturbRun {
     /// Overlay size (1000 in the paper).
     pub nodes: usize,

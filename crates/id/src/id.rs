@@ -4,7 +4,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of bits in an identifier.
 pub const ID_BITS: usize = 160;
@@ -24,7 +23,7 @@ pub const ID_BYTES: usize = ID_BITS / 8;
 /// assert!(a < b);
 /// assert_eq!((a ^ b), Id::from_low_u64(12));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Id(pub(crate) [u8; ID_BYTES]);
 
 impl Id {

@@ -2,9 +2,6 @@
 
 use std::fmt;
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
 use crate::id::{Id, ID_BITS};
 use crate::metric;
 
@@ -12,7 +9,7 @@ use crate::metric;
 ///
 /// The paper analyses base-4 (`b = 2`) for MPIL's static-overlay study and
 /// uses base-16 (`b = 4`) for the MSPastry comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum DigitBits {
     /// Binary digits (base 2).
@@ -62,7 +59,7 @@ impl std::error::Error for InvalidDigitBits {}
 /// let b = Id::from_low_u64(0xb0);
 /// assert_eq!(space.common_digits(a, b), 39);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IdSpace {
     digit_bits: DigitBits,
 }
@@ -134,11 +131,6 @@ impl IdSpace {
     /// Extracts digit `i` (0 = most significant) of `id`.
     pub fn digit(self, id: Id, i: usize) -> u8 {
         id.digit(i, self.digit_bits.bits())
-    }
-
-    /// Draws a uniformly random ID.
-    pub fn random_id<R: Rng + ?Sized>(self, rng: &mut R) -> Id {
-        Id::random(rng)
     }
 }
 

@@ -1,7 +1,6 @@
 //! Kademlia configuration.
 
 use mpil_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Kademlia parameters (Maymounkov & Mazières, IPTPS 2002).
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// and replication), `α = 3` (lookup parallelism), a 3 s RPC timeout
 /// matching the probe timeout of the other baselines, and a 90 s bucket
 /// refresh matching Pastry's routing-table probe period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KademliaConfig {
     /// Bucket capacity and storage replication factor `k`.
     pub k: usize,

@@ -15,7 +15,6 @@ use mpil_id::{xor_distance, Id, IdSet};
 use mpil_overlay::NodeIdx;
 use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::config::KademliaConfig;
 use crate::table::{Admission, RoutingTable};
@@ -109,7 +108,7 @@ struct PendingEviction {
 
 /// Counters split by traffic class (comparable to the Pastry and Chord
 /// baselines).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KademliaStats {
     /// `FIND_VALUE` queries sent by lookup operations.
     pub lookup_messages: u64,

@@ -13,20 +13,26 @@ use crate::load::{ChurnPlan, LoadConfig};
 /// Builds a [`DaemonConfig`] from flags:
 /// `--nodes N --degree D --spares S --seed K --udp --max-flows F
 /// --replicas R --no-ds --timeout-ms T --retries N`.
-pub fn daemon_config(args: &Args) -> DaemonConfig {
+///
+/// # Errors
+///
+/// Names the flag whose value does not parse.
+pub fn daemon_config(args: &Args) -> Result<DaemonConfig, String> {
     let defaults = DaemonConfig::default();
+    let max_flows = args.try_value("max-flows")?;
+    let replicas = args.try_value("replicas")?;
     let mut mpil = defaults
         .mpil
-        .with_max_flows(args.value_or("max-flows", defaults.mpil.max_flows))
-        .with_num_replicas(args.value_or("replicas", defaults.mpil.num_replicas));
+        .with_max_flows(max_flows.unwrap_or(defaults.mpil.max_flows))
+        .with_num_replicas(replicas.unwrap_or(defaults.mpil.num_replicas));
     if args.flag("no-ds") {
         mpil = mpil.with_duplicate_suppression(false);
     }
-    DaemonConfig {
-        nodes: args.value_or("nodes", defaults.nodes),
-        degree: args.value_or("degree", defaults.degree),
-        spares: args.value_or("spares", defaults.spares),
-        seed: args.value_or("seed", defaults.seed),
+    Ok(DaemonConfig {
+        nodes: args.try_value("nodes")?.unwrap_or(defaults.nodes),
+        degree: args.try_value("degree")?.unwrap_or(defaults.degree),
+        spares: args.try_value("spares")?.unwrap_or(defaults.spares),
+        seed: args.try_value("seed")?.unwrap_or(defaults.seed),
         transport: if args.flag("udp") {
             TransportKind::Udp
         } else {
@@ -35,12 +41,13 @@ pub fn daemon_config(args: &Args) -> DaemonConfig {
         mpil,
         retry: RetryPolicy {
             timeout: Duration::from_millis(
-                args.value_or("timeout-ms", defaults.retry.timeout.as_millis() as u64),
+                args.try_value("timeout-ms")?
+                    .unwrap_or(defaults.retry.timeout.as_millis() as u64),
             ),
-            retries: args.value_or("retries", defaults.retry.retries),
+            retries: args.try_value("retries")?.unwrap_or(defaults.retry.retries),
         },
         fallback_drain: defaults.fallback_drain,
-    }
+    })
 }
 
 /// Builds a [`LoadConfig`] from flags:
@@ -50,28 +57,33 @@ pub fn daemon_config(args: &Args) -> DaemonConfig {
 ///
 /// `nodes` is the target daemon's live node count (origins are drawn
 /// below it).
-pub fn load_config(args: &Args, nodes: usize) -> LoadConfig {
+///
+/// # Errors
+///
+/// Names the flag whose value does not parse.
+pub fn load_config(args: &Args, nodes: usize) -> Result<LoadConfig, String> {
     let defaults = LoadConfig::default();
-    let churn = args.value("churn-period-ms").and_then(|v| {
-        let period: u64 = v.parse().ok()?;
-        Some(ChurnPlan {
-            period: Duration::from_millis(period),
-            count: args.value_or("churn-count", 2),
-            length: Duration::from_millis(args.value_or("churn-length-ms", 200)),
-        })
+    // Read whether or not there is a period: a flag that was not read
+    // is a flag `Args::finish` refuses.
+    let count = args.try_value("churn-count")?.unwrap_or(2);
+    let length = Duration::from_millis(args.try_value("churn-length-ms")?.unwrap_or(200));
+    let churn = args.try_value("churn-period-ms")?.map(|period| ChurnPlan {
+        period: Duration::from_millis(period),
+        count,
+        length,
     });
-    LoadConfig {
-        objects: args.value_or("objects", defaults.objects),
-        lookups: args.value_or("lookups", defaults.lookups),
+    Ok(LoadConfig {
+        objects: args.try_value("objects")?.unwrap_or(defaults.objects),
+        lookups: args.try_value("lookups")?.unwrap_or(defaults.lookups),
         nodes,
-        rate: args.value("rate").and_then(|v| v.parse().ok()),
-        window: args.value_or("window", defaults.window),
-        workers: args.value_or("workers", defaults.workers),
-        timeout: Duration::from_millis(args.value_or("client-timeout-ms", 2000)),
-        seed: args.value_or("seed", defaults.seed),
+        rate: args.try_value("rate")?,
+        window: args.try_value("window")?.unwrap_or(defaults.window),
+        workers: args.try_value("workers")?.unwrap_or(defaults.workers),
+        timeout: Duration::from_millis(args.try_value("client-timeout-ms")?.unwrap_or(2000)),
+        seed: args.try_value("seed")?.unwrap_or(defaults.seed),
         churn,
-        drain: Duration::from_millis(args.value_or("drain-ms", 500)),
-    }
+        drain: Duration::from_millis(args.try_value("drain-ms")?.unwrap_or(500)),
+    })
 }
 
 #[cfg(test)]
@@ -90,7 +102,7 @@ mod tests {
             mpil,
             retry,
             fallback_drain,
-        } = daemon_config(&Args::parse([]));
+        } = daemon_config(&Args::parse([])).expect("no flags");
         let defaults = DaemonConfig::default();
         assert_eq!(nodes, defaults.nodes);
         assert_eq!(degree, defaults.degree);
@@ -105,7 +117,8 @@ mod tests {
     #[test]
     fn flags_override_the_defaults_they_name() {
         let flags = "--udp --max-flows 4 --replicas 2 --no-ds --timeout-ms 40 --retries 0";
-        let config = daemon_config(&Args::parse(flags.split(' ').map(String::from)));
+        let config =
+            daemon_config(&Args::parse(flags.split(' ').map(String::from))).expect("well-formed");
         assert_eq!(config.transport, TransportKind::Udp);
         assert_eq!((config.mpil.max_flows, config.mpil.num_replicas), (4, 2));
         assert!(!config.mpil.duplicate_suppression);

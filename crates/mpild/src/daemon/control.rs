@@ -3,11 +3,11 @@
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mpil_net::ClientEvent;
 
 use super::IDLE_CAP;
@@ -132,7 +132,7 @@ impl ControlPlane for UdpControl {
         if self.reader.is_some() {
             return Err(already_open());
         }
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let socket = self.socket.try_clone()?;
         // Set once and never changed. A wake-up datagram ends the
         // reader's sleep when the plane is dropped; the timeout only
@@ -191,8 +191,8 @@ pub struct ChannelCtrlClient {
 impl ChannelControl {
     /// A connected (server, client) pair.
     pub fn pair() -> (ChannelControl, ChannelCtrlClient) {
-        let (to_daemon, inbox) = unbounded();
-        let (to_client, from_daemon) = unbounded();
+        let (to_daemon, inbox) = channel();
+        let (to_client, from_daemon) = channel();
         (
             ChannelControl {
                 inbox: Some((to_daemon.clone(), inbox)),

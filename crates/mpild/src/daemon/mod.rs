@@ -85,9 +85,9 @@ mod control;
 mod core;
 mod hedge;
 
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use mpil::{MessageId, MessageKind, MpilConfig};
 use mpil_id::Id;
 use mpil_net::{LiveCluster, LiveClusterBuilder, RetryPolicy, TransportKind};

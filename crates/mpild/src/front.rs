@@ -2,14 +2,18 @@
 //! `mpilctl serve` and `mpilctl load` do with their flags.
 //!
 //! [`serve`] and [`load`] take parsed [`Args`] and return the text for
-//! stdout, or as `Err` the reason nothing ran (usage, an unreachable
-//! daemon, a socket that would not bind, a cluster that would not
-//! spawn: exit code 2 in the binaries); the callers differ only in how
-//! they name themselves on stderr. The flags themselves are read by
+//! stdout, or as `Err` the reason nothing ran (a command line that
+//! cannot be read as written, an unreachable daemon, a socket that
+//! would not bind, a cluster that would not spawn: exit code 2 in the
+//! binaries); the callers differ only in how they name themselves on
+//! stderr. A flag that cannot be read the way it was written is refused
+//! by name before anything starts ([`Args::finish`]): a gate that
+//! cannot be read fails the run. The flags themselves are read by
 //! [`args::daemon_config`](crate::args::daemon_config) and
 //! [`args::load_config`](crate::args::load_config).
 
 use std::io::Write;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use mpil_net::TransportKind;
@@ -88,14 +92,15 @@ Other:
 ///
 /// # Errors
 ///
-/// The reason, if the control socket cannot bind or the cluster fails
-/// to spawn.
+/// The reason, if the command line cannot be read as written, the
+/// control socket cannot bind or the cluster fails to spawn.
 pub fn serve(args: &Args) -> Result<String, String> {
     if args.flag("help") {
         return Ok(SERVE_USAGE.to_string());
     }
-    let config = daemon_config(args);
-    let port: u16 = args.value_or("port", 0);
+    let config = daemon_config(args)?;
+    let port: u16 = args.try_value("port")?.unwrap_or(0);
+    args.finish()?;
     let ctrl =
         UdpControl::bind(port).map_err(|e| format!("cannot bind control port {port}: {e}"))?;
     let addr = ctrl
@@ -127,42 +132,48 @@ pub fn serve(args: &Args) -> Result<String, String> {
 ///
 /// # Errors
 ///
-/// The reason, when there is no target or the daemon is unreachable or
-/// fails to spawn.
+/// The reason, when the command line cannot be read as written, there
+/// is no target, or the daemon is unreachable or fails to spawn.
 pub fn load(args: &Args) -> Result<(String, Vec<String>), String> {
     if args.flag("help") {
         return Ok((LOAD_USAGE.to_string(), Vec::new()));
     }
-    let gate = |flag| args.value(flag).and_then(|v| v.parse::<f64>().ok());
-    let budget = gate("budget-s").map(|s| WallClockBudget::start(Duration::from_secs_f64(s)));
+    let gate = |flag| args.try_value::<f64>(flag);
+    let (min_success, max_p99) = (gate("min-success")?, gate("max-p99-ms")?);
+    let budget = gate("budget-s")?
+        .map(|s| Duration::try_from_secs_f64(s).map_err(|e| format!("--budget-s {s}: {e}")))
+        .transpose()?
+        .map(WallClockBudget::start);
 
     let (load, daemon) = if args.flag("embedded") {
-        let dcfg = daemon_config(args);
-        let lcfg = load_config(args, dcfg.nodes);
+        let dcfg = daemon_config(args)?;
+        let lcfg = load_config(args, dcfg.nodes)?;
         let ctrl = if args.flag("ctrl-udp") {
             CtrlKind::Udp
         } else {
             CtrlKind::Channel
         };
+        args.finish()?;
         let (load, daemon) = run_embedded(dcfg, &lcfg, ctrl).map_err(|e| e.to_string())?;
         (load, Some(daemon))
     } else {
-        let Some(addr) = args.value("addr").and_then(|v| v.parse().ok()) else {
+        let Some(addr) = args.try_value::<SocketAddr>("addr")? else {
             return Err("need --addr HOST:PORT or --embedded (see --help)".to_string());
         };
-        let mut conn = UdpCtrlClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         // Size the origin space to the actual cluster unless the user
         // pinned it: a stale --nodes turns origins past the daemon's
         // range into BAD_NODE rejects.
-        let nodes = match args.value("nodes").and_then(|v| v.parse().ok()) {
-            Some(n) => n,
-            None => {
-                probe_live_nodes(&mut conn, Duration::from_secs(2)).map_err(|e| e.to_string())?
-            }
-        };
-        let lcfg = load_config(args, nodes);
+        let nodes: Option<usize> = args.try_value("nodes")?;
+        let mut lcfg = load_config(args, nodes.unwrap_or(0))?;
+        let stop_daemon = args.flag("stop-daemon");
+        args.finish()?;
+        let mut conn = UdpCtrlClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        if nodes.is_none() {
+            lcfg.nodes =
+                probe_live_nodes(&mut conn, Duration::from_secs(2)).map_err(|e| e.to_string())?;
+        }
         let load = run_load(&mut conn, &lcfg).map_err(|e| e.to_string())?;
-        if args.flag("stop-daemon") {
+        if stop_daemon {
             let drain = CtrlRequest::Drain {
                 millis: lcfg.drain.as_millis() as u32,
             };
@@ -181,12 +192,12 @@ pub fn load(args: &Args) -> Result<(String, Vec<String>), String> {
     };
     let mut failures = Vec::new();
     let (success, p99) = (load.lookup.success_pct(), load.lookup.p99_ms);
-    if let Some(min) = gate("min-success").filter(|&min| success < min) {
+    if let Some(min) = min_success.filter(|&min| success < min) {
         failures.push(format!(
             "GATE FAILED: lookup success {success:.2}% < gate {min:.2}%"
         ));
     }
-    if let Some(max) = gate("max-p99-ms").filter(|&max| p99 > max) {
+    if let Some(max) = max_p99.filter(|&max| p99 > max) {
         failures.push(format!(
             "GATE FAILED: lookup p99 {p99:.2} ms > gate {max:.2} ms"
         ));
@@ -195,4 +206,54 @@ pub fn load(args: &Args) -> Result<(String, Vec<String>), String> {
         failures.push(format!("GATE FAILED: {over}"));
     }
     Ok((report, failures))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(String::from))
+    }
+
+    /// A gate or a behaviour that cannot be read as written fails the
+    /// run before it starts, with the flag named: each of these used to
+    /// run to exit 0 with the gate, the rate or the churn silently off.
+    #[test]
+    fn load_refuses_a_command_line_it_cannot_read() {
+        for (line, named) in [
+            ("--min-success 99,9", "--min-success \"99,9\""),
+            ("--max-p99 6", "unknown flag --max-p99"),
+            ("--max-p99-ms --budget-s 60", "--max-p99-ms needs a value"),
+            ("--rate abc", "--rate \"abc\""),
+            ("--churn-period-ms x", "--churn-period-ms \"x\""),
+            ("--budget-s -1", "--budget-s -1"),
+        ] {
+            for target in ["--embedded --nodes 16", "--addr 127.0.0.1:9"] {
+                let why = load(&args(&format!("{target} {line}")))
+                    .expect_err("refused before anything runs");
+                assert!(why.contains(named), "{target} {line}: {why}");
+            }
+        }
+    }
+
+    #[test]
+    fn serve_refuses_a_command_line_it_cannot_read() {
+        for (line, named) in [
+            ("--nodes banana", "--nodes \"banana\""),
+            ("--nodes --seed 1", "--nodes needs a value"),
+            ("--udp yes", "--udp takes no value"),
+            ("--max-p99 6", "unknown flag --max-p99"),
+        ] {
+            let why = serve(&args(line)).expect_err("refused before the socket is bound");
+            assert!(why.contains(named), "{line}: {why}");
+        }
+    }
+
+    #[test]
+    fn help_is_not_a_refusal() {
+        assert_eq!(serve(&args("--help")), Ok(SERVE_USAGE.to_string()));
+        let usage = (LOAD_USAGE.to_string(), Vec::new());
+        assert_eq!(load(&args("--help")), Ok(usage));
+    }
 }

@@ -18,6 +18,11 @@
 //! 10      ...   kind-specific fields (u32s, u64s, 20-byte object ids)
 //! ```
 //!
+//! As on the data plane, a frame ends where its last field ends: bytes
+//! that follow it in the datagram are ignored, and a frame cut short
+//! anywhere is [`CtrlDecodeError::Truncated`]
+//! (`tests/proto_props.rs` pins both).
+//!
 //! The format is versioned exactly like the data-plane codec in
 //! `mpil_net::codec`: a daemon never guesses at frames from a different
 //! protocol revision.

@@ -15,12 +15,12 @@
 //! it sleeps on one channel and never polls the cluster).
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use mpil::{ConfigError, Message, MessageId, MessageKind, MpilConfig};
 use mpil_id::Id;
 use mpil_overlay::{NodeIdx, Topology};
@@ -33,7 +33,7 @@ use crate::transport::{ChannelMesh, Transport, TransportError, UdpMesh};
 /// Which mesh the cluster runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// In-process crossbeam channels (fast, loss-free).
+    /// In-process `std::sync::mpsc` channels (fast, loss-free).
     #[default]
     Channel,
     /// Loopback UDP sockets (real datagrams).
@@ -180,7 +180,7 @@ impl LiveClusterBuilder {
     /// [`LiveClusterBuilder::spawn`] on a given number of shards (at
     /// most one per node): what the tests pin a layout with.
     fn spawn_on(self, shards: usize, topo: &Topology) -> Result<LiveCluster, SpawnError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.spawn_inner(shards, topo, move |event| tx.send(event).is_ok(), rx)
     }
 
@@ -205,7 +205,7 @@ impl LiveClusterBuilder {
     ) -> Result<LiveCluster, SpawnError> {
         // The sending half is dropped here: polling this cluster
         // reports `Disconnected` instead of waiting for nothing.
-        let (_, rx) = unbounded();
+        let (_, rx) = channel();
         self.spawn_inner(machine_shards(), topo, sink, rx)
     }
 

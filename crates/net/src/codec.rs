@@ -25,6 +25,10 @@
 //! 34      4     hops (kind 2 only)
 //! --- kind 4: no payload ---
 //! ```
+//!
+//! A frame ends where its last field ends: bytes that follow it in the
+//! same datagram are ignored, not an error. A frame cut short anywhere
+//! is [`DecodeError::Truncated`]. `tests/codec_props.rs` pins both.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use mpil::{Message, MessageId, MessageKind};

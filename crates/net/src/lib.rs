@@ -9,7 +9,7 @@
 //! * [`codec`] — a versioned binary wire format for MPIL messages
 //!   (documented byte-for-byte; round-trip property-tested);
 //! * [`transport`] — a [`Transport`] abstraction with an in-process
-//!   crossbeam-channel mesh and a loopback UDP mesh;
+//!   `std::sync::mpsc` channel mesh and a loopback UDP mesh;
 //! * [`node`] — the state of one overlay node (replica store, bounded
 //!   duplicate memory, counters, perturbation control);
 //! * `shard` — the evented loop that hosts a share of the nodes, one

@@ -395,6 +395,7 @@ fn tell_client(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::WIRE_VERSION;
     use crate::transport::ChannelMesh;
     use bytes::Bytes;
     use mpil::{MessageId, MessageKind};
@@ -430,16 +431,21 @@ mod tests {
     }
 
     fn lookup(id: u64) -> Bytes {
+        lookup_at(0, id)
+    }
+
+    /// A lookup entering at `node`, in that node's envelope.
+    fn lookup_at(node: u32, id: u64) -> Bytes {
         let msg = Message::initial(
             MessageId(id),
             MessageKind::Lookup,
             Id::from_low_u64(0xfeed),
-            NodeIdx::new(0),
+            NodeIdx::new(node),
             4,
             2,
         );
         WireMessage::Forward(msg)
-            .encode_for(NodeIdx::new(0))
+            .encode_for(NodeIdx::new(node))
             .expect("encode")
     }
 
@@ -555,6 +561,42 @@ mod tests {
         assert!(shard.queue.is_empty());
     }
 
+    /// The four-byte envelope decides whose frame it is before the
+    /// codec sees a byte: a damaged frame behind an intact envelope is
+    /// one decode error of the node the envelope names and nothing
+    /// else, and a payload with no envelope, or one naming no node
+    /// hosted here, is nobody's.
+    #[test]
+    fn a_damaged_enveloped_frame_is_a_decode_error_of_the_node_it_names() {
+        let (mut shard, _, _, client) = two_nodes_one_shard(MpilConfig::default());
+        let whole = lookup_at(1, 1);
+        // Cut anywhere inside the frame; then version, kind and route
+        // length each replaced (the last claims 0xff00 hops more than
+        // the frame holds).
+        let mut damaged: Vec<Vec<u8>> = (4..whole.len()).map(|cut| whole[..cut].to_vec()).collect();
+        for (at, byte) in [(4, WIRE_VERSION + 1), (5, 9), (4 + 46, 0xff)] {
+            let mut frame = whole.to_vec();
+            frame[at] = byte;
+            damaged.push(frame);
+        }
+        // No envelope, and an envelope for a node this shard does not host.
+        let mut nobodys: Vec<Vec<u8>> = (0..4).map(|cut| whole[..cut].to_vec()).collect();
+        nobodys.push([&[0, 0, 0, 2][..], &whole[4..]].concat());
+        for payload in damaged.iter().chain(&nobodys) {
+            shard.turn(payload, None);
+        }
+        let named = NodeStats {
+            decode_errors: damaged.len() as u64,
+            ..NodeStats::default()
+        };
+        assert_eq!(
+            [shard.nodes[0].stats, shard.nodes[1].stats],
+            [NodeStats::default(), named]
+        );
+        assert!(shard.queue.is_empty());
+        assert!(matches!(client.recv_timeout(Duration::ZERO), Ok(None)));
+    }
+
     /// The wake-up protocol: a `Shutdown` frame makes the shard read its
     /// control block, and only what is asked there ends it.
     #[test]
@@ -594,30 +636,17 @@ mod tests {
     #[test]
     fn a_passed_drain_deadline_counts_what_is_queued_per_node() {
         let (shard, control, _, client) = two_nodes_one_shard(MpilConfig::default());
-        let to = |node: u32, id: u64| {
-            let msg = Message::initial(
-                MessageId(id),
-                MessageKind::Lookup,
-                Id::from_low_u64(0xfeed),
-                NodeIdx::new(node),
-                4,
-                2,
-            );
-            WireMessage::Forward(msg)
-                .encode_for(NodeIdx::new(node))
-                .expect("encode")
-        };
         for id in 0..5 {
-            client.send(0, to(0, id)).expect("send");
+            client.send(0, lookup_at(0, id)).expect("send");
         }
         client
             .send(0, Bytes::from_static(&SHUTDOWN_FRAME))
             .expect("send");
         for id in 5..7 {
-            client.send(0, to(1, id)).expect("send");
+            client.send(0, lookup_at(1, id)).expect("send");
         }
         // No such node, and too short to carry an envelope.
-        client.send(0, to(2, 7)).expect("send");
+        client.send(0, lookup_at(2, 7)).expect("send");
         client.send(0, Bytes::from_static(b"xyz")).expect("send");
         control.request_drain(Duration::ZERO);
         let stats = shard.run();

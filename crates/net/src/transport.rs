@@ -4,19 +4,18 @@
 //! cluster builds one endpoint per shard and two for its client). Two
 //! implementations:
 //!
-//! * [`ChannelMesh`] — in-process crossbeam channels; fast, loss-free,
+//! * [`ChannelMesh`] — in-process `std::sync::mpsc` channels; fast, loss-free,
 //!   used by most tests;
 //! * [`UdpMesh`] — one UDP socket per endpoint on the loopback
 //!   interface; real datagrams, real (if unlikely) loss, demonstrating
 //!   that the protocol logic runs over an actual network stack.
 
 use std::net::UdpSocket;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 /// Why a transport operation failed.
 #[derive(Debug)]
@@ -102,7 +101,7 @@ pub trait Transport: Send {
 
 // --- in-process channels -----------------------------------------------------
 
-/// An in-process mesh of crossbeam channels.
+/// An in-process mesh of `std::sync::mpsc` channels.
 #[derive(Debug)]
 pub struct ChannelMesh;
 
@@ -125,7 +124,7 @@ impl ChannelMesh {
         let mut senders = Vec::with_capacity(endpoints);
         let mut receivers = Vec::with_capacity(endpoints);
         for _ in 0..endpoints {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -291,7 +290,9 @@ impl Transport for UdpTransport {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Bytes)>, TransportError> {
-        let mut state = self.recv.lock();
+        // A poisoned lock is taken anyway: the state is a scratch buffer
+        // and a cached timeout, valid after every step that can fail.
+        let mut state = self.recv.lock().unwrap_or_else(PoisonError::into_inner);
         let RecvState { timeout: set, buf } = &mut *state;
         let deadline = Instant::now() + timeout;
         // Sockets reject a zero read timeout.

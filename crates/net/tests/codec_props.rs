@@ -1,5 +1,6 @@
 //! Property tests: every well-formed frame round-trips; no input slice
-//! can panic the decoder.
+//! can panic the decoder, damaged valid frames included; whatever a
+//! damaged frame still decodes to is a value the encoder can write.
 
 use mpil::{Message, MessageId, MessageKind};
 use mpil_id::Id;
@@ -61,12 +62,30 @@ fn arb_wire() -> impl Strategy<Value = WireMessage> {
     ]
 }
 
+/// `decode` must not panic on `data`; if it reads a frame there, that
+/// frame re-encodes and reads back as the same value.
+fn decodes_to_nothing_or_to_a_frame(data: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(wire) = WireMessage::decode(data) {
+        let again = wire
+            .encode()
+            .expect("a decoded route fits the length field");
+        prop_assert_eq!(WireMessage::decode(&again), Ok(wire));
+    }
+    Ok(())
+}
+
 proptest! {
+    /// And the format's decision on trailing bytes: a frame ends where
+    /// its last field ends, what follows it in the datagram is ignored.
     #[test]
-    fn encode_decode_round_trips(wire in arb_wire()) {
-        let encoded = wire.encode().expect("bounded routes encode");
-        let decoded = WireMessage::decode(&encoded).expect("well-formed frame");
-        prop_assert_eq!(decoded, wire);
+    fn encode_decode_round_trips(
+        wire in arb_wire(),
+        trailing in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut encoded = wire.encode().expect("bounded routes encode").to_vec();
+        prop_assert_eq!(WireMessage::decode(&encoded), Ok(wire.clone()));
+        encoded.extend_from_slice(&trailing);
+        prop_assert_eq!(WireMessage::decode(&encoded), Ok(wire));
     }
 
     /// Every strict prefix of a valid frame, of every kind, is a clean
@@ -87,6 +106,37 @@ proptest! {
     #[test]
     fn garbage_never_panics(data in proptest::collection::vec(any::<u8>(), 0..300)) {
         let _ = WireMessage::decode(&data);
+    }
+
+    /// One byte of a valid frame replaced, at every index in turn: the
+    /// kind, the route length, a field. (Arbitrary bytes almost never get
+    /// past the version byte; these do.)
+    #[test]
+    fn a_frame_with_one_byte_replaced_decodes_to_nothing_or_to_a_frame(
+        wire in arb_wire(),
+        byte in any::<u8>(),
+    ) {
+        let whole = wire.encode().expect("bounded routes encode");
+        for at in 0..whole.len() {
+            let mut data = whole.to_vec();
+            data[at] = byte;
+            decodes_to_nothing_or_to_a_frame(&data)?;
+        }
+    }
+
+    /// The head of one valid frame joined to the tail of another.
+    #[test]
+    fn two_frames_spliced_decode_to_nothing_or_to_a_frame(
+        head in arb_wire(),
+        tail in arb_wire(),
+        cut in any::<usize>(),
+        resume in any::<usize>(),
+    ) {
+        let head = head.encode().expect("bounded routes encode");
+        let tail = tail.encode().expect("bounded routes encode");
+        let mut data = head[..cut % (head.len() + 1)].to_vec();
+        data.extend_from_slice(&tail[resume % (tail.len() + 1)..]);
+        decodes_to_nothing_or_to_a_frame(&data)?;
     }
 
     /// Frames are version-guarded: flipping the version byte always

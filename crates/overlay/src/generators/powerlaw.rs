@@ -1,7 +1,6 @@
 //! Inet-style power-law topologies.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::builder::TopologyBuilder;
 use crate::generators::GenerateError;
@@ -22,7 +21,7 @@ use crate::topology::{NodeIdx, Topology};
 /// * connectivity by construction — a degree-weighted random attachment
 ///   tree consumes one stub per node, and remaining stubs are paired
 ///   configuration-model style.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawConfig {
     /// Power-law exponent (Inet's AS model uses ≈ 2.2).
     pub exponent: f64,

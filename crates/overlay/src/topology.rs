@@ -3,16 +3,13 @@
 use std::fmt;
 
 use mpil_id::Id;
-use serde::{Deserialize, Serialize};
 
 /// A handle to a node (vertex) of a [`Topology`].
 ///
 /// Node indices are dense: a topology with `n` nodes uses indices
 /// `0..n`. The newtype keeps overlay indices from being confused with
 /// other integers (hop counts, degrees, ...).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeIdx(u32);
 
 impl NodeIdx {
@@ -45,7 +42,7 @@ impl From<u32> for NodeIdx {
 /// construction. The graph is immutable once built (use
 /// [`TopologyBuilder`](crate::TopologyBuilder) to construct one), which
 /// lets simulations share it freely across threads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     ids: Vec<Id>,
     adj: Vec<Vec<NodeIdx>>,

@@ -11,13 +11,12 @@
 use std::collections::BinaryHeap;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::generators::GenerateError;
 use crate::topology::NodeIdx;
 
 /// Parameters of the transit-stub hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitStubConfig {
     /// Number of transit domains.
     pub transit_domains: usize,
@@ -66,7 +65,7 @@ impl Default for TransitStubConfig {
 /// Provides shortest-path latencies between any two hosts; host indices
 /// are the same [`NodeIdx`] handles the overlay uses, so the discrete
 /// event simulator can ask for `latency(from, to)` directly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransitStub {
     hosts: usize,
     host_router: Vec<u32>,

@@ -2,7 +2,6 @@
 
 use mpil_id::IdSpace;
 use mpil_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Pastry parameters. Defaults reproduce the paper's Section 6.2 list:
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// 6. Probe timeout : 3
 /// 7. Probe retries : 2
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PastryConfig {
     /// Digit width of the key space (`b = 4` → base-16).
     pub space: IdSpace,

@@ -9,7 +9,6 @@ use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
 use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::config::PastryConfig;
 use crate::state::{NextHop, PastryState};
@@ -103,7 +102,7 @@ struct PendingProbe {
 }
 
 /// Counters split by traffic class (Figure 12 plots these).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PastryStats {
     /// Route transmissions carrying lookups (incl. retransmissions).
     pub lookup_messages: u64,

@@ -3,7 +3,6 @@
 
 use mpil_id::{ring_distance, wrapping_sub, Id};
 use mpil_overlay::NodeIdx;
-use serde::{Deserialize, Serialize};
 
 /// Clockwise distance from `a` to `b` on the ring (`b - a mod 2^160`).
 fn cw(a: Id, b: Id) -> Id {
@@ -16,7 +15,7 @@ fn cw(a: Id, b: Id) -> Id {
 /// wrapping), the *left* side counter-clockwise predecessors, each sorted
 /// nearest-first. A node can appear on both sides when the overlay is
 /// small relative to `l`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeafSet {
     own: Id,
     half: usize,

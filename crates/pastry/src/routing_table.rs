@@ -3,7 +3,6 @@
 
 use mpil_id::{Id, IdSpace};
 use mpil_overlay::NodeIdx;
-use serde::{Deserialize, Serialize};
 
 /// A Pastry routing table for one node.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// With `b = 4` (base-16) over 160-bit IDs the table is 40 rows × 16
 /// columns, though only the first `O(log_16 N)` rows are populated in
 /// practice.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
     own: Id,
     space: IdSpace,

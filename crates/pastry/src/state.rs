@@ -2,7 +2,6 @@
 
 use mpil_id::{ring_distance, Id, IdSpace};
 use mpil_overlay::NodeIdx;
-use serde::{Deserialize, Serialize};
 
 use crate::leafset::LeafSet;
 use crate::routing_table::RoutingTable;
@@ -17,7 +16,7 @@ pub enum NextHop {
 }
 
 /// The complete Pastry state of one node: ID, leaf set, routing table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PastryState {
     /// This node's overlay handle.
     pub node: NodeIdx,

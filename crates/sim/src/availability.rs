@@ -2,7 +2,6 @@
 
 use mpil_overlay::NodeIdx;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::rng::unit_f64;
 use crate::time::{SimDuration, SimTime};
@@ -28,7 +27,7 @@ impl Availability for AlwaysOn {
 }
 
 /// Parameters of the periodic flapping model (paper, Section 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlappingConfig {
     /// Length of the idle (online) part of each period.
     pub idle: SimDuration,

@@ -21,7 +21,6 @@ use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::availability::Availability;
 use crate::latency::LatencyModel;
@@ -47,7 +46,7 @@ use crate::time::{SimDuration, SimTime};
 /// unattributed traffic (protocol acks, transport chatter) may leave
 /// the sum strictly below the total, never above it. MPIL has no acks:
 /// its class sum coincides with the kernel's send count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Transmissions carrying lookups.
     pub lookup_messages: u64,

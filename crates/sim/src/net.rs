@@ -3,7 +3,6 @@
 use mpil_overlay::NodeIdx;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::availability::Availability;
 use crate::latency::LatencyModel;
@@ -36,7 +35,7 @@ pub enum Event<M, T> {
 }
 
 /// Counters the kernel maintains for every run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Messages handed to [`Network::send`].
     pub sent: u64,

@@ -7,12 +7,10 @@
 //! kinds of engines run on — lets the harness compare outcomes across
 //! substrates without per-engine conversion glue.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Outcome of one lookup issued against any discovery engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupOutcome {
     /// No terminal event yet.
     Pending,

@@ -2,15 +2,19 @@
 //! and `mpil-load` (kept dependency-free; the offline crate set has no
 //! argument-parsing crate).
 
-use fxhash::FxHashMap;
+use std::cell::RefCell;
 
 /// Parsed command-line arguments.
 ///
-/// Recognized forms: `--flag` (boolean) and `--key value`.
+/// Recognized forms: `--flag` (boolean) and `--key value`. Every name a
+/// getter is asked for is remembered, so [`Args::finish`] can refuse
+/// what the command line holds and no code path read.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    flags: Vec<String>,
-    values: FxHashMap<String, String>,
+    /// The command line in order: `--name`, or `--name value`.
+    given: Vec<(String, Option<String>)>,
+    /// What the getters were asked for: a name, and whether its value.
+    asked: RefCell<Vec<(String, bool)>>,
 }
 
 impl Args {
@@ -36,25 +40,37 @@ impl Args {
             let Some(name) = a.strip_prefix("--") else {
                 panic!("unexpected positional argument {a:?}; use --key value");
             };
-            match iter.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    let v = iter.next().expect("peeked");
-                    out.values.insert(name.to_string(), v);
-                }
-                _ => out.flags.push(name.to_string()),
-            }
+            let value = iter.next_if(|v| !v.starts_with("--"));
+            out.given.push((name.to_string(), value));
         }
         out
     }
 
     /// Is the boolean flag present?
     pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.asked.borrow_mut().push((name.to_string(), false));
+        self.given.iter().any(|(n, v)| n == name && v.is_none())
     }
 
-    /// The value of `--name value`, if present.
+    /// The value of `--name value`, if present (the last, if repeated).
     pub fn value(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
+        self.asked.borrow_mut().push((name.to_string(), true));
+        let mut named = self.given.iter().rev().filter(|(n, _)| n == name);
+        named.find_map(|(_, v)| v.as_deref())
+    }
+
+    /// Parses `--name value` as a type, if present.
+    ///
+    /// # Errors
+    ///
+    /// Names the flag and the value if the value does not parse.
+    pub fn try_value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Debug,
+    {
+        self.value(name)
+            .map(|v| v.parse().map_err(|e| format!("--{name} {v:?}: {e:?}")))
+            .transpose()
     }
 
     /// Parses `--name value` as a type, with a default.
@@ -66,12 +82,33 @@ impl Args {
     where
         T::Err: std::fmt::Debug,
     {
-        match self.value(name) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|e| panic!("--{name} {v:?}: {e:?}")),
+        self.try_value(name)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or(default)
+    }
+
+    /// Refuses what is on the command line and was not read the way it
+    /// was written: call it once every flag of the command has been
+    /// asked for, before the command does anything.
+    ///
+    /// # Errors
+    ///
+    /// Names the first of: a value-taking flag written without a value,
+    /// a bare flag written with one, a flag nothing asked for.
+    pub fn finish(&self) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        let was_asked = |name, valued| asked.iter().any(|(n, v)| n == name && *v == valued);
+        for (name, value) in &self.given {
+            if was_asked(name, value.is_some()) {
+                continue;
+            }
+            return Err(match value {
+                _ if !was_asked(name, value.is_none()) => format!("unknown flag --{name}"),
+                Some(value) => format!("--{name} takes no value (got {value:?})"),
+                None => format!("--{name} needs a value"),
+            });
         }
+        Ok(())
     }
 
     /// Standard experiment knobs: (`--full`, `--csv`, `--seed`).
@@ -122,5 +159,25 @@ mod tests {
     fn rejects_bad_numbers() {
         let a = parse("--seed banana");
         let _ = a.value_or::<u64>("seed", 0);
+    }
+
+    #[test]
+    fn finish_names_what_was_not_read_the_way_it_was_written() {
+        let read = |a: &Args| (a.flag("csv"), a.try_value::<f64>("gate"));
+        for (line, verdict) in [
+            ("--csv --gate 1.5", Ok(())),
+            ("", Ok(())),
+            ("--gate --csv", Err("--gate needs a value")),
+            ("--csv yes", Err("--csv takes no value (got \"yes\")")),
+            ("--gate 1 --gat 2", Err("unknown flag --gat")),
+            ("--cvs", Err("unknown flag --cvs")),
+        ] {
+            let a = parse(line);
+            assert!(read(&a).1.is_ok(), "{line}");
+            assert_eq!(a.finish(), verdict.map_err(String::from), "{line}");
+        }
+        let a = parse("--gate 99,9");
+        let why = read(&a).1.expect_err("not a number");
+        assert!(why.starts_with("--gate \"99,9\""), "{why}");
     }
 }

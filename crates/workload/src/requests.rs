@@ -11,10 +11,9 @@ use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for an insert-then-lookup workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadConfig {
     /// Number of objects (insert/lookup pairs).
     pub objects: usize,
@@ -29,7 +28,7 @@ pub struct WorkloadConfig {
 }
 
 /// A generated workload: object IDs plus insert/lookup origins.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InsertLookupWorkload {
     /// Object IDs, unique.
     pub objects: Vec<Id>,

@@ -1,7 +1,5 @@
 //! Streaming statistics for experiment measurements.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford-style running mean/variance plus min/max.
 ///
 /// ```
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 5.0);
 /// assert_eq!(s.std_dev(), 2.0); // population std dev
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -122,7 +120,7 @@ impl FromIterator<f64> for RunningStats {
 }
 
 /// Exact percentiles over a stored sample set (for latency/hop reports).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Percentiles {
     samples: Vec<f64>,
     sorted: bool,

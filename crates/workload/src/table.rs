@@ -45,16 +45,6 @@ impl Table {
         }
     }
 
-    /// Overrides column alignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the header count.
-    pub fn set_aligns(&mut self, aligns: Vec<Align>) {
-        assert_eq!(aligns.len(), self.headers.len(), "alignment arity");
-        self.aligns = aligns;
-    }
-
     /// Appends a row.
     ///
     /// # Panics

@@ -2,15 +2,19 @@
 # CI gate, fully offline: the tier-1 verify plus formatting, lints,
 # bench-target compile checks, and a large-N kernel tripwire.
 #
-#   tier-1:  cargo build --release && cargo test -q --no-fail-fast
-#            (a failure here is reported and fails the gate at the end;
-#            the smokes below still run, on the release build it made)
+#   tier-1:  cargo build --release && cargo test -q --no-fail-fast,
+#            both --locked (a failure here is reported and fails the
+#            gate at the end; the smokes below still run, on the release
+#            build it made)
 #   benches: cargo check --benches   (always; they are test = false)
 #   format:  cargo fmt --check       (stable rustfmt; options in rustfmt.toml)
 #   sans-io: the daemon's core (crates/mpild/src/daemon/{core,admission,
 #            hedge}.rs) names no clock, socket or thread outside its
 #            tests: time reaches it as an argument (daemon/mod.rs, "Core
 #            and shell"), so every decision it makes can be replayed
+#   vendor:  the directories under vendor/, the rows of
+#            vendor/README.md's table and the vendor/ paths of
+#            [workspace.dependencies] are one set
 #   lints:   cargo clippy --workspace --all-targets -- -D warnings, with
 #            clippy.toml the gate of the determinism contract (rules
 #            D001-D003, P001, S001 — see README "Determinism contract &
@@ -45,6 +49,15 @@ if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FIL
     crates/mpild/src/daemon/{core,admission,hedge}.rs \
     | grep -E 'WallClock|Instant|recv_timeout|UdpSocket|thread::'; then
     echo "ci: the daemon's core names a clock, a socket or a thread (see crates/mpild/src/daemon/mod.rs)" >&2
+    exit 1
+fi
+# A stub cannot come back, or be orphaned, without vendor/README.md's
+# table saying so.
+stubs=$(cd vendor && ls -d -- */ | tr -d / | sort | xargs)
+rows=$(sed -n 's/^| `\([a-z0-9_]*\)` .*/\1/p' vendor/README.md | sort | xargs)
+deps=$(sed -n 's/.*path = "vendor\/\([^"]*\)".*/\1/p' Cargo.toml | sort | xargs)
+if [[ "$stubs" != "$rows" || "$stubs" != "$deps" ]]; then
+    echo "ci: vendor/ holds [$stubs], vendor/README.md's table lists [$rows], [workspace.dependencies] wires [$deps]" >&2
     exit 1
 fi
 # The contract's two restriction lints (clippy.toml, "Not in this file").

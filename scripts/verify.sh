@@ -11,14 +11,16 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-cargo build --release
+# --locked: a dependency-graph change that forgets Cargo.lock fails here
+# instead of being rewritten silently.
+cargo build --release --locked
 # --no-fail-fast: one red test binary must not hide the ones behind it.
 # The exit status is non-zero on any failure all the same.
 tests=0
-cargo test -q --no-fail-fast || tests=$?
+cargo test -q --no-fail-fast --locked || tests=$?
 
 if [[ "${1:-}" == "--benches" ]]; then
-    cargo check --benches
+    cargo check --benches --locked
 fi
 
 if [[ "$tests" != 0 ]]; then

@@ -1,16 +1,12 @@
 //! Smoke tests for the `vendor/` stub layer (see `vendor/README.md`).
 //!
 //! Experiments in this repo cite seeds; their results are only
-//! reproducible while the vendored `rand` stream and the vendored
-//! `serde` encoding stay fixed. These tests pin both **from the
-//! consumer side** — a stub regression that would silently skew every
-//! experiment fails here first.
+//! reproducible while the vendored `rand` stream stays fixed. These
+//! tests pin it **from the consumer side** — a stub regression that
+//! would silently skew every experiment fails here first.
 
-use mpil::{MpilConfig, RoutingMetric, SplitPolicy};
-use mpil_id::IdSpace;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{json, Deserialize, Serialize};
 
 /// The raw xoshiro256++ stream for a fixed seed, pinned to exact
 /// values. If this test fails, the vendored `rand` changed behavior and
@@ -51,69 +47,4 @@ fn small_rng_is_deterministic_per_seed() {
     let mut c = SmallRng::seed_from_u64(100);
     let diverged = (0..64).any(|_| a.next_u64() != c.next_u64());
     assert!(diverged, "different seeds must give different streams");
-}
-
-/// A core config struct survives a serde round-trip through the stub's
-/// JSON text format, field for field.
-#[test]
-fn mpil_config_round_trips_through_serde() {
-    let config = MpilConfig {
-        space: IdSpace::base16(),
-        max_flows: 12,
-        num_replicas: 3,
-        duplicate_suppression: false,
-        split_policy: SplitPolicy::MetricTies,
-        metric: RoutingMetric::CommonDigits,
-    };
-    let text = json::to_string(&config);
-    let back: MpilConfig = json::from_str(&text).expect("well-formed JSON round-trip");
-    assert_eq!(
-        back, config,
-        "serde round-trip must be lossless; got {text}"
-    );
-
-    // The default config (the paper's Section 6.2 parameters) too.
-    let default = MpilConfig::default();
-    let back: MpilConfig = json::from_str(&json::to_string(&default)).expect("round-trip");
-    assert_eq!(back, default);
-}
-
-/// The derive handles the shapes the workspace relies on: tuple
-/// structs, data-carrying enum variants, and nested containers.
-#[test]
-fn serde_derive_covers_workspace_shapes() {
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    struct Wrapper(u64, bool);
-
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    enum Status {
-        Idle,
-        Busy { jobs: u32, tag: String },
-        Batch(Vec<u8>),
-    }
-
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    struct Nested {
-        wrapper: Wrapper,
-        statuses: Vec<Status>,
-        matrix: Vec<Vec<u16>>,
-        opt: Option<f64>,
-    }
-
-    let value = Nested {
-        wrapper: Wrapper(u64::MAX, true),
-        statuses: vec![
-            Status::Idle,
-            Status::Busy {
-                jobs: 7,
-                tag: String::from("quota \"split\""),
-            },
-            Status::Batch(vec![0, 127, 255]),
-        ],
-        matrix: vec![vec![1, 2], vec![], vec![3]],
-        opt: None,
-    };
-    let text = json::to_string(&value);
-    let back: Nested = json::from_str(&text).expect("round-trip");
-    assert_eq!(back, value, "encoded as {text}");
 }
