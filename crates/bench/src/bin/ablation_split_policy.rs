@@ -5,9 +5,6 @@
 //! cargo run --release -p mpil-bench --bin ablation_split_policy [--full] [--csv] [--seed N]
 //! ```
 
-use mpil_bench::{figures, Args};
-
 fn main() {
-    let args = Args::parse_env();
-    figures::ablation_split_policy(&args).print(args.flag("csv"));
+    mpil_bench::print(mpil_bench::figures::ablation_split_policy);
 }

@@ -12,9 +12,6 @@
 //! msgs/lookup and convergence-after-flap columns. The default table's
 //! engine set, RNG streams, and bytes are unchanged.
 
-use mpil_bench::{figures, Args};
-
 fn main() {
-    let args = Args::parse_env();
-    figures::ext_gossip_discovery(&args).print(args.flag("csv"));
+    mpil_bench::print(mpil_bench::figures::ext_gossip_discovery);
 }

@@ -5,9 +5,6 @@
 //! cargo run --release -p mpil-bench --bin ext_link_loss [--full] [--csv] [--seed N] [--nodes N] [--ops K]
 //! ```
 
-use mpil_bench::{figures, Args};
-
 fn main() {
-    let args = Args::parse_env();
-    figures::ext_link_loss(&args).print(args.flag("csv"));
+    mpil_bench::print(mpil_bench::figures::ext_link_loss);
 }

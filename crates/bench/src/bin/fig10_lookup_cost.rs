@@ -5,9 +5,6 @@
 //! cargo run --release -p mpil-bench --bin fig10_lookup_cost [--full] [--csv] [--seed N]
 //! ```
 
-use mpil_bench::{figures, Args};
-
 fn main() {
-    let args = Args::parse_env();
-    figures::fig10_lookup_cost(&args).print(args.flag("csv"));
+    mpil_bench::print(mpil_bench::figures::fig10_lookup_cost);
 }

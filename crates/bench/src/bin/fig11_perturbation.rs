@@ -5,10 +5,8 @@
 //! cargo run --release -p mpil-bench --bin fig11_perturbation [--full] [--csv] [--seed N]
 //! ```
 
-use mpil_bench::{figures, Args};
-
 fn main() {
     // fig11 streams: each idle:offline setting's table prints as soon
     // as its sweep completes.
-    figures::fig11_perturbation(&Args::parse_env());
+    mpil_bench::run(mpil_bench::figures::fig11_perturbation);
 }

@@ -5,9 +5,6 @@
 //! cargo run --release -p mpil-bench --bin fig7_local_maxima [--csv] [--validate]
 //! ```
 
-use mpil_bench::{figures, Args};
-
 fn main() {
-    let args = Args::parse_env();
-    figures::fig7_local_maxima(&args).print(args.flag("csv"));
+    mpil_bench::print(mpil_bench::figures::fig7_local_maxima);
 }

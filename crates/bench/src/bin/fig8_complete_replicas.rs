@@ -5,9 +5,6 @@
 //! cargo run --release -p mpil-bench --bin fig8_complete_replicas [--csv] [--validate]
 //! ```
 
-use mpil_bench::{figures, Args};
-
 fn main() {
-    let args = Args::parse_env();
-    figures::fig8_complete_replicas(&args).print(args.flag("csv"));
+    mpil_bench::print(mpil_bench::figures::fig8_complete_replicas);
 }

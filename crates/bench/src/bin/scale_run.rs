@@ -75,10 +75,7 @@ fn plan(args: &Args) -> Result<Plan, String> {
 }
 
 fn main() {
-    let plan = plan(&Args::parse_env()).unwrap_or_else(|why| {
-        eprintln!("scale_run: {why}");
-        std::process::exit(2);
-    });
+    let (plan, _) = mpil_bench::run(plan);
     let budget =
         (plan.budget_s > 0).then(|| WallClockBudget::start(Duration::from_secs(plan.budget_s)));
     let rss_budget = (plan.max_rss_mib > 0.0).then(|| RssBudget::new(plan.max_rss_mib));

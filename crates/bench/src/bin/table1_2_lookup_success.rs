@@ -5,9 +5,6 @@
 //! cargo run --release -p mpil-bench --bin table1_2_lookup_success [--full] [--csv] [--seed N]
 //! ```
 
-use mpil_bench::{figures, Args};
-
 fn main() {
-    let args = Args::parse_env();
-    figures::table1_2_lookup_success(&args).print(args.flag("csv"));
+    mpil_bench::print(mpil_bench::figures::table1_2_lookup_success);
 }

@@ -8,9 +8,10 @@ use mpil_workload::{RunningStats, Table};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cli::Args;
+use super::standard;
 use crate::scale::static_scale;
 use crate::static_exp::{lookup_behavior, Family};
+use crate::Args;
 
 /// Ablation: tie-based vs top-k flow splitting.
 ///
@@ -20,8 +21,9 @@ use crate::static_exp::{lookup_behavior, Family};
 /// few* neighbors up to the budget. This quantifies the choice on both
 /// static-overlay families; `TopK` is the crate default because it
 /// reproduces Tables 1–3 (see EXPERIMENTS.md).
-pub fn ablation_split_policy(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn ablation_split_policy(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
+    args.finish()?;
     let scale = static_scale(full);
     let n = *scale.sizes.last().expect("non-empty sizes");
 
@@ -69,7 +71,7 @@ pub fn ablation_split_policy(args: &Args) -> Report {
         format!("Ablation: flow-splitting policy ({n} nodes)"),
         table,
     );
-    report
+    Ok(report)
 }
 
 /// Ablation: the MPIL common-digit metric vs prefix and suffix matching
@@ -80,8 +82,9 @@ pub fn ablation_split_policy(args: &Args) -> Report {
 /// prefix at all with probability 3/4, so most neighbors look identical
 /// (metric 0) and redundancy is spent blindly. The common-digit metric
 /// almost never ties at zero, so every hop makes measurable progress.
-pub fn ablation_metric(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn ablation_metric(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
+    args.finish()?;
     let scale = static_scale(full);
     let n = *scale.sizes.last().expect("non-empty sizes");
 
@@ -134,7 +137,7 @@ pub fn ablation_metric(args: &Args) -> Report {
         ),
         table,
     );
-    report
+    Ok(report)
 }
 
 /// Baselines: MPIL vs Gnutella-style flooding vs k random walks.
@@ -144,8 +147,9 @@ pub fn ablation_metric(args: &Args) -> Report {
 /// random-walk search (Lv et al.). This puts numbers on the efficiency
 /// claim: success rate vs messages per lookup on the same overlays and
 /// workload.
-pub fn ablation_baselines(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn ablation_baselines(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
+    args.finish()?;
     let scale = static_scale(full);
     let n = *scale.sizes.last().expect("non-empty sizes");
     let objects = scale.objects;
@@ -244,5 +248,5 @@ pub fn ablation_baselines(args: &Args) -> Report {
         format!("Baselines: MPIL vs unstructured search ({n} nodes, equal replica budgets)"),
         table,
     );
-    report
+    Ok(report)
 }

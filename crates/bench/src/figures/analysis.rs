@@ -11,20 +11,23 @@ use mpil_workload::{RunningStats, Table};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cli::Args;
+use super::standard;
+use crate::Args;
 
 /// Figure 7: expected number of local maxima for random regular
 /// topologies (Section 5.2 closed form), with an optional Monte-Carlo
 /// cross-check against actual generated graphs (`--validate`).
-pub fn fig7_local_maxima(args: &Args) -> Report {
-    let (_full, _csv, seed) = args.standard();
+pub fn fig7_local_maxima(args: &Args) -> Result<Report, String> {
+    let (_full, _csv, seed) = standard(args)?;
+    let validate = args.flag("validate");
+    args.finish()?;
     let model = AnalysisModel::base4();
     let sizes = [4000usize, 8000, 16000];
     let degrees: Vec<usize> = (10..=100).step_by(10).collect();
 
     let mut headers = vec!["degree".to_string()];
     headers.extend(sizes.iter().map(|n| format!("{n} nodes")));
-    if args.flag("validate") {
+    if validate {
         headers.push("simulated (1000, d)".into());
     }
     let mut table = Table::new(headers);
@@ -33,7 +36,7 @@ pub fn fig7_local_maxima(args: &Args) -> Report {
         for &n in &sizes {
             row.push(format!("{:.1}", model.expected_local_maxima_regular(n, d)));
         }
-        if args.flag("validate") {
+        if validate {
             row.push(format!("{:.1}", monte_carlo_local_maxima(1000, d, seed)));
         }
         table.row(row);
@@ -49,7 +52,7 @@ pub fn fig7_local_maxima(args: &Args) -> Report {
         model.expected_hops_regular(50),
         model.expected_hops_regular(100)
     ));
-    report
+    Ok(report)
 }
 
 /// Counts actual local maxima on generated graphs (scaled to the formula's
@@ -78,17 +81,19 @@ fn monte_carlo_local_maxima(nodes: usize, degree: usize, seed: u64) -> f64 {
 /// Figure 8: expected number of replicas on complete topologies
 /// (Section 5.2 closed form), with an optional simulated cross-check on
 /// small complete graphs (`--validate`).
-pub fn fig8_complete_replicas(args: &Args) -> Report {
-    let (_full, _csv, seed) = args.standard();
+pub fn fig8_complete_replicas(args: &Args) -> Result<Report, String> {
+    let (_full, _csv, seed) = standard(args)?;
+    let validate = args.flag("validate");
+    args.finish()?;
     let model = AnalysisModel::base4();
     let sizes: Vec<usize> = (1..=8).map(|k| k * 2000).collect();
 
     let mut headers = vec!["nodes".to_string(), "expected replicas".to_string()];
-    if args.flag("validate") {
+    if validate {
         headers.push("simulated (n=800)".into());
     }
     let mut table = Table::new(headers);
-    let simulated = if args.flag("validate") {
+    let simulated = if validate {
         Some(simulate_complete(800, seed))
     } else {
         None
@@ -111,7 +116,7 @@ pub fn fig8_complete_replicas(args: &Args) -> Report {
         "Figure 8: expected number of replicas (complete topologies, base-4)",
         table,
     );
-    report
+    Ok(report)
 }
 
 /// Inserts random objects into an actual complete graph and reports the

@@ -16,8 +16,8 @@ use mpil_workload::Table;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use super::{row, sweep};
-use crate::cli::Args;
+use super::{row, standard, sweep};
+use crate::Args;
 
 /// Every spec at every probability under 30:30 flapping, on one worker
 /// per core: `[spec][probability]`.
@@ -49,11 +49,12 @@ fn sweep_30_30<R: Send>(
 /// grows; replicated Kademlia holds (the literature's churn-resistance
 /// result); MPIL over any frozen graph stays at the top without any
 /// maintenance at all.
-pub fn ext_dht_comparison(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn ext_dht_comparison(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
     let (nodes, ops) = if full { (1000, 500) } else { (250, 50) };
-    let nodes = args.value_or("nodes", nodes);
-    let ops = args.value_or("ops", ops);
+    let nodes = args.try_value("nodes")?.unwrap_or(nodes);
+    let ops = args.try_value("ops")?.unwrap_or(ops);
+    args.finish()?;
     let probabilities = [0.2, 0.5, 0.9];
 
     let specs = [
@@ -87,7 +88,7 @@ pub fn ext_dht_comparison(args: &Args) -> Report {
         ),
         table,
     );
-    report
+    Ok(report)
 }
 
 /// Extension: overlay-independence across five overlay families.
@@ -104,11 +105,12 @@ pub fn ext_dht_comparison(args: &Args) -> Report {
 /// band on *every* family; the structured overlays' sparser graphs
 /// (Chord's ≈ log N out-degree) cost a few points at heavy flapping but
 /// do not change the story.
-pub fn ext_overlay_independence(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn ext_overlay_independence(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
     let (nodes, ops) = if full { (1000, 500) } else { (300, 60) };
-    let nodes = args.value_or("nodes", nodes);
-    let ops = args.value_or("ops", ops);
+    let nodes = args.try_value("nodes")?.unwrap_or(nodes);
+    let ops = args.try_value("ops")?.unwrap_or(ops);
+    args.finish()?;
 
     let sources = [
         OverlaySource::Pastry,
@@ -156,7 +158,7 @@ pub fn ext_overlay_independence(args: &Args) -> Report {
         ),
         table,
     );
-    report
+    Ok(report)
 }
 
 /// Extension: link loss instead of (and combined with) node flapping.
@@ -172,11 +174,12 @@ pub fn ext_overlay_independence(args: &Args) -> Report {
 /// loss rates; MPIL absorbs them through flow redundancy without any
 /// retransmission. Under combined loss + flapping the ordering of
 /// Figure 11 (MPIL on top) must persist.
-pub fn ext_link_loss(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn ext_link_loss(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
     let (nodes, ops) = if full { (1000, 1000) } else { (300, 60) };
-    let nodes = args.value_or("nodes", nodes);
-    let ops = args.value_or("ops", ops);
+    let nodes = args.try_value("nodes")?.unwrap_or(nodes);
+    let ops = args.try_value("ops")?.unwrap_or(ops);
+    args.finish()?;
 
     let losses = [0.0, 0.05, 0.1, 0.2, 0.4];
     let flaps = [0.0, 0.5];
@@ -228,7 +231,7 @@ pub fn ext_link_loss(args: &Args) -> Report {
         ),
         table,
     );
-    report
+    Ok(report)
 }
 
 /// Extension: epidemic gossip vs maintained DHTs vs maintenance-free
@@ -250,15 +253,17 @@ pub fn ext_link_loss(args: &Args) -> Report {
 /// grows; and MPIL over the frozen gossip views matches its behavior on
 /// every other overlay family, extending overlay-independence to the
 /// epidemic regime.
-pub fn ext_gossip_discovery(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn ext_gossip_discovery(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
     let (nodes, ops) = if full { (1000, 500) } else { (250, 50) };
-    let nodes = args.value_or("nodes", nodes);
-    let ops = args.value_or("ops", ops);
-    if args.flag("dissemination") {
+    let nodes = args.try_value("nodes")?.unwrap_or(nodes);
+    let ops = args.try_value("ops")?.unwrap_or(ops);
+    let dissemination = args.flag("dissemination");
+    args.finish()?;
+    if dissemination {
         // A separate mode (not extra rows) so the default table's RNG
         // streams and bytes stay exactly as previous releases printed.
-        return ext_dissemination(nodes, ops, seed);
+        return Ok(ext_dissemination(nodes, ops, seed));
     }
     let probabilities = [0.0, 0.5, 0.9];
 
@@ -307,7 +312,7 @@ pub fn ext_gossip_discovery(args: &Args) -> Report {
             .collect::<Vec<_>>()
             .join(", ")
     ));
-    report
+    Ok(report)
 }
 
 /// One dissemination-comparison point: the standard two-stage
@@ -419,10 +424,11 @@ struct SessionScale {
 /// of tens of minutes, mean availability well below 1) and compares MPIL
 /// against Pastry-with-maintenance on the same frozen overlay — both
 /// engines behind [`DiscoveryEngine`], driven by one loop.
-pub fn ext_churn_traces(args: &Args) -> Report {
-    let (_full, _csv, seed) = args.standard();
-    let nodes = args.value_or("nodes", 400usize);
-    let ops = args.value_or("ops", 80usize);
+pub fn ext_churn_traces(args: &Args) -> Result<Report, String> {
+    let (_full, _csv, seed) = standard(args)?;
+    let nodes = args.try_value("nodes")?.unwrap_or(400usize);
+    let ops = args.try_value("ops")?.unwrap_or(80usize);
+    args.finish()?;
 
     // Gnutella-like (short sessions, ~50% availability), Overnet-like
     // (longer sessions, ~70%), and a stable fleet (~90%).
@@ -478,7 +484,7 @@ pub fn ext_churn_traces(args: &Args) -> Report {
         format!("Extension: success under trace-driven churn ({nodes} nodes, {ops} lookups)"),
         table,
     );
-    report
+    Ok(report)
 }
 
 /// MSPastry with maintenance on a transit-stub topology (trace-churn

@@ -1,13 +1,18 @@
 //! One function per figure/table driver.
 //!
-//! Every `src/bin/*` binary is a three-line shim over a function here:
-//! parse [`crate::Args`], build a [`mpil_harness::Report`], print it.
-//! The experiment fan-out runs through
+//! Every figure binary is a one-line shim over a function here:
+//! [`crate::print`] the [`mpil_harness::Report`] it builds from the
+//! command line ([`crate::run`] for fig11, which prints as it goes).
+//! Each function reads its flags strictly and calls [`Args::finish`]
+//! before any work starts, so a command line it cannot read is refused
+//! with the flag named. The experiment fan-out runs through
 //! [`mpil_harness::ExperimentRunner`] and — for every event-driven
 //! engine — the [`mpil_harness::DiscoveryEngine`] lifecycle, so every
 //! figure is reproducible against every engine from one code path.
 
 use mpil_harness::{EngineSpec, ExperimentRunner, PerturbRun, Scenario};
+
+use crate::Args;
 
 pub mod ablations;
 pub mod analysis;
@@ -23,6 +28,13 @@ pub use extensions::{
 };
 pub use perturbation::{fig11_perturbation, fig12_traffic, fig1_pastry_perturbation};
 pub use statics::{fig10_lookup_cost, fig9_insertion, table1_2_lookup_success, table3_flows};
+
+/// The knobs every figure reads: (`--full`, `--csv`, `--seed`, 42 when
+/// absent).
+fn standard(args: &Args) -> Result<(bool, bool, u64), String> {
+    let seed = args.try_value("seed")?.unwrap_or(42);
+    Ok((args.flag("full"), args.flag("csv"), seed))
+}
 
 /// `system` under `idle:offline` flapping at the given size and seed;
 /// [`sweep`] fills in the flapping probability.
@@ -60,4 +72,35 @@ fn sweep<R: Send>(
     rows.iter()
         .map(|_| results.by_ref().take(probabilities.len()).collect())
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A figure of each module refuses, with the flag named, what it
+    /// cannot read as written — before any work starts.
+    #[test]
+    fn every_module_refuses_a_flag_it_cannot_read() {
+        type Figure = fn(&Args) -> Result<(), String>;
+        // ablations, analysis, extensions, perturbation, statics
+        let figures: [Figure; 5] = [
+            |a| ablation_metric(a).map(drop),
+            |a| fig7_local_maxima(a).map(drop),
+            |a| ext_dht_comparison(a).map(drop),
+            fig11_perturbation,
+            |a| table3_flows(a).map(drop),
+        ];
+        for (module, figure) in figures.into_iter().enumerate() {
+            for (line, named) in [
+                ("--sed 2", "unknown flag --sed"),
+                ("--seed many", "--seed \"many\""),
+                ("--full --seed", "--seed needs a value"),
+            ] {
+                let args = Args::parse(line.split(' ').map(String::from));
+                let why = figure(&args).expect_err(line);
+                assert!(why.contains(named), "module {module}, {line}: {why}");
+            }
+        }
+    }
 }

@@ -7,18 +7,19 @@
 use mpil_harness::{run_scenario, EngineSpec, ExperimentRunner, Report, Scenario};
 use mpil_workload::Table;
 
-use super::{row, sweep};
-use crate::cli::Args;
+use super::{row, standard, sweep};
 use crate::scale::perturb_scale;
+use crate::Args;
 
 /// Figure 1: the effect of perturbation on MSPastry.
 ///
 /// Success rate (%) vs flapping probability for idle:offline settings
 /// 1:1, 45:15, 30:30 and 300:300 seconds.
-pub fn fig1_pastry_perturbation(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn fig1_pastry_perturbation(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
     let scale = perturb_scale(full);
-    let workers = args.value_or("workers", 2usize);
+    let workers = args.try_value("workers")?.unwrap_or(2usize);
+    args.finish()?;
     let settings: &[(u64, u64)] = &[(1, 1), (45, 15), (30, 30), (300, 300)];
 
     let rows: Vec<Scenario> = settings
@@ -53,7 +54,7 @@ pub fn fig1_pastry_perturbation(args: &Args) -> Report {
         "Figure 1: MSPastry success rate (%) under perturbation",
         table,
     );
-    report
+    Ok(report)
 }
 
 /// Figure 11: success rate under perturbation for the four systems —
@@ -64,10 +65,11 @@ pub fn fig1_pastry_perturbation(args: &Args) -> Report {
 /// setting's table is printed as soon as its sweep completes (paper
 /// scale takes hours per setting — a killed run must not discard the
 /// settings it already finished).
-pub fn fig11_perturbation(args: &Args) {
-    let (full, csv, seed) = args.standard();
+pub fn fig11_perturbation(args: &Args) -> Result<(), String> {
+    let (full, csv, seed) = standard(args)?;
     let scale = perturb_scale(full);
-    let workers = args.value_or("workers", 2usize);
+    let workers = args.try_value("workers")?.unwrap_or(2usize);
+    args.finish()?;
     let settings: &[(u64, u64)] = &[(1, 1), (30, 30), (300, 300)];
     let systems = EngineSpec::FIGURE_11;
 
@@ -102,15 +104,17 @@ pub fn fig11_perturbation(args: &Args) {
         );
         report.print(csv);
     }
+    Ok(())
 }
 
 /// Figure 12: overall traffic under perturbation (idle:offline = 30:30) —
 /// forwarded lookup messages (left panel) and total messages including
 /// maintenance and acks (right panel), vs flapping probability.
-pub fn fig12_traffic(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn fig12_traffic(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
     let scale = perturb_scale(full);
-    let workers = args.value_or("workers", 2usize);
+    let workers = args.try_value("workers")?.unwrap_or(2usize);
+    args.finish()?;
     let systems = [
         EngineSpec::MSPASTRY,
         EngineSpec::MPIL_DS,
@@ -159,5 +163,5 @@ pub fn fig12_traffic(args: &Args) -> Report {
         }
         report.table(title, table);
     }
-    report
+    Ok(report)
 }

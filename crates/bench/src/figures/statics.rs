@@ -5,17 +5,19 @@ use mpil::MpilConfig;
 use mpil_harness::Report;
 use mpil_workload::Table;
 
-use crate::cli::Args;
+use super::standard;
 use crate::scale::static_scale;
 use crate::static_exp::{insertion_behavior, lookup_behavior, paper_insert_config, Family};
+use crate::Args;
 
 /// Figure 9: MPIL insertion behavior over power-law and random overlays —
 /// replicas per insertion (left panel), insertion traffic (center), and
 /// duplicate messages (right), vs overlay size.
 ///
 /// Paper parameters: max_flows = 30, per-flow replicas = 5, DS on.
-pub fn fig9_insertion(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn fig9_insertion(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
+    args.finish()?;
     let scale = static_scale(full);
     let config = paper_insert_config();
     let families = [
@@ -60,7 +62,7 @@ pub fn fig9_insertion(args: &Args) -> Report {
         ),
         table,
     );
-    report
+    Ok(report)
 }
 
 /// Figure 10: MPIL lookup latency (hops of the first successful reply,
@@ -69,8 +71,9 @@ pub fn fig9_insertion(args: &Args) -> Report {
 ///
 /// Paper parameters: lookups with max_flows = 10 and per-flow
 /// replicas = 5 ("that setting gives 100% success rates for all sizes").
-pub fn fig10_lookup_cost(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn fig10_lookup_cost(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
+    args.finish()?;
     let scale = static_scale(full);
     let insert_config = paper_insert_config();
     let lookup_config = MpilConfig::default()
@@ -117,7 +120,7 @@ pub fn fig10_lookup_cost(args: &Args) -> Report {
         "Figure 10: MPIL lookup latency and traffic (max_flows=10, per-flow replicas=5)",
         table,
     );
-    report
+    Ok(report)
 }
 
 /// Tables 1 and 2: MPIL lookup success rate (%) over power-law
@@ -126,8 +129,9 @@ pub fn fig10_lookup_cost(args: &Args) -> Report {
 ///
 /// Insertions use the paper's setting (max_flows = 30, per-flow
 /// replicas = 5) before each grid.
-pub fn table1_2_lookup_success(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn table1_2_lookup_success(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
+    args.finish()?;
     let scale = static_scale(full);
     let insert_config = paper_insert_config();
     let max_flows = [5u32, 10, 15];
@@ -173,13 +177,14 @@ pub fn table1_2_lookup_success(args: &Args) -> Report {
         }
         report.table(label, table);
     }
-    report
+    Ok(report)
 }
 
 /// Table 3: the actual number of flows created by lookups with
 /// max_flows = 10 and per-flow replicas = 3.
-pub fn table3_flows(args: &Args) -> Report {
-    let (full, _csv, seed) = args.standard();
+pub fn table3_flows(args: &Args) -> Result<Report, String> {
+    let (full, _csv, seed) = standard(args)?;
+    args.finish()?;
     let scale = static_scale(full);
     let insert_config = paper_insert_config();
     let lookup_config = MpilConfig::default()
@@ -215,5 +220,5 @@ pub fn table3_flows(args: &Args) -> Report {
         "Table 3: actual number of flows of lookups (max_flows=10, per-flow replicas=3)",
         table,
     );
-    report
+    Ok(report)
 }

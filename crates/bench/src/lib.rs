@@ -3,8 +3,8 @@
 //! The benchmark harness that regenerates **every table and figure** of
 //! the paper's evaluation. Each `src/bin/*` binary prints one table or
 //! figure's rows/series; this library holds the shared experiment
-//! runners so the binaries, the integration tests, and the Criterion
-//! performance benches all exercise the same code.
+//! runners so the binaries and the integration tests exercise the same
+//! code.
 //!
 //! | Paper artifact | Binary |
 //! |---|---|
@@ -27,7 +27,9 @@
 //! and expanding-ring — vs DHTs vs MPIL over the gossip views).
 //!
 //! All binaries accept `--full` (paper-scale parameters), `--csv`
-//! (machine-readable output), and `--seed <u64>`.
+//! (machine-readable output), and `--seed <u64>`; each refuses, with
+//! exit status 2 and the flag named, a command line it cannot read
+//! (see [`print`]).
 //!
 //! Since the `mpil-harness` refactor, every binary is a thin shim over
 //! a [`figures`] function: the experiments fan out through
@@ -44,4 +46,31 @@ pub mod scale;
 pub mod scale_curve;
 pub mod static_exp;
 
-pub use mpil_workload::cli::{self, Args};
+pub use mpil_workload::Args;
+
+use mpil_harness::Report;
+
+/// The whole `main` of a figure binary: prints the report `figure`
+/// builds from the process arguments, as CSV under `--csv` (see
+/// [`run`]).
+pub fn print(figure: fn(&Args) -> Result<Report, String>) {
+    let (report, args) = run(figure);
+    report.print(args.flag("csv"));
+}
+
+/// Runs a binary's `driver` on the process arguments and returns what
+/// it built, with the arguments. A command line the driver refuses
+/// ([`Args::finish`]) exits 2 with the flag named, before any work has
+/// started.
+pub fn run<T>(driver: fn(&Args) -> Result<T, String>) -> (T, Args) {
+    let args = Args::parse_env();
+    match driver(&args) {
+        Ok(out) => (out, args),
+        Err(why) => {
+            let binary = std::env::args().next().unwrap_or_default();
+            let name = std::path::Path::new(&binary).file_name();
+            eprintln!("{}: {why}", name.unwrap_or_default().to_string_lossy());
+            std::process::exit(2);
+        }
+    }
+}

@@ -11,7 +11,7 @@
 //! record for the kernel's speed).
 
 pub use mpil_harness::peak_rss_mib;
-use mpil_harness::{EngineSpec, LookupStrategy, OverlaySource, PerturbRun, Scenario, WallClock};
+use mpil_harness::{EngineSpec, OverlaySource, PerturbRun, Scenario, WallClock};
 
 /// One measured point on a scaling curve.
 #[derive(Debug, Clone)]
@@ -121,12 +121,7 @@ pub fn scale_spec(name: &str, strategy: &str) -> Option<EngineSpec> {
         ("plumtree", _) | ("gossip", "plumtree") => Some(EngineSpec::PLUMTREE),
         ("foaf", _) | ("gossip", "foaf") => Some(EngineSpec::FOAF),
         ("gossip", "walk") => Some(EngineSpec::GOSSIP_WALK),
-        ("gossip", "ring") => Some(EngineSpec::Gossip {
-            view: 8,
-            walkers: 1,
-            ttl: 8,
-            strategy: LookupStrategy::ExpandingRing,
-        }),
+        ("gossip", "ring") => Some(EngineSpec::GOSSIP_RING),
         _ => None,
     }
 }

@@ -56,12 +56,6 @@ impl ChordConfig {
         self
     }
 
-    /// Sets the successor-list length.
-    pub fn with_successor_list_len(mut self, len: usize) -> Self {
-        self.successor_list_len = len;
-        self
-    }
-
     /// Validates parameter consistency.
     ///
     /// # Panics
@@ -103,9 +97,11 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let c = ChordConfig::default()
-            .with_replication(4)
-            .with_successor_list_len(12);
+        let c = ChordConfig {
+            successor_list_len: 12,
+            ..ChordConfig::default()
+        }
+        .with_replication(4);
         assert_eq!(c.replication, 4);
         assert_eq!(c.successor_list_len, 12);
         c.assert_valid();

@@ -9,35 +9,40 @@ use crate::CliError;
 ///
 /// # Errors
 ///
-/// [`CliError`] on an unknown `--what`.
+/// [`CliError`] on an unknown `--what` or a flag it cannot read.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let what = args.value("what").unwrap_or("local-maxima").to_string();
-    let nodes = args.value_or("nodes", 16_000usize);
-    let model = if args.flag("base16") {
-        AnalysisModel::base16()
+    let nodes = args.try_value("nodes")?.unwrap_or(16_000usize);
+    // `--base4` is the default; the synopsis names it, so it is accepted.
+    let _ = args.flag("base4");
+    let base16 = args.flag("base16");
+    let degree = match what.as_str() {
+        "local-maxima" | "local_maxima" => args.try_value("degree")?.unwrap_or(50usize),
+        _ => 0,
+    };
+    args.finish()?;
+    let (model, base) = if base16 {
+        (AnalysisModel::base16(), 16)
     } else {
-        AnalysisModel::base4()
+        (AnalysisModel::base4(), 4)
     };
     match what.as_str() {
         "local-maxima" | "local_maxima" => {
-            let degree = args.value_or("degree", 50usize);
             let strict = model.expected_local_maxima_regular(nodes, degree);
             let ties = model.expected_local_maxima_regular_with_ties(nodes, degree);
             let hops = model.expected_hops_regular(degree);
             Ok(format!(
-                "random regular overlay, N = {nodes}, degree = {degree} (base-{})\n\
+                "random regular overlay, N = {nodes}, degree = {degree} (base-{base})\n\
                  E[#local maxima]          = {strict:.1}   (paper's strict-dominance formula, Fig. 7)\n\
                  E[#local maxima w/ ties]  = {ties:.1}   (MPIL's actual tie-allowing definition)\n\
                  E[hops to a local max]    = {hops:.2}   (random walk, 1/C)\n",
-                if args.flag("base16") { 16 } else { 4 },
             ))
         }
         "replicas" => {
             let r = model.expected_replicas_complete(nodes);
             Ok(format!(
-                "complete overlay, N = {nodes} (base-{})\n\
+                "complete overlay, N = {nodes} (base-{base})\n\
                  E[#replicas] = {r:.4}   (paper's Figure 8 band: 1.55-1.63)\n",
-                if args.flag("base16") { 16 } else { 4 },
             ))
         }
         other => Err(CliError(format!(
@@ -49,10 +54,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
-    }
+    use crate::commands::args;
 
     #[test]
     fn local_maxima_matches_figure_7() {

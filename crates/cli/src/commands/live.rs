@@ -16,14 +16,16 @@ use crate::CliError;
 ///
 /// # Errors
 ///
-/// [`CliError`] if the overlay cannot be generated or the UDP mesh
-/// cannot bind.
+/// [`CliError`] on a flag it cannot read, or if the overlay cannot be
+/// generated or the UDP mesh cannot bind.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let nodes = args.value_or("nodes", 32usize);
-    let degree = args.value_or("degree", 6usize);
-    let ops = args.value_or("ops", 5usize);
-    let seed = args.value_or("seed", 42u64);
-    let transport = if args.flag("udp") {
+    let nodes = args.try_value("nodes")?.unwrap_or(32usize);
+    let degree = args.try_value("degree")?.unwrap_or(6usize);
+    let ops = args.try_value("ops")?.unwrap_or(5usize);
+    let seed = args.try_value("seed")?.unwrap_or(42u64);
+    let udp = args.flag("udp");
+    args.finish()?;
+    let transport = if udp {
         TransportKind::Udp
     } else {
         TransportKind::Channel
@@ -45,7 +47,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let mut out = format!(
         "live cluster: {nodes} nodes on {} shard thread(s) over {} transport\n",
         cluster.shards(),
-        if args.flag("udp") {
+        if udp {
             "loopback UDP"
         } else {
             "in-process channels"
@@ -78,10 +80,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
-    }
+    use crate::commands::args;
 
     #[test]
     fn channel_cluster_runs_end_to_end() {

@@ -28,10 +28,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
-    }
+    use crate::commands::args;
 
     #[test]
     fn embedded_load_reports_and_passes_gates() {

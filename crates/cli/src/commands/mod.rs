@@ -37,3 +37,9 @@ pub(crate) fn build_topology(
     };
     topo.map_err(|e| CliError(format!("overlay generation failed: {e}")))
 }
+
+/// A command line as the tests write it.
+#[cfg(test)]
+fn args(line: &str) -> mpil_workload::Args {
+    mpil_workload::Args::parse(line.split_whitespace().map(String::from))
+}

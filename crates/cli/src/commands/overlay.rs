@@ -10,12 +10,14 @@ use crate::CliError;
 ///
 /// # Errors
 ///
-/// [`CliError`] on unknown families or infeasible parameters.
+/// [`CliError`] on unknown families, infeasible parameters or a flag it
+/// cannot read.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let family = args.value("family").unwrap_or("powerlaw").to_string();
-    let nodes = args.value_or("nodes", 1000usize);
-    let degree = args.value_or("degree", 16usize);
-    let seed = args.value_or("seed", 42u64);
+    let nodes = args.try_value("nodes")?.unwrap_or(1000usize);
+    let degree = args.try_value("degree")?.unwrap_or(16usize);
+    let seed = args.try_value("seed")?.unwrap_or(42u64);
+    args.finish()?;
 
     // Structured overlays report directed out-degree statistics.
     let structured = match family.as_str() {
@@ -65,10 +67,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
-    }
+    use crate::commands::args;
 
     #[test]
     fn powerlaw_overlay_reports_stats() {

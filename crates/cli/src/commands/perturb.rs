@@ -38,14 +38,14 @@ pub(crate) fn parse_system(system: &str) -> Result<EngineSpec, CliError> {
 pub(crate) fn parse_scenario(args: &Args) -> Result<Scenario, CliError> {
     let system = args.value("system").unwrap_or("mpil").to_string();
     let run = PerturbRun {
-        nodes: args.value_or("nodes", 300usize),
-        operations: args.value_or("ops", 60usize),
-        idle_secs: args.value_or("idle", 30u64),
-        offline_secs: args.value_or("offline", 30u64),
-        probability: args.value_or("p", 0.5f64),
-        deadline_cap_secs: args.value_or("deadline", 60u64),
-        loss_probability: args.value_or("loss", 0.0f64),
-        seed: args.value_or("seed", 42u64),
+        nodes: args.try_value("nodes")?.unwrap_or(300usize),
+        operations: args.try_value("ops")?.unwrap_or(60usize),
+        idle_secs: args.try_value("idle")?.unwrap_or(30u64),
+        offline_secs: args.try_value("offline")?.unwrap_or(30u64),
+        probability: args.try_value("p")?.unwrap_or(0.5f64),
+        deadline_cap_secs: args.try_value("deadline")?.unwrap_or(60u64),
+        loss_probability: args.try_value("loss")?.unwrap_or(0.0f64),
+        seed: args.try_value("seed")?.unwrap_or(42u64),
     };
     Ok(Scenario::new(parse_system(&system)?, run))
 }
@@ -54,9 +54,10 @@ pub(crate) fn parse_scenario(args: &Args) -> Result<Scenario, CliError> {
 ///
 /// # Errors
 ///
-/// [`CliError`] on an unknown `--system`.
+/// [`CliError`] on an unknown `--system` or a flag it cannot read.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let scenario = parse_scenario(args)?;
+    args.finish()?;
     Ok(format!("{scenario}\n{}", detail(run_scenario(&scenario))))
 }
 
@@ -74,10 +75,7 @@ fn detail(r: PerturbResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
-    }
+    use crate::commands::args;
 
     #[test]
     fn mpil_run_reports_success() {

@@ -14,21 +14,24 @@ use crate::CliError;
 ///
 /// # Errors
 ///
-/// [`CliError`] on unknown families or invalid MPIL parameters.
+/// [`CliError`] on unknown families, invalid MPIL parameters or a flag it
+/// cannot read.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let family = args.value("family").unwrap_or("random").to_string();
-    let nodes = args.value_or("nodes", 1000usize);
-    let degree = args.value_or("degree", 16usize);
-    let ops = args.value_or("ops", 100usize);
-    let max_flows = args.value_or("max-flows", 10u32);
-    let replicas = args.value_or("replicas", 5u32);
-    let seed = args.value_or("seed", 42u64);
+    let nodes = args.try_value("nodes")?.unwrap_or(1000usize);
+    let degree = args.try_value("degree")?.unwrap_or(16usize);
+    let ops = args.try_value("ops")?.unwrap_or(100usize);
+    let max_flows = args.try_value("max-flows")?.unwrap_or(10u32);
+    let replicas = args.try_value("replicas")?.unwrap_or(5u32);
+    let seed = args.try_value("seed")?.unwrap_or(42u64);
+    let ds = !args.flag("no-ds");
+    args.finish()?;
 
     let topo = super::build_topology(&family, nodes, degree, seed)?;
     let config = MpilConfig::default()
         .with_max_flows(max_flows)
         .with_num_replicas(replicas)
-        .with_duplicate_suppression(!args.flag("no-ds"));
+        .with_duplicate_suppression(ds);
     config
         .validate()
         .map_err(|e| CliError(format!("invalid MPIL parameters: {e}")))?;
@@ -64,7 +67,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
          insert traffic        = {:.1} msgs\n\
          lookup traffic        = {:.1} msgs\n\
          first-reply latency   = {:.2} hops\n",
-        !args.flag("no-ds"),
+        ds,
         100.0 * ok as f64 / ops as f64,
         rep.mean(),
         max_flows * replicas,
@@ -77,10 +80,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
-    }
+    use crate::commands::args;
 
     #[test]
     fn random_overlay_campaign_succeeds() {

@@ -10,10 +10,13 @@ use crate::CliError;
 ///
 /// # Errors
 ///
-/// [`CliError`] on an unknown `--system`.
+/// [`CliError`] on an unknown `--system` or a flag it cannot read.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let scenario = super::perturb::parse_scenario(args)?;
-    let count = args.value_or("seeds", 8u64);
+    let count = args.try_value("seeds")?.unwrap_or(8u64);
+    let workers = args.try_value("workers")?.unwrap_or(0usize);
+    let json = args.flag("json");
+    args.finish()?;
     if count == 0 {
         return Err(CliError("--seeds must be at least 1".into()));
     }
@@ -24,14 +27,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         )));
     };
     let seeds: Vec<u64> = (first..end).collect();
-    let workers = args.value_or("workers", 0usize);
     let runner = if workers == 0 {
         ExperimentRunner::default()
     } else {
         ExperimentRunner::new(workers)
     };
     let sweep = runner.run_seeds(&scenario, &seeds);
-    if args.flag("json") {
+    if json {
         return Ok(sweep.to_json());
     }
     let fmt = |s: &RunningStats| {
@@ -67,10 +69,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
-    }
+    use crate::commands::args;
 
     #[test]
     fn sweep_reports_merged_stats() {

@@ -37,6 +37,14 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// A flag refusal ([`Args::try_value`], [`Args::finish`]) is a
+/// [`CliError`] as it stands.
+impl From<String> for CliError {
+    fn from(why: String) -> Self {
+        CliError(why)
+    }
+}
+
 /// The synopsis printed by `mpilctl help`.
 pub const USAGE: &str = "\
 mpilctl — MPIL resource discovery toolkit

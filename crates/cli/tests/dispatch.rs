@@ -50,3 +50,30 @@ fn errors_from_subcommands_propagate() {
     assert!(dispatch("analyze --what banana").is_err());
     assert!(dispatch("perturb --system banana").is_err());
 }
+
+/// Every command refuses, with the flag named, what it cannot read as
+/// written — before it generates, simulates, spawns or binds anything.
+#[test]
+fn every_command_refuses_a_flag_it_cannot_read() {
+    let commands = [
+        "overlay",
+        "analyze",
+        "simulate",
+        "perturb",
+        "sweep",
+        "live",
+        "serve",
+        "load --embedded",
+    ];
+    for command in commands {
+        for (flags, named) in [
+            ("--nodse 50", "unknown flag --nodse"),
+            ("--nodes many", "--nodes \"many\""),
+            ("--nodes", "--nodes needs a value"),
+        ] {
+            let line = format!("{command} {flags}");
+            let err = dispatch(&line).expect_err(&line);
+            assert!(err.to_string().contains(named), "{line}: {err}");
+        }
+    }
+}

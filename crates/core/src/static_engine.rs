@@ -87,11 +87,6 @@ impl<'a> StaticEngine<'a> {
             .count()
     }
 
-    /// Does `node` store a pointer for `object`?
-    pub fn has_replica(&self, node: NodeIdx, object: Id) -> bool {
-        self.stores[node.index()].contains_key(&object)
-    }
-
     /// Removes every replica of `object` (the owner-driven delete of
     /// Section 4.4); returns how many replicas were removed.
     pub fn delete(&mut self, object: Id) -> usize {
@@ -448,7 +443,7 @@ mod tests {
         let mut engine = StaticEngine::new(&topo, cfg(5, 2), 14);
         let obj = Id::from_low_u64(4242);
         engine.insert(NodeIdx::new(3), obj);
-        if engine.has_replica(NodeIdx::new(0), obj) {
+        if engine.replica_holders(obj).contains(&NodeIdx::new(0)) {
             let report = engine.lookup(NodeIdx::new(7), obj);
             assert_eq!(report.first_reply_hops, Some(1));
         }

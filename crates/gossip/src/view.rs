@@ -337,16 +337,6 @@ impl PartialView {
         out.truncate(take);
     }
 
-    /// Draws one neighbor, excluding `exclude` when an alternative
-    /// exists.
-    pub fn sample_one<R: Rng + ?Sized>(
-        &self,
-        exclude: Option<NodeIdx>,
-        rng: &mut R,
-    ) -> Option<NodeIdx> {
-        self.sample(1, exclude, rng).into_iter().next()
-    }
-
     /// Checks the structural invariants (property tests).
     ///
     /// # Panics
@@ -488,7 +478,7 @@ mod tests {
         // returning nothing.
         let mut lone = PartialView::new(node(0), 2);
         lone.insert_fresh(node(1));
-        assert_eq!(lone.sample_one(Some(node(1)), &mut rng), Some(node(1)));
+        assert_eq!(lone.sample(1, Some(node(1)), &mut rng), [node(1)]);
     }
 
     #[test]

@@ -309,7 +309,6 @@ impl EngineSpec {
     };
     /// The same views flooded by expanding rings (ttl 8): what the
     /// figure drivers and `mpilctl` compare the epidemic engines with.
-    /// (`walkers` is unused by the ring; `scale_run`'s ring spec sets 1.)
     pub const GOSSIP_RING: EngineSpec = EngineSpec::Gossip {
         view: 8,
         walkers: 8,

@@ -125,16 +125,6 @@ impl Topology {
                 .map(move |b| (a, b))
         })
     }
-
-    /// Looks up the node carrying exactly `id`, if any.
-    ///
-    /// Linear scan; intended for tests and small tools, not hot paths.
-    pub fn find_id(&self, id: Id) -> Option<NodeIdx> {
-        self.ids
-            .iter()
-            .position(|&x| x == id)
-            .map(|i| NodeIdx::new(i as u32))
-    }
 }
 
 #[cfg(test)]
@@ -189,9 +179,9 @@ mod tests {
     #[test]
     fn find_id_locates_nodes() {
         let t = triangle();
-        let id = t.id(NodeIdx::new(1));
-        assert_eq!(t.find_id(id), Some(NodeIdx::new(1)));
-        assert_eq!(t.find_id(mpil_id::Id::MAX), None);
+        let find = |id| t.iter_nodes().find(|&n| t.id(n) == id);
+        assert_eq!(find(t.id(NodeIdx::new(1))), Some(NodeIdx::new(1)));
+        assert_eq!(find(mpil_id::Id::MAX), None);
     }
 
     #[test]

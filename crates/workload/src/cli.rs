@@ -73,20 +73,6 @@ impl Args {
             .transpose()
     }
 
-    /// Parses `--name value` as a type, with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is present but unparseable.
-    pub fn value_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T
-    where
-        T::Err: std::fmt::Debug,
-    {
-        self.try_value(name)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or(default)
-    }
-
     /// Refuses what is on the command line and was not read the way it
     /// was written: call it once every flag of the command has been
     /// asked for, before the command does anything.
@@ -110,15 +96,6 @@ impl Args {
         }
         Ok(())
     }
-
-    /// Standard experiment knobs: (`--full`, `--csv`, `--seed`).
-    pub fn standard(&self) -> (bool, bool, u64) {
-        (
-            self.flag("full"),
-            self.flag("csv"),
-            self.value_or("seed", 42),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -136,16 +113,22 @@ mod tests {
         assert!(a.flag("csv"));
         assert!(!a.flag("quick"));
         assert_eq!(a.value("seed"), Some("7"));
-        assert_eq!(a.value_or::<u64>("seed", 0), 7);
-        assert_eq!(a.value_or::<usize>("nodes", 0), 1000);
-        assert_eq!(a.value_or::<usize>("missing", 9), 9);
+        assert_eq!(a.try_value::<u64>("seed"), Ok(Some(7)));
+        assert_eq!(a.try_value::<usize>("nodes"), Ok(Some(1000)));
+        assert_eq!(a.try_value::<usize>("missing"), Ok(None));
+        assert_eq!(a.finish(), Ok(()));
     }
 
+    /// The knobs every figure binary reads: `--full`, `--csv`, `--seed`.
     #[test]
     fn standard_triple() {
-        let (full, csv, seed) = parse("--seed 5").standard();
-        assert!(!full && !csv);
-        assert_eq!(seed, 5);
+        let read = |a: &Args| (a.flag("full"), a.flag("csv"), a.try_value::<u64>("seed"));
+        let a = parse("--seed 5");
+        assert_eq!(read(&a), (false, false, Ok(Some(5))));
+        assert_eq!(a.finish(), Ok(()));
+        let a = parse("--full --seed");
+        assert_eq!(read(&a), (true, false, Ok(None)));
+        assert_eq!(a.finish(), Err("--seed needs a value".to_string()));
     }
 
     #[test]
@@ -154,11 +137,13 @@ mod tests {
         let _ = parse("oops");
     }
 
+    /// A bad number is an `Err` naming the flag; unwrapping it is the
+    /// only way to a panic.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "--seed")]
     fn rejects_bad_numbers() {
         let a = parse("--seed banana");
-        let _ = a.value_or::<u64>("seed", 0);
+        let _ = a.try_value::<u64>("seed").unwrap();
     }
 
     #[test]

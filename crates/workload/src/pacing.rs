@@ -194,17 +194,6 @@ impl Pacer {
         assert!(self.completed + n <= self.issued, "completed past issued");
         self.completed += n;
     }
-
-    /// The rate actually offered so far: issued requests per second of
-    /// elapsed time. Zero at `now == 0`.
-    pub fn offered_rate(&self, now: Duration) -> f64 {
-        let s = now.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.issued as f64 / s
-        }
-    }
 }
 
 #[cfg(test)]
@@ -224,8 +213,6 @@ mod tests {
         p.record_issued(20);
         assert_eq!(p.due(99 * MS), 0, "schedule caught up");
         assert_eq!(p.due(100 * MS), 1);
-        // Offered-rate accounting: 20 issued over 100 ms = 200/s.
-        assert!((p.offered_rate(100 * MS) - 200.0).abs() < 1e-9);
     }
 
     #[test]
@@ -292,10 +279,14 @@ mod tests {
         assert!(p.finished());
     }
 
+    /// Only arrival 0 falls at t = 0; the next waits 1/rate.
     #[test]
     fn offered_rate_is_zero_at_time_zero() {
-        let p = Pacer::open_loop(50.0, 4, 10);
-        assert_eq!(p.offered_rate(Duration::ZERO), 0.0);
+        let mut p = Pacer::open_loop(50.0, 4, 10);
+        assert_eq!(p.due(Duration::ZERO), 1);
+        p.record_issued(1);
+        assert_eq!(p.due(Duration::ZERO), 0);
+        assert_eq!(p.next_due_at(), Some(20 * MS));
     }
 
     #[test]

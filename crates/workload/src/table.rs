@@ -131,12 +131,6 @@ impl Table {
     }
 }
 
-/// Formats a float with `digits` fractional digits, trimming to a clean
-/// fixed width for table cells.
-pub fn fmt_f64(x: f64, digits: usize) -> String {
-    format!("{x:.digits$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,10 +173,13 @@ mod tests {
         t.row(vec!["a".into(), "b".into()]);
     }
 
+    /// Precision is the caller's: a cell renders exactly as formatted.
     #[test]
     fn fmt_f64_controls_precision() {
-        assert_eq!(fmt_f64(1.23456, 2), "1.23");
-        assert_eq!(fmt_f64(2.0, 0), "2");
+        let mut t = Table::new(vec!["x".into()]);
+        t.row(vec![format!("{:.2}", 1.23456)]);
+        t.row(vec![format!("{:.0}", 2.0)]);
+        assert_eq!(t.render_csv(), "x\n1.23\n2\n");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # CI gate, fully offline: the tier-1 verify plus formatting, lints,
-# bench-target compile checks, and a large-N kernel tripwire.
+# and a large-N kernel tripwire.
 #
 #   tier-1:  cargo build --release && cargo test -q --no-fail-fast,
 #            both --locked (a failure here is reported and fails the
 #            gate at the end; the smokes below still run, on the release
 #            build it made)
-#   benches: cargo check --benches   (always; they are test = false)
 #   format:  cargo fmt --check       (stable rustfmt; options in rustfmt.toml)
 #   sans-io: the daemon's core (crates/mpild/src/daemon/{core,admission,
 #            hedge}.rs) names no clock, socket or thread outside its
@@ -65,8 +64,8 @@ contract=(-D warnings -W clippy::iter_over_hash_type -W clippy::allow_attributes
 cargo clippy --workspace --all-targets -- "${contract[@]}"
 scripts/lint-selftest.sh "${contract[@]}"
 tier1=ok
-scripts/verify.sh --benches \
-    || { tier1=failed; echo "ci: tier-1 (scripts/verify.sh --benches) failed; carrying on to the smokes" >&2; }
+scripts/verify.sh \
+    || { tier1=failed; echo "ci: tier-1 (scripts/verify.sh) failed; carrying on to the smokes" >&2; }
 
 # Byte-identity oracle: tier-1 pins counts at 300 nodes; this holds the
 # figure CSVs themselves (~22 s on the release build tier-1 just made).

@@ -3,10 +3,9 @@
 # vendor/ path entries (see vendor/README.md), so this must pass from a
 # clean checkout with no network access.
 #
-# Usage: scripts/verify.sh [--benches]
-#   --benches   additionally compile-check the criterion bench targets
-#               (they are test = false, so plain `cargo test` skips them)
+# Usage: scripts/verify.sh
 set -euo pipefail
+(($# == 0)) || { echo "verify: takes no arguments (got $*)" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
@@ -18,10 +17,6 @@ cargo build --release --locked
 # The exit status is non-zero on any failure all the same.
 tests=0
 cargo test -q --no-fail-fast --locked || tests=$?
-
-if [[ "${1:-}" == "--benches" ]]; then
-    cargo check --benches --locked
-fi
 
 if [[ "$tests" != 0 ]]; then
     echo "verify: FAILED (cargo test exited $tests)" >&2
