@@ -5,12 +5,14 @@
 //! cargo run --release -p mpil-bench --bin ext_gossip_discovery [--full] [--csv] [--seed N] [--nodes N] [--ops K] [--dissemination]
 //! ```
 //!
+//! The default table puts k-random-walk and expanding-ring searches over
+//! HyParView active views beside Chord, Kademlia, and MPIL routed over
+//! the frozen active graph and over a random regular graph.
 //! `--dissemination` switches to the dissemination-layer comparison:
-//! Plumtree tree queries and FOAF bounded-fanout walks on the
-//! HyParView/Plumtree engine vs the expanding-ring flood they replace
-//! (plus MPIL routed over the frozen HyParView active graph), with
-//! msgs/lookup and convergence-after-flap columns. The default table's
-//! engine set, RNG streams, and bytes are unchanged.
+//! Plumtree tree queries and FOAF bounded-fanout walks vs the
+//! expanding-ring flood over the same membership (plus MPIL over the
+//! frozen active graph), with msgs/lookup and convergence-after-flap
+//! columns.
 
 fn main() {
     mpil_bench::print(mpil_bench::figures::ext_gossip_discovery);

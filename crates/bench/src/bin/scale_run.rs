@@ -5,7 +5,7 @@
 //! cargo run --release -p mpil-bench --bin scale_run -- \
 //!     --engine mpil|kademlia|chord|pastry|gossip|plumtree|foaf \
 //!     --nodes N [--ops K] [--p X] [--seed S] \
-//!     [--strategy walk|ring|plumtree|foaf] \
+//!     [--strategy walk|ring] \
 //!     [--budget-s B] [--max-rss-mib M] [--max-msgs-per-lookup T]
 //! ```
 //!
@@ -13,10 +13,9 @@
 //! so the `VmHWM` peak-RSS reading belongs to that point; a scaling
 //! curve is the per-point lines of several invocations.
 //!
-//! `--strategy` selects the gossip lookup strategy (`walk`, the
-//! default, `ring`, `plumtree`, or `foaf` — the last two pick the
-//! HyParView/Plumtree epidemic engine, also reachable directly as
-//! `--engine plumtree|foaf`); the other engines ignore it.
+//! `--strategy` selects the gossip search (`walk`, the default, or
+//! `ring`); any other engine refuses it, as it refuses any other value
+//! (exit 2, the flag named), so each point has one spelling.
 //!
 //! `--budget-s B`, `--max-rss-mib M`, and `--max-msgs-per-lookup T`
 //! turn the run into a CI tripwire: if the point takes longer than `B`
@@ -52,14 +51,8 @@ struct Plan {
 /// Reads the whole command line or says which flag cannot be read.
 fn plan(args: &Args) -> Result<Plan, String> {
     let name = args.try_value("engine")?.unwrap_or("mpil".to_string());
-    let strategy = args.try_value("strategy")?.unwrap_or("walk".to_string());
-    let spec = scale_spec(&name, &strategy).ok_or_else(|| {
-        format!(
-            "unknown --engine '{name}' / --strategy '{strategy}' \
-             (expected mpil, kademlia, chord, pastry, gossip, plumtree, or foaf; \
-             walk, ring, plumtree, or foaf)"
-        )
-    })?;
+    let strategy: Option<String> = args.try_value("strategy")?;
+    let spec = scale_spec(&name, strategy.as_deref())?;
     let plan = Plan {
         spec,
         nodes: args.try_value("nodes")?.unwrap_or(1000),
@@ -123,6 +116,9 @@ mod tests {
             ("--budget-s --nodes 50", "--budget-s needs a value"),
             ("--max-rss 100", "unknown flag --max-rss"),
             ("--engine warp", "--engine"),
+            ("--engine plumtree --strategy ring", "--strategy"),
+            ("--engine chord --strategy banana", "--strategy"),
+            ("--engine gossip --strategy plumtree", "--strategy"),
         ] {
             let why = plan(&Args::parse(line.split(' ').map(String::from)))
                 .err()

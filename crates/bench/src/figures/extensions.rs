@@ -239,19 +239,19 @@ pub fn ext_link_loss(args: &Args) -> Result<Report, String> {
 ///
 /// The paper's overlay-independence claim implicitly covers the
 /// unstructured/epidemic regime, but every substrate evaluated so far
-/// is structured. This puts the `mpil-gossip` engine — push-pull
-/// partial-view membership with suspicion, plus both of its lookup
-/// strategies (k-random-walk per Lv et al./Ferretti, expanding-ring
-/// flooding) — through the exact two-stage perturbation methodology the
-/// DHT baselines run, and also routes MPIL *over* the gossip-built
-/// view graph.
+/// is structured. This puts the `mpil-gossip` engine's two unstructured
+/// searches — k-random-walk (Lv et al., Ferretti) and expanding-ring
+/// flooding over HyParView active views, looking for the pointers a few
+/// insert walks left — through the exact two-stage perturbation
+/// methodology the DHT baselines run, and also routes MPIL *over* the
+/// frozen HyParView active graph.
 ///
 /// Expected shape: random walks degrade gracefully under flapping
-/// (replicas are plentiful and walks need only one live path) at a
-/// modest message cost; expanding-ring holds success highest but pays
-/// flood-scale traffic; the maintained single-copy DHT collapses as p
-/// grows; and MPIL over the frozen gossip views matches its behavior on
-/// every other overlay family, extending overlay-independence to the
+/// (walks need only one live path to a replica) at a modest message
+/// cost; expanding-ring holds success highest but pays flood-scale
+/// traffic; the maintained single-copy DHT collapses as p grows; and
+/// MPIL over the frozen active views matches its behavior on every
+/// other overlay family, extending overlay-independence to the
 /// epidemic regime.
 pub fn ext_gossip_discovery(args: &Args) -> Result<Report, String> {
     let (full, _csv, seed) = standard(args)?;
@@ -272,7 +272,7 @@ pub fn ext_gossip_discovery(args: &Args) -> Result<Report, String> {
         EngineSpec::GOSSIP_RING,
         EngineSpec::Chord,
         EngineSpec::KADEMLIA,
-        EngineSpec::MpilOver(OverlaySource::Gossip { view: 8 }),
+        EngineSpec::MpilOver(OverlaySource::HyParView { active: 8 }),
         EngineSpec::MpilOver(OverlaySource::RandomRegular(8)),
     ];
     let results = sweep_30_30(&specs, &probabilities, nodes, ops, seed, run_scenario);

@@ -23,8 +23,8 @@
 //! (trace-driven churn), `ext_link_loss` (loss injection),
 //! `ext_overlay_independence` (five overlay families),
 //! `ext_dht_comparison` (Chord / Kademlia baselines), and
-//! `ext_gossip_discovery` (the epidemic `mpil-gossip` engine — k-walk
-//! and expanding-ring — vs DHTs vs MPIL over the gossip views).
+//! `ext_gossip_discovery` (k-walk and expanding-ring searches over
+//! HyParView views vs DHTs vs MPIL over the frozen active graph).
 //!
 //! All binaries accept `--full` (paper-scale parameters), `--csv`
 //! (machine-readable output), and `--seed <u64>`; each refuses, with

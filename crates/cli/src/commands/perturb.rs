@@ -15,7 +15,6 @@ pub(crate) fn parse_system(system: &str) -> Result<EngineSpec, CliError> {
         "mpil-ds" => EngineSpec::MPIL_DS,
         "mpil-chord" => EngineSpec::MpilOver(OverlaySource::Chord),
         "mpil-kademlia" => EngineSpec::MpilOver(OverlaySource::Kademlia),
-        "mpil-gossip" => EngineSpec::MpilOver(OverlaySource::Gossip { view: 8 }),
         "chord" => EngineSpec::Chord,
         "kademlia" => EngineSpec::KADEMLIA,
         "kademlia-1" => EngineSpec::Kademlia { k: 1, alpha: 1 },
@@ -27,8 +26,8 @@ pub(crate) fn parse_system(system: &str) -> Result<EngineSpec, CliError> {
         other => {
             return Err(CliError(format!(
                 "unknown system {other:?} (want pastry|pastry-rr|chord|kademlia|kademlia-1|\
-                 gossip|gossip-ring|plumtree|foaf|mpil|mpil-ds|mpil-chord|mpil-kademlia|\
-                 mpil-gossip|mpil-hyparview)"
+                 gossip|gossip-walk|gossip-ring|plumtree|foaf|mpil|mpil-ds|mpil-chord|\
+                 mpil-kademlia|mpil-hyparview)"
             )))
         }
     })
@@ -112,7 +111,6 @@ mod tests {
             "mpil-ds",
             "mpil-chord",
             "mpil-kademlia",
-            "mpil-gossip",
             "mpil-hyparview",
         ] {
             assert!(parse_system(s).is_ok(), "{s}");

@@ -99,7 +99,7 @@ mod tests {
         ))
         .expect("ok");
         assert!(
-            out.contains("\"engine\": \"Gossip k-walk view=8 k=8 ttl=16\""),
+            out.contains("\"engine\": \"Gossip k-walk active=8 passive=24\""),
             "got:\n{out}"
         );
         assert!(

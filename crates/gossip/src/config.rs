@@ -1,21 +1,22 @@
-//! Configuration for the gossip engine.
+//! Configuration for the epidemic engine.
 
 use mpil_sim::SimDuration;
 
-/// How a lookup spreads through the unstructured overlay.
+/// How a lookup spreads through the HyParView active graph.
 ///
-/// The first two strategies run on the Cyclon engine
-/// ([`crate::GossipSim`]); the last two require the HyParView/Plumtree
-/// engine ([`crate::EpidemicSim`]), whose membership layer maintains
-/// the spanning-tree links they ride on.
+/// [`LookupStrategy::Plumtree`] and [`LookupStrategy::Foaf`] ride on the
+/// Plumtree broadcast that plants the pointer at nearly every node;
+/// [`LookupStrategy::KRandomWalk`] and [`LookupStrategy::ExpandingRing`]
+/// search for the few replicas that insert walks leave behind (their
+/// dials are constants in [`crate::epidemic`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LookupStrategy {
-    /// `walkers` independent random walks, each with a hop budget of
-    /// `ttl` (Lv et al.'s k-random-walk search; Ferretti's local-
-    /// knowledge walks are the same mechanism over gossip views).
+    /// Independent random walks, each with a hop budget (Lv et al.'s
+    /// k-random-walk search; Ferretti's local-knowledge walks are the
+    /// same mechanism over gossip views). Launched once, not retried.
     KRandomWalk,
     /// Gnutella-style flooding in rounds of doubling scope: flood with
-    /// TTL 1, wait, flood with TTL 2, 4, ... up to `ttl`, stopping at
+    /// TTL 1, wait, flood with TTL 2, 4, ... up to a cap, stopping at
     /// the first positive reply.
     ExpandingRing,
     /// Shallow TTL-bounded queries down the Plumtree spanning tree in
@@ -39,128 +40,6 @@ impl LookupStrategy {
             LookupStrategy::Plumtree => "plumtree",
             LookupStrategy::Foaf => "foaf",
         }
-    }
-
-    /// Does the Cyclon engine ([`crate::GossipSim`]) implement this
-    /// strategy? The tree-based strategies need the HyParView/Plumtree
-    /// engine's membership state.
-    pub fn is_cyclon(&self) -> bool {
-        matches!(
-            self,
-            LookupStrategy::KRandomWalk | LookupStrategy::ExpandingRing
-        )
-    }
-}
-
-/// Knobs of the gossip membership layer and its two lookup strategies.
-///
-/// Defaults follow the unstructured-overlay literature: Cyclon-style
-/// shuffles of half the view every few seconds, a couple of missed
-/// shuffles before a peer is declared dead, and search parameters sized
-/// so the paper-scale 1000-node runs succeed on a quiet network.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GossipConfig {
-    /// Bound on each node's partial view (out-degree of the overlay).
-    pub view_size: usize,
-    /// Entries exchanged per shuffle (the initiator's includes itself).
-    pub shuffle_len: usize,
-    /// Period of each node's push-pull shuffle timer.
-    pub gossip_period: SimDuration,
-    /// How long the initiator waits for the pull half before counting a
-    /// shuffle as failed.
-    pub shuffle_timeout: SimDuration,
-    /// Failed shuffles to the same peer before it is evicted from the
-    /// view (SWIM-style suspicion: one miss marks, `suspicion_limit`
-    /// misses kill).
-    pub suspicion_limit: u32,
-    /// Random walks launched per lookup ([`LookupStrategy::KRandomWalk`]).
-    pub walkers: usize,
-    /// Hop budget per walk, and the TTL cap of the expanding ring.
-    pub ttl: u32,
-    /// Which lookup strategy [`crate::GossipSim::issue_lookup`] uses.
-    pub strategy: LookupStrategy,
-    /// Random walks launched per insert (each deposits the pointer at
-    /// every node it visits).
-    pub replication_walkers: usize,
-    /// Hop budget per insert walk.
-    pub replication_ttl: u32,
-    /// Pause between expanding-ring rounds (must cover a round's flood
-    /// and reply latency).
-    pub ring_round_gap: SimDuration,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        GossipConfig {
-            view_size: 8,
-            shuffle_len: 4,
-            gossip_period: SimDuration::from_secs(5),
-            shuffle_timeout: SimDuration::from_secs(2),
-            suspicion_limit: 2,
-            walkers: 8,
-            ttl: 16,
-            strategy: LookupStrategy::KRandomWalk,
-            replication_walkers: 3,
-            replication_ttl: 5,
-            ring_round_gap: SimDuration::from_secs(2),
-        }
-    }
-}
-
-impl GossipConfig {
-    /// Sets the partial-view bound.
-    pub fn with_view_size(mut self, view_size: usize) -> Self {
-        self.view_size = view_size;
-        // Keep the Cyclon invariant shuffle_len <= view_size without
-        // forcing callers to set both knobs.
-        self.shuffle_len = self.shuffle_len.min(view_size.max(1));
-        self
-    }
-
-    /// Sets the number of walkers per lookup.
-    pub fn with_walkers(mut self, walkers: usize) -> Self {
-        self.walkers = walkers;
-        self
-    }
-
-    /// Sets the walk/ring TTL.
-    pub fn with_ttl(mut self, ttl: u32) -> Self {
-        self.ttl = ttl;
-        self
-    }
-
-    /// Sets the lookup strategy.
-    pub fn with_strategy(mut self, strategy: LookupStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Panics unless the configuration is internally consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero view, zero/oversized shuffle length, zero
-    /// walkers/TTLs, or a non-positive period.
-    pub fn assert_valid(&self) {
-        assert!(
-            self.strategy.is_cyclon(),
-            "the cyclon engine supports k-walk and ring lookups; \
-             use EpidemicConfig for {:?}",
-            self.strategy
-        );
-        assert!(self.view_size >= 1, "view_size must be at least 1");
-        assert!(
-            (1..=self.view_size).contains(&self.shuffle_len),
-            "shuffle_len must be in 1..=view_size"
-        );
-        assert!(self.gossip_period > SimDuration::ZERO, "gossip_period");
-        assert!(self.shuffle_timeout > SimDuration::ZERO, "shuffle_timeout");
-        assert!(self.suspicion_limit >= 1, "suspicion_limit");
-        assert!(self.walkers >= 1, "walkers");
-        assert!(self.ttl >= 1, "ttl");
-        assert!(self.replication_walkers >= 1, "replication_walkers");
-        assert!(self.replication_ttl >= 1, "replication_ttl");
-        assert!(self.ring_round_gap > SimDuration::ZERO, "ring_round_gap");
     }
 }
 
@@ -208,8 +87,9 @@ pub struct EpidemicConfig {
     pub foaf_fanout: usize,
     /// Pause between query retry rounds (covers one round trip).
     pub query_round_gap: SimDuration,
-    /// Which lookup strategy [`crate::EpidemicSim::issue_lookup`] uses
-    /// (must be [`LookupStrategy::Plumtree`] or [`LookupStrategy::Foaf`]).
+    /// Which lookup strategy [`crate::EpidemicSim::issue_lookup`] uses;
+    /// under the walk and ring strategies inserts are replication walks
+    /// instead of broadcasts.
     pub strategy: LookupStrategy,
 }
 
@@ -256,15 +136,9 @@ impl EpidemicConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero view bounds, oversized shuffle contributions,
-    /// zero TTLs/timeouts, or a Cyclon-only lookup strategy.
+    /// Panics on zero view bounds, oversized shuffle contributions, or
+    /// zero TTLs/timeouts.
     pub fn assert_valid(&self) {
-        assert!(
-            !self.strategy.is_cyclon(),
-            "the epidemic engine supports plumtree and foaf lookups; \
-             use GossipConfig for {:?}",
-            self.strategy
-        );
         assert!(self.active_size >= 1, "active_size must be at least 1");
         assert!(
             self.passive_size >= self.active_size,
@@ -299,16 +173,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_valid() {
-        GossipConfig::default().assert_valid();
-    }
-
-    #[test]
     fn epidemic_defaults_are_valid() {
-        EpidemicConfig::default().assert_valid();
-        EpidemicConfig::default()
-            .with_strategy(LookupStrategy::Foaf)
-            .assert_valid();
+        for strategy in [
+            LookupStrategy::Plumtree,
+            LookupStrategy::Foaf,
+            LookupStrategy::KRandomWalk,
+            LookupStrategy::ExpandingRing,
+        ] {
+            EpidemicConfig::default()
+                .with_strategy(strategy)
+                .assert_valid();
+        }
     }
 
     #[test]
@@ -320,22 +195,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cyclon engine supports")]
-    fn cyclon_config_rejects_tree_strategies() {
-        GossipConfig::default()
-            .with_strategy(LookupStrategy::Plumtree)
-            .assert_valid();
-    }
-
-    #[test]
-    #[should_panic(expected = "epidemic engine supports")]
-    fn epidemic_config_rejects_cyclon_strategies() {
-        EpidemicConfig::default()
-            .with_strategy(LookupStrategy::ExpandingRing)
-            .assert_valid();
-    }
-
-    #[test]
     fn with_views_keeps_shuffle_contributions_legal() {
         let c = EpidemicConfig::default().with_views(2, 4);
         c.assert_valid();
@@ -344,20 +203,11 @@ mod tests {
     }
 
     #[test]
-    fn with_view_size_keeps_shuffle_len_legal() {
-        let c = GossipConfig::default().with_view_size(2);
-        c.assert_valid();
-        assert_eq!(c.view_size, 2);
-        assert!(c.shuffle_len <= 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "view_size")]
+    #[should_panic(expected = "active_size")]
     fn zero_view_is_rejected() {
-        let c = GossipConfig {
-            view_size: 0,
-            shuffle_len: 0,
-            ..GossipConfig::default()
+        let c = EpidemicConfig {
+            active_size: 0,
+            ..EpidemicConfig::default()
         };
         c.assert_valid();
     }
@@ -368,7 +218,5 @@ mod tests {
         assert_eq!(LookupStrategy::ExpandingRing.label(), "ring");
         assert_eq!(LookupStrategy::Plumtree.label(), "plumtree");
         assert_eq!(LookupStrategy::Foaf.label(), "foaf");
-        assert!(LookupStrategy::KRandomWalk.is_cyclon());
-        assert!(!LookupStrategy::Foaf.is_cyclon());
     }
 }

@@ -1,9 +1,5 @@
-//! The two-layer epidemic engine: HyParView membership under Plumtree
-//! dissemination.
-//!
-//! This is the successor to the flat Cyclon engine ([`crate::GossipSim`])
-//! for workloads where expanding-ring flooding is too expensive and
-//! k-random-walks too fragile:
+//! The epidemic engine: HyParView membership under Plumtree
+//! dissemination, and four lookup strategies over the one active graph.
 //!
 //! * **Membership (HyParView)** — each node keeps a small *symmetric
 //!   active* view carrying all protocol traffic and a larger *passive*
@@ -22,8 +18,13 @@
 //!   every node, a lookup is a shallow TTL-bounded query of the active
 //!   view ([`LookupStrategy::Plumtree`], forwarded along tree links) or
 //!   a FOAF-style bounded-fanout walk ([`LookupStrategy::Foaf`]),
-//!   retried in rounds until the deadline. Either way the cost is a few
-//!   messages per lookup instead of an expanding-ring flood.
+//!   retried in rounds until the deadline.
+//! * **Unstructured search** — [`LookupStrategy::KRandomWalk`] and
+//!   [`LookupStrategy::ExpandingRing`] instead insert by a few random
+//!   walks that store the pointer where they pass, and look up by
+//!   `WALKERS` random walks or by floods of doubling TTL (Ferretti's
+//!   family of searches over gossip views). Their dials are the
+//!   constants below.
 //!
 //! All randomness flows through the kernel RNG and messages ride the
 //! pooled payload plane, so fixed seeds reproduce exactly and the
@@ -33,9 +34,9 @@ use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdMap, IdSet};
 use mpil_overlay::NodeIdx;
 use mpil_sim::{Counters, Event, NetStats, PayloadBuf, Protocol, Sim, SimTime};
+use rand::Rng;
 
 use crate::config::{EpidemicConfig, LookupStrategy};
-use crate::engine::GossipStats;
 use crate::membership::Membership;
 use crate::ticker::{restore_tick_order, GossipTicker};
 use crate::view::PartialView;
@@ -48,6 +49,25 @@ type Peers = PayloadBuf<NodeIdx, { mpil_sim::PAYLOAD_INLINE }>;
 /// GRAFT retransmission requests per missing announcement before the
 /// node gives up on lazy repair (lookup retries still cover it).
 const GRAFT_ATTEMPTS: u32 = 3;
+
+/// Random walks a [`LookupStrategy::KRandomWalk`] lookup launches, once.
+const WALKERS: usize = 8;
+
+/// Hop budget of each lookup walker.
+const WALK_TTL: u32 = 16;
+
+/// TTL at which an [`LookupStrategy::ExpandingRing`] lookup stops
+/// widening: its rounds flood at TTL 1, 2, 4, 8.
+const RING_TTL_CAP: u32 = 8;
+
+/// Random walks per insert under the walk and ring strategies, each
+/// storing the pointer at every node it visits. A Plumtree broadcast
+/// would put the pointer on nearly every node, and a search for a
+/// pointer every neighbor holds answers at hop 1 and measures nothing.
+const REPLICATION_WALKS: usize = 3;
+
+/// Hop budget of each insert walk.
+const REPLICATION_TTL: u32 = 5;
 
 /// What HyParView/Plumtree nodes send each other (public only as
 /// [`Protocol::Msg`]).
@@ -79,17 +99,16 @@ pub enum Msg {
     Graft { object: Id },
     /// Demote the sending link to lazy (duplicate received).
     Prune,
-    /// One Plumtree lookup step, forwarded along tree links.
-    TreeQuery {
-        lookup: u64,
+    /// An insert walk under the walk and ring strategies: store,
+    /// decrement, forward anywhere but back or to the inserting node.
+    StoreWalk {
         origin: NodeIdx,
         object: Id,
         ttl: u32,
-        hops: u32,
-        round: u32,
     },
-    /// One FOAF bounded-fanout walk step.
-    FoafQuery {
+    /// One lookup step; where it goes next is the configured
+    /// [`LookupStrategy`]'s choice.
+    Query {
         lookup: u64,
         origin: NodeIdx,
         object: Id,
@@ -107,7 +126,7 @@ pub enum Msg {
 #[derive(Debug, Clone, Copy)]
 pub enum Timer {
     /// Periodic per-node shuffle + reactive active-view fill, on the
-    /// shared [`GossipTicker`].
+    /// [`GossipTicker`].
     Gossip { epoch: u32 },
     /// The shuffle reply for `token` did not arrive in time.
     ShuffleTimeout { token: u64 },
@@ -116,15 +135,12 @@ pub enum Timer {
     /// Deadline for the eager copy of an announced object; on expiry
     /// the node GRAFTs from the announcer.
     GraftRetry { object: Id },
-    /// Time to retry the query wave for `lookup`.
+    /// Time for `lookup`'s next round: a retry or a wider ring (k-walk
+    /// lookups keep no rounds).
     QueryRound { lookup: u64 },
 }
 
 type Cx<'a> = mpil_sim::Cx<'a, Epidemic>;
-
-fn gossip_timer(epoch: u32) -> Timer {
-    Timer::Gossip { epoch }
-}
 
 /// An initiator's outstanding shuffle (one in flight per node: the
 /// exchange timeout is shorter than the gossip period).
@@ -146,18 +162,45 @@ struct QueryState {
     origin: NodeIdx,
     object: Id,
     round: u32,
+    /// TTL of the current round's first hops (doubles per ring round).
+    ttl: u32,
     /// Nodes that already forwarded the current round (per-round
     /// duplicate suppression).
     forwarded: FxHashSet<NodeIdx>,
 }
 
+/// Counters split by traffic class (comparable to the DHT baselines and
+/// MPIL through the harness's unified `Counters`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GossipStats {
+    /// Query transmissions sent by lookups.
+    pub lookup_messages: u64,
+    /// Announcements (eager pushes + IHAVE digests) or insert-walk
+    /// steps.
+    pub insert_messages: u64,
+    /// Direct pointer-holder replies.
+    pub reply_messages: u64,
+    /// The membership and tree-repair control plane: join, neighbor,
+    /// shuffle, graft, prune, disconnect.
+    pub maintenance_messages: u64,
+    /// Active peers evicted after repeated exchange timeouts.
+    pub failure_declarations: u64,
+}
+
+impl GossipStats {
+    /// Everything the overlay sent (each class counts exactly one
+    /// kernel send, so this equals the kernel's send counter).
+    pub fn total_messages(&self) -> u64 {
+        self.lookup_messages
+            + self.insert_messages
+            + self.reply_messages
+            + self.maintenance_messages
+    }
+}
+
 /// The HyParView + Plumtree protocol: every node's membership, tree
 /// links and pointer store, and the handlers that drive them. Runs
-/// inside an [`EpidemicSim`]. Counters reuse [`GossipStats`]:
-/// announcements (eager pushes + IHAVE digests) are insert traffic,
-/// queries are lookup traffic, and the membership and tree-repair
-/// control plane (join, neighbor, shuffle, graft, prune, disconnect)
-/// is maintenance.
+/// inside an [`EpidemicSim`].
 pub struct Epidemic {
     config: EpidemicConfig,
     members: Vec<Membership>,
@@ -171,9 +214,11 @@ pub struct Epidemic {
     /// Reusable draw buffers (steady-state paths must not allocate).
     sample_scratch: Vec<NodeIdx>,
     sample_scratch2: Vec<NodeIdx>,
-    /// Consecutive failed exchanges per (node, active peer), with the
-    /// same non-empty bitmap fast path as the Cyclon engine.
+    /// Consecutive failed exchanges per (node, active peer).
     suspicion: Vec<FxHashMap<NodeIdx, u32>>,
+    /// One bit per node: is `suspicion[node]` non-empty? The wipe on
+    /// every shuffle delivery then skips the map for the common
+    /// "nothing to wipe" case.
     suspicion_nonempty: Vec<u64>,
     pending_shuffles: Vec<Option<PendingShuffle>>,
     pending_neighbors: Vec<Option<PendingNeighbor>>,
@@ -214,6 +259,26 @@ impl Epidemic {
         self.members.iter().map(|m| m.active.peers()).collect()
     }
 
+    /// Checks every node's [`Membership::assert_invariants`] and that its
+    /// tree links are a legal subset of its active view (property tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any violation.
+    pub fn assert_invariants(&self) {
+        for (m, eager) in self.members.iter().zip(&self.eager) {
+            m.assert_invariants();
+            eager.assert_invariants();
+            for peer in eager.iter() {
+                assert!(
+                    m.active.contains(peer),
+                    "{} eager-pushes to {peer} outside its active view",
+                    m.owner()
+                );
+            }
+        }
+    }
+
     // --- membership -----------------------------------------------------------
 
     /// Opens the `node -> peer` half of an active link: removes `peer`
@@ -240,8 +305,8 @@ impl Epidemic {
                 self.integrate_into_passive(cx, node, victim);
             }
         }
-        self.members[u].active.insert_fresh(peer);
-        self.eager[u].insert_fresh(peer);
+        self.members[u].active.insert(peer);
+        self.eager[u].insert(peer);
         self.suspicion[u].remove(&peer);
         self.sync_suspicion_bit(node);
         true
@@ -282,7 +347,7 @@ impl Epidemic {
                 self.members[u].passive.remove(victim);
             }
         }
-        self.members[u].passive.insert_fresh(peer);
+        self.members[u].passive.insert(peer);
     }
 
     /// Starts a NEIGHBOR promotion of a random passive candidate if the
@@ -368,7 +433,7 @@ impl Epidemic {
                 self.initiate_shuffle(cx, node, target);
             }
         }
-        self.ticker.arm_next(cx, node, gossip_timer);
+        self.ticker.arm_next(cx, node);
     }
 
     fn on_join(&mut self, cx: &mut Cx<'_>, joiner: NodeIdx, to: NodeIdx) {
@@ -380,7 +445,6 @@ impl Epidemic {
             self.members[to.index()]
                 .active
                 .iter()
-                .map(|e| e.peer)
                 .filter(|&p| p != joiner),
         );
         for &peer in &walk_targets {
@@ -636,7 +700,7 @@ impl Epidemic {
         let u = node.index();
         let mut targets = std::mem::take(&mut self.sample_scratch);
         targets.clear();
-        targets.extend(self.eager[u].iter().map(|e| e.peer));
+        targets.extend(self.eager[u].iter());
         for &peer in &targets {
             if Some(peer) == exclude {
                 continue;
@@ -649,7 +713,6 @@ impl Epidemic {
             self.members[u]
                 .active
                 .iter()
-                .map(|e| e.peer)
                 .filter(|&p| !self.eager[u].contains(p)),
         );
         for &peer in &targets {
@@ -666,7 +729,7 @@ impl Epidemic {
     fn promote_eager(&mut self, node: NodeIdx, peer: NodeIdx) {
         let u = node.index();
         if self.members[u].active.contains(peer) && !self.eager[u].contains(peer) {
-            self.eager[u].insert_fresh(peer);
+            self.eager[u].insert(peer);
         }
     }
 
@@ -742,69 +805,92 @@ impl Epidemic {
         self.demote_eager(to, from);
     }
 
+    // --- replication walks ----------------------------------------------------
+
+    /// One step of an insert walk: store the pointer, then forward to a
+    /// random active peer other than the one the walk came from and the
+    /// walk's origin (which never stores: replicas are remote). A node
+    /// with no such peer ends the walk early.
+    fn on_store_walk(
+        &mut self,
+        cx: &mut Cx<'_>,
+        from: NodeIdx,
+        to: NodeIdx,
+        origin: NodeIdx,
+        object: Id,
+        ttl: u32,
+    ) {
+        let u = to.index();
+        self.stores[u].insert(object);
+        if ttl <= 1 {
+            return;
+        }
+        let mut onward = std::mem::take(&mut self.sample_scratch);
+        onward.clear();
+        onward.extend(
+            self.members[u]
+                .active
+                .iter()
+                .filter(|&p| p != from && p != origin),
+        );
+        if !onward.is_empty() {
+            let next = onward[cx.rng().gen_range(0..onward.len())];
+            self.stats.insert_messages += 1;
+            cx.send(
+                to,
+                next,
+                Msg::StoreWalk {
+                    origin,
+                    object,
+                    ttl: ttl - 1,
+                },
+            );
+        }
+        self.sample_scratch = onward;
+    }
+
     // --- lookup ---------------------------------------------------------------
 
-    /// Launches one query wave for `lookup` at its current round.
-    fn launch_query_round(&mut self, cx: &mut Cx<'_>, lookup: u64) {
-        let Some(q) = self.queries.get_mut(&lookup) else {
-            return;
-        };
-        q.forwarded.clear();
-        let origin = q.origin;
-        let object = q.object;
-        let round = q.round;
-        let u = origin.index();
+    /// Sends one query wave for `lookup` out of `origin`: Plumtree and
+    /// ring rounds query the whole active view, FOAF rounds and the
+    /// walkers a random draw from it.
+    fn launch_wave(
+        &mut self,
+        cx: &mut Cx<'_>,
+        lookup: u64,
+        origin: NodeIdx,
+        object: Id,
+        round: u32,
+        ttl: u32,
+    ) {
+        let active = &self.members[origin.index()].active;
         let mut targets = std::mem::take(&mut self.sample_scratch);
         match self.config.strategy {
-            LookupStrategy::Plumtree => {
-                // Query the whole active view: holders answer directly,
-                // non-holders forward along their tree links.
+            LookupStrategy::Plumtree | LookupStrategy::ExpandingRing => {
                 targets.clear();
-                targets.extend(self.members[u].active.iter().map(|e| e.peer));
-                for &peer in &targets {
-                    self.stats.lookup_messages += 1;
-                    cx.send(
-                        origin,
-                        peer,
-                        Msg::TreeQuery {
-                            lookup,
-                            origin,
-                            object,
-                            ttl: self.config.query_ttl,
-                            hops: 1,
-                            round,
-                        },
-                    );
-                }
+                targets.extend(active.iter());
             }
             LookupStrategy::Foaf => {
-                self.members[u].active.sample_into(
-                    self.config.foaf_fanout,
-                    None,
-                    cx.rng(),
-                    &mut targets,
-                );
-                for &peer in &targets {
-                    self.stats.lookup_messages += 1;
-                    cx.send(
-                        origin,
-                        peer,
-                        Msg::FoafQuery {
-                            lookup,
-                            origin,
-                            object,
-                            ttl: self.config.foaf_ttl,
-                            hops: 1,
-                            round,
-                        },
-                    );
-                }
+                active.sample_into(self.config.foaf_fanout, None, cx.rng(), &mut targets)
             }
-            LookupStrategy::KRandomWalk | LookupStrategy::ExpandingRing => {
-                // EpidemicConfig::assert_valid (checked in new) rejects
-                // the Cyclon strategies for this engine.
-                unreachable!("cyclon strategies run on GossipSim")
+            LookupStrategy::KRandomWalk => {
+                active.sample_into(WALKERS, None, cx.rng(), &mut targets)
             }
+        }
+        for &peer in &targets {
+            self.stats.lookup_messages += 1;
+            cx.send(
+                origin,
+                peer,
+                Msg::Query {
+                    lookup,
+                    origin,
+                    object,
+                    ttl,
+                    hops: 1,
+                    round,
+                },
+            );
         }
         self.sample_scratch = targets;
     }
@@ -813,13 +899,19 @@ impl Epidemic {
         let Some(q) = self.queries.get_mut(&lookup) else {
             return;
         };
-        if !cx.lookup_is_open(lookup) {
+        let ring = self.config.strategy == LookupStrategy::ExpandingRing;
+        // A ring stops widening at its cap.
+        if (ring && q.ttl >= RING_TTL_CAP) || !cx.lookup_is_open(lookup) {
             self.queries.remove(&lookup);
             return;
         }
+        if ring {
+            q.ttl = (q.ttl * 2).min(RING_TTL_CAP);
+        }
         q.round += 1;
-        let origin = q.origin;
-        self.launch_query_round(cx, lookup);
+        q.forwarded.clear();
+        let (origin, object, round, ttl) = (q.origin, q.object, q.round, q.ttl);
+        self.launch_wave(cx, lookup, origin, object, round, ttl);
         cx.schedule(
             origin,
             self.config.query_round_gap,
@@ -827,8 +919,14 @@ impl Epidemic {
         );
     }
 
+    /// One query hop: a holder answers the origin directly, anyone else
+    /// forwards while TTL remains. A walker steps to one random peer
+    /// other than the one it came from and keeps no state; the other
+    /// strategies forward once per node per round, Plumtree along tree
+    /// links (the active view if every link was pruned lazy), FOAF to a
+    /// random few, the ring to the whole active view.
     #[expect(clippy::too_many_arguments, reason = "a handler: the message's fields")]
-    fn on_tree_query(
+    fn on_query(
         &mut self,
         cx: &mut Cx<'_>,
         from: NodeIdx,
@@ -848,86 +946,43 @@ impl Epidemic {
         if ttl <= 1 {
             return;
         }
-        let Some(q) = self.queries.get_mut(&lookup) else {
-            return; // the query was torn down (reply arrived or gave up)
-        };
-        if q.round != round || !q.forwarded.insert(to) {
-            return; // stale round, or this node already forwarded it
+        let strategy = self.config.strategy;
+        if strategy != LookupStrategy::KRandomWalk
+            && !self
+                .queries
+                .get_mut(&lookup)
+                .is_some_and(|q| q.round == round && q.forwarded.insert(to))
+        {
+            return; // torn down, a stale round, or already forwarded here
         }
         let u = to.index();
+        let active = &self.members[u].active;
         let mut targets = std::mem::take(&mut self.sample_scratch);
-        targets.clear();
-        // Forward along tree links; fall back to the active view if
-        // every link was pruned lazy.
-        if self.eager[u].is_empty() {
-            targets.extend(self.members[u].active.iter().map(|e| e.peer));
-        } else {
-            targets.extend(self.eager[u].iter().map(|e| e.peer));
+        match strategy {
+            LookupStrategy::KRandomWalk => {
+                active.sample_into(1, Some(from), cx.rng(), &mut targets)
+            }
+            LookupStrategy::Foaf => {
+                active.sample_into(self.config.foaf_fanout, Some(from), cx.rng(), &mut targets);
+                targets.retain(|&p| p != origin);
+            }
+            LookupStrategy::Plumtree | LookupStrategy::ExpandingRing => {
+                let tree = &self.eager[u];
+                let links = if strategy == LookupStrategy::Plumtree && !tree.is_empty() {
+                    tree
+                } else {
+                    active
+                };
+                targets.clear();
+                targets.extend(links.iter().filter(|&p| p != from && p != origin));
+            }
         }
         for &peer in &targets {
-            if peer == from || peer == origin {
-                continue;
-            }
             self.stats.lookup_messages += 1;
             cx.send(
                 to,
                 peer,
-                Msg::TreeQuery {
-                    lookup,
-                    origin,
-                    object,
-                    ttl: ttl - 1,
-                    hops: hops + 1,
-                    round,
-                },
-            );
-        }
-        self.sample_scratch = targets;
-    }
-
-    #[expect(clippy::too_many_arguments, reason = "a handler: the message's fields")]
-    fn on_foaf_query(
-        &mut self,
-        cx: &mut Cx<'_>,
-        from: NodeIdx,
-        to: NodeIdx,
-        lookup: u64,
-        origin: NodeIdx,
-        object: Id,
-        ttl: u32,
-        hops: u32,
-        round: u32,
-    ) {
-        if self.stores[to.index()].contains(&object) {
-            self.stats.reply_messages += 1;
-            cx.send(to, origin, Msg::Reply { lookup, hops });
-            return;
-        }
-        if ttl <= 1 {
-            return;
-        }
-        let Some(q) = self.queries.get_mut(&lookup) else {
-            return;
-        };
-        if q.round != round || !q.forwarded.insert(to) {
-            return;
-        }
-        self.members[to.index()].active.sample_into(
-            self.config.foaf_fanout,
-            Some(from),
-            cx.rng(),
-            &mut self.sample_scratch,
-        );
-        let targets = std::mem::take(&mut self.sample_scratch);
-        for &peer in &targets {
-            if peer == origin {
-                continue;
-            }
-            self.stats.lookup_messages += 1;
-            cx.send(
-                to,
-                peer,
-                Msg::FoafQuery {
+                Msg::Query {
                     lookup,
                     origin,
                     object,
@@ -964,14 +1019,14 @@ impl Protocol for Epidemic {
         for (i, m) in members.iter().enumerate() {
             m.assert_invariants();
             assert_eq!(m.owner(), NodeIdx::new(i as u32), "membership {i} owner");
-            for e in m.active.iter().chain(m.passive.iter()) {
-                assert!(e.peer.index() < n, "membership {i} names out-of-range peer");
+            for peer in m.active.iter().chain(m.passive.iter()) {
+                assert!(peer.index() < n, "membership {i} names out-of-range peer");
             }
             // Every active link starts eager; the first broadcast
             // prunes the graph into a tree.
             let mut ev = PartialView::new(m.owner(), config.active_size.max(1));
-            for e in m.active.iter() {
-                ev.insert_fresh(e.peer);
+            for peer in m.active.iter() {
+                ev.insert(peer);
             }
             eager.push(ev);
         }
@@ -997,8 +1052,9 @@ impl Protocol for Epidemic {
 
     fn name(&self) -> &'static str {
         match self.config.strategy {
+            LookupStrategy::Plumtree => "Plumtree",
             LookupStrategy::Foaf => "FOAF",
-            _ => "Plumtree",
+            LookupStrategy::KRandomWalk | LookupStrategy::ExpandingRing => "Gossip",
         }
     }
 
@@ -1028,22 +1084,19 @@ impl Protocol for Epidemic {
                 Msg::IHave { object } => self.on_ihave(cx, from, to, object),
                 Msg::Graft { object } => self.on_graft(cx, from, to, object),
                 Msg::Prune => self.on_prune(from, to),
-                Msg::TreeQuery {
+                Msg::StoreWalk {
+                    origin,
+                    object,
+                    ttl,
+                } => self.on_store_walk(cx, from, to, origin, object, ttl),
+                Msg::Query {
                     lookup,
                     origin,
                     object,
                     ttl,
                     hops,
                     round,
-                } => self.on_tree_query(cx, from, to, lookup, origin, object, ttl, hops, round),
-                Msg::FoafQuery {
-                    lookup,
-                    origin,
-                    object,
-                    ttl,
-                    hops,
-                    round,
-                } => self.on_foaf_query(cx, from, to, lookup, origin, object, ttl, hops, round),
+                } => self.on_query(cx, from, to, lookup, origin, object, ttl, hops, round),
                 Msg::Reply { lookup, hops } => self.complete_lookup(cx, lookup, hops),
             },
             Event::Timer { node, timer } => match timer {
@@ -1058,10 +1111,39 @@ impl Protocol for Epidemic {
 
     /// Starts an insertion of `object` from `origin`: the announcement
     /// is broadcast down the Plumtree and every node that delivers it
-    /// stores the pointer. The origin itself stores nothing (the
-    /// paper's engines count remote replicas only).
+    /// stores the pointer, or, under the walk and ring strategies,
+    /// `REPLICATION_WALKS` walks store it where they pass. The origin
+    /// itself stores nothing (the paper's engines count remote replicas
+    /// only).
     fn insert(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, object: Id) {
-        self.push_announcement(cx, origin, None, object, 1);
+        match self.config.strategy {
+            LookupStrategy::Plumtree | LookupStrategy::Foaf => {
+                self.push_announcement(cx, origin, None, object, 1)
+            }
+            LookupStrategy::KRandomWalk | LookupStrategy::ExpandingRing => {
+                let mut first_hops = std::mem::take(&mut self.sample_scratch);
+                self.members[origin.index()].active.sample_into(
+                    REPLICATION_WALKS,
+                    None,
+                    cx.rng(),
+                    &mut first_hops,
+                );
+                for &next in &first_hops {
+                    self.stats.insert_messages += 1;
+                    let ttl = REPLICATION_TTL;
+                    cx.send(
+                        origin,
+                        next,
+                        Msg::StoreWalk {
+                            origin,
+                            object,
+                            ttl,
+                        },
+                    );
+                }
+                self.sample_scratch = first_hops;
+            }
+        }
     }
 
     /// Issues a lookup of `object` from `origin` with the given
@@ -1074,16 +1156,28 @@ impl Protocol for Epidemic {
             self.complete_lookup(cx, lookup, 0);
             return lookup;
         }
+        let ttl = match self.config.strategy {
+            LookupStrategy::Plumtree => self.config.query_ttl,
+            LookupStrategy::Foaf => self.config.foaf_ttl,
+            LookupStrategy::KRandomWalk => WALK_TTL,
+            LookupStrategy::ExpandingRing => 1,
+        };
+        if self.config.strategy == LookupStrategy::KRandomWalk {
+            // Walkers keep no state: launched once, each steps on alone.
+            self.launch_wave(cx, lookup, origin, object, 0, ttl);
+            return lookup;
+        }
         self.queries.insert(
             lookup,
             QueryState {
                 origin,
                 object,
                 round: 0,
+                ttl,
                 forwarded: FxHashSet::default(),
             },
         );
-        self.launch_query_round(cx, lookup);
+        self.launch_wave(cx, lookup, origin, object, 0, ttl);
         cx.schedule(
             origin,
             self.config.query_round_gap,
@@ -1120,16 +1214,16 @@ impl Protocol for Epidemic {
     /// Starts the periodic shuffle/repair timers, staggered uniformly
     /// over one gossip period.
     fn start_maintenance(&mut self, cx: &mut Cx<'_>) -> bool {
-        self.ticker.start(cx, gossip_timer);
+        self.ticker.start(cx);
         true
     }
 
     fn availability_changed(&mut self, cx: &mut Cx<'_>) {
-        self.ticker.rearm(cx, gossip_timer);
+        self.ticker.rearm(cx);
     }
 
     fn order_tick(batch: &mut [Event<Msg, Timer>]) {
-        restore_tick_order(batch, |timer| matches!(timer, Timer::Gossip { .. }));
+        restore_tick_order(batch);
     }
 
     fn holds(&self, node: NodeIdx, object: Id) -> bool {
@@ -1325,10 +1419,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(120));
         assert!(sim.stats().maintenance_messages > 0);
         assert_eq!(sim.stats().failure_declarations, 0);
-        for i in 0..sim.len() {
-            sim.membership(NodeIdx::new(i as u32)).assert_invariants();
-            sim.eager[i].assert_invariants();
-        }
+        sim.assert_invariants();
     }
 
     #[test]
@@ -1357,9 +1448,47 @@ mod tests {
             !sim.membership(NodeIdx::new(0)).active.is_empty(),
             "reactive replacement left node 0 isolated"
         );
-        for i in 0..sim.len() {
-            sim.membership(NodeIdx::new(i as u32)).assert_invariants();
-        }
+        sim.assert_invariants();
+    }
+
+    #[test]
+    fn suspicion_resets_when_a_peer_leaves_the_view() {
+        // suspicion_limit counts *consecutive* misses while the peer
+        // stays in the active view: a strike must not survive the peer
+        // leaving it (else a re-admitted peer dies after one miss).
+        let mut sim = build(30, EpidemicConfig::default(), 15);
+        let u = NodeIdx::new(0);
+        let peer = sim.members[0].active.peers()[0];
+        let absent = (1..30u32)
+            .map(NodeIdx::new)
+            .find(|&p| !sim.members[0].active.contains(p))
+            .expect("an active view of 5 leaves someone out");
+        // A strike against an active peer is dropped with the link...
+        sim.with(|epidemic, _| {
+            epidemic.suspicion[0].insert(peer, 1);
+            epidemic.sync_suspicion_bit(u);
+            epidemic.drop_active(u, peer, false);
+        });
+        assert!(sim.suspicion[0].is_empty(), "strike survived the link");
+        assert!(!sim.has_suspicion(u));
+        // ...and a shuffle timeout for a departed target strikes nobody.
+        sim.with(|epidemic, cx| {
+            epidemic.pending_shuffles[0] = Some(PendingShuffle {
+                token: 999,
+                target: absent,
+            });
+            epidemic.on_shuffle_timeout(cx, u, 999);
+        });
+        assert!(sim.suspicion[0].is_empty(), "departed peer was struck");
+        assert_eq!(sim.stats().failure_declarations, 0);
+    }
+
+    #[test]
+    fn message_plane_footprint_is_pinned() {
+        // The wheel copies queued events on every cascade: a variant that
+        // outgrows the pooled inline payload would grow them all.
+        assert_eq!(std::mem::size_of::<Msg>(), 48);
+        assert_eq!(std::mem::size_of::<Timer>(), 24);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! disconnected active peer is replaced by promoting a passive-view
 //! candidate through a NEIGHBOR handshake. The passive view is a cheap
 //! reservoir of alive-ish peers refreshed by periodic shuffles. Both
-//! views reuse [`PartialView`] and inherit its invariants (no self, no
+//! views are [`PartialView`]s and inherit its invariants (no self, no
 //! duplicates, bounded).
 
 use mpil_overlay::NodeIdx;
@@ -50,12 +50,12 @@ impl Membership {
     pub fn assert_invariants(&self) {
         self.active.assert_invariants();
         self.passive.assert_invariants();
-        for e in self.active.iter() {
+        for peer in self.active.iter() {
             assert!(
-                !self.passive.contains(e.peer),
+                !self.passive.contains(peer),
                 "{} lists {} in both views",
                 self.owner(),
-                e.peer
+                peer
             );
         }
     }
@@ -89,8 +89,8 @@ pub fn build_converged_membership<R: Rng + ?Sized>(
             if i == j {
                 continue;
             }
-            members[i].active.insert_fresh(NodeIdx::new(j as u32));
-            members[j].active.insert_fresh(NodeIdx::new(i as u32));
+            members[i].active.insert(NodeIdx::new(j as u32));
+            members[j].active.insert(NodeIdx::new(i as u32));
         }
         // Random symmetric fill: both endpoints must have room, so no
         // eviction ever runs and symmetry is preserved by construction.
@@ -105,8 +105,8 @@ pub fn build_converged_membership<R: Rng + ?Sized>(
                 {
                     continue;
                 }
-                members[i].active.insert_fresh(NodeIdx::new(j as u32));
-                members[j].active.insert_fresh(NodeIdx::new(i as u32));
+                members[i].active.insert(NodeIdx::new(j as u32));
+                members[j].active.insert(NodeIdx::new(i as u32));
             }
         }
     }
@@ -119,7 +119,7 @@ pub fn build_converged_membership<R: Rng + ?Sized>(
             let peer = NodeIdx::new(rng.gen_range(0..n as u32));
             if peer.index() != i && !member.active.contains(peer) && !member.passive.contains(peer)
             {
-                member.passive.insert_fresh(peer);
+                member.passive.insert(peer);
             }
         }
     }
@@ -141,13 +141,12 @@ mod tests {
             m.assert_invariants();
             assert!(m.active.len() >= 2, "ring base guarantees degree 2");
             assert!(m.active.len() <= 5);
-            for e in m.active.iter() {
+            for peer in m.active.iter() {
                 assert!(
-                    members[e.peer.index()]
+                    members[peer.index()]
                         .active
                         .contains(NodeIdx::new(i as u32)),
-                    "active link {i} -> {} is not symmetric",
-                    e.peer
+                    "active link {i} -> {peer} is not symmetric"
                 );
             }
         }

@@ -1,4 +1,4 @@
-//! The per-node gossip timer both engines run their rounds on.
+//! The per-node gossip timer the epidemic engine runs its rounds on.
 //!
 //! Every node fires once per gossip period on its own grid (staggered
 //! uniformly over one period). Offline fires are protocol no-ops and
@@ -12,8 +12,12 @@
 //! ([`restore_tick_order`]).
 
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Cx, Event, Protocol, SimDuration, SimTime};
+use mpil_sim::{Event, SimDuration, SimTime};
 use rand::Rng;
+
+use crate::epidemic::{Epidemic, Msg, Timer};
+
+type Cx<'a> = mpil_sim::Cx<'a, Epidemic>;
 
 /// Cap on how many offline grid points one [`GossipTicker::arm`] pass
 /// may pre-skip. It bounds the arming scan when a node stays offline
@@ -22,9 +26,7 @@ use rand::Rng;
 /// resumes skipping.
 const MAX_GOSSIP_SKIP: u32 = 1024;
 
-/// The gossip timer chains of all nodes of one engine. `timer` in every
-/// method builds the engine's gossip timer from the epoch it is armed
-/// under.
+/// The gossip timer chains of all nodes.
 #[derive(Debug)]
 pub(crate) struct GossipTicker {
     period: SimDuration,
@@ -47,12 +49,12 @@ impl GossipTicker {
     }
 
     /// Starts every node's chain, staggered uniformly over one period.
-    pub(crate) fn start<P: Protocol>(&mut self, cx: &mut Cx<'_, P>, timer: fn(u32) -> P::Timer) {
+    pub(crate) fn start(&mut self, cx: &mut Cx<'_>) {
         let period = self.period.as_micros();
         for i in 0..self.next_grid.len() as u32 {
             let delay = SimDuration::from_micros(cx.rng().gen_range(0..period));
             let start = cx.now() + delay;
-            self.arm(cx, NodeIdx::new(i), start, timer);
+            self.arm(cx, NodeIdx::new(i), start);
         }
     }
 
@@ -63,25 +65,14 @@ impl GossipTicker {
 
     /// Arms `node`'s next fire one period from now (the tail of every
     /// live fire).
-    pub(crate) fn arm_next<P: Protocol>(
-        &mut self,
-        cx: &mut Cx<'_, P>,
-        node: NodeIdx,
-        timer: fn(u32) -> P::Timer,
-    ) {
+    pub(crate) fn arm_next(&mut self, cx: &mut Cx<'_>, node: NodeIdx) {
         let start = cx.now() + self.period;
-        self.arm(cx, node, start, timer);
+        self.arm(cx, node, start);
     }
 
     /// Arms `node`'s next fire at the first gossip grid point at or
     /// after `start` where the node is online.
-    fn arm<P: Protocol>(
-        &mut self,
-        cx: &mut Cx<'_, P>,
-        node: NodeIdx,
-        start: SimTime,
-        timer: fn(u32) -> P::Timer,
-    ) {
+    fn arm(&mut self, cx: &mut Cx<'_>, node: NodeIdx, start: SimTime) {
         self.next_grid[node.index()] = start;
         let mut at = start;
         let mut skipped = 0;
@@ -90,7 +81,7 @@ impl GossipTicker {
             skipped += 1;
         }
         let delay = SimDuration::from_micros(at.as_micros() - cx.now().as_micros());
-        cx.schedule(node, delay, timer(self.epoch));
+        cx.schedule(node, delay, Timer::Gossip { epoch: self.epoch });
     }
 
     /// The availability model was swapped. Grid points in the past were
@@ -98,7 +89,7 @@ impl GossipTicker {
     /// have seen; from now on the *new* model decides, so every
     /// in-flight chain is superseded (epoch bump) and each node re-armed
     /// from its next unfired grid point.
-    pub(crate) fn rearm<P: Protocol>(&mut self, cx: &mut Cx<'_, P>, timer: fn(u32) -> P::Timer) {
+    pub(crate) fn rearm(&mut self, cx: &mut Cx<'_>) {
         self.epoch += 1;
         let now = cx.now();
         for i in 0..self.next_grid.len() {
@@ -108,7 +99,7 @@ impl GossipTicker {
                 // was live then); the chain continues on its grid.
                 t += self.period;
             }
-            self.arm(cx, NodeIdx::new(i as u32), t, timer);
+            self.arm(cx, NodeIdx::new(i as u32), t);
         }
     }
 }
@@ -125,11 +116,13 @@ impl GossipTicker {
 /// at their last *real* fire instead, which can permute colliding
 /// fires; this in-place, allocation-free insertion sort (stable, and
 /// O(len) on the already-ordered common case) puts the tick back into
-/// the baseline order. `is_gossip` tells the engine's gossip timer from
-/// its others.
-pub(crate) fn restore_tick_order<M, T>(batch: &mut [Event<M, T>], is_gossip: fn(&T) -> bool) {
-    let key = |ev: &Event<M, T>| match ev {
-        Event::Timer { node, timer } if is_gossip(timer) => (false, node.index()),
+/// the baseline order.
+pub(crate) fn restore_tick_order(batch: &mut [Event<Msg, Timer>]) {
+    let key = |ev: &Event<Msg, Timer>| match ev {
+        Event::Timer {
+            node,
+            timer: Timer::Gossip { .. },
+        } => (false, node.index()),
         _ => (true, 0),
     };
     for i in 1..batch.len() {

@@ -1,29 +1,33 @@
-//! Property-based tests for the gossip membership layer, plus the
-//! fixed-seed determinism contract for both lookup strategies.
+//! Property-based tests for the HyParView membership layer, plus the
+//! fixed-seed determinism contract for the two unstructured searches.
 //!
-//! The load-bearing invariant: **partial views never contain their
-//! owner or a duplicate, and never exceed their bound** — across
-//! arbitrary churn schedules (random flapping parameters, random
+//! The load-bearing invariants: **views never contain their owner or a
+//! duplicate, never exceed their bound, active and passive views stay
+//! disjoint, and Plumtree's tree links stay inside the active view** —
+//! across arbitrary churn schedules (random flapping parameters, random
 //! joins, random perturbation length). View corruption is exactly the
 //! failure mode epidemic membership layers are prone to (a node
-//! gossiping itself back into its own view via a swap), so the suite
-//! hammers the shuffle/suspicion/join paths together.
+//! gossiping itself back into its own view through a shuffle), so the
+//! suite hammers the shuffle/suspicion/neighbor/join paths together.
 
-use mpil_gossip::{build_converged_views, GossipConfig, GossipSim, LookupStrategy};
+use mpil_gossip::{
+    build_converged_membership, EpidemicConfig, EpidemicSim, GossipStats, LookupStrategy,
+};
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 use mpil_sim::{
-    AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LookupOutcome, SimDuration, SimTime,
+    AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LookupOutcome, NetStats, SimDuration,
+    SimTime,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn build(n: usize, config: GossipConfig, seed: u64) -> GossipSim {
+fn build(n: usize, config: EpidemicConfig, seed: u64) -> EpidemicSim {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let views = build_converged_views(n, config.view_size, &mut rng);
-    GossipSim::new(
-        views,
+    let members = build_converged_membership(n, config.active_size, config.passive_size, &mut rng);
+    EpidemicSim::new(
+        members,
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),
@@ -34,21 +38,21 @@ fn build(n: usize, config: GossipConfig, seed: u64) -> GossipSim {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Views stay self-free, duplicate-free, and bounded under an
-    /// arbitrary churn schedule: random flapping (idle/offline lengths,
-    /// probability, coin seed) with gossip maintenance running, plus a
-    /// few mid-churn re-joins.
+    /// Views stay legal on every node under an arbitrary churn
+    /// schedule: random flapping (idle/offline lengths, probability,
+    /// coin seed) with maintenance running, plus a few mid-churn
+    /// re-joins.
     #[test]
     fn views_stay_legal_across_arbitrary_churn_schedules(
         n in 20usize..70,
-        view in 3usize..10,
+        active in 3usize..10,
         idle_s in 5u64..40,
         offline_s in 5u64..40,
         p in 0.0f64..1.0,
         periods in 1u64..8,
         seed in any::<u64>(),
     ) {
-        let config = GossipConfig::default().with_view_size(view);
+        let config = EpidemicConfig::default().with_views(active, 4 * active);
         let mut sim = build(n, config, seed);
         sim.start_maintenance();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xf1a9);
@@ -68,28 +72,29 @@ proptest! {
         }
         sim.run_until(sim.now() + period);
 
+        sim.assert_invariants();
         for i in 0..n as u32 {
-            let v = sim.view(NodeIdx::new(i));
-            v.assert_invariants();
-            prop_assert!(v.len() <= view, "node {i} view over capacity");
-            prop_assert!(!v.contains(NodeIdx::new(i)), "node {i} views itself");
+            let m = sim.membership(NodeIdx::new(i));
+            prop_assert!(m.active.len() <= active, "node {i} active view over capacity");
+            prop_assert!(!m.active.contains(NodeIdx::new(i)), "node {i} views itself");
         }
     }
 
-    /// The frozen neighbor lists (the `OverlaySource::Gossip` feed) are
-    /// self-free and duplicate-free straight from the builder.
+    /// The frozen active views (the `OverlaySource::HyParView` feed) are
+    /// legal and non-empty straight from the builder.
     #[test]
     fn converged_views_are_legal_for_any_size(
         n in 1usize..120,
-        view in 1usize..12,
+        active in 1usize..12,
         seed in any::<u64>(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let views = build_converged_views(n, view, &mut rng);
-        prop_assert_eq!(views.len(), n);
-        for (i, v) in views.iter().enumerate() {
-            v.assert_invariants();
-            prop_assert_eq!(v.len(), view.min(n - 1), "node {} view size", i);
+        let members = build_converged_membership(n, active, 4 * active, &mut rng);
+        prop_assert_eq!(members.len(), n);
+        for (i, m) in members.iter().enumerate() {
+            m.assert_invariants();
+            prop_assert!(m.active.len() <= active.min(n - 1), "node {} view size", i);
+            prop_assert!(n < 2 || !m.active.is_empty(), "node {} is isolated", i);
         }
     }
 }
@@ -99,12 +104,8 @@ proptest! {
 fn perturbed_run(
     strategy: LookupStrategy,
     seed: u64,
-) -> (
-    Vec<LookupOutcome>,
-    mpil_gossip::GossipStats,
-    mpil_sim::NetStats,
-) {
-    let config = GossipConfig::default().with_strategy(strategy).with_ttl(8);
+) -> (Vec<LookupOutcome>, GossipStats, NetStats) {
+    let config = EpidemicConfig::default().with_strategy(strategy);
     let mut sim = build(60, config, seed);
     let mut rng = SmallRng::seed_from_u64(seed ^ 1);
     let objects: Vec<Id> = (0..10).map(|_| Id::random(&mut rng)).collect();
@@ -154,7 +155,7 @@ fn both_lookup_strategies_are_fixed_seed_deterministic() {
 
 #[test]
 fn clock_is_exact_at_period_boundaries() {
-    let mut sim = build(30, GossipConfig::default(), 5);
+    let mut sim = build(30, EpidemicConfig::default(), 5);
     sim.start_maintenance();
     sim.run_until(SimTime::from_secs(61));
     assert_eq!(sim.now(), SimTime::from_secs(61));

@@ -182,10 +182,247 @@ impl<P: Protocol> DiscoveryEngine for Sim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineSpec;
+    use mpil_gossip::{build_converged_membership, Epidemic, EpidemicConfig};
+    use mpil_sim::{AlwaysOn, ConstantLatency, Flapping, FlappingConfig};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     #[test]
     fn lookup_handles_are_plain_values() {
         assert_eq!(LookupHandle(7), LookupHandle(7));
         assert_ne!(LookupHandle(7), LookupHandle(8));
+    }
+
+    // The `gossip` system — HyParView searched by random walks or by
+    // expanding rings — at the two spec points every driver runs it at.
+    // `mpil_gossip`'s own tests cover the Plumtree and FOAF lookups on
+    // the same engine. The engine stays a concrete `Sim<Epidemic>` so a
+    // test can also read its views.
+
+    const GOSSIP: [EngineSpec; 2] = [EngineSpec::GOSSIP_WALK, EngineSpec::GOSSIP_RING];
+
+    /// Builds a `gossip` spec point converged, as `Scenario::build` does.
+    fn gossip(spec: EngineSpec, nodes: usize, seed: u64) -> Sim<Epidemic> {
+        let EngineSpec::Epidemic {
+            active,
+            passive,
+            strategy,
+        } = spec
+        else {
+            panic!("{spec} is not an epidemic point");
+        };
+        let config = EpidemicConfig::default()
+            .with_views(active, passive)
+            .with_strategy(strategy);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let members = build_converged_membership(nodes, active, passive, &mut rng);
+        Sim::new(
+            members,
+            config,
+            Box::new(AlwaysOn),
+            Box::new(ConstantLatency(SimDuration::from_millis(20))),
+            seed,
+        )
+    }
+
+    /// Inserts `count` random objects from node 0 and lets the insert
+    /// walks settle.
+    fn insert_objects(sim: &mut Sim<Epidemic>, count: usize, seed: u64) -> Vec<Id> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let objects: Vec<Id> = (0..count).map(|_| Id::random(&mut rng)).collect();
+        for &object in &objects {
+            sim.insert(NodeIdx::new(0), object);
+        }
+        sim.run_to_quiescence();
+        objects
+    }
+
+    /// Looks every object up from `origin` on the quiet network; returns
+    /// how many succeeded.
+    fn quiet_lookups(sim: &mut Sim<Epidemic>, origin: NodeIdx, objects: &[Id]) -> usize {
+        let deadline = sim.now() + SimDuration::from_secs(600);
+        let handles: Vec<u64> = objects
+            .iter()
+            .map(|&object| sim.issue_lookup(origin, object, deadline))
+            .collect();
+        sim.run_to_quiescence();
+        handles
+            .iter()
+            .filter(|&&h| sim.lookup_outcome(h).is_success())
+            .count()
+    }
+
+    #[test]
+    fn insert_deposits_remote_replicas() {
+        let mut sim = gossip(EngineSpec::GOSSIP_WALK, 100, 1);
+        for object in insert_objects(&mut sim, 5, 9) {
+            let holders = sim.replica_holders(object);
+            assert!(
+                holders.len() >= 3,
+                "three insert walks deposit at least one replica each, got {}",
+                holders.len()
+            );
+            assert!(
+                !holders.contains(&NodeIdx::new(0)),
+                "origin stores remotely"
+            );
+        }
+        assert!(sim.stats().insert_messages > 0);
+        assert_eq!(sim.stats().lookup_messages, 0);
+    }
+
+    #[test]
+    fn quiet_network_walk_lookups_succeed() {
+        let mut sim = gossip(EngineSpec::GOSSIP_WALK, 100, 2);
+        let objects = insert_objects(&mut sim, 20, 10);
+        let ok = quiet_lookups(&mut sim, NodeIdx::new(50), &objects);
+        assert!(ok >= 18, "only {ok}/20 walk lookups succeeded");
+        assert!(sim.stats().lookup_messages > 0);
+        assert!(sim.stats().reply_messages > 0);
+    }
+
+    #[test]
+    fn quiet_network_ring_lookups_succeed() {
+        let mut sim = gossip(EngineSpec::GOSSIP_RING, 100, 3);
+        let objects = insert_objects(&mut sim, 10, 11);
+        let ok = quiet_lookups(&mut sim, NodeIdx::new(50), &objects);
+        assert_eq!(ok, 10, "ring lookups failed on a quiet network");
+    }
+
+    #[test]
+    fn ring_rounds_stop_spending_after_a_hit() {
+        let mut sim = gossip(EngineSpec::GOSSIP_RING, 60, 4);
+        let object = Id::from_low_u64(0xfeed);
+        sim.insert(NodeIdx::new(0), object);
+        sim.run_to_quiescence();
+        let ok = quiet_lookups(&mut sim, NodeIdx::new(30), &[object]);
+        assert_eq!(ok, 1);
+        // A full TTL-8 flood over 60 nodes of active degree 8 would send
+        // far more than this; the early rounds finding the object must
+        // keep the spend bounded.
+        assert!(
+            sim.stats().lookup_messages < 60 * 8 * 4,
+            "ring kept flooding after the reply: {} msgs",
+            sim.stats().lookup_messages
+        );
+    }
+
+    #[test]
+    fn absent_object_fails_without_wedging() {
+        for spec in GOSSIP {
+            let mut sim = gossip(spec, 50, 5);
+            let h = sim.issue_lookup(
+                NodeIdx::new(1),
+                Id::from_low_u64(0xdead),
+                sim.now() + SimDuration::from_secs(60),
+            );
+            sim.run_to_quiescence();
+            assert!(!sim.lookup_outcome(h).is_success(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn maintenance_shuffles_run_and_views_stay_legal() {
+        for spec in GOSSIP {
+            let mut sim = gossip(spec, 60, 7);
+            sim.start_maintenance();
+            sim.run_until(SimTime::from_secs(120));
+            assert!(sim.stats().maintenance_messages > 0, "{spec}");
+            // Static network: nobody should have been declared dead.
+            assert_eq!(sim.stats().failure_declarations, 0, "{spec}");
+            sim.assert_invariants();
+        }
+    }
+
+    #[test]
+    fn suspicion_evicts_churned_peers() {
+        let mut sim = gossip(EngineSpec::GOSSIP_WALK, 40, 8);
+        sim.start_maintenance();
+        // Everyone but node 0 goes offline essentially forever.
+        let mut rng = SmallRng::seed_from_u64(99);
+        let cfg = FlappingConfig {
+            idle: SimDuration::from_micros(1),
+            offline: SimDuration::from_secs(1_000_000),
+            probability: 1.0,
+            start: SimTime::ZERO,
+        };
+        let mut flap = Flapping::new(cfg, 40, 77, &mut rng);
+        flap.exempt(NodeIdx::new(0));
+        sim.set_availability(Box::new(flap));
+        sim.run_until(SimTime::from_secs(300));
+        assert!(
+            sim.stats().failure_declarations > 0,
+            "dead peers must age out of views"
+        );
+        sim.membership(NodeIdx::new(0)).assert_invariants();
+    }
+
+    #[test]
+    fn join_rebuilds_a_view_through_the_bootstrap() {
+        let mut sim = gossip(EngineSpec::GOSSIP_WALK, 30, 12);
+        let (joiner, bootstrap) = (NodeIdx::new(5), NodeIdx::new(0));
+        assert!(sim.join(joiner, bootstrap));
+        assert_eq!(sim.membership(joiner).active.peers(), vec![bootstrap]);
+        assert!(sim.membership(joiner).passive.is_empty());
+        sim.run_to_quiescence();
+        // The join walks seated the joiner beyond its bootstrap link.
+        let m = sim.membership(joiner);
+        assert!(m.active.len() + m.passive.len() > 1);
+        m.assert_invariants();
+        // Self-join is a no-op.
+        let before = sim.membership(joiner).active.peers();
+        sim.join(joiner, joiner);
+        assert_eq!(sim.membership(joiner).active.peers(), before);
+    }
+
+    #[test]
+    fn stats_classes_sum_to_kernel_sends() {
+        for spec in GOSSIP {
+            let mut sim = gossip(spec, 80, 13);
+            insert_objects(&mut sim, 5, 14);
+            let h = sim.issue_lookup(
+                NodeIdx::new(9),
+                Id::from_low_u64(1),
+                sim.now() + SimDuration::from_secs(60),
+            );
+            sim.start_maintenance();
+            sim.run_until(sim.now() + SimDuration::from_secs(90));
+            let _ = sim.lookup_outcome(h);
+            let counters = DiscoveryEngine::counters(&sim);
+            assert_eq!(counters.class_sum(), sim.net_stats().sent, "{spec}");
+            assert_eq!(counters.total_messages, sim.net_stats().sent, "{spec}");
+        }
+    }
+
+    #[test]
+    fn fixed_seed_runs_reproduce_exactly() {
+        let run = |spec: EngineSpec, seed: u64| {
+            let mut sim = gossip(spec, 70, seed);
+            let objects = insert_objects(&mut sim, 8, seed ^ 1);
+            sim.start_maintenance();
+            let mut flap_rng = SmallRng::seed_from_u64(seed ^ 2);
+            let mut flap = Flapping::new(
+                FlappingConfig::idle_offline_secs(30, 30, 0.6).starting_at(sim.now()),
+                70,
+                seed ^ 3,
+                &mut flap_rng,
+            );
+            flap.exempt(NodeIdx::new(0));
+            sim.set_availability(Box::new(flap));
+            let mut handles = Vec::new();
+            for &object in &objects {
+                sim.run_until(sim.now() + SimDuration::from_secs(60));
+                let deadline = sim.now() + SimDuration::from_secs(60);
+                handles.push(sim.issue_lookup(NodeIdx::new(0), object, deadline));
+            }
+            sim.run_until(sim.now() + SimDuration::from_secs(90));
+            let outcomes: Vec<LookupOutcome> =
+                handles.iter().map(|&h| sim.lookup_outcome(h)).collect();
+            (outcomes, sim.stats(), sim.net_stats())
+        };
+        for spec in GOSSIP {
+            assert_eq!(run(spec, 21), run(spec, 21), "{spec}");
+        }
     }
 }

@@ -7,8 +7,7 @@
 //! [`mpil_sim::Protocol`], so MPIL's [`mpil::DynamicNetwork`],
 //! [`mpil_chord::ChordSim`], [`mpil_kademlia::KademliaSim`],
 //! [`mpil_pastry::PastrySim`] and the epidemic
-//! [`mpil_gossip::GossipSim`] / [`mpil_gossip::EpidemicSim`] all have
-//! it by being `Sim<P>`. [`Scenario`] is the one experiment descriptor
+//! [`mpil_gossip::EpidemicSim`] all have it by being `Sim<P>`. [`Scenario`] is the one experiment descriptor
 //! every figure driver speaks: which engine, how many nodes, which
 //! perturbation schedule, which workload.
 //!

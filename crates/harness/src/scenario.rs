@@ -12,7 +12,7 @@ use std::fmt;
 
 use mpil::{DynamicConfig, Mpil, MpilConfig};
 use mpil_chord::{Chord, ChordConfig};
-use mpil_gossip::{Epidemic, EpidemicConfig, Gossip, GossipConfig, LookupStrategy};
+use mpil_gossip::{Epidemic, EpidemicConfig, LookupStrategy};
 use mpil_id::Id;
 use mpil_kademlia::{Kademlia, KademliaConfig};
 use mpil_overlay::transit_stub::{self, TransitStubConfig};
@@ -41,12 +41,6 @@ pub enum OverlaySource {
     RandomRegular(usize),
     /// Inet-style power-law graph.
     PowerLaw,
-    /// Converged gossip partial views (each node's bounded view frozen
-    /// as its neighbor list), with the given view size.
-    Gossip {
-        /// Partial-view bound (the overlay's out-degree).
-        view: usize,
-    },
     /// Converged HyParView active views (each node's symmetric active
     /// view frozen as its neighbor list), with the given active bound.
     HyParView {
@@ -64,7 +58,6 @@ impl OverlaySource {
             OverlaySource::Kademlia => "Kademlia overlay".into(),
             OverlaySource::RandomRegular(d) => format!("random d={d}"),
             OverlaySource::PowerLaw => "power-law".into(),
-            OverlaySource::Gossip { view } => format!("gossip view={view}"),
             OverlaySource::HyParView { active } => format!("hyparview active={active}"),
         }
     }
@@ -115,12 +108,6 @@ impl OverlaySource {
                 let topo =
                     generators::power_law(nodes, Default::default(), &mut rng).expect("generator");
                 mpil::frozen(&topo)
-            }
-            OverlaySource::Gossip { view } => {
-                let ids = mpil_chord::random_ids(nodes, &mut rng);
-                let views = mpil_gossip::build_converged_views(nodes, *view, &mut rng);
-                let nbrs = views.iter().map(|v| v.peers()).collect();
-                (ids, nbrs)
             }
             OverlaySource::HyParView { active } => {
                 let ids = mpil_chord::random_ids(nodes, &mut rng);
@@ -241,28 +228,15 @@ pub enum EngineSpec {
     /// any overlay family, constant latency (the overlay-independence
     /// extensions).
     MpilOver(OverlaySource),
-    /// The epidemic/unstructured engine: gossip-maintained partial
-    /// views with either k-random-walk or expanding-ring lookups,
-    /// constant latency.
-    Gossip {
-        /// Partial-view bound (membership out-degree).
-        view: usize,
-        /// Random walks per lookup (ignored by the ring strategy).
-        walkers: usize,
-        /// Walk hop budget / ring TTL cap.
-        ttl: u32,
-        /// How lookups spread.
-        strategy: LookupStrategy,
-    },
-    /// The two-layer epidemic engine: HyParView membership under
-    /// Plumtree dissemination, with tree-query or FOAF-walk lookups,
+    /// The epidemic engine: HyParView membership with Plumtree
+    /// tree-query, FOAF-walk, k-random-walk or expanding-ring lookups,
     /// constant latency.
     Epidemic {
         /// Active-view bound (symmetric protocol links).
         active: usize,
         /// Passive-view bound (reactive-replacement reservoir).
         passive: usize,
-        /// How lookups spread (`Plumtree` or `Foaf`).
+        /// How lookups spread.
         strategy: LookupStrategy,
     },
 }
@@ -299,20 +273,19 @@ impl EngineSpec {
     };
     /// Stock Kademlia (`k = 8, α = 3`).
     pub const KADEMLIA: EngineSpec = EngineSpec::Kademlia { k: 8, alpha: 3 };
-    /// Gossip partial views of 8 with k-random-walk lookups (8 walkers,
-    /// ttl 16).
-    pub const GOSSIP_WALK: EngineSpec = EngineSpec::Gossip {
-        view: 8,
-        walkers: 8,
-        ttl: 16,
+    /// HyParView membership (active 8, passive 24) searched by k random
+    /// walks over pointers that insert walks left (8 walkers, ttl 16).
+    pub const GOSSIP_WALK: EngineSpec = EngineSpec::Epidemic {
+        active: 8,
+        passive: 24,
         strategy: LookupStrategy::KRandomWalk,
     };
-    /// The same views flooded by expanding rings (ttl 8): what the
-    /// figure drivers and `mpilctl` compare the epidemic engines with.
-    pub const GOSSIP_RING: EngineSpec = EngineSpec::Gossip {
-        view: 8,
-        walkers: 8,
-        ttl: 8,
+    /// The same membership and inserts searched by expanding rings (ttl
+    /// 1, 2, 4, 8): the flood the figure drivers and `mpilctl` compare
+    /// the Plumtree and FOAF lookups with.
+    pub const GOSSIP_RING: EngineSpec = EngineSpec::Epidemic {
+        active: 8,
+        passive: 24,
         strategy: LookupStrategy::ExpandingRing,
     };
     /// The four systems Figure 11 compares, in the paper's legend order.
@@ -341,33 +314,18 @@ impl EngineSpec {
                 duplicate_suppression: false,
             } => "MPIL without DS".into(),
             EngineSpec::MpilOver(src) => format!("MPIL over {}", src.label()),
-            EngineSpec::Gossip {
-                view,
-                walkers,
-                ttl,
-                strategy: LookupStrategy::KRandomWalk,
-            } => format!("Gossip k-walk view={view} k={walkers} ttl={ttl}"),
-            EngineSpec::Gossip {
-                view,
-                ttl,
-                strategy: LookupStrategy::ExpandingRing,
-                ..
-            } => format!("Gossip ring view={view} ttl={ttl}"),
-            EngineSpec::Gossip { strategy, .. } => {
-                unreachable!("GossipConfig rejects {strategy:?}")
-            }
             EngineSpec::Epidemic {
                 active,
                 passive,
-                strategy: LookupStrategy::Plumtree,
-            } => format!("Plumtree active={active} passive={passive}"),
-            EngineSpec::Epidemic {
-                active,
-                passive,
-                strategy: LookupStrategy::Foaf,
-            } => format!("FOAF active={active} passive={passive}"),
-            EngineSpec::Epidemic { strategy, .. } => {
-                unreachable!("EpidemicConfig rejects {strategy:?}")
+                strategy,
+            } => {
+                let search = match strategy {
+                    LookupStrategy::Plumtree => "Plumtree",
+                    LookupStrategy::Foaf => "FOAF",
+                    LookupStrategy::KRandomWalk => "Gossip k-walk",
+                    LookupStrategy::ExpandingRing => "Gossip ring",
+                };
+                format!("{search} active={active} passive={passive}")
             }
         }
     }
@@ -470,20 +428,6 @@ impl Scenario {
                 rng = SmallRng::seed_from_u64(run.seed ^ 0xdada);
                 let config = unmaintained_mpil(false);
                 (quiet::<Mpil>(frozen, config, lan(), run.seed), false, 0)
-            }
-            EngineSpec::Gossip {
-                view,
-                walkers,
-                ttl,
-                strategy,
-            } => {
-                let config = GossipConfig::default()
-                    .with_view_size(view)
-                    .with_walkers(walkers)
-                    .with_ttl(ttl)
-                    .with_strategy(strategy);
-                let views = mpil_gossip::build_converged_views(run.nodes, view, &mut rng);
-                (quiet::<Gossip>(views, config, lan(), run.seed), true, 0)
             }
             EngineSpec::Epidemic {
                 active,
@@ -704,12 +648,11 @@ mod tests {
         );
         assert_eq!(
             EngineSpec::GOSSIP_WALK.label(),
-            "Gossip k-walk view=8 k=8 ttl=16"
+            "Gossip k-walk active=8 passive=24"
         );
-        assert_eq!(EngineSpec::GOSSIP_RING.label(), "Gossip ring view=8 ttl=8");
         assert_eq!(
-            EngineSpec::MpilOver(OverlaySource::Gossip { view: 8 }).label(),
-            "MPIL over gossip view=8"
+            EngineSpec::GOSSIP_RING.label(),
+            "Gossip ring active=8 passive=24"
         );
         assert_eq!(EngineSpec::PLUMTREE.label(), "Plumtree active=5 passive=24");
         assert_eq!(EngineSpec::FOAF.label(), "FOAF active=5 passive=24");
@@ -739,7 +682,6 @@ mod tests {
             EngineSpec::Kademlia { k: 4, alpha: 2 },
             EngineSpec::MPIL_NO_DS,
             EngineSpec::MpilOver(OverlaySource::RandomRegular(8)),
-            EngineSpec::MpilOver(OverlaySource::Gossip { view: 8 }),
             EngineSpec::GOSSIP_WALK,
             EngineSpec::GOSSIP_RING,
             EngineSpec::PLUMTREE,

@@ -9,7 +9,7 @@
 //! plus the RSS fragmentation that comes with them.
 //!
 //! [`PayloadBuf`] fixes the common case structurally: payloads up to `N`
-//! entries (sized to the `view = 8` regime, see [`PAYLOAD_INLINE`]) live
+//! entries (sized to the default HyParView shuffle, see [`PAYLOAD_INLINE`]) live
 //! inline in the message itself, so building, cloning, and dropping them
 //! never touches the heap. Oversized payloads spill to a boxed `Vec`
 //! drawn from a [`PayloadPool`] — a recycling free list owned by the
@@ -33,11 +33,12 @@
 //! list; neither consumes randomness nor observes wall-clock, so the
 //! event stream of a seeded run is unchanged by pooling.
 
-/// Inline capacity tuned to the default gossip configuration: a shuffle
-/// exchanges `shuffle_len + 1 ≤ 5` peers under the default `view = 8`,
-/// so every default-config payload fits inline with room to spare —
-/// while the buffer itself stays within one word of a `Vec` (see the
-/// module docs for why 7 beats 8 here).
+/// Inline capacity tuned to the epidemic engine's default shuffle: one
+/// exchange carries the initiator plus `shuffle_active +
+/// shuffle_passive` = 3 + 3 peers (`mpil_gossip::EpidemicConfig`), 7 in
+/// all, so every default-config payload fits inline — while the buffer
+/// itself stays within one word of a `Vec` (see the module docs for why
+/// 7 beats 8 here).
 pub const PAYLOAD_INLINE: usize = 7;
 
 /// Upper bound on spill vectors retained by a [`PayloadPool`]; beyond

@@ -72,20 +72,21 @@ scripts/verify.sh \
 scripts/oracles.sh \
     || { echo "ci: a seeded figure CSV moved (scripts/oracles.sh)" >&2; exit 1; }
 
-# Kernel scale tripwire: a 20k-node gossip run (the engine with the
-# heaviest event traffic, ~6.5M messages) must finish well inside the
-# budget. The timer-wheel kernel does this in under 15s; the old
-# binary-heap kernel grew superlinearly towards ~100s at 100k nodes,
-# so a 120s ceiling trips on any such regression while leaving slack
-# for slow CI machines. The budget is enforced in-process by the same
+# Kernel scale tripwire: a 20k-node gossip point (HyParView maintenance
+# under k-random-walk lookups: 8.5M sends and 16.1M kernel events, 50 %
+# of lookups answered at p = 0.5) must finish well inside the budget.
+# It reads 7-10 s on two shared vCPUs; the old binary-heap kernel
+# grew superlinearly towards ~100s at 100k nodes, so a 120s ceiling
+# trips on any such regression while leaving slack for slow CI
+# machines. The budget is enforced in-process by the same
 # WallClockBudget helper the 10k conformance smoke uses (--budget-s);
 # the outer `timeout` only remains as a hang backstop.
 #
 # --max-rss-mib is the memory-side tripwire (RssBudget): the pooled
-# message plane holds this point near 28 MiB peak; before the wheel
-# slots stopped hoarding drained capacity it sat above 130 MiB, so a
-# 100 MiB ceiling trips on a return of that pathology (or any new
-# kernel memory regression) with ~3.5x slack over today's footprint.
+# message plane holds this point at 30-31 MiB peak. Wheel slots that
+# hoarded drained capacity once held a 20k-node gossip point above
+# 130 MiB, so a 100 MiB ceiling trips on a return of that pathology
+# (or any new kernel memory regression) with ~3x slack.
 timeout 150 ./target/release/scale_run --engine gossip --nodes 20000 --seed 1 \
     --budget-s 120 --max-rss-mib 100 \
     || { echo "ci: 20k-node scale smoke exceeded a budget or failed" >&2; exit 1; }

@@ -5,7 +5,8 @@
 //! included — at a size a debug build finishes in seconds, and its
 //! `(sent, events, success_rate)` is held to the values the tree
 //! produced before the engines were ported onto the one `Sim<P>` shell
-//! (recorded from commit 806b8e4). A refactor of an engine, of the
+//! (recorded from commit 806b8e4; the `gossip` row since its k-walk
+//! search runs over HyParView views). A refactor of an engine, of the
 //! shell or of the kernel that changes an RNG draw, a send, or the
 //! order of two same-tick events moves at least one of these counts.
 //!
@@ -23,7 +24,7 @@ const SEED: u64 = 1;
 
 /// `(engine, sent, events, success_rate)` at the sizes above.
 const PINNED: [(&str, u64, u64, f64); 7] = [
-    ("gossip", 52_764, 105_053, 70.0),
+    ("gossip", 67_665, 127_550, 100.0),
     ("plumtree", 88_138, 130_237, 100.0),
     ("foaf", 88_170, 130_197, 100.0),
     ("chord", 71_521, 114_990, 80.0),
@@ -36,7 +37,7 @@ const PINNED: [(&str, u64, u64, f64); 7] = [
 fn every_scale_engine_repeats_its_pinned_counts() {
     let mut measured = Vec::new();
     for (name, ..) in PINNED {
-        let spec = scale_spec(name, "walk").expect("a scale_run engine");
+        let spec = scale_spec(name, None).expect("a scale_run engine");
         let point = run_point(spec, NODES, OPS, P, SEED);
         measured.push((name, point.sent, point.events, point.success_rate));
 

@@ -46,9 +46,9 @@ fn every_umbrella_reexport_is_reachable() {
             mpil_suite::mpil_pastry::PastryConfig::default().leaf_set_size >= 2,
         ),
         ("mpil_gossip", {
-            let config = mpil_suite::mpil_gossip::GossipConfig::default();
+            let config = mpil_suite::mpil_gossip::EpidemicConfig::default();
             config.assert_valid();
-            config.view_size >= 1
+            config.active_size >= 1
         }),
         ("mpil_net", mpil_suite::mpil_net::WIRE_VERSION >= 1),
         ("mpil_analysis", {
