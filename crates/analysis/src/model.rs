@@ -157,8 +157,11 @@ impl AnalysisModel {
     /// higher MPIL routing metric value"). The paper's Figure 7 formula
     /// uses the tie-free `B(k)^d` and therefore *undercounts* realized
     /// local maxima by 30–60% at these digit distributions; simulation
-    /// cross-checks must compare against this variant (EXPERIMENTS.md
-    /// discusses the gap).
+    /// cross-checks must compare against this variant. At N = 2000 in
+    /// base 4 the strict form expects 184.8, 75.8 and 30.0 local maxima
+    /// at degrees 8, 20 and 50, this one 266.8, 120.1 and 51.7
+    /// (`mpilctl analyze --what local-maxima`); a generated topology
+    /// measures the latter.
     pub fn local_max_probability_with_ties(&self, degree: usize) -> f64 {
         let d = degree as f64;
         let mut c = 0.0;

@@ -2,7 +2,6 @@
 //! `run(&Args) -> Result<String, CliError>`.
 
 pub mod analyze;
-pub mod live;
 pub mod load;
 pub mod overlay;
 pub mod perturb;

@@ -11,7 +11,6 @@
 //! mpilctl analyze  --what replicas --nodes 8000
 //! mpilctl simulate --family random --nodes 1000 --ops 100 [--max-flows 10] [--replicas 5]
 //! mpilctl perturb  --system mpil --nodes 300 --ops 50 --idle 30 --offline 30 --p 0.5 [--loss 0.1]
-//! mpilctl live     --nodes 32 --degree 6 --ops 5 [--udp]
 //! mpilctl serve    --port P --nodes 48 --spares 4 [--udp]
 //! mpilctl load     --embedded --objects 100 --lookups 500 [--rate R]
 //! ```
@@ -67,8 +66,6 @@ COMMANDS:
             --nodes N --ops K --idle S --offline S --p P [--loss L] [--seed S]
   sweep     one perturbation scenario across many seeds, in parallel
             (same flags as perturb) [--seeds K] [--workers W] [--json]
-  live      spawn a real shard-per-core cluster and run operations
-            --nodes N [--degree D] [--ops K] [--udp] [--seed S]
   serve     run the mpild daemon in the foreground (control on loopback UDP);
             the mpild binary's code and flags, `serve --help` lists them all
             [--port P] [--nodes N] [--degree D] [--spares S] [--seed K] [--udp]
@@ -99,7 +96,6 @@ pub fn dispatch<I: IntoIterator<Item = String>>(args: I) -> Result<String, CliEr
         "simulate" => commands::simulate::run(&rest),
         "perturb" => commands::perturb::run(&rest),
         "sweep" => commands::sweep::run(&rest),
-        "live" => commands::live::run(&rest),
         "serve" => commands::serve::run(&rest),
         "load" => commands::load::run(&rest),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),

@@ -61,7 +61,6 @@ fn every_command_refuses_a_flag_it_cannot_read() {
         "simulate",
         "perturb",
         "sweep",
-        "live",
         "serve",
         "load --embedded",
     ];

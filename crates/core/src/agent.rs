@@ -6,20 +6,20 @@
 //! sent to offline nodes are lost — MPIL never retransmits; its
 //! robustness comes entirely from redundant flows and replicas.
 //!
-//! [`Mpil`] is the protocol — per-node pointer stores, duplicate sets
-//! and heartbeat registries around the shared routing step
-//! ([`crate::step`]); [`DynamicNetwork`] is that protocol inside the
-//! one simulation shell, [`mpil_sim::Sim`].
+//! [`Mpil`] is the protocol — one [`Agent`] per node (replica store and
+//! duplicate memory around the shared routing step) and heartbeat
+//! registries; [`DynamicNetwork`] is that protocol inside the one
+//! simulation shell, [`mpil_sim::Sim`].
 
-use fxhash::FxHashSet;
-use mpil_id::{Id, IdMap};
+use mpil_id::Id;
 use mpil_overlay::{NodeIdx, Topology};
 use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimDuration, SimTime};
 
 use crate::config::MpilConfig;
 use crate::deletion::ReplicaRegistry;
 use crate::message::{Message, MessageId, MessageKind};
-use crate::step::{step, Verdict};
+use crate::node::Agent;
+use crate::step::Verdict;
 
 /// Configuration of a [`DynamicNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -83,8 +83,7 @@ pub struct Mpil {
     ids: Vec<Id>,
     neighbors: Vec<Vec<NodeIdx>>,
     config: DynamicConfig,
-    stores: Vec<IdMap<NodeIdx>>,
-    forwarded: Vec<FxHashSet<MessageId>>,
+    agents: Vec<Agent>,
     /// One sequence for inserts and lookups: a lookup's ledger id is
     /// its message id.
     next_msg_id: u64,
@@ -128,7 +127,7 @@ impl Mpil {
             self.stats.deletes_sent += 1;
             cx.send(owner, holder, Wire::Delete { object });
         }
-        self.stores[owner.index()].remove(&object);
+        self.agents[owner.index()].delete(object);
     }
 
     fn fresh_message(&mut self, kind: MessageKind, object: Id, origin: NodeIdx) -> Message {
@@ -148,7 +147,7 @@ impl Mpil {
         let Some(period) = self.config.heartbeat_period else {
             return;
         };
-        let Some(&owner) = self.stores[node.index()].get(&object) else {
+        let Some(owner) = self.agents[node.index()].replica(object) else {
             return; // replica deleted; stop the heartbeat chain
         };
         // A perturbed node cannot send; it resumes on its next timer.
@@ -166,19 +165,9 @@ impl Mpil {
         cx.schedule(node, period, Timer::Heartbeat { object });
     }
 
-    /// One message copy at `node`: this world's bookkeeping around the
-    /// shared [`step`].
+    /// One message copy at `node`: where this world sends what
+    /// [`Agent::receive`] decided.
     fn handle_forward(&mut self, cx: &mut Cx<'_>, node: NodeIdx, msg: Message) {
-        // Duplicate suppression ("DS"): drop anything this node has
-        // already processed, silently.
-        if !self.forwarded[node.index()].insert(msg.msg_id) {
-            self.stats.duplicates_seen += 1;
-            if self.config.mpil.duplicate_suppression {
-                self.stats.duplicates_suppressed += 1;
-                return;
-            }
-        }
-
         let Message {
             msg_id,
             kind,
@@ -187,31 +176,26 @@ impl Mpil {
             hops,
             ..
         } = msg;
-        let holds = self.stores[node.index()].contains_key(&object);
-        let verdict = step(
+        let receipt = self.agents[node.index()].receive(
             &self.config.mpil,
             node,
             &self.neighbors[node.index()],
             &self.ids,
-            holds,
             msg,
             cx.rng(),
         );
-        match verdict {
+        self.stats.duplicates_seen += u64::from(receipt.duplicate);
+        match receipt.verdict {
+            None => self.stats.duplicates_suppressed += 1,
             // A lookup stops at any replica holder, which replies
             // directly.
-            Verdict::Replied => {
+            Some(Verdict::Replied) => {
                 self.stats.replies_sent += 1;
                 cx.send(node, origin, Wire::Reply { msg_id, hops });
             }
-            Verdict::Routed {
-                deposited, copies, ..
-            } => {
-                if deposited {
-                    let newly = self.stores[node.index()].insert(object, origin).is_none();
-                    if let (true, Some(period)) = (newly, self.config.heartbeat_period) {
-                        cx.schedule(node, period, Timer::Heartbeat { object });
-                    }
+            Some(Verdict::Routed { copies, .. }) => {
+                if let (true, Some(period)) = (receipt.newly_stored, self.config.heartbeat_period) {
+                    cx.schedule(node, period, Timer::Heartbeat { object });
                 }
                 for (target, copy) in copies {
                     match kind {
@@ -247,8 +231,7 @@ impl Protocol for Mpil {
             }
         }
         Mpil {
-            stores: vec![IdMap::new(); n],
-            forwarded: vec![FxHashSet::default(); n],
+            agents: vec![Agent::default(); n],
             registries: vec![ReplicaRegistry::new(); n],
             ids,
             neighbors,
@@ -275,9 +258,7 @@ impl Protocol for Mpil {
                 Wire::Heartbeat { object, holder } => {
                     self.registries[to.index()].heartbeat(object, holder, cx.now());
                 }
-                Wire::Delete { object } => {
-                    self.stores[to.index()].remove(&object);
-                }
+                Wire::Delete { object } => self.agents[to.index()].delete(object),
             },
             Event::Timer { node, timer } => match timer {
                 Timer::Heartbeat { object } => self.handle_heartbeat_timer(cx, node, object),
@@ -300,7 +281,7 @@ impl Protocol for Mpil {
     }
 
     fn holds(&self, node: NodeIdx, object: Id) -> bool {
-        self.stores[node.index()].contains_key(&object)
+        self.agents[node.index()].replica(object).is_some()
     }
 
     fn counters(&self, net: &NetStats) -> Counters {

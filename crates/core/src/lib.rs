@@ -22,8 +22,10 @@
 //! is what buys overlay-independence.
 //!
 //! What one node does with one copy of a message — Figure 5 — is one
-//! function, [`step`], free of any world. Two execution engines in this
-//! crate (and the live shards of `mpil_net`) run it:
+//! function, [`step`], free of any world; one node's state around it
+//! (replica store, bounded duplicate memory) is one [`Agent`]. Two
+//! execution engines in this crate (and the live shards of `mpil_net`,
+//! which host [`Agent`]s too) run them:
 //!
 //! * [`StaticEngine`] — a message-level engine over a static
 //!   [`Topology`](mpil_overlay::Topology), equivalent to the paper's
@@ -62,6 +64,7 @@ pub mod config;
 pub mod deletion;
 pub mod flow;
 pub mod message;
+pub mod node;
 pub mod report;
 pub mod routing;
 pub mod static_engine;
@@ -72,6 +75,7 @@ pub use baselines::UnstructuredEngine;
 pub use config::{ConfigError, MpilConfig, RoutingMetric, SplitPolicy};
 pub use flow::{plan_forwarding, select_candidates, ForwardPlan};
 pub use message::{Message, MessageId, MessageKind};
+pub use node::{Agent, Receipt};
 pub use report::{InsertReport, LookupReport};
 pub use routing::{metric_value, routing_decision, routing_decision_policy, RoutingDecision};
 pub use static_engine::StaticEngine;

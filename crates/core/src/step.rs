@@ -4,11 +4,11 @@
 //! [`step`] decides what one node does with one non-duplicate copy of a
 //! message — a holder answers a lookup; otherwise the routing rule is
 //! evaluated, a local maximum deposits (or is passed), and the copy
-//! splits under the flow quota — and says so in a [`Verdict`]. The
-//! three routers ([`StaticEngine`](crate::StaticEngine), the simulated
-//! [`Mpil`](crate::Mpil) agents, `mpil_net`'s live shard) all call it
-//! and keep only what differs by world: where duplicates are
-//! remembered, what a hit and a deposit do, and where a copy goes.
+//! splits under the flow quota — and says so in a [`Verdict`]. Its two
+//! callers are [`Agent::receive`](crate::Agent::receive), the receive
+//! path of every simulated and live node, and
+//! [`StaticEngine`](crate::StaticEngine), which runs one operation at a
+//! time and meets duplicates in one set of nodes reached per operation.
 
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;

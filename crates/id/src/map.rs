@@ -83,6 +83,11 @@ impl<V> IdMap<V> {
         self.len == 0
     }
 
+    /// Entries the map holds without growing: 0 until the first insert.
+    pub fn capacity(&self) -> usize {
+        self.slots.len() * 3 / 4
+    }
+
     #[inline]
     fn mask(&self) -> usize {
         self.slots.len() - 1

@@ -120,7 +120,7 @@ pub struct DaemonConfig {
     /// Extra nodes spawned parked, joinable later via the `Join` admin
     /// op (the live analogue of not-yet-joined members).
     pub spares: usize,
-    /// Master seed: topology, node ids, per-node RNGs.
+    /// Master seed: topology, node ids, the shards' tie-breaking RNGs.
     pub seed: u64,
     /// Data-plane transport of the cluster mesh.
     pub transport: TransportKind,

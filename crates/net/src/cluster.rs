@@ -153,7 +153,8 @@ impl LiveClusterBuilder {
         self
     }
 
-    /// Seeds the nodes' tie-breaking RNGs.
+    /// Seeds the shards' tie-breaking RNGs, one per shard: a one-shard
+    /// cluster breaks ties as a [`mpil::StaticEngine`] of this seed does.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -474,23 +475,16 @@ impl LiveCluster {
             return Vec::new();
         };
         let mut holders = Vec::new();
-        let deadline = Instant::now() + wait;
-        while let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
-            if remaining.is_zero() {
-                break;
-            }
-            match self.poll_event(remaining) {
-                Ok(Some(ClientEvent::StoreAck {
-                    msg_id: got,
-                    holder,
-                    ..
-                })) => {
-                    if got == msg_id && !holders.contains(&holder) {
-                        holders.push(holder);
-                    }
+        for event in self.events_until(Instant::now() + wait) {
+            if let ClientEvent::StoreAck {
+                msg_id: got,
+                holder,
+                ..
+            } = event
+            {
+                if got == msg_id && !holders.contains(&holder) {
+                    holders.push(holder);
                 }
-                Ok(Some(_)) => continue,
-                Ok(None) | Err(_) => break,
             }
         }
         holders
@@ -505,31 +499,30 @@ impl LiveCluster {
     pub fn lookup(&mut self, origin: NodeIdx, object: Id, timeout: Duration) -> Option<LiveLookup> {
         let started = Instant::now();
         let msg_id = self.submit(MessageKind::Lookup, origin, object).ok()?;
-        let deadline = started + timeout;
-        while let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
-            if remaining.is_zero() {
-                break;
-            }
-            match self.poll_event(remaining) {
-                Ok(Some(ClientEvent::Reply {
+        self.events_until(started + timeout)
+            .find_map(|event| match event {
+                ClientEvent::Reply {
                     msg_id: got,
                     holder,
                     hops,
                     ..
-                })) => {
-                    if got == msg_id {
-                        return Some(LiveLookup {
-                            holder,
-                            hops,
-                            elapsed: started.elapsed(),
-                        });
-                    }
-                }
-                Ok(Some(_)) => continue,
-                Ok(None) | Err(_) => break,
-            }
-        }
-        None
+                } if got == msg_id => Some(LiveLookup {
+                    holder,
+                    hops,
+                    elapsed: started.elapsed(),
+                }),
+                _ => None,
+            })
+    }
+
+    /// The client-bound events that arrive before `deadline`, as they
+    /// arrive; the mesh going down ends them early.
+    fn events_until(&mut self, deadline: Instant) -> impl Iterator<Item = ClientEvent> + '_ {
+        std::iter::from_fn(move || {
+            let left = deadline.checked_duration_since(Instant::now());
+            let remaining = left.filter(|r| !r.is_zero())?;
+            self.poll_event(remaining).ok().flatten()
+        })
     }
 
     /// Makes `node` unresponsive for `duration` (the live analogue of
@@ -660,9 +653,10 @@ impl std::fmt::Debug for LiveCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpil::{SplitPolicy, StaticEngine};
     use mpil_overlay::generators;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn topo(n: usize, d: usize, seed: u64) -> Topology {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -743,6 +737,106 @@ mod tests {
                 let dropped: u64 = stats.iter().map(|s| s.dropped_at_drain).sum();
                 assert_eq!(dropped, 0, "{tag}: a quiet cluster drains clean");
             }
+        }
+    }
+
+    /// A one-shard cluster is the static engine: its one run queue,
+    /// served in FIFO order, is strict hop order, and shard 0 draws tie
+    /// subsets from the stream `StaticEngine` draws from. Topology, seed
+    /// and operations are `crates/core/tests/differential.rs`'s.
+    #[test]
+    fn one_shard_replays_the_static_engine() {
+        const SEED: u64 = 11;
+        let topo = topo(200, 10, SEED);
+        let mut node_rng = SmallRng::seed_from_u64(SEED ^ 0xd1ff);
+        let mut node = move || NodeIdx::new(node_rng.gen_range(0..200));
+        let mut id_rng = SmallRng::seed_from_u64(SEED ^ 0x1d);
+        let objects: Vec<Id> = (0..75).map(|_| Id::random(&mut id_rng)).collect();
+        // 50 inserts; lookups of half of them and of 25 nobody inserted.
+        let inserts = objects[..50]
+            .iter()
+            .map(|&o| (MessageKind::Insert, node(), o));
+        let mut ops: Vec<_> = inserts.collect();
+        let wanted = objects[..25].iter().chain(&objects[50..]);
+        ops.extend(wanted.map(|&o| (MessageKind::Lookup, node(), o)));
+        // `TopK` (differential.rs's config) never draws from the RNG;
+        // `MetricTies` cuts ties over quota with it.
+        let ties = SplitPolicy::MetricTies;
+        let runs = [
+            (SplitPolicy::TopK, true),
+            (SplitPolicy::TopK, false),
+            (ties, true),
+            (ties, false),
+        ];
+        for (policy, ds) in runs {
+            let tag = format!("{policy:?}, ds={ds}");
+            let config = MpilConfig::default()
+                .with_max_flows(4)
+                .with_num_replicas(3)
+                .with_split_policy(policy)
+                .with_duplicate_suppression(ds);
+            let mut fixed = StaticEngine::new(&topo, config, SEED);
+            let (mut holders, mut first_hops, mut forwards, mut duplicates) =
+                (vec![], vec![], 0, 0);
+            for &(kind, origin, object) in &ops {
+                let (messages, copies) = if kind == MessageKind::Insert {
+                    let report = fixed.insert(origin, object);
+                    holders.push(fixed.replica_holders(object));
+                    (report.messages, report.duplicates)
+                } else {
+                    let report = fixed.lookup(origin, object);
+                    first_hops.push(report.first_reply_hops);
+                    (report.messages, report.duplicates)
+                };
+                forwards += messages;
+                duplicates += copies;
+            }
+
+            // The same operations, pipelined into the one shard. It serves
+            // frames in order, so a lookup entering at a node that acked
+            // an insert, submitted after all of them, answers last: every
+            // event before its reply is in, misses included.
+            let mut cluster = LiveClusterBuilder::new()
+                .config(config)
+                .seed(SEED)
+                .spawn_on(1, &topo)
+                .expect("spawn");
+            for &(kind, origin, object) in &ops {
+                cluster.submit(kind, origin, object).expect("submit");
+            }
+            let (mut acks, mut replies) = (vec![Vec::new(); ops.len()], vec![None; ops.len()]);
+            let mut barrier = None;
+            loop {
+                let event = cluster.poll_event(Duration::from_secs(10));
+                match event.expect("mesh up").expect("the barrier answers") {
+                    ClientEvent::StoreAck { msg_id, holder, .. } => {
+                        let op = msg_id.0 as usize;
+                        acks[op].push(holder);
+                        if barrier.is_none() {
+                            let at = cluster.submit(MessageKind::Lookup, holder, ops[op].2);
+                            barrier = Some(at.expect("submit"));
+                        }
+                    }
+                    ClientEvent::Reply { msg_id, .. } if Some(msg_id) == barrier => break,
+                    ClientEvent::Reply { msg_id, hops, .. } => {
+                        replies[msg_id.0 as usize].get_or_insert(hops);
+                    }
+                }
+            }
+            let stats = cluster.shutdown();
+
+            for (acked, expected) in acks.iter_mut().zip(&holders) {
+                acked.sort();
+                acked.dedup();
+                assert_eq!(acked, expected, "{tag}: holders");
+            }
+            assert_eq!(replies[holders.len()..], first_hops, "{tag}: hops");
+            assert!(first_hops.contains(&None), "{tag}: some lookups miss");
+            let sum = |field: fn(&NodeStats) -> u64| stats.iter().map(field).sum::<u64>();
+            assert_eq!(sum(|s| s.forwards), forwards, "{tag}: forwards");
+            assert_eq!(sum(|s| s.duplicates_seen), duplicates, "{tag}: duplicates");
+            let suppressed = if ds { duplicates } else { 0 };
+            assert_eq!(sum(|s| s.duplicates_suppressed), suppressed, "{tag}");
         }
     }
 

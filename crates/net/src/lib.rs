@@ -10,14 +10,13 @@
 //!   (documented byte-for-byte; round-trip property-tested);
 //! * [`transport`] — a [`Transport`] abstraction with an in-process
 //!   `std::sync::mpsc` channel mesh and a loopback UDP mesh;
-//! * [`node`] — the state of one overlay node (replica store, bounded
-//!   duplicate memory, counters, perturbation control);
+//! * [`node`] — one overlay node: the simulator's [`mpil::Agent`],
+//!   counters, perturbation control;
 //! * `shard` — the evented loop that hosts a share of the nodes, one
-//!   per core: the very routing step the simulators run
-//!   ([`mpil::step`]: metric scan, local-maximum deposit, quota split)
-//!   behind this world's own duplicate memory and replies, with a
-//!   hop between two nodes of one shard handed over in memory instead of
-//!   through the transport;
+//!   per core: the very receive path the simulator runs
+//!   ([`mpil::Agent::receive`]), its results sent on, with a hop between
+//!   two nodes of one shard handed over in memory instead of through the
+//!   transport;
 //! * [`cluster`] — [`LiveCluster`]: spawn a topology over those shards,
 //!   insert/lookup through any entry node, perturb nodes at will, and
 //!   shut down cleanly (draining in-flight traffic first);

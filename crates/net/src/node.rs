@@ -1,11 +1,9 @@
 //! The state of one overlay node of the live cluster.
 //!
-//! A node is data, not a thread: its replica store, the message ids it
-//! has seen lately (`SeenIds`), the RNG that breaks ties among
-//! over-quota candidates, its counters ([`NodeStats`]) and the control
-//! block through which the cluster makes it unresponsive. The shard
-//! that hosts the node (module `shard`) runs the MPIL step on this
-//! state, one message at a time.
+//! A node is data, not a thread: the simulator's [`mpil::Agent`] (replica
+//! store, duplicate memory), its counters ([`NodeStats`]) and the control
+//! block through which the cluster makes it unresponsive. The shard that
+//! hosts the node (module `shard`) hands it one message at a time.
 //!
 //! Perturbation is injected by making the node discard every frame
 //! addressed to it before a deadline — behaviorally identical to the
@@ -16,12 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fxhash::{FxHashMap, FxHashSet};
-use mpil::MessageId;
-use mpil_id::Id;
+use mpil::Agent;
 use mpil_overlay::NodeIdx;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// An instant one thread sets and another reads without a lock:
 /// nanoseconds after the cluster's epoch, or unset.
@@ -132,70 +126,20 @@ pub struct NodeStats {
     pub send_errors: u64,
 }
 
-/// Distinct message ids one generation of a [`SeenIds`] holds: seven
-/// eighths of 4096, the most a 4096-bucket table takes without growing.
-const SEEN_GENERATION: usize = 3584;
-
-/// The message ids a node has received lately, for duplicate
-/// suppression, in bounded memory.
-///
-/// Two generations: ids are recorded in the current one; when it holds
-/// [`SEEN_GENERATION`] ids it becomes the previous one and what was the
-/// previous is forgotten. An id is therefore remembered for at least
-/// the next [`SEEN_GENERATION`] distinct receptions, and at most twice
-/// that many are held. The copies of one flow reach a node within
-/// milliseconds of each other and a retry carries a fresh id, so
-/// nothing that is still in flight is ever forgotten at the rates a
-/// shard can serve.
-#[derive(Debug)]
-pub(crate) struct SeenIds {
-    current: FxHashSet<MessageId>,
-    previous: FxHashSet<MessageId>,
-}
-
-impl SeenIds {
-    pub(crate) fn new() -> Self {
-        let generation =
-            || FxHashSet::with_capacity_and_hasher(SEEN_GENERATION, Default::default());
-        SeenIds {
-            current: generation(),
-            previous: generation(),
-        }
-    }
-
-    /// Records `id`; `false` if it was already remembered.
-    pub(crate) fn insert(&mut self, id: MessageId) -> bool {
-        if self.previous.contains(&id) || !self.current.insert(id) {
-            return false;
-        }
-        if self.current.len() >= SEEN_GENERATION {
-            std::mem::swap(&mut self.current, &mut self.previous);
-            self.current.clear();
-        }
-        true
-    }
-}
-
 /// One overlay node, as the shard hosting it holds it.
 #[derive(Debug)]
 pub(crate) struct Node {
     pub(crate) idx: NodeIdx,
-    /// Replicas deposited here: object → the node that inserted it.
-    pub(crate) store: FxHashMap<Id, NodeIdx>,
-    pub(crate) seen: SeenIds,
-    /// Picks among over-quota candidates.
-    pub(crate) rng: SmallRng,
+    pub(crate) agent: Agent,
     pub(crate) stats: NodeStats,
     pub(crate) control: Arc<NodeControl>,
 }
 
 impl Node {
-    pub(crate) fn new(idx: NodeIdx, seed: u64, control: Arc<NodeControl>) -> Self {
+    pub(crate) fn new(idx: NodeIdx, control: Arc<NodeControl>) -> Self {
         Node {
             idx,
-            store: FxHashMap::default(),
-            seen: SeenIds::new(),
-            rng: SmallRng::seed_from_u64(seed),
+            agent: Agent::default(),
             stats: NodeStats::default(),
             control,
         }
@@ -219,27 +163,6 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seen_ids_remember_a_generation_and_stay_bounded() {
-        let mut seen = SeenIds::new();
-        assert!(seen.insert(MessageId(0)));
-        for id in 1..=SEEN_GENERATION as u64 {
-            assert!(seen.insert(MessageId(id)));
-        }
-        assert!(
-            !seen.insert(MessageId(0)),
-            "an id outlives the next SEEN_GENERATION distinct receptions"
-        );
-        for id in SEEN_GENERATION as u64 + 1..1_000_000 {
-            assert!(seen.insert(MessageId(id)));
-        }
-        assert!(!seen.insert(MessageId(999_999)));
-        assert!(seen.insert(MessageId(0)), "old ids are forgotten");
-        assert!(seen.current.len() + seen.previous.len() <= 2 * SEEN_GENERATION);
-        // 4096 buckets a generation: the tables never grew.
-        assert!(seen.current.capacity() + seen.previous.capacity() <= 2 * 4096);
-    }
 
     const T0: Duration = Duration::from_secs(100);
 
@@ -277,7 +200,7 @@ mod tests {
 
     #[test]
     fn a_deaf_node_counts_what_it_drops() {
-        let mut node = Node::new(NodeIdx::new(3), 1, Arc::new(NodeControl::default()));
+        let mut node = Node::new(NodeIdx::new(3), Arc::new(NodeControl::default()));
         assert!(node.hears(T0));
         node.control.perturb_until(T0 + Duration::from_secs(1));
         assert!(!node.hears(T0));

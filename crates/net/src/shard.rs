@@ -3,13 +3,12 @@
 //!
 //! A cluster runs as many shards as the machine has cores (never more
 //! than it has nodes); node `i` lives on shard `i % shards`. A shard
-//! owns the state of its nodes ([`Node`]), one [`Transport`] endpoint
-//! and one run queue, and runs the same routing step as the simulators
-//! ([`mpil::step`]: metric scan over the frozen neighbor list,
-//! local-maximum replica deposit, flow-quota splitting); what is its
-//! own is where duplicates are remembered ([`crate::node::SeenIds`]),
-//! what a hit and a deposit do (a `Reply` / `StoreAck` to the client)
-//! and where a copy goes (the run queue or the endpoint).
+//! owns its nodes ([`Node`]: each the simulator's [`mpil::Agent`]), one
+//! [`Transport`] endpoint, one run queue and one RNG, and sends what
+//! [`mpil::Agent::receive`] decides: a `Reply` or `StoreAck` to the
+//! client, a copy onto the run queue or the endpoint. Shard `k` seeds
+//! its RNG `seed ^ k·0x9e37_79b9_7f4a_7c15`, so a one-shard cluster
+//! replays [`mpil::StaticEngine`] operation for operation.
 //!
 //! A **turn** of a shard is one frame taken off its endpoint and every
 //! copy that frame gives rise to on this shard, run to completion: a
@@ -34,11 +33,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpil::{step, Message, MpilConfig, Verdict};
+use bytes::Bytes;
+use mpil::{Message, MpilConfig, Verdict};
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
-use crate::codec::{WireMessage, MAX_ROUTE, SHUTDOWN_FRAME};
+use crate::codec::{EncodeError, WireMessage, MAX_ROUTE, SHUTDOWN_FRAME};
 use crate::node::{AtomicDeadline, Node, NodeControl, NodeStats};
 use crate::transport::Transport;
 
@@ -106,7 +108,7 @@ const DRAIN_IDLE_POLL: Duration = Duration::from_millis(25);
 /// socket buffer.
 pub(crate) const IDLE_WAKE: Duration = Duration::from_secs(1);
 
-/// One shard: its nodes, its endpoint, its run queue.
+/// One shard: its nodes, its endpoint, its run queue, its RNG.
 pub(crate) struct Shard {
     index: usize,
     transport: Box<dyn Transport>,
@@ -117,12 +119,14 @@ pub(crate) struct Shard {
     /// Copies handed over in-process and not yet stepped, with the node
     /// each is for.
     queue: VecDeque<(NodeIdx, Message)>,
+    /// Breaks every hosted node's ties among over-quota candidates.
+    rng: SmallRng,
 }
 
 impl Shard {
     /// Shard `index` of the cluster `overlay` describes, hosting every
-    /// node dealt to it. `controls` and the seeds derived from `seed`
-    /// are per node, for the whole cluster.
+    /// node dealt to it. `controls` are per node, for the whole cluster;
+    /// `seed` is the cluster's.
     pub(crate) fn new(
         index: usize,
         transport: Box<dyn Transport>,
@@ -133,13 +137,7 @@ impl Shard {
     ) -> Self {
         let nodes = (index..overlay.ids.len())
             .step_by(overlay.shards)
-            .map(|i| {
-                Node::new(
-                    NodeIdx::new(i as u32),
-                    seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                    Arc::clone(&controls[i]),
-                )
-            })
+            .map(|i| Node::new(NodeIdx::new(i as u32), Arc::clone(&controls[i])))
             .collect();
         Shard {
             index,
@@ -148,6 +146,7 @@ impl Shard {
             control,
             nodes,
             queue: VecDeque::new(),
+            rng: SmallRng::seed_from_u64(seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
         }
     }
 
@@ -263,8 +262,8 @@ impl Shard {
         }
     }
 
-    /// One copy at the node in `slot`: this world's bookkeeping around
-    /// the shared [`mpil::step`].
+    /// One copy at the node in `slot`: where this world sends what
+    /// [`mpil::Agent::receive`] decided.
     fn step(&mut self, slot: usize, msg: Message) {
         let Shard {
             index,
@@ -272,124 +271,88 @@ impl Shard {
             overlay,
             nodes,
             queue,
+            rng,
             ..
         } = self;
-        let Node {
-            idx: at,
-            store,
-            seen,
-            rng,
-            stats,
-            ..
-        } = &mut nodes[slot];
-        let at = *at;
-        // Duplicate accounting at reception, as in the simulators.
-        if !seen.insert(msg.msg_id) {
-            stats.duplicates_seen += 1;
-            if overlay.config.duplicate_suppression {
-                stats.duplicates_suppressed += 1;
-                return;
-            }
-        }
-
-        let Message {
-            msg_id,
-            object,
-            origin,
-            hops,
-            ..
-        } = msg;
-        let verdict = step(
+        let node = &mut nodes[slot];
+        let (at, agent, stats) = (node.idx, &mut node.agent, &mut node.stats);
+        let (msg_id, object, hops) = (msg.msg_id, msg.object, msg.hops);
+        let receipt = agent.receive(
             &overlay.config,
             at,
             &overlay.neighbors[at.index()],
             &overlay.ids,
-            store.contains_key(&object),
             msg,
             rng,
         );
-        let copies = match verdict {
+        stats.duplicates_seen += u64::from(receipt.duplicate);
+        let copies = match receipt.verdict {
+            None => {
+                stats.duplicates_suppressed += 1;
+                return;
+            }
             // Lookup short-circuit: a holder replies (to the client) and
             // stops this flow.
-            Verdict::Replied => {
+            Some(Verdict::Replied) => {
                 let reply = WireMessage::Reply {
                     msg_id,
                     object,
                     holder: at,
                     hops,
                 };
-                if tell_client(transport.as_ref(), overlay.client, &reply, stats) {
-                    stats.replies += 1;
-                }
+                let sent = send(transport.as_ref(), overlay.client, reply.encode(), stats);
+                stats.replies += u64::from(sent);
                 return;
             }
-            Verdict::Routed {
+            Some(Verdict::Routed {
                 deposited, copies, ..
-            } => {
+            }) => {
                 if deposited {
-                    store.insert(object, origin);
                     stats.stores += 1;
                     let ack = WireMessage::StoreAck {
                         msg_id,
                         object,
                         holder: at,
                     };
-                    if tell_client(transport.as_ref(), overlay.client, &ack, stats) {
-                        stats.store_acks += 1;
-                    }
+                    let sent = send(transport.as_ref(), overlay.client, ack.encode(), stats);
+                    stats.store_acks += u64::from(sent);
                 }
                 copies
             }
         };
         for (target, fwd) in copies {
             let shard = overlay.shard_of(target);
-            if shard == *index {
-                // Handed over as it is; the limit the encoder would have
-                // enforced still holds.
-                if fwd.route.len() > MAX_ROUTE {
-                    stats.encode_errors += 1;
-                    continue;
-                }
+            if shard != *index {
+                let frame = WireMessage::Forward(fwd).encode_for(target);
+                stats.forwards += u64::from(send(transport.as_ref(), shard, frame, stats));
+            } else if fwd.route.len() > MAX_ROUTE {
+                // Handed over as it is, but held to the limit the encoder
+                // would have enforced.
+                stats.encode_errors += 1;
+            } else {
                 queue.push_back((target, fwd));
                 stats.forwards += 1;
-                continue;
-            }
-            match WireMessage::Forward(fwd).encode_for(target) {
-                Ok(frame) => {
-                    if transport.send(shard, frame).is_ok() {
-                        stats.forwards += 1;
-                    } else {
-                        stats.send_errors += 1;
-                    }
-                }
-                Err(_) => stats.encode_errors += 1,
             }
         }
     }
 }
 
-/// Sends a reply or a store-ack to the client; `true` if it left.
-/// Neither carries a route, so encoding only fails on a wire-format
-/// regression; that is counted rather than killing the shard.
-fn tell_client(
+/// Sends an encoded frame to mesh endpoint `to`; `true` if it left. A
+/// frame that did not encode (a reply or store-ack only on a wire-format
+/// regression) or that the transport refused is counted, not fatal.
+fn send(
     transport: &dyn Transport,
-    client: usize,
-    frame: &WireMessage,
+    to: usize,
+    frame: Result<Bytes, EncodeError>,
     stats: &mut NodeStats,
 ) -> bool {
-    match frame.encode() {
-        Ok(bytes) => {
-            let sent = transport.send(client, bytes).is_ok();
-            if !sent {
-                stats.send_errors += 1;
-            }
-            sent
-        }
-        Err(_) => {
-            stats.encode_errors += 1;
-            false
-        }
-    }
+    let Ok(bytes) = frame else {
+        stats.encode_errors += 1;
+        return false;
+    };
+    let sent = transport.send(to, bytes).is_ok();
+    stats.send_errors += u64::from(!sent);
+    sent
 }
 
 #[cfg(test)]

@@ -25,6 +25,9 @@
 #   traffic: a 20k-node plumtree point under --max-msgs-per-lookup —
 #            catches the dissemination layer regressing to flood-scale
 #            lookup traffic
+#   agent:   the 50k-node MPIL point, send and event counts exact —
+#            catches a change to the one receive path (mpil::Agent)
+#            that moves a single send
 #   service: an embedded mpild + mpil-load smoke with live churn —
 #            catches the daemon/load-generator path (request tracking,
 #            hedged lookups, drain) failing under perturbation or its
@@ -103,6 +106,17 @@ timeout 150 ./target/release/scale_run --engine gossip --nodes 20000 --seed 1 \
 timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 \
     --budget-s 120 --max-rss-mib 400 --max-msgs-per-lookup 25 \
     || { echo "ci: 20k-node plumtree smoke exceeded a budget or failed" >&2; exit 1; }
+
+# MPIL agent pin: every copy at every node of Sim<Mpil> and of the live
+# shard goes through `mpil::Agent::receive`. This point (~0.5 s) is the
+# `mpil` row of benchmark/src/sim.rs's PINNED_REFERENCE, which otherwise
+# only a full benchmark run checks, so a change to that path that moves
+# one send fails here first.
+mpil_point=$(./target/release/scale_run --engine mpil --nodes 50000 --ops 2500 --p 0.1 --seed 1)
+if ! grep -q '"sent": 359579, "events": 56334,' <<<"$mpil_point"; then
+    echo "ci: the 50k-node MPIL point moved (pinned: sent 359579, events 56334): $mpil_point" >&2
+    exit 1
+fi
 
 # Service-plane smoke (satellite of the mpild subsystem): an embedded
 # daemon on the channel transport, driven open-loop at 400/s with a

@@ -30,8 +30,8 @@ fn analysis_matches_simulation_on_regular_graphs() {
     let topo = generators::random_regular(n, d, &mut rng).unwrap();
     let model = AnalysisModel::base4();
     // The simulation counts MPIL's actual definition (ties allowed), so
-    // compare against the tie-aware closed form; the paper's Figure 7
-    // curve is the strict variant (see EXPERIMENTS.md).
+    // compare against the tie-aware closed form (120.1 here); the
+    // paper's Figure 7 curve is the strict variant, which expects 75.8.
     let expected = model.expected_local_maxima_regular_with_ties(n, d);
 
     let trials = 60;
