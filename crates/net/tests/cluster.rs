@@ -16,6 +16,73 @@ fn topo(n: usize, d: usize, seed: u64) -> mpil_overlay::Topology {
 }
 
 #[test]
+fn channel_cluster_inserts_and_finds() {
+    let topo = topo(48, 8, 1);
+    let mut cluster = LiveClusterBuilder::new()
+        .config(
+            MpilConfig::default()
+                .with_max_flows(10)
+                .with_num_replicas(3),
+        )
+        .spawn(&topo)
+        .expect("spawn");
+    let mut rng = SmallRng::seed_from_u64(9);
+    let objects: Vec<Id> = (0..10).map(|_| Id::random(&mut rng)).collect();
+    for &o in &objects {
+        let holders = cluster.insert(NodeIdx::new(0), o, Duration::from_millis(400));
+        assert!(
+            !holders.is_empty(),
+            "insert must deposit at least one replica"
+        );
+    }
+    for (i, &o) in objects.iter().enumerate() {
+        let origin = NodeIdx::new((i % 48) as u32);
+        let hit = cluster.lookup(origin, o, Duration::from_secs(3));
+        assert!(hit.is_some(), "lookup {i} failed on a healthy cluster");
+    }
+    let stats = cluster.shutdown();
+    let total_stores: u64 = stats.iter().map(|s| s.stores).sum();
+    assert!(total_stores >= 10, "replicas must have been deposited");
+}
+
+/// Cross-engine invariant: replicas may only ever sit at *local maxima*
+/// of the routing metric (Section 4.4). The live node's step logic must
+/// agree with the simulators' on this graph property, regardless of
+/// thread scheduling.
+#[test]
+fn live_replica_holders_are_local_maxima() {
+    let topo = topo(36, 6, 8);
+    let config = MpilConfig::default()
+        .with_max_flows(12)
+        .with_num_replicas(4);
+    let mut cluster = LiveClusterBuilder::new()
+        .config(config)
+        .spawn(&topo)
+        .expect("spawn");
+    let mut rng = SmallRng::seed_from_u64(21);
+    for _ in 0..6 {
+        let object = Id::random(&mut rng);
+        let holders = cluster.insert(NodeIdx::new(0), object, Duration::from_millis(400));
+        assert!(!holders.is_empty());
+        for h in holders {
+            let decision = mpil::routing_decision(
+                config.space,
+                object,
+                h,
+                topo.neighbors(h),
+                topo.ids(),
+                |_| false,
+            );
+            assert!(
+                decision.is_local_max,
+                "live node {h} stored a replica but is not a local maximum"
+            );
+        }
+    }
+    cluster.shutdown();
+}
+
+#[test]
 fn lookup_of_absent_object_times_out() {
     let topo = topo(24, 6, 2);
     let mut cluster = LiveClusterBuilder::new().spawn(&topo).expect("spawn");
