@@ -30,10 +30,17 @@ pub const MAX_BACKLOG: usize = 4096;
 /// loop of 48 and this table zeroed: 47 µs an announce and 29 µs a
 /// lookup on UDP (21 300 and 34 700 a second), 29 and 15 µs on
 /// channels (34 800 and 67 500 a second); `svc-udp-churn` itself reads
-/// 51 µs an announce. A lookup is 16 forwards, all of them in-process
-/// on one shard, and four replies; an announce is 28 forwards and five
-/// acknowledgements, and what is left of either cost is the datagrams
-/// to and from the client and the thread hand-offs behind them. The
+/// 51 µs an announce. A lookup was then 16 forwards, all of them
+/// in-process on one shard, and four replies; an announce is 28
+/// forwards and five acknowledgements, and what is left of either cost
+/// is the datagrams to and from the client and the thread hand-offs
+/// behind them. A lookup is now about 3 forwards and 2 replies (its
+/// first attempt carries [`FIRST_FLOWS`](super::FIRST_FLOWS) flows, and
+/// only a hedge all of them), yet the four figures stand: lookups on
+/// the benchmark's `svc-udp-churn` are admission-bound, so a new lookup
+/// figure moves that workload's rate and latency with it, and pricing
+/// them from measured service times belongs with a daemon that measures
+/// its own. The
 /// margins taken are 1.6 (UDP announce), 2.0 (UDP lookup), 1.9 and 2.7:
 /// the host takes 10 to 30 % away for minutes at a time on that box,
 /// and an admitted rate has to be one the slow minutes also serve, or

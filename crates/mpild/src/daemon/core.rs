@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
 use super::admission::{admit_cost, Admission, MAX_BACKLOG};
-use super::hedge::HedgeDelay;
+use super::hedge::{HedgeDelay, FIRST_FLOWS};
 use super::DaemonConfig;
 use crate::proto::{err_code, CtrlRequest, CtrlResponse, StatsBody};
 
@@ -29,10 +29,16 @@ pub trait World {
     /// Client address type, as requests arrive with and answers go to.
     type Addr: Clone;
 
-    /// Injects an operation through `origin` without waiting for its
-    /// outcome; the id is the one the operation's events will carry.
-    /// `None` when the transport refuses the frame.
-    fn submit(&mut self, kind: MessageKind, origin: NodeIdx, object: Id) -> Option<MessageId>;
+    /// Injects an operation of `flows` flows through `origin` without
+    /// waiting for its outcome; the id is the one the operation's events
+    /// will carry. `None` when the transport refuses the frame.
+    fn submit(
+        &mut self,
+        kind: MessageKind,
+        origin: NodeIdx,
+        object: Id,
+        flows: u32,
+    ) -> Option<MessageId>;
 
     /// Whether `node` is provisioned but not in service.
     fn is_parked(&self, node: NodeIdx) -> bool;
@@ -104,6 +110,7 @@ impl DaemonReport {
     /// One-line JSON rendering (hand-rolled, like the bench artifacts).
     pub fn to_json(&self) -> String {
         let forwards: u64 = self.node_stats.iter().map(|s| s.forwards).sum();
+        let replies: u64 = self.node_stats.iter().map(|s| s.replies).sum();
         let stores: u64 = self.node_stats.iter().map(|s| s.stores).sum();
         let dropped_perturbed: u64 = self.node_stats.iter().map(|s| s.dropped_perturbed).sum();
         let dropped_at_drain: u64 = self.node_stats.iter().map(|s| s.dropped_at_drain).sum();
@@ -113,7 +120,8 @@ impl DaemonReport {
              \"joins\":{},\"perturbs\":{},\"heals\":{},\"bad_requests\":{},\
              \"send_errors\":{},\"aborted_at_drain\":{},\"hedges\":{},\"shed\":{},\
              \"transport_errors\":{},\"wakeups\":{},\"shards\":{},\"node_forwards\":{},\
-             \"node_stores\":{},\"node_dropped_perturbed\":{},\"node_dropped_at_drain\":{}}}",
+             \"node_replies\":{},\"node_stores\":{},\"node_dropped_perturbed\":{},\
+             \"node_dropped_at_drain\":{}}}",
             self.uptime_s,
             self.stats.announces,
             self.stats.hits,
@@ -134,6 +142,7 @@ impl DaemonReport {
             self.wakeups,
             self.shards,
             forwards,
+            replies,
             stores,
             dropped_perturbed,
             dropped_at_drain,
@@ -154,6 +163,9 @@ fn refusal(code: u8) -> CtrlResponse {
 pub struct Core<W: World> {
     world: W,
     transport: TransportKind,
+    /// The flows of a full-width attempt: every announce's and every
+    /// hedge's.
+    max_flows: u32,
     fallback_drain: Duration,
     tracker: RequestTracker<Ticket<W::Addr>>,
     hedge_delay: HedgeDelay,
@@ -186,6 +198,7 @@ impl<W: World> Core<W> {
         Core {
             world,
             transport: config.transport,
+            max_flows: config.mpil.max_flows,
             fallback_drain: config.fallback_drain,
             tracker: RequestTracker::new(config.retry),
             hedge_delay: HedgeDelay::default(),
@@ -426,7 +439,7 @@ impl<W: World> Core<W> {
             let Some(ticket) = self.backlog.pop_front() else {
                 return;
             };
-            if let Some(msg_id) = self.submit(&ticket) {
+            if let Some(msg_id) = self.submit(&ticket, 0) {
                 let patience = self.patience(ticket.kind, 0);
                 self.tracker.track_for(msg_id, ticket, now, patience);
             }
@@ -450,7 +463,7 @@ impl<W: World> Core<W> {
             }
             // A re-submission is work like any other: it spends budget,
             // but does not queue for it.
-            if let Some(new_id) = self.submit(&pending.token) {
+            if let Some(new_id) = self.submit(&pending.token, pending.attempt + 1) {
                 if now.saturating_sub(pending.issued_at) < self.tracker.policy().timeout {
                     self.report.hedges += 1;
                 }
@@ -461,13 +474,21 @@ impl<W: World> Core<W> {
         self.report.stats.retries = self.tracker.retried();
     }
 
-    /// One attempt of `ticket`'s request, through `ticket.origin`: spends
-    /// what it costs and submits it. A request whose attempt the
-    /// transport refuses is answered so, and that is the end of it.
-    fn submit(&mut self, ticket: &Ticket<W::Addr>) -> Option<MessageId> {
+    /// Attempt number `attempt` (0 the first) of `ticket`'s request,
+    /// through `ticket.origin`: spends what it costs and submits it, a
+    /// lookup's first attempt with [`FIRST_FLOWS`] flows and everything
+    /// else with all of them. A request whose attempt the transport
+    /// refuses is answered so, and that is the end of it.
+    fn submit(&mut self, ticket: &Ticket<W::Addr>, attempt: u32) -> Option<MessageId> {
         self.admission
             .spend(admit_cost(self.transport, ticket.kind));
-        let msg_id = self.world.submit(ticket.kind, ticket.origin, ticket.object);
+        let flows = match (ticket.kind, attempt) {
+            (MessageKind::Lookup, 0) => FIRST_FLOWS.min(self.max_flows),
+            _ => self.max_flows,
+        };
+        let msg_id = self
+            .world
+            .submit(ticket.kind, ticket.origin, ticket.object, flows);
         if msg_id.is_none() {
             self.report.transport_errors += 1;
             self.respond(&ticket.addr, ticket.token, refusal(err_code::TRANSPORT));

@@ -21,19 +21,22 @@
 //!    whole [`RetryPolicy::timeout`] has passed, a lookup through
 //!    *another* entry node as soon as it has been unanswered for longer
 //!    than answered ones are measured to take (see `HedgeDelay`), the
-//!    earlier attempts still listened for. The earliest one is the
-//!    timeout of the blocking receive. The only other instants the
-//!    daemon ever waits for are the one at which its admission budget
-//!    lets the next queued request in (and only a daemon that is offered
-//!    more than it admits has requests queued) and the end of a drain.
+//!    earlier attempts still listened for. A lookup's first attempt
+//!    carries [`FIRST_FLOWS`] flows, its hedges all `max_flows`. The
+//!    earliest deadline is the timeout of the blocking receive. The
+//!    only other instants the daemon ever waits for are the one at
+//!    which its admission budget lets the next queued request in (and
+//!    only a daemon that is offered more than it admits has requests
+//!    queued) and the end of a drain.
 //!
 //! Data-plane requests are fully pipelined: a control frame is turned
-//! into a [`LiveCluster::submit`] and a tracker entry, and the client
-//! hears back when the matching event arrives (or the retry budget
-//! dies). Submission is paced by admission control (see `Admission`:
-//! a budget of estimated work per second, sized to keep the data plane
-//! below saturation); requests beyond it wait their turn in a bounded
-//! backlog, and beyond that are turned away with `UNAVAILABLE`.
+//! into a [`LiveCluster::submit_flows`] and a tracker entry, and the
+//! client hears back when the matching event arrives (or the retry
+//! budget dies). Submission is paced by admission control (see
+//! `Admission`: a budget of estimated work per second, sized to keep
+//! the data plane below saturation); requests beyond it wait their turn
+//! in a bounded backlog, and beyond that are turned away with
+//! `UNAVAILABLE`.
 //!
 //! Shutdown is graceful by contract: a `Drain` request (or the death of
 //! the control plane) stops admission, keeps serving the inbox until
@@ -75,7 +78,7 @@
 //!   get their answers, and [`Core::finish`] gives up on the rest.
 //!
 //! [`LiveCluster`]: mpil_net::LiveCluster
-//! [`LiveCluster::submit`]: mpil_net::LiveCluster::submit
+//! [`LiveCluster::submit_flows`]: mpil_net::LiveCluster::submit_flows
 //! [`LiveCluster::shutdown_drain`]: mpil_net::LiveCluster::shutdown_drain
 //! [`LiveClusterBuilder::spawn_with_sink`]: mpil_net::LiveClusterBuilder::spawn_with_sink
 //! [`RetryPolicy::timeout`]: mpil_net::RetryPolicy::timeout
@@ -101,6 +104,7 @@ pub use self::control::{
     ChannelControl, ChannelCtrlClient, ControlPlane, Inbox, Input, UdpControl,
 };
 pub use self::core::{Core, DaemonReport, World};
+pub use self::hedge::FIRST_FLOWS;
 use crate::proto::CtrlResponse;
 
 /// Inputs handled per turn of the daemon before deadlines get a look
@@ -125,6 +129,9 @@ pub struct DaemonConfig {
     /// Data-plane transport of the cluster mesh.
     pub transport: TransportKind,
     /// MPIL protocol parameters (flows, replicas, suppression).
+    /// `max_flows` is the width of every announce and of every hedge of
+    /// a lookup; a lookup's first attempt carries [`FIRST_FLOWS`] of
+    /// them.
     pub mpil: MpilConfig,
     /// Per-request timeout/retry policy of the daemon's data plane.
     pub retry: RetryPolicy,
@@ -171,8 +178,14 @@ struct Live<C> {
 impl<C: ControlPlane> World for Live<C> {
     type Addr = C::Addr;
 
-    fn submit(&mut self, kind: MessageKind, origin: NodeIdx, object: Id) -> Option<MessageId> {
-        self.cluster.submit(kind, origin, object).ok()
+    fn submit(
+        &mut self,
+        kind: MessageKind,
+        origin: NodeIdx,
+        object: Id,
+        flows: u32,
+    ) -> Option<MessageId> {
+        self.cluster.submit_flows(kind, origin, object, flows).ok()
     }
 
     fn is_parked(&self, node: NodeIdx) -> bool {
@@ -1140,6 +1153,51 @@ mod tests {
             report.stats.lookup_timeouts + report.stats.announce_timeouts,
             0
         );
+    }
+
+    /// A lookup goes in narrow and is hedged at full width through
+    /// another entry; an announce is full width from the start. A
+    /// `--max-flows` below the first attempt's width caps both.
+    #[test]
+    fn a_lookup_goes_in_narrow_and_is_hedged_at_full_width() {
+        for (max_flows, first, hedge) in [(10, 2, 10), (1, 1, 1)] {
+            let defaults = DaemonConfig::default();
+            let mut sim = VirtualDaemon::new(&DaemonConfig {
+                nodes: 16,
+                seed: 20,
+                mpil: defaults.mpil.with_max_flows(max_flows),
+                ..defaults
+            });
+            let object = Id::from_low_u64(0x5a9e);
+            announce_and_look_up(&mut sim, object, 16, 100);
+            let warm = sim.world().attempts.clone();
+            assert_eq!(
+                (warm[0].kind, warm[0].flows),
+                (MessageKind::Insert, max_flows)
+            );
+            assert!(warm[1..]
+                .iter()
+                .all(|a| (a.kind, a.flows) == (MessageKind::Lookup, first)));
+            // Nobody answers the next one until it is hedged.
+            let asked_at = sim.now;
+            sim.request(1, lookup(object, 3));
+            sim.advance_to(asked_at + HEDGE_FLOOR);
+            let (narrow, full) = match sim.world().attempts[warm.len()..] {
+                [narrow, full] => (narrow, full),
+                ref other => panic!("one hedge after 3 ms, not {other:?}"),
+            };
+            assert_eq!(
+                (narrow.at, narrow.origin.index(), narrow.flows),
+                (asked_at, 3, first)
+            );
+            assert_eq!((full.at, full.flows), (asked_at + HEDGE_FLOOR, hedge));
+            assert_ne!(full.origin.index(), 3, "by another door");
+            sim.answer(&full);
+            assert!(matches!(
+                the_answer(&mut sim, 1).resp,
+                CtrlResponse::Found { .. }
+            ));
+        }
     }
 
     /// The offsets, in milliseconds from its first, of the attempts

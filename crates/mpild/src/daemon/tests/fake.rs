@@ -27,6 +27,7 @@ pub struct Attempt {
     pub kind: MessageKind,
     pub origin: NodeIdx,
     pub object: Id,
+    pub flows: u32,
 }
 
 /// One response the core sent.
@@ -60,7 +61,13 @@ pub struct FakeWorld {
 impl World for FakeWorld {
     type Addr = u32;
 
-    fn submit(&mut self, kind: MessageKind, origin: NodeIdx, object: Id) -> Option<MessageId> {
+    fn submit(
+        &mut self,
+        kind: MessageKind,
+        origin: NodeIdx,
+        object: Id,
+        flows: u32,
+    ) -> Option<MessageId> {
         assert!(!self.parked[origin.index()], "{origin:?} is parked");
         if self.refuse_submits {
             return None;
@@ -72,6 +79,7 @@ impl World for FakeWorld {
             kind,
             origin,
             object,
+            flows,
         });
         Some(id)
     }

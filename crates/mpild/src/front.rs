@@ -36,7 +36,8 @@ mpild — MPIL service daemon (control plane on loopback UDP)
   --spares S       parked spare nodes, joinable via the admin plane (default 0)
   --seed K         master seed (default 1)
   --udp            run the cluster data plane over loopback UDP (default: channels)
-  --max-flows F    MPIL parallel flows (default 10)
+  --max-flows F    MPIL parallel flows of an announce and of a lookup's hedges;
+                   a lookup's first attempt carries at most 2 (default 10)
   --replicas R     MPIL replicas (default 3)
   --no-ds          disable duplicate suppression
   --timeout-ms T   longest an attempt waits before the request is re-submitted;

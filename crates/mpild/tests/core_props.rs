@@ -10,8 +10,10 @@
 //! at its sender's address, and the ones the core answers itself at the
 //! instant they arrive; the report's accounting sums, counter by
 //! counter, to the answers that were sent; no attempt goes in through a
-//! parked node (the fake refuses to take one); first attempts go in no
-//! faster than the admission rate and one burst; of several drains the
+//! parked node (the fake refuses to take one); a lookup's first attempt
+//! carries `min(FIRST_FLOWS, max_flows)` flows and every other attempt,
+//! an announce's first included, all `max_flows`; first attempts go in
+//! no faster than the admission rate and one burst; of several drains the
 //! earliest deadline stands; and a drain that ends before its deadline
 //! ends with nothing left to abort, so nothing stays behind in the
 //! tracker or the backlog.
@@ -23,7 +25,7 @@ use mpil_id::Id;
 use mpil_net::{ClientEvent, RetryPolicy, TransportKind};
 use mpil_overlay::NodeIdx;
 use mpild::daemon::{
-    admit_cost, Core, DaemonConfig, DaemonReport, World, ADMIT_BURST, MAX_BACKLOG,
+    admit_cost, Core, DaemonConfig, DaemonReport, World, ADMIT_BURST, FIRST_FLOWS, MAX_BACKLOG,
 };
 use mpild::proto::{err_code, CtrlRequest, CtrlResponse};
 use proptest::prelude::*;
@@ -119,24 +121,28 @@ fn arb_op() -> impl Strategy<Value = Op> {
 fn arb_case() -> impl Strategy<Value = (DaemonConfig, Vec<Op>)> {
     let config = (
         (1usize..12, 0usize..4, any::<u64>(), any::<bool>()),
-        (5u64..80, 0u32..4, 0u64..100),
+        (5u64..80, 0u32..4, 0u64..100, 1u32..12),
     )
         .prop_map(
-            |((nodes, spares, seed, udp), (timeout_ms, retries, fallback_ms))| DaemonConfig {
-                nodes,
-                spares,
-                seed,
-                transport: if udp {
-                    TransportKind::Udp
-                } else {
-                    TransportKind::Channel
-                },
-                retry: RetryPolicy {
-                    timeout: Duration::from_millis(timeout_ms),
-                    retries,
-                },
-                fallback_drain: Duration::from_millis(fallback_ms),
-                ..DaemonConfig::default()
+            |((nodes, spares, seed, udp), (timeout_ms, retries, fallback_ms, max_flows))| {
+                let defaults = DaemonConfig::default();
+                DaemonConfig {
+                    nodes,
+                    spares,
+                    seed,
+                    transport: if udp {
+                        TransportKind::Udp
+                    } else {
+                        TransportKind::Channel
+                    },
+                    mpil: defaults.mpil.with_max_flows(max_flows),
+                    retry: RetryPolicy {
+                        timeout: Duration::from_millis(timeout_ms),
+                        retries,
+                    },
+                    fallback_drain: Duration::from_millis(fallback_ms),
+                    ..defaults
+                }
             },
         );
     // Node indices go two past the end: a request may name a node that
@@ -426,12 +432,20 @@ fn check(
     );
 
     // An attempt is its request's first or a re-submission of it, and
-    // nothing is re-submitted once the drain has begun.
+    // nothing is re-submitted once the drain has begun. Only a lookup's
+    // first attempt goes in narrow.
     let mut firsts: Vec<(Duration, Duration)> = Vec::new();
     let mut seen = vec![false; model.asked.len()];
+    let full = config.mpil.max_flows;
     for (nth, attempt) in world.attempts.iter().enumerate() {
         let token = token_of(attempt.object) as usize;
-        if !std::mem::replace(&mut seen[token], true) {
+        let first = !std::mem::replace(&mut seen[token], true);
+        let flows = match (attempt.kind, first) {
+            (MessageKind::Lookup, true) => FIRST_FLOWS.min(full),
+            _ => full,
+        };
+        prop_assert_eq!(attempt.flows, flows, "attempt {} of token {}", nth, token);
+        if first {
             firsts.push((attempt.at, admit_cost(config.transport, attempt.kind)));
         } else {
             prop_assert!(

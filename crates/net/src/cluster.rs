@@ -407,8 +407,7 @@ impl LiveCluster {
     /// pipelined half of the client API. The returned [`MessageId`]
     /// matches the `msg_id` of the [`ClientEvent`]s the operation
     /// produces; pump them with [`LiveCluster::poll_event`]. Many
-    /// operations can be in flight at once — this is what the `mpild`
-    /// daemon serves load with.
+    /// operations can be in flight at once.
     ///
     /// # Errors
     ///
@@ -424,16 +423,39 @@ impl LiveCluster {
         origin: NodeIdx,
         object: Id,
     ) -> Result<MessageId, TransportError> {
+        self.submit_flows(kind, origin, object, self.overlay.config.max_flows)
+    }
+
+    /// [`LiveCluster::submit`] with a flow budget of `flows` (at least
+    /// one: a copy with none never leaves its entry node) in place of the
+    /// configured `max_flows`. This is what the `mpild` daemon serves
+    /// load with: a lookup's first attempt goes in narrow, its hedges
+    /// full-width.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError`] if the endpoint of the entry node's shard
+    /// refuses the frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is out of range.
+    pub fn submit_flows(
+        &mut self,
+        kind: MessageKind,
+        origin: NodeIdx,
+        object: Id,
+        flows: u32,
+    ) -> Result<MessageId, TransportError> {
         assert!(origin.index() < self.len(), "origin out of range");
         let msg_id = self.fresh_msg_id();
-        let config = self.overlay.config;
         let initial = Message::initial(
             msg_id,
             kind,
             object,
             origin,
-            config.max_flows,
-            config.num_replicas,
+            flows.max(1),
+            self.overlay.config.num_replicas,
         );
         let frame = match WireMessage::Forward(initial).encode_for(origin) {
             Ok(frame) => frame,
@@ -762,19 +784,26 @@ mod tests {
         // `TopK` (differential.rs's config) never draws from the RNG;
         // `MetricTies` cuts ties over quota with it.
         let ties = SplitPolicy::MetricTies;
+        // The last run's lookups go in narrower than the inserts, as the
+        // daemon's first attempts do.
         let runs = [
-            (SplitPolicy::TopK, true),
-            (SplitPolicy::TopK, false),
-            (ties, true),
-            (ties, false),
+            (SplitPolicy::TopK, true, 4),
+            (SplitPolicy::TopK, false, 4),
+            (ties, true, 4),
+            (ties, false, 4),
+            (ties, true, 2),
         ];
-        for (policy, ds) in runs {
-            let tag = format!("{policy:?}, ds={ds}");
+        for (policy, ds, lookup_flows) in runs {
+            let tag = format!("{policy:?}, ds={ds}, {lookup_flows}-flow lookups");
             let config = MpilConfig::default()
                 .with_max_flows(4)
                 .with_num_replicas(3)
                 .with_split_policy(policy)
                 .with_duplicate_suppression(ds);
+            let flows = |kind| match kind {
+                MessageKind::Insert => config.max_flows,
+                MessageKind::Lookup => lookup_flows,
+            };
             let mut fixed = StaticEngine::new(&topo, config, SEED);
             let (mut holders, mut first_hops, mut forwards, mut duplicates) =
                 (vec![], vec![], 0, 0);
@@ -784,6 +813,7 @@ mod tests {
                     holders.push(fixed.replica_holders(object));
                     (report.messages, report.duplicates)
                 } else {
+                    fixed.set_config(config.with_max_flows(lookup_flows));
                     let report = fixed.lookup(origin, object);
                     first_hops.push(report.first_reply_hops);
                     (report.messages, report.duplicates)
@@ -802,7 +832,8 @@ mod tests {
                 .spawn_on(1, &topo)
                 .expect("spawn");
             for &(kind, origin, object) in &ops {
-                cluster.submit(kind, origin, object).expect("submit");
+                let submitted = cluster.submit_flows(kind, origin, object, flows(kind));
+                submitted.expect("submit");
             }
             let (mut acks, mut replies) = (vec![Vec::new(); ops.len()], vec![None; ops.len()]);
             let mut barrier = None;

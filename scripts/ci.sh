@@ -118,13 +118,35 @@ if ! grep -q '"sent": 359579, "events": 56334,' <<<"$mpil_point"; then
     exit 1
 fi
 
+# The message ceiling of a service smoke: the node forwards of the run
+# that passed ($smoke, its JSON line) may not exceed $2. A lookup's first
+# attempt carries 2 flows and only its hedges all 10, so a daemon that
+# sends every first attempt at full width again forwards about four
+# times as much on the quiet smoke and over twice as much on the
+# churned one.
+smoke=
+message_ceiling() {
+    local name=$1 ceiling=$2
+    if [[ ! $smoke =~ \"node_forwards\":([0-9]+) ]]; then
+        echo "ci: the $name smoke printed no node_forwards: $smoke" >&2
+        exit 1
+    fi
+    if (( BASH_REMATCH[1] > ceiling )); then
+        echo "ci: the $name smoke forwarded ${BASH_REMATCH[1]} messages (ceiling $ceiling)" >&2
+        exit 1
+    fi
+}
+
 # Service-plane smoke (satellite of the mpild subsystem): an embedded
 # daemon on the channel transport, driven open-loop at 400/s with a
 # perturbation volley making two nodes deaf for 200 ms every 150 ms, so
 # one lookup in twenty names a deaf entry node. The daemon hedges those
-# through another entry after 3 ms (the floor of the delay it measures)
-# and the p99 of the 400 reads 3.1-3.6 ms with none lost, seeds 1-6; a
-# daemon that waited out its flat 150 ms period instead read 150-300 ms
+# through another entry after 3 ms (the floor of the delay it measures),
+# as it does the lookups whose two first flows found no replica by then:
+# 34-44 hedges per 400 lookups in ten runs (15-24 when every first
+# attempt carried all ten flows). The p99 of the 400 reads 3.1-3.6 ms
+# with none lost, seeds 1-6; a daemon that waited out its flat 150 ms
+# period instead read 150-300 ms
 # and lost a lookup on two seeds in six. 50 ms sits between the two: it
 # trips if lookups stop being hedged, if hedges go back in through the
 # deaf node, or if the drain path stalls, and 99.9 % admits no lost
@@ -134,15 +156,21 @@ fi
 # times; twelve runs of the finished build met no stall), hence the
 # second attempt, as for the quiet smoke below; a daemon that does not
 # hedge fails both. A run takes ~2 s; --budget-s 60 is the hang
-# tripwire.
+# tripwire. Its nodes forwarded 3 489 messages in nine of ten runs and
+# 3 665 in the tenth (8 600 with full-width first attempts): the
+# ceiling of 5 000 leaves room for forty more hedges.
 churned_smoke() {
-    ./target/release/mpil-load --embedded --nodes 48 --degree 8 --seed 1 \
+    smoke=$(./target/release/mpil-load --embedded --nodes 48 --degree 8 --seed 1 \
         --objects 60 --lookups 400 --rate 400 --window 64 \
         --churn-period-ms 150 --churn-count 2 --churn-length-ms 200 \
-        --min-success 99.9 --max-p99-ms 50 --budget-s 60
+        --min-success 99.9 --max-p99-ms 50 --budget-s 60)
+    local status=$?
+    echo "$smoke"
+    return "$status"
 }
 churned_smoke || churned_smoke \
     || { echo "ci: churned mpild service smoke failed a gate twice" >&2; exit 1; }
+message_ceiling churned 5000
 
 # Quiet service smoke on the real sockets (loopback UDP data and control
 # planes), open loop at 250/s, no churn. The daemon is event-driven: a
@@ -158,13 +186,20 @@ churned_smoke || churned_smoke \
 # fifty reads a p99 near 190 ms with every lookup answered:
 # the shared host took the CPU away for that long in the middle of a
 # four-second run. Hence the second attempt; a poll interval fails both.
+# Its nodes forwarded 4 998-5 029 messages in ten runs (19 487 with
+# full-width first attempts): the ceiling of 8 000 leaves room for a
+# stall that hedges a sixth of the lookups.
 quiet_udp_smoke() {
-    ./target/release/mpil-load --embedded --udp --ctrl-udp --nodes 48 --degree 8 \
+    smoke=$(./target/release/mpil-load --embedded --udp --ctrl-udp --nodes 48 --degree 8 \
         --seed 1 --objects 60 --lookups 1000 --rate 250 --window 64 \
-        --min-success 99.9 --max-p99-ms 6 --budget-s 60
+        --min-success 99.9 --max-p99-ms 6 --budget-s 60)
+    local status=$?
+    echo "$smoke"
+    return "$status"
 }
 quiet_udp_smoke || quiet_udp_smoke \
     || { echo "ci: quiet UDP service smoke failed a gate twice" >&2; exit 1; }
+message_ceiling "quiet UDP" 8000
 
 [[ "$tier1" == ok ]] || { echo "ci: every later step passed, but tier-1 failed (see above)" >&2; exit 1; }
 echo "ci: OK"
