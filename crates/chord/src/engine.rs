@@ -7,14 +7,19 @@
 //! declaration, successor-list failover, a join protocol, and optional
 //! DHash-style successor replication.
 //!
-//! The engine mirrors the Pastry baseline's (`mpil_pastry::PastrySim`)
-//! shape and counters so the two can be compared message-for-message
-//! under the paper's perturbation model.
+//! What it shares with the Pastry baseline (`mpil_pastry::PastrySim`):
+//! the retry machine — routed hops and probes wait in
+//! [`mpil_sim::Outstanding`] tables, resent `probe_retries` times one
+//! `probe_timeout` apart before the peer is declared failed and an
+//! exhausted hop is re-routed — the per-node duplicate filter on routed
+//! messages, and the traffic classes its counters split sends into. So
+//! the two can be compared message-for-message under the paper's
+//! perturbation model.
 
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashSet;
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimTime};
+use mpil_sim::{Counters, Event, Expiry, NetStats, Outstanding, Protocol, Sim, SimTime};
 use rand::Rng;
 
 use crate::config::ChordConfig;
@@ -100,22 +105,8 @@ pub enum Timer {
     RouteRetry { uid: u64 },
 }
 
-#[derive(Debug, Clone)]
-struct PendingRoute {
-    from: NodeIdx,
-    to: NodeIdx,
-    key: Id,
-    payload: Payload,
-    hops: u32,
-    attempts: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PendingProbe {
-    prober: NodeIdx,
-    target: NodeIdx,
-    attempts: u32,
-}
+/// What a routed hop carries: `(key, payload, hops)`.
+type Hop = (Id, Payload, u32);
 
 /// Counters split by traffic class (field-for-field comparable to the
 /// Pastry baseline's `PastryStats`).
@@ -162,13 +153,11 @@ pub struct Chord {
     ids: Vec<Id>,
     states: Vec<ChordState>,
     stores: Vec<IdSet>,
-    pending_routes: FxHashMap<u64, PendingRoute>,
-    pending_probes: FxHashMap<u64, PendingProbe>,
-    pending_stabs: FxHashMap<u64, PendingProbe>,
+    routes: Outstanding<Hop>,
+    probes: Outstanding<()>,
+    stabs: Outstanding<()>,
     probing_pairs: FxHashSet<(NodeIdx, NodeIdx)>,
     seen_uids: Vec<FxHashSet<u64>>,
-    next_uid: u64,
-    next_token: u64,
     next_lookup: u64,
     stats: ChordStats,
 }
@@ -245,42 +234,26 @@ impl Chord {
             self.deliver(cx, at, payload, hops);
             return;
         };
-        self.count_route(&payload);
-        self.transmit(cx, at, next, key, payload, hops + 1);
+        self.transmit(cx, at, next, (key, payload, hops + 1));
     }
 
-    fn transmit(
-        &mut self,
-        cx: &mut Cx<'_>,
-        from: NodeIdx,
-        to: NodeIdx,
-        key: Id,
-        payload: Payload,
-        hops: u32,
-    ) {
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        self.pending_routes.insert(
+    /// Sends one hop with per-hop reliability: acked, resent on timeout.
+    fn transmit(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, hop: Hop) {
+        let uid = self.routes.open(from, to, hop);
+        self.send_route(cx, uid, from, to, hop);
+    }
+
+    /// Sends one attempt of a routed hop and arms its retry timer.
+    fn send_route(&mut self, cx: &mut Cx<'_>, uid: u64, from: NodeIdx, to: NodeIdx, hop: Hop) {
+        let (key, payload, hops) = hop;
+        self.count_route(&payload);
+        let route = Msg::Route {
+            key,
+            payload,
+            hops,
             uid,
-            PendingRoute {
-                from,
-                to,
-                key,
-                payload,
-                hops,
-                attempts: 0,
-            },
-        );
-        cx.send(
-            from,
-            to,
-            Msg::Route {
-                key,
-                payload,
-                hops,
-                uid,
-            },
-        );
+        };
+        cx.send(from, to, route);
         cx.schedule(from, self.config.probe_timeout, Timer::RouteRetry { uid });
     }
 
@@ -373,23 +346,17 @@ impl Chord {
         if prober == target || !self.probing_pairs.insert((prober, target)) {
             return;
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.pending_probes.insert(
-            token,
-            PendingProbe {
-                prober,
-                target,
-                attempts: 0,
-            },
-        );
+        let token = self.probes.open(prober, target, ());
+        let probe = Msg::Probe { token };
+        self.ask(cx, prober, target, probe, Timer::ProbeTimeout { token });
+    }
+
+    /// Sends one attempt of a probe or stabilize request and arms its
+    /// timeout (on a resend, the timer that just fired).
+    fn ask(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, msg: Msg, timeout: Timer) {
         self.stats.maintenance_messages += 1;
-        cx.send(prober, target, Msg::Probe { token });
-        cx.schedule(
-            prober,
-            self.config.probe_timeout,
-            Timer::ProbeTimeout { token },
-        );
+        cx.send(from, to, msg);
+        cx.schedule(from, self.config.probe_timeout, timeout);
     }
 
     fn declare_failed(&mut self, at: NodeIdx, dead: NodeIdx) {
@@ -419,15 +386,15 @@ impl Chord {
                 self.route_step(cx, to, key, payload, hops);
             }
             Msg::RouteAck { uid } => {
-                self.pending_routes.remove(&uid);
+                self.routes.settle(uid);
             }
             Msg::Probe { token } => {
                 self.stats.maintenance_messages += 1;
                 cx.send(to, from, Msg::ProbeReply { token });
             }
             Msg::ProbeReply { token } => {
-                if let Some(p) = self.pending_probes.remove(&token) {
-                    self.probing_pairs.remove(&(p.prober, p.target));
+                if let Some(p) = self.probes.settle(token) {
+                    self.probing_pairs.remove(&(p.from, p.to));
                 }
             }
             Msg::StabRequest { token } => {
@@ -445,10 +412,9 @@ impl Chord {
                 predecessor,
                 successors,
             } => {
-                let Some(p) = self.pending_stabs.remove(&token) else {
-                    return;
-                };
-                self.finish_stabilize(cx, p.prober, p.target, predecessor, &successors);
+                if let Some(p) = self.stabs.settle(token) {
+                    self.finish_stabilize(cx, p.from, p.to, predecessor, &successors);
+                }
             }
             Msg::Notify => {
                 let fid = self.ids[from.index()];
@@ -482,23 +448,9 @@ impl Chord {
             Timer::Stabilize => {
                 if cx.is_online(node) {
                     if let Some(succ) = self.states[node.index()].successor() {
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        self.pending_stabs.insert(
-                            token,
-                            PendingProbe {
-                                prober: node,
-                                target: succ,
-                                attempts: 0,
-                            },
-                        );
-                        self.stats.maintenance_messages += 1;
-                        cx.send(node, succ, Msg::StabRequest { token });
-                        cx.schedule(
-                            node,
-                            self.config.probe_timeout,
-                            Timer::StabTimeout { token },
-                        );
+                        let token = self.stabs.open(node, succ, ());
+                        let request = Msg::StabRequest { token };
+                        self.ask(cx, node, succ, request, Timer::StabTimeout { token });
                     }
                 }
                 cx.schedule(node, self.config.stabilize_period, Timer::Stabilize);
@@ -532,95 +484,33 @@ impl Chord {
                     Timer::CheckPredecessor,
                 );
             }
-            Timer::ProbeTimeout { token } => {
-                let Some(pending) = self.pending_probes.get(&token).copied() else {
-                    return;
-                };
-                if !cx.is_online(pending.prober) {
-                    self.pending_probes.remove(&token);
-                    self.probing_pairs.remove(&(pending.prober, pending.target));
-                    return;
+            Timer::ProbeTimeout { token } => match self.probes.expire(token, |n| cx.is_online(n)) {
+                Expiry::Settled => {}
+                Expiry::Resend(p) => self.ask(cx, p.from, p.to, Msg::Probe { token }, timer),
+                Expiry::Dropped(p) => {
+                    self.probing_pairs.remove(&(p.from, p.to));
                 }
-                if pending.attempts < self.config.probe_retries {
-                    self.pending_probes
-                        .get_mut(&token)
-                        .expect("checked above")
-                        .attempts += 1;
-                    self.stats.maintenance_messages += 1;
-                    cx.send(pending.prober, pending.target, Msg::Probe { token });
-                    cx.schedule(
-                        pending.prober,
-                        self.config.probe_timeout,
-                        Timer::ProbeTimeout { token },
-                    );
-                } else {
-                    self.pending_probes.remove(&token);
-                    self.probing_pairs.remove(&(pending.prober, pending.target));
-                    self.declare_failed(pending.prober, pending.target);
+                Expiry::Exhausted(p) => {
+                    self.probing_pairs.remove(&(p.from, p.to));
+                    self.declare_failed(p.from, p.to);
                 }
-            }
-            Timer::StabTimeout { token } => {
-                let Some(pending) = self.pending_stabs.get(&token).copied() else {
-                    return;
-                };
-                if !cx.is_online(pending.prober) {
-                    self.pending_stabs.remove(&token);
-                    return;
+            },
+            Timer::StabTimeout { token } => match self.stabs.expire(token, |n| cx.is_online(n)) {
+                Expiry::Settled | Expiry::Dropped(_) => {}
+                Expiry::Resend(s) => self.ask(cx, s.from, s.to, Msg::StabRequest { token }, timer),
+                // The successor is dead: drop it and fail over to the
+                // next successor at the following stabilize round.
+                Expiry::Exhausted(s) => self.declare_failed(s.from, s.to),
+            },
+            Timer::RouteRetry { uid } => match self.routes.expire(uid, |n| cx.is_online(n)) {
+                Expiry::Settled | Expiry::Dropped(_) => {}
+                Expiry::Resend(r) => self.send_route(cx, uid, r.from, r.to, r.body),
+                Expiry::Exhausted(r) => {
+                    self.declare_failed(r.from, r.to);
+                    let (key, payload, hops) = r.body;
+                    self.route_step(cx, r.from, key, payload, hops);
                 }
-                if pending.attempts < self.config.probe_retries {
-                    self.pending_stabs
-                        .get_mut(&token)
-                        .expect("checked above")
-                        .attempts += 1;
-                    self.stats.maintenance_messages += 1;
-                    cx.send(pending.prober, pending.target, Msg::StabRequest { token });
-                    cx.schedule(
-                        pending.prober,
-                        self.config.probe_timeout,
-                        Timer::StabTimeout { token },
-                    );
-                } else {
-                    self.pending_stabs.remove(&token);
-                    // The successor is dead: drop it and fail over to the
-                    // next successor at the following stabilize round.
-                    self.declare_failed(pending.prober, pending.target);
-                }
-            }
-            Timer::RouteRetry { uid } => {
-                let Some(pending) = self.pending_routes.get(&uid).cloned() else {
-                    return;
-                };
-                if !cx.is_online(pending.from) {
-                    self.pending_routes.remove(&uid);
-                    return;
-                }
-                if pending.attempts < self.config.probe_retries {
-                    self.pending_routes
-                        .get_mut(&uid)
-                        .expect("checked above")
-                        .attempts += 1;
-                    self.count_route(&pending.payload);
-                    cx.send(
-                        pending.from,
-                        pending.to,
-                        Msg::Route {
-                            key: pending.key,
-                            payload: pending.payload,
-                            hops: pending.hops,
-                            uid,
-                        },
-                    );
-                    cx.schedule(
-                        pending.from,
-                        self.config.probe_timeout,
-                        Timer::RouteRetry { uid },
-                    );
-                } else {
-                    self.pending_routes.remove(&uid);
-                    self.declare_failed(pending.from, pending.to);
-                    self.route_step(cx, pending.from, pending.key, pending.payload, pending.hops);
-                }
-            }
+            },
         }
     }
 
@@ -676,13 +566,11 @@ impl Protocol for Chord {
             config,
             states,
             stores: vec![IdSet::new(); n],
-            pending_routes: FxHashMap::default(),
-            pending_probes: FxHashMap::default(),
-            pending_stabs: FxHashMap::default(),
+            routes: Outstanding::new(config.probe_retries),
+            probes: Outstanding::new(config.probe_retries),
+            stabs: Outstanding::new(config.probe_retries),
             probing_pairs: FxHashSet::default(),
             seen_uids: vec![FxHashSet::default(); n],
-            next_uid: 0,
-            next_token: 0,
             next_lookup: 0,
             ids,
             stats: ChordStats::default(),
@@ -735,8 +623,12 @@ impl Protocol for Chord {
     fn join(&mut self, cx: &mut Cx<'_>, joiner: NodeIdx, bootstrap: NodeIdx) -> bool {
         assert_ne!(joiner, bootstrap, "cannot bootstrap from self");
         let key = self.ids[joiner.index()];
-        self.stats.maintenance_messages += 1;
-        self.transmit(cx, joiner, bootstrap, key, Payload::JoinFind { joiner }, 0);
+        self.transmit(
+            cx,
+            joiner,
+            bootstrap,
+            (key, Payload::JoinFind { joiner }, 0),
+        );
         true
     }
 
@@ -952,6 +844,19 @@ mod tests {
         sim.start_maintenance();
         sim.run_until(SimTime::from_secs(120));
         assert_eq!(sim.state(succ).predecessor(), Some(NodeIdx::new(32)));
+        // No other pinned count drives a join (its route is an acked,
+        // retried transmission like any other): hold its sends exactly.
+        assert_eq!(
+            (sim.net_stats().sent, sim.stats()),
+            (
+                778,
+                ChordStats {
+                    ack_messages: 46,
+                    maintenance_messages: 732,
+                    ..ChordStats::default()
+                }
+            )
+        );
     }
 
     #[test]

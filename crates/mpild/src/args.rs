@@ -56,12 +56,16 @@ pub fn daemon_config(args: &Args) -> Result<DaemonConfig, String> {
 /// --churn-period-ms P --churn-count N --churn-length-ms L`.
 ///
 /// `nodes` is the target daemon's live node count (origins are drawn
-/// below it).
+/// below it), or `None` when the caller probes the daemon for it
+/// afterwards (left 0 here; a probe that reads 0 is the caller's to
+/// refuse).
 ///
 /// # Errors
 ///
-/// Names the flag whose value does not parse.
-pub fn load_config(args: &Args, nodes: usize) -> Result<LoadConfig, String> {
+/// Names the flag whose value does not parse, or that the load cannot
+/// run with: zero `--nodes`, `--objects`, `--window` or `--workers`, a
+/// `--rate` that is not positive and finite.
+pub fn load_config(args: &Args, nodes: Option<usize>) -> Result<LoadConfig, String> {
     let defaults = LoadConfig::default();
     // Read whether or not there is a period: a flag that was not read
     // is a flag `Args::finish` refuses.
@@ -72,13 +76,21 @@ pub fn load_config(args: &Args, nodes: usize) -> Result<LoadConfig, String> {
         count,
         length,
     });
+    let positive = |flag: &str, value: Option<usize>| match value {
+        Some(0) => Err(format!("--{flag} 0: must be at least 1")),
+        _ => Ok(value),
+    };
+    let rate: Option<f64> = args.try_value("rate")?;
+    if let Some(rate) = rate.filter(|r| !(r.is_finite() && *r > 0.0)) {
+        return Err(format!("--rate {rate}: must be positive and finite"));
+    }
     Ok(LoadConfig {
-        objects: args.try_value("objects")?.unwrap_or(defaults.objects),
+        objects: positive("objects", args.try_value("objects")?)?.unwrap_or(defaults.objects),
         lookups: args.try_value("lookups")?.unwrap_or(defaults.lookups),
-        nodes,
-        rate: args.try_value("rate")?,
-        window: args.try_value("window")?.unwrap_or(defaults.window),
-        workers: args.try_value("workers")?.unwrap_or(defaults.workers),
+        nodes: positive("nodes", nodes)?.unwrap_or(0),
+        rate,
+        window: positive("window", args.try_value("window")?)?.unwrap_or(defaults.window),
+        workers: positive("workers", args.try_value("workers")?)?.unwrap_or(defaults.workers),
         timeout: Duration::from_millis(args.try_value("client-timeout-ms")?.unwrap_or(2000)),
         seed: args.try_value("seed")?.unwrap_or(defaults.seed),
         churn,

@@ -148,7 +148,7 @@ pub fn load(args: &Args) -> Result<(String, Vec<String>), String> {
 
     let (load, daemon) = if args.flag("embedded") {
         let dcfg = daemon_config(args)?;
-        let lcfg = load_config(args, dcfg.nodes)?;
+        let lcfg = load_config(args, Some(dcfg.nodes))?;
         let ctrl = if args.flag("ctrl-udp") {
             CtrlKind::Udp
         } else {
@@ -165,13 +165,16 @@ pub fn load(args: &Args) -> Result<(String, Vec<String>), String> {
         // pinned it: a stale --nodes turns origins past the daemon's
         // range into BAD_NODE rejects.
         let nodes: Option<usize> = args.try_value("nodes")?;
-        let mut lcfg = load_config(args, nodes.unwrap_or(0))?;
+        let mut lcfg = load_config(args, nodes)?;
         let stop_daemon = args.flag("stop-daemon");
         args.finish()?;
         let mut conn = UdpCtrlClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         if nodes.is_none() {
             lcfg.nodes =
                 probe_live_nodes(&mut conn, Duration::from_secs(2)).map_err(|e| e.to_string())?;
+            if lcfg.nodes == 0 {
+                return Err(format!("the daemon at {addr} reports 0 live nodes"));
+            }
         }
         let load = run_load(&mut conn, &lcfg).map_err(|e| e.to_string())?;
         if stop_daemon {
@@ -217,9 +220,10 @@ mod tests {
         Args::parse(line.split_whitespace().map(String::from))
     }
 
-    /// A gate or a behaviour that cannot be read as written fails the
-    /// run before it starts, with the flag named: each of these used to
-    /// run to exit 0 with the gate, the rate or the churn silently off.
+    /// A gate, a behaviour or a size that cannot be read as written
+    /// fails the run before it starts, with the flag named, instead of
+    /// running to exit 0 with the gate, the rate or the churn silently
+    /// off, or panicking in the pacer or the workload generator.
     #[test]
     fn load_refuses_a_command_line_it_cannot_read() {
         for (line, named) in [
@@ -229,6 +233,12 @@ mod tests {
             ("--rate abc", "--rate \"abc\""),
             ("--churn-period-ms x", "--churn-period-ms \"x\""),
             ("--budget-s -1", "--budget-s -1"),
+            ("--rate 0", "--rate 0"),
+            ("--rate inf", "--rate inf"),
+            ("--window 0 --rate 100", "--window 0"),
+            ("--workers 0", "--workers 0"),
+            ("--objects 0", "--objects 0"),
+            ("--nodes 0", "--nodes 0"),
         ] {
             for target in ["--embedded --nodes 16", "--addr 127.0.0.1:9"] {
                 let why = load(&args(&format!("{target} {line}")))

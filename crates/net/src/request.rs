@@ -52,9 +52,12 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// The whole patience a request gets, however its attempts are
-    /// spaced: `(retries + 1) × timeout`.
+    /// spaced: `(retries + 1) × timeout`, saturating at [`Duration::MAX`]
+    /// (so `retries = u32::MAX` is a long budget, not a wrapped zero).
     pub fn budget(&self) -> Duration {
-        self.timeout * (self.retries + 1)
+        self.timeout
+            .saturating_mul(self.retries)
+            .saturating_add(self.timeout)
     }
 }
 
@@ -261,7 +264,10 @@ impl<T> RequestTracker<T> {
     /// expired request is to be failed rather than re-submitted. Under
     /// flat timeouts that is after `retries` re-submissions.
     pub fn budget_left(&self, pending: &Pending<T>, now: Duration) -> Duration {
-        (pending.first_issued_at + self.policy.budget()).saturating_sub(now)
+        pending
+            .first_issued_at
+            .saturating_add(self.policy.budget())
+            .saturating_sub(now)
     }
 
     /// Re-arms an expired request under the fresh id its re-submission
@@ -556,5 +562,27 @@ mod tests {
         let (_, p) = t.pop_expired(400 * MS).expect("expired");
         assert_eq!(t.budget_left(&p, 310 * MS), Duration::ZERO);
         assert_eq!(t.budget_left(&p, 400 * MS), Duration::ZERO);
+    }
+
+    /// `--retries 4294967295` is a long budget, not one wrapped to zero
+    /// that fails every request whose first attempt missed, and a huge
+    /// timeout on top saturates rather than overflows.
+    #[test]
+    fn the_budget_saturates_instead_of_wrapping() {
+        let most = RetryPolicy {
+            timeout: 150 * MS,
+            retries: u32::MAX,
+        };
+        assert_eq!(most.budget(), 150 * MS * u32::MAX + 150 * MS);
+        let longest = RetryPolicy {
+            timeout: Duration::from_millis(u64::MAX),
+            retries: u32::MAX,
+        };
+        assert_eq!(longest.budget(), Duration::MAX);
+        let mut t = RequestTracker::new(longest);
+        t.track(MessageId(1), "x", 10 * MS);
+        let due = t.next_deadline().expect("tracked");
+        let (_, p) = t.pop_expired(due).expect("expired");
+        assert_eq!(t.budget_left(&p, due), Duration::MAX - due);
     }
 }

@@ -3,12 +3,13 @@
 //! Implements the dependability machinery the perturbation experiments
 //! exercise: per-hop acks with retransmission, probe-based failure
 //! declaration, leaf-set/routing-table repair, periodic probing, and
-//! passive re-integration of recovered nodes.
+//! passive re-integration of recovered nodes. Routed hops and probes
+//! wait for their answers in [`mpil_sim::Outstanding`] tables.
 
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashSet;
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimTime};
+use mpil_sim::{Counters, Event, Expiry, NetStats, Outstanding, Protocol, Sim, SimTime};
 
 use crate::config::PastryConfig;
 use crate::state::{NextHop, PastryState};
@@ -84,22 +85,8 @@ pub enum Timer {
     RouteRetry { uid: u64 },
 }
 
-#[derive(Debug, Clone)]
-struct PendingRoute {
-    from: NodeIdx,
-    to: NodeIdx,
-    key: Id,
-    payload: Payload,
-    hops: u32,
-    attempts: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PendingProbe {
-    prober: NodeIdx,
-    target: NodeIdx,
-    attempts: u32,
-}
+/// What a routed hop carries: `(key, payload, hops)`.
+type Hop = (Id, Payload, u32);
 
 /// Counters split by traffic class (Figure 12 plots these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -146,16 +133,14 @@ pub struct Pastry {
     ids: Vec<Id>,
     states: Vec<PastryState>,
     stores: Vec<IdSet>,
-    pending_routes: FxHashMap<u64, PendingRoute>,
-    pending_probes: FxHashMap<u64, PendingProbe>,
-    /// Fast membership view of `pending_probes` keyed by (prober, target),
-    /// so starting a probe does not scan the pending map.
+    routes: Outstanding<Hop>,
+    probes: Outstanding<()>,
+    /// The (prober, target) pairs of the open `probes`, so a pair is
+    /// probed once at a time.
     probing_pairs: FxHashSet<(NodeIdx, NodeIdx)>,
     /// Per-node set of Route uids already processed (dedup after
     /// retransmission races).
     seen_uids: Vec<FxHashSet<u64>>,
-    next_uid: u64,
-    next_token: u64,
     next_lookup: u64,
     stats: PastryStats,
 }
@@ -209,15 +194,15 @@ impl Pastry {
                 self.deliver_or_forward(cx, to, key, payload, hops);
             }
             Msg::RouteAck { uid } => {
-                self.pending_routes.remove(&uid);
+                self.routes.settle(uid);
             }
             Msg::Probe { token } => {
                 self.stats.maintenance_messages += 1;
                 cx.send(to, from, Msg::ProbeReply { token });
             }
             Msg::ProbeReply { token } => {
-                if let Some(p) = self.pending_probes.remove(&token) {
-                    self.probing_pairs.remove(&(p.prober, p.target));
+                if let Some(p) = self.probes.settle(token) {
+                    self.probing_pairs.remove(&(p.from, p.to));
                 }
             }
             Msg::LeafsetPull => {
@@ -362,73 +347,30 @@ impl Pastry {
                     Timer::RtMaintenance,
                 );
             }
-            Timer::ProbeTimeout { token } => {
-                let Some(pending) = self.pending_probes.get(&token).copied() else {
-                    return;
-                };
-                if !cx.is_online(pending.prober) {
-                    // The prober itself went offline; abandon the probe.
-                    self.pending_probes.remove(&token);
-                    self.probing_pairs.remove(&(pending.prober, pending.target));
-                    return;
+            Timer::ProbeTimeout { token } => match self.probes.expire(token, |n| cx.is_online(n)) {
+                Expiry::Settled => {}
+                Expiry::Resend(p) => self.send_probe(cx, token, p.from, p.to),
+                // The prober itself went offline; abandon the probe.
+                Expiry::Dropped(p) => {
+                    self.probing_pairs.remove(&(p.from, p.to));
                 }
-                if pending.attempts < self.config.probe_retries {
-                    self.pending_probes
-                        .get_mut(&token)
-                        .expect("checked above")
-                        .attempts += 1;
-                    self.stats.maintenance_messages += 1;
-                    cx.send(pending.prober, pending.target, Msg::Probe { token });
-                    cx.schedule(
-                        pending.prober,
-                        self.config.probe_timeout,
-                        Timer::ProbeTimeout { token },
-                    );
-                } else {
-                    self.pending_probes.remove(&token);
-                    self.probing_pairs.remove(&(pending.prober, pending.target));
-                    self.declare_failed(cx, pending.prober, pending.target);
+                Expiry::Exhausted(p) => {
+                    self.probing_pairs.remove(&(p.from, p.to));
+                    self.declare_failed(cx, p.from, p.to);
                 }
-            }
-            Timer::RouteRetry { uid } => {
-                let Some(pending) = self.pending_routes.get(&uid).cloned() else {
-                    return;
-                };
-                if !cx.is_online(pending.from) {
-                    // The holder is perturbed; the in-flight message is
-                    // lost with it.
-                    self.pending_routes.remove(&uid);
-                    return;
+            },
+            Timer::RouteRetry { uid } => match self.routes.expire(uid, |n| cx.is_online(n)) {
+                // A dropped hop is lost with its perturbed holder.
+                Expiry::Settled | Expiry::Dropped(_) => {}
+                Expiry::Resend(r) => self.send_route(cx, uid, r.from, r.to, r.body),
+                // Retries exhausted: declare the hop dead and re-route
+                // around it from the holder.
+                Expiry::Exhausted(r) => {
+                    self.declare_failed(cx, r.from, r.to);
+                    let (key, payload, hops) = r.body;
+                    self.route_step(cx, r.from, key, payload, hops);
                 }
-                if pending.attempts < self.config.probe_retries {
-                    self.pending_routes
-                        .get_mut(&uid)
-                        .expect("checked above")
-                        .attempts += 1;
-                    self.count_route(&pending.payload);
-                    cx.send(
-                        pending.from,
-                        pending.to,
-                        Msg::Route {
-                            key: pending.key,
-                            payload: pending.payload,
-                            hops: pending.hops,
-                            uid,
-                        },
-                    );
-                    cx.schedule(
-                        pending.from,
-                        self.config.probe_timeout,
-                        Timer::RouteRetry { uid },
-                    );
-                } else {
-                    // Retries exhausted: declare the hop dead and re-route
-                    // around it from the holder.
-                    self.pending_routes.remove(&uid);
-                    self.declare_failed(cx, pending.from, pending.to);
-                    self.route_step(cx, pending.from, pending.key, pending.payload, pending.hops);
-                }
-            }
+            },
         }
     }
 
@@ -532,33 +474,25 @@ impl Pastry {
         match decision {
             NextHop::Local => self.deliver_local(cx, node, key, payload, hops),
             NextHop::Forward(next) => {
-                let uid = self.next_uid;
-                self.next_uid += 1;
-                self.pending_routes.insert(
-                    uid,
-                    PendingRoute {
-                        from: node,
-                        to: next,
-                        key,
-                        payload,
-                        hops: hops + 1,
-                        attempts: 0,
-                    },
-                );
-                self.count_route(&payload);
-                cx.send(
-                    node,
-                    next,
-                    Msg::Route {
-                        key,
-                        payload,
-                        hops: hops + 1,
-                        uid,
-                    },
-                );
-                cx.schedule(node, self.config.probe_timeout, Timer::RouteRetry { uid });
+                let hop = (key, payload, hops + 1);
+                let uid = self.routes.open(node, next, hop);
+                self.send_route(cx, uid, node, next, hop);
             }
         }
+    }
+
+    /// Sends one attempt of a routed hop and arms its retry timer.
+    fn send_route(&mut self, cx: &mut Cx<'_>, uid: u64, from: NodeIdx, to: NodeIdx, hop: Hop) {
+        let (key, payload, hops) = hop;
+        self.count_route(&payload);
+        let route = Msg::Route {
+            key,
+            payload,
+            hops,
+            uid,
+        };
+        cx.send(from, to, route);
+        cx.schedule(from, self.config.probe_timeout, Timer::RouteRetry { uid });
     }
 
     /// Terminal delivery at the node that believes itself root.
@@ -609,16 +543,12 @@ impl Pastry {
         if !self.probing_pairs.insert((prober, target)) {
             return;
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.pending_probes.insert(
-            token,
-            PendingProbe {
-                prober,
-                target,
-                attempts: 0,
-            },
-        );
+        let token = self.probes.open(prober, target, ());
+        self.send_probe(cx, token, prober, target);
+    }
+
+    /// Sends one attempt of probe `token` and arms its timeout.
+    fn send_probe(&mut self, cx: &mut Cx<'_>, token: u64, prober: NodeIdx, target: NodeIdx) {
         self.stats.maintenance_messages += 1;
         cx.send(prober, target, Msg::Probe { token });
         cx.schedule(
@@ -663,12 +593,10 @@ impl Protocol for Pastry {
             config,
             states,
             stores: vec![IdSet::new(); n],
-            pending_routes: FxHashMap::default(),
-            pending_probes: FxHashMap::default(),
+            routes: Outstanding::new(config.probe_retries),
+            probes: Outstanding::new(config.probe_retries),
             probing_pairs: FxHashSet::default(),
             seen_uids: vec![FxHashSet::default(); n],
-            next_uid: 0,
-            next_token: 0,
             next_lookup: 0,
             ids,
             stats: PastryStats::default(),

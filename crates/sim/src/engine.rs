@@ -41,11 +41,14 @@ use crate::time::{SimDuration, SimTime};
 /// * `total_messages` is everything the engine put on the wire, so each
 ///   class, and the sum of all four, never exceeds it.
 ///
-/// The DHT baselines and the gossip engine attribute every send, so
-/// their class sum *equals* `total_messages`; an engine with
-/// unattributed traffic (protocol acks, transport chatter) may leave
-/// the sum strictly below the total, never above it. MPIL has no acks:
-/// its class sum coincides with the kernel's send count.
+/// Kademlia and the gossip engine attribute every send, so their class
+/// sum *equals* `total_messages`. Chord and MSPastry do not: their
+/// per-hop route acks are counted in `total_messages` and attributed to
+/// no class, so their class sum falls short of the total by exactly the
+/// acks. Any engine with unattributed traffic (protocol acks, transport
+/// chatter) may leave the sum strictly below the total, never above it.
+/// MPIL has no acks: its class sum coincides with the kernel's send
+/// count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Transmissions carrying lookups.

@@ -18,6 +18,10 @@
 //! agents run on this kernel, so their perturbation results are directly
 //! comparable.
 //!
+//! The acked baselines (Chord, MSPastry) keep every request they retry —
+//! a routed hop, a probe, a stabilize request — in an [`Outstanding`]
+//! table: one resend-then-give-up policy, written and tested once.
+//!
 //! Determinism: every run is a pure function of its seeds. Same-time
 //! events fire in insertion order, and the flapping coin for (node,
 //! period) is a hash, so availability can be queried at any time in O(1)
@@ -31,6 +35,7 @@ pub mod engine;
 pub mod latency;
 pub mod net;
 pub mod outcome;
+pub mod outstanding;
 pub mod pool;
 pub mod rng;
 pub mod time;
@@ -41,5 +46,6 @@ pub use engine::{Counters, Cx, Protocol, Sim};
 pub use latency::{ConstantLatency, LatencyModel, TransitStubLatency, UniformLatency};
 pub use net::{Event, NetStats, Network};
 pub use outcome::LookupOutcome;
+pub use outstanding::{Expiry, Outstanding, Request};
 pub use pool::{PayloadBuf, PayloadPool, PoolStats, PAYLOAD_INLINE};
 pub use time::{SimDuration, SimTime};

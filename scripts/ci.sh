@@ -25,9 +25,11 @@
 #   traffic: a 20k-node plumtree point under --max-msgs-per-lookup —
 #            catches the dissemination layer regressing to flood-scale
 #            lookup traffic
-#   agent:   the 50k-node MPIL point, send and event counts exact —
-#            catches a change to the one receive path (mpil::Agent)
-#            that moves a single send
+#   engines: the five sim-engines reference points (Plumtree, Chord,
+#            MSPastry, Kademlia, the 50k-node MPIL agent), send and
+#            event counts exact — catches a change to an engine, to the
+#            one MPIL receive path (mpil::Agent) or to the baselines'
+#            retry table (mpil_sim::Outstanding) that moves a single send
 #   service: an embedded mpild + mpil-load smoke with live churn —
 #            catches the daemon/load-generator path (request tracking,
 #            hedged lookups, drain) failing under perturbation or its
@@ -107,16 +109,26 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
     --budget-s 120 --max-rss-mib 400 --max-msgs-per-lookup 25 \
     || { echo "ci: 20k-node plumtree smoke exceeded a budget or failed" >&2; exit 1; }
 
-# MPIL agent pin: every copy at every node of Sim<Mpil> and of the live
-# shard goes through `mpil::Agent::receive`. This point (~0.5 s) is the
-# `mpil` row of benchmark/src/sim.rs's PINNED_REFERENCE, which otherwise
-# only a full benchmark run checks, so a change to that path that moves
-# one send fails here first.
-mpil_point=$(./target/release/scale_run --engine mpil --nodes 50000 --ops 2500 --p 0.1 --seed 1)
-if ! grep -q '"sent": 359579, "events": 56334,' <<<"$mpil_point"; then
-    echo "ci: the 50k-node MPIL point moved (pinned: sent 359579, events 56334): $mpil_point" >&2
-    exit 1
-fi
+# Engine pins: the five rows of benchmark/src/sim.rs's PINNED_REFERENCE
+# (~1.5 s together), which otherwise only a full benchmark run checks.
+# Every copy at every node of Sim<Mpil> and of the live shard goes
+# through `mpil::Agent::receive`; every ack, probe and stabilize retry of
+# Chord and MSPastry through `mpil_sim::Outstanding`. A change to any of
+# them that moves one send fails here first.
+while read -r sent events flags; do
+    # shellcheck disable=SC2086 # $flags is a list of flags
+    point=$(./target/release/scale_run $flags --seed 1)
+    if ! grep -q "\"sent\": $sent, \"events\": $events," <<<"$point"; then
+        echo "ci: scale_run $flags --seed 1 moved (pinned: sent $sent, events $events): $point" >&2
+        exit 1
+    fi
+done <<'PINS'
+563131 819746 --engine plumtree --nodes 1000 --ops 20 --p 0.5
+131835 233193 --engine chord --nodes 500 --ops 20 --p 0
+378674 582804 --engine pastry --nodes 250 --ops 20 --p 0
+131132 198105 --engine kademlia --nodes 250 --ops 20 --p 0
+359579 56334 --engine mpil --nodes 50000 --ops 2500 --p 0.1
+PINS
 
 # The message ceiling of a service smoke: the node forwards of the run
 # that passed ($smoke, its JSON line) may not exceed $2. A lookup's first
