@@ -55,9 +55,9 @@ fn plan(args: &Args) -> Result<Plan, String> {
     let spec = scale_spec(&name, strategy.as_deref())?;
     let plan = Plan {
         spec,
-        nodes: args.try_value("nodes")?.unwrap_or(1000),
+        nodes: args.try_value_in("nodes", 1..)?.unwrap_or(1000),
         ops: args.try_value("ops")?.unwrap_or(20),
-        p: args.try_value("p")?.unwrap_or(0.5),
+        p: args.try_value_in("p", 0.0..=1.0)?.unwrap_or(0.5),
         seed: args.try_value("seed")?.unwrap_or(1),
         budget_s: args.try_value("budget-s")?.unwrap_or(0),
         max_rss_mib: args.try_value("max-rss-mib")?.unwrap_or(0.0),
@@ -119,6 +119,10 @@ mod tests {
             ("--engine plumtree --strategy ring", "--strategy"),
             ("--engine chord --strategy banana", "--strategy"),
             ("--engine gossip --strategy plumtree", "--strategy"),
+            ("--engine chord --p 1.5", "--p \"1.5\""),
+            ("--p -0.5", "--p \"-0.5\""),
+            ("--p NaN", "--p \"NaN\""),
+            ("--engine chord --nodes 0 --p 0", "--nodes \"0\""),
         ] {
             let why = plan(&Args::parse(line.split(' ').map(String::from)))
                 .err()

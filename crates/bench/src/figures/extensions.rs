@@ -8,7 +8,7 @@ use mpil_harness::{
     OverlaySource, PerturbResult, PerturbRun, Report, Scenario,
 };
 use mpil_id::Id;
-use mpil_overlay::transit_stub::{self, TransitStubConfig};
+use mpil_overlay::transit_stub;
 use mpil_overlay::NodeIdx;
 use mpil_pastry::{build_converged_states, PastryConfig, PastrySim};
 use mpil_sim::{AlwaysOn, SimDuration, SimTime, TraceChurn, TransitStubLatency};
@@ -495,13 +495,12 @@ fn build_maintained_pastry(
     seed: u64,
 ) -> (Box<dyn DiscoveryEngine>, Vec<Id>) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let config = PastryConfig::default();
     let ids = mpil_pastry::bootstrap::random_ids(nodes, &mut rng);
-    let states = build_converged_states(&ids, &config, &mut rng);
-    let ts = transit_stub::generate(nodes, TransitStubConfig::default(), &mut rng).expect("ts");
+    let states = build_converged_states(&ids, &mut rng);
+    let ts = transit_stub::generate(nodes, &mut rng).expect("ts");
     let sim = PastrySim::new(
         (ids, states),
-        config,
+        PastryConfig::default(),
         Box::new(AlwaysOn),
         Box::new(TransitStubLatency::new(ts, 0.1)),
         seed ^ 0x77,
@@ -517,11 +516,10 @@ fn build_mpil_over_pastry(
     seed: u64,
 ) -> (Box<dyn DiscoveryEngine>, Vec<Id>) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let config = PastryConfig::default();
     let ids = mpil_pastry::bootstrap::random_ids(nodes, &mut rng);
-    let states = build_converged_states(&ids, &config, &mut rng);
+    let states = build_converged_states(&ids, &mut rng);
     let neighbors: Vec<Vec<NodeIdx>> = states.iter().map(|s| s.neighbor_list()).collect();
-    let ts = transit_stub::generate(nodes, TransitStubConfig::default(), &mut rng).expect("ts");
+    let ts = transit_stub::generate(nodes, &mut rng).expect("ts");
     let net = DynamicNetwork::new(
         (ids, neighbors),
         DynamicConfig {

@@ -9,9 +9,13 @@
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 
-use crate::config::ChordConfig;
 use crate::ring::finger_start;
 use crate::state::ChordState;
+
+/// Successor-list length `r` (Stoica et al. recommend `Ω(log N)`; 8
+/// matches Pastry's leaf-set half-size budget). Bounds the DHash
+/// replication factor ([`crate::ChordConfig::replication`]).
+pub(crate) const SUCCESSOR_LIST_LEN: usize = 8;
 
 /// Builds the converged state of every node.
 ///
@@ -20,9 +24,8 @@ use crate::state::ChordState;
 /// Panics if `ids` is empty or contains duplicates (a 160-bit space makes
 /// random collisions vanishingly unlikely; duplicates indicate a bug in
 /// the caller's ID assignment).
-pub fn build_converged_states(ids: &[Id], config: &ChordConfig) -> Vec<ChordState> {
+pub fn build_converged_states(ids: &[Id]) -> Vec<ChordState> {
     assert!(!ids.is_empty(), "cannot build an empty ring");
-    config.assert_valid();
     let n = ids.len();
 
     // Ring order: node indices sorted by identifier.
@@ -47,9 +50,9 @@ pub fn build_converged_states(ids: &[Id], config: &ChordConfig) -> Vec<ChordStat
     (0..n)
         .map(|i| {
             let node = NodeIdx::new(i as u32);
-            let mut st = ChordState::new(node, ids[i], config.successor_list_len);
+            let mut st = ChordState::new(node, ids[i], SUCCESSOR_LIST_LEN);
             let me = rank[i];
-            for k in 1..=config.successor_list_len.min(n - 1) {
+            for k in 1..=SUCCESSOR_LIST_LEN.min(n - 1) {
                 let succ = ring[(me + k) % n];
                 st.offer_successor(NodeIdx::new(succ as u32), ids);
             }
@@ -94,7 +97,7 @@ mod tests {
     #[test]
     fn successors_follow_sorted_ring() {
         let table = ids(&[30, 10, 20, 40]);
-        let states = build_converged_states(&table, &ChordConfig::default());
+        let states = build_converged_states(&table);
         // Node 1 (id 10) → successor node 2 (id 20), then 0 (30), 3 (40).
         assert_eq!(
             states[1].successors(),
@@ -111,7 +114,7 @@ mod tests {
     fn every_finger_is_the_true_successor_of_its_start() {
         let mut rng = SmallRng::seed_from_u64(11);
         let table = random_ids(64, &mut rng);
-        let states = build_converged_states(&table, &ChordConfig::default());
+        let states = build_converged_states(&table);
         let mut sorted: Vec<Id> = table.clone();
         sorted.sort();
         for st in &states {
@@ -131,7 +134,7 @@ mod tests {
     fn ownership_partitions_the_key_space() {
         let mut rng = SmallRng::seed_from_u64(5);
         let table = random_ids(32, &mut rng);
-        let states = build_converged_states(&table, &ChordConfig::default());
+        let states = build_converged_states(&table);
         for _ in 0..200 {
             let key = Id::random(&mut rng);
             let owners: Vec<_> = states.iter().filter(|s| s.owns(key, &table)).collect();
@@ -146,7 +149,7 @@ mod tests {
     #[test]
     fn single_node_ring_owns_everything() {
         let table = ids(&[7]);
-        let states = build_converged_states(&table, &ChordConfig::default());
+        let states = build_converged_states(&table);
         assert_eq!(states[0].successor(), None);
         assert_eq!(states[0].predecessor(), None);
         assert!(states[0].owns(Id::from_low_u64(123), &table));
@@ -156,7 +159,7 @@ mod tests {
     #[test]
     fn two_node_ring_is_mutual() {
         let table = ids(&[100, 200]);
-        let states = build_converged_states(&table, &ChordConfig::default());
+        let states = build_converged_states(&table);
         assert_eq!(states[0].successor(), Some(NodeIdx::new(1)));
         assert_eq!(states[1].successor(), Some(NodeIdx::new(0)));
         assert_eq!(states[0].predecessor(), Some(NodeIdx::new(1)));
@@ -174,12 +177,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty ring")]
     fn empty_ring_rejected() {
-        build_converged_states(&[], &ChordConfig::default());
+        build_converged_states(&[]);
     }
 
     #[test]
     #[should_panic(expected = "duplicate identifiers")]
     fn duplicate_ids_rejected() {
-        build_converged_states(&ids(&[5, 5]), &ChordConfig::default());
+        build_converged_states(&ids(&[5, 5]));
     }
 }

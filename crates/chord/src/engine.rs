@@ -9,8 +9,8 @@
 //!
 //! What it shares with the Pastry baseline (`mpil_pastry::PastrySim`):
 //! the retry machine — routed hops and probes wait in
-//! [`mpil_sim::Outstanding`] tables, resent `probe_retries` times one
-//! `probe_timeout` apart before the peer is declared failed and an
+//! [`mpil_sim::Outstanding`] tables, resent `PROBE_RETRIES` times one
+//! `PROBE_TIMEOUT` apart before the peer is declared failed and an
 //! exhausted hop is re-routed — the per-node duplicate filter on routed
 //! messages, and the traffic classes its counters split sends into. So
 //! the two can be compared message-for-message under the paper's
@@ -19,11 +19,37 @@
 use fxhash::FxHashSet;
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Counters, Event, Expiry, NetStats, Outstanding, Protocol, Sim, SimTime};
+use mpil_sim::{
+    Counters, Event, Expiry, NetStats, Outstanding, Protocol, Sim, SimDuration, SimTime,
+};
 use rand::Rng;
 
 use crate::config::ChordConfig;
 use crate::state::ChordState;
+
+// The maintenance cadence mirrors the paper's MSPastry configuration
+// (Section 6.2), so the two baselines spend comparable effort on upkeep.
+
+/// Period of the stabilize protocol (successor-pointer repair), like
+/// MSPastry's leaf-set probing.
+pub(crate) const STABILIZE_PERIOD: SimDuration = SimDuration::from_secs(30);
+
+/// Period of finger repair, one finger per firing, like MSPastry's
+/// routing-table probing.
+pub(crate) const FIX_FINGERS_PERIOD: SimDuration = SimDuration::from_secs(90);
+
+/// Period of predecessor liveness checking.
+pub(crate) const CHECK_PREDECESSOR_PERIOD: SimDuration = SimDuration::from_secs(30);
+
+/// Probe/ack timeout.
+pub(crate) const PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+
+/// Retries before a peer is declared failed.
+pub(crate) const PROBE_RETRIES: u32 = 2;
+
+/// Hop limit on routed messages (loop guard; lookups on a converged ring
+/// take `O(log N)` hops).
+const MAX_HOPS: u32 = 64;
 
 /// Application payload of a routed message.
 #[doc(hidden)]
@@ -225,7 +251,7 @@ impl Chord {
             self.deliver(cx, at, payload, hops);
             return;
         }
-        if hops >= self.config.max_hops {
+        if hops >= MAX_HOPS {
             self.stats.hop_limit_drops += 1;
             return;
         }
@@ -254,7 +280,7 @@ impl Chord {
             uid,
         };
         cx.send(from, to, route);
-        cx.schedule(from, self.config.probe_timeout, Timer::RouteRetry { uid });
+        cx.schedule(from, PROBE_TIMEOUT, Timer::RouteRetry { uid });
     }
 
     /// The message has reached its root.
@@ -356,7 +382,7 @@ impl Chord {
     fn ask(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, msg: Msg, timeout: Timer) {
         self.stats.maintenance_messages += 1;
         cx.send(from, to, msg);
-        cx.schedule(from, self.config.probe_timeout, timeout);
+        cx.schedule(from, PROBE_TIMEOUT, timeout);
     }
 
     fn declare_failed(&mut self, at: NodeIdx, dead: NodeIdx) {
@@ -453,7 +479,7 @@ impl Chord {
                         self.ask(cx, node, succ, request, Timer::StabTimeout { token });
                     }
                 }
-                cx.schedule(node, self.config.stabilize_period, Timer::Stabilize);
+                cx.schedule(node, STABILIZE_PERIOD, Timer::Stabilize);
             }
             Timer::FixFingers => {
                 if cx.is_online(node) {
@@ -470,7 +496,7 @@ impl Chord {
                         0,
                     );
                 }
-                cx.schedule(node, self.config.fix_fingers_period, Timer::FixFingers);
+                cx.schedule(node, FIX_FINGERS_PERIOD, Timer::FixFingers);
             }
             Timer::CheckPredecessor => {
                 if cx.is_online(node) {
@@ -478,11 +504,7 @@ impl Chord {
                         self.start_probe(cx, node, p);
                     }
                 }
-                cx.schedule(
-                    node,
-                    self.config.check_predecessor_period,
-                    Timer::CheckPredecessor,
-                );
+                cx.schedule(node, CHECK_PREDECESSOR_PERIOD, Timer::CheckPredecessor);
             }
             Timer::ProbeTimeout { token } => match self.probes.expire(token, |n| cx.is_online(n)) {
                 Expiry::Settled => {}
@@ -566,9 +588,9 @@ impl Protocol for Chord {
             config,
             states,
             stores: vec![IdSet::new(); n],
-            routes: Outstanding::new(config.probe_retries),
-            probes: Outstanding::new(config.probe_retries),
-            stabs: Outstanding::new(config.probe_retries),
+            routes: Outstanding::new(PROBE_RETRIES),
+            probes: Outstanding::new(PROBE_RETRIES),
+            stabs: Outstanding::new(PROBE_RETRIES),
             probing_pairs: FxHashSet::default(),
             seen_uids: vec![FxHashSet::default(); n],
             next_lookup: 0,
@@ -635,16 +657,11 @@ impl Protocol for Chord {
     /// Starts the periodic maintenance timers on every node, staggered
     /// uniformly over one period to avoid lockstep rounds.
     fn start_maintenance(&mut self, cx: &mut Cx<'_>) -> bool {
-        let config = self.config;
         for i in 0..self.ids.len() as u32 {
             let node = NodeIdx::new(i);
-            cx.schedule_staggered(node, config.stabilize_period, Timer::Stabilize);
-            cx.schedule_staggered(node, config.fix_fingers_period, Timer::FixFingers);
-            cx.schedule_staggered(
-                node,
-                config.check_predecessor_period,
-                Timer::CheckPredecessor,
-            );
+            cx.schedule_staggered(node, STABILIZE_PERIOD, Timer::Stabilize);
+            cx.schedule_staggered(node, FIX_FINGERS_PERIOD, Timer::FixFingers);
+            cx.schedule_staggered(node, CHECK_PREDECESSOR_PERIOD, Timer::CheckPredecessor);
         }
         true
     }
@@ -676,7 +693,7 @@ mod tests {
     fn build(n: usize, config: ChordConfig, seed: u64) -> ChordSim {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ids = random_ids(n, &mut rng);
-        let states = build_converged_states(&ids, &config);
+        let states = build_converged_states(&ids);
         ChordSim::new(
             (ids, states),
             config,
@@ -814,13 +831,13 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(12);
         let mut ids = random_ids(33, &mut rng);
         let joiner_id = ids.pop().expect("33 ids");
-        let mut states = build_converged_states(&ids, &config);
+        let mut states = build_converged_states(&ids);
         // The joiner starts empty.
         ids.push(joiner_id);
         states.push(ChordState::new(
             NodeIdx::new(32),
             joiner_id,
-            config.successor_list_len,
+            crate::bootstrap::SUCCESSOR_LIST_LEN,
         ));
         let mut sim = ChordSim::new(
             (ids, states),

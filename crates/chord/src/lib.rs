@@ -30,7 +30,7 @@
 //! let mut rng = SmallRng::seed_from_u64(1);
 //! let config = ChordConfig::default();
 //! let ids = random_ids(50, &mut rng);
-//! let states = build_converged_states(&ids, &config);
+//! let states = build_converged_states(&ids);
 //! let mut sim = ChordSim::new(
 //!     (ids, states),
 //!     config,

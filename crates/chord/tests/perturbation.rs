@@ -15,7 +15,7 @@ const OBJECTS: usize = 40;
 fn build_sim(seed: u64, config: ChordConfig) -> (ChordSim, Vec<Id>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let ids = random_ids(N, &mut rng);
-    let states = build_converged_states(&ids, &config);
+    let states = build_converged_states(&ids);
     let sim = ChordSim::new(
         (ids.clone(), states),
         config,

@@ -1,7 +1,7 @@
 //! Property-based tests for the ring algebra and converged bootstrap.
 
+use mpil_chord::build_converged_states;
 use mpil_chord::ring::{dist_cw, finger_start, in_half_open, in_open};
-use mpil_chord::{build_converged_states, ChordConfig};
 use mpil_id::{wrapping_add, wrapping_sub, Id};
 use proptest::prelude::*;
 
@@ -86,7 +86,7 @@ proptest! {
         use rand::{rngs::SmallRng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
         let ids = mpil_chord::random_ids(n, &mut rng);
-        let states = build_converged_states(&ids, &ChordConfig::default());
+        let states = build_converged_states(&ids);
 
         let mut ring: Vec<usize> = (0..n).collect();
         ring.sort_by_key(|&i| ids[i]);
@@ -114,7 +114,7 @@ proptest! {
         use rand::{rngs::SmallRng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
         let ids = mpil_chord::random_ids(n, &mut rng);
-        let states = build_converged_states(&ids, &ChordConfig::default());
+        let states = build_converged_states(&ids);
         let key = Id::random(&mut rng);
         for st in &states {
             if st.owns(key, &ids) {

@@ -33,17 +33,18 @@ pub(crate) fn parse_system(system: &str) -> Result<EngineSpec, CliError> {
     })
 }
 
-/// Builds the scenario named by the standard perturbation flags.
+/// Builds the scenario named by the standard perturbation flags,
+/// refusing a size of zero and a probability outside [0, 1].
 pub(crate) fn parse_scenario(args: &Args) -> Result<Scenario, CliError> {
     let system = args.value("system").unwrap_or("mpil").to_string();
     let run = PerturbRun {
-        nodes: args.try_value("nodes")?.unwrap_or(300usize),
+        nodes: args.try_value_in("nodes", 1..)?.unwrap_or(300usize),
         operations: args.try_value("ops")?.unwrap_or(60usize),
         idle_secs: args.try_value("idle")?.unwrap_or(30u64),
         offline_secs: args.try_value("offline")?.unwrap_or(30u64),
-        probability: args.try_value("p")?.unwrap_or(0.5f64),
+        probability: args.try_value_in("p", 0.0..=1.0)?.unwrap_or(0.5f64),
         deadline_cap_secs: args.try_value("deadline")?.unwrap_or(60u64),
-        loss_probability: args.try_value("loss")?.unwrap_or(0.0f64),
+        loss_probability: args.try_value_in("loss", 0.0..=1.0)?.unwrap_or(0.0f64),
         seed: args.try_value("seed")?.unwrap_or(42u64),
     };
     Ok(Scenario::new(parse_system(&system)?, run))

@@ -75,4 +75,19 @@ fn every_command_refuses_a_flag_it_cannot_read() {
             assert!(err.to_string().contains(named), "{line}: {err}");
         }
     }
+    // A value that parses but names no run: refused before any worker
+    // starts, not a panic deep in the simulator.
+    for command in ["perturb", "sweep"] {
+        for (flags, named) in [
+            ("--p 2", "--p \"2\""),
+            ("--p -0.5", "--p \"-0.5\""),
+            ("--p NaN", "--p \"NaN\""),
+            ("--p 0.5 --loss 3", "--loss \"3\""),
+            ("--system pastry --nodes 0 --p 0.5", "--nodes \"0\""),
+        ] {
+            let line = format!("{command} --ops 5 {flags}");
+            let err = dispatch(&line).expect_err(&line);
+            assert!(err.to_string().contains(named), "{line}: {err}");
+        }
+    }
 }

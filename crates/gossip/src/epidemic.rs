@@ -33,7 +33,7 @@
 use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdMap, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Counters, Event, NetStats, PayloadBuf, Protocol, Sim, SimTime};
+use mpil_sim::{Counters, Event, NetStats, PayloadBuf, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::{EpidemicConfig, LookupStrategy};
@@ -41,10 +41,41 @@ use crate::membership::Membership;
 use crate::ticker::{restore_tick_order, GossipTicker};
 use crate::view::PartialView;
 
-/// A shuffle's peer list; one exchange carries `1 + shuffle_active +
-/// shuffle_passive` entries, which the default configuration keeps at
-/// the inline bound so the steady-state message plane never allocates.
+/// A shuffle's peer list; one exchange carries at most `1 +
+/// SHUFFLE_ACTIVE + SHUFFLE_PASSIVE` entries, which stay inside the
+/// inline bound so the steady-state message plane never allocates.
 type Peers = PayloadBuf<NodeIdx, { mpil_sim::PAYLOAD_INLINE }>;
+
+/// Active-view entries a shuffle carries (all of them when the active
+/// view bound is smaller).
+pub(crate) const SHUFFLE_ACTIVE: usize = 3;
+
+/// Passive-view entries a shuffle carries (all of them when the passive
+/// view bound is smaller).
+pub(crate) const SHUFFLE_PASSIVE: usize = 3;
+
+const _: () = assert!(1 + SHUFFLE_ACTIVE + SHUFFLE_PASSIVE <= mpil_sim::PAYLOAD_INLINE);
+
+/// How long a node waits for a shuffle or neighbor reply before counting
+/// the exchange as failed.
+const EXCHANGE_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
+/// Failed exchanges with the same active peer before it is evicted and
+/// reactively replaced from the passive view.
+const SUSPICION_LIMIT: u32 = 2;
+
+/// Active random-walk length of FORWARD-JOIN propagation.
+const ARWL: u32 = 5;
+
+/// Remaining FORWARD-JOIN TTL at which the joiner is also captured into
+/// passive views.
+const PRWL: u32 = 2;
+
+const _: () = assert!(PRWL <= ARWL);
+
+/// How long a node waits for the eager copy of an announcement it heard
+/// an IHAVE for before sending GRAFT (lazy tree repair).
+const GRAFT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
 /// GRAFT retransmission requests per missing announcement before the
 /// node gives up on lazy repair (lookup retries still cover it).
@@ -68,6 +99,18 @@ const REPLICATION_WALKS: usize = 3;
 
 /// Hop budget of each insert walk.
 const REPLICATION_TTL: u32 = 5;
+
+/// Forward depth of one [`LookupStrategy::Plumtree`] query round.
+const QUERY_TTL: u32 = 2;
+
+/// Hop budget of one [`LookupStrategy::Foaf`] walk.
+const FOAF_TTL: u32 = 3;
+
+/// Fan-out per hop of a FOAF walk.
+const FOAF_FANOUT: usize = 3;
+
+/// Pause between query retry rounds (covers one round trip).
+const QUERY_ROUND_GAP: SimDuration = SimDuration::from_secs(2);
 
 /// What HyParView/Plumtree nodes send each other (public only as
 /// [`Protocol::Msg`]).
@@ -253,12 +296,6 @@ impl Epidemic {
         &self.members[node.index()]
     }
 
-    /// Each node's current active view frozen as a neighbor list — the
-    /// overlay MPIL routes on in the overlay-independence experiments.
-    pub fn neighbor_lists(&self) -> Vec<Vec<NodeIdx>> {
-        self.members.iter().map(|m| m.active.peers()).collect()
-    }
-
     /// Checks every node's [`Membership::assert_invariants`] and that its
     /// tree links are a legal subset of its active view (property tests).
     ///
@@ -378,23 +415,19 @@ impl Epidemic {
                 high_priority,
             },
         );
-        cx.schedule(
-            node,
-            self.config.exchange_timeout,
-            Timer::NeighborTimeout { token },
-        );
+        cx.schedule(node, EXCHANGE_TIMEOUT, Timer::NeighborTimeout { token });
     }
 
     fn initiate_shuffle(&mut self, cx: &mut Cx<'_>, node: NodeIdx, target: NodeIdx) {
         let u = node.index();
         self.members[u].active.sample_into(
-            self.config.shuffle_active,
+            SHUFFLE_ACTIVE.min(self.config.active_size),
             Some(target),
             cx.rng(),
             &mut self.sample_scratch,
         );
         self.members[u].passive.sample_into(
-            self.config.shuffle_passive,
+            SHUFFLE_PASSIVE.min(self.config.passive_size),
             Some(target),
             cx.rng(),
             &mut self.sample_scratch2,
@@ -408,11 +441,7 @@ impl Epidemic {
         self.pending_shuffles[u] = Some(PendingShuffle { token, target });
         self.stats.maintenance_messages += 1;
         cx.send(node, target, Msg::Shuffle { token, entries });
-        cx.schedule(
-            node,
-            self.config.exchange_timeout,
-            Timer::ShuffleTimeout { token },
-        );
+        cx.schedule(node, EXCHANGE_TIMEOUT, Timer::ShuffleTimeout { token });
     }
 
     fn on_gossip_timer(&mut self, cx: &mut Cx<'_>, node: NodeIdx, epoch: u32) {
@@ -438,7 +467,6 @@ impl Epidemic {
 
     fn on_join(&mut self, cx: &mut Cx<'_>, joiner: NodeIdx, to: NodeIdx) {
         self.add_active(cx, to, joiner, true);
-        let ttl = self.config.arwl;
         let mut walk_targets = std::mem::take(&mut self.sample_scratch);
         walk_targets.clear();
         walk_targets.extend(
@@ -449,7 +477,7 @@ impl Epidemic {
         );
         for &peer in &walk_targets {
             self.stats.maintenance_messages += 1;
-            cx.send(to, peer, Msg::ForwardJoin { joiner, ttl });
+            cx.send(to, peer, Msg::ForwardJoin { joiner, ttl: ARWL });
         }
         self.sample_scratch = walk_targets;
     }
@@ -485,17 +513,13 @@ impl Epidemic {
                         high_priority: true,
                     },
                 );
-                cx.schedule(
-                    to,
-                    self.config.exchange_timeout,
-                    Timer::NeighborTimeout { token },
-                );
+                cx.schedule(to, EXCHANGE_TIMEOUT, Timer::NeighborTimeout { token });
             } else {
                 self.integrate_into_passive(cx, to, joiner);
             }
             return;
         }
-        if ttl == self.config.prwl {
+        if ttl == PRWL {
             self.integrate_into_passive(cx, to, joiner);
         }
         self.members[u]
@@ -650,7 +674,7 @@ impl Epidemic {
         }
         let strikes = self.suspicion[u].entry(target).or_insert(0);
         *strikes += 1;
-        if *strikes >= self.config.suspicion_limit {
+        if *strikes >= SUSPICION_LIMIT {
             self.drop_active(initiator, target, true);
             // Reactive replacement: promote a passive candidate now
             // instead of waiting for the next gossip tick.
@@ -766,7 +790,7 @@ impl Epidemic {
             return;
         }
         self.missing[u].insert(object, (from, 0));
-        cx.schedule(to, self.config.graft_timeout, Timer::GraftRetry { object });
+        cx.schedule(to, GRAFT_TIMEOUT, Timer::GraftRetry { object });
     }
 
     fn on_graft_timer(&mut self, cx: &mut Cx<'_>, node: NodeIdx, object: Id) {
@@ -785,11 +809,7 @@ impl Epidemic {
             self.missing[u].remove(&object);
         } else {
             self.missing[u].insert(object, (announcer, attempts + 1));
-            cx.schedule(
-                node,
-                self.config.graft_timeout,
-                Timer::GraftRetry { object },
-            );
+            cx.schedule(node, GRAFT_TIMEOUT, Timer::GraftRetry { object });
         }
     }
 
@@ -870,9 +890,7 @@ impl Epidemic {
                 targets.clear();
                 targets.extend(active.iter());
             }
-            LookupStrategy::Foaf => {
-                active.sample_into(self.config.foaf_fanout, None, cx.rng(), &mut targets)
-            }
+            LookupStrategy::Foaf => active.sample_into(FOAF_FANOUT, None, cx.rng(), &mut targets),
             LookupStrategy::KRandomWalk => {
                 active.sample_into(WALKERS, None, cx.rng(), &mut targets)
             }
@@ -912,11 +930,7 @@ impl Epidemic {
         q.forwarded.clear();
         let (origin, object, round, ttl) = (q.origin, q.object, q.round, q.ttl);
         self.launch_wave(cx, lookup, origin, object, round, ttl);
-        cx.schedule(
-            origin,
-            self.config.query_round_gap,
-            Timer::QueryRound { lookup },
-        );
+        cx.schedule(origin, QUERY_ROUND_GAP, Timer::QueryRound { lookup });
     }
 
     /// One query hop: a holder answers the origin directly, anyone else
@@ -963,7 +977,7 @@ impl Epidemic {
                 active.sample_into(1, Some(from), cx.rng(), &mut targets)
             }
             LookupStrategy::Foaf => {
-                active.sample_into(self.config.foaf_fanout, Some(from), cx.rng(), &mut targets);
+                active.sample_into(FOAF_FANOUT, Some(from), cx.rng(), &mut targets);
                 targets.retain(|&p| p != origin);
             }
             LookupStrategy::Plumtree | LookupStrategy::ExpandingRing => {
@@ -1157,8 +1171,8 @@ impl Protocol for Epidemic {
             return lookup;
         }
         let ttl = match self.config.strategy {
-            LookupStrategy::Plumtree => self.config.query_ttl,
-            LookupStrategy::Foaf => self.config.foaf_ttl,
+            LookupStrategy::Plumtree => QUERY_TTL,
+            LookupStrategy::Foaf => FOAF_TTL,
             LookupStrategy::KRandomWalk => WALK_TTL,
             LookupStrategy::ExpandingRing => 1,
         };
@@ -1178,11 +1192,7 @@ impl Protocol for Epidemic {
             },
         );
         self.launch_wave(cx, lookup, origin, object, 0, ttl);
-        cx.schedule(
-            origin,
-            self.config.query_round_gap,
-            Timer::QueryRound { lookup },
-        );
+        cx.schedule(origin, QUERY_ROUND_GAP, Timer::QueryRound { lookup });
         lookup
     }
 
@@ -1453,7 +1463,7 @@ mod tests {
 
     #[test]
     fn suspicion_resets_when_a_peer_leaves_the_view() {
-        // suspicion_limit counts *consecutive* misses while the peer
+        // SUSPICION_LIMIT counts *consecutive* misses while the peer
         // stays in the active view: a strike must not survive the peer
         // leaving it (else a re-admitted peer dies after one miss).
         let mut sim = build(30, EpidemicConfig::default(), 15);
@@ -1513,6 +1523,27 @@ mod tests {
             "forward-join walks seated the joiner nowhere"
         );
         m.assert_invariants();
+        // No other pinned count drives a join (ARWL and PRWL are read
+        // on its walks alone): hold its sends and its seats exactly.
+        let sorted = |view: &PartialView| {
+            let mut peers = view.peers();
+            peers.sort_unstable();
+            peers
+        };
+        assert_eq!(
+            (sim.net_stats().sent, sim.stats()),
+            (
+                28,
+                GossipStats {
+                    maintenance_messages: 28,
+                    ..GossipStats::default()
+                }
+            )
+        );
+        assert_eq!(
+            (sorted(&m.active), sorted(&m.passive)),
+            ([0, 2, 3, 10].map(NodeIdx::new).to_vec(), vec![])
+        );
         // Self-join is a no-op.
         sim.join(NodeIdx::new(5), NodeIdx::new(5));
     }

@@ -15,7 +15,7 @@ use mpil_chord::{Chord, ChordConfig};
 use mpil_gossip::{Epidemic, EpidemicConfig, LookupStrategy};
 use mpil_id::Id;
 use mpil_kademlia::{Kademlia, KademliaConfig};
-use mpil_overlay::transit_stub::{self, TransitStubConfig};
+use mpil_overlay::transit_stub;
 use mpil_overlay::{generators, NodeIdx};
 use mpil_pastry::{Pastry, PastryConfig};
 use mpil_sim::{
@@ -72,16 +72,14 @@ impl OverlaySource {
         let mut rng = SmallRng::seed_from_u64(seed);
         match self {
             OverlaySource::Pastry => {
-                let config = PastryConfig::default();
                 let ids = mpil_pastry::bootstrap::random_ids(nodes, &mut rng);
-                let states = mpil_pastry::build_converged_states(&ids, &config, &mut rng);
+                let states = mpil_pastry::build_converged_states(&ids, &mut rng);
                 let nbrs = states.iter().map(|s| s.neighbor_list()).collect();
                 (ids, nbrs)
             }
             OverlaySource::Chord => {
-                let config = ChordConfig::default();
                 let ids = mpil_chord::random_ids(nodes, &mut rng);
-                let states = mpil_chord::build_converged_states(&ids, &config);
+                let states = mpil_chord::build_converged_states(&ids);
                 let nbrs = states.iter().map(|s| s.neighbor_list()).collect();
                 (ids, nbrs)
             }
@@ -375,7 +373,7 @@ impl Scenario {
                 let config =
                     PastryConfig::default().with_replication_on_route(replication_on_route);
                 let ids = mpil_pastry::bootstrap::random_ids(run.nodes, &mut rng);
-                let states = mpil_pastry::build_converged_states(&ids, &config, &mut rng);
+                let states = mpil_pastry::build_converged_states(&ids, &mut rng);
                 let wan = transit_stub_latency(run.nodes, &mut rng);
                 (
                     quiet::<Pastry>((ids, states), config, wan, run.seed),
@@ -386,7 +384,7 @@ impl Scenario {
             EngineSpec::Chord => {
                 let config = ChordConfig::default();
                 let ids = mpil_chord::random_ids(run.nodes, &mut rng);
-                let states = mpil_chord::build_converged_states(&ids, &config);
+                let states = mpil_chord::build_converged_states(&ids);
                 (
                     quiet::<Chord>((ids, states), config, lan(), run.seed),
                     true,
@@ -410,9 +408,8 @@ impl Scenario {
                 duplicate_suppression,
             } => {
                 // Build the same structured overlay MSPastry would have...
-                let pastry_config = PastryConfig::default();
                 let ids = mpil_pastry::bootstrap::random_ids(run.nodes, &mut rng);
-                let states = mpil_pastry::build_converged_states(&ids, &pastry_config, &mut rng);
+                let states = mpil_pastry::build_converged_states(&ids, &mut rng);
                 let neighbors = states.iter().map(|s| s.neighbor_list()).collect();
                 let wan = transit_stub_latency(run.nodes, &mut rng);
                 // ...then route on it with MPIL and zero maintenance.
@@ -475,10 +472,9 @@ fn quiet<P: Protocol + 'static>(
 fn transit_stub_latency(nodes: usize, rng: &mut SmallRng) -> Box<dyn LatencyModel> {
     #[expect(
         clippy::expect_used,
-        reason = "P001: default transit-stub parameters always produce a graph"
+        reason = "P001: the fixed transit-stub hierarchy always produces a graph"
     )]
-    let ts = transit_stub::generate(nodes, TransitStubConfig::default(), rng)
-        .expect("transit-stub generation");
+    let ts = transit_stub::generate(nodes, rng).expect("transit-stub generation");
     Box::new(TransitStubLatency::new(ts, 0.1))
 }
 

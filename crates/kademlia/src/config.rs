@@ -1,37 +1,24 @@
 //! Kademlia configuration.
 
-use mpil_sim::SimDuration;
-
-/// Kademlia parameters (Maymounkov & Mazières, IPTPS 2002).
+/// The Kademlia dials its drivers turn (Maymounkov & Mazières, IPTPS
+/// 2002): bucket size and lookup parallelism.
 ///
 /// Defaults scale the original paper's wide-area values down to the
 /// simulation sizes used in the MPIL experiments: `k = 8` (bucket size
-/// and replication), `α = 3` (lookup parallelism), a 3 s RPC timeout
-/// matching the probe timeout of the other baselines, and a 90 s bucket
-/// refresh matching Pastry's routing-table probe period.
+/// and replication) and `α = 3` (lookup parallelism). The RPC timeout
+/// and the bucket-refresh period are constants beside the handlers that
+/// read them (`engine.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KademliaConfig {
     /// Bucket capacity and storage replication factor `k`.
     pub k: usize,
     /// Lookup parallelism `α`: RPCs kept in flight per iterative query.
     pub alpha: usize,
-    /// RPC timeout; an unanswered query marks the peer failed for the
-    /// operation and evicts it from the routing table (Kademlia does not
-    /// retransmit — its redundancy is `α`-way parallelism).
-    pub rpc_timeout: SimDuration,
-    /// Period of bucket refresh; one random bucket is refreshed per
-    /// firing with an iterative query for a random ID in its range.
-    pub bucket_refresh_period: SimDuration,
 }
 
 impl Default for KademliaConfig {
     fn default() -> Self {
-        KademliaConfig {
-            k: 8,
-            alpha: 3,
-            rpc_timeout: SimDuration::from_secs(3),
-            bucket_refresh_period: SimDuration::from_secs(90),
-        }
+        KademliaConfig { k: 8, alpha: 3 }
     }
 }
 
@@ -52,20 +39,19 @@ impl KademliaConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `k` or `alpha` is zero, `alpha > k`, or a period is
-    /// zero.
+    /// Panics if `k` or `alpha` is zero, or `alpha > k`.
     pub fn assert_valid(&self) {
         assert!(self.k >= 1, "k must be >= 1");
         assert!(self.alpha >= 1, "alpha must be >= 1");
         assert!(self.alpha <= self.k, "alpha cannot exceed k");
-        assert!(!self.rpc_timeout.is_zero());
-        assert!(!self.bucket_refresh_period.is_zero());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{BUCKET_REFRESH_PERIOD, RPC_TIMEOUT};
+    use mpil_sim::SimDuration;
 
     #[test]
     fn defaults_are_valid() {
@@ -73,7 +59,8 @@ mod tests {
         c.assert_valid();
         assert_eq!(c.k, 8);
         assert_eq!(c.alpha, 3);
-        assert_eq!(c.rpc_timeout, SimDuration::from_secs(3));
+        assert_eq!(RPC_TIMEOUT, SimDuration::from_secs(3));
+        assert_eq!(BUCKET_REFRESH_PERIOD, SimDuration::from_secs(90));
     }
 
     #[test]

@@ -13,11 +13,22 @@
 use fxhash::FxHashMap;
 use mpil_id::{xor_distance, Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimTime};
+use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::KademliaConfig;
 use crate::table::{Admission, RoutingTable};
+
+/// RPC timeout, the probe timeout of the other baselines; an unanswered
+/// query marks the peer failed for the operation and evicts it from the
+/// routing table (Kademlia does not retransmit — its redundancy is
+/// `α`-way parallelism).
+pub(crate) const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+
+/// Period of bucket refresh, Pastry's routing-table probe period; one
+/// random bucket is refreshed per firing with an iterative query for a
+/// random ID in its range.
+pub(crate) const BUCKET_REFRESH_PERIOD: SimDuration = SimDuration::from_secs(90);
 
 /// What Kademlia nodes send each other (public only as
 /// [`Protocol::Msg`]).
@@ -265,11 +276,7 @@ impl Kademlia {
                     find_value: matches!(kind, OpKind::Lookup { .. }),
                 },
             );
-            cx.schedule(
-                origin,
-                self.config.rpc_timeout,
-                Timer::RpcTimeout { op: op_id, peer },
-            );
+            cx.schedule(origin, RPC_TIMEOUT, Timer::RpcTimeout { op: op_id, peer });
         }
         if finished {
             self.finish_op(cx, op_id);
@@ -338,7 +345,7 @@ impl Kademlia {
                 );
                 self.stats.maintenance_messages += 1;
                 cx.send(node, lru, Msg::Ping { token });
-                cx.schedule(node, self.config.rpc_timeout, Timer::EvictTimeout { token });
+                cx.schedule(node, RPC_TIMEOUT, Timer::EvictTimeout { token });
             }
         }
     }
@@ -477,11 +484,7 @@ impl Kademlia {
                         self.start_op(cx, node, target, OpKind::Refresh);
                     }
                 }
-                cx.schedule(
-                    node,
-                    self.config.bucket_refresh_period,
-                    Timer::BucketRefresh,
-                );
+                cx.schedule(node, BUCKET_REFRESH_PERIOD, Timer::BucketRefresh);
             }
         }
     }
@@ -573,8 +576,7 @@ impl Protocol for Kademlia {
     /// over one period.
     fn start_maintenance(&mut self, cx: &mut Cx<'_>) -> bool {
         for i in 0..self.ids.len() as u32 {
-            let period = self.config.bucket_refresh_period;
-            cx.schedule_staggered(NodeIdx::new(i), period, Timer::BucketRefresh);
+            cx.schedule_staggered(NodeIdx::new(i), BUCKET_REFRESH_PERIOD, Timer::BucketRefresh);
         }
         true
     }

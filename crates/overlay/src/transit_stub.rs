@@ -15,50 +15,39 @@ use rand::Rng;
 use crate::generators::GenerateError;
 use crate::topology::NodeIdx;
 
-/// Parameters of the transit-stub hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransitStubConfig {
-    /// Number of transit domains.
-    pub transit_domains: usize,
-    /// Routers per transit domain.
-    pub routers_per_transit: usize,
-    /// Stub domains attached to each transit router.
-    pub stubs_per_transit_router: usize,
-    /// Routers per stub domain.
-    pub routers_per_stub: usize,
-    /// Latency of a transit–transit (inter-domain) link, microseconds.
-    pub transit_transit_us: u32,
-    /// Latency of a link inside a transit domain, microseconds.
-    pub intra_transit_us: u32,
-    /// Latency of a transit–stub uplink, microseconds.
-    pub transit_stub_us: u32,
-    /// Latency of a link inside a stub domain, microseconds.
-    pub intra_stub_us: u32,
-    /// Latency of a host's access link, microseconds.
-    pub host_link_us: u32,
-    /// Extra probability of random intra-domain chords (beyond the ring
-    /// that guarantees connectivity).
-    pub chord_prob: f64,
-}
+// The hierarchy: ~200 routers, comparable to the classic GT-ITM
+// `ts 2 4 3 8` configurations used in DHT papers.
 
-impl Default for TransitStubConfig {
-    /// A ~200-router hierarchy comparable to the classic GT-ITM
-    /// `ts 2 4 3 8` configurations used in DHT papers.
-    fn default() -> Self {
-        TransitStubConfig {
-            transit_domains: 2,
-            routers_per_transit: 4,
-            stubs_per_transit_router: 3,
-            routers_per_stub: 8,
-            transit_transit_us: 50_000,
-            intra_transit_us: 20_000,
-            transit_stub_us: 10_000,
-            intra_stub_us: 2_000,
-            host_link_us: 1_000,
-            chord_prob: 0.3,
-        }
-    }
-}
+/// Number of transit domains.
+const TRANSIT_DOMAINS: usize = 2;
+
+/// Routers per transit domain.
+const ROUTERS_PER_TRANSIT: usize = 4;
+
+/// Stub domains attached to each transit router.
+const STUBS_PER_TRANSIT_ROUTER: usize = 3;
+
+/// Routers per stub domain.
+const ROUTERS_PER_STUB: usize = 8;
+
+/// Latency of a transit–transit (inter-domain) link, microseconds.
+const TRANSIT_TRANSIT_US: u32 = 50_000;
+
+/// Latency of a link inside a transit domain, microseconds.
+const INTRA_TRANSIT_US: u32 = 20_000;
+
+/// Latency of a transit–stub uplink, microseconds.
+const TRANSIT_STUB_US: u32 = 10_000;
+
+/// Latency of a link inside a stub domain, microseconds.
+const INTRA_STUB_US: u32 = 2_000;
+
+/// Latency of a host's access link, microseconds.
+const HOST_LINK_US: u32 = 1_000;
+
+/// Probability of each random intra-domain chord beyond the ring that
+/// guarantees connectivity (halved inside stub domains).
+const CHORD_PROB: f64 = 0.3;
 
 /// A generated transit-stub topology with `n` hosts attached.
 ///
@@ -69,7 +58,6 @@ impl Default for TransitStubConfig {
 pub struct TransitStub {
     hosts: usize,
     host_router: Vec<u32>,
-    host_link_us: u32,
     /// Row-major `router_count × router_count` shortest-path table (µs).
     router_dist: Vec<u32>,
     router_count: usize,
@@ -102,7 +90,7 @@ impl TransitStub {
         let ra = self.host_router[a.index()] as usize;
         let rb = self.host_router[b.index()] as usize;
         let core = self.router_dist[ra * self.router_count + rb];
-        2 * self.host_link_us + core
+        2 * HOST_LINK_US + core
     }
 
     /// Mean host-to-host latency (µs), sampled over `samples`
@@ -131,41 +119,24 @@ impl TransitStub {
     }
 }
 
-/// Generates a transit-stub topology and attaches `hosts` end hosts to
-/// uniformly random stub routers.
+/// Generates the transit-stub hierarchy and attaches `hosts` end hosts
+/// to uniformly random stub routers.
 ///
 /// # Errors
 ///
-/// Returns [`GenerateError`] if `hosts == 0` or the hierarchy parameters
-/// are degenerate (no transit domain, routers, or stubs).
-pub fn generate<R: Rng + ?Sized>(
-    hosts: usize,
-    config: TransitStubConfig,
-    rng: &mut R,
-) -> Result<TransitStub, GenerateError> {
+/// Returns [`GenerateError`] if `hosts == 0`.
+pub fn generate<R: Rng + ?Sized>(hosts: usize, rng: &mut R) -> Result<TransitStub, GenerateError> {
     if hosts == 0 {
         return Err(GenerateError::TooFewNodes {
             requested: 0,
             minimum: 1,
         });
     }
-    if config.transit_domains == 0 || config.routers_per_transit == 0 {
-        return Err(GenerateError::InvalidParameter {
-            name: "transit_domains/routers_per_transit",
-            constraint: "must be positive",
-        });
-    }
-    if config.stubs_per_transit_router == 0 || config.routers_per_stub == 0 {
-        return Err(GenerateError::InvalidParameter {
-            name: "stubs_per_transit_router/routers_per_stub",
-            constraint: "must be positive",
-        });
-    }
 
     // --- Lay out router indices -----------------------------------------
-    let t_routers = config.transit_domains * config.routers_per_transit;
-    let stub_domains = t_routers * config.stubs_per_transit_router;
-    let s_routers = stub_domains * config.routers_per_stub;
+    let t_routers = TRANSIT_DOMAINS * ROUTERS_PER_TRANSIT;
+    let stub_domains = t_routers * STUBS_PER_TRANSIT_ROUTER;
+    let s_routers = stub_domains * ROUTERS_PER_STUB;
     let router_count = t_routers + s_routers;
 
     let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); router_count];
@@ -175,58 +146,52 @@ pub fn generate<R: Rng + ?Sized>(
     };
 
     // Transit domains: ring + chords internally.
-    for dom in 0..config.transit_domains {
-        let base = dom * config.routers_per_transit;
-        let k = config.routers_per_transit;
+    for dom in 0..TRANSIT_DOMAINS {
+        let base = dom * ROUTERS_PER_TRANSIT;
+        let k = ROUTERS_PER_TRANSIT;
         for i in 0..k {
             if k > 1 {
-                add(
-                    &mut adj,
-                    base + i,
-                    base + (i + 1) % k,
-                    config.intra_transit_us,
-                );
+                add(&mut adj, base + i, base + (i + 1) % k, INTRA_TRANSIT_US);
             }
             for j in (i + 2)..k {
-                if rng.gen_bool(config.chord_prob) {
-                    add(&mut adj, base + i, base + j, config.intra_transit_us);
+                if rng.gen_bool(CHORD_PROB) {
+                    add(&mut adj, base + i, base + j, INTRA_TRANSIT_US);
                 }
             }
         }
     }
     // Transit-transit: connect consecutive domains (ring of domains) via
     // random representative routers, plus random extra inter-domain links.
-    if config.transit_domains > 1 {
-        for dom in 0..config.transit_domains {
-            let next = (dom + 1) % config.transit_domains;
-            if config.transit_domains == 2 && dom == 1 {
+    if TRANSIT_DOMAINS > 1 {
+        for dom in 0..TRANSIT_DOMAINS {
+            let next = (dom + 1) % TRANSIT_DOMAINS;
+            if TRANSIT_DOMAINS == 2 && dom == 1 {
                 break; // avoid doubling the single inter-domain link
             }
-            let a = dom * config.routers_per_transit + rng.gen_range(0..config.routers_per_transit);
-            let b =
-                next * config.routers_per_transit + rng.gen_range(0..config.routers_per_transit);
-            add(&mut adj, a, b, config.transit_transit_us);
+            let a = dom * ROUTERS_PER_TRANSIT + rng.gen_range(0..ROUTERS_PER_TRANSIT);
+            let b = next * ROUTERS_PER_TRANSIT + rng.gen_range(0..ROUTERS_PER_TRANSIT);
+            add(&mut adj, a, b, TRANSIT_TRANSIT_US);
         }
     }
 
     // Stub domains: ring + chords internally, one uplink to their transit
     // router.
     for sd in 0..stub_domains {
-        let transit_router = sd / config.stubs_per_transit_router;
-        let base = t_routers + sd * config.routers_per_stub;
-        let k = config.routers_per_stub;
+        let transit_router = sd / STUBS_PER_TRANSIT_ROUTER;
+        let base = t_routers + sd * ROUTERS_PER_STUB;
+        let k = ROUTERS_PER_STUB;
         for i in 0..k {
             if k > 1 {
-                add(&mut adj, base + i, base + (i + 1) % k, config.intra_stub_us);
+                add(&mut adj, base + i, base + (i + 1) % k, INTRA_STUB_US);
             }
             for j in (i + 2)..k {
-                if rng.gen_bool(config.chord_prob * 0.5) {
-                    add(&mut adj, base + i, base + j, config.intra_stub_us);
+                if rng.gen_bool(CHORD_PROB * 0.5) {
+                    add(&mut adj, base + i, base + j, INTRA_STUB_US);
                 }
             }
         }
         let gateway = base + rng.gen_range(0..k);
-        add(&mut adj, transit_router, gateway, config.transit_stub_us);
+        add(&mut adj, transit_router, gateway, TRANSIT_STUB_US);
     }
 
     // --- All-pairs shortest paths over routers (Dijkstra per source) ----
@@ -247,7 +212,6 @@ pub fn generate<R: Rng + ?Sized>(
     Ok(TransitStub {
         hosts,
         host_router,
-        host_link_us: config.host_link_us,
         router_dist,
         router_count,
     })
@@ -281,7 +245,7 @@ mod tests {
 
     fn make(hosts: usize, seed: u64) -> TransitStub {
         let mut rng = SmallRng::seed_from_u64(seed);
-        generate(hosts, TransitStubConfig::default(), &mut rng).unwrap()
+        generate(hosts, &mut rng).unwrap()
     }
 
     #[test]
@@ -350,12 +314,7 @@ mod tests {
     #[test]
     fn rejects_degenerate_parameters() {
         let mut rng = SmallRng::seed_from_u64(0);
-        assert!(generate(0, TransitStubConfig::default(), &mut rng).is_err());
-        let bad = TransitStubConfig {
-            transit_domains: 0,
-            ..TransitStubConfig::default()
-        };
-        assert!(generate(10, bad, &mut rng).is_err());
+        assert!(generate(0, &mut rng).is_err());
     }
 
     #[test]

@@ -113,7 +113,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let ts = mpil_overlay::transit_stub::generate(hosts, Default::default(), &mut rng)
+        let ts = mpil_overlay::transit_stub::generate(hosts, &mut rng)
             .unwrap();
         for a in 0..hosts.min(8) {
             for b in 0..hosts.min(8) {

@@ -12,8 +12,11 @@ use mpil_overlay::NodeIdx;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::config::PastryConfig;
+use crate::engine::SPACE;
 use crate::state::PastryState;
+
+/// Leaf set size `l` (half on each side of the ring).
+pub(crate) const LEAF_SET_SIZE: usize = 8;
 
 /// Builds converged Pastry state for every node.
 ///
@@ -25,12 +28,8 @@ use crate::state::PastryState;
 /// # Panics
 ///
 /// Panics if `ids` is empty or contains duplicates.
-pub fn build_converged_states<R: Rng + ?Sized>(
-    ids: &[Id],
-    config: &PastryConfig,
-    rng: &mut R,
-) -> Vec<PastryState> {
-    build_converged_states_partial(ids, None, config, rng)
+pub fn build_converged_states<R: Rng + ?Sized>(ids: &[Id], rng: &mut R) -> Vec<PastryState> {
+    build_converged_states_partial(ids, None, rng)
 }
 
 /// Like [`build_converged_states`], but only the nodes in `members` (a
@@ -45,7 +44,6 @@ pub fn build_converged_states<R: Rng + ?Sized>(
 pub fn build_converged_states_partial<R: Rng + ?Sized>(
     ids: &[Id],
     members: Option<&[bool]>,
-    config: &PastryConfig,
     rng: &mut R,
 ) -> Vec<PastryState> {
     assert!(!ids.is_empty(), "need at least one node");
@@ -53,8 +51,6 @@ pub fn build_converged_states_partial<R: Rng + ?Sized>(
         assert_eq!(m.len(), ids.len(), "member mask length mismatch");
         assert!(m.iter().any(|&x| x), "need at least one member");
     }
-    config.assert_valid();
-    let space = config.space;
     let is_member = |i: usize| members.is_none_or(|m| m[i]);
 
     // Ring order over members only.
@@ -70,9 +66,9 @@ pub fn build_converged_states_partial<R: Rng + ?Sized>(
 
     let n = ids.len();
     let m = order.len();
-    let half = config.leaf_set_size / 2;
+    let half = LEAF_SET_SIZE / 2;
     let mut states: Vec<PastryState> = (0..n)
-        .map(|i| PastryState::new(NodeIdx::new(i as u32), ids[i], space, config.leaf_set_size))
+        .map(|i| PastryState::new(NodeIdx::new(i as u32), ids[i], SPACE, LEAF_SET_SIZE))
         .collect();
 
     // Leaf sets: walk the sorted member ring.
@@ -114,21 +110,21 @@ pub fn build_converged_states_partial<R: Rng + ?Sized>(
     }
     let ranks_by_pos: Vec<u32> = order.iter().map(|&j| rank[j]).collect();
     let rmq = RangeArgmin::new(&ranks_by_pos);
-    let radix = usize::from(space.digit_bits().radix());
-    let num_digits = space.num_digits() as usize;
+    let radix = usize::from(SPACE.digit_bits().radix());
+    let num_digits = SPACE.num_digits() as usize;
     for &i in &order {
         let (mut lo, mut hi) = (0usize, m);
         for row in 0..num_digits {
             if hi - lo <= 1 {
                 break;
             }
-            let own = usize::from(space.digit(ids[i], row));
+            let own = usize::from(SPACE.digit(ids[i], row));
             let (mut next_lo, mut next_hi) = (lo, lo);
             let mut start = lo;
             for c in 0..radix {
                 let end = start
                     + order[start..hi]
-                        .partition_point(|&j| usize::from(space.digit(ids[j], row)) == c);
+                        .partition_point(|&j| usize::from(SPACE.digit(ids[j], row)) == c);
                 if end > start {
                     if c == own {
                         (next_lo, next_hi) = (start, end);
@@ -270,7 +266,7 @@ mod tests {
     fn build(n: usize, seed: u64) -> (Vec<Id>, Vec<PastryState>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ids = random_ids(n, &mut rng);
-        let states = build_converged_states(&ids, &PastryConfig::default(), &mut rng);
+        let states = build_converged_states(&ids, &mut rng);
         (ids, states)
     }
 
@@ -359,7 +355,7 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn empty_membership_panics() {
         let mut rng = SmallRng::seed_from_u64(0);
-        let _ = build_converged_states(&[], &PastryConfig::default(), &mut rng);
+        let _ = build_converged_states(&[], &mut rng);
     }
 
     /// The old all-pairs routing-table build: offer every member to
@@ -368,7 +364,6 @@ mod tests {
     fn quadratic_reference_tables(
         ids: &[Id],
         members: Option<&[bool]>,
-        config: &PastryConfig,
         rng: &mut SmallRng,
     ) -> Vec<crate::routing_table::RoutingTable> {
         let is_member = |i: usize| members.is_none_or(|m| m[i]);
@@ -376,7 +371,7 @@ mod tests {
         order.sort_by_key(|&i| ids[i]);
         let mut tables: Vec<_> = ids
             .iter()
-            .map(|&id| crate::routing_table::RoutingTable::new(id, config.space))
+            .map(|&id| crate::routing_table::RoutingTable::new(id, SPACE))
             .collect();
         let mut shuffled = order.clone();
         shuffled.shuffle(rng);
@@ -399,7 +394,6 @@ mod tests {
             (3, 2, false),
             (7, 64, true),
         ] {
-            let config = PastryConfig::default();
             let mut rng = SmallRng::seed_from_u64(seed);
             let ids = random_ids(n, &mut rng);
             let mask: Option<Vec<bool>> = masked.then(|| {
@@ -411,9 +405,8 @@ mod tests {
             // shuffle), so a clone of the pre-build RNG drives the
             // reference and must land in the same state.
             let mut ref_rng = rng.clone();
-            let states = build_converged_states_partial(&ids, mask.as_deref(), &config, &mut rng);
-            let reference =
-                quadratic_reference_tables(&ids, mask.as_deref(), &config, &mut ref_rng);
+            let states = build_converged_states_partial(&ids, mask.as_deref(), &mut rng);
+            let reference = quadratic_reference_tables(&ids, mask.as_deref(), &mut ref_rng);
             for (i, state) in states.iter().enumerate() {
                 assert_eq!(
                     state.rt, reference[i],

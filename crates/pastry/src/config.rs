@@ -1,58 +1,26 @@
 //! Pastry configuration.
 
-use mpil_id::IdSpace;
-use mpil_sim::SimDuration;
-
-/// Pastry parameters. Defaults reproduce the paper's Section 6.2 list:
+/// The MSPastry dial its drivers turn: Replication on Route.
+///
+/// The rest of the paper's Section 6.2 list is constants beside the code
+/// that reads them:
 ///
 /// ```text
-/// 1. b : 4                                  -> IdSpace::base16()
-/// 2. l : 8                                  -> leaf_set_size
-/// 3. Leafset probing period : 30 seconds
+/// 1. b : 4                                  -> engine::SPACE (base 16)
+/// 2. l : 8                                  -> bootstrap::LEAF_SET_SIZE
+/// 3. Leafset probing period : 30 seconds    -> engine::LEAFSET_PROBE_PERIOD
 /// 4. Routing table maintenance period : 12000 seconds
+///                                           -> engine::RT_MAINTENANCE_PERIOD
 /// 5. Routing table probing period : 90 seconds
-/// 6. Probe timeout : 3
-/// 7. Probe retries : 2
+///                                           -> engine::RT_PROBE_PERIOD
+/// 6. Probe timeout : 3                      -> engine::PROBE_TIMEOUT
+/// 7. Probe retries : 2                      -> engine::PROBE_RETRIES
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PastryConfig {
-    /// Digit width of the key space (`b = 4` → base-16).
-    pub space: IdSpace,
-    /// Leaf set size `l` (half on each side of the ring).
-    pub leaf_set_size: usize,
-    /// Period of leaf-set liveness probing.
-    pub leafset_probe_period: SimDuration,
-    /// Period of routing-table entry probing.
-    pub rt_probe_period: SimDuration,
-    /// Period of routing-table maintenance (row exchange).
-    pub rt_maintenance_period: SimDuration,
-    /// Probe/ack timeout.
-    pub probe_timeout: SimDuration,
-    /// Probe/message retries before declaring a node failed.
-    pub probe_retries: u32,
-    /// Maximum overlay hops before a routed message is dropped
-    /// (loop guard; generous compared to the ~3-hop paths of a
-    /// 1000-node overlay).
-    pub max_hops: u32,
     /// Replication on Route: every node on an insertion's path stores a
     /// replica ("MSPastry with RR" in Figure 11).
     pub replication_on_route: bool,
-}
-
-impl Default for PastryConfig {
-    fn default() -> Self {
-        PastryConfig {
-            space: IdSpace::base16(),
-            leaf_set_size: 8,
-            leafset_probe_period: SimDuration::from_secs(30),
-            rt_probe_period: SimDuration::from_secs(90),
-            rt_maintenance_period: SimDuration::from_secs(12_000),
-            probe_timeout: SimDuration::from_secs(3),
-            probe_retries: 2,
-            max_hops: 64,
-            replication_on_route: false,
-        }
-    }
 }
 
 impl PastryConfig {
@@ -61,42 +29,29 @@ impl PastryConfig {
         self.replication_on_route = rr;
         self
     }
-
-    /// Validates parameter consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf_set_size` is zero or odd, or periods are zero.
-    pub fn assert_valid(&self) {
-        assert!(self.leaf_set_size >= 2, "leaf set must hold >= 2 nodes");
-        assert!(
-            self.leaf_set_size.is_multiple_of(2),
-            "leaf set size must be even (half per side)"
-        );
-        assert!(!self.leafset_probe_period.is_zero());
-        assert!(!self.rt_probe_period.is_zero());
-        assert!(!self.rt_maintenance_period.is_zero());
-        assert!(!self.probe_timeout.is_zero());
-        assert!(self.max_hops > 0);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bootstrap::LEAF_SET_SIZE;
+    use crate::engine::{
+        LEAFSET_PROBE_PERIOD, PROBE_RETRIES, PROBE_TIMEOUT, RT_MAINTENANCE_PERIOD, RT_PROBE_PERIOD,
+        SPACE,
+    };
+    use mpil_id::IdSpace;
+    use mpil_sim::SimDuration;
 
     #[test]
     fn defaults_match_paper_section_6_2() {
-        let c = PastryConfig::default();
-        assert_eq!(c.space, IdSpace::base16());
-        assert_eq!(c.leaf_set_size, 8);
-        assert_eq!(c.leafset_probe_period, SimDuration::from_secs(30));
-        assert_eq!(c.rt_probe_period, SimDuration::from_secs(90));
-        assert_eq!(c.rt_maintenance_period, SimDuration::from_secs(12_000));
-        assert_eq!(c.probe_timeout, SimDuration::from_secs(3));
-        assert_eq!(c.probe_retries, 2);
-        assert!(!c.replication_on_route);
-        c.assert_valid();
+        assert_eq!(SPACE, IdSpace::base16());
+        assert_eq!(LEAF_SET_SIZE, 8);
+        assert_eq!(LEAFSET_PROBE_PERIOD, SimDuration::from_secs(30));
+        assert_eq!(RT_PROBE_PERIOD, SimDuration::from_secs(90));
+        assert_eq!(RT_MAINTENANCE_PERIOD, SimDuration::from_secs(12_000));
+        assert_eq!(PROBE_TIMEOUT, SimDuration::from_secs(3));
+        assert_eq!(PROBE_RETRIES, 2);
+        assert!(!PastryConfig::default().replication_on_route);
     }
 
     #[test]
@@ -106,15 +61,5 @@ mod tests {
                 .with_replication_on_route(true)
                 .replication_on_route
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "even")]
-    fn odd_leaf_set_rejected() {
-        let c = PastryConfig {
-            leaf_set_size: 7,
-            ..PastryConfig::default()
-        };
-        c.assert_valid();
     }
 }

@@ -7,12 +7,39 @@
 //! wait for their answers in [`mpil_sim::Outstanding`] tables.
 
 use fxhash::FxHashSet;
-use mpil_id::{Id, IdSet};
+use mpil_id::{Id, IdSet, IdSpace};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Counters, Event, Expiry, NetStats, Outstanding, Protocol, Sim, SimTime};
+use mpil_sim::{
+    Counters, Event, Expiry, NetStats, Outstanding, Protocol, Sim, SimDuration, SimTime,
+};
 
 use crate::config::PastryConfig;
 use crate::state::{NextHop, PastryState};
+
+// The paper's MSPastry settings (Section 6.2; the list is on
+// [`PastryConfig`]).
+
+/// Digit width of the key space (`b = 4` → base-16).
+pub(crate) const SPACE: IdSpace = IdSpace::base16();
+
+/// Period of leaf-set liveness probing.
+pub(crate) const LEAFSET_PROBE_PERIOD: SimDuration = SimDuration::from_secs(30);
+
+/// Period of routing-table entry probing.
+pub(crate) const RT_PROBE_PERIOD: SimDuration = SimDuration::from_secs(90);
+
+/// Period of routing-table maintenance (row exchange).
+pub(crate) const RT_MAINTENANCE_PERIOD: SimDuration = SimDuration::from_secs(12_000);
+
+/// Probe/ack timeout.
+pub(crate) const PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+
+/// Probe/message retries before declaring a node failed.
+pub(crate) const PROBE_RETRIES: u32 = 2;
+
+/// Maximum overlay hops before a routed message is dropped (loop guard;
+/// generous compared to the ~3-hop paths of a 1000-node overlay).
+const MAX_HOPS: u32 = 64;
 
 /// Application payload of a routed message.
 #[doc(hidden)]
@@ -73,11 +100,11 @@ pub enum Msg {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
 pub enum Timer {
-    /// Periodic leaf-set probing (every `leafset_probe_period`).
+    /// Periodic leaf-set probing (every `LEAFSET_PROBE_PERIOD`).
     LeafsetProbe,
-    /// Periodic routing-table probing (every `rt_probe_period`).
+    /// Periodic routing-table probing (every `RT_PROBE_PERIOD`).
     RtProbe,
-    /// Periodic routing-table maintenance (every `rt_maintenance_period`).
+    /// Periodic routing-table maintenance (every `RT_MAINTENANCE_PERIOD`).
     RtMaintenance,
     /// A probe went unanswered.
     ProbeTimeout { token: u64 },
@@ -300,7 +327,7 @@ impl Pastry {
                         }
                     }
                 }
-                cx.schedule(node, self.config.leafset_probe_period, Timer::LeafsetProbe);
+                cx.schedule(node, LEAFSET_PROBE_PERIOD, Timer::LeafsetProbe);
             }
             Timer::RtProbe => {
                 if cx.is_online(node) {
@@ -318,7 +345,7 @@ impl Pastry {
                         self.start_probe(cx, node, m);
                     }
                 }
-                cx.schedule(node, self.config.rt_probe_period, Timer::RtProbe);
+                cx.schedule(node, RT_PROBE_PERIOD, Timer::RtProbe);
             }
             Timer::RtMaintenance => {
                 if cx.is_online(node) {
@@ -341,11 +368,7 @@ impl Pastry {
                         cx.send(node, peer, Msg::RowRequest { row });
                     }
                 }
-                cx.schedule(
-                    node,
-                    self.config.rt_maintenance_period,
-                    Timer::RtMaintenance,
-                );
+                cx.schedule(node, RT_MAINTENANCE_PERIOD, Timer::RtMaintenance);
             }
             Timer::ProbeTimeout { token } => match self.probes.expire(token, |n| cx.is_online(n)) {
                 Expiry::Settled => {}
@@ -378,10 +401,7 @@ impl Pastry {
         let joiner_id = self.ids[joiner.index()];
         // Share the row the joiner will index at our shared-prefix depth,
         // plus our leaf set (cheap and accelerates convergence).
-        let row = self
-            .config
-            .space
-            .prefix_match(self.states[node.index()].id, joiner_id) as usize;
+        let row = SPACE.prefix_match(self.states[node.index()].id, joiner_id) as usize;
         let mut share: Vec<NodeIdx> = self.states[node.index()]
             .rt
             .row_entries(row.min(self.states[node.index()].rt.num_rows() - 1))
@@ -393,10 +413,9 @@ impl Pastry {
         share.sort_unstable();
         share.dedup();
         share.retain(|&m| m != joiner);
-        let next =
-            self.states[node.index()].next_hop(self.config.space, joiner_id, |n| n == joiner);
+        let next = self.states[node.index()].next_hop(SPACE, joiner_id, |n| n == joiner);
         match next {
-            NextHop::Forward(nx) if hops < self.config.max_hops => {
+            NextHop::Forward(nx) if hops < MAX_HOPS => {
                 self.stats.maintenance_messages += 2;
                 cx.send(node, joiner, Msg::JoinState { members: share });
                 cx.send(
@@ -463,14 +482,14 @@ impl Pastry {
 
     /// One routing decision + transmission from `node`.
     fn route_step(&mut self, cx: &mut Cx<'_>, node: NodeIdx, key: Id, payload: Payload, hops: u32) {
-        if hops >= self.config.max_hops {
+        if hops >= MAX_HOPS {
             self.stats.hop_limit_drops += 1;
             if let Payload::Lookup { lookup_id, .. } = payload {
                 cx.fail_lookup(lookup_id);
             }
             return;
         }
-        let decision = self.states[node.index()].next_hop(self.config.space, key, |_| false);
+        let decision = self.states[node.index()].next_hop(SPACE, key, |_| false);
         match decision {
             NextHop::Local => self.deliver_local(cx, node, key, payload, hops),
             NextHop::Forward(next) => {
@@ -492,7 +511,7 @@ impl Pastry {
             uid,
         };
         cx.send(from, to, route);
-        cx.schedule(from, self.config.probe_timeout, Timer::RouteRetry { uid });
+        cx.schedule(from, PROBE_TIMEOUT, Timer::RouteRetry { uid });
     }
 
     /// Terminal delivery at the node that believes itself root.
@@ -551,11 +570,7 @@ impl Pastry {
     fn send_probe(&mut self, cx: &mut Cx<'_>, token: u64, prober: NodeIdx, target: NodeIdx) {
         self.stats.maintenance_messages += 1;
         cx.send(prober, target, Msg::Probe { token });
-        cx.schedule(
-            prober,
-            self.config.probe_timeout,
-            Timer::ProbeTimeout { token },
-        );
+        cx.schedule(prober, PROBE_TIMEOUT, Timer::ProbeTimeout { token });
     }
 
     /// `observer` declares `target` failed: drops it from its tables and
@@ -587,14 +602,13 @@ impl Protocol for Pastry {
     /// Panics if `ids` and `states` disagree in length.
     fn build((ids, states): Self::Parts, config: PastryConfig) -> Self {
         assert_eq!(ids.len(), states.len(), "ids/states length mismatch");
-        config.assert_valid();
         let n = ids.len();
         Pastry {
             config,
             states,
             stores: vec![IdSet::new(); n],
-            routes: Outstanding::new(config.probe_retries),
-            probes: Outstanding::new(config.probe_retries),
+            routes: Outstanding::new(PROBE_RETRIES),
+            probes: Outstanding::new(PROBE_RETRIES),
             probing_pairs: FxHashSet::default(),
             seen_uids: vec![FxHashSet::default(); n],
             next_lookup: 0,
@@ -662,12 +676,11 @@ impl Protocol for Pastry {
     /// Starts the periodic maintenance timers on every node, staggered
     /// uniformly over one period to avoid lockstep probing.
     fn start_maintenance(&mut self, cx: &mut Cx<'_>) -> bool {
-        let config = self.config;
         for i in 0..self.ids.len() as u32 {
             let node = NodeIdx::new(i);
-            cx.schedule_staggered(node, config.leafset_probe_period, Timer::LeafsetProbe);
-            cx.schedule_staggered(node, config.rt_probe_period, Timer::RtProbe);
-            cx.schedule_staggered(node, config.rt_maintenance_period, Timer::RtMaintenance);
+            cx.schedule_staggered(node, LEAFSET_PROBE_PERIOD, Timer::LeafsetProbe);
+            cx.schedule_staggered(node, RT_PROBE_PERIOD, Timer::RtProbe);
+            cx.schedule_staggered(node, RT_MAINTENANCE_PERIOD, Timer::RtMaintenance);
         }
         true
     }
@@ -699,7 +712,7 @@ mod tests {
     fn build(n: usize, seed: u64, config: PastryConfig) -> PastrySim {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ids = random_ids(n, &mut rng);
-        let states = build_converged_states(&ids, &config, &mut rng);
+        let states = build_converged_states(&ids, &mut rng);
         PastrySim::new(
             (ids, states),
             config,

@@ -4,7 +4,7 @@
 use mpil_id::{ring_distance, Id};
 use mpil_overlay::NodeIdx;
 use mpil_pastry::bootstrap::{build_converged_states_partial, random_ids};
-use mpil_pastry::{LookupOutcome, PastryConfig, PastrySim};
+use mpil_pastry::{LookupOutcome, PastryConfig, PastrySim, PastryStats};
 use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -12,13 +12,12 @@ use rand::{Rng, SeedableRng};
 /// Builds a sim where the last `unjoined` nodes start blank.
 fn build(n: usize, unjoined: usize, seed: u64) -> PastrySim {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let config = PastryConfig::default();
     let ids = random_ids(n, &mut rng);
     let members: Vec<bool> = (0..n).map(|i| i < n - unjoined).collect();
-    let states = build_converged_states_partial(&ids, Some(&members), &config, &mut rng);
+    let states = build_converged_states_partial(&ids, Some(&members), &mut rng);
     PastrySim::new(
         (ids, states),
-        config,
+        PastryConfig::default(),
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),
         seed,
@@ -125,6 +124,22 @@ fn multiple_sequential_joins_converge() {
         .filter(|&&lk| matches!(sim.lookup_outcome(lk), LookupOutcome::Succeeded { .. }))
         .count();
     assert_eq!(ok, objects.len(), "all post-join lookups succeed");
+    // No other pinned count drives a join (MAX_HOPS bounds its route):
+    // hold its sends exactly.
+    assert_eq!(
+        (sim.net_stats().sent, sim.stats()),
+        (
+            388,
+            PastryStats {
+                lookup_messages: 34,
+                insert_messages: 31,
+                ack_messages: 65,
+                maintenance_messages: 238,
+                reply_messages: 20,
+                ..PastryStats::default()
+            }
+        )
+    );
 }
 
 #[test]

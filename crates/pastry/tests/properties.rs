@@ -3,7 +3,7 @@
 use mpil_id::{ring_distance, Id, IdSpace};
 use mpil_overlay::NodeIdx;
 use mpil_pastry::bootstrap::{build_converged_states, random_ids};
-use mpil_pastry::{LeafSet, NextHop, PastryConfig, RoutingTable};
+use mpil_pastry::{LeafSet, NextHop, RoutingTable};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -117,14 +117,13 @@ proptest! {
         key in arb_id(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let config = PastryConfig::default();
         let ids = random_ids(n, &mut rng);
-        let states = build_converged_states(&ids, &config, &mut rng);
+        let states = build_converged_states(&ids, &mut rng);
         let root = (0..n).min_by_key(|&i| ring_distance(ids[i], key)).unwrap();
         let mut at = (seed % n as u64) as usize;
         let mut hops = 0;
         loop {
-            match states[at].next_hop(config.space, key, |_| false) {
+            match states[at].next_hop(IdSpace::base16(), key, |_| false) {
                 NextHop::Local => break,
                 NextHop::Forward(nx) => {
                     at = nx.index();
@@ -142,14 +141,13 @@ proptest! {
         key in arb_id(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let config = PastryConfig::default();
         let n = 256;
         let ids = random_ids(n, &mut rng);
-        let states = build_converged_states(&ids, &config, &mut rng);
+        let states = build_converged_states(&ids, &mut rng);
         let mut at = 0usize;
         let mut hops = 0;
         loop {
-            match states[at].next_hop(config.space, key, |_| false) {
+            match states[at].next_hop(IdSpace::base16(), key, |_| false) {
                 NextHop::Local => break,
                 NextHop::Forward(nx) => {
                     at = nx.index();
@@ -168,9 +166,8 @@ proptest! {
         key in arb_id(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let config = PastryConfig::default();
         let ids = random_ids(n, &mut rng);
-        let mut states = build_converged_states(&ids, &config, &mut rng);
+        let mut states = build_converged_states(&ids, &mut rng);
         let victim = NodeIdx::new(1);
         for s in &mut states {
             if s.node != victim {
@@ -181,7 +178,7 @@ proptest! {
             if s.node == victim {
                 continue;
             }
-            if let NextHop::Forward(nx) = s.next_hop(config.space, key, |_| false) {
+            if let NextHop::Forward(nx) = s.next_hop(IdSpace::base16(), key, |_| false) {
                 prop_assert!(nx != victim, "forwarded to a removed node");
             }
         }

@@ -103,7 +103,7 @@ impl LatencyModel for TransitStubLatency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpil_overlay::transit_stub::{self, TransitStubConfig};
+    use mpil_overlay::transit_stub;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn transit_stub_latency_matches_topology() {
         let mut r = rng();
-        let ts = transit_stub::generate(20, TransitStubConfig::default(), &mut r).unwrap();
+        let ts = transit_stub::generate(20, &mut r).unwrap();
         let expect = u64::from(ts.latency_us(NodeIdx::new(0), NodeIdx::new(1)));
         let m = TransitStubLatency::new(ts, 0.0);
         let got = m.latency(NodeIdx::new(0), NodeIdx::new(1), &mut r);
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn jitter_stays_within_fraction() {
         let mut r = rng();
-        let ts = transit_stub::generate(20, TransitStubConfig::default(), &mut r).unwrap();
+        let ts = transit_stub::generate(20, &mut r).unwrap();
         let base = u64::from(ts.latency_us(NodeIdx::new(2), NodeIdx::new(3)));
         let m = TransitStubLatency::new(ts, 0.1);
         for _ in 0..50 {

@@ -33,10 +33,10 @@
 //! list; neither consumes randomness nor observes wall-clock, so the
 //! event stream of a seeded run is unchanged by pooling.
 
-/// Inline capacity tuned to the epidemic engine's default shuffle: one
-/// exchange carries the initiator plus `shuffle_active +
-/// shuffle_passive` = 3 + 3 peers (`mpil_gossip::EpidemicConfig`), 7 in
-/// all, so every default-config payload fits inline — while the buffer
+/// Inline capacity tuned to the epidemic engine's shuffle: one exchange
+/// carries the initiator plus at most `SHUFFLE_ACTIVE + SHUFFLE_PASSIVE`
+/// = 3 + 3 peers (`mpil_gossip::epidemic`), 7 in all, so every shuffle
+/// payload fits inline — while the buffer
 /// itself stays within one word of a `Vec` (see the module docs for why
 /// 7 beats 8 here).
 pub const PAYLOAD_INLINE: usize = 7;

@@ -73,6 +73,27 @@ impl Args {
             .transpose()
     }
 
+    /// Like [`Args::try_value`], and refuses a value outside `range` (a
+    /// NaN lies outside every range).
+    ///
+    /// # Errors
+    ///
+    /// Names the flag and the value if the value does not parse or lies
+    /// outside `range`.
+    pub fn try_value_in<T, R>(&self, name: &str, range: R) -> Result<Option<T>, String>
+    where
+        T: std::str::FromStr + PartialOrd,
+        T::Err: std::fmt::Debug,
+        R: std::ops::RangeBounds<T> + std::fmt::Debug,
+    {
+        let value: Option<T> = self.try_value(name)?;
+        if value.as_ref().is_some_and(|v| !range.contains(v)) {
+            let given = self.value(name).unwrap_or_default();
+            return Err(format!("--{name} {given:?}: outside {range:?}"));
+        }
+        Ok(value)
+    }
+
     /// Refuses what is on the command line and was not read the way it
     /// was written: call it once every flag of the command has been
     /// asked for, before the command does anything.

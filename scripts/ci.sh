@@ -19,6 +19,9 @@
 #            D001-D003, P001, S001 — see README "Determinism contract &
 #            lint rules"); then scripts/lint-selftest.sh, the same gate
 #            held to a known-bad and a known-good fixture
+#   bench:   cargo check of the benchmark package (benchmark/), which is
+#            outside the workspace: a change to a public item it uses
+#            fails here instead of when the benchmark next runs
 #   scale:   scale_run at 20k nodes under --budget-s — catches an
 #            accidental O(n²) (or worse) regression in the simulation
 #            kernel long before a full scaling curve would
@@ -68,6 +71,15 @@ fi
 contract=(-D warnings -W clippy::iter_over_hash_type -W clippy::allow_attributes_without_reason)
 cargo clippy --workspace --all-targets -- "${contract[@]}"
 scripts/lint-selftest.sh "${contract[@]}"
+# The benchmark's committed Cargo.lock is stale, so the check cannot run
+# --locked and rewrites it; it is put back byte for byte either way.
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
+bench=ok
+cargo check --manifest-path benchmark/Cargo.toml --offline --quiet || bench=failed
+cp "$bench_lock" benchmark/Cargo.lock
+rm -f "$bench_lock"
+[[ "$bench" == ok ]] || { echo "ci: the benchmark (benchmark/) does not compile against the tree" >&2; exit 1; }
 tier1=ok
 scripts/verify.sh \
     || { tier1=failed; echo "ci: tier-1 (scripts/verify.sh) failed; carrying on to the smokes" >&2; }

@@ -190,7 +190,7 @@ fn overlay_generators_deliver_claimed_structures() {
         hist.len() - 1
     );
     // Transit-stub: latencies positive and bounded.
-    let ts = mpil_overlay::transit_stub::generate(100, Default::default(), &mut rng).unwrap();
+    let ts = mpil_overlay::transit_stub::generate(100, &mut rng).unwrap();
     let l = ts.latency_us(NodeIdx::new(0), NodeIdx::new(99));
     assert!((2_000..1_000_000).contains(&l));
 }

@@ -35,7 +35,7 @@ fn every_umbrella_reexport_is_reachable() {
         ("mpil_sim", SimTime::ZERO.as_micros() == 0),
         (
             "mpil_chord",
-            mpil_suite::mpil_chord::ChordConfig::default().successor_list_len >= 1,
+            mpil_suite::mpil_chord::ChordConfig::default().replication >= 1,
         ),
         (
             "mpil_kademlia",
@@ -43,7 +43,7 @@ fn every_umbrella_reexport_is_reachable() {
         ),
         (
             "mpil_pastry",
-            mpil_suite::mpil_pastry::PastryConfig::default().leaf_set_size >= 2,
+            !mpil_suite::mpil_pastry::PastryConfig::default().replication_on_route,
         ),
         ("mpil_gossip", {
             let config = mpil_suite::mpil_gossip::EpidemicConfig::default();
