@@ -55,7 +55,9 @@ fn plan(args: &Args) -> Result<Plan, String> {
     let spec = scale_spec(&name, strategy.as_deref())?;
     let plan = Plan {
         spec,
-        nodes: args.try_value_in("nodes", 1..)?.unwrap_or(1000),
+        nodes: args
+            .try_value_in("nodes", spec.fewest_nodes()..)?
+            .unwrap_or(1000),
         ops: args.try_value("ops")?.unwrap_or(20),
         p: args.try_value_in("p", 0.0..=1.0)?.unwrap_or(0.5),
         seed: args.try_value("seed")?.unwrap_or(1),
@@ -123,6 +125,8 @@ mod tests {
             ("--p -0.5", "--p \"-0.5\""),
             ("--p NaN", "--p \"NaN\""),
             ("--engine chord --nodes 0 --p 0", "--nodes \"0\""),
+            ("--engine mpil --nodes 8", "--nodes \"8\""),
+            ("--nodes 5", "--nodes \"5\""),
         ] {
             let why = plan(&Args::parse(line.split(' ').map(String::from)))
                 .err()

@@ -107,11 +107,6 @@ pub fn ext_dht_comparison(args: &Args) -> Result<Report, String> {
 /// do not change the story.
 pub fn ext_overlay_independence(args: &Args) -> Result<Report, String> {
     let (full, _csv, seed) = standard(args)?;
-    let (nodes, ops) = if full { (1000, 500) } else { (300, 60) };
-    let nodes = args.try_value("nodes")?.unwrap_or(nodes);
-    let ops = args.try_value("ops")?.unwrap_or(ops);
-    args.finish()?;
-
     let sources = [
         OverlaySource::Pastry,
         OverlaySource::Chord,
@@ -119,8 +114,16 @@ pub fn ext_overlay_independence(args: &Args) -> Result<Report, String> {
         OverlaySource::RandomRegular(16),
         OverlaySource::PowerLaw,
     ];
-    let probabilities = [0.0, 0.5, 0.9];
     let specs = sources.map(EngineSpec::MpilOver);
+    let (nodes, ops) = if full { (1000, 500) } else { (300, 60) };
+    let fewest = specs.iter().map(EngineSpec::fewest_nodes).max();
+    let nodes = args
+        .try_value_in("nodes", fewest.unwrap_or(1)..)?
+        .unwrap_or(nodes);
+    let ops = args.try_value("ops")?.unwrap_or(ops);
+    args.finish()?;
+
+    let probabilities = [0.0, 0.5, 0.9];
     let results = sweep_30_30(&specs, &probabilities, nodes, ops, seed, run_scenario);
 
     let mut table = Table::new(vec![
@@ -255,8 +258,19 @@ pub fn ext_link_loss(args: &Args) -> Result<Report, String> {
 /// epidemic regime.
 pub fn ext_gossip_discovery(args: &Args) -> Result<Report, String> {
     let (full, _csv, seed) = standard(args)?;
+    let specs = [
+        EngineSpec::GOSSIP_WALK,
+        EngineSpec::GOSSIP_RING,
+        EngineSpec::Chord,
+        EngineSpec::KADEMLIA,
+        EngineSpec::MpilOver(OverlaySource::HyParView { active: 8 }),
+        EngineSpec::MpilOver(OverlaySource::RandomRegular(8)),
+    ];
     let (nodes, ops) = if full { (1000, 500) } else { (250, 50) };
-    let nodes = args.try_value("nodes")?.unwrap_or(nodes);
+    let fewest = specs.iter().map(EngineSpec::fewest_nodes).max();
+    let nodes = args
+        .try_value_in("nodes", fewest.unwrap_or(1)..)?
+        .unwrap_or(nodes);
     let ops = args.try_value("ops")?.unwrap_or(ops);
     let dissemination = args.flag("dissemination");
     args.finish()?;
@@ -267,14 +281,6 @@ pub fn ext_gossip_discovery(args: &Args) -> Result<Report, String> {
     }
     let probabilities = [0.0, 0.5, 0.9];
 
-    let specs = [
-        EngineSpec::GOSSIP_WALK,
-        EngineSpec::GOSSIP_RING,
-        EngineSpec::Chord,
-        EngineSpec::KADEMLIA,
-        EngineSpec::MpilOver(OverlaySource::HyParView { active: 8 }),
-        EngineSpec::MpilOver(OverlaySource::RandomRegular(8)),
-    ];
     let results = sweep_30_30(&specs, &probabilities, nodes, ops, seed, run_scenario);
 
     let mut header: Vec<String> = vec!["system".into()];

@@ -93,7 +93,7 @@ impl OverlaySource {
             OverlaySource::RandomRegular(d) => {
                 #[expect(
                     clippy::expect_used,
-                    reason = "P001: generator failure on these fixed parameters is a programming error in the spec"
+                    reason = "P001: every caller asks for more nodes than the degree; the command lines refuse fewer by name (EngineSpec::fewest_nodes)"
                 )]
                 let topo = generators::random_regular(nodes, *d, &mut rng).expect("generator");
                 mpil::frozen(&topo)
@@ -293,6 +293,15 @@ impl EngineSpec {
         EngineSpec::MPIL_DS,
         EngineSpec::MPIL_NO_DS,
     ];
+
+    /// The fewest nodes this system can be built on: a random-regular
+    /// overlay needs more nodes than its degree.
+    pub fn fewest_nodes(&self) -> usize {
+        match self {
+            EngineSpec::MpilOver(OverlaySource::RandomRegular(degree)) => degree + 1,
+            _ => 1,
+        }
+    }
 
     /// The system label used in figure legends and table rows.
     pub fn label(&self) -> String {

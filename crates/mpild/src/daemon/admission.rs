@@ -1,6 +1,7 @@
-//! Admission control: the budget of estimated work the daemon may
-//! submit per second, and what each operation costs of it. Time is an
-//! argument here, never read.
+//! Admission control's second bound: the budget of estimated work the
+//! daemon may submit per second, and what each operation costs of it
+//! (the first, the window, is `Window`). Time is an argument here,
+//! never read.
 
 use std::time::Duration;
 
@@ -11,56 +12,42 @@ use mpil_net::TransportKind;
 pub const ADMIT_BURST: Duration = Duration::from_millis(3);
 /// Budget a closed admission waits for before it opens again.
 pub(super) const ADMIT_WAVE: Duration = Duration::from_micros(1500);
-/// Requests waiting for admission beyond this many are turned away with
-/// `UNAVAILABLE` instead of queued.
-pub const MAX_BACKLOG: usize = 4096;
 
 /// The admission budget one operation takes: one second of budget
 /// accrues per second, so this is the reciprocal of the rate at which
 /// a daemon serving nothing else admits that operation (12 500 announces
-/// or 17 500 lookups a second on loopback UDP, 18 100 or 25 000 on
+/// or 33 300 lookups a second on loopback UDP, 18 100 or 25 000 on
 /// channels).
 ///
 /// Each figure is what the operation costs the whole process (control
 /// plane, daemon, every forward, reply and acknowledgement, and the
-/// client beside them) on ONE saturated core, times a margin of 1.5 or
-/// more. Re-measured on the sharded data plane, pinned to one core of
-/// the two-vCPU box `benchmark/run.sh` was calibrated on (so: one
-/// shard), 48 nodes, `DaemonConfig::default()` parameters, a closed
-/// loop of 48 and this table zeroed: 47 µs an announce and 29 µs a
-/// lookup on UDP (21 300 and 34 700 a second), 29 and 15 µs on
-/// channels (34 800 and 67 500 a second); `svc-udp-churn` itself reads
-/// 51 µs an announce. A lookup was then 16 forwards, all of them
-/// in-process on one shard, and four replies; an announce is 28
-/// forwards and five acknowledgements, and what is left of either cost
-/// is the datagrams to and from the client and the thread hand-offs
-/// behind them. A lookup is now about 3 forwards and 2 replies (its
+/// client beside them) on ONE saturated core, times a margin. A closed
+/// loop that is never kept waiting runs that core flat out, and then
+/// its rate and latency are the host's speed that minute: on the
+/// two-vCPU box `benchmark/run.sh` was calibrated on, pinned to one
+/// core (so: one shard), 48 nodes, `DaemonConfig::default()` parameters
+/// and the window the only bound, `svc-udp-churn` read 48 500 to
+/// 62 600 lookups a second and 14 700 to 22 600 announces, and
+/// `svc-chan-churn` 38 900 to 50 200 announces, in runs minutes apart
+/// (and 33 000 to 45 000 lookups in a slow hour). With this table every
+/// run reads its rate. A lookup is about 3 forwards and 2 replies (its
 /// first attempt carries [`FIRST_FLOWS`](super::FIRST_FLOWS) flows, and
-/// only a hedge all of them), yet the four figures stand: lookups on
-/// the benchmark's `svc-udp-churn` are admission-bound, so a new lookup
-/// figure moves that workload's rate and latency with it, and pricing
-/// them from measured service times belongs with a daemon that measures
-/// its own. The
-/// margins taken are 1.6 (UDP announce), 2.0 (UDP lookup), 1.9 and 2.7:
-/// the host takes 10 to 30 % away for minutes at a time on that box,
-/// and an admitted rate has to be one the slow minutes also serve, or
-/// it follows the host instead of this table. The UDP lookup figure
-/// stood at the announce's 80 for as long as a lookup whose entry node
-/// was deaf waited out one flat 150 ms period: 1 250 lookups are
-/// admitted during a 100 ms deaf spell, so every caller of a closed
-/// loop of 48 was parked on that wait within 40 ms of a churn volley,
-/// and how fast they got parked, not this table, set the rate (at 70,
-/// `lookup_per_s` of three `svc-udp-churn` runs spread over 600 a
-/// second). Hedged lookups park nobody and the rate is the admitted
-/// rate (ten seeds at 57 spread 46 a second). A closed loop waits
-/// in-flight ÷ admitted rate for each lookup, and hedges spend budget
-/// on 3 % of them: 57 is the largest figure at which that loop's
-/// typical latency is clear of what it read at 80 with its callers
-/// parked (2.81 ms against 2.89; 58 reads 2.84 to 2.86).
+/// only a hedge all of them), an announce 28 forwards and five
+/// acknowledgements; what is left of either cost is the datagrams to
+/// and from the client and the thread hand-offs behind them. The
+/// margins over the slowest of those runs are 1.2 (UDP announce), 1.5
+/// (UDP lookup; 1.0 in the slow hour) and 2.1 (channel announce): the
+/// host takes 10 to 30 % away for minutes at a time on that box, and
+/// an admitted rate has to be one the slow minutes also serve, or it
+/// follows the host instead of this table. A closed loop waits
+/// in-flight ÷ admitted rate for each lookup: 48 callers at 30 µs are
+/// answered in about 1.35 ms (at the 57 µs this figure was priced at
+/// for ten-flow lookups, 2.86 ms). No closed loop measures the channel
+/// lookup figure (its benchmark workload offers 500 a second).
 pub fn admit_cost(transport: TransportKind, kind: MessageKind) -> Duration {
     Duration::from_micros(match (transport, kind) {
         (TransportKind::Udp, MessageKind::Insert) => 80,
-        (TransportKind::Udp, MessageKind::Lookup) => 57,
+        (TransportKind::Udp, MessageKind::Lookup) => 30,
         (TransportKind::Channel, MessageKind::Insert) => 55,
         (TransportKind::Channel, MessageKind::Lookup) => 40,
     })

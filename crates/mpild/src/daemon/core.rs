@@ -1,12 +1,13 @@
 //! Everything the daemon decides, as a state machine with no clock and
 //! no socket: `(now, input) → effects`.
 //!
-//! [`Core`] owns admission, the hedge delay, the request tracker, the
-//! backlog, the entry cycle, the drain state and the report. It learns
-//! the time from its caller, one `now` per call, and acts on the world
-//! through one seam, [`World`]: the live cluster and control plane under
-//! [`Daemon`](super::Daemon), a scripted fake under the tests, which
-//! drive the same decisions from a seed on a virtual clock.
+//! [`Core`] owns admission (the window and the budget), the hedge
+//! delay, the request tracker, the backlog, the entry cycle, the drain state and the
+//! report. It learns the time from its caller, one `now` per call, and
+//! acts on the world through one seam, [`World`]: the live cluster and
+//! control plane under [`Daemon`](super::Daemon), a scripted fake under
+//! the tests, which drive the same decisions from a seed on a virtual
+//! clock.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -18,8 +19,9 @@ use mpil_overlay::NodeIdx;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
-use super::admission::{admit_cost, Admission, MAX_BACKLOG};
+use super::admission::{admit_cost, Admission};
 use super::hedge::{HedgeDelay, FIRST_FLOWS};
+use super::window::{Window, MAX_BACKLOG};
 use super::DaemonConfig;
 use crate::proto::{err_code, CtrlRequest, CtrlResponse, StatsBody};
 
@@ -174,8 +176,10 @@ pub struct Core<W: World> {
     /// a request's attempts never come back to an entry they tried
     /// before every other one has been.
     next_entry: Vec<NodeIdx>,
+    window: Window,
     admission: Admission,
-    /// Accepted requests waiting for admission budget, oldest first.
+    /// Accepted requests waiting for a place in the window and for
+    /// admission budget, oldest first.
     backlog: VecDeque<Ticket<W::Addr>>,
     parked: u32,
     report: DaemonReport,
@@ -185,9 +189,9 @@ pub struct Core<W: World> {
 }
 
 impl<W: World> Core<W> {
-    /// A core at time `now` over `world`, whose last `config.spares`
-    /// nodes are parked. The entry cycle is drawn from `rng`.
-    pub fn new(config: &DaemonConfig, world: W, rng: &mut SmallRng, now: Duration) -> Self {
+    /// A core over `world`, whose last `config.spares` nodes are
+    /// parked. The entry cycle is drawn from `rng`.
+    pub fn new(config: &DaemonConfig, world: W, rng: &mut SmallRng) -> Self {
         let total = config.nodes + config.spares;
         let mut cycle: Vec<NodeIdx> = (0..total as u32).map(NodeIdx::new).collect();
         cycle.shuffle(rng);
@@ -203,7 +207,8 @@ impl<W: World> Core<W> {
             tracker: RequestTracker::new(config.retry),
             hedge_delay: HedgeDelay::default(),
             next_entry,
-            admission: Admission::new(now),
+            window: Window::default(),
+            admission: Admission::new(Duration::ZERO),
             backlog: VecDeque::new(),
             parked: config.spares as u32,
             report: DaemonReport::default(),
@@ -299,8 +304,8 @@ impl<W: World> Core<W> {
 
     /// Accepts a data-plane request, whose entry node must exist and be
     /// in service: it joins the admission backlog and is submitted as
-    /// soon as the budget allows, which on a daemon that is not
-    /// overloaded is now.
+    /// soon as the window has room and the budget allows, which on a
+    /// daemon that is not overloaded is now.
     fn accept(
         &mut self,
         now: Duration,
@@ -332,6 +337,9 @@ impl<W: World> Core<W> {
     /// A store-ack or lookup reply from the cluster.
     pub fn on_event(&mut self, now: Duration, event: ClientEvent) {
         let (ClientEvent::Reply { msg_id, .. } | ClientEvent::StoreAck { msg_id, .. }) = event;
+        // An answered attempt leaves the window, and lets the next in.
+        self.window.release(msg_id);
+        self.admit(now);
         // Later flows of the same operation, and its other attempts,
         // produce more events; only the first resolves the ticket.
         let Some(p) = self.tracker.complete(msg_id) else {
@@ -365,23 +373,29 @@ impl<W: World> Core<W> {
     }
 
     /// What every turn ends with, and all there is to do when
-    /// [`Core::next_wake`] falls due: re-submits what has run out of
-    /// patience, fails what has run out of budget, then admits from the
-    /// backlog.
+    /// [`Core::next_wake`] falls due: admits from the backlog into the
+    /// places that have been freed, then re-submits what has run out of
+    /// patience and fails what has run out of budget.
     pub fn on_wake(&mut self, now: Duration) {
         self.report.wakeups += 1;
-        self.expire(now);
         self.admit(now);
+        self.expire(now);
     }
 
     /// The earliest instant at which there is something to do without
-    /// an input arriving: an attempt running out of patience, admission
-    /// opening to a waiting backlog, the drain budget running out.
-    /// `None` when only an input can give the core work. It may name an
-    /// instant already past, and is to be asked again after every call
-    /// that takes a `now`.
+    /// an input arriving: an attempt running out of patience, the
+    /// oldest place in a full window freed for a waiting backlog or
+    /// admission opening to it, the drain budget running out. `None` when only an input can give the
+    /// core work. It may name an instant already past, and is to be
+    /// asked again after every call that takes a `now`.
     pub fn next_wake(&mut self) -> Option<Duration> {
-        let admit_at = (!self.backlog.is_empty()).then(|| self.admission.reopens_at());
+        let admit_at = if self.backlog.is_empty() {
+            None
+        } else if self.window.is_full() {
+            self.window.frees_at(self.hold())
+        } else {
+            Some(self.admission.reopens_at())
+        };
         [self.tracker.next_deadline(), admit_at, self.drain_at]
             .into_iter()
             .flatten()
@@ -432,14 +446,16 @@ impl<W: World> Core<W> {
         }
     }
 
-    /// Submits from the head of the backlog while admission is open.
+    /// Submits from the head of the backlog while the window has room
+    /// and admission is open.
     fn admit(&mut self, now: Duration) {
+        self.window.expire(now, self.hold());
         self.admission.accrue(now);
-        while self.admission.is_open() {
+        while !self.window.is_full() && self.admission.is_open() {
             let Some(ticket) = self.backlog.pop_front() else {
                 return;
             };
-            if let Some(msg_id) = self.submit(&ticket, 0) {
+            if let Some(msg_id) = self.submit(&ticket, 0, now) {
                 let patience = self.patience(ticket.kind, 0);
                 self.tracker.track_for(msg_id, ticket, now, patience);
             }
@@ -461,9 +477,9 @@ impl<W: World> Core<W> {
             if kind == MessageKind::Lookup {
                 pending.token.origin = self.another_entry(pending.token.origin);
             }
-            // A re-submission is work like any other: it spends budget,
-            // but does not queue for it.
-            if let Some(new_id) = self.submit(&pending.token, pending.attempt + 1) {
+            // A re-submission is work like any other: it takes a place
+            // in the window and spends budget, but queues for neither.
+            if let Some(new_id) = self.submit(&pending.token, pending.attempt + 1, now) {
                 if now.saturating_sub(pending.issued_at) < self.tracker.policy().timeout {
                     self.report.hedges += 1;
                 }
@@ -475,11 +491,16 @@ impl<W: World> Core<W> {
     }
 
     /// Attempt number `attempt` (0 the first) of `ticket`'s request,
-    /// through `ticket.origin`: spends what it costs and submits it, a
-    /// lookup's first attempt with [`FIRST_FLOWS`] flows and everything
-    /// else with all of them. A request whose attempt the transport
-    /// refuses is answered so, and that is the end of it.
-    fn submit(&mut self, ticket: &Ticket<W::Addr>, attempt: u32) -> Option<MessageId> {
+    /// through `ticket.origin`, at `now`: spends what it costs and
+    /// submits it into a place in the window, a lookup's first attempt with [`FIRST_FLOWS`] flows and
+    /// everything else with all of them. A request whose attempt the
+    /// transport refuses is answered so, and that is the end of it.
+    fn submit(
+        &mut self,
+        ticket: &Ticket<W::Addr>,
+        attempt: u32,
+        now: Duration,
+    ) -> Option<MessageId> {
         self.admission
             .spend(admit_cost(self.transport, ticket.kind));
         let flows = match (ticket.kind, attempt) {
@@ -489,9 +510,12 @@ impl<W: World> Core<W> {
         let msg_id = self
             .world
             .submit(ticket.kind, ticket.origin, ticket.object, flows);
-        if msg_id.is_none() {
-            self.report.transport_errors += 1;
-            self.respond(&ticket.addr, ticket.token, refusal(err_code::TRANSPORT));
+        match msg_id {
+            Some(id) => self.window.enter(id, now, flows),
+            None => {
+                self.report.transport_errors += 1;
+                self.respond(&ticket.addr, ticket.token, refusal(err_code::TRANSPORT));
+            }
         }
         msg_id
     }
@@ -521,6 +545,12 @@ impl<W: World> Core<W> {
             MessageKind::Insert => cap,
             MessageKind::Lookup => self.hedge_delay.patience(attempt, cap),
         }
+    }
+
+    /// How long an attempt holds its place in the window: the patience
+    /// of a lookup's first attempt.
+    fn hold(&self) -> Duration {
+        self.patience(MessageKind::Lookup, 0)
     }
 
     /// The in-service node after `origin` on the entry cycle; `origin`

@@ -30,16 +30,16 @@ pub const FIRST_FLOWS: u32 = 2;
 /// second one leaves through another entry node. Measured on the
 /// two-vCPU box as hedges per 1 000 lookups with no churn, when every
 /// hedge is a question asked twice for nothing: a closed loop of 48 on
-/// loopback UDP at the admitted rate, where a lookup let in at the back
-/// of a 3 ms burst waits for the fifty ahead of it, hedges 70 at 1 ms,
-/// 5 to 6 at 2 ms and 1.4 at 3 ms; the quiet open loop of
-/// `scripts/ci.sh` (250 a second) up to 7 at 1 ms and none at 2 or 3 ms,
-/// a stall of the host aside (one hedge in one run of ten). The estimate
-/// reads 0.7 to 1.0 ms on both: `srtt + 4 · rttvar` takes one hump for
-/// granted and a burst gives the reply times two. So on a healthy
-/// cluster it is the floor that holds, and the estimate takes over when
-/// replies slow down.
-pub(super) const HEDGE_FLOOR: Duration = Duration::from_millis(3);
+/// loopback UDP pinned to one CPU (20 000 lookups, two seeds), where
+/// admission lets the callers in together and a lookup waits on the
+/// one shard behind the forwards of the others, hedges 17 to 26 at
+/// 1 ms, 0.7 to 3.1 at 2 ms and 0.7 to 2.1 at 3 ms (measured with the
+/// window alone; with the budget beside it, at 33 300 lookups a second,
+/// 0.7 and 2.1 at 3 ms again); the quiet open
+/// loop of `scripts/ci.sh` (250 a second) up to 4 at 1 ms, up to 1 at
+/// 2 ms and none at 3 ms. So on a healthy cluster it is the floor that
+/// holds, and the estimate takes over when replies slow down.
+pub const HEDGE_FLOOR: Duration = Duration::from_millis(3);
 
 /// How long a lookup attempt is worth waiting for, from how long the
 /// answered ones took: the retransmission timer of RFC 6298 (Jacobson

@@ -25,18 +25,25 @@
 //!    carries [`FIRST_FLOWS`] flows, its hedges all `max_flows`. The
 //!    earliest deadline is the timeout of the blocking receive. The
 //!    only other instants the daemon ever waits for are the one at
-//!    which its admission budget lets the next queued request in (and
-//!    only a daemon that is offered more than it admits has requests
-//!    queued) and the end of a drain.
+//!    which admission lets the next queued request in (and only a
+//!    daemon that is offered more than it admits has requests queued)
+//!    and the end of a drain.
 //!
 //! Data-plane requests are fully pipelined: a control frame is turned
 //! into a [`LiveCluster::submit_flows`] and a tracker entry, and the
 //! client hears back when the matching event arrives (or the retry
-//! budget dies). Submission is paced by admission control (see
-//! `Admission`: a budget of estimated work per second, sized to keep
-//! the data plane below saturation); requests beyond it wait their turn
-//! in a bounded backlog, and beyond that are turned away with
-//! `UNAVAILABLE`.
+//! budget dies). Admission control has two bounds. A window of the
+//! attempts in the cluster (see `Window`) bounds the work in it: a
+//! first attempt goes in only while the attempts holding a place carry
+//! fewer than [`WINDOW`] flows, and an attempt holds its place until it
+//! is answered or has been in for a first attempt's patience. A budget
+//! of estimated work per second (see `Admission`) bounds the rate,
+//! below what the host serves in its slow minutes, so that what a
+//! client sees is the admitted rate and not the host's speed. Hedges
+//! and retries take a place and spend budget without waiting for
+//! either. Requests that find the window full or the budget spent wait
+//! their turn in a bounded backlog, and beyond that are turned away
+//! with `UNAVAILABLE`.
 //!
 //! Shutdown is graceful by contract: a `Drain` request (or the death of
 //! the control plane) stops admission, keeps serving the inbox until
@@ -64,16 +71,17 @@
 //!   hedge, admission and give-up falls on an exact instant.
 //! * **What [`Core::next_wake`] promises.** Nothing the core is waiting
 //!   for falls due before it: the earliest attempt deadline, the
-//!   instant admission opens to a waiting backlog, the end of the drain
-//!   budget. `None` means only an input can give the core work, and the
-//!   shell sleeps `IDLE_CAP` at a time. An instant already past is a
-//!   sleep of zero.
+//!   instant the oldest place in a full window is freed or the budget
+//!   opens for a waiting backlog, the end of the drain budget. `None` means only an input
+//!   can give the core work, and the shell sleeps `IDLE_CAP` at a time.
+//!   An instant already past is a sleep of zero.
 //! * **The order of a turn.** Sleep until an input arrives or
 //!   `next_wake` falls due; hand over that input and what is queued
 //!   behind it, `BATCH` inputs at most (so a flooding client cannot
 //!   starve the deadlines), each with the time it is taken up; then
-//!   [`Core::on_wake`]: expire and re-submit, fail what is out of
-//!   budget, admit from the backlog. Turns repeat until
+//!   [`Core::on_wake`]: admit from the backlog, then expire and
+//!   re-submit and fail what is out of budget. An answer lets the next
+//!   queued request in the moment it is handed over. Turns repeat until
 //!   [`Core::finished`]; the inputs queued behind the last one handled
 //!   get their answers, and [`Core::finish`] gives up on the rest.
 //!
@@ -87,6 +95,7 @@ mod admission;
 mod control;
 mod core;
 mod hedge;
+mod window;
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::Duration;
@@ -99,12 +108,13 @@ use mpil_workload::WallClock;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-pub use self::admission::{admit_cost, ADMIT_BURST, MAX_BACKLOG};
+pub use self::admission::{admit_cost, ADMIT_BURST};
 pub use self::control::{
     ChannelControl, ChannelCtrlClient, ControlPlane, Inbox, Input, UdpControl,
 };
 pub use self::core::{Core, DaemonReport, World};
-pub use self::hedge::FIRST_FLOWS;
+pub use self::hedge::{FIRST_FLOWS, HEDGE_FLOOR};
+pub use self::window::{MAX_BACKLOG, WINDOW};
 use crate::proto::CtrlResponse;
 
 /// Inputs handled per turn of the daemon before deadlines get a look
@@ -243,8 +253,8 @@ impl<C: ControlPlane> Daemon<C> {
         for spare in config.nodes..total {
             cluster.park(NodeIdx::new(spare as u32));
         }
-        // The core's time is the clock's: both start here.
-        let core = Core::new(&config, Live { cluster, ctrl }, &mut rng, Duration::ZERO);
+        let core = Core::new(&config, Live { cluster, ctrl }, &mut rng);
+        // The core's time is the clock's: it starts here.
         Ok(Daemon {
             core,
             inbox,
@@ -324,7 +334,7 @@ mod tests {
 
     use self::fake::{Answer, Attempt, VirtualDaemon, CLIENT};
     use super::admission::{Admission, ADMIT_WAVE};
-    use super::hedge::{HedgeDelay, HEDGE_FLOOR};
+    use super::hedge::HedgeDelay;
     use super::*;
     use crate::proto::{err_code, CtrlRequest};
 
@@ -919,7 +929,8 @@ mod tests {
 
     /// A flood beyond the backlog: every request is answered, what did
     /// not fit is turned away, and served + shed adds up. The served ones
-    /// go in at the admission rate: no faster, and no slower.
+    /// go in at the admission rate: no faster, and no slower (each is
+    /// answered the moment it goes in, so the window never fills).
     #[test]
     fn a_flood_is_paced_shed_and_accounted_for() {
         let mut sim = VirtualDaemon::new(&DaemonConfig {
@@ -982,6 +993,77 @@ mod tests {
         assert_eq!(world.attempts.len() - first, burst + MAX_BACKLOG);
         assert_eq!(report.stats.lookup_timeouts + report.stats.retries, 0);
         assert_eq!(report.bad_requests + report.aborted_at_drain, 0);
+    }
+
+    /// Lookups whose narrow first attempts fill the window.
+    const NARROW: usize = (WINDOW / FIRST_FLOWS as u64) as usize;
+
+    /// Lookups of absent objects fill the window, and stay tracked for
+    /// their whole budget; but each of their attempts holds its place
+    /// for one hold only, so the lookups behind them go in when those
+    /// places are freed, not when the absent ones are given up. (On
+    /// loopback UDP, whose lookups are admitted fast enough to fill the
+    /// window within one hold: a burst, then a wave.)
+    #[test]
+    fn lookups_of_absent_objects_close_the_window_for_one_hold_only() {
+        let mut sim = VirtualDaemon::new(&DaemonConfig {
+            nodes: 16,
+            seed: 21,
+            transport: TransportKind::Udp,
+            ..DaemonConfig::default()
+        });
+        let object = Id::from_low_u64(0xab5e);
+        announce_and_look_up(&mut sim, object, 16, 10_000);
+        let start = sim.now;
+        for token in 0..NARROW as u64 {
+            sim.request(token, lookup(absent(token), (token % 16) as u32));
+        }
+        let arrived = start + 2 * MS;
+        sim.advance_to(arrived);
+        let went_in = (0..NARROW as u64)
+            .filter(|&token| !attempts_for(&mut sim, absent(token)).is_empty())
+            .count();
+        assert_eq!(went_in, NARROW, "a burst and a wave let them all in");
+        let before = sim.world().attempts.len();
+        for token in 1_000..1_010 {
+            sim.request(token, lookup(object, (token % 16) as u32));
+        }
+        assert_eq!(sim.world().attempts.len(), before, "the window is full");
+        sim.advance_to(start + HEDGE_FLOOR);
+        let found: Vec<_> = sim.world().attempts[before..]
+            .iter()
+            .filter(|a| a.object == object)
+            .copied()
+            .collect();
+        assert_eq!(found.len(), 10);
+        for attempt in &found {
+            assert_eq!(attempt.at, start + HEDGE_FLOOR);
+            assert!(attempt.at - arrived <= HEDGE_FLOOR);
+            sim.answer(attempt);
+        }
+        for token in 1_000..1_010 {
+            assert!(matches!(
+                the_answer(&mut sim, token).resp,
+                CtrlResponse::Found { .. }
+            ));
+        }
+        // The absent ones are given up one whole budget after they went
+        // in: a window of requests, not of attempts, would have kept
+        // the ten out until then.
+        let budget = RetryPolicy::default().budget();
+        sim.advance_to(arrived + budget);
+        for token in 0..NARROW as u64 {
+            let went_in = attempts_for(&mut sim, absent(token))[0].0;
+            let answer = the_answer(&mut sim, token);
+            assert_eq!(
+                (answer.at, answer.resp),
+                (went_in + budget, CtrlResponse::NotFound)
+            );
+        }
+        sim.request(9_999, CtrlRequest::Drain { millis: 100 });
+        let (_, report) = sim.run_to_finish();
+        assert_eq!(report.stats.lookup_timeouts, NARROW as u64);
+        assert_eq!(report.shed + report.aborted_at_drain, 0);
     }
 
     /// Every accepted request is accounted for exactly once when the

@@ -134,7 +134,7 @@ impl VirtualDaemon {
         };
         let mut rng = SmallRng::seed_from_u64(config.seed);
         VirtualDaemon {
-            core: Core::new(config, world, &mut rng, Duration::ZERO),
+            core: Core::new(config, world, &mut rng),
             now: Duration::ZERO,
         }
     }

@@ -14,9 +14,11 @@
 //!   another entry node, an announce retried from its own);
 //!   the daemon is event-driven (one inbox, blocking receives, no poll
 //!   interval) and paces what it submits to the cluster (admission
-//!   control: a budget of estimated work, a bounded backlog, and
-//!   `UNAVAILABLE` beyond it); shutdown drains in-flight work before
-//!   the shard threads exit.
+//!   control: a window of the flows in the cluster, each attempt's held
+//!   until it is answered or has been in for a first attempt's
+//!   patience, a budget of estimated work per second, a bounded
+//!   backlog, and `UNAVAILABLE` beyond it);
+//!   shutdown drains in-flight work before the shard threads exit.
 //! * **`mpil-load`** — a load generator driving the daemon with the
 //!   paper's insert-then-lookup workload at a configurable offered rate
 //!   (open loop with a bounded in-flight window, or closed loop),

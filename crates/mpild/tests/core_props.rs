@@ -13,8 +13,10 @@
 //! parked node (the fake refuses to take one); a lookup's first attempt
 //! carries `min(FIRST_FLOWS, max_flows)` flows and every other attempt,
 //! an announce's first included, all `max_flows`; first attempts go in
-//! no faster than the admission rate and one burst; of several drains the
-//! earliest deadline stands; and a drain that ends before its deadline
+//! no faster than the admission rate and one burst, and not while the
+//! unanswered attempts inside their hold carry `WINDOW` flows, and the
+//! backlog goes in first in, first out; of several drains the earliest
+//! deadline stands; and a drain that ends before its deadline
 //! ends with nothing left to abort, so nothing stays behind in the
 //! tracker or the backlog.
 
@@ -25,7 +27,8 @@ use mpil_id::Id;
 use mpil_net::{ClientEvent, RetryPolicy, TransportKind};
 use mpil_overlay::NodeIdx;
 use mpild::daemon::{
-    admit_cost, Core, DaemonConfig, DaemonReport, World, ADMIT_BURST, FIRST_FLOWS, MAX_BACKLOG,
+    admit_cost, Core, DaemonConfig, DaemonReport, World, ADMIT_BURST, FIRST_FLOWS, HEDGE_FLOOR,
+    MAX_BACKLOG, WINDOW,
 };
 use mpild::proto::{err_code, CtrlRequest, CtrlResponse};
 use proptest::prelude::*;
@@ -185,9 +188,21 @@ struct Model {
     bad_requests: u64,
     /// How many attempts had been made when the drain began.
     attempts_before_drain: usize,
+    /// Per attempt, how many attempts had been made when it was first
+    /// answered (`usize::MAX`: never).
+    answered_after: Vec<usize>,
 }
 
 impl Model {
+    /// The cluster answers `attempt`, now.
+    fn answer(&mut self, sim: &mut VirtualDaemon, attempt: &fake::Attempt) {
+        let made = sim.world().attempts.len();
+        self.answered_after.resize(made, usize::MAX);
+        let nth = attempt.id.0 as usize - 1;
+        self.answered_after[nth] = self.answered_after[nth].min(made);
+        sim.answer(attempt);
+    }
+
     /// Sends `req` under the next token and notes what to expect of it.
     fn request(&mut self, sim: &mut VirtualDaemon, req: CtrlRequest) {
         let refused = |code| Expect::Now(CtrlResponse::Err { code });
@@ -262,6 +277,7 @@ fn play(config: DaemonConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
         asked: Vec::new(),
         bad_requests: 0,
         attempts_before_drain: usize::MAX,
+        answered_after: Vec::new(),
     };
     for op in ops {
         // The shell stops feeding a core that has finished.
@@ -284,13 +300,13 @@ fn play(config: DaemonConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
             Op::AnswerRecent(back) => {
                 let attempts = &sim.world().attempts;
                 if let Some(&attempt) = attempts.iter().rev().nth(back) {
-                    sim.answer(&attempt);
+                    model.answer(&mut sim, &attempt);
                 }
             }
             Op::AnswerAny(nth) => {
                 let attempts = &sim.world().attempts;
                 if let Some(&attempt) = attempts.get(nth % attempts.len().max(1)) {
-                    sim.answer(&attempt);
+                    model.answer(&mut sim, &attempt);
                 }
             }
             Op::AnswerUnknown(id) => {
@@ -434,7 +450,7 @@ fn check(
     // An attempt is its request's first or a re-submission of it, and
     // nothing is re-submitted once the drain has begun. Only a lookup's
     // first attempt goes in narrow.
-    let mut firsts: Vec<(Duration, Duration)> = Vec::new();
+    let mut firsts: Vec<usize> = Vec::new();
     let mut seen = vec![false; model.asked.len()];
     let full = config.mpil.max_flows;
     for (nth, attempt) in world.attempts.iter().enumerate() {
@@ -446,7 +462,7 @@ fn check(
         };
         prop_assert_eq!(attempt.flows, flows, "attempt {} of token {}", nth, token);
         if first {
-            firsts.push((attempt.at, admit_cost(config.transport, attempt.kind)));
+            firsts.push(nth);
         } else {
             prop_assert!(
                 nth < model.attempts_before_drain,
@@ -461,18 +477,53 @@ fn check(
     );
     prop_assert!(report.hedges <= s.retries);
 
-    // Admission, over every interval at once: a bucket that holds one
+    // The budget, over every interval at once: a bucket that holds one
     // burst, fills with time and pays for first attempts alone (the
     // daemon's pays for re-submissions too, so it is never the fuller
     // one) has something in it whenever an attempt is let in.
     let burst = ADMIT_BURST.as_nanos() as i128;
     let (mut budget, mut accrued_at) = (burst, Duration::ZERO);
-    for &(at, cost) in &firsts {
-        budget = burst.min(budget + (at - accrued_at).as_nanos() as i128);
-        accrued_at = at;
-        prop_assert!(budget > 0, "let in at {at:?} on a spent budget");
-        budget -= cost.as_nanos() as i128;
+    for &nth in &firsts {
+        let attempt = &world.attempts[nth];
+        budget = burst.min(budget + (attempt.at - accrued_at).as_nanos() as i128);
+        accrued_at = attempt.at;
+        prop_assert!(budget > 0, "let in at {:?} on a spent budget", attempt.at);
+        budget -= admit_cost(config.transport, attempt.kind).as_nanos() as i128;
     }
+
+    // The window. An attempt holds its places for at least the shorter of
+    // the hedge floor and the period unless it is answered first, so the
+    // attempts inside that span and unanswered when a first attempt goes
+    // in hold some of the places held then: fewer flows than the window.
+    // And the backlog is let in in the order it was accepted, which is
+    // the order of the tokens.
+    let least_hold = HEDGE_FLOOR.min(config.retry.timeout);
+    let answered_after = |k: usize| model.answered_after.get(k).copied().unwrap_or(usize::MAX);
+    let mut oldest = 0;
+    for &nth in &firsts {
+        let at = world.attempts[nth].at;
+        while world.attempts[oldest].at + least_hold <= at {
+            oldest += 1;
+        }
+        let held: u64 = (oldest..nth)
+            .filter(|&k| answered_after(k) > nth)
+            .map(|k| u64::from(world.attempts[k].flows))
+            .sum();
+        prop_assert!(
+            held < WINDOW,
+            "attempt {} went in with {} flows held",
+            nth,
+            held
+        );
+    }
+    let tokens: Vec<u64> = firsts
+        .iter()
+        .map(|&nth| token_of(world.attempts[nth].object))
+        .collect();
+    prop_assert!(
+        tokens.windows(2).all(|w| w[0] < w[1]),
+        "not first in, first out"
+    );
     Ok(())
 }
 

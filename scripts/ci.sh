@@ -7,10 +7,12 @@
 #            gate at the end; the smokes below still run, on the release
 #            build it made)
 #   format:  cargo fmt --check       (stable rustfmt; options in rustfmt.toml)
-#   sans-io: the daemon's core (crates/mpild/src/daemon/{core,admission,
-#            hedge}.rs) names no clock, socket or thread outside its
-#            tests: time reaches it as an argument (daemon/mod.rs, "Core
-#            and shell"), so every decision it makes can be replayed
+#   sans-io: the daemon's core (crates/mpild/src/daemon/{core,window,
+#            admission,hedge}.rs) names no clock, socket or thread
+#            outside its tests: time reaches it as an argument
+#            (daemon/mod.rs, "Core and shell"), so every decision it
+#            makes can be replayed; a listed file that is gone fails the
+#            gate
 #   vendor:  the directories under vendor/, the rows of
 #            vendor/README.md's table and the vendor/ paths of
 #            [workspace.dependencies] are one set
@@ -52,8 +54,12 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
+sans_io=(crates/mpild/src/daemon/{core,window,admission,hedge}.rs)
+for file in "${sans_io[@]}"; do
+    [[ -f $file ]] || { echo "ci: $file is gone: point the sans-io check at the daemon's core" >&2; exit 1; }
+done
 if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FILENAME ":" FNR ": " $0 }' \
-    crates/mpild/src/daemon/{core,admission,hedge}.rs \
+    "${sans_io[@]}" \
     | grep -E 'WallClock|Instant|recv_timeout|UdpSocket|thread::'; then
     echo "ci: the daemon's core names a clock, a socket or a thread (see crates/mpild/src/daemon/mod.rs)" >&2
     exit 1
