@@ -58,7 +58,7 @@ fn plan(args: &Args) -> Result<Plan, String> {
         nodes: args
             .try_value_in("nodes", spec.fewest_nodes()..)?
             .unwrap_or(1000),
-        ops: args.try_value("ops")?.unwrap_or(20),
+        ops: args.try_value_in("ops", 1..)?.unwrap_or(20),
         p: args.try_value_in("p", 0.0..=1.0)?.unwrap_or(0.5),
         seed: args.try_value("seed")?.unwrap_or(1),
         budget_s: args.try_value("budget-s")?.unwrap_or(0),
@@ -127,6 +127,7 @@ mod tests {
             ("--engine chord --nodes 0 --p 0", "--nodes \"0\""),
             ("--engine mpil --nodes 8", "--nodes \"8\""),
             ("--nodes 5", "--nodes \"5\""),
+            ("--engine chord --ops 0", "--ops \"0\""),
         ] {
             let why = plan(&Args::parse(line.split(' ').map(String::from)))
                 .err()

@@ -53,7 +53,7 @@ pub fn ext_dht_comparison(args: &Args) -> Result<Report, String> {
     let (full, _csv, seed) = standard(args)?;
     let (nodes, ops) = if full { (1000, 500) } else { (250, 50) };
     let nodes = args.try_value("nodes")?.unwrap_or(nodes);
-    let ops = args.try_value("ops")?.unwrap_or(ops);
+    let ops = args.try_value_in("ops", 1..)?.unwrap_or(ops);
     args.finish()?;
     let probabilities = [0.2, 0.5, 0.9];
 
@@ -120,7 +120,7 @@ pub fn ext_overlay_independence(args: &Args) -> Result<Report, String> {
     let nodes = args
         .try_value_in("nodes", fewest.unwrap_or(1)..)?
         .unwrap_or(nodes);
-    let ops = args.try_value("ops")?.unwrap_or(ops);
+    let ops = args.try_value_in("ops", 1..)?.unwrap_or(ops);
     args.finish()?;
 
     let probabilities = [0.0, 0.5, 0.9];
@@ -181,7 +181,7 @@ pub fn ext_link_loss(args: &Args) -> Result<Report, String> {
     let (full, _csv, seed) = standard(args)?;
     let (nodes, ops) = if full { (1000, 1000) } else { (300, 60) };
     let nodes = args.try_value("nodes")?.unwrap_or(nodes);
-    let ops = args.try_value("ops")?.unwrap_or(ops);
+    let ops = args.try_value_in("ops", 1..)?.unwrap_or(ops);
     args.finish()?;
 
     let losses = [0.0, 0.05, 0.1, 0.2, 0.4];
@@ -271,7 +271,7 @@ pub fn ext_gossip_discovery(args: &Args) -> Result<Report, String> {
     let nodes = args
         .try_value_in("nodes", fewest.unwrap_or(1)..)?
         .unwrap_or(nodes);
-    let ops = args.try_value("ops")?.unwrap_or(ops);
+    let ops = args.try_value_in("ops", 1..)?.unwrap_or(ops);
     let dissemination = args.flag("dissemination");
     args.finish()?;
     if dissemination {
@@ -433,7 +433,7 @@ struct SessionScale {
 pub fn ext_churn_traces(args: &Args) -> Result<Report, String> {
     let (_full, _csv, seed) = standard(args)?;
     let nodes = args.try_value("nodes")?.unwrap_or(400usize);
-    let ops = args.try_value("ops")?.unwrap_or(80usize);
+    let ops = args.try_value_in("ops", 1..)?.unwrap_or(80usize);
     args.finish()?;
 
     // Gnutella-like (short sessions, ~50% availability), Overnet-like

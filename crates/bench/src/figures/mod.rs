@@ -102,5 +102,9 @@ mod tests {
                 assert!(why.contains(named), "module {module}, {line}: {why}");
             }
         }
+        // The extensions' five --ops readers refuse a run of no lookups.
+        let no_ops = Args::parse(["--ops", "0"].map(String::from));
+        let why = ext_dht_comparison(&no_ops).map(drop).expect_err("--ops 0");
+        assert!(why.contains("--ops \"0\""), "{why}");
     }
 }

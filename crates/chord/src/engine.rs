@@ -12,16 +12,14 @@
 //! [`mpil_sim::Outstanding`] tables, resent `PROBE_RETRIES` times one
 //! `PROBE_TIMEOUT` apart before the peer is declared failed and an
 //! exhausted hop is re-routed — the per-node duplicate filter on routed
-//! messages, and the traffic classes its counters split sends into. So
+//! messages, and the class each send is counted in. So
 //! the two can be compared message-for-message under the paper's
 //! perturbation model.
 
 use fxhash::FxHashSet;
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{
-    Counters, Event, Expiry, NetStats, Outstanding, Protocol, Sim, SimDuration, SimTime,
-};
+use mpil_sim::{Class, Event, Expiry, Outstanding, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::ChordConfig;
@@ -67,6 +65,17 @@ pub enum Payload {
     FingerFix { index: u16, origin: NodeIdx },
     /// Find `joiner`'s successor; the root welcomes the joiner.
     JoinFind { joiner: NodeIdx },
+}
+
+impl Payload {
+    /// The class its routed hops are counted in.
+    fn class(self) -> Class {
+        match self {
+            Payload::Insert { .. } => Class::Insert,
+            Payload::Lookup { .. } => Class::Lookup,
+            Payload::FingerFix { .. } | Payload::JoinFind { .. } => Class::Maintenance,
+        }
+    }
 }
 
 /// What Chord nodes send each other (public only as [`Protocol::Msg`]).
@@ -134,37 +143,17 @@ pub enum Timer {
 /// What a routed hop carries: `(key, payload, hops)`.
 type Hop = (Id, Payload, u32);
 
-/// Counters split by traffic class (field-for-field comparable to the
-/// Pastry baseline's `PastryStats`).
+/// What the protocol observed besides its sends (those are
+/// [`Sim::counters`]; field-for-field comparable to the Pastry
+/// baseline's `PastryStats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChordStats {
-    /// Route transmissions carrying lookups (incl. retransmissions).
-    pub lookup_messages: u64,
-    /// Route transmissions carrying inserts, plus replication pushes.
-    pub insert_messages: u64,
-    /// Acks for routed messages.
-    pub ack_messages: u64,
-    /// Probes, stabilize exchanges, notifies, finger fixes, joins.
-    pub maintenance_messages: u64,
-    /// Direct lookup replies.
-    pub reply_messages: u64,
     /// Nodes declared failed (table removals triggered by timeouts).
     pub failure_declarations: u64,
     /// Routed messages dropped by the hop limit.
     pub hop_limit_drops: u64,
     /// Lookups delivered at a root that held no object.
     pub misdeliveries: u64,
-}
-
-impl ChordStats {
-    /// Everything the overlay sent.
-    pub fn total_messages(&self) -> u64 {
-        self.lookup_messages
-            + self.insert_messages
-            + self.ack_messages
-            + self.maintenance_messages
-            + self.reply_messages
-    }
 }
 
 /// Outcome of one lookup (the shared engine-agnostic enum).
@@ -198,7 +187,7 @@ pub struct Chord {
 pub type ChordSim = Sim<Chord>;
 
 impl Chord {
-    /// Protocol counters.
+    /// What the protocol observed besides its sends ([`Sim::counters`]).
     pub fn stats(&self) -> ChordStats {
         self.stats
     }
@@ -221,16 +210,6 @@ impl Chord {
     }
 
     // --- routing ----------------------------------------------------------
-
-    fn count_route(&mut self, payload: &Payload) {
-        match payload {
-            Payload::Insert { .. } => self.stats.insert_messages += 1,
-            Payload::Lookup { .. } => self.stats.lookup_messages += 1,
-            Payload::FingerFix { .. } | Payload::JoinFind { .. } => {
-                self.stats.maintenance_messages += 1
-            }
-        }
-    }
 
     /// One routing decision at `at`: deliver locally if `at` is the root
     /// (or has no better hop), otherwise forward with per-hop reliability.
@@ -272,14 +251,13 @@ impl Chord {
     /// Sends one attempt of a routed hop and arms its retry timer.
     fn send_route(&mut self, cx: &mut Cx<'_>, uid: u64, from: NodeIdx, to: NodeIdx, hop: Hop) {
         let (key, payload, hops) = hop;
-        self.count_route(&payload);
         let route = Msg::Route {
             key,
             payload,
             hops,
             uid,
         };
-        cx.send(from, to, route);
+        cx.send(from, to, payload.class(), route);
         cx.schedule(from, PROBE_TIMEOUT, Timer::RouteRetry { uid });
     }
 
@@ -296,8 +274,7 @@ impl Chord {
                         .take(self.config.replication - 1)
                         .collect();
                     for s in copies {
-                        self.stats.insert_messages += 1;
-                        cx.send(at, s, Msg::Replicate { object });
+                        cx.send(at, s, Class::Insert, Msg::Replicate { object });
                     }
                 }
             }
@@ -316,8 +293,8 @@ impl Chord {
                 if origin == at {
                     self.states[at.index()].set_finger(usize::from(index), at);
                 } else {
-                    self.stats.maintenance_messages += 1;
-                    cx.send(at, origin, Msg::FingerReply { index, node: at });
+                    let reply = Msg::FingerReply { index, node: at };
+                    cx.send(at, origin, Class::Maintenance, reply);
                 }
             }
             Payload::JoinFind { joiner } => {
@@ -326,8 +303,12 @@ impl Chord {
                 }
                 let mut successors = vec![at];
                 successors.extend(self.states[at.index()].successors().iter().copied());
-                self.stats.maintenance_messages += 1;
-                cx.send(at, joiner, Msg::JoinWelcome { successors });
+                cx.send(
+                    at,
+                    joiner,
+                    Class::Maintenance,
+                    Msg::JoinWelcome { successors },
+                );
             }
         }
     }
@@ -344,10 +325,10 @@ impl Chord {
         if at == origin {
             Self::settle_lookup(cx, lookup_id, found, hops);
         } else {
-            self.stats.reply_messages += 1;
             cx.send(
                 at,
                 origin,
+                Class::Reply,
                 Msg::LookupReply {
                     lookup_id,
                     found,
@@ -380,8 +361,7 @@ impl Chord {
     /// Sends one attempt of a probe or stabilize request and arms its
     /// timeout (on a resend, the timer that just fired).
     fn ask(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, msg: Msg, timeout: Timer) {
-        self.stats.maintenance_messages += 1;
-        cx.send(from, to, msg);
+        cx.send(from, to, Class::Maintenance, msg);
         cx.schedule(from, PROBE_TIMEOUT, timeout);
     }
 
@@ -404,8 +384,7 @@ impl Chord {
                 hops,
                 uid,
             } => {
-                self.stats.ack_messages += 1;
-                cx.send(to, from, Msg::RouteAck { uid });
+                cx.send(to, from, Class::Ack, Msg::RouteAck { uid });
                 if !self.seen_uids[to.index()].insert(uid) {
                     return;
                 }
@@ -415,8 +394,7 @@ impl Chord {
                 self.routes.settle(uid);
             }
             Msg::Probe { token } => {
-                self.stats.maintenance_messages += 1;
-                cx.send(to, from, Msg::ProbeReply { token });
+                cx.send(to, from, Class::Maintenance, Msg::ProbeReply { token });
             }
             Msg::ProbeReply { token } => {
                 if let Some(p) = self.probes.settle(token) {
@@ -430,8 +408,7 @@ impl Chord {
                     predecessor: st.predecessor(),
                     successors: st.successors().to_vec(),
                 };
-                self.stats.maintenance_messages += 1;
-                cx.send(to, from, reply);
+                cx.send(to, from, Class::Maintenance, reply);
             }
             Msg::StabReply {
                 token,
@@ -455,8 +432,7 @@ impl Chord {
             Msg::JoinWelcome { successors } => {
                 if let Some((&head, rest)) = successors.split_first() {
                     self.states[to.index()].adopt_successor_list(head, rest, &self.ids);
-                    self.stats.maintenance_messages += 1;
-                    cx.send(to, head, Msg::Notify);
+                    cx.send(to, head, Class::Maintenance, Msg::Notify);
                 }
             }
             Msg::LookupReply {
@@ -562,8 +538,7 @@ impl Chord {
             }
         }
         if let Some(new_succ) = self.states[node.index()].successor() {
-            self.stats.maintenance_messages += 1;
-            cx.send(node, new_succ, Msg::Notify);
+            cx.send(node, new_succ, Class::Maintenance, Msg::Notify);
         }
     }
 }
@@ -669,24 +644,13 @@ impl Protocol for Chord {
     fn holds(&self, node: NodeIdx, object: Id) -> bool {
         self.stores[node.index()].contains(&object)
     }
-
-    fn counters(&self, _net: &NetStats) -> Counters {
-        let s = self.stats;
-        Counters {
-            lookup_messages: s.lookup_messages,
-            insert_messages: s.insert_messages,
-            reply_messages: s.reply_messages,
-            maintenance_messages: s.maintenance_messages,
-            total_messages: s.total_messages(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bootstrap::{build_converged_states, random_ids};
-    use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration};
+    use mpil_sim::{AlwaysOn, ConstantLatency, Counters, SimDuration};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -864,14 +828,15 @@ mod tests {
         // No other pinned count drives a join (its route is an acked,
         // retried transmission like any other): hold its sends exactly.
         assert_eq!(
-            (sim.net_stats().sent, sim.stats()),
+            (sim.counters(), sim.stats()),
             (
-                778,
-                ChordStats {
-                    ack_messages: 46,
+                Counters {
                     maintenance_messages: 732,
-                    ..ChordStats::default()
-                }
+                    ack_messages: 46,
+                    total_messages: 778,
+                    ..Counters::default()
+                },
+                ChordStats::default()
             )
         );
     }
@@ -882,19 +847,19 @@ mod tests {
         let object = Id::from_low_u64(77);
         sim.insert(NodeIdx::new(0), object);
         sim.run_to_quiescence();
-        let s = sim.stats();
-        assert!(s.insert_messages >= 1);
-        assert_eq!(s.lookup_messages, 0);
-        assert!(s.ack_messages >= s.insert_messages);
+        let c = sim.counters();
+        assert!(c.insert_messages >= 1);
+        assert_eq!(c.lookup_messages, 0);
+        assert!(c.ack_messages >= c.insert_messages);
         let h = sim.issue_lookup(NodeIdx::new(1), object, SimTime::from_secs(500));
         sim.run_until(SimTime::from_secs(500));
         assert!(matches!(
             sim.lookup_outcome(h),
             LookupOutcome::Succeeded { .. }
         ));
-        let s = sim.stats();
-        assert!(s.lookup_messages >= 1);
-        assert!(s.total_messages() >= s.lookup_messages + s.insert_messages);
+        let c = sim.counters();
+        assert!(c.lookup_messages >= 1);
+        assert!(c.total_messages >= c.lookup_messages + c.insert_messages);
     }
 
     #[test]

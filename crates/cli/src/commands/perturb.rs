@@ -34,12 +34,13 @@ pub(crate) fn parse_system(system: &str) -> Result<EngineSpec, CliError> {
 }
 
 /// Builds the scenario named by the standard perturbation flags,
-/// refusing a size of zero and a probability outside [0, 1].
+/// refusing a size or an operation count of zero and a probability
+/// outside [0, 1].
 pub(crate) fn parse_scenario(args: &Args) -> Result<Scenario, CliError> {
     let system = args.value("system").unwrap_or("mpil").to_string();
     let run = PerturbRun {
         nodes: args.try_value_in("nodes", 1..)?.unwrap_or(300usize),
-        operations: args.try_value("ops")?.unwrap_or(60usize),
+        operations: args.try_value_in("ops", 1..)?.unwrap_or(60usize),
         idle_secs: args.try_value("idle")?.unwrap_or(30u64),
         offline_secs: args.try_value("offline")?.unwrap_or(30u64),
         probability: args.try_value_in("p", 0.0..=1.0)?.unwrap_or(0.5f64),

@@ -20,7 +20,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let family = args.value("family").unwrap_or("random").to_string();
     let nodes = args.try_value("nodes")?.unwrap_or(1000usize);
     let degree = args.try_value("degree")?.unwrap_or(16usize);
-    let ops = args.try_value("ops")?.unwrap_or(100usize);
+    let ops = args.try_value_in("ops", 1..)?.unwrap_or(100usize);
     let max_flows = args.try_value("max-flows")?.unwrap_or(10u32);
     let replicas = args.try_value("replicas")?.unwrap_or(5u32);
     let seed = args.try_value("seed")?.unwrap_or(42u64);

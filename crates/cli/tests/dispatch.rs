@@ -90,4 +90,10 @@ fn every_command_refuses_a_flag_it_cannot_read() {
             assert!(err.to_string().contains(named), "{line}: {err}");
         }
     }
+    // No operations is no run either.
+    for command in ["simulate", "perturb", "sweep"] {
+        let line = format!("{command} --ops 0");
+        let err = dispatch(&line).expect_err(&line);
+        assert!(err.to_string().contains("--ops \"0\""), "{line}: {err}");
+    }
 }

@@ -13,7 +13,7 @@
 
 use mpil_id::Id;
 use mpil_overlay::{NodeIdx, Topology};
-use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimDuration, SimTime};
+use mpil_sim::{Class, Event, Protocol, Sim, SimDuration, SimTime};
 
 use crate::config::MpilConfig;
 use crate::deletion::ReplicaRegistry;
@@ -31,24 +31,15 @@ pub struct DynamicConfig {
     pub heartbeat_period: Option<SimDuration>,
 }
 
-/// Protocol-level counters (the kernel's [`mpil_sim::NetStats`] counts raw
-/// sends/drops; these attribute them to operations).
+/// What the agents observed besides their sends (those are
+/// [`Sim::counters`]: forwarded copies as inserts or lookups, holder
+/// replies as replies, heartbeats and deletes as maintenance).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DynamicStats {
-    /// Insert messages forwarded.
-    pub insert_messages: u64,
-    /// Lookup messages forwarded (the left panel of Figure 12).
-    pub lookup_messages: u64,
-    /// Direct replies sent by replica holders.
-    pub replies_sent: u64,
     /// Messages dropped by duplicate suppression.
     pub duplicates_suppressed: u64,
     /// Duplicate receptions observed (suppressed or not).
     pub duplicates_seen: u64,
-    /// Heartbeat messages sent.
-    pub heartbeats_sent: u64,
-    /// Delete messages sent.
-    pub deletes_sent: u64,
 }
 
 /// Outcome of a lookup issued through [`Sim::issue_lookup`].
@@ -112,7 +103,7 @@ pub fn frozen(topo: &Topology) -> (Vec<Id>, Vec<Vec<NodeIdx>>) {
 }
 
 impl Mpil {
-    /// Protocol counters.
+    /// What the protocol observed besides its sends ([`Sim::counters`]).
     pub fn stats(&self) -> DynamicStats {
         self.stats
     }
@@ -124,8 +115,7 @@ impl Mpil {
     pub fn delete(&mut self, cx: &mut Cx<'_>, owner: NodeIdx, object: Id) {
         let holders = self.registries[owner.index()].forget(object);
         for holder in holders {
-            self.stats.deletes_sent += 1;
-            cx.send(owner, holder, Wire::Delete { object });
+            cx.send(owner, holder, Class::Maintenance, Wire::Delete { object });
         }
         self.agents[owner.index()].delete(object);
     }
@@ -152,10 +142,10 @@ impl Mpil {
         };
         // A perturbed node cannot send; it resumes on its next timer.
         if cx.is_online(node) {
-            self.stats.heartbeats_sent += 1;
             cx.send(
                 node,
                 owner,
+                Class::Maintenance,
                 Wire::Heartbeat {
                     object,
                     holder: node,
@@ -190,19 +180,18 @@ impl Mpil {
             // A lookup stops at any replica holder, which replies
             // directly.
             Some(Verdict::Replied) => {
-                self.stats.replies_sent += 1;
-                cx.send(node, origin, Wire::Reply { msg_id, hops });
+                cx.send(node, origin, Class::Reply, Wire::Reply { msg_id, hops });
             }
             Some(Verdict::Routed { copies, .. }) => {
                 if let (true, Some(period)) = (receipt.newly_stored, self.config.heartbeat_period) {
                     cx.schedule(node, period, Timer::Heartbeat { object });
                 }
+                let class = match kind {
+                    MessageKind::Insert => Class::Insert,
+                    MessageKind::Lookup => Class::Lookup,
+                };
                 for (target, copy) in copies {
-                    match kind {
-                        MessageKind::Insert => self.stats.insert_messages += 1,
-                        MessageKind::Lookup => self.stats.lookup_messages += 1,
-                    }
-                    cx.send(node, target, Wire::Forward(copy));
+                    cx.send(node, target, class, Wire::Forward(copy));
                 }
             }
         }
@@ -282,18 +271,6 @@ impl Protocol for Mpil {
 
     fn holds(&self, node: NodeIdx, object: Id) -> bool {
         self.agents[node.index()].replica(object).is_some()
-    }
-
-    fn counters(&self, net: &NetStats) -> Counters {
-        let s = self.stats;
-        Counters {
-            lookup_messages: s.lookup_messages,
-            insert_messages: s.insert_messages,
-            reply_messages: s.replies_sent,
-            maintenance_messages: s.heartbeats_sent + s.deletes_sent,
-            // MPIL sends no acks: the kernel's send count is the total.
-            total_messages: net.sent,
-        }
     }
 }
 
@@ -456,9 +433,15 @@ mod tests {
         net.run_until(net.now() + SimDuration::from_secs(12));
         let holders = net.replica_holders(object);
         assert!(!holders.is_empty());
-        assert!(net.stats().heartbeats_sent > 0);
+        // Every holder stored within the first second and has beaten at
+        // 5 s and at 10 s since: the owner's only maintenance traffic.
+        let beats = net.counters().maintenance_messages;
+        assert_eq!(beats, 2 * holders.len() as u64);
 
+        // One delete per holder the heartbeats named: all of them.
         net.with(|mpil, cx| mpil.delete(cx, owner, object));
+        let deletes = net.counters().maintenance_messages - beats;
+        assert_eq!(deletes, holders.len() as u64);
         net.run_until(net.now() + SimDuration::from_secs(12));
         // All heartbeat-known holders deleted their replicas. (Holders the
         // owner never heard from — none here, two heartbeat rounds ran —
@@ -468,7 +451,6 @@ mod tests {
             "replicas remain: {:?}",
             net.replica_holders(object)
         );
-        assert!(net.stats().deletes_sent > 0);
     }
 
     #[test]
@@ -477,16 +459,16 @@ mod tests {
         let object = Id::from_low_u64(5);
         net.insert(NodeIdx::new(0), object);
         net.run_to_quiescence();
-        let after_insert = net.stats();
+        let after_insert = net.counters();
         assert!(after_insert.insert_messages > 0);
         assert_eq!(after_insert.lookup_messages, 0);
 
         let deadline = net.now() + SimDuration::from_secs(60);
         net.issue_lookup(NodeIdx::new(30), object, deadline);
         net.run_to_quiescence();
-        let after_lookup = net.stats();
+        let after_lookup = net.counters();
         assert!(after_lookup.lookup_messages > 0);
         assert_eq!(after_lookup.insert_messages, after_insert.insert_messages);
-        assert!(after_lookup.replies_sent >= 1);
+        assert!(after_lookup.reply_messages >= 1);
     }
 }

@@ -53,22 +53,22 @@ fn same_answers(duplicate_suppression: bool) {
     for &object in &objects {
         let origin = node();
         let report = fixed.insert(origin, object);
-        let before = simulated.stats();
+        let before = (simulated.counters(), simulated.stats());
         simulated.insert(origin, object);
         simulated.run_to_quiescence();
-        let after = simulated.stats();
+        let after = (simulated.counters(), simulated.stats());
         assert_eq!(
             simulated.replica_holders(object),
             fixed.replica_holders(object),
             "holders of {object:?}"
         );
         assert_eq!(
-            after.insert_messages - before.insert_messages,
+            after.0.insert_messages - before.0.insert_messages,
             report.messages,
             "insert forwards of {object:?}"
         );
         assert_eq!(
-            after.duplicates_seen - before.duplicates_seen,
+            after.1.duplicates_seen - before.1.duplicates_seen,
             report.duplicates,
             "duplicates of {object:?}"
         );
@@ -85,11 +85,11 @@ fn same_answers(duplicate_suppression: bool) {
     for &object in &wanted {
         let origin = node();
         let report = fixed.lookup(origin, object);
-        let before = simulated.stats();
+        let before = simulated.counters();
         let deadline = simulated.now() + SimDuration::from_secs(60);
         let lookup = simulated.issue_lookup(origin, object, deadline);
         simulated.run_to_quiescence();
-        let after = simulated.stats();
+        let after = simulated.counters();
         let first_reply_hops = match simulated.lookup_outcome(lookup) {
             LookupStatus::Succeeded { hops, .. } => Some(hops),
             _ => None,

@@ -33,7 +33,7 @@
 use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdMap, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Counters, Event, NetStats, PayloadBuf, Protocol, Sim, SimDuration, SimTime};
+use mpil_sim::{Class, Event, PayloadBuf, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::{EpidemicConfig, LookupStrategy};
@@ -212,33 +212,14 @@ struct QueryState {
     forwarded: FxHashSet<NodeIdx>,
 }
 
-/// Counters split by traffic class (comparable to the DHT baselines and
-/// MPIL through the harness's unified `Counters`).
+/// What the protocol observed besides its sends (those are
+/// [`Sim::counters`]: queries as lookups; eager pushes, IHAVE digests
+/// and insert-walk steps as inserts; holder replies as replies; join,
+/// neighbor, shuffle, graft, prune and disconnect as maintenance).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GossipStats {
-    /// Query transmissions sent by lookups.
-    pub lookup_messages: u64,
-    /// Announcements (eager pushes + IHAVE digests) or insert-walk
-    /// steps.
-    pub insert_messages: u64,
-    /// Direct pointer-holder replies.
-    pub reply_messages: u64,
-    /// The membership and tree-repair control plane: join, neighbor,
-    /// shuffle, graft, prune, disconnect.
-    pub maintenance_messages: u64,
     /// Active peers evicted after repeated exchange timeouts.
     pub failure_declarations: u64,
-}
-
-impl GossipStats {
-    /// Everything the overlay sent (each class counts exactly one
-    /// kernel send, so this equals the kernel's send counter).
-    pub fn total_messages(&self) -> u64 {
-        self.lookup_messages
-            + self.insert_messages
-            + self.reply_messages
-            + self.maintenance_messages
-    }
 }
 
 /// The HyParView + Plumtree protocol: every node's membership, tree
@@ -281,7 +262,7 @@ pub struct Epidemic {
 pub type EpidemicSim = Sim<Epidemic>;
 
 impl Epidemic {
-    /// Protocol counters.
+    /// What the protocol observed besides its sends ([`Sim::counters`]).
     pub fn stats(&self) -> GossipStats {
         self.stats
     }
@@ -337,8 +318,7 @@ impl Epidemic {
                 .sample_into(1, None, cx.rng(), &mut self.sample_scratch);
             if let Some(&victim) = self.sample_scratch.first() {
                 self.drop_active(node, victim, false);
-                self.stats.maintenance_messages += 1;
-                cx.send(node, victim, Msg::Disconnect);
+                cx.send(node, victim, Class::Maintenance, Msg::Disconnect);
                 self.integrate_into_passive(cx, node, victim);
             }
         }
@@ -406,10 +386,10 @@ impl Epidemic {
         self.next_token += 1;
         self.pending_neighbors[u] = Some(PendingNeighbor { token, candidate });
         let high_priority = self.members[u].active.is_empty();
-        self.stats.maintenance_messages += 1;
         cx.send(
             node,
             candidate,
+            Class::Maintenance,
             Msg::Neighbor {
                 token,
                 high_priority,
@@ -439,8 +419,12 @@ impl Epidemic {
         let token = self.next_token;
         self.next_token += 1;
         self.pending_shuffles[u] = Some(PendingShuffle { token, target });
-        self.stats.maintenance_messages += 1;
-        cx.send(node, target, Msg::Shuffle { token, entries });
+        cx.send(
+            node,
+            target,
+            Class::Maintenance,
+            Msg::Shuffle { token, entries },
+        );
         cx.schedule(node, EXCHANGE_TIMEOUT, Timer::ShuffleTimeout { token });
     }
 
@@ -476,8 +460,12 @@ impl Epidemic {
                 .filter(|&p| p != joiner),
         );
         for &peer in &walk_targets {
-            self.stats.maintenance_messages += 1;
-            cx.send(to, peer, Msg::ForwardJoin { joiner, ttl: ARWL });
+            cx.send(
+                to,
+                peer,
+                Class::Maintenance,
+                Msg::ForwardJoin { joiner, ttl: ARWL },
+            );
         }
         self.sample_scratch = walk_targets;
     }
@@ -504,10 +492,10 @@ impl Epidemic {
                     token,
                     candidate: joiner,
                 });
-                self.stats.maintenance_messages += 1;
                 cx.send(
                     to,
                     joiner,
+                    Class::Maintenance,
                     Msg::Neighbor {
                         token,
                         high_priority: true,
@@ -527,10 +515,10 @@ impl Epidemic {
             .sample_into(1, Some(from), cx.rng(), &mut self.sample_scratch);
         match self.sample_scratch.first() {
             Some(&next) if next != joiner => {
-                self.stats.maintenance_messages += 1;
                 cx.send(
                     to,
                     next,
+                    Class::Maintenance,
                     Msg::ForwardJoin {
                         joiner,
                         ttl: ttl - 1,
@@ -557,8 +545,12 @@ impl Epidemic {
         if accepted {
             self.add_active(cx, to, from, true);
         }
-        self.stats.maintenance_messages += 1;
-        cx.send(to, from, Msg::NeighborReply { token, accepted });
+        cx.send(
+            to,
+            from,
+            Class::Maintenance,
+            Msg::NeighborReply { token, accepted },
+        );
     }
 
     fn on_neighbor_reply(
@@ -620,10 +612,10 @@ impl Epidemic {
         );
         let mut reply = Peers::new();
         reply.extend_from_slice(&self.sample_scratch, cx.payload_pool());
-        self.stats.maintenance_messages += 1;
         cx.send(
             to,
             from,
+            Class::Maintenance,
             Msg::ShuffleReply {
                 token,
                 entries: reply,
@@ -729,8 +721,7 @@ impl Epidemic {
             if Some(peer) == exclude {
                 continue;
             }
-            self.stats.insert_messages += 1;
-            cx.send(node, peer, Msg::Gossip { object, hops });
+            cx.send(node, peer, Class::Insert, Msg::Gossip { object, hops });
         }
         targets.clear();
         targets.extend(
@@ -743,8 +734,7 @@ impl Epidemic {
             if Some(peer) == exclude {
                 continue;
             }
-            self.stats.insert_messages += 1;
-            cx.send(node, peer, Msg::IHave { object });
+            cx.send(node, peer, Class::Insert, Msg::IHave { object });
         }
         self.sample_scratch = targets;
     }
@@ -779,8 +769,7 @@ impl Epidemic {
         } else {
             // Duplicate: this link is redundant for the tree.
             self.demote_eager(to, from);
-            self.stats.maintenance_messages += 1;
-            cx.send(to, from, Msg::Prune);
+            cx.send(to, from, Class::Maintenance, Msg::Prune);
         }
     }
 
@@ -803,8 +792,7 @@ impl Epidemic {
             return;
         }
         self.promote_eager(node, announcer);
-        self.stats.maintenance_messages += 1;
-        cx.send(node, announcer, Msg::Graft { object });
+        cx.send(node, announcer, Class::Maintenance, Msg::Graft { object });
         if attempts + 1 >= GRAFT_ATTEMPTS {
             self.missing[u].remove(&object);
         } else {
@@ -816,8 +804,7 @@ impl Epidemic {
     fn on_graft(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx, object: Id) {
         self.promote_eager(to, from);
         if self.stores[to.index()].contains(&object) {
-            self.stats.insert_messages += 1;
-            cx.send(to, from, Msg::Gossip { object, hops: 1 });
+            cx.send(to, from, Class::Insert, Msg::Gossip { object, hops: 1 });
         }
     }
 
@@ -855,10 +842,10 @@ impl Epidemic {
         );
         if !onward.is_empty() {
             let next = onward[cx.rng().gen_range(0..onward.len())];
-            self.stats.insert_messages += 1;
             cx.send(
                 to,
                 next,
+                Class::Insert,
                 Msg::StoreWalk {
                     origin,
                     object,
@@ -896,10 +883,10 @@ impl Epidemic {
             }
         }
         for &peer in &targets {
-            self.stats.lookup_messages += 1;
             cx.send(
                 origin,
                 peer,
+                Class::Lookup,
                 Msg::Query {
                     lookup,
                     origin,
@@ -953,8 +940,7 @@ impl Epidemic {
         round: u32,
     ) {
         if self.stores[to.index()].contains(&object) {
-            self.stats.reply_messages += 1;
-            cx.send(to, origin, Msg::Reply { lookup, hops });
+            cx.send(to, origin, Class::Reply, Msg::Reply { lookup, hops });
             return;
         }
         if ttl <= 1 {
@@ -992,10 +978,10 @@ impl Epidemic {
             }
         }
         for &peer in &targets {
-            self.stats.lookup_messages += 1;
             cx.send(
                 to,
                 peer,
+                Class::Lookup,
                 Msg::Query {
                     lookup,
                     origin,
@@ -1143,11 +1129,11 @@ impl Protocol for Epidemic {
                     &mut first_hops,
                 );
                 for &next in &first_hops {
-                    self.stats.insert_messages += 1;
                     let ttl = REPLICATION_TTL;
                     cx.send(
                         origin,
                         next,
+                        Class::Insert,
                         Msg::StoreWalk {
                             origin,
                             object,
@@ -1216,8 +1202,7 @@ impl Protocol for Epidemic {
             let _ = stale; // its reply/timeout will fail the token match
         }
         self.add_active(cx, joiner, bootstrap, true);
-        self.stats.maintenance_messages += 1;
-        cx.send(joiner, bootstrap, Msg::Join);
+        cx.send(joiner, bootstrap, Class::Maintenance, Msg::Join);
         true
     }
 
@@ -1239,17 +1224,6 @@ impl Protocol for Epidemic {
     fn holds(&self, node: NodeIdx, object: Id) -> bool {
         self.stores[node.index()].contains(&object)
     }
-
-    fn counters(&self, _net: &NetStats) -> Counters {
-        let s = self.stats;
-        Counters {
-            lookup_messages: s.lookup_messages,
-            insert_messages: s.insert_messages,
-            reply_messages: s.reply_messages,
-            maintenance_messages: s.maintenance_messages,
-            total_messages: s.total_messages(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1257,7 +1231,7 @@ mod tests {
     use super::*;
     use crate::membership::build_converged_membership;
     use mpil_sim::{
-        AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LookupOutcome, SimDuration,
+        AlwaysOn, ConstantLatency, Counters, Flapping, FlappingConfig, LookupOutcome, SimDuration,
     };
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1294,8 +1268,8 @@ mod tests {
                 "origin stores remotely"
             );
         }
-        assert!(sim.stats().insert_messages > 0);
-        assert_eq!(sim.stats().lookup_messages, 0);
+        assert!(sim.counters().insert_messages > 0);
+        assert_eq!(sim.counters().lookup_messages, 0);
     }
 
     #[test]
@@ -1312,11 +1286,11 @@ mod tests {
         let eager_links: usize = sim.eager.iter().map(PartialView::len).sum();
         assert_eq!(eager_links, 2 * (n - 1), "eager graph is not a tree");
         // The tree then carries one eager copy per remote node.
-        let before = sim.stats().insert_messages;
+        let before = sim.counters().insert_messages;
         sim.insert(NodeIdx::new(0), Id::random(&mut rng));
         sim.run_to_quiescence();
         let active_links: usize = sim.members.iter().map(|m| m.active.len()).sum();
-        let spent = (sim.stats().insert_messages - before) as usize;
+        let spent = (sim.counters().insert_messages - before) as usize;
         // n-1 eager pushes plus one IHAVE per lazy link.
         assert_eq!(spent, (n - 1) + (active_links - eager_links));
     }
@@ -1330,7 +1304,7 @@ mod tests {
             sim.insert(NodeIdx::new(0), o);
         }
         sim.run_to_quiescence();
-        let lookup_base = sim.stats().lookup_messages;
+        let lookup_base = sim.counters().lookup_messages;
         let deadline = sim.now() + SimDuration::from_secs(600);
         let handles: Vec<u64> = objects
             .iter()
@@ -1340,14 +1314,14 @@ mod tests {
         for h in handles {
             assert!(sim.lookup_outcome(h).is_success(), "lookup {h} failed");
         }
-        let spent = sim.stats().lookup_messages - lookup_base;
+        let spent = sim.counters().lookup_messages - lookup_base;
         // One wave of at most active_size queries per lookup; every
         // neighbor holds the pointer, so nothing forwards.
         assert!(
             spent <= 20 * sim.config().active_size as u64,
             "plumtree lookups flooded: {spent} msgs for 20 lookups"
         );
-        assert!(sim.stats().reply_messages > 0);
+        assert!(sim.counters().reply_messages > 0);
     }
 
     #[test]
@@ -1427,7 +1401,7 @@ mod tests {
         let mut sim = build(60, EpidemicConfig::default(), 8);
         sim.start_maintenance();
         sim.run_until(SimTime::from_secs(120));
-        assert!(sim.stats().maintenance_messages > 0);
+        assert!(sim.counters().maintenance_messages > 0);
         assert_eq!(sim.stats().failure_declarations, 0);
         sim.assert_invariants();
     }
@@ -1531,13 +1505,14 @@ mod tests {
             peers
         };
         assert_eq!(
-            (sim.net_stats().sent, sim.stats()),
+            (sim.counters(), sim.stats()),
             (
-                28,
-                GossipStats {
+                Counters {
                     maintenance_messages: 28,
-                    ..GossipStats::default()
-                }
+                    total_messages: 28,
+                    ..Counters::default()
+                },
+                GossipStats::default()
             )
         );
         assert_eq!(
@@ -1546,33 +1521,6 @@ mod tests {
         );
         // Self-join is a no-op.
         sim.join(NodeIdx::new(5), NodeIdx::new(5));
-    }
-
-    #[test]
-    fn stats_classes_sum_to_kernel_sends() {
-        for strategy in [LookupStrategy::Plumtree, LookupStrategy::Foaf] {
-            let mut sim = build(80, EpidemicConfig::default().with_strategy(strategy), 11);
-            let mut rng = SmallRng::seed_from_u64(14);
-            for _ in 0..5 {
-                sim.insert(NodeIdx::new(0), Id::random(&mut rng));
-            }
-            sim.run_to_quiescence();
-            sim.join(NodeIdx::new(7), NodeIdx::new(3));
-            sim.run_to_quiescence();
-            let h = sim.issue_lookup(
-                NodeIdx::new(9),
-                Id::from_low_u64(1),
-                sim.now() + SimDuration::from_secs(60),
-            );
-            sim.start_maintenance();
-            sim.run_until(sim.now() + SimDuration::from_secs(90));
-            let _ = sim.lookup_outcome(h);
-            assert_eq!(
-                sim.stats().total_messages(),
-                sim.net_stats().sent,
-                "{strategy:?}"
-            );
-        }
     }
 
     #[test]
@@ -1605,7 +1553,7 @@ mod tests {
             sim.run_until(sim.now() + SimDuration::from_secs(90));
             let results: Vec<LookupOutcome> =
                 outcomes.iter().map(|&h| sim.lookup_outcome(h)).collect();
-            (results, sim.stats(), sim.net_stats())
+            (results, sim.counters(), sim.stats(), sim.net_stats())
         };
         for strategy in [LookupStrategy::Plumtree, LookupStrategy::Foaf] {
             assert_eq!(run(21, strategy), run(21, strategy), "{strategy:?}");

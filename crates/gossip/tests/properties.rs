@@ -16,8 +16,8 @@ use mpil_gossip::{
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 use mpil_sim::{
-    AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LookupOutcome, NetStats, SimDuration,
-    SimTime,
+    AlwaysOn, ConstantLatency, Counters, Flapping, FlappingConfig, LookupOutcome, NetStats,
+    SimDuration, SimTime,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -104,7 +104,7 @@ proptest! {
 fn perturbed_run(
     strategy: LookupStrategy,
     seed: u64,
-) -> (Vec<LookupOutcome>, GossipStats, NetStats) {
+) -> (Vec<LookupOutcome>, Counters, GossipStats, NetStats) {
     let config = EpidemicConfig::default().with_strategy(strategy);
     let mut sim = build(60, config, seed);
     let mut rng = SmallRng::seed_from_u64(seed ^ 1);
@@ -130,7 +130,7 @@ fn perturbed_run(
     }
     sim.run_until(sim.now() + SimDuration::from_secs(90));
     let outcomes = handles.iter().map(|&h| sim.lookup_outcome(h)).collect();
-    (outcomes, sim.stats(), sim.net_stats())
+    (outcomes, sim.counters(), sim.stats(), sim.net_stats())
 }
 
 #[test]
@@ -145,7 +145,7 @@ fn both_lookup_strategies_are_fixed_seed_deterministic() {
         // must differ from another.
         let x = perturbed_run(strategy, 3);
         let y = perturbed_run(strategy, 17);
-        assert_ne!(x.2.sent, 0, "{strategy:?}: nothing happened");
+        assert_ne!(x.3.sent, 0, "{strategy:?}: nothing happened");
         assert!(
             x != y || x.1 != y.1,
             "{strategy:?}: different seeds, identical runs"

@@ -101,7 +101,7 @@ impl OverlaySource {
             OverlaySource::PowerLaw => {
                 #[expect(
                     clippy::expect_used,
-                    reason = "P001: generator failure on these fixed parameters is a programming error in the spec"
+                    reason = "P001: the default parameters are valid and every caller asks for at least four nodes, power_law's minimum; the command lines refuse fewer by name (EngineSpec::fewest_nodes)"
                 )]
                 let topo =
                     generators::power_law(nodes, Default::default(), &mut rng).expect("generator");
@@ -295,10 +295,12 @@ impl EngineSpec {
     ];
 
     /// The fewest nodes this system can be built on: a random-regular
-    /// overlay needs more nodes than its degree.
+    /// overlay needs more nodes than its degree, a power-law one four
+    /// (`generators::power_law`'s `TooFewNodes` minimum).
     pub fn fewest_nodes(&self) -> usize {
         match self {
             EngineSpec::MpilOver(OverlaySource::RandomRegular(degree)) => degree + 1,
+            EngineSpec::MpilOver(OverlaySource::PowerLaw) => 4,
             _ => 1,
         }
     }
@@ -698,6 +700,21 @@ mod tests {
             assert_eq!(prepared.objects.len(), 3, "{}", spec.label());
             assert_eq!(prepared.origin, NodeIdx::new(0));
         }
+    }
+
+    #[test]
+    fn a_power_law_overlay_builds_at_its_fewest_nodes() {
+        let spec = EngineSpec::MpilOver(OverlaySource::PowerLaw);
+        assert_eq!(spec.fewest_nodes(), 4);
+        let mut run = PerturbRun::new(30, 30, 0.0);
+        run.nodes = 4;
+        run.operations = 1;
+        assert_eq!(Scenario::new(spec, run).build().engine.len(), 4);
+        let mut rng = SmallRng::seed_from_u64(1);
+        assert!(
+            generators::power_law(3, Default::default(), &mut rng).is_err(),
+            "one node fewer is what the floor refuses"
+        );
     }
 
     #[test]

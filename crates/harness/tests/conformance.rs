@@ -2,9 +2,9 @@
 //! against every [`DiscoveryEngine`] implementation.
 //!
 //! Adding a substrate means making these pass: a quiet network answers
-//! lookups, counters only grow and stay honestly attributed
-//! ([`Counters::checked_sum`]), fixed seeds reproduce exactly, and the
-//! lifecycle (join where supported, churn ticks, advance) behaves.
+//! lookups, counters only grow and every kernel send is counted in
+//! exactly one class ([`counted`]), fixed seeds reproduce exactly, and
+//! the lifecycle (join where supported, churn ticks, advance) behaves.
 //!
 //! The whole suite hangs off one fixture: [`all_specs`] names every
 //! engine once, and [`all_prepared`]/[`all_engines`] build them all, so
@@ -65,7 +65,22 @@ fn counters_monotone(before: &Counters, after: &Counters) -> bool {
         && after.insert_messages >= before.insert_messages
         && after.reply_messages >= before.reply_messages
         && after.maintenance_messages >= before.maintenance_messages
+        && after.ack_messages >= before.ack_messages
         && after.total_messages >= before.total_messages
+}
+
+/// The engine's counters, after checking that every send the kernel
+/// saw was counted in exactly one class.
+fn counted(engine: &dyn DiscoveryEngine, spec: EngineSpec) -> Counters {
+    let c = engine.counters();
+    let sent = engine.net_stats().sent;
+    assert_eq!(
+        (c.class_sum(), c.total_messages),
+        (sent, sent),
+        "{}: class sum and total against the kernel's sends",
+        spec.label()
+    );
+    c
 }
 
 #[test]
@@ -92,15 +107,13 @@ fn counters_are_monotone_through_the_lifecycle_on_every_engine() {
     for (spec, prepared) in all_prepared(0.0, 12) {
         let mut engine = prepared.engine;
         let origin = prepared.origin;
-        let at_start = engine.counters();
-        at_start.checked_sum();
+        let at_start = counted(&*engine, spec);
 
         for &object in &prepared.objects {
             engine.insert(origin, object);
         }
         engine.run_to_quiescence();
-        let after_inserts = engine.counters();
-        after_inserts.checked_sum();
+        let after_inserts = counted(&*engine, spec);
         assert!(
             counters_monotone(&at_start, &after_inserts),
             "{}: inserts shrank counters",
@@ -115,8 +128,7 @@ fn counters_are_monotone_through_the_lifecycle_on_every_engine() {
         let deadline = engine.now() + SimDuration::from_secs(60);
         engine.issue_lookup(origin, prepared.objects[0], deadline);
         engine.run_until(deadline);
-        let after_lookup = engine.counters();
-        after_lookup.checked_sum();
+        let after_lookup = counted(&*engine, spec);
         assert!(
             counters_monotone(&after_inserts, &after_lookup),
             "{}: lookup shrank counters",
@@ -140,7 +152,7 @@ fn counters_are_monotone_through_the_lifecycle_on_every_engine() {
 
 #[test]
 fn counter_attribution_stays_honest_under_perturbation_on_every_engine() {
-    // checked_sum() must hold through the full two-stage methodology —
+    // Every send must be counted through the full two-stage methodology —
     // maintenance and flapping included — on all engines. Scenario
     // builds always start on AlwaysOn, so the flapping model must be
     // installed here explicitly (mirroring run_scenario's choreography)
@@ -169,9 +181,55 @@ fn counter_attribution_stays_honest_under_perturbation_on_every_engine() {
             "{}: the perturbation never bit",
             spec.label()
         );
-        let c = engine.counters();
-        let sum = c.checked_sum();
-        assert!(sum > 0, "{}: nothing was attributed", spec.label());
+        let c = counted(&*engine, spec);
+        assert!(c.class_sum() > 0, "{}: nothing was counted", spec.label());
+    }
+}
+
+/// Every [`Counters`] field of every engine in [`all_specs`], exactly,
+/// after stage 1 and after stage 2 of one perturbed `mini` scenario:
+/// `[lookup, insert, reply, maintenance, ack, total]`. A send that
+/// changes class, appears or vanishes moves a number here.
+#[test]
+fn every_counter_is_pinned_on_every_engine() {
+    let pinned: [[[u64; 6]; 2]; 10] = [
+        [[0, 16, 0, 0, 16, 32], [52, 16, 9, 63415, 45, 63537]],
+        [[0, 30, 0, 0, 30, 60], [246, 30, 5, 18038, 8510, 26829]],
+        [[0, 103, 63, 206, 0, 372], [33, 103, 2327, 7007, 0, 9470]],
+        [[0, 5518, 0, 0, 0, 5518], [141, 5518, 47, 0, 0, 5706]],
+        [[0, 1204, 0, 0, 0, 1204], [130, 1204, 42, 0, 0, 1376]],
+        [[0, 150, 0, 0, 0, 150], [147, 150, 24, 21045, 0, 21366]],
+        [[0, 150, 0, 0, 0, 150], [76, 150, 25, 21016, 0, 21267]],
+        [[0, 3990, 0, 2334, 0, 6324], [50, 3990, 39, 24042, 0, 28121]],
+        [[0, 3990, 0, 2334, 0, 6324], [33, 3990, 19, 23954, 0, 27996]],
+        [[0, 1241, 0, 0, 0, 1241], [133, 1241, 40, 0, 0, 1414]],
+    ];
+    let specs = all_specs();
+    assert_eq!(
+        specs.len(),
+        pinned.len(),
+        "all_specs() grew; pin the new engine's counters"
+    );
+    for (spec, pins) in specs.into_iter().zip(pinned) {
+        let scenario = mini(spec, 0.6, 13);
+        let mut prepared = scenario.build();
+        let read = |engine: &dyn DiscoveryEngine| {
+            let c = counted(engine, spec);
+            [
+                c.lookup_messages,
+                c.insert_messages,
+                c.reply_messages,
+                c.maintenance_messages,
+                c.ack_messages,
+                c.total_messages,
+            ]
+        };
+        prepared.insert_all();
+        let after_inserts = read(&*prepared.engine);
+        let flap_start = prepared.perturb(&scenario.run);
+        prepared.lookups(&scenario.run, flap_start);
+        let after_lookups = read(&*prepared.engine);
+        assert_eq!([after_inserts, after_lookups], pins, "{}", spec.label());
     }
 }
 
@@ -269,9 +327,8 @@ fn churn_tick_and_advance_move_the_clock() {
 /// Scale smoke: every engine must build converged, insert, settle, and
 /// resolve lookups at `nodes` nodes inside `budget` wall-clock. Lookup
 /// *success* is deliberately not asserted — a k-random-walk over 10k
-/// nodes legitimately misses — but the lifecycle and the
-/// counter-attribution contract ([`Counters::checked_sum`]) must hold
-/// at any size, and nothing may wedge.
+/// nodes legitimately misses — but the lifecycle and the count of every
+/// send ([`counted`]) must hold at any size, and nothing may wedge.
 fn scale_smoke(nodes: usize, budget: std::time::Duration) {
     for spec in all_specs() {
         let clock = WallClockBudget::start(budget);
@@ -287,8 +344,7 @@ fn scale_smoke(nodes: usize, budget: std::time::Duration) {
             engine.insert(origin, object);
         }
         engine.run_to_quiescence();
-        let after_inserts = engine.counters();
-        after_inserts.checked_sum();
+        let after_inserts = counted(&*engine, spec);
         assert!(
             after_inserts.insert_messages > 0,
             "{}: inserts sent nothing",
@@ -301,8 +357,7 @@ fn scale_smoke(nodes: usize, budget: std::time::Duration) {
             .map(|&object| engine.issue_lookup(origin, object, deadline))
             .collect();
         engine.run_until(deadline);
-        let after_lookups = engine.counters();
-        after_lookups.checked_sum();
+        let after_lookups = counted(&*engine, spec);
         assert!(
             counters_monotone(&after_inserts, &after_lookups),
             "{}: lookups shrank counters",

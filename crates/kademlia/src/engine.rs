@@ -13,7 +13,7 @@
 use fxhash::FxHashMap;
 use mpil_id::{xor_distance, Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Counters, Event, NetStats, Protocol, Sim, SimDuration, SimTime};
+use mpil_sim::{Class, Event, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::KademliaConfig;
@@ -117,32 +117,16 @@ struct PendingEviction {
     replacement: NodeIdx,
 }
 
-/// Counters split by traffic class (comparable to the Pastry and Chord
-/// baselines).
+/// What the protocol observed besides its sends (those are
+/// [`Sim::counters`]: a query is counted in the class of the operation
+/// that sends it, a `STORE` as an insert, a response as a reply, pings
+/// and pongs as maintenance).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KademliaStats {
-    /// `FIND_VALUE` queries sent by lookup operations.
-    pub lookup_messages: u64,
-    /// `FIND_NODE` queries and `STORE`s sent by insert operations.
-    pub insert_messages: u64,
-    /// Query responses.
-    pub reply_messages: u64,
-    /// Refresh queries, pings and pongs.
-    pub maintenance_messages: u64,
     /// Peers evicted after unanswered RPCs or eviction pings.
     pub failure_declarations: u64,
     /// Lookup operations that converged without finding a holder.
     pub misdeliveries: u64,
-}
-
-impl KademliaStats {
-    /// Everything the overlay sent.
-    pub fn total_messages(&self) -> u64 {
-        self.lookup_messages
-            + self.insert_messages
-            + self.reply_messages
-            + self.maintenance_messages
-    }
 }
 
 /// Outcome of one lookup (the shared engine-agnostic enum).
@@ -176,7 +160,7 @@ pub struct Kademlia {
 pub type KademliaSim = Sim<Kademlia>;
 
 impl Kademlia {
-    /// Protocol counters.
+    /// What the protocol observed besides its sends ([`Sim::counters`]).
     pub fn stats(&self) -> KademliaStats {
         self.stats
     }
@@ -261,15 +245,16 @@ impl Kademlia {
         let target = op.target;
         let kind = op.kind;
         let finished = to_send.is_empty() && op.in_flight == 0;
+        let class = match kind {
+            OpKind::Insert { .. } => Class::Insert,
+            OpKind::Lookup { .. } => Class::Lookup,
+            OpKind::Refresh => Class::Maintenance,
+        };
         for peer in to_send {
-            match kind {
-                OpKind::Insert { .. } => self.stats.insert_messages += 1,
-                OpKind::Lookup { .. } => self.stats.lookup_messages += 1,
-                OpKind::Refresh => self.stats.maintenance_messages += 1,
-            }
             cx.send(
                 origin,
                 peer,
+                class,
                 Msg::FindNode {
                     op: op_id,
                     target,
@@ -307,8 +292,7 @@ impl Kademlia {
                 // only remote replicas — mirror Chord/Pastry and store
                 // remotely only).
                 for peer in closest {
-                    self.stats.insert_messages += 1;
-                    cx.send(origin, peer, Msg::Store { object });
+                    cx.send(origin, peer, Class::Insert, Msg::Store { object });
                 }
             }
             OpKind::Lookup { lookup_id } => {
@@ -343,8 +327,7 @@ impl Kademlia {
                         replacement: peer,
                     },
                 );
-                self.stats.maintenance_messages += 1;
-                cx.send(node, lru, Msg::Ping { token });
+                cx.send(node, lru, Class::Maintenance, Msg::Ping { token });
                 cx.schedule(node, RPC_TIMEOUT, Timer::EvictTimeout { token });
             }
         }
@@ -362,8 +345,7 @@ impl Kademlia {
                 let found = find_value && self.stores[to.index()].contains(&target);
                 let mut closer = self.tables[to.index()].closest(target, self.config.k, &self.ids);
                 closer.retain(|&c| c != from);
-                self.stats.reply_messages += 1;
-                cx.send(to, from, Msg::FindReply { op, closer, found });
+                cx.send(to, from, Class::Reply, Msg::FindReply { op, closer, found });
             }
             Msg::FindReply { op, closer, found } => {
                 self.on_find_reply(cx, op, from, closer, found);
@@ -372,8 +354,7 @@ impl Kademlia {
                 self.stores[to.index()].insert(object);
             }
             Msg::Ping { token } => {
-                self.stats.maintenance_messages += 1;
-                cx.send(to, from, Msg::Pong { token });
+                cx.send(to, from, Class::Maintenance, Msg::Pong { token });
             }
             Msg::Pong { token } => {
                 // The LRU answered: it was re-admitted by the admit() at
@@ -584,17 +565,6 @@ impl Protocol for Kademlia {
     fn holds(&self, node: NodeIdx, object: Id) -> bool {
         self.stores[node.index()].contains(&object)
     }
-
-    fn counters(&self, _net: &NetStats) -> Counters {
-        let s = self.stats;
-        Counters {
-            lookup_messages: s.lookup_messages,
-            insert_messages: s.insert_messages,
-            reply_messages: s.reply_messages,
-            maintenance_messages: s.maintenance_messages,
-            total_messages: s.total_messages(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -737,17 +707,17 @@ mod tests {
         let object = Id::from_low_u64(1234);
         sim.insert(NodeIdx::new(0), object);
         sim.run_to_quiescence();
-        let s = sim.stats();
-        assert!(s.insert_messages >= 1);
-        assert_eq!(s.lookup_messages, 0);
-        assert!(s.reply_messages >= 1);
+        let c = sim.counters();
+        assert!(c.insert_messages >= 1);
+        assert_eq!(c.lookup_messages, 0);
+        assert!(c.reply_messages >= 1);
         let h = sim.issue_lookup(NodeIdx::new(9), object, SimTime::from_secs(600));
         sim.run_to_quiescence();
         assert!(matches!(
             sim.lookup_outcome(h),
             LookupOutcome::Succeeded { .. }
         ));
-        assert!(sim.stats().lookup_messages >= 1);
+        assert!(sim.counters().lookup_messages >= 1);
     }
 
     #[test]
@@ -757,7 +727,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(400));
         // Several refresh rounds must have produced maintenance traffic
         // without evicting anyone on a static network.
-        assert!(sim.stats().maintenance_messages > 0);
+        assert!(sim.counters().maintenance_messages > 0);
         assert_eq!(sim.stats().failure_declarations, 0);
     }
 

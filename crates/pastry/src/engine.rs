@@ -9,9 +9,7 @@
 use fxhash::FxHashSet;
 use mpil_id::{Id, IdSet, IdSpace};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{
-    Counters, Event, Expiry, NetStats, Outstanding, Protocol, Sim, SimDuration, SimTime,
-};
+use mpil_sim::{Class, Event, Expiry, Outstanding, Protocol, Sim, SimDuration, SimTime};
 
 use crate::config::PastryConfig;
 use crate::state::{NextHop, PastryState};
@@ -53,6 +51,16 @@ pub enum Payload {
         lookup_id: u64,
         origin: NodeIdx,
     },
+}
+
+impl Payload {
+    /// The class its routed hops are counted in.
+    fn class(self) -> Class {
+        match self {
+            Payload::Insert { .. } => Class::Insert,
+            Payload::Lookup { .. } => Class::Lookup,
+        }
+    }
 }
 
 /// What Pastry nodes send each other (public only as
@@ -115,36 +123,16 @@ pub enum Timer {
 /// What a routed hop carries: `(key, payload, hops)`.
 type Hop = (Id, Payload, u32);
 
-/// Counters split by traffic class (Figure 12 plots these).
+/// What the protocol observed besides its sends (those are
+/// [`Sim::counters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PastryStats {
-    /// Route transmissions carrying lookups (incl. retransmissions).
-    pub lookup_messages: u64,
-    /// Route transmissions carrying inserts.
-    pub insert_messages: u64,
-    /// Acks for routed messages.
-    pub ack_messages: u64,
-    /// Probes + probe replies + leafset/row exchanges.
-    pub maintenance_messages: u64,
-    /// Direct lookup replies.
-    pub reply_messages: u64,
     /// Nodes declared failed (table removals triggered by timeouts).
     pub failure_declarations: u64,
     /// Routed messages dropped by the hop limit.
     pub hop_limit_drops: u64,
     /// Deliveries at a node that believed itself root but held no object.
     pub misdeliveries: u64,
-}
-
-impl PastryStats {
-    /// Everything the overlay sent (the right panel of Figure 12).
-    pub fn total_messages(&self) -> u64 {
-        self.lookup_messages
-            + self.insert_messages
-            + self.ack_messages
-            + self.maintenance_messages
-            + self.reply_messages
-    }
 }
 
 /// Outcome of one lookup (the shared engine-agnostic enum).
@@ -182,7 +170,7 @@ pub struct Pastry {
 pub type PastrySim = Sim<Pastry>;
 
 impl Pastry {
-    /// Protocol counters.
+    /// What the protocol observed besides its sends ([`Sim::counters`]).
     pub fn stats(&self) -> PastryStats {
         self.stats
     }
@@ -213,8 +201,7 @@ impl Pastry {
                 uid,
             } => {
                 // Ack every transmission, then dedup re-deliveries.
-                self.stats.ack_messages += 1;
-                cx.send(to, from, Msg::RouteAck { uid });
+                cx.send(to, from, Class::Ack, Msg::RouteAck { uid });
                 if !self.seen_uids[to.index()].insert(uid) {
                     return;
                 }
@@ -224,8 +211,7 @@ impl Pastry {
                 self.routes.settle(uid);
             }
             Msg::Probe { token } => {
-                self.stats.maintenance_messages += 1;
-                cx.send(to, from, Msg::ProbeReply { token });
+                cx.send(to, from, Class::Maintenance, Msg::ProbeReply { token });
             }
             Msg::ProbeReply { token } => {
                 if let Some(p) = self.probes.settle(token) {
@@ -234,8 +220,7 @@ impl Pastry {
             }
             Msg::LeafsetPull => {
                 let members: Vec<NodeIdx> = self.states[to.index()].leafset.members().collect();
-                self.stats.maintenance_messages += 1;
-                cx.send(to, from, Msg::LeafsetPush { members });
+                cx.send(to, from, Class::Maintenance, Msg::LeafsetPush { members });
             }
             Msg::LeafsetPush { members } => {
                 for m in members {
@@ -252,8 +237,7 @@ impl Pastry {
                     .into_iter()
                     .map(|(_, n)| n)
                     .collect();
-                self.stats.maintenance_messages += 1;
-                cx.send(to, from, Msg::RowReply { entries });
+                cx.send(to, from, Class::Maintenance, Msg::RowReply { entries });
             }
             Msg::RowReply { entries } => {
                 for m in entries {
@@ -322,8 +306,7 @@ impl Pastry {
                         if let Some(contact) =
                             self.states[node.index()].leafset.repair_contact(|_| false)
                         {
-                            self.stats.maintenance_messages += 1;
-                            cx.send(node, contact, Msg::LeafsetPull);
+                            cx.send(node, contact, Class::Maintenance, Msg::LeafsetPull);
                         }
                     }
                 }
@@ -364,8 +347,7 @@ impl Pastry {
                             .collect()
                     };
                     for (peer, row) in requests {
-                        self.stats.maintenance_messages += 1;
-                        cx.send(node, peer, Msg::RowRequest { row });
+                        cx.send(node, peer, Class::Maintenance, Msg::RowRequest { row });
                     }
                 }
                 cx.schedule(node, RT_MAINTENANCE_PERIOD, Timer::RtMaintenance);
@@ -416,11 +398,12 @@ impl Pastry {
         let next = self.states[node.index()].next_hop(SPACE, joiner_id, |n| n == joiner);
         match next {
             NextHop::Forward(nx) if hops < MAX_HOPS => {
-                self.stats.maintenance_messages += 2;
-                cx.send(node, joiner, Msg::JoinState { members: share });
+                let state = Msg::JoinState { members: share };
+                cx.send(node, joiner, Class::Maintenance, state);
                 cx.send(
                     node,
                     nx,
+                    Class::Maintenance,
                     Msg::JoinRequest {
                         joiner,
                         hops: hops + 1,
@@ -429,8 +412,8 @@ impl Pastry {
             }
             _ => {
                 // This node is the joiner's root: final state transfer.
-                self.stats.maintenance_messages += 1;
-                cx.send(node, joiner, Msg::JoinDone { members: share });
+                let done = Msg::JoinDone { members: share };
+                cx.send(node, joiner, Class::Maintenance, done);
             }
         }
         // Every node that saw the request learns the joiner.
@@ -464,10 +447,10 @@ impl Pastry {
         } = payload
         {
             if self.stores[node.index()].contains(&object) {
-                self.stats.reply_messages += 1;
                 cx.send(
                     node,
                     origin,
+                    Class::Reply,
                     Msg::LookupReply {
                         lookup_id,
                         found: true,
@@ -503,14 +486,13 @@ impl Pastry {
     /// Sends one attempt of a routed hop and arms its retry timer.
     fn send_route(&mut self, cx: &mut Cx<'_>, uid: u64, from: NodeIdx, to: NodeIdx, hop: Hop) {
         let (key, payload, hops) = hop;
-        self.count_route(&payload);
         let route = Msg::Route {
             key,
             payload,
             hops,
             uid,
         };
-        cx.send(from, to, route);
+        cx.send(from, to, payload.class(), route);
         cx.schedule(from, PROBE_TIMEOUT, Timer::RouteRetry { uid });
     }
 
@@ -536,10 +518,10 @@ impl Pastry {
                 if !found {
                     self.stats.misdeliveries += 1;
                 }
-                self.stats.reply_messages += 1;
                 cx.send(
                     node,
                     origin,
+                    Class::Reply,
                     Msg::LookupReply {
                         lookup_id,
                         found,
@@ -547,13 +529,6 @@ impl Pastry {
                     },
                 );
             }
-        }
-    }
-
-    fn count_route(&mut self, payload: &Payload) {
-        match payload {
-            Payload::Insert { .. } => self.stats.insert_messages += 1,
-            Payload::Lookup { .. } => self.stats.lookup_messages += 1,
         }
     }
 
@@ -568,8 +543,7 @@ impl Pastry {
 
     /// Sends one attempt of probe `token` and arms its timeout.
     fn send_probe(&mut self, cx: &mut Cx<'_>, token: u64, prober: NodeIdx, target: NodeIdx) {
-        self.stats.maintenance_messages += 1;
-        cx.send(prober, target, Msg::Probe { token });
+        cx.send(prober, target, Class::Maintenance, Msg::Probe { token });
         cx.schedule(prober, PROBE_TIMEOUT, Timer::ProbeTimeout { token });
     }
 
@@ -582,8 +556,7 @@ impl Pastry {
                 .leafset
                 .repair_contact(|n| n == target)
             {
-                self.stats.maintenance_messages += 1;
-                cx.send(observer, contact, Msg::LeafsetPull);
+                cx.send(observer, contact, Class::Maintenance, Msg::LeafsetPull);
             }
         }
     }
@@ -668,8 +641,8 @@ impl Protocol for Pastry {
     /// Panics if `joiner == bootstrap`.
     fn join(&mut self, cx: &mut Cx<'_>, joiner: NodeIdx, bootstrap: NodeIdx) -> bool {
         assert_ne!(joiner, bootstrap, "cannot bootstrap from self");
-        self.stats.maintenance_messages += 1;
-        cx.send(joiner, bootstrap, Msg::JoinRequest { joiner, hops: 0 });
+        let request = Msg::JoinRequest { joiner, hops: 0 };
+        cx.send(joiner, bootstrap, Class::Maintenance, request);
         true
     }
 
@@ -687,17 +660,6 @@ impl Protocol for Pastry {
 
     fn holds(&self, node: NodeIdx, object: Id) -> bool {
         self.stores[node.index()].contains(&object)
-    }
-
-    fn counters(&self, _net: &NetStats) -> Counters {
-        let s = self.stats;
-        Counters {
-            lookup_messages: s.lookup_messages,
-            insert_messages: s.insert_messages,
-            reply_messages: s.reply_messages,
-            maintenance_messages: s.maintenance_messages,
-            total_messages: s.total_messages(),
-        }
     }
 }
 
@@ -806,10 +768,14 @@ mod tests {
         let mut sim = build(30, 5, PastryConfig::default());
         sim.start_maintenance();
         sim.run_until(SimTime::from_secs(120));
-        let s = sim.stats();
-        assert!(s.maintenance_messages > 0);
-        assert_eq!(s.lookup_messages, 0);
-        assert_eq!(s.failure_declarations, 0, "no failures when always-on");
+        let c = sim.counters();
+        assert!(c.maintenance_messages > 0);
+        assert_eq!(c.lookup_messages, 0);
+        assert_eq!(
+            sim.stats().failure_declarations,
+            0,
+            "no failures when always-on"
+        );
     }
 
     #[test]
@@ -887,6 +853,6 @@ mod tests {
         // re-admits. (It is in its tables by symmetric bootstrap only if
         // ring-adjacent; accept either re-admission or absence but
         // require no crash and continued traffic.)
-        assert!(sim.stats().maintenance_messages > 0);
+        assert!(sim.counters().maintenance_messages > 0);
     }
 }

@@ -5,7 +5,7 @@ use mpil_id::{ring_distance, Id};
 use mpil_overlay::NodeIdx;
 use mpil_pastry::bootstrap::{build_converged_states_partial, random_ids};
 use mpil_pastry::{LookupOutcome, PastryConfig, PastrySim, PastryStats};
-use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration};
+use mpil_sim::{AlwaysOn, ConstantLatency, Counters, SimDuration};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,17 +127,17 @@ fn multiple_sequential_joins_converge() {
     // No other pinned count drives a join (MAX_HOPS bounds its route):
     // hold its sends exactly.
     assert_eq!(
-        (sim.net_stats().sent, sim.stats()),
+        (sim.counters(), sim.stats()),
         (
-            388,
-            PastryStats {
+            Counters {
                 lookup_messages: 34,
                 insert_messages: 31,
-                ack_messages: 65,
-                maintenance_messages: 238,
                 reply_messages: 20,
-                ..PastryStats::default()
-            }
+                maintenance_messages: 238,
+                ack_messages: 65,
+                total_messages: 388,
+            },
+            PastryStats::default()
         )
     );
 }

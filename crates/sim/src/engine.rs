@@ -3,18 +3,21 @@
 //! A substrate is a [`Protocol`] — per-node state plus handlers, with
 //! no clock and no queue of its own. `Sim<P>` owns everything that is
 //! the same for all of them: the [`Network`], the reusable same-tick
-//! event batch, the maintenance flag, and the lookup ledger (issue
-//! time, deadline, outcome — "pending at the deadline reads
-//! [`LookupOutcome::Failed`]"). The lifecycle the paper's experiments
-//! drive — insert → [`Sim::run_to_quiescence`] →
-//! [`Sim::start_maintenance`] → [`Sim::set_availability`] →
-//! [`Sim::run_until`] / [`Sim::issue_lookup`] → [`Sim::lookup_outcome`]
-//! — is implemented here once, so every system a figure compares is
-//! driven by the same loop by construction.
+//! event batch, the maintenance flag, the tally of sends by [`Class`]
+//! ([`Counters`]), and the lookup ledger (issue time, deadline, outcome
+//! — "pending at the deadline reads [`LookupOutcome::Failed`]"). The
+//! lifecycle the paper's experiments drive — insert →
+//! [`Sim::run_to_quiescence`] → [`Sim::start_maintenance`] →
+//! [`Sim::set_availability`] → [`Sim::run_until`] /
+//! [`Sim::issue_lookup`] → [`Sim::lookup_outcome`] — is implemented
+//! here once, so every system a figure compares is driven by the same
+//! loop by construction.
 //!
 //! Handlers reach the world through [`Cx`], a plain borrow of the
-//! network and the ledger: there is one simulated world, so there is no
-//! outbox trait to implement and nothing to configure.
+//! network, the ledger and the tally: there is one simulated world, so
+//! there is no outbox trait to implement and nothing to configure.
+//! Every send names its [`Class`] ([`Cx::send`]) and is counted there,
+//! once, so no protocol keeps message counters of its own.
 
 use fxhash::FxHashMap;
 use mpil_id::Id;
@@ -29,26 +32,30 @@ use crate::outcome::LookupOutcome;
 use crate::pool::PayloadPool;
 use crate::time::{SimDuration, SimTime};
 
-/// Protocol counters in a shape every engine can fill, attributing the
-/// kernel's raw sends to operations.
-///
-/// Attribution contract (checked by [`Counters::checked_sum`] in the
-/// engine-conformance suite):
-///
-/// * every transmission is attributed to **at most one** class —
-///   lookup, insert, reply, or maintenance — at the moment it is handed
-///   to the kernel;
-/// * `total_messages` is everything the engine put on the wire, so each
-///   class, and the sum of all four, never exceeds it.
-///
-/// Kademlia and the gossip engine attribute every send, so their class
-/// sum *equals* `total_messages`. Chord and MSPastry do not: their
-/// per-hop route acks are counted in `total_messages` and attributed to
-/// no class, so their class sum falls short of the total by exactly the
-/// acks. Any engine with unattributed traffic (protocol acks, transport
-/// chatter) may leave the sum strictly below the total, never above it.
-/// MPIL has no acks: its class sum coincides with the kernel's send
-/// count.
+/// What one send is for, named by the handler that sends it
+/// ([`Cx::send`]). The class is an argument of the send, not a function
+/// of the message: a Kademlia `FIND_NODE` is an insert, a lookup or a
+/// refresh depending on the operation that sends it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// A lookup on its way to a holder (a routed hop, a walk step, an
+    /// iterative query).
+    Lookup,
+    /// An insert, a replication push, a store.
+    Insert,
+    /// An answer to a lookup or a query.
+    Reply,
+    /// Keeping the overlay or the replicas alive: probes, stabilization,
+    /// refreshes, joins, heartbeats, deletes.
+    Maintenance,
+    /// A per-hop acknowledgment of a routed transmission (Chord,
+    /// MSPastry).
+    Ack,
+}
+
+/// Every send of a [`Sim`], by [`Class`]. [`Cx::send`] counts each
+/// send once, in the class its handler names, so the five classes sum
+/// to `total_messages`, the kernel's send count ([`NetStats::sent`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Transmissions carrying lookups.
@@ -60,48 +67,30 @@ pub struct Counters {
     /// Maintenance traffic: probes, stabilization, refreshes,
     /// heartbeats, deletes.
     pub maintenance_messages: u64,
-    /// Everything sent, including acks where the protocol has them.
+    /// Per-hop acks of routed transmissions.
+    pub ack_messages: u64,
+    /// Everything sent.
     pub total_messages: u64,
 }
 
 impl Counters {
-    /// Sum of the four per-class counters.
+    /// Sum of the five per-class counters.
     pub fn class_sum(&self) -> u64 {
         self.lookup_messages
             + self.insert_messages
             + self.reply_messages
             + self.maintenance_messages
+            + self.ack_messages
     }
 
-    /// Returns [`Counters::class_sum`] after asserting the attribution
-    /// contract: no class, and no sum of classes, exceeds
-    /// `total_messages`. The conformance suite runs this against every
-    /// engine at every lifecycle stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any per-class counter, or the class sum, exceeds
-    /// `total_messages` (a double-counted or unsent attribution).
-    pub fn checked_sum(&self) -> u64 {
-        for (class, count) in [
-            ("lookup_messages", self.lookup_messages),
-            ("insert_messages", self.insert_messages),
-            ("reply_messages", self.reply_messages),
-            ("maintenance_messages", self.maintenance_messages),
-        ] {
-            assert!(
-                count <= self.total_messages,
-                "{class} = {count} exceeds total_messages = {}",
-                self.total_messages
-            );
-        }
-        let sum = self.class_sum();
-        assert!(
-            sum <= self.total_messages,
-            "class sum {sum} exceeds total_messages = {} (a send was attributed twice)",
-            self.total_messages
-        );
-        sum
+    fn count(&mut self, class: Class) {
+        *match class {
+            Class::Lookup => &mut self.lookup_messages,
+            Class::Insert => &mut self.insert_messages,
+            Class::Reply => &mut self.reply_messages,
+            Class::Maintenance => &mut self.maintenance_messages,
+            Class::Ack => &mut self.ack_messages,
+        } += 1;
     }
 }
 
@@ -174,11 +163,12 @@ impl Ledger {
 
 /// What a [`Protocol`] handler can do to the simulated world: send,
 /// arm timers, draw randomness, read the clock and the availability
-/// model, and settle lookups. A borrow of the [`Sim`]'s network and
-/// ledger, handed to every handler call.
+/// model, and settle lookups. A borrow of the [`Sim`]'s network,
+/// ledger and send tally, handed to every handler call.
 pub struct Cx<'a, P: Protocol> {
     net: &'a mut Network<P::Msg, P::Timer>,
     lookups: &'a mut Ledger,
+    counters: &'a mut Counters,
 }
 
 impl<P: Protocol> Cx<'_, P> {
@@ -187,8 +177,10 @@ impl<P: Protocol> Cx<'_, P> {
         self.net.now()
     }
 
-    /// Sends `msg` from `from` to `to` (see [`Network::send`]).
-    pub fn send(&mut self, from: NodeIdx, to: NodeIdx, msg: P::Msg) {
+    /// Sends `msg` from `from` to `to` (see [`Network::send`]) and
+    /// counts it in `class` ([`Sim::counters`]).
+    pub fn send(&mut self, from: NodeIdx, to: NodeIdx, class: Class, msg: P::Msg) {
+        self.counters.count(class);
         self.net.send(from, to, msg);
     }
 
@@ -328,10 +320,6 @@ pub trait Protocol: Sized {
 
     /// Does `node` store a replica/pointer for `object`?
     fn holds(&self, node: NodeIdx, object: Id) -> bool;
-
-    /// Protocol counters attributed to operations; `net` is the
-    /// kernel's view, for protocols whose total is the raw send count.
-    fn counters(&self, net: &NetStats) -> Counters;
 }
 
 /// A [`Protocol`] running on the deterministic kernel: the simulation
@@ -343,6 +331,7 @@ pub struct Sim<P: Protocol> {
     protocol: P,
     net: Network<P::Msg, P::Timer>,
     lookups: Ledger,
+    counters: Counters,
     /// Reusable same-tick delivery batch (see
     /// [`Network::next_batch_before`]).
     batch: Vec<Event<P::Msg, P::Timer>>,
@@ -368,6 +357,7 @@ impl<P: Protocol> Sim<P> {
             protocol,
             net,
             lookups: Ledger::default(),
+            counters: Counters::default(),
             batch: Vec::new(),
             maintenance_started: false,
         }
@@ -381,6 +371,7 @@ impl<P: Protocol> Sim<P> {
         let mut cx = Cx {
             net: &mut self.net,
             lookups: &mut self.lookups,
+            counters: &mut self.counters,
         };
         f(&mut self.protocol, &mut cx)
     }
@@ -507,9 +498,13 @@ impl<P: Protocol> Sim<P> {
         self.run_until(SimTime::from_micros(u64::MAX));
     }
 
-    /// Protocol counters attributed to operations.
+    /// Every send so far by class; `total_messages` is the kernel's
+    /// send count.
     pub fn counters(&self) -> Counters {
-        self.protocol.counters(&self.net.stats())
+        Counters {
+            total_messages: self.net.stats().sent,
+            ..self.counters
+        }
     }
 
     /// Kernel counters (raw sends, deliveries, offline/loss drops).
@@ -546,35 +541,5 @@ mod tests {
         let c = Counters::default();
         assert_eq!(c.total_messages, 0);
         assert_eq!(c.lookup_messages, 0);
-    }
-
-    #[test]
-    fn checked_sum_accepts_attributed_and_unattributed_traffic() {
-        let exact = Counters {
-            lookup_messages: 3,
-            insert_messages: 2,
-            reply_messages: 1,
-            maintenance_messages: 4,
-            total_messages: 10,
-        };
-        assert_eq!(exact.checked_sum(), 10);
-        let with_acks = Counters {
-            total_messages: 12,
-            ..exact
-        };
-        assert_eq!(with_acks.checked_sum(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds total_messages")]
-    fn checked_sum_rejects_overattribution() {
-        let broken = Counters {
-            lookup_messages: 6,
-            insert_messages: 6,
-            reply_messages: 0,
-            maintenance_messages: 0,
-            total_messages: 10,
-        };
-        let _ = broken.checked_sum();
     }
 }

@@ -22,6 +22,11 @@
 //! a routed hop, a probe, a stabilize request — in an [`Outstanding`]
 //! table: one resend-then-give-up policy, written and tested once.
 //!
+//! Every engine sends through [`Cx::send`], which names the send's
+//! [`Class`] (lookup, insert, reply, maintenance, ack); [`Sim`] keeps
+//! the one tally of them ([`Counters`]) that every message column of
+//! the figures reads, so no engine counts its own traffic.
+//!
 //! Determinism: every run is a pure function of its seeds. Same-time
 //! events fire in insertion order, and the flapping coin for (node,
 //! period) is a hash, so availability can be queried at any time in O(1)
@@ -42,7 +47,7 @@ pub mod time;
 mod wheel;
 
 pub use availability::{AlwaysOn, Availability, Flapping, FlappingConfig, TraceChurn};
-pub use engine::{Counters, Cx, Protocol, Sim};
+pub use engine::{Class, Counters, Cx, Protocol, Sim};
 pub use latency::{ConstantLatency, LatencyModel, TransitStubLatency, UniformLatency};
 pub use net::{Event, NetStats, Network};
 pub use outcome::LookupOutcome;

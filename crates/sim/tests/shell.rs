@@ -5,7 +5,7 @@
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 use mpil_sim::{
-    AlwaysOn, ConstantLatency, Counters, Cx, Event, LookupOutcome, NetStats, Protocol, Sim,
+    AlwaysOn, Class, ConstantLatency, Counters, Cx, Event, LookupOutcome, Protocol, Sim,
     SimDuration, SimTime,
 };
 
@@ -66,7 +66,7 @@ impl Protocol for Ring {
                     hops,
                 } => {
                     if self.holder[to.index()] == Some(object) {
-                        cx.send(to, to, RingMsg::Found { lookup, hops });
+                        cx.send(to, to, Class::Reply, RingMsg::Found { lookup, hops });
                     } else if hops as usize >= self.n {
                         cx.fail_lookup(lookup);
                     } else {
@@ -75,7 +75,7 @@ impl Protocol for Ring {
                             object,
                             hops: hops + 1,
                         };
-                        cx.send(to, self.succ(to), walk);
+                        cx.send(to, self.succ(to), Class::Lookup, walk);
                     }
                 }
                 RingMsg::Found { lookup, hops } => cx.complete_lookup(lookup, hops),
@@ -88,7 +88,12 @@ impl Protocol for Ring {
     }
 
     fn insert(&mut self, cx: &mut Cx<'_, Ring>, origin: NodeIdx, object: Id) {
-        cx.send(origin, self.succ(origin), RingMsg::Store(object));
+        cx.send(
+            origin,
+            self.succ(origin),
+            Class::Insert,
+            RingMsg::Store(object),
+        );
     }
 
     fn lookup(
@@ -106,7 +111,7 @@ impl Protocol for Ring {
             object,
             hops: 1,
         };
-        cx.send(origin, self.succ(origin), walk);
+        cx.send(origin, self.succ(origin), Class::Lookup, walk);
         lookup
     }
 
@@ -123,13 +128,6 @@ impl Protocol for Ring {
 
     fn holds(&self, node: NodeIdx, object: Id) -> bool {
         self.holder[node.index()] == Some(object)
-    }
-
-    fn counters(&self, net: &NetStats) -> Counters {
-        Counters {
-            total_messages: net.sent,
-            ..Counters::default()
-        }
     }
 }
 
@@ -172,7 +170,21 @@ fn the_lifecycle_runs_a_protocol_end_to_end() {
     );
     assert_eq!(sim.lookup_outcome(absent), LookupOutcome::Failed);
     assert_eq!(sim.lookup_outcome(99), LookupOutcome::Failed, "unknown id");
-    assert_eq!(sim.counters().total_messages, sim.net_stats().sent);
+    // One store, three walk steps for the found lookup and eight for the
+    // absent one, one reply: each counted once, in the class it was
+    // sent in.
+    assert_eq!(
+        sim.counters(),
+        Counters {
+            lookup_messages: 11,
+            insert_messages: 1,
+            reply_messages: 1,
+            maintenance_messages: 0,
+            ack_messages: 0,
+            total_messages: 13,
+        }
+    );
+    assert_eq!(sim.net_stats().sent, 13);
 }
 
 #[test]

@@ -68,7 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             net.replica_holders(url_key(url)).len()
         );
     }
-    println!("heartbeats sent so far: {}", net.stats().heartbeats_sent);
+    // Before any delete, the only maintenance traffic is heartbeats.
+    let c = net.counters();
+    println!(
+        "messages so far: {} insert, {} heartbeat",
+        c.insert_messages, c.maintenance_messages
+    );
 
     // A cache miss at proxy 123 resolves via MPIL.
     let client = NodeIdx::new(123);
@@ -85,10 +90,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The owner evicts one entry: heartbeats told it where the replicas
     // are, so explicit deletes reach all of them.
+    let before = net.counters().maintenance_messages;
     net.with(|mpil, cx| mpil.delete(cx, owner, url_key(urls[1])));
+    let deletes = net.counters().maintenance_messages - before;
     net.run_until(net.now() + SimDuration::from_secs(30));
     println!(
-        "after eviction, {} replicas of {} remain",
+        "after eviction ({deletes} deletes sent), {} replicas of {} remain",
         net.replica_holders(url_key(urls[1])).len(),
         urls[1]
     );

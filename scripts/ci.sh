@@ -31,10 +31,11 @@
 #            catches the dissemination layer regressing to flood-scale
 #            lookup traffic
 #   engines: the five sim-engines reference points (Plumtree, Chord,
-#            MSPastry, Kademlia, the 50k-node MPIL agent), send and
-#            event counts exact — catches a change to an engine, to the
-#            one MPIL receive path (mpil::Agent) or to the baselines'
-#            retry table (mpil_sim::Outstanding) that moves a single send
+#            MSPastry, Kademlia, the 50k-node MPIL agent), send, event
+#            and lookup-message counts exact — catches a change to an
+#            engine, to the one MPIL receive path (mpil::Agent), to the
+#            baselines' retry table (mpil_sim::Outstanding) or to the
+#            class a send is counted in that moves a single send
 #   service: an embedded mpild + mpil-load smoke with live churn —
 #            catches the daemon/load-generator path (request tracking,
 #            hedged lookups, drain) failing under perturbation or its
@@ -131,21 +132,24 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
 # (~1.5 s together), which otherwise only a full benchmark run checks.
 # Every copy at every node of Sim<Mpil> and of the live shard goes
 # through `mpil::Agent::receive`; every ack, probe and stabilize retry of
-# Chord and MSPastry through `mpil_sim::Outstanding`. A change to any of
-# them that moves one send fails here first.
-while read -r sent events flags; do
+# Chord and MSPastry through `mpil_sim::Outstanding`; every send of every
+# engine through `mpil_sim::Cx::send`, which counts it in the class its
+# handler names. A change to any of them that moves one send, or counts
+# one lookup send in another class, fails here first.
+while read -r sent events lookup_msgs flags; do
     # shellcheck disable=SC2086 # $flags is a list of flags
     point=$(./target/release/scale_run $flags --seed 1)
-    if ! grep -q "\"sent\": $sent, \"events\": $events," <<<"$point"; then
-        echo "ci: scale_run $flags --seed 1 moved (pinned: sent $sent, events $events): $point" >&2
+    if ! grep -q "\"sent\": $sent, \"events\": $events," <<<"$point" \
+        || ! grep -q "\"lookup_msgs\": $lookup_msgs," <<<"$point"; then
+        echo "ci: scale_run $flags --seed 1 moved (pinned: sent $sent, events $events, lookup_msgs $lookup_msgs): $point" >&2
         exit 1
     fi
 done <<'PINS'
-563131 819746 --engine plumtree --nodes 1000 --ops 20 --p 0.5
-131835 233193 --engine chord --nodes 500 --ops 20 --p 0
-378674 582804 --engine pastry --nodes 250 --ops 20 --p 0
-131132 198105 --engine kademlia --nodes 250 --ops 20 --p 0
-359579 56334 --engine mpil --nodes 50000 --ops 2500 --p 0.1
+563131 819746 97 --engine plumtree --nodes 1000 --ops 20 --p 0.5
+131835 233193 85 --engine chord --nodes 500 --ops 20 --p 0
+378674 582804 40 --engine pastry --nodes 250 --ops 20 --p 0
+131132 198105 120 --engine kademlia --nodes 250 --ops 20 --p 0
+359579 56334 41862 --engine mpil --nodes 50000 --ops 2500 --p 0.1
 PINS
 
 # The message ceiling of a service smoke: the node forwards of the run
