@@ -51,12 +51,6 @@ fn sweep_30_30<R: Send>(
 /// maintenance at all.
 pub fn ext_dht_comparison(args: &Args) -> Result<Report, String> {
     let (full, _csv, seed) = standard(args)?;
-    let (nodes, ops) = if full { (1000, 500) } else { (250, 50) };
-    let nodes = args.try_value("nodes")?.unwrap_or(nodes);
-    let ops = args.try_value_in("ops", 1..)?.unwrap_or(ops);
-    args.finish()?;
-    let probabilities = [0.2, 0.5, 0.9];
-
     let specs = [
         EngineSpec::MSPASTRY,
         EngineSpec::Chord,
@@ -66,6 +60,14 @@ pub fn ext_dht_comparison(args: &Args) -> Result<Report, String> {
         EngineSpec::MpilOver(OverlaySource::Chord),
         EngineSpec::MpilOver(OverlaySource::Kademlia),
     ];
+    let (nodes, ops) = if full { (1000, 500) } else { (250, 50) };
+    let fewest = specs.iter().map(EngineSpec::fewest_nodes).max();
+    let nodes = args
+        .try_value_in("nodes", fewest.unwrap_or(1)..)?
+        .unwrap_or(nodes);
+    let ops = args.try_value_in("ops", 1..)?.unwrap_or(ops);
+    args.finish()?;
+    let probabilities = [0.2, 0.5, 0.9];
     let results = sweep_30_30(&specs, &probabilities, nodes, ops, seed, run_scenario);
 
     let mut header: Vec<String> = vec!["system".into()];
@@ -180,7 +182,7 @@ pub fn ext_overlay_independence(args: &Args) -> Result<Report, String> {
 pub fn ext_link_loss(args: &Args) -> Result<Report, String> {
     let (full, _csv, seed) = standard(args)?;
     let (nodes, ops) = if full { (1000, 1000) } else { (300, 60) };
-    let nodes = args.try_value("nodes")?.unwrap_or(nodes);
+    let nodes = args.try_value_in("nodes", 1..)?.unwrap_or(nodes);
     let ops = args.try_value_in("ops", 1..)?.unwrap_or(ops);
     args.finish()?;
 
@@ -432,7 +434,7 @@ struct SessionScale {
 /// engines behind [`DiscoveryEngine`], driven by one loop.
 pub fn ext_churn_traces(args: &Args) -> Result<Report, String> {
     let (_full, _csv, seed) = standard(args)?;
-    let nodes = args.try_value("nodes")?.unwrap_or(400usize);
+    let nodes = args.try_value_in("nodes", 1..)?.unwrap_or(400usize);
     let ops = args.try_value_in("ops", 1..)?.unwrap_or(80usize);
     args.finish()?;
 

@@ -106,5 +106,21 @@ mod tests {
         let no_ops = Args::parse(["--ops", "0"].map(String::from));
         let why = ext_dht_comparison(&no_ops).map(drop).expect_err("--ops 0");
         assert!(why.contains("--ops \"0\""), "{why}");
+        // Nor do the extensions build an overlay of no nodes.
+        let no_nodes = Args::parse(["--nodes", "0"].map(String::from));
+        let extensions: [Figure; 5] = [
+            |a| ext_churn_traces(a).map(drop),
+            |a| ext_dht_comparison(a).map(drop),
+            |a| ext_link_loss(a).map(drop),
+            |a| ext_gossip_discovery(a).map(drop),
+            |a| ext_overlay_independence(a).map(drop),
+        ];
+        for (extension, figure) in extensions.into_iter().enumerate() {
+            let why = figure(&no_nodes).expect_err("--nodes 0");
+            assert!(
+                why.contains("--nodes \"0\""),
+                "extension {extension}: {why}"
+            );
+        }
     }
 }

@@ -12,7 +12,9 @@ use crate::CliError;
 /// [`CliError`] on an unknown `--what` or a flag it cannot read.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let what = args.value("what").unwrap_or("local-maxima").to_string();
-    let nodes = args.try_value("nodes")?.unwrap_or(16_000usize);
+    // The complete-overlay replica formula needs two nodes at least.
+    let fewest = if what == "replicas" { 2 } else { 0 };
+    let nodes = args.try_value_in("nodes", fewest..)?.unwrap_or(16_000usize);
     // `--base4` is the default; the synopsis names it, so it is accepted.
     let _ = args.flag("base4");
     let base16 = args.flag("base16");

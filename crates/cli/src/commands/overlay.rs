@@ -14,7 +14,7 @@ use crate::CliError;
 /// cannot read.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let family = args.value("family").unwrap_or("powerlaw").to_string();
-    let nodes = args.try_value("nodes")?.unwrap_or(1000usize);
+    let nodes = args.try_value_in("nodes", 1..)?.unwrap_or(1000usize);
     let degree = args.try_value("degree")?.unwrap_or(16usize);
     let seed = args.try_value("seed")?.unwrap_or(42u64);
     args.finish()?;

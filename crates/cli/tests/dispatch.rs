@@ -90,6 +90,19 @@ fn every_command_refuses_a_flag_it_cannot_read() {
             assert!(err.to_string().contains(named), "{line}: {err}");
         }
     }
+    // Nor is an overlay of no nodes, or a complete one of one node.
+    for line in [
+        "overlay --family pastry --nodes 0",
+        "overlay --family chord --nodes 0",
+        "overlay --family kademlia --nodes 0",
+        "overlay --family powerlaw --nodes 0",
+        "analyze --what replicas --nodes 0",
+        "analyze --what replicas --nodes 1",
+    ] {
+        let err = dispatch(line).expect_err(line);
+        let named = format!("--nodes \"{}\"", &line[line.len() - 1..]);
+        assert!(err.to_string().contains(&named), "{line}: {err}");
+    }
     // No operations is no run either.
     for command in ["simulate", "perturb", "sweep"] {
         let line = format!("{command} --ops 0");

@@ -7,9 +7,10 @@
 //! robustness comes entirely from redundant flows and replicas.
 //!
 //! [`Mpil`] is the protocol — one [`Agent`] per node (replica store and
-//! duplicate memory around the shared routing step) and heartbeat
-//! registries; [`DynamicNetwork`] is that protocol inside the one
-//! simulation shell, [`mpil_sim::Sim`].
+//! duplicate memory around the shared routing step), the neighbour
+//! lists as one flat array, and heartbeat registries when heartbeats
+//! run; [`DynamicNetwork`] is that protocol inside the one simulation
+//! shell, [`mpil_sim::Sim`].
 
 use mpil_id::Id;
 use mpil_overlay::{NodeIdx, Topology};
@@ -27,7 +28,8 @@ pub struct DynamicConfig {
     /// The MPIL algorithm parameters.
     pub mpil: MpilConfig,
     /// Heartbeat period for the deletion protocol; `None` disables
-    /// heartbeats (the perturbation experiments run without them).
+    /// heartbeats (the perturbation experiments run without them) and
+    /// the owners' registries with them.
     pub heartbeat_period: Option<SimDuration>,
 }
 
@@ -70,14 +72,28 @@ type Cx<'a> = mpil_sim::Cx<'a, Mpil>;
 
 /// MPIL agents on every node of a (frozen) neighbor graph: the
 /// protocol a [`DynamicNetwork`] runs.
+///
+/// Each part of a node's state takes memory in proportion to what it
+/// holds. The neighbour lists are one flat array in CSR form: node
+/// `i`'s neighbours are `adjacent[offsets[i]..offsets[i + 1]]`, one
+/// allocation for the whole graph instead of one per node. Agents start
+/// empty and allocate on their first replica or message. The owners'
+/// heartbeat registries exist only when heartbeats run
+/// ([`DynamicConfig::heartbeat_period`] is `Some`); without them
+/// `registries` is empty and [`Mpil::delete`] removes the owner's own
+/// copy alone.
 pub struct Mpil {
     ids: Vec<Id>,
-    neighbors: Vec<Vec<NodeIdx>>,
+    /// `offsets[i]..offsets[i + 1]` indexes node `i`'s neighbours in
+    /// `adjacent`; `nodes() + 1` entries.
+    offsets: Vec<u32>,
+    adjacent: Vec<NodeIdx>,
     config: DynamicConfig,
     agents: Vec<Agent>,
     /// One sequence for inserts and lookups: a lookup's ledger id is
     /// its message id.
     next_msg_id: u64,
+    /// One per node with heartbeats on, none with them off.
     registries: Vec<ReplicaRegistry>,
     stats: DynamicStats,
 }
@@ -110,12 +126,14 @@ impl Mpil {
 
     /// Owner-driven deletion (Section 4.4): `owner` sends explicit delete
     /// messages to every replica holder it knows of from heartbeats —
-    /// falling back to its own directly-stored copy. Reach it through
+    /// falling back to its own directly-stored copy. With heartbeats
+    /// off it knows of none and sends nothing. Reach it through
     /// [`Sim::with`].
     pub fn delete(&mut self, cx: &mut Cx<'_>, owner: NodeIdx, object: Id) {
-        let holders = self.registries[owner.index()].forget(object);
-        for holder in holders {
-            cx.send(owner, holder, Class::Maintenance, Wire::Delete { object });
+        if let Some(registry) = self.registries.get_mut(owner.index()) {
+            for holder in registry.forget(object) {
+                cx.send(owner, holder, Class::Maintenance, Wire::Delete { object });
+            }
         }
         self.agents[owner.index()].delete(object);
     }
@@ -166,14 +184,10 @@ impl Mpil {
             hops,
             ..
         } = msg;
-        let receipt = self.agents[node.index()].receive(
-            &self.config.mpil,
-            node,
-            &self.neighbors[node.index()],
-            &self.ids,
-            msg,
-            cx.rng(),
-        );
+        let i = node.index();
+        let neighbors = &self.adjacent[self.offsets[i] as usize..self.offsets[i + 1] as usize];
+        let receipt =
+            self.agents[i].receive(&self.config.mpil, node, neighbors, &self.ids, msg, cx.rng());
         self.stats.duplicates_seen += u64::from(receipt.duplicate);
         match receipt.verdict {
             None => self.stats.duplicates_suppressed += 1,
@@ -209,21 +223,33 @@ impl Protocol for Mpil {
     /// # Panics
     ///
     /// Panics if `ids` and `neighbors` disagree in length, any neighbor
-    /// index is out of range, or the MPIL configuration is invalid.
+    /// index is out of range, the lists hold more than `u32::MAX`
+    /// entries together, or the MPIL configuration is invalid.
     fn build((ids, neighbors): Self::Parts, config: DynamicConfig) -> Self {
         config.mpil.validate().expect("invalid MPIL configuration");
         assert_eq!(ids.len(), neighbors.len(), "ids/neighbors length mismatch");
         let n = ids.len();
-        for list in &neighbors {
-            for nbr in list {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut adjacent = Vec::with_capacity(neighbors.iter().map(Vec::len).sum());
+        offsets.push(0);
+        for list in neighbors {
+            for &nbr in &list {
                 assert!(nbr.index() < n, "neighbor {nbr} out of range");
             }
+            adjacent.extend_from_slice(&list);
+            offsets.push(u32::try_from(adjacent.len()).expect("too many neighbor entries"));
         }
+        let registries = if config.heartbeat_period.is_some() {
+            vec![ReplicaRegistry::new(); n]
+        } else {
+            Vec::new()
+        };
         Mpil {
             agents: vec![Agent::default(); n],
-            registries: vec![ReplicaRegistry::new(); n],
+            registries,
             ids,
-            neighbors,
+            offsets,
+            adjacent,
             config,
             next_msg_id: 0,
             stats: DynamicStats::default(),
@@ -451,6 +477,39 @@ mod tests {
             "replicas remain: {:?}",
             net.replica_holders(object)
         );
+    }
+
+    #[test]
+    fn without_heartbeats_delete_removes_the_owners_copy_and_sends_nothing() {
+        // build_static runs without heartbeats.
+        let mut net = build_static(60, 8, 9);
+        let owner = NodeIdx::new(0);
+        // The first object the owner keeps a replica of itself.
+        let object = (1..)
+            .map(Id::from_low_u64)
+            .find(|&object| {
+                net.insert(owner, object);
+                net.run_to_quiescence();
+                net.replica_holders(object).contains(&owner)
+            })
+            .expect("the owner is a local maximum for some object");
+        let holders = net.replica_holders(object);
+        let before = net.counters();
+        net.with(|mpil, cx| {
+            assert!(
+                mpil.registries.is_empty(),
+                "no registries without heartbeats"
+            );
+            mpil.delete(cx, owner, object);
+        });
+        net.run_to_quiescence();
+        assert_eq!(
+            net.counters(),
+            before,
+            "a delete without heartbeats sends nothing"
+        );
+        let survivors: Vec<NodeIdx> = holders.into_iter().filter(|&n| n != owner).collect();
+        assert_eq!(net.replica_holders(object), survivors);
     }
 
     #[test]

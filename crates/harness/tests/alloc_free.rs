@@ -134,7 +134,7 @@ fn warmed_up_plumtree_broadcasts_and_lookups_stay_on_the_pooled_plane() {
     };
 
     // Warmup: prune the eager graph to its tree and grow every map.
-    // 13 objects push every node's store table past its 8->16->32 slot
+    // 13 objects push every node's store table past its 2->4->8->16->32 slot
     // doublings, so the measured window (10 more objects, ending at 23
     // entries) sits entirely inside the warmed 32-slot capacity.
     workload(&mut sim, 13);

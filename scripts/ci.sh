@@ -136,9 +136,16 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
 # engine through `mpil_sim::Cx::send`, which counts it in the class its
 # handler names. A change to any of them that moves one send, or counts
 # one lookup send in another class, fails here first.
+#
+# The MPIL row also holds its memory: a 50 000-node Sim<Mpil> peaks at
+# 31.7-32.9 MiB with replica stores that start at two slots, heartbeat
+# registries only when heartbeats run and one flat neighbour array. It
+# read 40.1 MiB without all three and 36.0 MiB with 8-slot stores
+# alone, so the ceiling sits below that.
 while read -r sent events lookup_msgs flags; do
     # shellcheck disable=SC2086 # $flags is a list of flags
-    point=$(./target/release/scale_run $flags --seed 1)
+    point=$(./target/release/scale_run $flags --seed 1) \
+        || { echo "ci: scale_run $flags --seed 1 failed or exceeded a budget" >&2; exit 1; }
     if ! grep -q "\"sent\": $sent, \"events\": $events," <<<"$point" \
         || ! grep -q "\"lookup_msgs\": $lookup_msgs," <<<"$point"; then
         echo "ci: scale_run $flags --seed 1 moved (pinned: sent $sent, events $events, lookup_msgs $lookup_msgs): $point" >&2
@@ -149,7 +156,7 @@ done <<'PINS'
 131835 233193 85 --engine chord --nodes 500 --ops 20 --p 0
 378674 582804 40 --engine pastry --nodes 250 --ops 20 --p 0
 131132 198105 120 --engine kademlia --nodes 250 --ops 20 --p 0
-359579 56334 41862 --engine mpil --nodes 50000 --ops 2500 --p 0.1
+359579 56334 41862 --engine mpil --nodes 50000 --ops 2500 --p 0.1 --max-rss-mib 35
 PINS
 
 # The message ceiling of a service smoke: the node forwards of the run
