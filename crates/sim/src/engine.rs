@@ -2,8 +2,8 @@
 //!
 //! A substrate is a [`Protocol`] — per-node state plus handlers, with
 //! no clock and no queue of its own. `Sim<P>` owns everything that is
-//! the same for all of them: the [`Network`], the reusable same-tick
-//! event batch, the maintenance flag, the tally of sends by [`Class`]
+//! the same for all of them: the [`Network`], the batch of the tick being
+//! dispatched, the maintenance flag, the tally of sends by [`Class`]
 //! ([`Counters`]), and the lookup ledger (issue time, deadline, outcome
 //! — "pending at the deadline reads [`LookupOutcome::Failed`]"). The
 //! lifecycle the paper's experiments drive — insert →
@@ -332,8 +332,8 @@ pub struct Sim<P: Protocol> {
     net: Network<P::Msg, P::Timer>,
     lookups: Ledger,
     counters: Counters,
-    /// Reusable same-tick delivery batch (see
-    /// [`Network::next_batch_before`]).
+    /// The tick being dispatched, in the wheel's own buffer for it: never
+    /// copied, swapped in by [`Network::next_batch_before`].
     batch: Vec<Event<P::Msg, P::Timer>>,
     maintenance_started: bool,
 }

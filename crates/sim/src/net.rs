@@ -8,7 +8,7 @@ use crate::availability::Availability;
 use crate::latency::LatencyModel;
 use crate::pool::PayloadPool;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::{Popped, TimerWheel};
+use crate::wheel::TimerWheel;
 
 /// An event handed to the protocol driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,11 +50,6 @@ pub struct NetStats {
     pub timers_fired: u64,
 }
 
-enum Item<M, T> {
-    Msg { from: NodeIdx, to: NodeIdx, msg: M },
-    Timer { node: NodeIdx, timer: T },
-}
-
 /// A deterministic discrete-event network of `n` nodes.
 ///
 /// The kernel owns virtual time, the event queue, a seeded RNG, an
@@ -83,7 +78,7 @@ enum Item<M, T> {
 pub struct Network<M, T = ()> {
     n: usize,
     now: SimTime,
-    queue: TimerWheel<Item<M, T>>,
+    queue: TimerWheel<Event<M, T>>,
     availability: Box<dyn Availability>,
     latency: Box<dyn LatencyModel>,
     loss_probability: f64,
@@ -203,7 +198,7 @@ impl<M, T> Network<M, T> {
             }
         }
         let delay = self.latency.latency(from, to, &mut self.rng);
-        self.push(self.now + delay, Item::Msg { from, to, msg });
+        self.push(self.now + delay, Event::Message { from, to, msg });
     }
 
     /// Schedules `timer` to fire at `node` after `delay`.
@@ -213,11 +208,11 @@ impl<M, T> Network<M, T> {
     /// Panics if `node` is out of range.
     pub fn schedule(&mut self, node: NodeIdx, delay: SimDuration, timer: T) {
         assert!(node.index() < self.n, "node {node} out of range");
-        self.push(self.now + delay, Item::Timer { node, timer });
+        self.push(self.now + delay, Event::Timer { node, timer });
     }
 
-    fn push(&mut self, at: SimTime, item: Item<M, T>) {
-        self.queue.push(at.as_micros(), item);
+    fn push(&mut self, at: SimTime, event: Event<M, T>) {
+        self.queue.push(at.as_micros(), event);
     }
 
     /// Pops the next deliverable event, advancing the clock. Messages to
@@ -235,57 +230,46 @@ impl<M, T> Network<M, T> {
     /// `deadline`; if the next event is later, the clock advances to
     /// `deadline` and `None` is returned (the event stays queued).
     pub fn next_before(&mut self, deadline: SimTime) -> Option<Event<M, T>> {
-        loop {
-            let item = match self.queue.pop_before(deadline.as_micros()) {
-                Popped::Empty => {
-                    if deadline > self.now && deadline.as_micros() != u64::MAX {
-                        self.now = deadline;
-                        self.queue.set_now(deadline.as_micros());
-                    }
-                    return None;
-                }
-                Popped::Later => {
-                    if deadline > self.now {
-                        self.now = deadline;
-                        self.queue.set_now(deadline.as_micros());
-                    }
-                    return None;
-                }
-                Popped::Event { at, item } => {
-                    debug_assert!(at >= self.now.as_micros(), "time went backwards");
-                    self.now = SimTime::from_micros(at);
-                    item
-                }
-            };
-            if let Some(event) = self.deliver(item) {
+        while let Some((at, event)) = self.queue.pop_before(deadline.as_micros()) {
+            self.now = SimTime::from_micros(at);
+            if self.deliverable(&event) {
                 return Some(event);
             }
-            // Offline drop: keep draining.
+        }
+        self.idle_until(deadline);
+        None
+    }
+
+    /// Nothing is due by `deadline`: the clock moves there (a deadline of
+    /// `u64::MAX` µs means "until the queue drains" and moves nothing).
+    fn idle_until(&mut self, deadline: SimTime) {
+        if deadline > self.now && deadline.as_micros() != u64::MAX {
+            self.now = deadline;
+            self.queue.set_now(deadline.as_micros());
         }
     }
 
-    /// Delivers one popped item at the current clock, or counts the drop
-    /// and returns `None` when the receiver is offline.
-    fn deliver(&mut self, item: Item<M, T>) -> Option<Event<M, T>> {
-        match item {
-            Item::Msg { from, to, msg } => {
-                if self.availability.is_online(to, self.now) {
-                    self.stats.delivered += 1;
-                    Some(Event::Message { from, to, msg })
-                } else {
-                    self.stats.dropped_offline += 1;
-                    None
-                }
+    /// Counts one event due now as delivered or fired, or a message to
+    /// an offline receiver as dropped (then `false`).
+    fn deliverable(&mut self, event: &Event<M, T>) -> bool {
+        match *event {
+            Event::Message { to, .. } if !self.availability.is_online(to, self.now) => {
+                self.stats.dropped_offline += 1;
+                false
             }
-            Item::Timer { node, timer } => {
+            Event::Message { .. } => {
+                self.stats.delivered += 1;
+                true
+            }
+            Event::Timer { .. } => {
                 self.stats.timers_fired += 1;
-                Some(Event::Timer { node, timer })
+                true
             }
         }
     }
 
-    /// Drains one tick's worth of deliverable events (at or before
-    /// `deadline`) into `out`, clearing it first. Returns `false` — with
+    /// Hands over one tick's worth of deliverable events (at or before
+    /// `deadline`) in `out`, clearing it first. Returns `false` — with
     /// the clock advanced exactly as [`Network::next_before`] — when no
     /// event is due by the deadline.
     ///
@@ -293,22 +277,23 @@ impl<M, T> Network<M, T> {
     /// dispatching the batch in order observes the identical global
     /// `(time, seq)` sequence as repeated [`Network::next_before`] calls;
     /// same-tick sends issued while dispatching are picked up by the next
-    /// call, again in seq order. The point is amortization: the batch
-    /// comes out of the wheel's current-tick buffer with no per-event
-    /// scheduler traffic, and `out`'s allocation is the caller's to
-    /// reuse across ticks.
+    /// call, again in seq order. The tick is not copied: the wheel swaps
+    /// its buffer with `out`'s, so `out` comes back in a different
+    /// allocation, and one above the wheel's keep cap is freed. Messages
+    /// to offline receivers are then counted and removed in place (the
+    /// availability model is a pure function of node and time); a tick
+    /// that held nothing else is passed over for the next one.
     pub fn next_batch_before(&mut self, deadline: SimTime, out: &mut Vec<Event<M, T>>) -> bool {
         out.clear();
-        let Some(first) = self.next_before(deadline) else {
-            return false;
-        };
-        out.push(first);
-        while let Some(item) = self.queue.pop_current() {
-            if let Some(event) = self.deliver(item) {
-                out.push(event);
+        while let Some(at) = self.queue.take_tick(deadline.as_micros(), out) {
+            self.now = SimTime::from_micros(at);
+            out.retain(|event| self.deliverable(event));
+            if !out.is_empty() {
+                return true;
             }
         }
-        true
+        self.idle_until(deadline);
+        false
     }
 
     /// Number of events still queued.
@@ -529,40 +514,83 @@ mod tests {
         net.set_loss_probability(1.5);
     }
 
+    /// Forty nodes flapping (offline 20 ms of every 50 with probability
+    /// 0.5), each with one message in flight and one timer armed.
+    fn flapping_net() -> Network<u32, u32> {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let cfg = FlappingConfig {
+            idle: SimDuration::from_millis(30),
+            offline: SimDuration::from_millis(20),
+            probability: 0.5,
+            start: SimTime::ZERO,
+        };
+        let mut net = Network::new(
+            40,
+            Box::new(Flapping::new(cfg, 40, 11, &mut rng)),
+            Box::new(ConstantLatency(SimDuration::from_millis(5))),
+            3,
+        );
+        for i in 0..40 {
+            net.send(node(i), node((i * 7 + 1) % 40), i);
+            net.schedule(node(i), SimDuration::from_millis(u64::from(i % 4)), i);
+        }
+        net
+    }
+
+    /// Reacts to one event as a protocol would: a delivered message is
+    /// answered; a fired timer is re-armed, one time in three with zero
+    /// delay, and sends a message; until 12 000 sends are spent.
+    fn react(net: &mut Network<u32, u32>, event: &Event<u32, u32>, sends: &mut u32) {
+        let (at, x) = match *event {
+            Event::Message { to, msg, .. } => (to, msg),
+            Event::Timer { node: at, timer } => {
+                if timer < 3_000 {
+                    let delay = SimDuration::from_millis(u64::from(timer % 3));
+                    net.schedule(at, delay, timer + 40);
+                }
+                (at, timer)
+            }
+        };
+        if *sends < 12_000 {
+            *sends += 1;
+            net.send(at, node((x * 13 + at.index() as u32) % 40), x + 1);
+        }
+    }
+
     #[test]
     fn batch_drain_matches_single_event_order() {
+        let deadline = SimTime::from_secs(60);
         let run_single = || {
-            let mut net = basic(3);
-            for i in 0..12 {
-                net.send(node(i % 3), node((i + 1) % 3), i);
-            }
-            net.schedule(node(0), SimDuration::from_millis(5), 99);
-            let mut trace = Vec::new();
-            while let Some(e) = net.next_before(SimTime::from_secs(1)) {
+            let mut net = flapping_net();
+            let (mut sends, mut trace) = (0, Vec::new());
+            while let Some(e) = net.next_before(deadline) {
+                react(&mut net, &e, &mut sends);
                 trace.push((net.now().as_micros(), e));
             }
             (trace, net.now(), net.stats())
         };
         let run_batched = || {
-            let mut net = basic(3);
-            for i in 0..12 {
-                net.send(node(i % 3), node((i + 1) % 3), i);
-            }
-            net.schedule(node(0), SimDuration::from_millis(5), 99);
-            let mut trace = Vec::new();
+            let mut net = flapping_net();
+            let (mut sends, mut trace, mut widest) = (0, Vec::new(), 0);
             let mut batch = Vec::new();
-            while net.next_batch_before(SimTime::from_secs(1), &mut batch) {
+            while net.next_batch_before(deadline, &mut batch) {
+                widest = widest.max(batch.len());
                 for e in batch.drain(..) {
+                    react(&mut net, &e, &mut sends);
                     trace.push((net.now().as_micros(), e));
                 }
             }
+            assert!(widest > 1, "no tick held more than one event");
             (trace, net.now(), net.stats())
         };
-        assert_eq!(run_single(), run_batched());
+        let single = run_single();
+        assert!(single.0.len() >= 10_000, "only {} events", single.0.len());
+        assert!(single.2.dropped_offline > 0 && single.2.timers_fired > 0);
+        assert_eq!(single, run_batched());
     }
 
-    #[test]
-    fn batch_drain_skips_offline_receivers() {
+    /// Two nodes, offline from their first microsecond for ~11.6 days.
+    fn offline_forever() -> Network<u32, u32> {
         let mut rng = SmallRng::seed_from_u64(0);
         let cfg = FlappingConfig {
             idle: SimDuration::from_micros(1),
@@ -571,12 +599,17 @@ mod tests {
             start: SimTime::ZERO,
         };
         let f = Flapping::new(cfg, 2, 3, &mut rng);
-        let mut net: Network<u32, u32> = Network::new(
+        Network::new(
             2,
             Box::new(f),
             Box::new(ConstantLatency(SimDuration::from_secs(10))),
             2,
-        );
+        )
+    }
+
+    #[test]
+    fn batch_drain_skips_offline_receivers() {
+        let mut net = offline_forever();
         net.send(node(0), node(1), 1);
         net.send(node(0), node(1), 2);
         net.schedule(node(0), SimDuration::from_secs(10), 7);
@@ -592,6 +625,35 @@ mod tests {
         );
         assert_eq!(net.stats().dropped_offline, 2);
         assert!(!net.next_batch_before(SimTime::from_micros(u64::MAX), &mut batch));
+    }
+
+    #[test]
+    fn batch_drain_passes_over_a_tick_of_offline_receivers() {
+        let mut net = offline_forever();
+        net.send(node(0), node(1), 1);
+        net.send(node(0), node(1), 2);
+        net.schedule(node(0), SimDuration::from_secs(20), 7);
+        let mut batch = Vec::new();
+        assert!(!net.next_batch_before(SimTime::from_secs(5), &mut batch));
+        assert_eq!(net.now(), SimTime::from_secs(5));
+        // The 10 s tick holds only drops; the call goes on to the timer's.
+        assert!(net.next_batch_before(SimTime::from_micros(u64::MAX), &mut batch));
+        assert_eq!(net.now(), SimTime::from_secs(20));
+        assert_eq!(
+            batch,
+            vec![Event::Timer {
+                node: node(0),
+                timer: 7
+            }]
+        );
+        assert_eq!(net.stats().dropped_offline, 2);
+        // A last tick of drops only leaves nothing to hand over.
+        net.send(node(0), node(1), 3);
+        assert!(!net.next_batch_before(SimTime::from_micros(u64::MAX), &mut batch));
+        assert!(batch.is_empty());
+        assert_eq!(net.now(), SimTime::from_secs(30));
+        assert_eq!(net.stats().dropped_offline, 3);
+        assert_eq!(net.pending(), 0);
     }
 
     #[test]

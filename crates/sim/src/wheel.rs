@@ -16,32 +16,37 @@
 //! pays one memcpy per level it descends through, and at 8 bits the
 //! common delay classes — tens-of-ms message latencies, seconds-scale
 //! maintenance timers — sit one level lower than a 64-slot wheel would
-//! put them. Events beyond the horizon go to a small overflow
-//! `BinaryHeap` — the heap fallback for far-future events — and migrate
-//! into the wheel as `now` approaches them. Per-level occupancy bitmaps
-//! (four `u64` words each) make "find the next occupied slot" a handful
-//! of bit instructions; empty stretches of virtual time cost nothing to
-//! skip.
+//! put them. A level-0 slot is one µs wide, so it holds one tick's
+//! entries bare; only higher slots store a due time beside each entry.
+//! Events beyond the horizon go to a small overflow `BinaryHeap` — the
+//! heap fallback for far-future events — and migrate into the wheel as
+//! `now` approaches them. Per-level occupancy bitmaps (four `u64` words
+//! each) make "find the next occupied slot" a handful of bit
+//! instructions; empty stretches of virtual time cost nothing to skip.
 //!
 //! # Determinism contract
 //!
 //! Pops reproduce the old heap's global `(due, seq)` order **exactly**:
 //!
-//! * Every push gets a monotone sequence number, and any two entries
-//!   with the same due time traverse identical wheel paths (their slot
-//!   assignments depend only on `(now, due)`), so per-slot buffers stay
-//!   seq-ascending and cascades preserve relative order.
-//! * Entries sharing the current tick are drained through the `current`
-//!   buffer in seq order (FIFO within a tick).
-//! * Overflow entries are strictly later than every wheel entry once
-//!   eligible migrations run, so the two stores never interleave within
-//!   a tick.
+//! * Any two entries with the same due time traverse identical wheel
+//!   paths (their slot assignments depend only on `(now, due)`), so
+//!   per-slot buffers stay in push order and cascades preserve relative
+//!   order. Only the overflow heap needs an explicit sequence number.
+//! * A tick leaves the wheel in one piece: [`TimerWheel::take_tick`]
+//!   swaps its level-0 slot with the caller's empty buffer. Entries due
+//!   exactly `now` that did not come through a level-0 slot — zero-delay
+//!   pushes, cascades landing on `now`, overflow arrivals — queue in
+//!   `current` behind the tick, in push order (FIFO within a tick).
+//! * Overflow entries migrate as soon as the clock brings them within
+//!   the horizon, before any push at that clock, so the two stores never
+//!   interleave within a tick.
 //!
 //! `fig10_lookup_cost` and the perturbation figures are byte-identical
 //! under either scheduler; the wheel changes speed, not results.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::mem;
 
 /// Bits per wheel level: 256 slots. Wider levels mean fewer cascades
 /// per entry — the dominant wheel cost is the memcpy an entry pays at
@@ -57,29 +62,38 @@ const WORDS: usize = SLOTS / 64;
 /// Number of levels; the wheel spans `2^(8*LEVELS)` µs from `now`
 /// (≈ 8.9 simulated years).
 const LEVELS: usize = 6;
-/// Largest slot-buffer capacity kept alive after a drain. High-level
-/// slots are wide (a level-3 slot spans ≈ 16.8 simulated seconds) and
+/// Largest buffer capacity kept alive after a drain: a slot's,
+/// `current`'s, and the one a caller gives back to
+/// [`TimerWheel::take_tick`] in exchange for a tick. High-level slots
+/// are wide (a level-3 slot spans ≈ 16.8 simulated seconds) and
 /// transiently collect tens of thousands of entries before cascading
-/// them down; retaining every such high-water allocation across the
-/// wheel's rotation is the difference between a working set proportional
-/// to *pending entries* and one proportional to *entries ever enqueued
-/// per rotation* (gigabytes at million-node scale). Small buffers are
-/// kept — reallocating the hot low-level slots every rotation would put
+/// them down, and one tick of a multi-path insert wave is 25 000 events;
+/// retaining every such high-water allocation across the wheel's
+/// rotation is the difference between a working set proportional to
+/// *pending entries* and one proportional to *entries ever enqueued per
+/// rotation* (gigabytes at million-node scale). Small buffers are kept —
+/// reallocating the hot low-level slots every rotation would put
 /// allocator traffic back on the message plane.
 const SLOT_KEEP_CAP: usize = 1024;
 
+/// An entry of a slot above level 0, which needs its due time to
+/// cascade.
 struct Entry<V> {
+    at: u64,
+    item: V,
+}
+
+/// An entry beyond the horizon, ordered by `(at, seq)` like the old
+/// heap.
+struct OverflowEntry<V> {
     at: u64,
     seq: u64,
     item: V,
 }
 
-/// Overflow entries ordered by `(at, seq)` like the old heap.
-struct OverflowEntry<V>(Entry<V>);
-
 impl<V> PartialEq for OverflowEntry<V> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
 impl<V> Eq for OverflowEntry<V> {}
@@ -90,42 +104,29 @@ impl<V> PartialOrd for OverflowEntry<V> {
 }
 impl<V> Ord for OverflowEntry<V> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.at, self.0.seq).cmp(&(other.0.at, other.0.seq))
+        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
-}
-
-/// Result of [`TimerWheel::pop_before`].
-pub(crate) enum Popped<V> {
-    /// The earliest pending entry was at or before the limit; the
-    /// wheel's clock advanced to its due time.
-    Event {
-        /// Due time (µs) — the new wheel clock.
-        at: u64,
-        /// The scheduled payload.
-        item: V,
-    },
-    /// Entries are pending, but all after the limit. The wheel clock
-    /// was not advanced past the limit.
-    Later,
-    /// Nothing is scheduled at all.
-    Empty,
 }
 
 /// The hierarchical timer wheel (see the module docs).
 pub(crate) struct TimerWheel<V> {
     /// The wheel clock (µs). Never exceeds the due time of any pending
-    /// entry; entries due exactly `now` live in `current`.
+    /// entry.
     now: u64,
-    /// Monotone sequence counter shared by all pushes (FIFO tiebreak).
+    /// Monotone sequence counter of overflow pushes (FIFO tiebreak).
     seq: u64,
     /// Total pending entries across slots, `current`, and overflow.
     len: usize,
-    /// `LEVELS * SLOTS` slot buffers, level-major.
+    /// The `SLOTS` level-0 slots: each is one tick, in push order.
+    ticks: Vec<Vec<V>>,
+    /// The `(LEVELS - 1) * SLOTS` slots of levels 1 and up, level-major.
     slots: Vec<Vec<Entry<V>>>,
     /// Per-level occupancy bitmaps, `WORDS` words per level.
     occupied: [[u64; WORDS]; LEVELS],
-    /// Entries due exactly at `now`, seq-ascending, popped from the front.
-    current: VecDeque<Entry<V>>,
+    /// Entries due exactly `now` that did not come through a level-0
+    /// slot, or the rest of a tick being popped one at a time; in push
+    /// order, popped from the front.
+    current: VecDeque<V>,
     /// Entries beyond the wheel horizon.
     overflow: BinaryHeap<Reverse<OverflowEntry<V>>>,
 }
@@ -145,7 +146,8 @@ impl<V> TimerWheel<V> {
             now: 0,
             seq: 0,
             len: 0,
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            ticks: (0..SLOTS).map(|_| Vec::new()).collect(),
+            slots: (SLOTS..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [[0; WORDS]; LEVELS],
             current: VecDeque::new(),
             overflow: BinaryHeap::new(),
@@ -166,30 +168,30 @@ impl<V> TimerWheel<V> {
     /// Schedules `item` at absolute time `at` (µs).
     pub(crate) fn push(&mut self, at: u64, item: V) {
         debug_assert!(at >= self.now, "scheduling into the past");
-        let entry = Entry {
-            at,
-            seq: self.seq,
-            item,
-        };
-        self.seq += 1;
         self.len += 1;
-        if at == self.now {
-            // Later seq than everything already buffered: FIFO holds.
-            self.current.push_back(entry);
-        } else {
-            self.insert_future(entry);
-        }
+        self.place(at, item);
     }
 
-    /// Places a strictly-future entry into its slot or the overflow heap.
-    fn insert_future(&mut self, entry: Entry<V>) {
-        let level = level_for(self.now, entry.at);
-        if level >= LEVELS {
-            self.overflow.push(Reverse(OverflowEntry(entry)));
+    /// Files an entry due at `at >= now`: behind everything already due
+    /// now, into its slot, or into the overflow heap.
+    fn place(&mut self, at: u64, item: V) {
+        if at == self.now {
+            self.current.push_back(item);
             return;
         }
-        let slot = ((entry.at >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push(entry);
+        let level = level_for(self.now, at);
+        if level >= LEVELS {
+            let seq = self.seq;
+            self.seq += 1;
+            self.overflow.push(Reverse(OverflowEntry { at, seq, item }));
+            return;
+        }
+        let slot = ((at >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        if level == 0 {
+            self.ticks[slot].push(item);
+        } else {
+            self.slots[(level - 1) * SLOTS + slot].push(Entry { at, item });
+        }
         self.occupied[level][slot / 64] |= 1 << (slot % 64);
     }
 
@@ -210,65 +212,43 @@ impl<V> TimerWheel<V> {
     pub(crate) fn set_now(&mut self, to: u64) {
         debug_assert!(to >= self.now, "clock must be monotone");
         debug_assert!(self.current.is_empty(), "current tick undrained");
-        self.now = to;
+        self.advance(to);
     }
 
-    /// Pops the next entry due at or before `limit`, advancing the wheel
-    /// clock to its due time. See [`Popped`] for the no-entry cases.
-    pub(crate) fn pop_before(&mut self, limit: u64) -> Popped<V> {
+    /// Moves the clock to `to` and migrates the overflow entries that
+    /// came within the horizon, so a push at the new clock lands behind
+    /// them.
+    fn advance(&mut self, to: u64) {
+        self.now = to;
+        while let Some(Reverse(head)) = self.overflow.peek() {
+            if head.at > self.now && level_for(self.now, head.at) >= LEVELS {
+                break;
+            }
+            let Some(Reverse(OverflowEntry { at, item, .. })) = self.overflow.pop() else {
+                unreachable!("peeked above");
+            };
+            self.place(at, item);
+        }
+    }
+
+    /// Moves the clock to the earliest pending tick if it is due by
+    /// `limit`, and returns `false` (the clock not past `limit`) if none
+    /// is. The tick is then `current` if that is non-empty, else the
+    /// whole level-0 slot at `now`.
+    fn seek(&mut self, limit: u64) -> bool {
         loop {
-            // Entries due exactly at the wheel clock: front-of-queue
-            // drain, no heap traffic. Same-tick batches come from here.
-            if let Some(front) = self.current.front() {
-                if front.at > limit {
-                    return Popped::Later;
-                }
-                let entry = self.current.pop_front().expect("front checked");
-                self.len -= 1;
-                debug_assert_eq!(entry.at, self.now);
-                return Popped::Event {
-                    at: entry.at,
-                    item: entry.item,
-                };
+            if !self.current.is_empty() {
+                return self.now <= limit;
             }
-
-            // Migrate overflow entries that came within the horizon, so
-            // the "overflow is strictly later than the wheel" invariant
-            // holds before any slot scan.
-            while let Some(Reverse(head)) = self.overflow.peek() {
-                if head.0.at > self.now && level_for(self.now, head.0.at) >= LEVELS {
-                    break;
-                }
-                let Some(Reverse(OverflowEntry(entry))) = self.overflow.pop() else {
-                    unreachable!("peeked above");
-                };
-                debug_assert!(entry.at > self.now);
-                self.insert_future(entry);
-            }
-
             // Find the lowest occupied level.
             let Some((level, slot)) = (0..LEVELS).find_map(|l| Some((l, self.first_occupied(l)?)))
             else {
                 // Wheel empty: the overflow heap (all beyond the
-                // horizon) holds the earliest entries, if any.
-                let Some(Reverse(head)) = self.overflow.peek() else {
-                    return Popped::Empty;
-                };
-                let at = head.0.at;
-                if at > limit {
-                    return Popped::Later;
-                }
-                self.now = at;
-                // Heap pops are (at, seq)-ascending: `current` stays
-                // seq-sorted.
-                while let Some(Reverse(head)) = self.overflow.peek() {
-                    if head.0.at != at {
-                        break;
-                    }
-                    let Some(Reverse(OverflowEntry(entry))) = self.overflow.pop() else {
-                        unreachable!("peeked above");
-                    };
-                    self.current.push_back(entry);
+                // horizon) holds the earliest entries, if any; arriving,
+                // they fill `current` in `(at, seq)` order.
+                match self.overflow.peek() {
+                    Some(Reverse(head)) if head.at <= limit => self.advance(head.at),
+                    _ => return false,
                 }
                 continue;
             };
@@ -294,69 +274,84 @@ impl<V> TimerWheel<V> {
             };
             let base = above | ((slot as u64) << shift);
             if base > limit {
-                return Popped::Later;
+                return false;
             }
             debug_assert!(base > self.now);
-            self.now = base;
+            self.advance(base);
             if level == 0 {
-                // Level-0 slots are one µs wide: every entry is due
-                // exactly `base`. Move them to `current` (push order is
-                // seq order) and loop to drain.
-                let idx = slot; // level 0: idx = 0 * SLOTS + slot
-                let mut pending = std::mem::take(&mut self.slots[idx]);
-                self.occupied[0][slot / 64] &= !(1 << (slot % 64));
-                debug_assert!(pending.iter().all(|e| e.at == base));
-                debug_assert!(pending.windows(2).all(|w| w[0].seq < w[1].seq));
-                if pending.len() == 1 {
-                    // Most ticks hold exactly one entry; hand it straight
-                    // to the caller instead of bouncing through `current`.
-                    let entry = pending.pop().expect("len checked");
-                    self.slots[idx] = bounded_keep(pending);
-                    self.len -= 1;
-                    return Popped::Event {
-                        at: entry.at,
-                        item: entry.item,
-                    };
-                }
-                self.current.extend(pending.drain(..));
-                self.slots[idx] = bounded_keep(pending);
-            } else {
-                self.cascade(level, slot);
+                debug_assert!(self.current.is_empty(), "a tick split across stores");
+                return true;
             }
+            self.cascade(level, slot);
         }
     }
 
-    /// Pops the next entry only if it shares the current tick (the wheel
-    /// clock) — the same-tick batch drain. Never advances the clock.
-    pub(crate) fn pop_current(&mut self) -> Option<V> {
-        let entry = self.current.pop_front()?;
-        self.len -= 1;
-        Some(entry.item)
+    /// Hands the tick [`Self::seek`] found out in exchange for `spare`,
+    /// an empty buffer that takes its place (or is freed, if larger than
+    /// [`SLOT_KEEP_CAP`]). No entry is moved.
+    fn swap_tick(&mut self, spare: Vec<V>) -> Vec<V> {
+        let spare = bounded_keep(spare);
+        if !self.current.is_empty() {
+            return Vec::from(mem::replace(&mut self.current, VecDeque::from(spare)));
+        }
+        let slot = (self.now % SLOTS as u64) as usize;
+        self.occupied[0][slot / 64] &= !(1 << (slot % 64));
+        mem::replace(&mut self.ticks[slot], spare)
     }
 
-    /// Re-inserts every entry of `(level, slot)` relative to the current
+    /// Pops the next entry due at or before `limit`, advancing the wheel
+    /// clock to its due time; `None`, with the clock not past `limit`,
+    /// if there is none.
+    pub(crate) fn pop_before(&mut self, limit: u64) -> Option<(u64, V)> {
+        if !self.seek(limit) {
+            return None;
+        }
+        if self.current.is_empty() {
+            let spare = Vec::from(mem::take(&mut self.current));
+            self.current = VecDeque::from(self.swap_tick(spare));
+        }
+        let item = self.current.pop_front().expect("seek found a tick");
+        self.len -= 1;
+        Some((self.now, item))
+    }
+
+    /// Takes every entry of the next tick due at or before `limit` into
+    /// `out` (which must be empty) and returns the tick's time, the new
+    /// wheel clock; `None`, with the clock not past `limit`, if there is
+    /// none. The tick's buffer becomes `out` and `out`'s old one takes
+    /// its place, so a tick costs no copy however many entries it holds.
+    /// Entries pushed at the returned time while the caller handles the
+    /// tick make up the next one.
+    pub(crate) fn take_tick(&mut self, limit: u64, out: &mut Vec<V>) -> Option<u64> {
+        debug_assert!(out.is_empty(), "take_tick into an undrained buffer");
+        // An oversized buffer goes before the seek's cascades allocate.
+        *out = bounded_keep(mem::take(out));
+        if !self.seek(limit) {
+            return None;
+        }
+        *out = self.swap_tick(mem::take(out));
+        self.len -= out.len();
+        Some(self.now)
+    }
+
+    /// Re-files every entry of `(level, slot)` relative to the current
     /// clock; each lands at a strictly lower level (or `current`).
     fn cascade(&mut self, level: usize, slot: usize) {
-        let idx = level * SLOTS + slot;
-        let mut pending = std::mem::take(&mut self.slots[idx]);
+        let idx = (level - 1) * SLOTS + slot;
+        let mut pending = mem::take(&mut self.slots[idx]);
         self.occupied[level][slot / 64] &= !(1 << (slot % 64));
-        for entry in pending.drain(..) {
-            debug_assert!(entry.at >= self.now);
-            if entry.at == self.now {
-                self.current.push_back(entry);
-            } else {
-                debug_assert!(level_for(self.now, entry.at) < level);
-                self.insert_future(entry);
-            }
+        for Entry { at, item } in pending.drain(..) {
+            debug_assert!(at == self.now || level_for(self.now, at) < level);
+            self.place(at, item);
         }
         self.slots[idx] = bounded_keep(pending);
     }
 }
 
-/// Returns the drained slot buffer for reuse, unless its high-water
-/// capacity exceeds [`SLOT_KEEP_CAP`] (see there for why oversized
-/// buffers must be released).
-fn bounded_keep<V>(buf: Vec<Entry<V>>) -> Vec<Entry<V>> {
+/// Returns a drained buffer for reuse, unless its high-water capacity
+/// exceeds [`SLOT_KEEP_CAP`] (see there for why oversized buffers must
+/// be released).
+fn bounded_keep<E>(buf: Vec<E>) -> Vec<E> {
     debug_assert!(buf.is_empty());
     if buf.capacity() > SLOT_KEEP_CAP {
         Vec::new()
@@ -399,6 +394,19 @@ mod tests {
                 }
             }
         }
+        /// The run of entries sharing the earliest due time, if that is
+        /// at or before `limit`.
+        fn take_tick(&mut self, limit: u64) -> Option<(u64, Vec<u32>)> {
+            let (at, first) = self.pop_before(limit)?;
+            let mut tick = vec![first];
+            while let Some(&Reverse((next, _, _))) = self.heap.peek() {
+                if next != at {
+                    break;
+                }
+                tick.push(self.pop_before(at).expect("peeked").1);
+            }
+            Some((at, tick))
+        }
     }
 
     #[test]
@@ -409,8 +417,8 @@ mod tests {
         w.push(50, 3);
         w.push(10, 4);
         let mut got = Vec::new();
-        while let Popped::Event { at, item } = w.pop_before(u64::MAX) {
-            got.push((at, item));
+        while let Some(popped) = w.pop_before(u64::MAX) {
+            got.push(popped);
         }
         assert_eq!(got, vec![(10, 2), (10, 4), (50, 1), (50, 3)]);
         assert_eq!(w.len(), 0);
@@ -421,15 +429,12 @@ mod tests {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         w.push(10, 1);
         w.push(10, 2);
-        let Popped::Event { at, item } = w.pop_before(u64::MAX) else {
-            panic!("expected event");
-        };
-        assert_eq!((at, item), (10, 1));
+        assert_eq!(w.pop_before(u64::MAX), Some((10, 1)));
         // A zero-delay push lands on the tick being drained, after the
         // entries already buffered.
         w.push(10, 3);
         let mut rest = Vec::new();
-        while let Popped::Event { item, .. } = w.pop_before(u64::MAX) {
+        while let Some((_, item)) = w.pop_before(u64::MAX) {
             rest.push(item);
         }
         assert_eq!(rest, vec![2, 3]);
@@ -439,19 +444,14 @@ mod tests {
     fn later_when_everything_is_past_the_limit() {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         w.push(1_000_000, 1);
-        assert!(matches!(w.pop_before(10), Popped::Later));
+        assert_eq!(w.pop_before(10), None);
         // The clock never passed the limit.
         assert!(w.now() <= 10);
         w.set_now(10);
-        assert!(matches!(w.pop_before(999_999), Popped::Later));
-        assert!(matches!(
-            w.pop_before(1_000_000),
-            Popped::Event {
-                at: 1_000_000,
-                item: 1
-            }
-        ));
-        assert!(matches!(w.pop_before(u64::MAX), Popped::Empty));
+        assert_eq!(w.pop_before(999_999), None);
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.pop_before(1_000_000), Some((1_000_000, 1)));
+        assert_eq!(w.pop_before(u64::MAX), None);
     }
 
     #[test]
@@ -461,19 +461,10 @@ mod tests {
         w.push(far, 7);
         w.push(far, 8);
         w.push(3, 9);
-        assert!(matches!(
-            w.pop_before(u64::MAX),
-            Popped::Event { item: 9, .. }
-        ));
-        let Popped::Event { at, item } = w.pop_before(u64::MAX) else {
-            panic!("expected overflow event");
-        };
-        assert_eq!((at, item), (far, 7));
-        assert!(matches!(
-            w.pop_before(u64::MAX),
-            Popped::Event { item: 8, .. }
-        ));
-        assert!(matches!(w.pop_before(u64::MAX), Popped::Empty));
+        assert_eq!(w.pop_before(u64::MAX), Some((3, 9)));
+        assert_eq!(w.pop_before(u64::MAX), Some((far, 7)));
+        assert_eq!(w.pop_before(u64::MAX), Some((far, 8)));
+        assert_eq!(w.pop_before(u64::MAX), None);
     }
 
     #[test]
@@ -483,29 +474,86 @@ mod tests {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         w.push(130, 1); // level 1, slot 2 relative to now = 0
         w.set_now(128); // pos_1(128) = 2: the slot is now "current"
-        assert!(matches!(w.pop_before(129), Popped::Later));
-        assert!(matches!(
-            w.pop_before(200),
-            Popped::Event { at: 130, item: 1 }
-        ));
+        assert_eq!(w.pop_before(129), None);
+        assert_eq!(w.pop_before(200), Some((130, 1)));
     }
 
     #[test]
-    fn pop_current_drains_only_the_tick() {
+    fn take_tick_takes_only_the_tick() {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         w.push(10, 1);
         w.push(10, 2);
         w.push(20, 3);
-        assert!(matches!(
-            w.pop_before(u64::MAX),
-            Popped::Event { item: 1, .. }
-        ));
-        assert_eq!(w.pop_current(), Some(2));
-        assert_eq!(w.pop_current(), None); // 20 is a later tick
-        assert!(matches!(
-            w.pop_before(u64::MAX),
-            Popped::Event { item: 3, .. }
-        ));
+        assert_eq!(w.pop_before(u64::MAX), Some((10, 1)));
+        // The rest of a tick begun by single pops, then a zero-delay
+        // push behind it.
+        w.push(10, 4);
+        let mut tick = Vec::new();
+        assert_eq!(w.take_tick(u64::MAX, &mut tick), Some(10));
+        assert_eq!(tick, vec![2, 4]);
+        tick.clear();
+        assert_eq!(w.take_tick(19, &mut tick), None); // 20 is a later tick
+        assert_eq!(w.take_tick(u64::MAX, &mut tick), Some(20));
+        assert_eq!(tick, vec![3]);
+        assert_eq!(w.len(), 0);
+    }
+
+    #[test]
+    fn a_tick_is_handed_over_in_its_slots_own_allocation() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        for i in 0..5 {
+            w.push(10, i);
+        }
+        let slot = w.ticks[10].as_ptr();
+        let mut tick = Vec::new();
+        assert_eq!(w.take_tick(u64::MAX, &mut tick), Some(10));
+        assert_eq!(tick, vec![0, 1, 2, 3, 4]);
+        assert_eq!(tick.as_ptr(), slot, "the tick was copied, not handed over");
+
+        // A buffer handed back above the cap is freed, not kept in the
+        // slot it is swapped into.
+        for i in 0..2 * SLOT_KEEP_CAP as u32 {
+            w.push(20, i);
+        }
+        w.push(30, 0);
+        tick.clear();
+        assert_eq!(w.take_tick(u64::MAX, &mut tick), Some(20));
+        assert!(tick.capacity() > SLOT_KEEP_CAP);
+        tick.clear();
+        assert_eq!(w.take_tick(u64::MAX, &mut tick), Some(30));
+        assert_eq!(w.ticks[30].capacity(), 0, "an oversized buffer was kept");
+    }
+
+    #[test]
+    fn overflow_entries_stay_ahead_of_later_pushes_for_their_tick() {
+        let far = 1u64 << 48; // the horizon seen from 0
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        w.push(far, 1);
+        w.push(far + 100, 2); // beyond the horizon now, within it from `far`
+        assert_eq!(w.pop_before(u64::MAX), Some((far, 1)));
+        w.push(far + 100, 3);
+        assert_eq!(w.pop_before(u64::MAX), Some((far + 100, 2)));
+        assert_eq!(w.pop_before(u64::MAX), Some((far + 100, 3)));
+    }
+
+    /// Pops one entry or takes a whole tick, at random, checks it
+    /// against the model, and returns the due time if anything was due.
+    fn step(
+        rng: &mut SmallRng,
+        wheel: &mut TimerWheel<u32>,
+        model: &mut HeapModel,
+        limit: u64,
+    ) -> Option<u64> {
+        if rng.gen_bool(0.5) {
+            let got = wheel.pop_before(limit);
+            assert_eq!(got, model.pop_before(limit), "pop diverged");
+            got.map(|(at, _)| at)
+        } else {
+            let mut tick = Vec::new();
+            let got = wheel.take_tick(limit, &mut tick).map(|at| (at, tick));
+            assert_eq!(got, model.take_tick(limit), "take diverged");
+            got.map(|(at, _)| at)
+        }
     }
 
     #[test]
@@ -514,7 +562,9 @@ mod tests {
         for round in 0..50u64 {
             let mut wheel: TimerWheel<u32> = TimerWheel::new();
             let mut model = HeapModel::new();
-            let mut now = 0u64;
+            // Odd rounds cross the 2^48 µs horizon seen from 0.
+            let mut now = (round % 2) * ((1 << 48) - 1_000_000);
+            wheel.set_now(now);
             let mut next_item = 0u32;
             for _ in 0..400 {
                 if rng.gen_range(0u8..10) < 6 {
@@ -529,16 +579,10 @@ mod tests {
                     model.push(now + delay, next_item);
                     next_item += 1;
                 } else {
-                    // Pop with a random deadline (sometimes a pure jump).
+                    // A random deadline (sometimes a pure jump).
                     let limit = now + rng.gen_range(0u64..2_000_000);
-                    let got = match wheel.pop_before(limit) {
-                        Popped::Event { at, item } => Some((at, item)),
-                        _ => None,
-                    };
-                    let want = model.pop_before(limit);
-                    assert_eq!(got, want, "round {round} diverged");
-                    match got {
-                        Some((at, _)) => now = at,
+                    match step(&mut rng, &mut wheel, &mut model, limit) {
+                        Some(at) => now = at,
                         None => {
                             if limit > now {
                                 now = limit;
@@ -550,17 +594,10 @@ mod tests {
                 assert_eq!(wheel.len(), model.heap.len(), "round {round} length");
             }
             // Full drain must agree to the end.
-            loop {
-                let got = match wheel.pop_before(u64::MAX) {
-                    Popped::Event { at, item } => Some((at, item)),
-                    _ => None,
-                };
-                let want = model.pop_before(u64::MAX);
-                assert_eq!(got, want, "round {round} drain diverged");
-                if got.is_none() {
-                    break;
-                }
+            while step(&mut rng, &mut wheel, &mut model, u64::MAX).is_some() {
+                assert_eq!(wheel.len(), model.heap.len(), "round {round} length");
             }
+            assert_eq!(wheel.len(), 0);
         }
     }
 }

@@ -122,10 +122,13 @@ timeout 150 ./target/release/scale_run --engine gossip --nodes 20000 --seed 1 \
 # repair ever degenerates back towards flooding, while leaving slack
 # for unlucky seeds. The RSS ceiling is higher than the gossip point's:
 # the harness issues all 20 broadcasts back-to-back, so ~13M pooled
-# messages are in flight at the stage-1 peak (~275 MiB today); 400 MiB
-# trips on a kernel or pool regression with ~1.5x slack.
+# messages are in flight at the stage-1 peak (~171 MiB today, one tick
+# in one buffer from wheel slot to dispatch). It read 269.5 MiB when
+# each tick was copied through the wheel's `current` queue and the
+# batch, and 207.2 MiB when the drained batch was kept through the
+# wheel's next cascade; 190 MiB trips on both.
 timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 \
-    --budget-s 120 --max-rss-mib 400 --max-msgs-per-lookup 25 \
+    --budget-s 120 --max-rss-mib 190 --max-msgs-per-lookup 25 \
     || { echo "ci: 20k-node plumtree smoke exceeded a budget or failed" >&2; exit 1; }
 
 # Engine pins: the five rows of benchmark/src/sim.rs's PINNED_REFERENCE
@@ -137,11 +140,16 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
 # handler names. A change to any of them that moves one send, or counts
 # one lookup send in another class, fails here first.
 #
-# The MPIL row also holds its memory: a 50 000-node Sim<Mpil> peaks at
-# 31.7-32.9 MiB with replica stores that start at two slots, heartbeat
-# registries only when heartbeats run and one flat neighbour array. It
-# read 40.1 MiB without all three and 36.0 MiB with 8-slot stores
-# alone, so the ceiling sits below that.
+# The MPIL and plumtree rows also hold their memory. A 50 000-node
+# Sim<Mpil> peaks at 26.8-27.0 MiB with replica stores that start at two
+# slots, heartbeat registries only when heartbeats run, one flat
+# neighbour array, and each tick handed from its wheel slot to the run
+# loop by a buffer swap. It read 31.8-32.0 MiB with each tick copied
+# through the wheel's `current` queue and the batch, 30.4 MiB with the
+# drained batch kept through the wheel's next cascade, 36.0 MiB with
+# 8-slot stores and 40.1 MiB without the first three, so the ceiling
+# sits below all of them. The 1 000-node plumtree point peaks at
+# 11.2-11.3 MiB; copied ticks read 19.1-19.3 MiB, the kept batch 13.7.
 while read -r sent events lookup_msgs flags; do
     # shellcheck disable=SC2086 # $flags is a list of flags
     point=$(./target/release/scale_run $flags --seed 1) \
@@ -152,11 +160,11 @@ while read -r sent events lookup_msgs flags; do
         exit 1
     fi
 done <<'PINS'
-563131 819746 97 --engine plumtree --nodes 1000 --ops 20 --p 0.5
+563131 819746 97 --engine plumtree --nodes 1000 --ops 20 --p 0.5 --max-rss-mib 13
 131835 233193 85 --engine chord --nodes 500 --ops 20 --p 0
 378674 582804 40 --engine pastry --nodes 250 --ops 20 --p 0
 131132 198105 120 --engine kademlia --nodes 250 --ops 20 --p 0
-359579 56334 41862 --engine mpil --nodes 50000 --ops 2500 --p 0.1 --max-rss-mib 35
+359579 56334 41862 --engine mpil --nodes 50000 --ops 2500 --p 0.1 --max-rss-mib 29
 PINS
 
 # The message ceiling of a service smoke: the node forwards of the run
