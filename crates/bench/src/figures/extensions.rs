@@ -529,7 +529,7 @@ fn build_mpil_over_pastry(
     let neighbors: Vec<Vec<NodeIdx>> = states.iter().map(|s| s.neighbor_list()).collect();
     let ts = transit_stub::generate(nodes, &mut rng).expect("ts");
     let net = DynamicNetwork::new(
-        (ids, neighbors),
+        (ids, neighbors.into()),
         DynamicConfig {
             mpil: MpilConfig::default().with_duplicate_suppression(false),
             heartbeat_period: None,

@@ -156,7 +156,7 @@ fn mpil_over_frozen_chord_overlay_beats_chord_under_heavy_flapping() {
         ..DynamicConfig::default()
     };
     let mut net = DynamicNetwork::new(
-        (ids, neighbors),
+        (ids, neighbors.into()),
         dyn_config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),

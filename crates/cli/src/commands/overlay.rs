@@ -28,7 +28,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     };
     if let Some(src) = structured {
         let (_, nbrs) = src.build(nodes, seed);
-        let mut degrees: Vec<usize> = nbrs.iter().map(Vec::len).collect();
+        let mut degrees: Vec<usize> = nbrs.iter().map(<[_]>::len).collect();
         degrees.sort_unstable();
         return Ok(format!(
             "{} overlay: {} nodes (directed pointer graph)\n\

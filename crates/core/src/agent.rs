@@ -8,12 +8,12 @@
 //!
 //! [`Mpil`] is the protocol — one [`Agent`] per node (replica store and
 //! duplicate memory around the shared routing step), the neighbour
-//! lists as one flat array, and heartbeat registries when heartbeats
-//! run; [`DynamicNetwork`] is that protocol inside the one simulation
-//! shell, [`mpil_sim::Sim`].
+//! lists as the one [`Adjacency`] array the overlay was built in, and
+//! heartbeat registries when heartbeats run; [`DynamicNetwork`] is that
+//! protocol inside the one simulation shell, [`mpil_sim::Sim`].
 
 use mpil_id::Id;
-use mpil_overlay::{NodeIdx, Topology};
+use mpil_overlay::{Adjacency, NodeIdx};
 use mpil_sim::{Class, Event, Protocol, Sim, SimDuration, SimTime};
 
 use crate::config::MpilConfig;
@@ -74,20 +74,18 @@ type Cx<'a> = mpil_sim::Cx<'a, Mpil>;
 /// protocol a [`DynamicNetwork`] runs.
 ///
 /// Each part of a node's state takes memory in proportion to what it
-/// holds. The neighbour lists are one flat array in CSR form: node
-/// `i`'s neighbours are `adjacent[offsets[i]..offsets[i + 1]]`, one
-/// allocation for the whole graph instead of one per node. Agents start
-/// empty and allocate on their first replica or message. The owners'
-/// heartbeat registries exist only when heartbeats run
-/// ([`DynamicConfig::heartbeat_period`] is `Some`); without them
-/// `registries` is empty and [`Mpil::delete`] removes the owner's own
-/// copy alone.
+/// holds. The neighbour lists are one [`Adjacency`] (CSR) array, taken
+/// by move from the generator that filled it
+/// ([`Topology::into_parts`](mpil_overlay::Topology::into_parts)) or
+/// from the lists of a frozen DHT: the whole graph is two allocations,
+/// never copied. Agents start empty and allocate on their first replica
+/// or message. The owners' heartbeat registries exist only when
+/// heartbeats run ([`DynamicConfig::heartbeat_period`] is `Some`);
+/// without them `registries` is empty and [`Mpil::delete`] removes the
+/// owner's own copy alone.
 pub struct Mpil {
     ids: Vec<Id>,
-    /// `offsets[i]..offsets[i + 1]` indexes node `i`'s neighbours in
-    /// `adjacent`; `nodes() + 1` entries.
-    offsets: Vec<u32>,
-    adjacent: Vec<NodeIdx>,
+    neighbors: Adjacency,
     config: DynamicConfig,
     agents: Vec<Agent>,
     /// One sequence for inserts and lookups: a lookup's ledger id is
@@ -103,20 +101,12 @@ pub struct Mpil {
 ///
 /// The neighbor graph is arbitrary: hand [`Sim::new`] explicit
 /// `(ids, neighbor lists)` — e.g. the union of a Pastry node's leaf set
-/// and routing table, which is how the paper runs "MPIL over the
-/// overlay of MSPastry ... without any of the overlay maintenance
-/// techniques" — or those of a [`Topology`] ([`frozen`]).
+/// and routing table (`Adjacency::from(lists)`), which is how the paper
+/// runs "MPIL over the overlay of MSPastry ... without any of the
+/// overlay maintenance techniques" — or those of a
+/// [`Topology`](mpil_overlay::Topology)
+/// ([`into_parts`](mpil_overlay::Topology::into_parts)).
 pub type DynamicNetwork = Sim<Mpil>;
-
-/// The `(ids, neighbor lists)` of `topo`, as [`DynamicNetwork`] takes
-/// them.
-pub fn frozen(topo: &Topology) -> (Vec<Id>, Vec<Vec<NodeIdx>>) {
-    let neighbors = topo
-        .iter_nodes()
-        .map(|n| topo.neighbors(n).to_vec())
-        .collect();
-    (topo.ids().to_vec(), neighbors)
-}
 
 impl Mpil {
     /// What the protocol observed besides its sends ([`Sim::counters`]).
@@ -184,10 +174,15 @@ impl Mpil {
             hops,
             ..
         } = msg;
-        let i = node.index();
-        let neighbors = &self.adjacent[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        let receipt =
-            self.agents[i].receive(&self.config.mpil, node, neighbors, &self.ids, msg, cx.rng());
+        let neighbors = self.neighbors.neighbors(node);
+        let receipt = self.agents[node.index()].receive(
+            &self.config.mpil,
+            node,
+            neighbors,
+            &self.ids,
+            msg,
+            cx.rng(),
+        );
         self.stats.duplicates_seen += u64::from(receipt.duplicate);
         match receipt.verdict {
             None => self.stats.duplicates_suppressed += 1,
@@ -216,28 +211,20 @@ impl Protocol for Mpil {
     type Msg = Wire;
     type Timer = Timer;
     /// `(ids, neighbor lists)`: the global ID table and each node's
-    /// frozen neighbor list.
-    type Parts = (Vec<Id>, Vec<Vec<NodeIdx>>);
+    /// frozen neighbor list, taken by move.
+    type Parts = (Vec<Id>, Adjacency);
     type Config = DynamicConfig;
 
     /// # Panics
     ///
     /// Panics if `ids` and `neighbors` disagree in length, any neighbor
-    /// index is out of range, the lists hold more than `u32::MAX`
-    /// entries together, or the MPIL configuration is invalid.
+    /// index is out of range, or the MPIL configuration is invalid.
     fn build((ids, neighbors): Self::Parts, config: DynamicConfig) -> Self {
         config.mpil.validate().expect("invalid MPIL configuration");
         assert_eq!(ids.len(), neighbors.len(), "ids/neighbors length mismatch");
         let n = ids.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut adjacent = Vec::with_capacity(neighbors.iter().map(Vec::len).sum());
-        offsets.push(0);
-        for list in neighbors {
-            for &nbr in &list {
-                assert!(nbr.index() < n, "neighbor {nbr} out of range");
-            }
-            adjacent.extend_from_slice(&list);
-            offsets.push(u32::try_from(adjacent.len()).expect("too many neighbor entries"));
+        for &nbr in neighbors.iter().flatten() {
+            assert!(nbr.index() < n, "neighbor {nbr} out of range");
         }
         let registries = if config.heartbeat_period.is_some() {
             vec![ReplicaRegistry::new(); n]
@@ -248,8 +235,7 @@ impl Protocol for Mpil {
             agents: vec![Agent::default(); n],
             registries,
             ids,
-            offsets,
-            adjacent,
+            neighbors,
             config,
             next_msg_id: 0,
             stats: DynamicStats::default(),
@@ -316,7 +302,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let topo = generators::random_regular(n, d, &mut rng).unwrap();
         DynamicNetwork::new(
-            frozen(&topo),
+            topo.into_parts(),
             DynamicConfig::default(),
             Box::new(AlwaysOn),
             latency_10ms(),
@@ -375,7 +361,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let topo = generators::random_regular(100, 8, &mut rng).unwrap();
         let mut net = DynamicNetwork::new(
-            frozen(&topo),
+            topo.into_parts(),
             DynamicConfig::default(),
             Box::new(AlwaysOn),
             latency_10ms(),
@@ -434,8 +420,13 @@ mod tests {
             mpil: MpilConfig::default().with_duplicate_suppression(false),
             heartbeat_period: None,
         };
-        let mut net =
-            DynamicNetwork::new(frozen(&topo), config, Box::new(AlwaysOn), latency_10ms(), 6);
+        let mut net = DynamicNetwork::new(
+            topo.into_parts(),
+            config,
+            Box::new(AlwaysOn),
+            latency_10ms(),
+            6,
+        );
         let object = Id::from_low_u64(88);
         net.insert(NodeIdx::new(0), object);
         net.run_to_quiescence();
@@ -451,8 +442,13 @@ mod tests {
             mpil: MpilConfig::default(),
             heartbeat_period: Some(SimDuration::from_secs(5)),
         };
-        let mut net =
-            DynamicNetwork::new(frozen(&topo), config, Box::new(AlwaysOn), latency_10ms(), 7);
+        let mut net = DynamicNetwork::new(
+            topo.into_parts(),
+            config,
+            Box::new(AlwaysOn),
+            latency_10ms(),
+            7,
+        );
         let owner = NodeIdx::new(0);
         let object = Id::from_low_u64(99);
         net.insert(owner, object);

@@ -9,7 +9,7 @@
 //! of the same seed, so every operation must place the same replicas,
 //! forward the same number of copies, and find the same objects.
 
-use mpil::{frozen, DynamicConfig, DynamicNetwork, LookupStatus, MpilConfig, StaticEngine};
+use mpil::{DynamicConfig, DynamicNetwork, LookupStatus, MpilConfig, StaticEngine};
 use mpil_id::Id;
 use mpil_overlay::{generators, NodeIdx, Topology};
 use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration};
@@ -35,7 +35,7 @@ fn same_answers(duplicate_suppression: bool) {
         .with_duplicate_suppression(duplicate_suppression);
     let mut fixed = StaticEngine::new(&topo, config, SEED);
     let mut simulated = DynamicNetwork::new(
-        frozen(&topo),
+        topo.clone().into_parts(),
         DynamicConfig {
             mpil: config,
             heartbeat_period: None,

@@ -16,7 +16,7 @@ use mpil_gossip::{Epidemic, EpidemicConfig, LookupStrategy};
 use mpil_id::Id;
 use mpil_kademlia::{Kademlia, KademliaConfig};
 use mpil_overlay::transit_stub;
-use mpil_overlay::{generators, NodeIdx};
+use mpil_overlay::{generators, Adjacency, NodeIdx};
 use mpil_pastry::{Pastry, PastryConfig};
 use mpil_sim::{
     AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LatencyModel, LookupOutcome, Protocol,
@@ -62,33 +62,35 @@ impl OverlaySource {
         }
     }
 
-    /// Builds the frozen (ids, neighbor lists) pair.
+    /// Builds the frozen (ids, neighbor lists) pair: a generated graph's
+    /// sorted lists as its generator filled them, a structured overlay's
+    /// directed lists in their own order.
     ///
     /// # Panics
     ///
     /// Panics if a generator fails for the requested size (degree too
     /// large for `nodes`, etc.).
-    pub fn build(&self, nodes: usize, seed: u64) -> (Vec<Id>, Vec<Vec<NodeIdx>>) {
+    pub fn build(&self, nodes: usize, seed: u64) -> (Vec<Id>, Adjacency) {
         let mut rng = SmallRng::seed_from_u64(seed);
         match self {
             OverlaySource::Pastry => {
                 let ids = mpil_pastry::bootstrap::random_ids(nodes, &mut rng);
                 let states = mpil_pastry::build_converged_states(&ids, &mut rng);
-                let nbrs = states.iter().map(|s| s.neighbor_list()).collect();
-                (ids, nbrs)
+                let nbrs: Vec<_> = states.iter().map(|s| s.neighbor_list()).collect();
+                (ids, nbrs.into())
             }
             OverlaySource::Chord => {
                 let ids = mpil_chord::random_ids(nodes, &mut rng);
                 let states = mpil_chord::build_converged_states(&ids);
-                let nbrs = states.iter().map(|s| s.neighbor_list()).collect();
-                (ids, nbrs)
+                let nbrs: Vec<_> = states.iter().map(|s| s.neighbor_list()).collect();
+                (ids, nbrs.into())
             }
             OverlaySource::Kademlia => {
                 let config = KademliaConfig::default();
                 let ids = mpil_chord::random_ids(nodes, &mut rng);
                 let tables = mpil_kademlia::build_converged_tables(&ids, &config);
-                let nbrs = tables.iter().map(|t| t.iter().collect()).collect();
-                (ids, nbrs)
+                let nbrs: Vec<_> = tables.iter().map(|t| t.iter().collect()).collect();
+                (ids, nbrs.into())
             }
             OverlaySource::RandomRegular(d) => {
                 #[expect(
@@ -96,7 +98,7 @@ impl OverlaySource {
                     reason = "P001: every caller asks for more nodes than the degree; the command lines refuse fewer by name (EngineSpec::fewest_nodes)"
                 )]
                 let topo = generators::random_regular(nodes, *d, &mut rng).expect("generator");
-                mpil::frozen(&topo)
+                topo.into_parts()
             }
             OverlaySource::PowerLaw => {
                 #[expect(
@@ -105,7 +107,7 @@ impl OverlaySource {
                 )]
                 let topo =
                     generators::power_law(nodes, Default::default(), &mut rng).expect("generator");
-                mpil::frozen(&topo)
+                topo.into_parts()
             }
             OverlaySource::HyParView { active } => {
                 let ids = mpil_chord::random_ids(nodes, &mut rng);
@@ -115,21 +117,21 @@ impl OverlaySource {
                     EpidemicConfig::default().passive_size,
                     &mut rng,
                 );
-                let nbrs = members.iter().map(|m| m.active.peers()).collect();
-                (ids, nbrs)
+                let nbrs: Vec<_> = members.iter().map(|m| m.active.peers()).collect();
+                (ids, nbrs.into())
             }
         }
     }
 }
 
-/// Mean out-degree of a frozen neighbor-list set (what
+/// Mean out-degree of a frozen neighbor graph (what
 /// [`OverlaySource::build`] returns), for the degree columns of the
-/// tables.
-pub fn mean_out_degree(neighbors: &[Vec<NodeIdx>]) -> f64 {
+/// tables: its entries over its nodes.
+pub fn mean_out_degree(neighbors: &Adjacency) -> f64 {
     if neighbors.is_empty() {
         return 0.0;
     }
-    neighbors.iter().map(Vec::len).sum::<usize>() as f64 / neighbors.len() as f64
+    neighbors.entries() as f64 / neighbors.len() as f64
 }
 
 impl fmt::Display for OverlaySource {
@@ -421,12 +423,12 @@ impl Scenario {
                 // Build the same structured overlay MSPastry would have...
                 let ids = mpil_pastry::bootstrap::random_ids(run.nodes, &mut rng);
                 let states = mpil_pastry::build_converged_states(&ids, &mut rng);
-                let neighbors = states.iter().map(|s| s.neighbor_list()).collect();
+                let neighbors: Vec<_> = states.iter().map(|s| s.neighbor_list()).collect();
                 let wan = transit_stub_latency(run.nodes, &mut rng);
                 // ...then route on it with MPIL and zero maintenance.
                 let config = unmaintained_mpil(duplicate_suppression);
                 (
-                    quiet::<Mpil>((ids, neighbors), config, wan, run.seed),
+                    quiet::<Mpil>((ids, neighbors.into()), config, wan, run.seed),
                     false,
                     0,
                 )

@@ -166,7 +166,7 @@ fn mpil_over_frozen_kademlia_overlay_at_heavy_flapping() {
         ..DynamicConfig::default()
     };
     let mut net = DynamicNetwork::new(
-        (ids, neighbors),
+        (ids, neighbors.into()),
         dyn_config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(20))),

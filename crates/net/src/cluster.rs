@@ -246,7 +246,7 @@ impl LiveClusterBuilder {
             reason = "P001: mesh builders return exactly shards + 2 endpoints"
         )]
         let client_rx = endpoints.pop().expect("shards + 2 endpoints");
-        let (ids, neighbors) = mpil::frozen(topo);
+        let (ids, neighbors) = topo.clone().into_parts();
         let overlay = Arc::new(Overlay {
             ids,
             neighbors,

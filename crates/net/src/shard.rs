@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use mpil::{Message, MpilConfig, Verdict};
 use mpil_id::Id;
-use mpil_overlay::NodeIdx;
+use mpil_overlay::{Adjacency, NodeIdx};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -49,8 +49,8 @@ use crate::transport::Transport;
 pub(crate) struct Overlay {
     /// The global ID table.
     pub(crate) ids: Vec<Id>,
-    /// Frozen neighbor lists for the whole cluster.
-    pub(crate) neighbors: Vec<Vec<NodeIdx>>,
+    /// Frozen neighbor lists for the whole cluster, in one array.
+    pub(crate) neighbors: Adjacency,
     /// MPIL parameters.
     pub(crate) config: MpilConfig,
     /// Shards the nodes are dealt over; shard `k` is mesh endpoint `k`.
@@ -280,7 +280,7 @@ impl Shard {
         let receipt = agent.receive(
             &overlay.config,
             at,
-            &overlay.neighbors[at.index()],
+            overlay.neighbors.neighbors(at),
             &overlay.ids,
             msg,
             rng,
@@ -381,7 +381,7 @@ mod tests {
         let endpoint = Box::new(mesh.pop().expect("shard endpoint"));
         let overlay = Arc::new(Overlay {
             ids: vec![Id::from_low_u64(1), Id::from_low_u64(2)],
-            neighbors: vec![vec![NodeIdx::new(1)], vec![NodeIdx::new(0)]],
+            neighbors: vec![vec![NodeIdx::new(1)], vec![NodeIdx::new(0)]].into(),
             config,
             shards: 1,
             client: 1,

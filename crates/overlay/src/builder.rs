@@ -5,6 +5,7 @@ use fxhash::FxHashSet;
 use mpil_id::Id;
 use rand::Rng;
 
+use crate::adjacency::Adjacency;
 use crate::topology::{NodeIdx, Topology};
 
 /// Builds a [`Topology`] edge by edge.
@@ -46,18 +47,8 @@ impl TopologyBuilder {
 
     /// Creates a builder for `n` nodes with distinct uniformly random IDs.
     pub fn with_random_ids<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        let mut seen = FxHashSet::with_capacity_and_hasher(n, Default::default());
-        let mut ids = Vec::with_capacity(n);
-        while ids.len() < n {
-            let id = Id::random(rng);
-            // 160-bit collisions are astronomically unlikely, but the
-            // uniqueness invariant is cheap to enforce.
-            if seen.insert(id) {
-                ids.push(id);
-            }
-        }
         TopologyBuilder {
-            ids,
+            ids: random_ids(n, rng),
             edges: FxHashSet::default(),
         }
     }
@@ -93,37 +84,31 @@ impl TopologyBuilder {
         self.edges.insert(key)
     }
 
-    /// Returns `true` if the edge `{a, b}` has been added.
-    pub fn contains_edge(&self, a: NodeIdx, b: NodeIdx) -> bool {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.edges.contains(&key)
-    }
-
-    /// Current degree of `node` (linear in the number of edges; intended
-    /// for generators that post-process small remainders, not hot loops).
-    #[expect(clippy::disallowed_methods, reason = "D003: count of a predicate; order-free")]
-    pub fn degree(&self, node: NodeIdx) -> usize {
-        self.edges
-            .iter()
-            .filter(|&&(a, b)| a == node || b == node)
-            .count()
-    }
-
     /// Finalizes the graph, producing sorted adjacency lists.
     pub fn build(self) -> Topology {
-        let n = self.ids.len();
-        let mut adj: Vec<Vec<NodeIdx>> = vec![Vec::new(); n];
-        #[expect(clippy::iter_over_hash_type, reason = "D003: adjacency lists are sorted below")]
-        for &(a, b) in &self.edges {
-            adj[a.index()].push(b);
-            adj[b.index()].push(a);
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-        let edge_count = self.edges.len();
-        Topology::from_parts(self.ids, adj, edge_count)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D003: Adjacency::from_edges sorts every list it fills"
+        )]
+        let edges = self.edges.iter().copied();
+        let adj = Adjacency::from_edges(self.ids.len(), edges);
+        Topology::from_parts(self.ids, adj)
     }
+}
+
+/// `n` distinct uniformly random IDs.
+pub(crate) fn random_ids<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<Id> {
+    let mut seen = FxHashSet::with_capacity_and_hasher(n, Default::default());
+    let mut ids = Vec::with_capacity(n);
+    while ids.len() < n {
+        let id = Id::random(rng);
+        // 160-bit collisions are astronomically unlikely, but the
+        // uniqueness invariant is cheap to enforce.
+        if seen.insert(id) {
+            ids.push(id);
+        }
+    }
+    ids
 }
 
 #[cfg(test)]
@@ -147,7 +132,6 @@ mod tests {
         assert!(b.add_edge(NodeIdx::new(0), NodeIdx::new(1)));
         assert!(!b.add_edge(NodeIdx::new(1), NodeIdx::new(0)));
         assert_eq!(b.edge_count(), 1);
-        assert!(b.contains_edge(NodeIdx::new(1), NodeIdx::new(0)));
     }
 
     #[test]
@@ -173,15 +157,5 @@ mod tests {
         let t = b.build();
         let set: FxHashSet<_> = t.ids().iter().collect();
         assert_eq!(set.len(), 256);
-    }
-
-    #[test]
-    fn degree_counts_incident_edges() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut b = TopologyBuilder::with_random_ids(4, &mut rng);
-        b.add_edge(NodeIdx::new(0), NodeIdx::new(1));
-        b.add_edge(NodeIdx::new(0), NodeIdx::new(2));
-        assert_eq!(b.degree(NodeIdx::new(0)), 2);
-        assert_eq!(b.degree(NodeIdx::new(3)), 0);
     }
 }

@@ -3,7 +3,8 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::builder::TopologyBuilder;
+use crate::adjacency::Adjacency;
+use crate::builder::random_ids;
 use crate::generators::GenerateError;
 use crate::topology::{NodeIdx, Topology};
 
@@ -52,11 +53,11 @@ pub fn random_regular<R: Rng + ?Sized>(
     const MAX_ATTEMPTS: usize = 64;
     for _ in 0..MAX_ATTEMPTS {
         if let Some(edges) = try_pairing(n, d, rng) {
-            let mut b = TopologyBuilder::with_random_ids(n, rng);
-            for &(a, bn) in &edges {
-                b.add_edge(NodeIdx::new(a), NodeIdx::new(bn));
-            }
-            let topo = b.build();
+            let ids = random_ids(n, rng);
+            let edges = edges
+                .iter()
+                .map(|&(a, b)| (NodeIdx::new(a), NodeIdx::new(b)));
+            let topo = Topology::from_parts(ids, Adjacency::from_edges(n, edges));
             if crate::stats::is_connected(&topo) {
                 return Ok(topo);
             }
@@ -70,7 +71,8 @@ pub fn random_regular<R: Rng + ?Sized>(
 /// One configuration-model attempt: pair stubs uniformly, then repair
 /// self-loops and parallel edges by degree-preserving edge swaps. Badness
 /// is recomputed from scratch each pass, so the swap bookkeeping only has
-/// to be conservative, never exact.
+/// to be conservative, never exact. The edges it returns are simple, so
+/// they go into the graph's lists as they are, with no edge set between.
 fn try_pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Vec<(u32, u32)>> {
     use fxhash::FxHashSet;
 

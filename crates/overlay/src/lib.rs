@@ -14,9 +14,10 @@
 //!   [`transit_stub`].
 //!
 //! A [`Topology`] is an undirected graph whose vertices carry 160-bit IDs
-//! ([`mpil_id::Id`]). MPIL is *overlay-independent*: it consumes nothing
-//! but each node's neighbor list, so every experiment in the paper is
-//! parameterized by one of these graphs.
+//! ([`mpil_id::Id`]), its neighbor lists one [`Adjacency`] array. MPIL is
+//! *overlay-independent*: it consumes nothing but each node's neighbor
+//! list, so every experiment in the paper is parameterized by one of
+//! these graphs.
 //!
 //! ```
 //! use mpil_overlay::{generators, Topology};
@@ -36,9 +37,11 @@ pub mod generators;
 pub mod stats;
 pub mod transit_stub;
 
+mod adjacency;
 mod builder;
 mod topology;
 
+pub use adjacency::Adjacency;
 pub use builder::TopologyBuilder;
 pub use generators::GenerateError;
 pub use topology::{NodeIdx, Topology};

@@ -4,6 +4,8 @@ use std::fmt;
 
 use mpil_id::Id;
 
+use crate::adjacency::Adjacency;
+
 /// A handle to a node (vertex) of a [`Topology`].
 ///
 /// Node indices are dense: a topology with `n` nodes uses indices
@@ -38,24 +40,29 @@ impl From<u32> for NodeIdx {
 
 /// An undirected overlay graph whose vertices carry 160-bit IDs.
 ///
-/// Adjacency lists are sorted and deduplicated; self-loops are rejected at
-/// construction. The graph is immutable once built (use
-/// [`TopologyBuilder`](crate::TopologyBuilder) to construct one), which
-/// lets simulations share it freely across threads.
+/// The neighbour lists are one [`Adjacency`] array, each list sorted and
+/// free of duplicates and self-loops. The graph is immutable once built
+/// (use [`TopologyBuilder`](crate::TopologyBuilder) or a
+/// [generator](crate::generators)), which lets simulations share it
+/// freely across threads; an engine that owns its graph takes the array
+/// itself by move ([`Topology::into_parts`]), so one array runs from the
+/// generator to the engine.
 #[derive(Debug, Clone)]
 pub struct Topology {
     ids: Vec<Id>,
-    adj: Vec<Vec<NodeIdx>>,
-    edge_count: usize,
+    adj: Adjacency,
 }
 
 impl Topology {
-    pub(crate) fn from_parts(ids: Vec<Id>, adj: Vec<Vec<NodeIdx>>, edge_count: usize) -> Self {
-        Topology {
-            ids,
-            adj,
-            edge_count,
-        }
+    pub(crate) fn from_parts(ids: Vec<Id>, adj: Adjacency) -> Self {
+        debug_assert_eq!(ids.len(), adj.len());
+        Topology { ids, adj }
+    }
+
+    /// The ids and the neighbour lists, as the simulated MPIL engine
+    /// (`mpil::Mpil`) and the live cluster take them.
+    pub fn into_parts(self) -> (Vec<Id>, Adjacency) {
+        (self.ids, self.adj)
     }
 
     /// Number of nodes.
@@ -70,7 +77,7 @@ impl Topology {
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.adj.entries() / 2
     }
 
     /// The 160-bit identifier of `node`.
@@ -92,8 +99,9 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
+    #[inline]
     pub fn neighbors(&self, node: NodeIdx) -> &[NodeIdx] {
-        &self.adj[node.index()]
+        self.adj.neighbors(node)
     }
 
     /// The degree (number of neighbors) of `node`.
@@ -101,13 +109,14 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
+    #[inline]
     pub fn degree(&self, node: NodeIdx) -> usize {
-        self.adj[node.index()].len()
+        self.adj.neighbors(node).len()
     }
 
     /// Returns `true` if `a` and `b` are adjacent.
     pub fn contains_edge(&self, a: NodeIdx, b: NodeIdx) -> bool {
-        self.adj[a.index()].binary_search(&b).is_ok()
+        self.adj.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Iterates over all node handles `0..len`.
@@ -118,7 +127,8 @@ impl Topology {
     /// Iterates over each undirected edge once, as `(a, b)` with `a < b`.
     pub fn iter_edges(&self) -> impl Iterator<Item = (NodeIdx, NodeIdx)> + '_ {
         self.iter_nodes().flat_map(move |a| {
-            self.adj[a.index()]
+            self.adj
+                .neighbors(a)
                 .iter()
                 .copied()
                 .filter(move |&b| a < b)

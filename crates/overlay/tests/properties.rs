@@ -1,12 +1,81 @@
 //! Property-based tests for topology generators and graph algorithms.
 
-use mpil_overlay::{generators, stats, NodeIdx, TopologyBuilder};
+use std::collections::BTreeSet;
+
+use mpil_overlay::{generators, stats, Adjacency, NodeIdx, TopologyBuilder};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// A simple edge set on `n` nodes from raw pairs: endpoints taken mod
+/// `n`, self-loops and repeats (in either direction) dropped, first
+/// occurrences kept in the order drawn.
+fn simple_edges(n: usize, raw: &[(u32, u32)]) -> Vec<(NodeIdx, NodeIdx)> {
+    let mut seen = BTreeSet::new();
+    raw.iter()
+        .map(|&(a, b)| (a % n as u32, b % n as u32))
+        .filter(|&(a, b)| a != b && seen.insert((a.min(b), a.max(b))))
+        .map(|(a, b)| (NodeIdx::new(a), NodeIdx::new(b)))
+        .collect()
+}
+
+/// The per-node lists the one array must equal: a `Vec` per node,
+/// each edge pushed to both ends, each list sorted.
+fn naive_lists(n: usize, edges: &[(NodeIdx, NodeIdx)]) -> Vec<Vec<NodeIdx>> {
+    let mut lists = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        lists[a.index()].push(b);
+        lists[b.index()].push(a);
+    }
+    for list in &mut lists {
+        list.sort_unstable();
+    }
+    lists
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn adjacency_from_edges_is_the_sorted_symmetric_lists(
+        n in 1usize..=200,
+        raw in prop::collection::vec((any::<u32>(), any::<u32>()), 0..800),
+    ) {
+        let edges = simple_edges(n, &raw);
+        let adj = Adjacency::from_edges(n, edges.iter().copied());
+        prop_assert_eq!(adj.len(), n);
+        prop_assert_eq!(adj.offsets().len(), n + 1);
+        prop_assert_eq!(adj.offsets()[0], 0);
+        prop_assert!(adj.offsets().windows(2).all(|w| w[0] <= w[1]), "offsets decrease");
+        prop_assert_eq!(adj.offsets()[n] as usize, adj.entries());
+        prop_assert_eq!(adj.entries(), 2 * edges.len());
+        for a in 0..n as u32 {
+            let a = NodeIdx::new(a);
+            let list = adj.neighbors(a);
+            prop_assert!(list.windows(2).all(|w| w[0] < w[1]), "{a}'s list is unsorted");
+            for &b in list {
+                prop_assert!(adj.neighbors(b).contains(&a), "{a} lists {b}, not back");
+            }
+        }
+        let lists: Vec<Vec<NodeIdx>> = adj.iter().map(<[_]>::to_vec).collect();
+        prop_assert_eq!(lists, naive_lists(n, &edges));
+    }
+
+    #[test]
+    fn adjacency_from_directed_lists_keeps_their_order(
+        raw in prop::collection::vec(prop::collection::vec(0u32..60, 0..12), 0..60),
+    ) {
+        let lists: Vec<Vec<NodeIdx>> = raw
+            .iter()
+            .map(|list| list.iter().copied().map(NodeIdx::new).collect())
+            .collect();
+        let adj = Adjacency::from(lists.clone());
+        prop_assert_eq!(adj.len(), lists.len());
+        prop_assert_eq!(adj.entries(), lists.iter().map(Vec::len).sum::<usize>());
+        for (i, list) in lists.iter().enumerate() {
+            prop_assert_eq!(adj.neighbors(NodeIdx::new(i as u32)), list.as_slice());
+        }
+    }
 
     #[test]
     fn regular_graphs_have_exact_degrees(

@@ -11,7 +11,7 @@
 //! holders heartbeat the owner (Section 4.4's deletion protocol), so when
 //! the owner evicts the entry it can delete every pointer replica.
 
-use mpil::{frozen, DynamicConfig, DynamicNetwork, LookupStatus, MpilConfig};
+use mpil::{DynamicConfig, DynamicNetwork, LookupStatus, MpilConfig};
 use mpil_id::Id;
 use mpil_overlay::{generators, NodeIdx};
 use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration};
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         heartbeat_period: Some(SimDuration::from_secs(20)),
     };
     let mut net = DynamicNetwork::new(
-        frozen(&topo),
+        topo.into_parts(),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(15))),

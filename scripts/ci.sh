@@ -35,7 +35,8 @@
 #            and lookup-message counts exact — catches a change to an
 #            engine, to the one MPIL receive path (mpil::Agent), to the
 #            baselines' retry table (mpil_sim::Outstanding) or to the
-#            class a send is counted in that moves a single send
+#            class a send is counted in that moves a single send; and
+#            a million-node MPIL build under a peak-RSS ceiling
 #   service: an embedded mpild + mpil-load smoke with live churn —
 #            catches the daemon/load-generator path (request tracking,
 #            hedged lookups, drain) failing under perturbation or its
@@ -150,6 +151,13 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
 # 8-slot stores and 40.1 MiB without the first three, so the ceiling
 # sits below all of them. The 1 000-node plumtree point peaks at
 # 11.2-11.3 MiB; copied ticks read 19.1-19.3 MiB, the kept batch 13.7.
+#
+# The million-node MPIL row (1.3-1.7 s) holds the graph's build: a
+# Topology is one CSR array that random_regular fills from its pairing
+# and Sim<Mpil> takes by move, and the run peaks at 159.0-159.1 MiB. The
+# same point read 201.0 MiB with the ids and array cloned into the
+# engine instead of moved, and 309.6 MiB with one list per node built
+# and then flattened, so 180 trips on both.
 while read -r sent events lookup_msgs flags; do
     # shellcheck disable=SC2086 # $flags is a list of flags
     point=$(./target/release/scale_run $flags --seed 1) \
@@ -165,6 +173,7 @@ done <<'PINS'
 378674 582804 40 --engine pastry --nodes 250 --ops 20 --p 0
 131132 198105 120 --engine kademlia --nodes 250 --ops 20 --p 0
 359579 56334 41862 --engine mpil --nodes 50000 --ops 2500 --p 0.1 --max-rss-mib 29
+2941 472 354 --engine mpil --nodes 1000000 --ops 20 --p 0.1 --max-rss-mib 180
 PINS
 
 # The message ceiling of a service smoke: the node forwards of the run

@@ -78,11 +78,6 @@ fn overlay_to_sim_lookup_end_to_end() {
     let mut rng = SmallRng::seed_from_u64(42);
     let topo = generators::random_regular(64, 6, &mut rng).expect("generate overlay");
 
-    let ids = topo.ids().to_vec();
-    let neighbors: Vec<Vec<NodeIdx>> = topo
-        .iter_nodes()
-        .map(|n| topo.neighbors(n).to_vec())
-        .collect();
     let config = DynamicConfig {
         mpil: MpilConfig::default()
             .with_max_flows(10)
@@ -90,7 +85,7 @@ fn overlay_to_sim_lookup_end_to_end() {
         heartbeat_period: None,
     };
     let mut net = DynamicNetwork::new(
-        (ids, neighbors),
+        topo.into_parts(),
         config,
         Box::new(AlwaysOn),
         Box::new(ConstantLatency(SimDuration::from_millis(10))),
