@@ -19,7 +19,7 @@
 use fxhash::FxHashSet;
 use mpil_id::{Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Class, Event, Expiry, Outstanding, Protocol, Sim, SimDuration, SimTime};
+use mpil_sim::{Class, Event, Expiry, Note, Outstanding, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::ChordConfig;
@@ -143,19 +143,6 @@ pub enum Timer {
 /// What a routed hop carries: `(key, payload, hops)`.
 type Hop = (Id, Payload, u32);
 
-/// What the protocol observed besides its sends (those are
-/// [`Sim::counters`]; field-for-field comparable to the Pastry
-/// baseline's `PastryStats`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChordStats {
-    /// Nodes declared failed (table removals triggered by timeouts).
-    pub failure_declarations: u64,
-    /// Routed messages dropped by the hop limit.
-    pub hop_limit_drops: u64,
-    /// Lookups delivered at a root that held no object.
-    pub misdeliveries: u64,
-}
-
 /// Outcome of one lookup (the shared engine-agnostic enum).
 pub use mpil_sim::LookupOutcome;
 
@@ -174,7 +161,6 @@ pub struct Chord {
     probing_pairs: FxHashSet<(NodeIdx, NodeIdx)>,
     seen_uids: Vec<FxHashSet<u64>>,
     next_lookup: u64,
-    stats: ChordStats,
 }
 
 /// The Chord overlay simulation.
@@ -187,11 +173,6 @@ pub struct Chord {
 pub type ChordSim = Sim<Chord>;
 
 impl Chord {
-    /// What the protocol observed besides its sends ([`Sim::counters`]).
-    pub fn stats(&self) -> ChordStats {
-        self.stats
-    }
-
     /// Each node's frozen neighbor list (successors ∪ fingers ∪
     /// predecessor) — the overlay MPIL routes on in the
     /// overlay-independence experiments.
@@ -231,7 +212,7 @@ impl Chord {
             return;
         }
         if hops >= MAX_HOPS {
-            self.stats.hop_limit_drops += 1;
+            cx.note(Note::HopLimitDrop);
             return;
         }
         let Some(next) = self.states[at.index()].next_hop(key, &self.ids) else {
@@ -285,7 +266,7 @@ impl Chord {
             } => {
                 let found = self.stores[at.index()].contains(&object);
                 if !found {
-                    self.stats.misdeliveries += 1;
+                    cx.note(Note::Misdelivery);
                 }
                 self.reply_lookup(cx, at, origin, lookup_id, found, hops);
             }
@@ -365,9 +346,9 @@ impl Chord {
         cx.schedule(from, PROBE_TIMEOUT, timeout);
     }
 
-    fn declare_failed(&mut self, at: NodeIdx, dead: NodeIdx) {
+    fn declare_failed(&mut self, cx: &mut Cx<'_>, at: NodeIdx, dead: NodeIdx) {
         if self.states[at.index()].remove_node(dead) {
-            self.stats.failure_declarations += 1;
+            cx.note(Note::FailureDeclared);
         }
     }
 
@@ -490,7 +471,7 @@ impl Chord {
                 }
                 Expiry::Exhausted(p) => {
                     self.probing_pairs.remove(&(p.from, p.to));
-                    self.declare_failed(p.from, p.to);
+                    self.declare_failed(cx, p.from, p.to);
                 }
             },
             Timer::StabTimeout { token } => match self.stabs.expire(token, |n| cx.is_online(n)) {
@@ -498,13 +479,13 @@ impl Chord {
                 Expiry::Resend(s) => self.ask(cx, s.from, s.to, Msg::StabRequest { token }, timer),
                 // The successor is dead: drop it and fail over to the
                 // next successor at the following stabilize round.
-                Expiry::Exhausted(s) => self.declare_failed(s.from, s.to),
+                Expiry::Exhausted(s) => self.declare_failed(cx, s.from, s.to),
             },
             Timer::RouteRetry { uid } => match self.routes.expire(uid, |n| cx.is_online(n)) {
                 Expiry::Settled | Expiry::Dropped(_) => {}
                 Expiry::Resend(r) => self.send_route(cx, uid, r.from, r.to, r.body),
                 Expiry::Exhausted(r) => {
-                    self.declare_failed(r.from, r.to);
+                    self.declare_failed(cx, r.from, r.to);
                     let (key, payload, hops) = r.body;
                     self.route_step(cx, r.from, key, payload, hops);
                 }
@@ -570,7 +551,6 @@ impl Protocol for Chord {
             seen_uids: vec![FxHashSet::default(); n],
             next_lookup: 0,
             ids,
-            stats: ChordStats::default(),
         }
     }
 
@@ -768,7 +748,7 @@ mod tests {
         let h = sim.issue_lookup(NodeIdx::new(2), Id::from_low_u64(42), deadline);
         sim.run_until(deadline);
         assert_eq!(sim.lookup_outcome(h), LookupOutcome::Failed);
-        assert!(sim.stats().misdeliveries >= 1);
+        assert!(sim.counters().misdeliveries >= 1);
     }
 
     #[test]
@@ -786,7 +766,7 @@ mod tests {
                 "successor changed on a static ring"
             );
         }
-        assert!(sim.stats().failure_declarations == 0);
+        assert!(sim.counters().failure_declarations == 0);
     }
 
     #[test]
@@ -828,16 +808,13 @@ mod tests {
         // No other pinned count drives a join (its route is an acked,
         // retried transmission like any other): hold its sends exactly.
         assert_eq!(
-            (sim.counters(), sim.stats()),
-            (
-                Counters {
-                    maintenance_messages: 732,
-                    ack_messages: 46,
-                    total_messages: 778,
-                    ..Counters::default()
-                },
-                ChordStats::default()
-            )
+            sim.counters(),
+            Counters {
+                maintenance_messages: 732,
+                ack_messages: 46,
+                total_messages: 778,
+                ..Counters::default()
+            }
         );
     }
 

@@ -59,5 +59,5 @@ pub mod state;
 
 pub use bootstrap::{build_converged_states, random_ids};
 pub use config::ChordConfig;
-pub use engine::{Chord, ChordSim, ChordStats, LookupOutcome};
+pub use engine::{Chord, ChordSim, LookupOutcome};
 pub use state::ChordState;

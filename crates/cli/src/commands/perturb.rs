@@ -33,21 +33,43 @@ pub(crate) fn parse_system(system: &str) -> Result<EngineSpec, CliError> {
     })
 }
 
+/// The longest `--idle`, `--offline` or `--deadline` a run takes, in
+/// seconds: a simulated century, past any experiment and far inside
+/// the microseconds of the simulated clock.
+const MAX_SECS: u64 = 100 * 365 * 24 * 3600;
+
 /// Builds the scenario named by the standard perturbation flags,
-/// refusing a size or an operation count of zero and a probability
-/// outside [0, 1].
+/// refusing a size or an operation count of zero, a probability
+/// outside [0, 1], and a flapping period that is zero or that the
+/// simulated clock cannot hold for the whole run (one period per
+/// operation).
 pub(crate) fn parse_scenario(args: &Args) -> Result<Scenario, CliError> {
     let system = args.value("system").unwrap_or("mpil").to_string();
     let run = PerturbRun {
         nodes: args.try_value_in("nodes", 1..)?.unwrap_or(300usize),
         operations: args.try_value_in("ops", 1..)?.unwrap_or(60usize),
-        idle_secs: args.try_value("idle")?.unwrap_or(30u64),
-        offline_secs: args.try_value("offline")?.unwrap_or(30u64),
+        idle_secs: args.try_value_in("idle", 0..=MAX_SECS)?.unwrap_or(30),
+        offline_secs: args.try_value_in("offline", 0..=MAX_SECS)?.unwrap_or(30),
         probability: args.try_value_in("p", 0.0..=1.0)?.unwrap_or(0.5f64),
-        deadline_cap_secs: args.try_value("deadline")?.unwrap_or(60u64),
+        deadline_cap_secs: args.try_value_in("deadline", 0..=MAX_SECS)?.unwrap_or(60),
         loss_probability: args.try_value_in("loss", 0.0..=1.0)?.unwrap_or(0.0f64),
         seed: args.try_value("seed")?.unwrap_or(42u64),
     };
+    let (idle, offline) = (run.idle_secs, run.offline_secs);
+    if idle + offline == 0 {
+        return Err(CliError(format!(
+            "--idle {idle} --offline {offline}: the flapping period must be positive"
+        )));
+    }
+    // One lookup a period, each due within a period: half the clock
+    // for those leaves the other half for the warm-up and the tail.
+    let span = (run.operations as u64 + 2).checked_mul(run.period().as_micros());
+    if span.is_none_or(|us| us >= 1 << 62) {
+        return Err(CliError(format!(
+            "--ops {} --idle {idle} --offline {offline}: the run outlasts the simulated clock",
+            run.operations
+        )));
+    }
     Ok(Scenario::new(parse_system(&system)?, run))
 }
 

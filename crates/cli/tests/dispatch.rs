@@ -84,6 +84,16 @@ fn every_command_refuses_a_flag_it_cannot_read() {
             ("--p NaN", "--p \"NaN\""),
             ("--p 0.5 --loss 3", "--loss \"3\""),
             ("--system pastry --nodes 0 --p 0.5", "--nodes \"0\""),
+            // A flapping period the simulator cannot run: none at all,
+            // one past its phase encoding, one past its clock.
+            ("--idle 0 --offline 0", "--idle 0 --offline 0"),
+            ("--idle 10000000000000", "--idle \"10000000000000\""),
+            ("--idle 100000000000000", "--idle \"100000000000000\""),
+            ("--offline 100000000000000", "--offline \"100000000000000\""),
+            (
+                "--deadline 100000000000000",
+                "--deadline \"100000000000000\"",
+            ),
         ] {
             let line = format!("{command} --ops 5 {flags}");
             let err = dispatch(&line).expect_err(&line);
@@ -103,10 +113,33 @@ fn every_command_refuses_a_flag_it_cannot_read() {
         let named = format!("--nodes \"{}\"", &line[line.len() - 1..]);
         assert!(err.to_string().contains(&named), "{line}: {err}");
     }
-    // No operations is no run either.
+    // No operations is no run either; nor are more periods than the
+    // simulated clock holds.
     for command in ["simulate", "perturb", "sweep"] {
         let line = format!("{command} --ops 0");
         let err = dispatch(&line).expect_err(&line);
         assert!(err.to_string().contains("--ops \"0\""), "{line}: {err}");
+    }
+    for command in ["perturb", "sweep"] {
+        let line = format!("{command} --ops 1000000 --idle 3000000000 --offline 3000000000");
+        let err = dispatch(&line).expect_err(&line);
+        assert!(err.to_string().contains("--ops 1000000"), "{line}: {err}");
+    }
+    // A load that would never end, a churn length its frame cannot
+    // carry, a daemon that times out every request.
+    for (line, named) in [
+        (
+            "load --embedded --churn-period-ms 0",
+            "--churn-period-ms \"0\"",
+        ),
+        (
+            "load --embedded --churn-length-ms 4294967296",
+            "--churn-length-ms \"4294967296\"",
+        ),
+        ("load --embedded --timeout-ms 0", "--timeout-ms \"0\""),
+        ("serve --timeout-ms 0", "--timeout-ms \"0\""),
+    ] {
+        let err = dispatch(line).expect_err(line);
+        assert!(err.to_string().contains(named), "{line}: {err}");
     }
 }

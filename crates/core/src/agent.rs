@@ -14,7 +14,7 @@
 
 use mpil_id::Id;
 use mpil_overlay::{Adjacency, NodeIdx};
-use mpil_sim::{Class, Event, Protocol, Sim, SimDuration, SimTime};
+use mpil_sim::{Class, Event, Note, Protocol, Sim, SimDuration, SimTime};
 
 use crate::config::MpilConfig;
 use crate::deletion::ReplicaRegistry;
@@ -31,17 +31,6 @@ pub struct DynamicConfig {
     /// heartbeats (the perturbation experiments run without them) and
     /// the owners' registries with them.
     pub heartbeat_period: Option<SimDuration>,
-}
-
-/// What the agents observed besides their sends (those are
-/// [`Sim::counters`]: forwarded copies as inserts or lookups, holder
-/// replies as replies, heartbeats and deletes as maintenance).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DynamicStats {
-    /// Messages dropped by duplicate suppression.
-    pub duplicates_suppressed: u64,
-    /// Duplicate receptions observed (suppressed or not).
-    pub duplicates_seen: u64,
 }
 
 /// Outcome of a lookup issued through [`Sim::issue_lookup`].
@@ -93,7 +82,6 @@ pub struct Mpil {
     next_msg_id: u64,
     /// One per node with heartbeats on, none with them off.
     registries: Vec<ReplicaRegistry>,
-    stats: DynamicStats,
 }
 
 /// MPIL agents on every node of a (frozen) neighbor graph, driven by the
@@ -109,11 +97,6 @@ pub struct Mpil {
 pub type DynamicNetwork = Sim<Mpil>;
 
 impl Mpil {
-    /// What the protocol observed besides its sends ([`Sim::counters`]).
-    pub fn stats(&self) -> DynamicStats {
-        self.stats
-    }
-
     /// Owner-driven deletion (Section 4.4): `owner` sends explicit delete
     /// messages to every replica holder it knows of from heartbeats —
     /// falling back to its own directly-stored copy. With heartbeats
@@ -183,9 +166,11 @@ impl Mpil {
             msg,
             cx.rng(),
         );
-        self.stats.duplicates_seen += u64::from(receipt.duplicate);
+        if receipt.duplicate {
+            cx.note(Note::DuplicateSeen);
+        }
         match receipt.verdict {
-            None => self.stats.duplicates_suppressed += 1,
+            None => cx.note(Note::DuplicateSuppressed),
             // A lookup stops at any replica holder, which replies
             // directly.
             Some(Verdict::Replied) => {
@@ -238,7 +223,6 @@ impl Protocol for Mpil {
             neighbors,
             config,
             next_msg_id: 0,
-            stats: DynamicStats::default(),
         }
     }
 
@@ -408,7 +392,7 @@ mod tests {
         let object = Id::from_low_u64(77);
         net.insert(NodeIdx::new(0), object);
         net.run_to_quiescence();
-        let s = net.stats();
+        let s = net.counters();
         assert_eq!(s.duplicates_seen, s.duplicates_suppressed, "DS on");
     }
 
@@ -430,7 +414,7 @@ mod tests {
         let object = Id::from_low_u64(88);
         net.insert(NodeIdx::new(0), object);
         net.run_to_quiescence();
-        let s = net.stats();
+        let s = net.counters();
         assert_eq!(s.duplicates_suppressed, 0);
     }
 

@@ -70,7 +70,7 @@ pub mod routing;
 pub mod static_engine;
 pub mod step;
 
-pub use agent::{DynamicConfig, DynamicNetwork, DynamicStats, LookupStatus, Mpil};
+pub use agent::{DynamicConfig, DynamicNetwork, LookupStatus, Mpil};
 pub use baselines::UnstructuredEngine;
 pub use config::{ConfigError, MpilConfig, RoutingMetric, SplitPolicy};
 pub use flow::{plan_forwarding, select_candidates, ForwardPlan};

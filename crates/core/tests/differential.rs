@@ -53,22 +53,22 @@ fn same_answers(duplicate_suppression: bool) {
     for &object in &objects {
         let origin = node();
         let report = fixed.insert(origin, object);
-        let before = (simulated.counters(), simulated.stats());
+        let before = simulated.counters();
         simulated.insert(origin, object);
         simulated.run_to_quiescence();
-        let after = (simulated.counters(), simulated.stats());
+        let after = simulated.counters();
         assert_eq!(
             simulated.replica_holders(object),
             fixed.replica_holders(object),
             "holders of {object:?}"
         );
         assert_eq!(
-            after.0.insert_messages - before.0.insert_messages,
+            after.insert_messages - before.insert_messages,
             report.messages,
             "insert forwards of {object:?}"
         );
         assert_eq!(
-            after.1.duplicates_seen - before.1.duplicates_seen,
+            after.duplicates_seen - before.duplicates_seen,
             report.duplicates,
             "duplicates of {object:?}"
         );
@@ -108,7 +108,7 @@ fn same_answers(duplicate_suppression: bool) {
         wanted.len()
     );
     if !duplicate_suppression {
-        assert_eq!(simulated.stats().duplicates_suppressed, 0);
+        assert_eq!(simulated.counters().duplicates_suppressed, 0);
     }
 }
 

@@ -33,7 +33,7 @@
 use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdMap, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Class, Event, PayloadBuf, Protocol, Sim, SimDuration, SimTime};
+use mpil_sim::{Class, Event, Note, PayloadBuf, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::{EpidemicConfig, LookupStrategy};
@@ -212,16 +212,6 @@ struct QueryState {
     forwarded: FxHashSet<NodeIdx>,
 }
 
-/// What the protocol observed besides its sends (those are
-/// [`Sim::counters`]: queries as lookups; eager pushes, IHAVE digests
-/// and insert-walk steps as inserts; holder replies as replies; join,
-/// neighbor, shuffle, graft, prune and disconnect as maintenance).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GossipStats {
-    /// Active peers evicted after repeated exchange timeouts.
-    pub failure_declarations: u64,
-}
-
 /// The HyParView + Plumtree protocol: every node's membership, tree
 /// links and pointer store, and the handlers that drive them. Runs
 /// inside an [`EpidemicSim`].
@@ -250,7 +240,6 @@ pub struct Epidemic {
     next_token: u64,
     next_lookup: u64,
     ticker: GossipTicker,
-    stats: GossipStats,
 }
 
 /// The HyParView + Plumtree simulation.
@@ -262,11 +251,6 @@ pub struct Epidemic {
 pub type EpidemicSim = Sim<Epidemic>;
 
 impl Epidemic {
-    /// What the protocol observed besides its sends ([`Sim::counters`]).
-    pub fn stats(&self) -> GossipStats {
-        self.stats
-    }
-
     /// The configuration the engine runs with.
     pub fn config(&self) -> &EpidemicConfig {
         &self.config
@@ -317,7 +301,7 @@ impl Epidemic {
                 .active
                 .sample_into(1, None, cx.rng(), &mut self.sample_scratch);
             if let Some(&victim) = self.sample_scratch.first() {
-                self.drop_active(node, victim, false);
+                self.drop_active(node, victim);
                 cx.send(node, victim, Class::Maintenance, Msg::Disconnect);
                 self.integrate_into_passive(cx, node, victim);
             }
@@ -329,17 +313,13 @@ impl Epidemic {
         true
     }
 
-    /// Closes the `node -> peer` half of an active link; counts a
-    /// failure declaration when `declared` (suspicion eviction, not a
-    /// polite close). Returns whether the peer was present.
-    fn drop_active(&mut self, node: NodeIdx, peer: NodeIdx, declared: bool) -> bool {
+    /// Closes the `node -> peer` half of an active link. Returns
+    /// whether the peer was present.
+    fn drop_active(&mut self, node: NodeIdx, peer: NodeIdx) -> bool {
         let u = node.index();
         let was = self.members[u].active.remove(peer);
         if was {
             self.eager[u].remove(peer);
-            if declared {
-                self.stats.failure_declarations += 1;
-            }
         }
         self.suspicion[u].remove(&peer);
         self.sync_suspicion_bit(node);
@@ -590,7 +570,7 @@ impl Epidemic {
     }
 
     fn on_disconnect(&mut self, cx: &mut Cx<'_>, from: NodeIdx, to: NodeIdx) {
-        if self.drop_active(to, from, false) {
+        if self.drop_active(to, from) {
             self.integrate_into_passive(cx, to, from);
         }
     }
@@ -667,7 +647,10 @@ impl Epidemic {
         let strikes = self.suspicion[u].entry(target).or_insert(0);
         *strikes += 1;
         if *strikes >= SUSPICION_LIMIT {
-            self.drop_active(initiator, target, true);
+            // `target` is in the active view (checked above): evicting
+            // it is a declared failure, not a polite close.
+            self.drop_active(initiator, target);
+            cx.note(Note::FailureDeclared);
             // Reactive replacement: promote a passive candidate now
             // instead of waiting for the next gossip tick.
             self.try_neighbor(cx, initiator);
@@ -1045,7 +1028,6 @@ impl Protocol for Epidemic {
             next_token: 0,
             next_lookup: 0,
             ticker: GossipTicker::new(n, config.gossip_period),
-            stats: GossipStats::default(),
             members,
         }
     }
@@ -1402,7 +1384,7 @@ mod tests {
         sim.start_maintenance();
         sim.run_until(SimTime::from_secs(120));
         assert!(sim.counters().maintenance_messages > 0);
-        assert_eq!(sim.stats().failure_declarations, 0);
+        assert_eq!(sim.counters().failure_declarations, 0);
         sim.assert_invariants();
     }
 
@@ -1423,7 +1405,7 @@ mod tests {
         sim.set_availability(Box::new(flap));
         sim.run_until(SimTime::from_secs(300));
         assert!(
-            sim.stats().failure_declarations > 0,
+            sim.counters().failure_declarations > 0,
             "dead peers must age out of active views"
         );
         // Reactive replacement kept the exempt node's active view
@@ -1451,7 +1433,7 @@ mod tests {
         sim.with(|epidemic, _| {
             epidemic.suspicion[0].insert(peer, 1);
             epidemic.sync_suspicion_bit(u);
-            epidemic.drop_active(u, peer, false);
+            epidemic.drop_active(u, peer);
         });
         assert!(sim.suspicion[0].is_empty(), "strike survived the link");
         assert!(!sim.has_suspicion(u));
@@ -1464,7 +1446,7 @@ mod tests {
             epidemic.on_shuffle_timeout(cx, u, 999);
         });
         assert!(sim.suspicion[0].is_empty(), "departed peer was struck");
-        assert_eq!(sim.stats().failure_declarations, 0);
+        assert_eq!(sim.counters().failure_declarations, 0);
     }
 
     #[test]
@@ -1505,15 +1487,12 @@ mod tests {
             peers
         };
         assert_eq!(
-            (sim.counters(), sim.stats()),
-            (
-                Counters {
-                    maintenance_messages: 28,
-                    total_messages: 28,
-                    ..Counters::default()
-                },
-                GossipStats::default()
-            )
+            sim.counters(),
+            Counters {
+                maintenance_messages: 28,
+                total_messages: 28,
+                ..Counters::default()
+            }
         );
         assert_eq!(
             (sorted(&m.active), sorted(&m.passive)),
@@ -1553,7 +1532,7 @@ mod tests {
             sim.run_until(sim.now() + SimDuration::from_secs(90));
             let results: Vec<LookupOutcome> =
                 outcomes.iter().map(|&h| sim.lookup_outcome(h)).collect();
-            (results, sim.counters(), sim.stats(), sim.net_stats())
+            (results, sim.counters(), sim.net_stats())
         };
         for strategy in [LookupStrategy::Plumtree, LookupStrategy::Foaf] {
             assert_eq!(run(21, strategy), run(21, strategy), "{strategy:?}");

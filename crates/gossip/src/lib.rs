@@ -42,7 +42,7 @@ mod ticker;
 pub mod view;
 
 pub use config::{EpidemicConfig, LookupStrategy};
-pub use epidemic::{Epidemic, EpidemicSim, GossipStats};
+pub use epidemic::{Epidemic, EpidemicSim};
 pub use membership::{build_converged_membership, Membership};
 pub use view::PartialView;
 

@@ -106,8 +106,9 @@ pub trait DiscoveryEngine {
         self.advance(period);
     }
 
-    /// Every send so far by class; `total_messages` is the kernel's
-    /// send count.
+    /// Every send so far by class and every note by kind (failure
+    /// declarations, hop-limit drops, misdeliveries, duplicates), on
+    /// any engine; `total_messages` is the kernel's send count.
     fn counters(&self) -> Counters;
 
     /// Kernel counters (raw sends, deliveries, offline/loss drops).
@@ -331,7 +332,7 @@ mod tests {
             sim.run_until(SimTime::from_secs(120));
             assert!(sim.counters().maintenance_messages > 0, "{spec}");
             // Static network: nobody should have been declared dead.
-            assert_eq!(sim.stats().failure_declarations, 0, "{spec}");
+            assert_eq!(sim.counters().failure_declarations, 0, "{spec}");
             sim.assert_invariants();
         }
     }
@@ -353,7 +354,7 @@ mod tests {
         sim.set_availability(Box::new(flap));
         sim.run_until(SimTime::from_secs(300));
         assert!(
-            sim.stats().failure_declarations > 0,
+            sim.counters().failure_declarations > 0,
             "dead peers must age out of views"
         );
         sim.membership(NodeIdx::new(0)).assert_invariants();
@@ -401,7 +402,7 @@ mod tests {
             sim.run_until(sim.now() + SimDuration::from_secs(90));
             let outcomes: Vec<LookupOutcome> =
                 handles.iter().map(|&h| sim.lookup_outcome(h)).collect();
-            (outcomes, sim.counters(), sim.stats(), sim.net_stats())
+            (outcomes, sim.counters(), sim.net_stats())
         };
         for spec in GOSSIP {
             assert_eq!(run(spec, 21), run(spec, 21), "{spec}");

@@ -188,21 +188,53 @@ fn counter_attribution_stays_honest_under_perturbation_on_every_engine() {
 
 /// Every [`Counters`] field of every engine in [`all_specs`], exactly,
 /// after stage 1 and after stage 2 of one perturbed `mini` scenario:
-/// `[lookup, insert, reply, maintenance, ack, total]`. A send that
-/// changes class, appears or vanishes moves a number here.
+/// `[lookup, insert, reply, maintenance, ack, total, failure
+/// declarations, hop-limit drops, misdeliveries, duplicates seen,
+/// duplicates suppressed]`. A send that changes class, appears or
+/// vanishes, or a note that does, moves a number here.
 #[test]
 fn every_counter_is_pinned_on_every_engine() {
-    let pinned: [[[u64; 6]; 2]; 10] = [
-        [[0, 16, 0, 0, 16, 32], [52, 16, 9, 63415, 45, 63537]],
-        [[0, 30, 0, 0, 30, 60], [246, 30, 5, 18038, 8510, 26829]],
-        [[0, 103, 63, 206, 0, 372], [33, 103, 2327, 7007, 0, 9470]],
-        [[0, 5518, 0, 0, 0, 5518], [141, 5518, 47, 0, 0, 5706]],
-        [[0, 1204, 0, 0, 0, 1204], [130, 1204, 42, 0, 0, 1376]],
-        [[0, 150, 0, 0, 0, 150], [147, 150, 24, 21045, 0, 21366]],
-        [[0, 150, 0, 0, 0, 150], [76, 150, 25, 21016, 0, 21267]],
-        [[0, 3990, 0, 2334, 0, 6324], [50, 3990, 39, 24042, 0, 28121]],
-        [[0, 3990, 0, 2334, 0, 6324], [33, 3990, 19, 23954, 0, 27996]],
-        [[0, 1241, 0, 0, 0, 1241], [133, 1241, 40, 0, 0, 1414]],
+    let pinned: [[[u64; 11]; 2]; 10] = [
+        [
+            [0, 16, 0, 0, 16, 32, 0, 0, 0, 0, 0],
+            [52, 16, 9, 63415, 45, 63537, 3764, 0, 2, 0, 0],
+        ],
+        [
+            [0, 30, 0, 0, 30, 60, 0, 0, 0, 0, 0],
+            [246, 30, 5, 18038, 8510, 26829, 911, 112, 0, 0, 0],
+        ],
+        [
+            [0, 103, 63, 206, 0, 372, 0, 0, 0, 0, 0],
+            [33, 103, 2327, 7007, 0, 9470, 1293, 0, 0, 0, 0],
+        ],
+        [
+            [0, 5518, 0, 0, 0, 5518, 0, 0, 0, 4901, 0],
+            [141, 5518, 47, 0, 0, 5706, 0, 0, 0, 4937, 0],
+        ],
+        [
+            [0, 1204, 0, 0, 0, 1204, 0, 0, 0, 862, 0],
+            [130, 1204, 42, 0, 0, 1376, 0, 0, 0, 872, 0],
+        ],
+        [
+            [0, 150, 0, 0, 0, 150, 0, 0, 0, 0, 0],
+            [147, 150, 24, 21045, 0, 21366, 688, 0, 0, 0, 0],
+        ],
+        [
+            [0, 150, 0, 0, 0, 150, 0, 0, 0, 0, 0],
+            [76, 150, 25, 21016, 0, 21267, 701, 0, 0, 0, 0],
+        ],
+        [
+            [0, 3990, 0, 2334, 0, 6324, 0, 0, 0, 0, 0],
+            [50, 3990, 39, 24042, 0, 28121, 818, 0, 0, 0, 0],
+        ],
+        [
+            [0, 3990, 0, 2334, 0, 6324, 0, 0, 0, 0, 0],
+            [33, 3990, 19, 23954, 0, 27996, 798, 0, 0, 0, 0],
+        ],
+        [
+            [0, 1241, 0, 0, 0, 1241, 0, 0, 0, 901, 0],
+            [133, 1241, 40, 0, 0, 1414, 0, 0, 0, 910, 0],
+        ],
     ];
     let specs = all_specs();
     assert_eq!(
@@ -222,6 +254,11 @@ fn every_counter_is_pinned_on_every_engine() {
                 c.maintenance_messages,
                 c.ack_messages,
                 c.total_messages,
+                c.failure_declarations,
+                c.hop_limit_drops,
+                c.misdeliveries,
+                c.duplicates_seen,
+                c.duplicates_suppressed,
             ]
         };
         prepared.insert_all();

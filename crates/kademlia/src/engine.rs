@@ -13,7 +13,7 @@
 use fxhash::FxHashMap;
 use mpil_id::{xor_distance, Id, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Class, Event, Protocol, Sim, SimDuration, SimTime};
+use mpil_sim::{Class, Event, Note, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::KademliaConfig;
@@ -117,18 +117,6 @@ struct PendingEviction {
     replacement: NodeIdx,
 }
 
-/// What the protocol observed besides its sends (those are
-/// [`Sim::counters`]: a query is counted in the class of the operation
-/// that sends it, a `STORE` as an insert, a response as a reply, pings
-/// and pongs as maintenance).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KademliaStats {
-    /// Peers evicted after unanswered RPCs or eviction pings.
-    pub failure_declarations: u64,
-    /// Lookup operations that converged without finding a holder.
-    pub misdeliveries: u64,
-}
-
 /// Outcome of one lookup (the shared engine-agnostic enum).
 pub use mpil_sim::LookupOutcome;
 
@@ -147,7 +135,6 @@ pub struct Kademlia {
     next_op: u64,
     next_token: u64,
     next_lookup: u64,
-    stats: KademliaStats,
 }
 
 /// The Kademlia overlay simulation.
@@ -160,11 +147,6 @@ pub struct Kademlia {
 pub type KademliaSim = Sim<Kademlia>;
 
 impl Kademlia {
-    /// What the protocol observed besides its sends ([`Sim::counters`]).
-    pub fn stats(&self) -> KademliaStats {
-        self.stats
-    }
-
     /// Each node's frozen neighbor list (every bucket entry) — the
     /// overlay MPIL routes on in the overlay-independence experiments.
     pub fn neighbor_lists(&self) -> Vec<Vec<NodeIdx>> {
@@ -297,7 +279,7 @@ impl Kademlia {
             }
             OpKind::Lookup { lookup_id } => {
                 // Converged without finding a holder.
-                self.stats.misdeliveries += 1;
+                cx.note(Note::Misdelivery);
                 cx.fail_lookup(lookup_id);
             }
             OpKind::Refresh => {}
@@ -435,14 +417,14 @@ impl Kademlia {
                 // Unanswered RPC: evict from the table outright.
                 let peer_id = self.ids[peer.index()];
                 if self.tables[node.index()].remove(peer, peer_id) {
-                    self.stats.failure_declarations += 1;
+                    cx.note(Note::FailureDeclared);
                 }
                 self.pump(cx, op);
             }
             Timer::EvictTimeout { token } => {
                 if let Some(ev) = self.evictions.remove(&token) {
                     self.tables[ev.owner.index()].replace(ev.dead, ev.dead_id, ev.replacement);
-                    self.stats.failure_declarations += 1;
+                    cx.note(Note::FailureDeclared);
                 }
             }
             Timer::BucketRefresh => {
@@ -514,7 +496,6 @@ impl Protocol for Kademlia {
             next_token: 0,
             next_lookup: 0,
             ids,
-            stats: KademliaStats::default(),
         }
     }
 
@@ -685,7 +666,7 @@ mod tests {
         );
         sim.run_to_quiescence();
         assert_eq!(sim.lookup_outcome(h), LookupOutcome::Failed);
-        assert!(sim.stats().misdeliveries >= 1);
+        assert!(sim.counters().misdeliveries >= 1);
     }
 
     #[test]
@@ -728,7 +709,7 @@ mod tests {
         // Several refresh rounds must have produced maintenance traffic
         // without evicting anyone on a static network.
         assert!(sim.counters().maintenance_messages > 0);
-        assert_eq!(sim.stats().failure_declarations, 0);
+        assert_eq!(sim.counters().failure_declarations, 0);
     }
 
     #[test]

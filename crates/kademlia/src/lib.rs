@@ -53,5 +53,5 @@ pub mod engine;
 pub mod table;
 
 pub use config::KademliaConfig;
-pub use engine::{Kademlia, KademliaSim, KademliaStats, LookupOutcome};
+pub use engine::{Kademlia, KademliaSim, LookupOutcome};
 pub use table::{build_converged_tables, Admission, KBucket, RoutingTable};

@@ -16,7 +16,8 @@ use crate::load::{ChurnPlan, LoadConfig};
 ///
 /// # Errors
 ///
-/// Names the flag whose value does not parse.
+/// Names the flag whose value does not parse, or a `--timeout-ms` of
+/// zero (a daemon that times out every request).
 pub fn daemon_config(args: &Args) -> Result<DaemonConfig, String> {
     let defaults = DaemonConfig::default();
     let max_flows = args.try_value("max-flows")?;
@@ -41,7 +42,7 @@ pub fn daemon_config(args: &Args) -> Result<DaemonConfig, String> {
         mpil,
         retry: RetryPolicy {
             timeout: Duration::from_millis(
-                args.try_value("timeout-ms")?
+                args.try_value_in("timeout-ms", 1..)?
                     .unwrap_or(defaults.retry.timeout.as_millis() as u64),
             ),
             retries: args.try_value("retries")?.unwrap_or(defaults.retry.retries),
@@ -63,19 +64,24 @@ pub fn daemon_config(args: &Args) -> Result<DaemonConfig, String> {
 /// # Errors
 ///
 /// Names the flag whose value does not parse, or that the load cannot
-/// run with: zero `--nodes`, `--objects`, `--window` or `--workers`, a
+/// run with: zero `--nodes`, `--objects`, `--window`, `--workers` or
+/// `--churn-period-ms`, a `--churn-length-ms` past `u32::MAX`, a
 /// `--rate` that is not positive and finite.
 pub fn load_config(args: &Args, nodes: Option<usize>) -> Result<LoadConfig, String> {
     let defaults = LoadConfig::default();
     // Read whether or not there is a period: a flag that was not read
     // is a flag `Args::finish` refuses.
     let count = args.try_value("churn-count")?.unwrap_or(2);
-    let length = Duration::from_millis(args.try_value("churn-length-ms")?.unwrap_or(200));
-    let churn = args.try_value("churn-period-ms")?.map(|period| ChurnPlan {
-        period: Duration::from_millis(period),
-        count,
-        length,
-    });
+    // A perturb frame carries its length in a `u32` of milliseconds.
+    let length = args.try_value_in("churn-length-ms", 0..=u64::from(u32::MAX))?;
+    let length = Duration::from_millis(length.unwrap_or(200));
+    let churn = args
+        .try_value_in("churn-period-ms", 1..)?
+        .map(|period| ChurnPlan {
+            period: Duration::from_millis(period),
+            count,
+            length,
+        });
     let positive = |flag: &str, value: Option<usize>| match value {
         Some(0) => Err(format!("--{flag} 0: must be at least 1")),
         _ => Ok(value),

@@ -9,7 +9,7 @@
 use fxhash::FxHashSet;
 use mpil_id::{Id, IdSet, IdSpace};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Class, Event, Expiry, Outstanding, Protocol, Sim, SimDuration, SimTime};
+use mpil_sim::{Class, Event, Expiry, Note, Outstanding, Protocol, Sim, SimDuration, SimTime};
 
 use crate::config::PastryConfig;
 use crate::state::{NextHop, PastryState};
@@ -123,18 +123,6 @@ pub enum Timer {
 /// What a routed hop carries: `(key, payload, hops)`.
 type Hop = (Id, Payload, u32);
 
-/// What the protocol observed besides its sends (those are
-/// [`Sim::counters`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PastryStats {
-    /// Nodes declared failed (table removals triggered by timeouts).
-    pub failure_declarations: u64,
-    /// Routed messages dropped by the hop limit.
-    pub hop_limit_drops: u64,
-    /// Deliveries at a node that believed itself root but held no object.
-    pub misdeliveries: u64,
-}
-
 /// Outcome of one lookup (the shared engine-agnostic enum).
 pub use mpil_sim::LookupOutcome;
 
@@ -157,7 +145,6 @@ pub struct Pastry {
     /// retransmission races).
     seen_uids: Vec<FxHashSet<u64>>,
     next_lookup: u64,
-    stats: PastryStats,
 }
 
 /// The Pastry overlay simulation.
@@ -170,11 +157,6 @@ pub struct Pastry {
 pub type PastrySim = Sim<Pastry>;
 
 impl Pastry {
-    /// What the protocol observed besides its sends ([`Sim::counters`]).
-    pub fn stats(&self) -> PastryStats {
-        self.stats
-    }
-
     /// Each node's frozen neighbor list (leaf set ∪ routing table) — the
     /// overlay MPIL routes on in Section 6.2.
     pub fn neighbor_lists(&self) -> Vec<Vec<NodeIdx>> {
@@ -466,7 +448,7 @@ impl Pastry {
     /// One routing decision + transmission from `node`.
     fn route_step(&mut self, cx: &mut Cx<'_>, node: NodeIdx, key: Id, payload: Payload, hops: u32) {
         if hops >= MAX_HOPS {
-            self.stats.hop_limit_drops += 1;
+            cx.note(Note::HopLimitDrop);
             if let Payload::Lookup { lookup_id, .. } = payload {
                 cx.fail_lookup(lookup_id);
             }
@@ -516,7 +498,7 @@ impl Pastry {
             } => {
                 let found = self.stores[node.index()].contains(&object);
                 if !found {
-                    self.stats.misdeliveries += 1;
+                    cx.note(Note::Misdelivery);
                 }
                 cx.send(
                     node,
@@ -551,7 +533,7 @@ impl Pastry {
     /// pulls a replacement leaf set from a surviving member.
     fn declare_failed(&mut self, cx: &mut Cx<'_>, observer: NodeIdx, target: NodeIdx) {
         if self.states[observer.index()].remove(target) {
-            self.stats.failure_declarations += 1;
+            cx.note(Note::FailureDeclared);
             if let Some(contact) = self.states[observer.index()]
                 .leafset
                 .repair_contact(|n| n == target)
@@ -586,7 +568,6 @@ impl Protocol for Pastry {
             seen_uids: vec![FxHashSet::default(); n],
             next_lookup: 0,
             ids,
-            stats: PastryStats::default(),
         }
     }
 
@@ -737,7 +718,7 @@ mod tests {
         let lk = sim.issue_lookup(NodeIdx::new(0), Id::from_low_u64(42), deadline);
         sim.run_to_quiescence();
         assert_eq!(sim.lookup_outcome(lk), LookupOutcome::Failed);
-        assert!(sim.stats().misdeliveries >= 1);
+        assert!(sim.counters().misdeliveries >= 1);
     }
 
     #[test]
@@ -772,7 +753,7 @@ mod tests {
         assert!(c.maintenance_messages > 0);
         assert_eq!(c.lookup_messages, 0);
         assert_eq!(
-            sim.stats().failure_declarations,
+            sim.counters().failure_declarations,
             0,
             "no failures when always-on"
         );
@@ -815,7 +796,7 @@ mod tests {
             failed > ok,
             "p=1.0 300:300 should fail most lookups (ok={ok}, failed={failed})"
         );
-        assert!(sim.stats().failure_declarations > 0);
+        assert!(sim.counters().failure_declarations > 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod state;
 
 pub use bootstrap::build_converged_states;
 pub use config::PastryConfig;
-pub use engine::{LookupOutcome, Pastry, PastrySim, PastryStats};
+pub use engine::{LookupOutcome, Pastry, PastrySim};
 pub use leafset::LeafSet;
 pub use routing_table::RoutingTable;
 pub use state::{NextHop, PastryState};

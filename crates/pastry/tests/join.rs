@@ -4,7 +4,7 @@
 use mpil_id::{ring_distance, Id};
 use mpil_overlay::NodeIdx;
 use mpil_pastry::bootstrap::{build_converged_states_partial, random_ids};
-use mpil_pastry::{LookupOutcome, PastryConfig, PastrySim, PastryStats};
+use mpil_pastry::{LookupOutcome, PastryConfig, PastrySim};
 use mpil_sim::{AlwaysOn, ConstantLatency, Counters, SimDuration};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -127,18 +127,16 @@ fn multiple_sequential_joins_converge() {
     // No other pinned count drives a join (MAX_HOPS bounds its route):
     // hold its sends exactly.
     assert_eq!(
-        (sim.counters(), sim.stats()),
-        (
-            Counters {
-                lookup_messages: 34,
-                insert_messages: 31,
-                reply_messages: 20,
-                maintenance_messages: 238,
-                ack_messages: 65,
-                total_messages: 388,
-            },
-            PastryStats::default()
-        )
+        sim.counters(),
+        Counters {
+            lookup_messages: 34,
+            insert_messages: 31,
+            reply_messages: 20,
+            maintenance_messages: 238,
+            ack_messages: 65,
+            total_messages: 388,
+            ..Counters::default()
+        }
     );
 }
 

@@ -4,8 +4,9 @@
 //! no clock and no queue of its own. `Sim<P>` owns everything that is
 //! the same for all of them: the [`Network`], the batch of the tick being
 //! dispatched, the maintenance flag, the tally of sends by [`Class`]
-//! ([`Counters`]), and the lookup ledger (issue time, deadline, outcome
-//! — "pending at the deadline reads [`LookupOutcome::Failed`]"). The
+//! and of observations by [`Note`] ([`Counters`]), and the lookup
+//! ledger (issue time, deadline, outcome — "pending at the deadline
+//! reads [`LookupOutcome::Failed`]"). The
 //! lifecycle the paper's experiments drive — insert →
 //! [`Sim::run_to_quiescence`] → [`Sim::start_maintenance`] →
 //! [`Sim::set_availability`] → [`Sim::run_until`] /
@@ -16,8 +17,9 @@
 //! Handlers reach the world through [`Cx`], a plain borrow of the
 //! network, the ledger and the tally: there is one simulated world, so
 //! there is no outbox trait to implement and nothing to configure.
-//! Every send names its [`Class`] ([`Cx::send`]) and is counted there,
-//! once, so no protocol keeps message counters of its own.
+//! Every send names its [`Class`] ([`Cx::send`]) and everything else a
+//! handler observes names its [`Note`] ([`Cx::note`]); both are counted
+//! there, once, so no protocol keeps counters of its own.
 
 use fxhash::FxHashMap;
 use mpil_id::Id;
@@ -53,9 +55,31 @@ pub enum Class {
     Ack,
 }
 
-/// Every send of a [`Sim`], by [`Class`]. [`Cx::send`] counts each
-/// send once, in the class its handler names, so the five classes sum
-/// to `total_messages`, the kernel's send count ([`NetStats::sent`]).
+/// What a handler observed besides its sends, named where it happens
+/// ([`Cx::note`]). These are the counts that tell a lookup lost to
+/// stale routing state (a declared failure, a hop limit, a misdelivery)
+/// from one lost to an unreachable holder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Note {
+    /// A node declared a peer failed and dropped it from its routing
+    /// state (timed-out acks or probes, unanswered RPCs or exchanges).
+    FailureDeclared,
+    /// A routed message dropped by the hop limit.
+    HopLimitDrop,
+    /// A lookup that ended without a holder where the routing put it: a
+    /// root that held no object, a search that converged on none.
+    Misdelivery,
+    /// A message seen again by a node (suppressed or not).
+    DuplicateSeen,
+    /// A message dropped by duplicate suppression.
+    DuplicateSuppressed,
+}
+
+/// Every send of a [`Sim`], by [`Class`], and every [`Note`] its
+/// handlers made. [`Cx::send`] counts each send once, in the class its
+/// handler names, so the five classes sum to `total_messages`, the
+/// kernel's send count ([`NetStats::sent`]); [`Cx::note`] counts each
+/// note once, in the field of its kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Transmissions carrying lookups.
@@ -71,6 +95,16 @@ pub struct Counters {
     pub ack_messages: u64,
     /// Everything sent.
     pub total_messages: u64,
+    /// [`Note::FailureDeclared`]s.
+    pub failure_declarations: u64,
+    /// [`Note::HopLimitDrop`]s.
+    pub hop_limit_drops: u64,
+    /// [`Note::Misdelivery`]s.
+    pub misdeliveries: u64,
+    /// [`Note::DuplicateSeen`]s.
+    pub duplicates_seen: u64,
+    /// [`Note::DuplicateSuppressed`]s.
+    pub duplicates_suppressed: u64,
 }
 
 impl Counters {
@@ -90,6 +124,16 @@ impl Counters {
             Class::Reply => &mut self.reply_messages,
             Class::Maintenance => &mut self.maintenance_messages,
             Class::Ack => &mut self.ack_messages,
+        } += 1;
+    }
+
+    fn note(&mut self, note: Note) {
+        *match note {
+            Note::FailureDeclared => &mut self.failure_declarations,
+            Note::HopLimitDrop => &mut self.hop_limit_drops,
+            Note::Misdelivery => &mut self.misdeliveries,
+            Note::DuplicateSeen => &mut self.duplicates_seen,
+            Note::DuplicateSuppressed => &mut self.duplicates_suppressed,
         } += 1;
     }
 }
@@ -162,9 +206,9 @@ impl Ledger {
 }
 
 /// What a [`Protocol`] handler can do to the simulated world: send,
-/// arm timers, draw randomness, read the clock and the availability
-/// model, and settle lookups. A borrow of the [`Sim`]'s network,
-/// ledger and send tally, handed to every handler call.
+/// note what it observed, arm timers, draw randomness, read the clock
+/// and the availability model, and settle lookups. A borrow of the
+/// [`Sim`]'s network, ledger and tally, handed to every handler call.
 pub struct Cx<'a, P: Protocol> {
     net: &'a mut Network<P::Msg, P::Timer>,
     lookups: &'a mut Ledger,
@@ -182,6 +226,12 @@ impl<P: Protocol> Cx<'_, P> {
     pub fn send(&mut self, from: NodeIdx, to: NodeIdx, class: Class, msg: P::Msg) {
         self.counters.count(class);
         self.net.send(from, to, msg);
+    }
+
+    /// Counts what the handler observed in the field of `note`'s kind
+    /// ([`Sim::counters`]).
+    pub fn note(&mut self, note: Note) {
+        self.counters.note(note);
     }
 
     /// Schedules `timer` to fire at `node` after `delay`.
@@ -325,8 +375,9 @@ pub trait Protocol: Sized {
 /// A [`Protocol`] running on the deterministic kernel: the simulation
 /// every experiment drives.
 ///
-/// Derefs to the protocol for its own read accessors (`stats()`,
-/// `ids()`, `neighbor_lists()`, ...).
+/// Derefs to the protocol for its own read accessors (`ids()`,
+/// `neighbor_lists()`, `membership()`, ...). What the protocol counted
+/// is [`Sim::counters`]: no protocol keeps a tally of its own.
 pub struct Sim<P: Protocol> {
     protocol: P,
     net: Network<P::Msg, P::Timer>,
@@ -498,8 +549,8 @@ impl<P: Protocol> Sim<P> {
         self.run_until(SimTime::from_micros(u64::MAX));
     }
 
-    /// Every send so far by class; `total_messages` is the kernel's
-    /// send count.
+    /// Every send so far by class and every note by kind;
+    /// `total_messages` is the kernel's send count.
     pub fn counters(&self) -> Counters {
         Counters {
             total_messages: self.net.stats().sent,

@@ -47,7 +47,7 @@ pub mod time;
 mod wheel;
 
 pub use availability::{AlwaysOn, Availability, Flapping, FlappingConfig, TraceChurn};
-pub use engine::{Class, Counters, Cx, Protocol, Sim};
+pub use engine::{Class, Counters, Cx, Note, Protocol, Sim};
 pub use latency::{ConstantLatency, LatencyModel, TransitStubLatency, UniformLatency};
 pub use net::{Event, NetStats, Network};
 pub use outcome::LookupOutcome;

@@ -182,6 +182,7 @@ fn the_lifecycle_runs_a_protocol_end_to_end() {
             maintenance_messages: 0,
             ack_messages: 0,
             total_messages: 13,
+            ..Counters::default()
         }
     );
     assert_eq!(sim.net_stats().sent, 13);

@@ -147,7 +147,9 @@ impl Pacer {
             PacingMode::Open { rate_per_s } => {
                 // Arrival i is due at i / rate; by `now`, floor(now·rate) + 1
                 // arrivals have passed their due time (arrival 0 at t = 0).
-                let due_by_now = (now.as_secs_f64() * rate_per_s).floor() as u64 + 1;
+                // The cast saturates at u64::MAX, and so does the count.
+                let due_by_now =
+                    ((now.as_secs_f64() * rate_per_s).floor() as u64).saturating_add(1);
                 due_by_now.saturating_sub(self.issued)
             }
             PacingMode::Closed => room,
@@ -237,6 +239,11 @@ mod tests {
         assert!(!p.finished(), "issued but not resolved");
         p.record_completed(5);
         assert!(p.finished());
+    }
+
+    #[test]
+    fn a_rate_past_u64_makes_the_whole_window_due() {
+        assert_eq!(Pacer::open_loop(1e300, 4, 10).due(MS), 4);
     }
 
     #[test]

@@ -35,8 +35,10 @@
 #            and lookup-message counts exact — catches a change to an
 #            engine, to the one MPIL receive path (mpil::Agent), to the
 #            baselines' retry table (mpil_sim::Outstanding) or to the
-#            class a send is counted in that moves a single send; and
-#            a million-node MPIL build under a peak-RSS ceiling
+#            class a send is counted in that moves a single send (the
+#            notes a handler makes through mpil_sim::Cx::note are
+#            pinned by the conformance suite, not here); and a
+#            million-node MPIL build under a peak-RSS ceiling
 #   service: an embedded mpild + mpil-load smoke with live churn —
 #            catches the daemon/load-generator path (request tracking,
 #            hedged lookups, drain) failing under perturbation or its
