@@ -565,7 +565,7 @@ fn run_trace(
 
     let mut lookups = Vec::new();
     for &o in objects {
-        engine.churn_tick(period);
+        engine.advance(period);
         let deadline = engine.now() + SimDuration::from_secs(60);
         lookups.push(engine.issue_lookup(origin, o, deadline));
     }

@@ -51,7 +51,7 @@ pub(crate) fn parse_scenario(args: &Args) -> Result<Scenario, CliError> {
         idle_secs: args.try_value_in("idle", 0..=MAX_SECS)?.unwrap_or(30),
         offline_secs: args.try_value_in("offline", 0..=MAX_SECS)?.unwrap_or(30),
         probability: args.try_value_in("p", 0.0..=1.0)?.unwrap_or(0.5f64),
-        deadline_cap_secs: args.try_value_in("deadline", 0..=MAX_SECS)?.unwrap_or(60),
+        deadline_cap_secs: args.try_value_in("deadline", 1..=MAX_SECS)?.unwrap_or(60),
         loss_probability: args.try_value_in("loss", 0.0..=1.0)?.unwrap_or(0.0f64),
         seed: args.try_value("seed")?.unwrap_or(42u64),
     };

@@ -90,6 +90,8 @@ fn every_command_refuses_a_flag_it_cannot_read() {
             ("--idle 10000000000000", "--idle \"10000000000000\""),
             ("--idle 100000000000000", "--idle \"100000000000000\""),
             ("--offline 100000000000000", "--offline \"100000000000000\""),
+            // No deadline at all: every lookup would be due as issued.
+            ("--deadline 0", "--deadline \"0\""),
             (
                 "--deadline 100000000000000",
                 "--deadline \"100000000000000\"",

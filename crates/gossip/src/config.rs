@@ -117,9 +117,8 @@ mod tests {
 
     #[test]
     fn epidemic_shuffle_exchange_fits_the_inline_payload() {
-        // The default views take whole shuffle samples, and self plus
-        // those fit the pooled payload buffer (the `const` assertion
-        // beside the constants), so the steady state never spills.
+        // The default views take whole shuffle samples; self plus those
+        // is the bound the shuffle's inline peer list is sized to.
         let c = EpidemicConfig::default();
         assert!(SHUFFLE_ACTIVE <= c.active_size && SHUFFLE_PASSIVE <= c.passive_size);
     }

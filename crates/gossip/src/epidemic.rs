@@ -26,25 +26,26 @@
 //!   family of searches over gossip views). Their dials are the
 //!   constants below.
 //!
-//! All randomness flows through the kernel RNG and messages ride the
-//! pooled payload plane, so fixed seeds reproduce exactly and the
+//! All randomness flows through the kernel RNG and a shuffle's peers
+//! ride inline in its message, so fixed seeds reproduce exactly and the
 //! steady state does not allocate.
 
 use fxhash::{FxHashMap, FxHashSet};
 use mpil_id::{Id, IdMap, IdSet};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Class, Event, Note, PayloadBuf, Protocol, Sim, SimDuration, SimTime};
+use mpil_sim::{Class, Event, Note, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::{EpidemicConfig, LookupStrategy};
 use crate::membership::Membership;
+use crate::peers::InlinePeers;
 use crate::ticker::{restore_tick_order, GossipTicker};
 use crate::view::PartialView;
 
-/// A shuffle's peer list; one exchange carries at most `1 +
-/// SHUFFLE_ACTIVE + SHUFFLE_PASSIVE` entries, which stay inside the
-/// inline bound so the steady-state message plane never allocates.
-type Peers = PayloadBuf<NodeIdx, { mpil_sim::PAYLOAD_INLINE }>;
+/// A shuffle's peer list, inline in its message: the initiator and at
+/// most `SHUFFLE_ACTIVE + SHUFFLE_PASSIVE` of its peers, so the
+/// steady-state message plane never allocates.
+type Peers = InlinePeers<{ 1 + SHUFFLE_ACTIVE + SHUFFLE_PASSIVE }>;
 
 /// Active-view entries a shuffle carries (all of them when the active
 /// view bound is smaller).
@@ -53,8 +54,6 @@ pub(crate) const SHUFFLE_ACTIVE: usize = 3;
 /// Passive-view entries a shuffle carries (all of them when the passive
 /// view bound is smaller).
 pub(crate) const SHUFFLE_PASSIVE: usize = 3;
-
-const _: () = assert!(1 + SHUFFLE_ACTIVE + SHUFFLE_PASSIVE <= mpil_sim::PAYLOAD_INLINE);
 
 /// How long a node waits for a shuffle or neighbor reply before counting
 /// the exchange as failed.
@@ -393,9 +392,10 @@ impl Epidemic {
             &mut self.sample_scratch2,
         );
         let mut entries = Peers::new();
-        entries.push(node, cx.payload_pool());
-        entries.extend_from_slice(&self.sample_scratch, cx.payload_pool());
-        entries.extend_from_slice(&self.sample_scratch2, cx.payload_pool());
+        entries.push(node);
+        for &peer in self.sample_scratch.iter().chain(&self.sample_scratch2) {
+            entries.push(peer);
+        }
         let token = self.next_token;
         self.next_token += 1;
         self.pending_shuffles[u] = Some(PendingShuffle { token, target });
@@ -583,15 +583,16 @@ impl Epidemic {
         token: u64,
         entries: Peers,
     ) {
-        let reply_len = entries.len();
         self.members[to.index()].passive.sample_into(
-            reply_len,
+            entries.as_slice().len(),
             Some(from),
             cx.rng(),
             &mut self.sample_scratch,
         );
         let mut reply = Peers::new();
-        reply.extend_from_slice(&self.sample_scratch, cx.payload_pool());
+        for &peer in &self.sample_scratch {
+            reply.push(peer);
+        }
         cx.send(
             to,
             from,
@@ -601,11 +602,9 @@ impl Epidemic {
                 entries: reply,
             },
         );
-        for i in 0..entries.len() {
-            let peer = entries.as_slice()[i];
+        for &peer in entries.as_slice() {
             self.integrate_into_passive(cx, to, peer);
         }
-        entries.recycle(cx.payload_pool());
         self.clear_suspicion_of(to, from);
     }
 
@@ -619,15 +618,12 @@ impl Epidemic {
     ) {
         let slot = &mut self.pending_shuffles[to.index()];
         if slot.is_none_or(|p| p.token != token) {
-            entries.recycle(cx.payload_pool());
             return; // late reply after the timeout already fired
         }
         *slot = None;
-        for i in 0..entries.len() {
-            let peer = entries.as_slice()[i];
+        for &peer in entries.as_slice() {
             self.integrate_into_passive(cx, to, peer);
         }
-        entries.recycle(cx.payload_pool());
         self.clear_suspicion_of(to, from);
     }
 
@@ -1452,9 +1448,11 @@ mod tests {
     #[test]
     fn message_plane_footprint_is_pinned() {
         // The wheel copies queued events on every cascade: a variant that
-        // outgrows the pooled inline payload would grow them all.
+        // outgrows the inline shuffle payload would grow them all. A
+        // `PartialView` is a row of the views table every shuffle reads.
         assert_eq!(std::mem::size_of::<Msg>(), 48);
         assert_eq!(std::mem::size_of::<Timer>(), 24);
+        assert_eq!(std::mem::size_of::<PartialView>(), 56);
     }
 
     #[test]

@@ -38,6 +38,7 @@
 pub mod config;
 pub mod epidemic;
 pub mod membership;
+mod peers;
 mod ticker;
 pub mod view;
 

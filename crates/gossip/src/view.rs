@@ -9,6 +9,8 @@
 use mpil_overlay::NodeIdx;
 use rand::Rng;
 
+use crate::peers::InlinePeers;
+
 /// Views at or below this capacity store their entries inline.
 ///
 /// Inlining the slots into [`PartialView`] means a shuffle touches one
@@ -23,20 +25,14 @@ const INLINE_VIEW: usize = 8;
 /// deterministic sampling).
 #[derive(Debug, Clone)]
 enum Entries {
-    Inline {
-        len: u8,
-        slots: [NodeIdx; INLINE_VIEW],
-    },
+    Inline(InlinePeers<INLINE_VIEW>),
     Heap(Vec<NodeIdx>),
 }
 
 impl Entries {
     fn new(capacity: usize) -> Self {
         if capacity <= INLINE_VIEW {
-            Entries::Inline {
-                len: 0,
-                slots: [NodeIdx::new(0); INLINE_VIEW],
-            }
+            Entries::Inline(InlinePeers::new())
         } else {
             Entries::Heap(Vec::with_capacity(capacity))
         }
@@ -44,7 +40,7 @@ impl Entries {
 
     fn as_slice(&self) -> &[NodeIdx] {
         match self {
-            Entries::Inline { len, slots } => &slots[..*len as usize],
+            Entries::Inline(peers) => peers.as_slice(),
             Entries::Heap(v) => v,
         }
     }
@@ -54,48 +50,30 @@ impl Entries {
     /// most [`INLINE_VIEW`]).
     fn push(&mut self, peer: NodeIdx) {
         match self {
-            Entries::Inline { len, slots } => {
-                slots[*len as usize] = peer;
-                *len += 1;
-            }
+            Entries::Inline(peers) => peers.push(peer),
             Entries::Heap(v) => v.push(peer),
         }
     }
 
-    /// Order-preserving removal of the first slot, like
-    /// `Vec::remove(0)`.
     fn remove_first(&mut self) {
         match self {
-            Entries::Inline { len, slots } => {
-                slots.copy_within(1..*len as usize, 0);
-                *len -= 1;
-            }
+            Entries::Inline(peers) => peers.remove_first(),
             Entries::Heap(v) => {
                 v.remove(0);
             }
         }
     }
 
-    /// Order-preserving filter, like `Vec::retain`.
     fn retain(&mut self, mut keep: impl FnMut(NodeIdx) -> bool) {
         match self {
-            Entries::Inline { len, slots } => {
-                let mut kept = 0usize;
-                for i in 0..*len as usize {
-                    if keep(slots[i]) {
-                        slots[kept] = slots[i];
-                        kept += 1;
-                    }
-                }
-                *len = kept as u8;
-            }
+            Entries::Inline(peers) => peers.retain(keep),
             Entries::Heap(v) => v.retain(|&p| keep(p)),
         }
     }
 
     fn clear(&mut self) {
         match self {
-            Entries::Inline { len, .. } => *len = 0,
+            Entries::Inline(peers) => peers.clear(),
             Entries::Heap(v) => v.clear(),
         }
     }

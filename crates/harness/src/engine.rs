@@ -28,7 +28,7 @@ pub struct LookupHandle(pub u64);
 ///    [`DiscoveryEngine::run_to_quiescence`];
 /// 3. optionally **start maintenance** and swap in a perturbed
 ///    availability model;
-/// 4. **churn_tick / advance** the clock one flapping period at a time,
+/// 4. **advance** the clock one flapping period at a time,
 ///    issuing a **lookup** per period;
 /// 5. read outcomes and **stats** ([`Counters`] + [`NetStats`]).
 ///
@@ -98,12 +98,6 @@ pub trait DiscoveryEngine {
     fn advance(&mut self, by: SimDuration) {
         let deadline = self.now() + by;
         self.run_until(deadline);
-    }
-
-    /// Advances through one full churn (flapping) period, letting the
-    /// availability model flip nodes and the engine react.
-    fn churn_tick(&mut self, period: SimDuration) {
-        self.advance(period);
     }
 
     /// Every send so far by class and every note by kind (failure

@@ -5,10 +5,11 @@
 //! This binary installs [`mpil_alloc::CountingAlloc`] as its global
 //! allocator, so the assertion measures the real thing — every `malloc`
 //! the process performs — not a proxy. The budget is deliberately a
-//! hair above zero: the pooled payload plane is allocation-free by
-//! construction, but rare cold paths (a suspicion map's first insert
-//! for a node, a wheel slot growing past its warmed capacity) are
-//! allowed a trickle. The bound of 0.01 allocations per shuffle round
+//! hair above zero: every message is a fixed-size value (a shuffle's
+//! peers ride inline in it) in a wheel slot whose buffer is reused, so
+//! the message plane is allocation-free by construction, but rare cold
+//! paths (a suspicion map's first insert for a node, a wheel slot
+//! growing past its warmed capacity) are allowed a trickle. The bound of 0.01 allocations per shuffle round
 //! is ~500x below the two-allocations-per-message plane this replaced.
 //!
 //! The allocator's counters are process-global, and `cargo test` runs
@@ -57,9 +58,8 @@ fn warmed_up_shuffle_rounds_allocate_nothing() {
     );
 }
 
-/// Once the timer wheel, payload pool, and per-node maps are warm, the
-/// combined shuffle + NEIGHBOR control plane must stay on the pooled
-/// plane.
+/// Once the timer wheel and per-node maps are warm, the combined
+/// shuffle + NEIGHBOR control plane must not allocate.
 fn assert_warm_rounds_allocate_nothing(config: EpidemicConfig) {
     const NODES: usize = 10_000;
     let mut rng = SmallRng::seed_from_u64(7);
@@ -101,10 +101,10 @@ fn assert_warm_rounds_allocate_nothing(config: EpidemicConfig) {
 fn warmed_up_plumtree_broadcasts_and_lookups_stay_on_the_pooled_plane() {
     let _serial = serial();
     // The dissemination plane: Gossip/IHave/Graft/Prune broadcasts and
-    // Query/Reply lookups ride plain pooled events, so a warmed
-    // overlay must push announcements and answer lookups with only a
-    // trickle of allocations (lookup-table growth amortized across
-    // hundreds of thousands of kernel sends).
+    // Query/Reply lookups are fixed-size events in reused wheel slots,
+    // so a warmed overlay must push announcements and answer lookups
+    // with only a trickle of allocations (lookup-table growth amortized
+    // across hundreds of thousands of kernel sends).
     const NODES: usize = 10_000;
     let config = EpidemicConfig::default();
     let mut rng = SmallRng::seed_from_u64(9);

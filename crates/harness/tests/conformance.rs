@@ -171,7 +171,7 @@ fn counter_attribution_stays_honest_under_perturbation_on_every_engine() {
         flap.exempt(origin);
         engine.set_availability(Box::new(flap));
         for &object in &prepared.objects {
-            engine.churn_tick(SimDuration::from_secs(60));
+            engine.advance(SimDuration::from_secs(60));
             let deadline = engine.now() + SimDuration::from_secs(60);
             engine.issue_lookup(origin, object, deadline);
         }
@@ -341,14 +341,14 @@ fn join_is_supported_exactly_where_the_protocol_has_one() {
 }
 
 #[test]
-fn churn_tick_and_advance_move_the_clock() {
+fn advance_moves_the_clock() {
     for (spec, mut engine) in all_engines(18) {
         let t0 = engine.now();
-        engine.churn_tick(SimDuration::from_secs(60));
+        engine.advance(SimDuration::from_secs(60));
         assert_eq!(
             engine.now(),
             t0 + SimDuration::from_secs(60),
-            "{}: churn_tick did not advance to the period boundary",
+            "{}: advance did not reach the period boundary",
             spec.label()
         );
         engine.advance(SimDuration::from_secs(5));

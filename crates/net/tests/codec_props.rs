@@ -6,7 +6,6 @@ use mpil::{Message, MessageId, MessageKind};
 use mpil_id::Id;
 use mpil_net::{DecodeError, WireMessage};
 use mpil_overlay::NodeIdx;
-use mpil_sim::{PayloadBuf, PayloadPool, PAYLOAD_INLINE};
 use proptest::prelude::*;
 
 fn arb_id() -> impl Strategy<Value = Id> {
@@ -148,25 +147,17 @@ proptest! {
         prop_assert_eq!(WireMessage::decode(&enc), Err(DecodeError::BadVersion(v)));
     }
 
-    /// Routes that cross the simulation kernel's inline/pooled payload
-    /// boundary round-trip bit-exactly. The sim kernel stores routes in
-    /// `PayloadBuf` (inline up to [`PAYLOAD_INLINE`] entries, pooled heap
-    /// beyond); the wire codec must be representation-agnostic, so this
-    /// pushes each route through a real `PayloadBuf`/`PayloadPool` pair,
-    /// checks the spill predicate, and encodes from the buffer's slice.
+    /// Routes of every length from empty to 16 hops round-trip
+    /// bit-exactly, and every cut of their frames fails cleanly.
     #[test]
     fn payload_boundary_round_trips(
-        route_len in 0usize..=2 * PAYLOAD_INLINE + 2,
+        route_len in 0usize..=16,
         seed in any::<u32>(),
         cut in 0usize..400,
     ) {
-        let mut pool: PayloadPool<u32> = PayloadPool::new();
-        let mut buf: PayloadBuf<u32> = PayloadBuf::new();
-        for i in 0..route_len {
-            buf.push(seed.wrapping_add(i as u32) % 100_000, &mut pool);
-        }
-        prop_assert_eq!(buf.spilled(), route_len > PAYLOAD_INLINE);
-        prop_assert_eq!(buf.len(), route_len);
+        let route: Vec<NodeIdx> = (0..route_len)
+            .map(|i| NodeIdx::new(seed.wrapping_add(i as u32) % 100_000))
+            .collect();
 
         let msg = Message {
             msg_id: MessageId(u64::from(seed)),
@@ -176,7 +167,7 @@ proptest! {
             quota: 4,
             replicas_left: 0,
             hops: route_len as u32,
-            route: buf.as_slice().iter().copied().map(NodeIdx::new).collect(),
+            route,
         };
         let wire = WireMessage::Forward(msg);
         let encoded = wire.encode().expect("boundary-length routes encode");
@@ -190,6 +181,5 @@ proptest! {
             WireMessage::decode(&encoded[..cut]),
             Err(DecodeError::Truncated)
         );
-        buf.recycle(&mut pool);
     }
 }

@@ -130,15 +130,6 @@ impl Flapping {
     pub fn config(&self) -> &FlappingConfig {
         &self.config
     }
-
-    /// Expected fraction of time a node spends offline once flapping, at
-    /// this configuration (`p · offline / period`).
-    pub fn expected_offline_fraction(&self) -> f64 {
-        let p = self.config.probability;
-        let off = self.config.offline.as_micros() as f64;
-        let period = self.config.period().as_micros() as f64;
-        p * off / period
-    }
 }
 
 impl Availability for Flapping {
@@ -194,52 +185,6 @@ impl TraceChurn {
             }
         }
         TraceChurn { sessions }
-    }
-
-    /// Generates a synthetic trace with exponential on/off session
-    /// lengths (means `mean_online` / `mean_offline`) covering `horizon`.
-    pub fn generate<R: Rng + ?Sized>(
-        n: usize,
-        mean_online: SimDuration,
-        mean_offline: SimDuration,
-        horizon: SimTime,
-        rng: &mut R,
-    ) -> Self {
-        let exp = |rng: &mut R, mean: f64| -> u64 {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            (-mean * u.ln()).max(1.0) as u64
-        };
-        let mut sessions = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut list = Vec::new();
-            // Start online or offline with equal probability.
-            let mut t = if rng.gen_bool(0.5) {
-                0
-            } else {
-                exp(rng, mean_offline.as_micros() as f64)
-            };
-            while t < horizon.as_micros() {
-                let on = exp(rng, mean_online.as_micros() as f64);
-                let end = (t + on).min(horizon.as_micros());
-                list.push((SimTime::from_micros(t), SimTime::from_micros(end)));
-                t = end + exp(rng, mean_offline.as_micros() as f64);
-            }
-            sessions.push(list);
-        }
-        TraceChurn { sessions }
-    }
-
-    /// Fraction of `horizon` that `node` spends online.
-    pub fn online_fraction(&self, node: NodeIdx, horizon: SimTime) -> f64 {
-        let total: u64 = self.sessions[node.index()]
-            .iter()
-            .map(|&(s, e)| {
-                e.as_micros()
-                    .min(horizon.as_micros())
-                    .saturating_sub(s.as_micros())
-            })
-            .sum();
-        total as f64 / horizon.as_micros() as f64
     }
 }
 
@@ -309,7 +254,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let cfg = FlappingConfig::idle_offline_secs(45, 15, 0.6);
         let f = Flapping::new(cfg, 50, 11, &mut rng);
-        assert!((f.expected_offline_fraction() - 0.6 * 0.25).abs() < 1e-12);
         let mut offline = 0u32;
         let mut total = 0u32;
         for i in 0..50u32 {
@@ -320,6 +264,7 @@ mod tests {
                 }
             }
         }
+        // p · offline / period = 0.6 · 15 / 60.
         let frac = f64::from(offline) / f64::from(total);
         assert!(
             (frac - 0.15).abs() < 0.02,
@@ -395,8 +340,6 @@ mod tests {
         assert!(!t.is_online(node(0), SimTime::from_secs(15)));
         assert!(t.is_online(node(0), SimTime::from_secs(20)));
         assert!(!t.is_online(node(0), SimTime::from_secs(30)));
-        let frac = t.online_fraction(node(0), SimTime::from_secs(40));
-        assert!((frac - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -406,23 +349,5 @@ mod tests {
             (SimTime::from_secs(0), SimTime::from_secs(10)),
             (SimTime::from_secs(5), SimTime::from_secs(15)),
         ]]);
-    }
-
-    #[test]
-    fn generated_trace_matches_target_fractions() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let horizon = SimTime::from_secs(100_000);
-        let t = TraceChurn::generate(
-            20,
-            SimDuration::from_secs(300),
-            SimDuration::from_secs(100),
-            horizon,
-            &mut rng,
-        );
-        let mean: f64 = (0..20)
-            .map(|i| t.online_fraction(node(i), horizon))
-            .sum::<f64>()
-            / 20.0;
-        assert!((mean - 0.75).abs() < 0.08, "mean online fraction {mean}");
     }
 }

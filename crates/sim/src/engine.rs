@@ -31,7 +31,6 @@ use crate::availability::Availability;
 use crate::latency::LatencyModel;
 use crate::net::{Event, NetStats, Network};
 use crate::outcome::LookupOutcome;
-use crate::pool::PayloadPool;
 use crate::time::{SimDuration, SimTime};
 
 /// What one send is for, named by the handler that sends it
@@ -252,11 +251,6 @@ impl<P: Protocol> Cx<'_, P> {
     /// draws latencies and losses from).
     pub fn rng(&mut self) -> &mut SmallRng {
         self.net.rng()
-    }
-
-    /// The kernel's payload spill pool (see [`Network::payload_pool`]).
-    pub fn payload_pool(&mut self) -> &mut PayloadPool<NodeIdx> {
-        self.net.payload_pool()
     }
 
     /// Is `node` online right now?

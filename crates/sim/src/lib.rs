@@ -52,5 +52,5 @@ pub use latency::{ConstantLatency, LatencyModel, TransitStubLatency, UniformLate
 pub use net::{Event, NetStats, Network};
 pub use outcome::LookupOutcome;
 pub use outstanding::{Expiry, Outstanding, Request};
-pub use pool::{PayloadBuf, PayloadPool, PoolStats, PAYLOAD_INLINE};
+pub use pool::PayloadPool;
 pub use time::{SimDuration, SimTime};

@@ -6,7 +6,6 @@ use rand::SeedableRng;
 
 use crate::availability::Availability;
 use crate::latency::LatencyModel;
-use crate::pool::PayloadPool;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
 
@@ -84,10 +83,6 @@ pub struct Network<M, T = ()> {
     loss_probability: f64,
     rng: SmallRng,
     stats: NetStats,
-    /// Spill storage for [`crate::PayloadBuf`] message payloads (see the
-    /// [`crate::pool`] module): the kernel owns the free list so every
-    /// protocol layer draws from — and returns to — the same pool.
-    payloads: PayloadPool<NodeIdx>,
 }
 
 impl<M, T> Network<M, T> {
@@ -107,7 +102,6 @@ impl<M, T> Network<M, T> {
             loss_probability: 0.0,
             rng: SmallRng::seed_from_u64(seed),
             stats: NetStats::default(),
-            payloads: PayloadPool::new(),
         }
     }
 
@@ -154,14 +148,6 @@ impl<M, T> Network<M, T> {
     /// The deterministic simulation RNG (for protocol-level choices).
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.rng
-    }
-
-    /// The kernel's payload spill pool. Engines pass it to every
-    /// [`crate::PayloadBuf`] operation and recycle handled payloads
-    /// back into it, keeping the steady-state message plane
-    /// allocation-free.
-    pub fn payload_pool(&mut self) -> &mut PayloadPool<NodeIdx> {
-        &mut self.payloads
     }
 
     /// Is `node` online right now?

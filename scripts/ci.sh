@@ -109,11 +109,11 @@ scripts/oracles.sh \
 # WallClockBudget helper the 10k conformance smoke uses (--budget-s);
 # the outer `timeout` only remains as a hang backstop.
 #
-# --max-rss-mib is the memory-side tripwire (RssBudget): the pooled
-# message plane holds this point at 30-31 MiB peak. Wheel slots that
-# hoarded drained capacity once held a 20k-node gossip point above
-# 130 MiB, so a 100 MiB ceiling trips on a return of that pathology
-# (or any new kernel memory regression) with ~3x slack.
+# --max-rss-mib is the memory-side tripwire (RssBudget): the
+# allocation-free message plane holds this point at 30-31 MiB peak.
+# Wheel slots that hoarded drained capacity once held a 20k-node gossip
+# point above 130 MiB, so a 100 MiB ceiling trips on a return of that
+# pathology (or any new kernel memory regression) with ~3x slack.
 timeout 150 ./target/release/scale_run --engine gossip --nodes 20000 --seed 1 \
     --budget-s 120 --max-rss-mib 100 \
     || { echo "ci: 20k-node scale smoke exceeded a budget or failed" >&2; exit 1; }
@@ -124,7 +124,7 @@ timeout 150 ./target/release/scale_run --engine gossip --nodes 20000 --seed 1 \
 # point runs near 5 msgs/lookup; a 25-message ceiling trips if tree
 # repair ever degenerates back towards flooding, while leaving slack
 # for unlucky seeds. The RSS ceiling is higher than the gossip point's:
-# the harness issues all 20 broadcasts back-to-back, so ~13M pooled
+# the harness issues all 20 broadcasts back-to-back, so ~13M
 # messages are in flight at the stage-1 peak (~171 MiB today, one tick
 # in one buffer from wheel slot to dispatch). It read 269.5 MiB when
 # each tick was copied through the wheel's `current` queue and the
@@ -228,7 +228,8 @@ churned_smoke() {
     echo "$smoke"
     return "$status"
 }
-churned_smoke || churned_smoke \
+retrying() { echo "ci: $1 smoke missed a gate on its first attempt; retrying" >&2; }
+churned_smoke || { retrying "churned mpild service"; churned_smoke; } \
     || { echo "ci: churned mpild service smoke failed a gate twice" >&2; exit 1; }
 message_ceiling churned 5000
 
@@ -242,11 +243,14 @@ message_ceiling churned 5000
 # such quantum and five times above what the service needs; without
 # churn nothing may be lost either, and nothing is hedged (`hedges` 0
 # in the report of nine runs in ten: no lookup here takes the 3 ms a
-# hedge waits unless the host stalls for as long). One run in about
-# fifty reads a p99 near 190 ms with every lookup answered:
-# the shared host took the CPU away for that long in the middle of a
-# four-second run. Hence the second attempt; a poll interval fails both.
-# Its nodes forwarded 4 998-5 029 messages in ten runs (19 487 with
+# hedge waits unless the host stalls for as long). Run on its own, the
+# first attempt met every gate in 40 runs of 40 (20 of each of two
+# builds, alternating); run here, right after the tier-1 suite, it
+# missed the 6 ms gate in two of four runs (p99 9.2 and 6.2 ms, every
+# lookup answered), and one run once read a p99 near 190 ms: the shared
+# host took the CPU away in the middle of a four-second run. Hence the
+# second attempt, announced on stderr; a poll interval fails both.
+# Its nodes forwarded 4 998-5 282 messages in the 40 runs (19 487 with
 # full-width first attempts): the ceiling of 8 000 leaves room for a
 # stall that hedges a sixth of the lookups.
 quiet_udp_smoke() {
@@ -257,7 +261,7 @@ quiet_udp_smoke() {
     echo "$smoke"
     return "$status"
 }
-quiet_udp_smoke || quiet_udp_smoke \
+quiet_udp_smoke || { retrying "quiet UDP service"; quiet_udp_smoke; } \
     || { echo "ci: quiet UDP service smoke failed a gate twice" >&2; exit 1; }
 message_ceiling "quiet UDP" 8000
 
