@@ -3,9 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p mpil-bench --bin scale_run -- \
-//!     --engine mpil|kademlia|chord|pastry|gossip|plumtree|foaf \
-//!     --nodes N [--ops K] [--p X] [--seed S] \
-//!     [--strategy walk|ring] \
+//!     --engine SYSTEM --nodes N [--ops K] [--p X] [--seed S] \
 //!     [--budget-s B] [--max-rss-mib M] [--max-msgs-per-lookup T]
 //! ```
 //!
@@ -13,9 +11,14 @@
 //! so the `VmHWM` peak-RSS reading belongs to that point; a scaling
 //! curve is the per-point lines of several invocations.
 //!
-//! `--strategy` selects the gossip search (`walk`, the default, or
-//! `ring`); any other engine refuses it, as it refuses any other value
-//! (exit 2, the flag named), so each point has one spelling.
+//! `--engine` takes a system's one name, as `mpilctl perturb --system`
+//! does ([`EngineSpec::systems`]; `mpil-regular` by default, MPIL over a
+//! random 8-regular graph), and `--nodes` no fewer than it can be built
+//! on. The epidemic searches scale very differently: at 20k nodes and
+//! p = 0.5 `gossip` (k random walks) swings from seed to seed,
+//! `gossip-ring` holds 100 % at ~3 500 msgs/lookup, and `plumtree`
+//! matches it at ~5 (the `scripts/ci.sh` traffic tripwire holds it to
+//! that).
 //!
 //! `--budget-s B`, `--max-rss-mib M`, and `--max-msgs-per-lookup T`
 //! turn the run into a CI tripwire: if the point takes longer than `B`
@@ -26,7 +29,7 @@
 
 use std::time::Duration;
 
-use mpil_bench::scale_curve::{run_point, scale_spec};
+use mpil_bench::scale_curve::run_point;
 use mpil_bench::Args;
 use mpil_harness::{EngineSpec, RssBudget, TrafficBudget, WallClockBudget};
 
@@ -50,14 +53,10 @@ struct Plan {
 
 /// Reads the whole command line or says which flag cannot be read.
 fn plan(args: &Args) -> Result<Plan, String> {
-    let name = args.try_value("engine")?.unwrap_or("mpil".to_string());
-    let strategy: Option<String> = args.try_value("strategy")?;
-    let spec = scale_spec(&name, strategy.as_deref())?;
+    let (spec, nodes) = EngineSpec::read(args, "engine", "mpil-regular", 1000)?;
     let plan = Plan {
         spec,
-        nodes: args
-            .try_value_in("nodes", spec.fewest_nodes()..)?
-            .unwrap_or(1000),
+        nodes,
         ops: args.try_value_in("ops", 1..)?.unwrap_or(20),
         p: args.try_value_in("p", 0.0..=1.0)?.unwrap_or(0.5),
         seed: args.try_value("seed")?.unwrap_or(1),
@@ -117,15 +116,15 @@ mod tests {
             ("--max-rss-mib 1,5", "--max-rss-mib"),
             ("--budget-s --nodes 50", "--budget-s needs a value"),
             ("--max-rss 100", "unknown flag --max-rss"),
-            ("--engine warp", "--engine"),
-            ("--engine plumtree --strategy ring", "--strategy"),
-            ("--engine chord --strategy banana", "--strategy"),
-            ("--engine gossip --strategy plumtree", "--strategy"),
+            ("--engine warp", "--engine \"warp\" names no system"),
+            ("--engine mpil-random", "--engine \"mpil-random\""),
+            ("--engine gossip --strategy ring", "unknown flag --strategy"),
             ("--engine chord --p 1.5", "--p \"1.5\""),
             ("--p -0.5", "--p \"-0.5\""),
             ("--p NaN", "--p \"NaN\""),
             ("--engine chord --nodes 0 --p 0", "--nodes \"0\""),
-            ("--engine mpil --nodes 8", "--nodes \"8\""),
+            ("--engine mpil-regular --nodes 8", "--nodes \"8\""),
+            ("--engine mpil-complete --nodes 1", "--nodes \"1\""),
             ("--nodes 5", "--nodes \"5\""),
             ("--engine chord --ops 0", "--ops \"0\""),
         ] {
@@ -138,5 +137,19 @@ mod tests {
                   --max-rss-mib 400 --max-msgs-per-lookup 25";
         let plan = plan(&Args::parse(ci.split_whitespace().map(String::from))).expect("ci's line");
         assert_eq!((plan.nodes, plan.budget_s), (20_000, 120));
+    }
+
+    /// Every system `mpilctl perturb --system` names is a point here,
+    /// under the same name.
+    #[test]
+    fn every_system_is_a_point() {
+        for (name, spec) in EngineSpec::systems() {
+            let line = format!("--engine {name}");
+            let plan = plan(&Args::parse(line.split(' ').map(String::from))).expect(&line);
+            assert_eq!(plan.spec, spec, "{line}");
+        }
+        let line = "--engine pastry-rr --nodes 40";
+        let plan = plan(&Args::parse(line.split(' ').map(String::from))).expect(line);
+        assert_eq!(plan.spec, EngineSpec::MSPASTRY_RR);
     }
 }

@@ -503,7 +503,7 @@ fn build_maintained_pastry(
     seed: u64,
 ) -> (Box<dyn DiscoveryEngine>, Vec<Id>) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let ids = mpil_pastry::bootstrap::random_ids(nodes, &mut rng);
+    let ids = mpil_overlay::random_ids(nodes, &mut rng);
     let states = build_converged_states(&ids, &mut rng);
     let ts = transit_stub::generate(nodes, &mut rng).expect("ts");
     let sim = PastrySim::new(
@@ -524,7 +524,7 @@ fn build_mpil_over_pastry(
     seed: u64,
 ) -> (Box<dyn DiscoveryEngine>, Vec<Id>) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let ids = mpil_pastry::bootstrap::random_ids(nodes, &mut rng);
+    let ids = mpil_overlay::random_ids(nodes, &mut rng);
     let states = build_converged_states(&ids, &mut rng);
     let neighbors: Vec<Vec<NodeIdx>> = states.iter().map(|s| s.neighbor_list()).collect();
     let ts = transit_stub::generate(nodes, &mut rng).expect("ts");

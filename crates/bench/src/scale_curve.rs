@@ -11,7 +11,7 @@
 //! record for the kernel's speed).
 
 pub use mpil_harness::peak_rss_mib;
-use mpil_harness::{EngineSpec, OverlaySource, PerturbRun, Scenario, WallClock};
+use mpil_harness::{EngineSpec, PerturbRun, Scenario, WallClock};
 
 /// One measured point on a scaling curve.
 #[derive(Debug, Clone)]
@@ -97,59 +97,6 @@ impl ScalePoint {
     }
 }
 
-/// Maps a `scale_run --engine` name (plus, for gossip, a `--strategy`)
-/// onto its [`EngineSpec`], or says which of the two cannot be read.
-///
-/// All five engine families scale-test here: MPIL over a frozen random
-/// graph (no maintenance timers), Kademlia (per-node refresh timers),
-/// Chord and MSPastry (full structured maintenance, converged builds),
-/// and the epidemic engine (per-node shuffle timers — the heaviest
-/// scheduler load). `plumtree` and `foaf` are its tree-query and
-/// bounded-fanout-walk lookups; `gossip` is its unstructured search,
-/// the one engine that takes a `--strategy`: `walk` (the default
-/// k-random-walk: 8 walkers, ttl 16) or `ring` (expanding-ring
-/// flooding, ttl 8). The searches scale very differently: at 20k nodes
-/// and p = 0.5, k-walk success swings from seed to seed (40-95 % over
-/// seeds 1-3), ring holds 100 % at ~3 500 msgs/lookup, and plumtree
-/// matches it at ~5 (the `scripts/ci.sh` traffic tripwire holds it to
-/// that).
-///
-/// # Errors
-///
-/// An unknown `--engine`, an unknown gossip `--strategy`, or a
-/// `--strategy` given to an engine that takes none.
-pub fn scale_spec(name: &str, strategy: Option<&str>) -> Result<EngineSpec, String> {
-    let spec = match name {
-        "mpil" => EngineSpec::MpilOver(OverlaySource::RandomRegular(8)),
-        "kademlia" => EngineSpec::KADEMLIA,
-        "chord" => EngineSpec::Chord,
-        "pastry" => EngineSpec::MSPASTRY,
-        "plumtree" => EngineSpec::PLUMTREE,
-        "foaf" => EngineSpec::FOAF,
-        "gossip" => {
-            return match strategy.unwrap_or("walk") {
-                "walk" => Ok(EngineSpec::GOSSIP_WALK),
-                "ring" => Ok(EngineSpec::GOSSIP_RING),
-                other => Err(format!(
-                    "unknown --strategy '{other}' for --engine gossip (expected walk or ring)"
-                )),
-            }
-        }
-        other => {
-            return Err(format!(
-                "unknown --engine '{other}' \
-                 (expected mpil, kademlia, chord, pastry, gossip, plumtree, or foaf)"
-            ))
-        }
-    };
-    match strategy {
-        Some(s) => Err(format!(
-            "--strategy '{s}' given, but --engine {name} takes none (only gossip does)"
-        )),
-        None => Ok(spec),
-    }
-}
-
 /// Runs one scaling point: the stages of [`mpil_harness::run_scenario`]
 /// with a stopwatch around each and the stage-2 counters read on
 /// either side of the perturbed stage, warm-up included.
@@ -204,40 +151,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_spec_knows_every_curve_engine() {
-        for name in [
-            "mpil", "kademlia", "chord", "pastry", "gossip", "plumtree", "foaf",
-        ] {
-            assert!(scale_spec(name, None).is_ok(), "{name}");
-        }
-        assert_eq!(scale_spec("gossip", None), Ok(EngineSpec::GOSSIP_WALK));
-        assert_eq!(
-            scale_spec("gossip", Some("walk")),
-            Ok(EngineSpec::GOSSIP_WALK)
-        );
-        assert_eq!(
-            scale_spec("gossip", Some("ring")),
-            Ok(EngineSpec::GOSSIP_RING)
-        );
-        // One spelling per point: a strategy only where it picks one.
-        for (name, strategy) in [
-            ("gossip", "banana"),
-            ("gossip", "plumtree"),
-            ("plumtree", "ring"),
-            ("chord", "walk"),
-            ("banana", "walk"),
-        ] {
-            assert!(
-                scale_spec(name, Some(strategy)).is_err(),
-                "{name} {strategy}"
-            );
-        }
-        assert!(scale_spec("banana", None).is_err());
-    }
-
-    #[test]
     fn a_tiny_point_runs_and_reports() {
-        let p = run_point(scale_spec("mpil", None).expect("spec"), 200, 5, 0.5, 3);
+        let spec = EngineSpec::named("mpil-regular").expect("a system");
+        let p = run_point(spec, 200, 5, 0.5, 3);
         assert_eq!(p.nodes, 200);
         assert_eq!(p.operations, 5);
         assert!(p.total_s >= p.build_s);

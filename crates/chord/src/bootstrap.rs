@@ -69,24 +69,11 @@ pub fn build_converged_states(ids: &[Id]) -> Vec<ChordState> {
         .collect()
 }
 
-/// Draws `n` distinct random identifiers (convenience for tests and
-/// benchmarks).
-pub fn random_ids<R: rand::Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<Id> {
-    let mut seen = fxhash::FxHashSet::with_capacity_and_hasher(n, Default::default());
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let id = Id::random(rng);
-        if seen.insert(id) {
-            out.push(id);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ring::in_half_open;
+    use mpil_overlay::random_ids;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -164,14 +151,6 @@ mod tests {
         assert_eq!(states[1].successor(), Some(NodeIdx::new(0)));
         assert_eq!(states[0].predecessor(), Some(NodeIdx::new(1)));
         assert_eq!(states[1].predecessor(), Some(NodeIdx::new(0)));
-    }
-
-    #[test]
-    fn random_ids_are_distinct() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let table = random_ids(500, &mut rng);
-        let set: fxhash::FxHashSet<_> = table.iter().collect();
-        assert_eq!(set.len(), 500);
     }
 
     #[test]

@@ -629,7 +629,8 @@ impl Protocol for Chord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bootstrap::{build_converged_states, random_ids};
+    use crate::bootstrap::build_converged_states;
+    use mpil_overlay::random_ids;
     use mpil_sim::{AlwaysOn, ConstantLatency, Counters, SimDuration};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

@@ -22,8 +22,8 @@
 //! DHash-style successor replication.
 //!
 //! ```
-//! use mpil_chord::{build_converged_states, random_ids, ChordConfig, ChordSim, LookupOutcome};
-//! use mpil_overlay::NodeIdx;
+//! use mpil_chord::{build_converged_states, ChordConfig, ChordSim, LookupOutcome};
+//! use mpil_overlay::{random_ids, NodeIdx};
 //! use mpil_sim::{AlwaysOn, ConstantLatency, SimDuration, SimTime};
 //! use rand::{rngs::SmallRng, SeedableRng};
 //!
@@ -57,7 +57,7 @@ pub mod engine;
 pub mod ring;
 pub mod state;
 
-pub use bootstrap::{build_converged_states, random_ids};
+pub use bootstrap::build_converged_states;
 pub use config::ChordConfig;
 pub use engine::{Chord, ChordSim, LookupOutcome};
 pub use state::ChordState;

@@ -2,9 +2,9 @@
 //! the frozen Chord overlay — extending Section 6.2's experiment to a
 //! second structured topology.
 
-use mpil_chord::{build_converged_states, random_ids, ChordConfig, ChordSim, LookupOutcome};
+use mpil_chord::{build_converged_states, ChordConfig, ChordSim, LookupOutcome};
 use mpil_id::Id;
-use mpil_overlay::NodeIdx;
+use mpil_overlay::{random_ids, NodeIdx};
 use mpil_sim::{AlwaysOn, ConstantLatency, Flapping, FlappingConfig, SimDuration};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

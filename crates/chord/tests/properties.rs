@@ -85,7 +85,7 @@ proptest! {
     fn converged_rings_are_well_formed(seed in 0u64..1000, n in 2usize..40) {
         use rand::{rngs::SmallRng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
-        let ids = mpil_chord::random_ids(n, &mut rng);
+        let ids = mpil_overlay::random_ids(n, &mut rng);
         let states = build_converged_states(&ids);
 
         let mut ring: Vec<usize> = (0..n).collect();
@@ -113,7 +113,7 @@ proptest! {
     fn next_hop_progresses_or_delivers(seed in 0u64..500, n in 3usize..32) {
         use rand::{rngs::SmallRng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
-        let ids = mpil_chord::random_ids(n, &mut rng);
+        let ids = mpil_overlay::random_ids(n, &mut rng);
         let states = build_converged_states(&ids);
         let key = Id::random(&mut rng);
         for st in &states {

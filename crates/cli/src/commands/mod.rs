@@ -10,31 +10,27 @@ pub mod simulate;
 pub mod sweep;
 
 use crate::CliError;
-use mpil_overlay::{generators, Topology};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use mpil_harness::OverlaySource;
+use mpil_workload::Args;
 
-/// Builds one of the plain graph families (the structured overlays are
-/// handled by [`overlay`] itself, which needs their neighbor lists, not
-/// a `Topology`).
-pub(crate) fn build_topology(
-    family: &str,
-    nodes: usize,
-    degree: usize,
-    seed: u64,
-) -> Result<Topology, CliError> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let topo = match family {
-        "powerlaw" | "power-law" => generators::power_law(nodes, Default::default(), &mut rng),
-        "random" | "regular" => generators::random_regular(nodes, degree, &mut rng),
-        "complete" => generators::complete(nodes, &mut rng),
-        other => {
-            return Err(CliError(format!(
-                "unknown overlay family {other:?} (want powerlaw|random|regular|complete)"
-            )))
-        }
+/// Reads an overlay family and its size: `--family` (`default` when
+/// absent) from [`OverlaySource::NAMES`], `--degree` as the `regular`
+/// family's degree (16 when absent), and `--nodes` (1000 when absent),
+/// refused below the family's [`OverlaySource::fewest_nodes`].
+pub(crate) fn read_family(
+    args: &Args,
+    default: &str,
+) -> Result<(String, OverlaySource, usize), CliError> {
+    let family = args.value("family").unwrap_or(default).to_string();
+    let degree = args.try_value("degree")?.unwrap_or(16usize);
+    let source = match OverlaySource::named(&family).map_err(|why| format!("--family {why}"))? {
+        OverlaySource::RandomRegular(_) => OverlaySource::RandomRegular(degree),
+        source => source,
     };
-    topo.map_err(|e| CliError(format!("overlay generation failed: {e}")))
+    let nodes = args
+        .try_value_in("nodes", source.fewest_nodes()..)?
+        .unwrap_or(1000usize);
+    Ok((family, source, nodes))
 }
 
 /// A command line as the tests write it.

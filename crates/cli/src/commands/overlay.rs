@@ -1,6 +1,6 @@
 //! `mpilctl overlay` — generate an overlay and print its statistics.
 
-use mpil_harness::{mean_out_degree, OverlaySource};
+use mpil_harness::mean_out_degree;
 use mpil_overlay::stats;
 use mpil_workload::Args;
 
@@ -13,21 +13,13 @@ use crate::CliError;
 /// [`CliError`] on unknown families, infeasible parameters or a flag it
 /// cannot read.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let family = args.value("family").unwrap_or("powerlaw").to_string();
-    let nodes = args.try_value_in("nodes", 1..)?.unwrap_or(1000usize);
-    let degree = args.try_value("degree")?.unwrap_or(16usize);
+    let (family, source, nodes) = super::read_family(args, "powerlaw")?;
     let seed = args.try_value("seed")?.unwrap_or(42u64);
     args.finish()?;
 
     // Structured overlays report directed out-degree statistics.
-    let structured = match family.as_str() {
-        "pastry" => Some(OverlaySource::Pastry),
-        "chord" => Some(OverlaySource::Chord),
-        "kademlia" => Some(OverlaySource::Kademlia),
-        _ => None,
-    };
-    if let Some(src) = structured {
-        let (_, nbrs) = src.build(nodes, seed);
+    let Some(topo) = source.generate(nodes, seed) else {
+        let (_, nbrs) = source.build(nodes, seed);
         let mut degrees: Vec<usize> = nbrs.iter().map(<[_]>::len).collect();
         degrees.sort_unstable();
         return Ok(format!(
@@ -40,9 +32,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             degrees[degrees.len() / 2],
             degrees.last().copied().unwrap_or(0),
         ));
-    }
-
-    let topo = super::build_topology(&family, nodes, degree, seed)?;
+    };
+    let topo = topo.map_err(|e| CliError(format!("overlay generation failed: {e}")))?;
     let hist = stats::degree_histogram(&topo);
     let (min_d, max_d) = (
         hist.iter().position(|&c| c > 0).unwrap_or(0),

@@ -1,37 +1,10 @@
 //! `mpilctl perturb` — one perturbation run (Sections 3 / 6.2, plus the
 //! Chord/Kademlia extension baselines).
 
-use mpil_harness::{run_scenario, EngineSpec, OverlaySource, PerturbResult, PerturbRun, Scenario};
+use mpil_harness::{run_scenario, EngineSpec, PerturbResult, PerturbRun, Scenario};
 use mpil_workload::Args;
 
 use crate::CliError;
-
-/// Parses `--system` into a harness engine spec.
-pub(crate) fn parse_system(system: &str) -> Result<EngineSpec, CliError> {
-    Ok(match system {
-        "pastry" => EngineSpec::MSPASTRY,
-        "pastry-rr" => EngineSpec::MSPASTRY_RR,
-        "mpil" => EngineSpec::MPIL_NO_DS,
-        "mpil-ds" => EngineSpec::MPIL_DS,
-        "mpil-chord" => EngineSpec::MpilOver(OverlaySource::Chord),
-        "mpil-kademlia" => EngineSpec::MpilOver(OverlaySource::Kademlia),
-        "chord" => EngineSpec::Chord,
-        "kademlia" => EngineSpec::KADEMLIA,
-        "kademlia-1" => EngineSpec::Kademlia { k: 1, alpha: 1 },
-        "gossip" | "gossip-walk" => EngineSpec::GOSSIP_WALK,
-        "gossip-ring" => EngineSpec::GOSSIP_RING,
-        "plumtree" => EngineSpec::PLUMTREE,
-        "foaf" => EngineSpec::FOAF,
-        "mpil-hyparview" => EngineSpec::MpilOver(OverlaySource::HyParView { active: 8 }),
-        other => {
-            return Err(CliError(format!(
-                "unknown system {other:?} (want pastry|pastry-rr|chord|kademlia|kademlia-1|\
-                 gossip|gossip-walk|gossip-ring|plumtree|foaf|mpil|mpil-ds|mpil-chord|\
-                 mpil-kademlia|mpil-hyparview)"
-            )))
-        }
-    })
-}
 
 /// The longest `--idle`, `--offline` or `--deadline` a run takes, in
 /// seconds: a simulated century, past any experiment and far inside
@@ -39,14 +12,14 @@ pub(crate) fn parse_system(system: &str) -> Result<EngineSpec, CliError> {
 const MAX_SECS: u64 = 100 * 365 * 24 * 3600;
 
 /// Builds the scenario named by the standard perturbation flags,
-/// refusing a size or an operation count of zero, a probability
-/// outside [0, 1], and a flapping period that is zero or that the
-/// simulated clock cannot hold for the whole run (one period per
-/// operation).
+/// refusing an unknown `--system`, a size below the system's fewest
+/// nodes, an operation count of zero, a probability outside [0, 1], and
+/// a flapping period that is zero or that the simulated clock cannot
+/// hold for the whole run (one period per operation).
 pub(crate) fn parse_scenario(args: &Args) -> Result<Scenario, CliError> {
-    let system = args.value("system").unwrap_or("mpil").to_string();
+    let (system, nodes) = EngineSpec::read(args, "system", "mpil", 300)?;
     let run = PerturbRun {
-        nodes: args.try_value_in("nodes", 1..)?.unwrap_or(300usize),
+        nodes,
         operations: args.try_value_in("ops", 1..)?.unwrap_or(60usize),
         idle_secs: args.try_value_in("idle", 0..=MAX_SECS)?.unwrap_or(30),
         offline_secs: args.try_value_in("offline", 0..=MAX_SECS)?.unwrap_or(30),
@@ -70,7 +43,7 @@ pub(crate) fn parse_scenario(args: &Args) -> Result<Scenario, CliError> {
             run.operations
         )));
     }
-    Ok(Scenario::new(parse_system(&system)?, run))
+    Ok(Scenario::new(system, run))
 }
 
 /// Runs the subcommand.
@@ -120,24 +93,13 @@ mod tests {
 
     #[test]
     fn every_documented_system_parses() {
-        for s in [
-            "pastry",
-            "pastry-rr",
-            "chord",
-            "kademlia",
-            "kademlia-1",
-            "gossip",
-            "gossip-walk",
-            "gossip-ring",
-            "plumtree",
-            "foaf",
-            "mpil",
-            "mpil-ds",
-            "mpil-chord",
-            "mpil-kademlia",
-            "mpil-hyparview",
-        ] {
-            assert!(parse_system(s).is_ok(), "{s}");
+        for (name, spec) in EngineSpec::systems() {
+            let scenario = parse_scenario(&args(&format!("--system {name}"))).expect(&name);
+            assert_eq!(scenario.engine, spec, "{name}");
+        }
+        for retired in ["gossip-walk", "mpil-random", "mpil-power-law"] {
+            let err = parse_scenario(&args(&format!("--system {retired}"))).expect_err(retired);
+            assert!(err.0.contains("--system"), "{err}");
         }
     }
 

@@ -17,9 +17,7 @@ use crate::CliError;
 /// [`CliError`] on unknown families, invalid MPIL parameters or a flag it
 /// cannot read.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let family = args.value("family").unwrap_or("random").to_string();
-    let nodes = args.try_value("nodes")?.unwrap_or(1000usize);
-    let degree = args.try_value("degree")?.unwrap_or(16usize);
+    let (family, source, nodes) = super::read_family(args, "regular")?;
     let ops = args.try_value_in("ops", 1..)?.unwrap_or(100usize);
     let max_flows = args.try_value("max-flows")?.unwrap_or(10u32);
     let replicas = args.try_value("replicas")?.unwrap_or(5u32);
@@ -27,7 +25,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let ds = !args.flag("no-ds");
     args.finish()?;
 
-    let topo = super::build_topology(&family, nodes, degree, seed)?;
+    let Some(topo) = source.generate(nodes, seed) else {
+        return Err(CliError(format!(
+            "--family {family}: a structured overlay; simulate runs on a generated graph"
+        )));
+    };
+    let topo = topo.map_err(|e| CliError(format!("overlay generation failed: {e}")))?;
     let config = MpilConfig::default()
         .with_max_flows(max_flows)
         .with_num_replicas(replicas)
@@ -84,7 +87,7 @@ mod tests {
 
     #[test]
     fn random_overlay_campaign_succeeds() {
-        let out = run(&args("--family random --nodes 200 --degree 12 --ops 20")).expect("ok");
+        let out = run(&args("--family regular --nodes 200 --degree 12 --ops 20")).expect("ok");
         assert!(out.contains("lookup success"), "got:\n{out}");
         // r=5, f=10 gives 100% in the paper's Tables 1-2 at any size.
         assert!(out.contains("= 100.0%"), "got:\n{out}");

@@ -1,5 +1,6 @@
 //! `mpilctl sweep` — one scenario fanned across seeds on the parallel
-//! experiment runner, with merged statistics (and optional JSON).
+//! experiment runner (one worker per core; the results do not depend on
+//! the count), with merged statistics (and optional JSON).
 
 use mpil_harness::ExperimentRunner;
 use mpil_workload::{Args, RunningStats};
@@ -14,7 +15,6 @@ use crate::CliError;
 pub fn run(args: &Args) -> Result<String, CliError> {
     let scenario = super::perturb::parse_scenario(args)?;
     let count = args.try_value("seeds")?.unwrap_or(8u64);
-    let workers = args.try_value("workers")?.unwrap_or(0usize);
     let json = args.flag("json");
     args.finish()?;
     if count == 0 {
@@ -27,11 +27,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         )));
     };
     let seeds: Vec<u64> = (first..end).collect();
-    let runner = if workers == 0 {
-        ExperimentRunner::default()
-    } else {
-        ExperimentRunner::new(workers)
-    };
+    let runner = ExperimentRunner::default();
     let sweep = runner.run_seeds(&scenario, &seeds);
     if json {
         return Ok(sweep.to_json());
@@ -74,7 +70,7 @@ mod tests {
     #[test]
     fn sweep_reports_merged_stats() {
         let out = run(&args(
-            "--system mpil-chord --nodes 100 --ops 8 --p 0.0 --seeds 2 --workers 2",
+            "--system mpil-chord --nodes 100 --ops 8 --p 0.0 --seeds 2",
         ))
         .expect("ok");
         assert!(out.contains("seeds            = 2"), "got:\n{out}");
@@ -112,6 +108,13 @@ mod tests {
     #[test]
     fn sweep_rejects_unknown_system() {
         assert!(run(&args("--system banana --seeds 2")).is_err());
+    }
+
+    #[test]
+    fn sweep_has_no_worker_count() {
+        let err = run(&args("--system mpil-chord --nodes 100 --ops 8 --workers 2"))
+            .expect_err("--workers");
+        assert!(err.0.contains("unknown flag --workers"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! mpilctl overlay  --family powerlaw --nodes 4000 [--degree D] [--seed S]
 //! mpilctl analyze  --what local-maxima --nodes 16000 --degree 50
 //! mpilctl analyze  --what replicas --nodes 8000
-//! mpilctl simulate --family random --nodes 1000 --ops 100 [--max-flows 10] [--replicas 5]
+//! mpilctl simulate --family regular --nodes 1000 --ops 100 [--max-flows 10] [--replicas 5]
 //! mpilctl perturb  --system mpil --nodes 300 --ops 50 --idle 30 --offline 30 --p 0.5 [--loss 0.1]
 //! mpilctl serve    --port P --nodes 48 --spares 4 [--udp]
 //! mpilctl load     --embedded --objects 100 --lookups 500 [--rate R]
@@ -22,6 +22,7 @@
 
 pub mod commands;
 
+use mpil_harness::{EngineSpec, OverlaySource};
 use mpil_workload::Args;
 
 /// A subcommand failure, rendered to stderr by `main`.
@@ -44,8 +45,15 @@ impl From<String> for CliError {
     }
 }
 
-/// The synopsis printed by `mpilctl help`.
-pub const USAGE: &str = "\
+/// The synopsis printed by `mpilctl help`; the systems and overlay
+/// families it lists are the harness's name tables
+/// ([`EngineSpec::systems`], [`OverlaySource::NAMES`]).
+pub fn usage() -> String {
+    let systems: Vec<String> = EngineSpec::systems().map(|(name, _)| name).collect();
+    let systems: Vec<String> = systems.chunks(9).map(|row| row.join(" ")).collect();
+    let families: Vec<&str> = OverlaySource::NAMES.iter().map(|row| row.0).collect();
+    format!(
+        "\
 mpilctl — MPIL resource discovery toolkit
 
 USAGE:
@@ -53,19 +61,19 @@ USAGE:
 
 COMMANDS:
   overlay   generate an overlay and print its statistics
-            --family powerlaw|random|regular|complete|pastry|chord|kademlia
-            --nodes N [--degree D] [--seed S]
+            --family FAMILY --nodes N [--degree D] [--seed S]
   analyze   closed-form expectations from the paper's Section 5
             --what local-maxima --nodes N --degree D [--base4|--base16]
             --what replicas --nodes N
-  simulate  one static insert/lookup campaign (paper Section 6.1)
-            --family powerlaw|random|regular|complete --nodes N --ops K
+  simulate  one static insert/lookup campaign (paper Section 6.1) on a
+            generated family (regular, powerlaw, complete)
+            --family FAMILY --nodes N --ops K
             [--degree D] [--max-flows F] [--replicas R] [--no-ds] [--seed S]
   perturb   one perturbation run (paper Sections 3/6.2)
-            --system pastry|pastry-rr|chord|kademlia|mpil|mpil-ds
-            --nodes N --ops K --idle S --offline S --p P [--loss L] [--seed S]
-  sweep     one perturbation scenario across many seeds, in parallel
-            (same flags as perturb) [--seeds K] [--workers W] [--json]
+            --system SYSTEM --nodes N --ops K --idle S --offline S --p P
+            [--loss L] [--seed S]
+  sweep     one perturbation scenario across many seeds, one worker per core
+            (same flags as perturb) [--seeds K] [--json]
   serve     run the mpild daemon in the foreground (control on loopback UDP);
             the mpild binary's code and flags, `serve --help` lists them all
             [--port P] [--nodes N] [--degree D] [--spares S] [--seed K] [--udp]
@@ -76,7 +84,17 @@ COMMANDS:
             [--objects N] [--lookups K] [--rate R] [--window W] [--workers C]
             [--churn-period-ms P] [--min-success PCT] [--max-p99-ms MS] [--budget-s S]
   help      print this message
-";
+
+SYSTEM (perturb and sweep --system, default mpil; scale_run --engine):
+  {systems}
+
+FAMILY (overlay and simulate --family; --degree D sets regular's degree):
+  {families}
+",
+        systems = systems.join("\n  "),
+        families = families.join(" "),
+    )
+}
 
 /// Dispatches a full argument vector (without the program name).
 ///
@@ -87,7 +105,7 @@ COMMANDS:
 pub fn dispatch<I: IntoIterator<Item = String>>(args: I) -> Result<String, CliError> {
     let mut iter = args.into_iter();
     let Some(command) = iter.next() else {
-        return Ok(USAGE.to_string());
+        return Ok(usage());
     };
     let rest = Args::parse(iter);
     match command.as_str() {
@@ -98,7 +116,7 @@ pub fn dispatch<I: IntoIterator<Item = String>>(args: I) -> Result<String, CliEr
         "sweep" => commands::sweep::run(&rest),
         "serve" => commands::serve::run(&rest),
         "load" => commands::load::run(&rest),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
+        "help" | "--help" | "-h" => Ok(usage()),
         other => Err(CliError(format!(
             "unknown command {other:?}; run `mpilctl help`"
         ))),

@@ -27,7 +27,7 @@ fn unknown_command_errors_with_hint() {
 
 #[test]
 fn overlay_command_routes() {
-    let out = dispatch("overlay --family random --nodes 100 --degree 8").expect("ok");
+    let out = dispatch("overlay --family regular --nodes 100 --degree 8").expect("ok");
     assert!(out.contains("100 nodes"));
 }
 
@@ -40,8 +40,40 @@ fn analyze_command_routes() {
 
 #[test]
 fn simulate_command_routes() {
-    let out = dispatch("simulate --family random --nodes 150 --degree 10 --ops 10").expect("ok");
+    let out = dispatch("simulate --family regular --nodes 150 --degree 10 --ops 10").expect("ok");
     assert!(out.contains("lookup success"));
+}
+
+#[test]
+fn help_lists_every_system_and_family() {
+    let help = dispatch("help").expect("usage");
+    for (name, _) in mpil_harness::EngineSpec::systems() {
+        assert!(
+            help.contains(&format!(" {name}")),
+            "{name} missing:\n{help}"
+        );
+    }
+    for (name, _) in mpil_harness::OverlaySource::NAMES {
+        assert!(
+            help.contains(&format!(" {name}")),
+            "{name} missing:\n{help}"
+        );
+    }
+}
+
+/// MPIL over any frozen overlay is a system by its family's name, and a
+/// size its overlay cannot be built on is refused by name.
+#[test]
+fn perturb_runs_mpil_over_a_named_overlay() {
+    let out = dispatch("perturb --system mpil-regular --nodes 60 --ops 4").expect("ok");
+    assert!(out.contains("MPIL over random d=8"), "got:\n{out}");
+    for command in ["perturb", "sweep"] {
+        let line = format!("{command} --system mpil-regular --nodes 8 --ops 4");
+        let err = dispatch(&line).expect_err(&line);
+        assert!(err.to_string().contains("--nodes \"8\""), "{line}: {err}");
+    }
+    let err = dispatch("overlay --family complete --nodes 1").expect_err("one node");
+    assert!(err.to_string().contains("--nodes \"1\""), "{err}");
 }
 
 #[test]
@@ -49,6 +81,9 @@ fn errors_from_subcommands_propagate() {
     assert!(dispatch("overlay --family banana").is_err());
     assert!(dispatch("analyze --what banana").is_err());
     assert!(dispatch("perturb --system banana").is_err());
+    assert!(dispatch("simulate --family pastry").is_err());
+    // A degree its generator refuses is a message, not a panic.
+    assert!(dispatch("overlay --family regular --degree 7 --nodes 101").is_err());
 }
 
 /// Every command refuses, with the flag named, what it cannot read as

@@ -27,9 +27,11 @@
 //! ([`SeedSweep::to_json`]).
 //!
 //! Adding a new substrate = implementing [`mpil_sim::Protocol`] (see
-//! the conformance suite in `tests/conformance.rs`) and, if its frozen
-//! pointer graph should also serve as an MPIL overlay, an
-//! [`OverlaySource`] variant.
+//! the conformance suite in `tests/conformance.rs`), an [`EngineSpec`]
+//! variant with one row in [`EngineSpec::NAMES`] (the one table of
+//! system names every command line reads) and, if its frozen pointer
+//! graph should also serve as an MPIL overlay, an [`OverlaySource`]
+//! variant with one row in [`OverlaySource::NAMES`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

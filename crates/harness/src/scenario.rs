@@ -8,6 +8,7 @@
 //! (and the calibrated test thresholds that depend on them) are
 //! bit-identical to the pre-harness code.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use mpil::{DynamicConfig, Mpil, MpilConfig};
@@ -15,14 +16,14 @@ use mpil_chord::{Chord, ChordConfig};
 use mpil_gossip::{Epidemic, EpidemicConfig, LookupStrategy};
 use mpil_id::Id;
 use mpil_kademlia::{Kademlia, KademliaConfig};
-use mpil_overlay::transit_stub;
-use mpil_overlay::{generators, Adjacency, NodeIdx};
+use mpil_overlay::{generators, random_ids, transit_stub};
+use mpil_overlay::{Adjacency, GenerateError, NodeIdx, Topology};
 use mpil_pastry::{Pastry, PastryConfig};
 use mpil_sim::{
     AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LatencyModel, LookupOutcome, Protocol,
     Sim, SimDuration, SimTime, TransitStubLatency,
 };
-use mpil_workload::RunningStats;
+use mpil_workload::{Args, RunningStats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -47,9 +48,46 @@ pub enum OverlaySource {
         /// Active-view bound (the overlay's degree).
         active: usize,
     },
+    /// The complete graph: every node a neighbor of every other.
+    Complete,
 }
 
 impl OverlaySource {
+    /// Every overlay family by its one name, as `mpilctl overlay|simulate
+    /// --family` and the `mpil-<family>` systems ([`EngineSpec::systems`])
+    /// read it.
+    pub const NAMES: [(&'static str, OverlaySource); 7] = [
+        ("pastry", OverlaySource::Pastry),
+        ("chord", OverlaySource::Chord),
+        ("kademlia", OverlaySource::Kademlia),
+        ("regular", OverlaySource::RandomRegular(8)),
+        ("powerlaw", OverlaySource::PowerLaw),
+        ("hyparview", OverlaySource::HyParView { active: 8 }),
+        ("complete", OverlaySource::Complete),
+    ];
+
+    /// The family [`OverlaySource::NAMES`] gives `name`.
+    ///
+    /// # Errors
+    ///
+    /// Lists the table's names if no row holds `name`.
+    pub fn named(name: &str) -> Result<OverlaySource, String> {
+        row_named(Self::NAMES.into_iter(), name, "overlay family")
+    }
+
+    /// The fewest nodes this family can be built on: a random-regular
+    /// graph needs more nodes than its degree, a power-law one four
+    /// (`generators::power_law`'s `TooFewNodes` minimum), a complete one
+    /// two.
+    pub fn fewest_nodes(&self) -> usize {
+        match self {
+            OverlaySource::RandomRegular(degree) => degree.saturating_add(1),
+            OverlaySource::PowerLaw => 4,
+            OverlaySource::Complete => 2,
+            _ => 1,
+        }
+    }
+
     /// Label used in tables.
     pub fn label(&self) -> String {
         match self {
@@ -59,7 +97,25 @@ impl OverlaySource {
             OverlaySource::RandomRegular(d) => format!("random d={d}"),
             OverlaySource::PowerLaw => "power-law".into(),
             OverlaySource::HyParView { active } => format!("hyparview active={active}"),
+            OverlaySource::Complete => "complete".into(),
         }
+    }
+
+    /// A generated family's undirected graph, as its generator draws it
+    /// from `seed`; `None` for a structured overlay, whose directed
+    /// pointer graph only [`OverlaySource::build`] makes.
+    ///
+    /// # Errors
+    ///
+    /// The generator's refusal of a size or a degree it cannot realise.
+    pub fn generate(&self, nodes: usize, seed: u64) -> Option<Result<Topology, GenerateError>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        Some(match self {
+            OverlaySource::RandomRegular(d) => generators::random_regular(nodes, *d, &mut rng),
+            OverlaySource::PowerLaw => generators::power_law(nodes, Default::default(), &mut rng),
+            OverlaySource::Complete => generators::complete(nodes, &mut rng),
+            _ => return None,
+        })
     }
 
     /// Builds the frozen (ids, neighbor lists) pair: a generated graph's
@@ -68,49 +124,43 @@ impl OverlaySource {
     ///
     /// # Panics
     ///
-    /// Panics if a generator fails for the requested size (degree too
-    /// large for `nodes`, etc.).
+    /// Panics if a generator refuses `nodes` (fewer than
+    /// [`OverlaySource::fewest_nodes`]).
     pub fn build(&self, nodes: usize, seed: u64) -> (Vec<Id>, Adjacency) {
         let mut rng = SmallRng::seed_from_u64(seed);
         match self {
             OverlaySource::Pastry => {
-                let ids = mpil_pastry::bootstrap::random_ids(nodes, &mut rng);
+                let ids = random_ids(nodes, &mut rng);
                 let states = mpil_pastry::build_converged_states(&ids, &mut rng);
                 let nbrs: Vec<_> = states.iter().map(|s| s.neighbor_list()).collect();
                 (ids, nbrs.into())
             }
             OverlaySource::Chord => {
-                let ids = mpil_chord::random_ids(nodes, &mut rng);
+                let ids = random_ids(nodes, &mut rng);
                 let states = mpil_chord::build_converged_states(&ids);
                 let nbrs: Vec<_> = states.iter().map(|s| s.neighbor_list()).collect();
                 (ids, nbrs.into())
             }
             OverlaySource::Kademlia => {
                 let config = KademliaConfig::default();
-                let ids = mpil_chord::random_ids(nodes, &mut rng);
+                let ids = random_ids(nodes, &mut rng);
                 let tables = mpil_kademlia::build_converged_tables(&ids, &config);
                 let nbrs: Vec<_> = tables.iter().map(|t| t.iter().collect()).collect();
                 (ids, nbrs.into())
             }
-            OverlaySource::RandomRegular(d) => {
+            OverlaySource::RandomRegular(_) | OverlaySource::PowerLaw | OverlaySource::Complete => {
                 #[expect(
                     clippy::expect_used,
-                    reason = "P001: every caller asks for more nodes than the degree; the command lines refuse fewer by name (EngineSpec::fewest_nodes)"
+                    reason = "P001: the generators' parameters are valid and every caller asks for the family's fewest nodes or more; the command lines refuse fewer by name (EngineSpec::read)"
                 )]
-                let topo = generators::random_regular(nodes, *d, &mut rng).expect("generator");
-                topo.into_parts()
-            }
-            OverlaySource::PowerLaw => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "P001: the default parameters are valid and every caller asks for at least four nodes, power_law's minimum; the command lines refuse fewer by name (EngineSpec::fewest_nodes)"
-                )]
-                let topo =
-                    generators::power_law(nodes, Default::default(), &mut rng).expect("generator");
+                let topo = self
+                    .generate(nodes, seed)
+                    .and_then(Result::ok)
+                    .expect("generator");
                 topo.into_parts()
             }
             OverlaySource::HyParView { active } => {
-                let ids = mpil_chord::random_ids(nodes, &mut rng);
+                let ids = random_ids(nodes, &mut rng);
                 let members = mpil_gossip::build_converged_membership(
                     nodes,
                     *active,
@@ -296,13 +346,74 @@ impl EngineSpec {
         EngineSpec::MPIL_NO_DS,
     ];
 
-    /// The fewest nodes this system can be built on: a random-regular
-    /// overlay needs more nodes than its degree, a power-law one four
-    /// (`generators::power_law`'s `TooFewNodes` minimum).
+    /// Every system but MPIL over a frozen overlay, by its one name.
+    /// `mpil` and `mpil-ds` are Figures 11–12's MPIL, over MSPastry's
+    /// graph at transit-stub latencies.
+    pub const NAMES: [(&'static str, EngineSpec); 11] = [
+        ("pastry", EngineSpec::MSPASTRY),
+        ("pastry-rr", EngineSpec::MSPASTRY_RR),
+        ("chord", EngineSpec::Chord),
+        ("kademlia", EngineSpec::KADEMLIA),
+        ("kademlia-1", EngineSpec::Kademlia { k: 1, alpha: 1 }),
+        ("plumtree", EngineSpec::PLUMTREE),
+        ("foaf", EngineSpec::FOAF),
+        ("gossip", EngineSpec::GOSSIP_WALK),
+        ("gossip-ring", EngineSpec::GOSSIP_RING),
+        ("mpil", EngineSpec::MPIL_NO_DS),
+        ("mpil-ds", EngineSpec::MPIL_DS),
+    ];
+
+    /// Every system by its one name, as `scale_run --engine` and
+    /// `mpilctl perturb|sweep --system` read it: [`EngineSpec::NAMES`],
+    /// then `mpil-<family>` for MPIL over each of
+    /// [`OverlaySource::NAMES`] at LAN latency.
+    pub fn systems() -> impl Iterator<Item = (String, EngineSpec)> {
+        let own = Self::NAMES
+            .iter()
+            .map(|&(name, spec)| (name.to_string(), spec));
+        let over = OverlaySource::NAMES
+            .iter()
+            .map(|&(name, source)| (format!("mpil-{name}"), EngineSpec::MpilOver(source)));
+        own.chain(over)
+    }
+
+    /// The system [`EngineSpec::systems`] gives `name`.
+    ///
+    /// # Errors
+    ///
+    /// Lists the systems' names if none is `name`.
+    pub fn named(name: &str) -> Result<EngineSpec, String> {
+        row_named(Self::systems(), name, "system")
+    }
+
+    /// Reads a system and its size from a command line: its name from
+    /// `--{flag}` (`default` when absent), its size from `--nodes`
+    /// (`nodes` when absent), refused below
+    /// [`EngineSpec::fewest_nodes`] so that no build panics.
+    ///
+    /// # Errors
+    ///
+    /// Names the flag whose value names no system, or a `--nodes` that
+    /// does not parse or is too few.
+    pub fn read(
+        args: &Args,
+        flag: &str,
+        default: &str,
+        nodes: usize,
+    ) -> Result<(EngineSpec, usize), String> {
+        let name = args.value(flag).unwrap_or(default);
+        let spec = EngineSpec::named(name).map_err(|why| format!("--{flag} {why}"))?;
+        let nodes = args
+            .try_value_in("nodes", spec.fewest_nodes()..)?
+            .unwrap_or(nodes);
+        Ok((spec, nodes))
+    }
+
+    /// The fewest nodes this system can be built on: its frozen
+    /// overlay's ([`OverlaySource::fewest_nodes`]), else one.
     pub fn fewest_nodes(&self) -> usize {
         match self {
-            EngineSpec::MpilOver(OverlaySource::RandomRegular(degree)) => degree + 1,
-            EngineSpec::MpilOver(OverlaySource::PowerLaw) => 4,
+            EngineSpec::MpilOver(source) => source.fewest_nodes(),
             _ => 1,
         }
     }
@@ -340,6 +451,24 @@ impl EngineSpec {
             }
         }
     }
+}
+
+/// The value of the row of a name table that `name` names, or a refusal
+/// that lists every row's name.
+fn row_named<S: Borrow<str>, T>(
+    rows: impl Iterator<Item = (S, T)>,
+    name: &str,
+    kind: &str,
+) -> Result<T, String> {
+    let mut names = Vec::new();
+    for (row, value) in rows {
+        if row.borrow() == name {
+            return Ok(value);
+        }
+        names.push(row);
+    }
+    let names = names.join("|");
+    Err(format!("{name:?} names no {kind} (want {names})"))
 }
 
 impl fmt::Display for EngineSpec {
@@ -385,7 +514,7 @@ impl Scenario {
             } => {
                 let config =
                     PastryConfig::default().with_replication_on_route(replication_on_route);
-                let ids = mpil_pastry::bootstrap::random_ids(run.nodes, &mut rng);
+                let ids = random_ids(run.nodes, &mut rng);
                 let states = mpil_pastry::build_converged_states(&ids, &mut rng);
                 let wan = transit_stub_latency(run.nodes, &mut rng);
                 (
@@ -396,7 +525,7 @@ impl Scenario {
             }
             EngineSpec::Chord => {
                 let config = ChordConfig::default();
-                let ids = mpil_chord::random_ids(run.nodes, &mut rng);
+                let ids = random_ids(run.nodes, &mut rng);
                 let states = mpil_chord::build_converged_states(&ids);
                 (
                     quiet::<Chord>((ids, states), config, lan(), run.seed),
@@ -406,10 +535,7 @@ impl Scenario {
             }
             EngineSpec::Kademlia { k, alpha } => {
                 let config = KademliaConfig::default().with_k(k).with_alpha(alpha);
-                // Historical quirk, kept for stream compatibility: the
-                // Kademlia baseline (and OverlaySource::Kademlia) draw
-                // their ids through the Chord helper.
-                let ids = mpil_chord::random_ids(run.nodes, &mut rng);
+                let ids = random_ids(run.nodes, &mut rng);
                 let tables = mpil_kademlia::build_converged_tables(&ids, &config);
                 (
                     quiet::<Kademlia>((ids, tables), config, lan(), run.seed),
@@ -421,7 +547,7 @@ impl Scenario {
                 duplicate_suppression,
             } => {
                 // Build the same structured overlay MSPastry would have...
-                let ids = mpil_pastry::bootstrap::random_ids(run.nodes, &mut rng);
+                let ids = random_ids(run.nodes, &mut rng);
                 let states = mpil_pastry::build_converged_states(&ids, &mut rng);
                 let neighbors: Vec<_> = states.iter().map(|s| s.neighbor_list()).collect();
                 let wan = transit_stub_latency(run.nodes, &mut rng);
@@ -669,6 +795,10 @@ mod tests {
             EngineSpec::MpilOver(OverlaySource::HyParView { active: 5 }).label(),
             "MPIL over hyparview active=5"
         );
+        assert_eq!(
+            EngineSpec::MpilOver(OverlaySource::Complete).label(),
+            "MPIL over complete"
+        );
     }
 
     #[test]
@@ -716,6 +846,126 @@ mod tests {
         assert!(
             generators::power_law(3, Default::default(), &mut rng).is_err(),
             "one node fewer is what the floor refuses"
+        );
+    }
+
+    /// The name [`EngineSpec::systems`] gives `spec`, if any.
+    fn system_name(spec: &EngineSpec) -> Option<String> {
+        EngineSpec::systems()
+            .find(|(_, row)| row == spec)
+            .map(|(name, _)| name)
+    }
+
+    #[test]
+    fn every_name_reads_back_its_one_value() {
+        let systems: Vec<(String, EngineSpec)> = EngineSpec::systems().collect();
+        for (i, (name, spec)) in systems.iter().enumerate() {
+            assert_eq!(EngineSpec::named(name), Ok(*spec), "{name}");
+            assert_eq!(system_name(spec).as_deref(), Some(name.as_str()));
+            for (other, other_spec) in &systems[i + 1..] {
+                assert_ne!(name, other, "one name, two systems");
+                assert_ne!(
+                    spec, other_spec,
+                    "{name} and {other}: one system, two names"
+                );
+            }
+        }
+        for (i, &(name, source)) in OverlaySource::NAMES.iter().enumerate() {
+            assert_eq!(OverlaySource::named(name), Ok(source), "{name}");
+            let spec = EngineSpec::MpilOver(source);
+            assert_eq!(system_name(&spec), Some(format!("mpil-{name}")));
+            for &(other, other_source) in &OverlaySource::NAMES[i + 1..] {
+                assert_ne!(name, other, "one name, two families");
+                assert_ne!(
+                    source, other_source,
+                    "{name} and {other}: one family, two names"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_refusal_lists_the_table() {
+        let why = EngineSpec::named("mpil-random").expect_err("a retired name");
+        let names: Vec<String> = EngineSpec::systems().map(|(name, _)| name).collect();
+        assert_eq!(
+            why,
+            format!("\"mpil-random\" names no system (want {})", names.join("|"))
+        );
+        let why = OverlaySource::named("random").expect_err("a retired name");
+        assert!(
+            why.ends_with("(want pastry|chord|kademlia|regular|powerlaw|hyparview|complete)"),
+            "{why}"
+        );
+    }
+
+    /// The systems the figure drivers and `mpilctl` compare each have a
+    /// name, so a command line can run any point of a figure.
+    #[test]
+    fn every_driver_system_has_a_name() {
+        for spec in EngineSpec::FIGURE_11.into_iter().chain([
+            EngineSpec::Chord,
+            EngineSpec::KADEMLIA,
+            EngineSpec::Kademlia { k: 1, alpha: 1 },
+            EngineSpec::PLUMTREE,
+            EngineSpec::FOAF,
+            EngineSpec::GOSSIP_WALK,
+            EngineSpec::GOSSIP_RING,
+            EngineSpec::MpilOver(OverlaySource::Pastry),
+            EngineSpec::MpilOver(OverlaySource::Chord),
+            EngineSpec::MpilOver(OverlaySource::Kademlia),
+            EngineSpec::MpilOver(OverlaySource::RandomRegular(8)),
+            EngineSpec::MpilOver(OverlaySource::PowerLaw),
+            EngineSpec::MpilOver(OverlaySource::HyParView { active: 8 }),
+        ]) {
+            assert!(system_name(&spec).is_some(), "{} has no name", spec.label());
+        }
+    }
+
+    #[test]
+    fn every_system_runs_at_its_fewest_nodes() {
+        for (name, spec) in EngineSpec::systems() {
+            let mut run = PerturbRun::new(30, 30, 0.5);
+            run.nodes = spec.fewest_nodes();
+            run.operations = 1;
+            let result = crate::run_scenario(&Scenario::new(spec, run));
+            assert!(result.success_rate >= 0.0, "{name}");
+        }
+        assert_eq!(
+            EngineSpec::MpilOver(OverlaySource::Complete).fewest_nodes(),
+            2
+        );
+    }
+
+    #[test]
+    fn a_command_line_below_the_fewest_nodes_is_refused() {
+        let args = |line: &str| Args::parse(line.split(' ').map(String::from));
+        for (line, named) in [
+            ("--system mpil-regular --nodes 8", "--nodes \"8\""),
+            ("--system mpil-powerlaw --nodes 3", "--nodes \"3\""),
+            ("--system mpil-complete --nodes 1", "--nodes \"1\""),
+            ("--system pastry --nodes 0", "--nodes \"0\""),
+            (
+                "--system gossip-walk",
+                "--system \"gossip-walk\" names no system",
+            ),
+        ] {
+            let why = EngineSpec::read(&args(line), "system", "mpil", 300).expect_err(line);
+            assert!(why.contains(named), "{line}: {why}");
+        }
+        let read = EngineSpec::read(
+            &args("--system mpil-regular --nodes 9"),
+            "system",
+            "mpil",
+            300,
+        );
+        assert_eq!(
+            read,
+            Ok((EngineSpec::MpilOver(OverlaySource::RandomRegular(8)), 9))
+        );
+        assert_eq!(
+            EngineSpec::read(&args("--seed 1"), "system", "mpil", 300),
+            Ok((EngineSpec::MPIL_NO_DS, 300))
         );
     }
 

@@ -30,10 +30,10 @@ const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Slot count of the first allocation (power of two).
 ///
 /// Sized by the replica stores of a 50 000-node MPIL simulation
-/// (`scale_run --engine mpil --nodes 50000 --ops 2500 --p 0.1`): 40 868
-/// nodes store 118 843 entries, a median of 2 each. From an 8-slot
-/// first allocation, 39 504 of those nodes never grew past it and the
-/// stores filled 31 % of 381 104 slots of 28 B (10.2 MiB). From 2 slots
+/// (`scale_run --engine mpil-regular --nodes 50000 --ops 2500 --p
+/// 0.1`): 40 868 nodes store 118 843 entries, a median of 2 each. From
+/// an 8-slot first allocation, 39 504 of those nodes never grew past it
+/// and the stores filled 31 % of 381 104 slots of 28 B (10.2 MiB). From 2 slots
 /// they fill 55 % of 217 208 (5.8 MiB); from 4 the point peaks 1 MiB
 /// higher than from 2.
 const INITIAL_SLOTS: usize = 2;

@@ -96,8 +96,9 @@ impl TopologyBuilder {
     }
 }
 
-/// `n` distinct uniformly random IDs.
-pub(crate) fn random_ids<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<Id> {
+/// `n` distinct uniformly random IDs: the one draw every overlay, DHT
+/// membership and generator takes its node ids from.
+pub fn random_ids<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<Id> {
     let mut seen = FxHashSet::with_capacity_and_hasher(n, Default::default());
     let mut ids = Vec::with_capacity(n);
     while ids.len() < n {

@@ -42,6 +42,6 @@ mod builder;
 mod topology;
 
 pub use adjacency::Adjacency;
-pub use builder::TopologyBuilder;
+pub use builder::{random_ids, TopologyBuilder};
 pub use generators::GenerateError;
 pub use topology::{NodeIdx, Topology};

@@ -192,19 +192,6 @@ impl RangeArgmin {
     }
 }
 
-/// Convenience: generate `n` distinct random IDs for a membership.
-pub fn random_ids<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<Id> {
-    let mut seen = fxhash::FxHashSet::with_capacity_and_hasher(n, Default::default());
-    let mut ids = Vec::with_capacity(n);
-    while ids.len() < n {
-        let id = Id::random(rng);
-        if seen.insert(id) {
-            ids.push(id);
-        }
-    }
-    ids
-}
-
 /// Checks structural invariants of a converged overlay (used by tests
 /// and debug assertions): leaf sets hold the true ring neighbors, and
 /// every routing-table entry sits in its correct slot.
@@ -260,6 +247,7 @@ pub fn validate_converged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpil_overlay::random_ids;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

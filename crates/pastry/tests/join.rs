@@ -2,8 +2,8 @@
 //! already-converged overlay through the wire protocol only.
 
 use mpil_id::{ring_distance, Id};
-use mpil_overlay::NodeIdx;
-use mpil_pastry::bootstrap::{build_converged_states_partial, random_ids};
+use mpil_overlay::{random_ids, NodeIdx};
+use mpil_pastry::bootstrap::build_converged_states_partial;
 use mpil_pastry::{LookupOutcome, PastryConfig, PastrySim};
 use mpil_sim::{AlwaysOn, ConstantLatency, Counters, SimDuration};
 use rand::rngs::SmallRng;

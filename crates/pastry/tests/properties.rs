@@ -1,8 +1,8 @@
 //! Property-based tests for the Pastry data structures and routing.
 
 use mpil_id::{ring_distance, Id, IdSpace};
-use mpil_overlay::NodeIdx;
-use mpil_pastry::bootstrap::{build_converged_states, random_ids};
+use mpil_overlay::{random_ids, NodeIdx};
+use mpil_pastry::bootstrap::build_converged_states;
 use mpil_pastry::{LeafSet, NextHop, RoutingTable};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

@@ -141,7 +141,9 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
 # Chord and MSPastry through `mpil_sim::Outstanding`; every send of every
 # engine through `mpil_sim::Cx::send`, which counts it in the class its
 # handler names. A change to any of them that moves one send, or counts
-# one lookup send in another class, fails here first.
+# one lookup send in another class, fails here first. Each row also
+# holds the engine label its point prints (after the `|`), so a name
+# that comes to mean another system fails by name.
 #
 # The MPIL and plumtree rows also hold their memory. A 50 000-node
 # Sim<Mpil> peaks at 26.8-27.0 MiB with replica stores that start at two
@@ -160,22 +162,28 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
 # same point read 201.0 MiB with the ids and array cloned into the
 # engine instead of moved, and 309.6 MiB with one list per node built
 # and then flattened, so 180 trips on both.
-while read -r sent events lookup_msgs flags; do
+while IFS='|' read -r pins engine; do
+    read -r sent events lookup_msgs flags <<<"$pins"
+    engine=${engine# }
     # shellcheck disable=SC2086 # $flags is a list of flags
     point=$(./target/release/scale_run $flags --seed 1) \
         || { echo "ci: scale_run $flags --seed 1 failed or exceeded a budget" >&2; exit 1; }
+    if ! grep -qF "\"engine\": \"$engine\"," <<<"$point"; then
+        echo "ci: scale_run $flags --seed 1 ran another engine (pinned: $engine): $point" >&2
+        exit 1
+    fi
     if ! grep -q "\"sent\": $sent, \"events\": $events," <<<"$point" \
         || ! grep -q "\"lookup_msgs\": $lookup_msgs," <<<"$point"; then
         echo "ci: scale_run $flags --seed 1 moved (pinned: sent $sent, events $events, lookup_msgs $lookup_msgs): $point" >&2
         exit 1
     fi
 done <<'PINS'
-563131 819746 97 --engine plumtree --nodes 1000 --ops 20 --p 0.5 --max-rss-mib 13
-131835 233193 85 --engine chord --nodes 500 --ops 20 --p 0
-378674 582804 40 --engine pastry --nodes 250 --ops 20 --p 0
-131132 198105 120 --engine kademlia --nodes 250 --ops 20 --p 0
-359579 56334 41862 --engine mpil --nodes 50000 --ops 2500 --p 0.1 --max-rss-mib 29
-2941 472 354 --engine mpil --nodes 1000000 --ops 20 --p 0.1 --max-rss-mib 180
+563131 819746 97 --engine plumtree --nodes 1000 --ops 20 --p 0.5 --max-rss-mib 13 | Plumtree active=5 passive=24
+131835 233193 85 --engine chord --nodes 500 --ops 20 --p 0 | Chord
+378674 582804 40 --engine pastry --nodes 250 --ops 20 --p 0 | MSPastry
+131132 198105 120 --engine kademlia --nodes 250 --ops 20 --p 0 | Kademlia k=8 α=3
+359579 56334 41862 --engine mpil-regular --nodes 50000 --ops 2500 --p 0.1 --max-rss-mib 29 | MPIL over random d=8
+2941 472 354 --engine mpil-regular --nodes 1000000 --ops 20 --p 0.1 --max-rss-mib 180 | MPIL over random d=8
 PINS
 
 # The message ceiling of a service smoke: the node forwards of the run

@@ -14,8 +14,8 @@
 //! stage methods of `mpil_harness::PreparedRun`): on the same scenario
 //! they must report the same success rate and the same lookup traffic.
 
-use mpil_bench::scale_curve::{run_point, scale_spec};
-use mpil_harness::{run_scenario, PerturbRun, Scenario};
+use mpil_bench::scale_curve::run_point;
+use mpil_harness::{run_scenario, EngineSpec, PerturbRun, Scenario};
 
 const NODES: usize = 300;
 const OPS: usize = 10;
@@ -30,14 +30,14 @@ const PINNED: [(&str, u64, u64, f64); 7] = [
     ("chord", 71_521, 114_990, 80.0),
     ("pastry", 223_605, 307_834, 70.0),
     ("kademlia", 59_083, 84_375, 100.0),
-    ("mpil", 1_386, 143, 100.0),
+    ("mpil-regular", 1_386, 143, 100.0),
 ];
 
 #[test]
 fn every_scale_engine_repeats_its_pinned_counts() {
     let mut measured = Vec::new();
     for (name, ..) in PINNED {
-        let spec = scale_spec(name, None).expect("a scale_run engine");
+        let spec = EngineSpec::named(name).expect("a system");
         let point = run_point(spec, NODES, OPS, P, SEED);
         measured.push((name, point.sent, point.events, point.success_rate));
 
