@@ -27,11 +27,9 @@
 //! the process exits 1 (the point is still printed, so a bad run
 //! remains diagnosable).
 
-use std::time::Duration;
-
 use mpil_bench::scale_curve::run_point;
 use mpil_bench::Args;
-use mpil_harness::{EngineSpec, RssBudget, TrafficBudget, WallClockBudget};
+use mpil_harness::EngineSpec;
 
 /// Count every heap allocation so the point can report steady-state
 /// allocations per kernel event — the enforcement side of the
@@ -70,11 +68,6 @@ fn plan(args: &Args) -> Result<Plan, String> {
 
 fn main() {
     let (plan, _) = mpil_bench::run(plan);
-    let budget =
-        (plan.budget_s > 0).then(|| WallClockBudget::start(Duration::from_secs(plan.budget_s)));
-    let rss_budget = (plan.max_rss_mib > 0.0).then(|| RssBudget::new(plan.max_rss_mib));
-    let traffic_budget =
-        (plan.max_msgs_per_lookup > 0.0).then(|| TrafficBudget::new(plan.max_msgs_per_lookup));
     let point = run_point(plan.spec, plan.nodes, plan.ops, plan.p, plan.seed);
     eprintln!(
         "{}: {} nodes in {:.2}s (build {:.2}s, inserts {:.2}s, lookups {:.2}s), peak {:.0} MiB, \
@@ -91,16 +84,27 @@ fn main() {
         point.events,
     );
     println!("{}", point.to_json());
-    let context = format!("{} {}-node point", point.engine, point.nodes);
-    let checks = [
-        budget.map(|b| b.check(&context)),
-        rss_budget.map(|b| b.check(&context)),
-        traffic_budget.map(|b| b.check(&context, point.lookup_msgs, point.operations)),
-    ];
-    if let Some(msg) = checks.into_iter().flatten().find_map(Result::err) {
-        eprintln!("scale_run: {msg}");
-        std::process::exit(1);
-    }
+    let (secs, mib, msgs) = (point.total_s, point.peak_rss_mib, point.msgs_per_lookup());
+    let broken = if plan.budget_s > 0 && secs >= plan.budget_s as f64 {
+        format!("took {secs:.2}s (budget {}s)", plan.budget_s)
+    } else if plan.max_rss_mib > 0.0 && mib > plan.max_rss_mib {
+        format!(
+            "peaked at {mib:.1} MiB RSS (ceiling {:.1} MiB)",
+            plan.max_rss_mib
+        )
+    } else if plan.max_msgs_per_lookup > 0.0 && msgs > plan.max_msgs_per_lookup {
+        format!(
+            "spent {msgs:.1} msgs/lookup (ceiling {:.1})",
+            plan.max_msgs_per_lookup
+        )
+    } else {
+        return;
+    };
+    eprintln!(
+        "scale_run: {} {}-node point {broken}",
+        point.engine, point.nodes
+    );
+    std::process::exit(1);
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use mpil::{DynamicConfig, DynamicNetwork, MpilConfig};
 use mpil_harness::{
-    mean_out_degree, run_prepared, run_scenario, DiscoveryEngine, EngineSpec, ExperimentRunner,
+    fan_out, mean_out_degree, run_prepared, run_scenario, DiscoveryEngine, EngineSpec,
     OverlaySource, PerturbResult, PerturbRun, Report, Scenario,
 };
 use mpil_id::Id;
@@ -33,7 +33,7 @@ fn sweep_30_30<R: Send>(
         .iter()
         .map(|&spec| row(spec, (30, 30), nodes, ops, seed))
         .collect();
-    sweep(ExperimentRunner::default(), &rows, probabilities, measure)
+    sweep(&rows, probabilities, measure)
 }
 
 /// Extension: the Figure 11 comparison widened to three DHT baselines.
@@ -199,7 +199,7 @@ pub fn ext_link_loss(args: &Args) -> Result<Report, String> {
             points.push(Scenario::new(EngineSpec::MPIL_NO_DS, run));
         }
     }
-    let results = ExperimentRunner::default().run_scenarios(&points);
+    let results = fan_out(&points, run_scenario);
 
     let mut table = Table::new(vec![
         "loss".into(),
@@ -458,11 +458,11 @@ pub fn ext_churn_traces(args: &Args) -> Result<Report, String> {
         },
     ];
 
-    // (scenario index, mpil?) points, fanned out on the runner.
+    // (scenario index, mpil?) points, fanned out one worker per core.
     let points: Vec<(usize, bool)> = (0..scenarios.len())
         .flat_map(|i| [(i, false), (i, true)])
         .collect();
-    let rates = ExperimentRunner::default().map(&points, |&(i, mpil)| {
+    let rates = fan_out(&points, |&(i, mpil)| {
         let sc = &scenarios[i];
         let (engine, objects) = if mpil {
             build_mpil_over_pastry(nodes, ops, seed)

@@ -6,11 +6,11 @@
 //! Each function reads its flags strictly and calls [`Args::finish`]
 //! before any work starts, so a command line it cannot read is refused
 //! with the flag named. The experiment fan-out runs through
-//! [`mpil_harness::ExperimentRunner`] and — for every event-driven
-//! engine — the [`mpil_harness::DiscoveryEngine`] lifecycle, so every
-//! figure is reproducible against every engine from one code path.
+//! [`mpil_harness::fan_out`] and — for every event-driven engine — the
+//! [`mpil_harness::DiscoveryEngine`] lifecycle, so every figure is
+//! reproducible against every engine from one code path.
 
-use mpil_harness::{EngineSpec, ExperimentRunner, PerturbRun, Scenario};
+use mpil_harness::{fan_out, EngineSpec, PerturbRun, Scenario};
 
 use crate::Args;
 
@@ -52,10 +52,9 @@ fn row(
     Scenario::new(system, run)
 }
 
-/// Measures every row at every flapping probability on `runner` and
-/// returns the results as `[row][probability]`.
+/// Measures every row at every flapping probability and returns the
+/// results as `[row][probability]`.
 fn sweep<R: Send>(
-    runner: ExperimentRunner,
     rows: &[Scenario],
     probabilities: &[f64],
     measure: impl Fn(&Scenario) -> R + Sync,
@@ -68,7 +67,7 @@ fn sweep<R: Send>(
             points.push(point);
         }
     }
-    let mut results = runner.map(&points, measure).into_iter();
+    let mut results = fan_out(&points, measure).into_iter();
     rows.iter()
         .map(|_| results.by_ref().take(probabilities.len()).collect())
         .collect()
@@ -96,6 +95,7 @@ mod tests {
                 ("--sed 2", "unknown flag --sed"),
                 ("--seed many", "--seed \"many\""),
                 ("--full --seed", "--seed needs a value"),
+                ("--workers 2", "unknown flag --workers"),
             ] {
                 let args = Args::parse(line.split(' ').map(String::from));
                 let why = figure(&args).expect_err(line);
@@ -121,6 +121,18 @@ mod tests {
                 why.contains("--nodes \"0\""),
                 "extension {extension}: {why}"
             );
+        }
+    }
+
+    /// An extension runs at the fewest nodes it accepts: 17 is the
+    /// `regular` (d = 16) family's floor, the complete graph, which
+    /// random pairing alone often failed to build.
+    #[test]
+    fn overlay_independence_runs_at_its_fewest_nodes() {
+        for seed in 1..=6 {
+            let line = format!("--nodes 17 --ops 1 --seed {seed}");
+            let args = Args::parse(line.split(' ').map(String::from));
+            ext_overlay_independence(&args).expect(&line);
         }
     }
 }

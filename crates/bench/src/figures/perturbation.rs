@@ -1,10 +1,10 @@
 //! Perturbation figures (Sections 3 and 6.2: Figures 1, 11, 12).
 //!
 //! Each figure builds its (system × setting × probability) point list,
-//! fans it out through [`ExperimentRunner`], and formats the
+//! fans it out through [`mpil_harness::fan_out`], and formats the
 //! order-preserved results.
 
-use mpil_harness::{run_scenario, EngineSpec, ExperimentRunner, Report, Scenario};
+use mpil_harness::{run_scenario, EngineSpec, Report, Scenario};
 use mpil_workload::Table;
 
 use super::{row, standard, sweep};
@@ -18,7 +18,6 @@ use crate::Args;
 pub fn fig1_pastry_perturbation(args: &Args) -> Result<Report, String> {
     let (full, _csv, seed) = standard(args)?;
     let scale = perturb_scale(full);
-    let workers = args.try_value("workers")?.unwrap_or(2usize);
     args.finish()?;
     let settings: &[(u64, u64)] = &[(1, 1), (45, 15), (30, 30), (300, 300)];
 
@@ -34,12 +33,7 @@ pub fn fig1_pastry_perturbation(args: &Args) -> Result<Report, String> {
         scale.nodes,
         scale.operations
     );
-    let results = sweep(
-        ExperimentRunner::new(workers),
-        &rows,
-        scale.probabilities,
-        run_scenario,
-    );
+    let results = sweep(&rows, scale.probabilities, run_scenario);
 
     let mut headers = vec!["flap prob".to_string()];
     headers.extend(settings.iter().map(|&(i, o)| format!("{i}:{o}")));
@@ -68,7 +62,6 @@ pub fn fig1_pastry_perturbation(args: &Args) -> Result<Report, String> {
 pub fn fig11_perturbation(args: &Args) -> Result<(), String> {
     let (full, csv, seed) = standard(args)?;
     let scale = perturb_scale(full);
-    let workers = args.try_value("workers")?.unwrap_or(2usize);
     args.finish()?;
     let settings: &[(u64, u64)] = &[(1, 1), (30, 30), (300, 300)];
     let systems = EngineSpec::FIGURE_11;
@@ -82,12 +75,7 @@ pub fn fig11_perturbation(args: &Args) -> Result<(), String> {
             scale.nodes,
             scale.operations
         );
-        let results = sweep(
-            ExperimentRunner::new(workers),
-            &rows,
-            scale.probabilities,
-            run_scenario,
-        );
+        let results = sweep(&rows, scale.probabilities, run_scenario);
 
         let mut headers = vec!["flap prob".to_string()];
         headers.extend(systems.iter().map(EngineSpec::label));
@@ -113,7 +101,6 @@ pub fn fig11_perturbation(args: &Args) -> Result<(), String> {
 pub fn fig12_traffic(args: &Args) -> Result<Report, String> {
     let (full, _csv, seed) = standard(args)?;
     let scale = perturb_scale(full);
-    let workers = args.try_value("workers")?.unwrap_or(2usize);
     args.finish()?;
     let systems = [
         EngineSpec::MSPASTRY,
@@ -128,12 +115,7 @@ pub fn fig12_traffic(args: &Args) -> Result<Report, String> {
         scale.nodes,
         scale.operations
     );
-    let results = sweep(
-        ExperimentRunner::new(workers),
-        &rows,
-        scale.probabilities,
-        run_scenario,
-    );
+    let results = sweep(&rows, scale.probabilities, run_scenario);
 
     let mut report = Report::new();
     for (title, pick) in [

@@ -27,13 +27,14 @@
 //! HyParView views vs DHTs vs MPIL over the frozen active graph).
 //!
 //! All binaries accept `--full` (paper-scale parameters), `--csv`
-//! (machine-readable output), and `--seed <u64>`; each refuses, with
+//! (machine-readable output), and `--seed <u64>`, and none takes a
+//! worker count (each runs one worker per core); each refuses, with
 //! exit status 2 and the flag named, a command line it cannot read
 //! (see [`print`]).
 //!
 //! Since the `mpil-harness` refactor, every binary is a thin shim over
 //! a [`figures`] function: the experiments fan out through
-//! [`mpil_harness::ExperimentRunner`] and drive the engines through
+//! [`mpil_harness::fan_out`] and drive the engines through
 //! [`mpil_harness::DiscoveryEngine`], and all output goes through
 //! [`mpil_harness::Report`]; the systems are named by
 //! [`mpil_harness::EngineSpec`] directly.

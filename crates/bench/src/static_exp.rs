@@ -1,13 +1,14 @@
 //! Static-overlay experiment runners (Section 6.1: Figures 9–10,
 //! Tables 1–3).
 //!
-//! Independent overlays fan out across the
-//! [`mpil_harness::ExperimentRunner`] worker pool; per-graph samples
-//! are collected in graph order and merged sequentially, so the
-//! parallel run is bit-identical to the historical sequential loop.
+//! Every run is one preamble per graph (seed, overlay, workload,
+//! engine, inserts; `StaticRun::graph`); independent graphs go through
+//! [`mpil_harness::fan_out`], and their reports are collected in graph
+//! order and merged sequentially, so the parallel run is bit-identical
+//! to the historical sequential loop.
 
-use mpil::{MpilConfig, StaticEngine};
-use mpil_harness::ExperimentRunner;
+use mpil::{InsertReport, LookupReport, MpilConfig, StaticEngine};
+use mpil_harness::fan_out;
 use mpil_overlay::{generators, Topology};
 use mpil_workload::{InsertLookupWorkload, RunningStats, WorkloadConfig};
 use rand::rngs::SmallRng;
@@ -57,6 +58,70 @@ fn graph_seed(seed: u64, g: usize) -> u64 {
     seed ^ (g as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
+/// One Section 6.1 run: `graphs` overlays of `family` on `nodes` nodes,
+/// each with `objects` objects inserted under `insert` and, when
+/// `lookup` is set, each object then looked up under it.
+#[derive(Debug, Clone, Copy)]
+struct StaticRun {
+    family: Family,
+    nodes: usize,
+    graphs: usize,
+    objects: usize,
+    insert: MpilConfig,
+    lookup: Option<MpilConfig>,
+    seed: u64,
+}
+
+/// What one graph reported, per insertion and per lookup, in workload
+/// order.
+#[derive(Debug, PartialEq)]
+struct GraphReports {
+    inserts: Vec<InsertReport>,
+    lookups: Vec<LookupReport>,
+}
+
+impl StaticRun {
+    /// Graph `g`: its overlay and workload, seeded from [`graph_seed`],
+    /// and an engine that inserts every object from its insert origin
+    /// and then, with a lookup config, looks each up from its lookup
+    /// origin.
+    fn graph(&self, g: usize) -> GraphReports {
+        let gseed = graph_seed(self.seed, g);
+        let mut rng = SmallRng::seed_from_u64(gseed);
+        let topo = self.family.generate(self.nodes, &mut rng);
+        let workload = InsertLookupWorkload::generate(WorkloadConfig {
+            objects: self.objects,
+            nodes: self.nodes,
+            fixed_origin: None,
+            seed: gseed ^ 0xabcd,
+        });
+        let mut engine = StaticEngine::new(&topo, self.insert, gseed ^ 0x1234);
+        let inserts = workload
+            .inserts()
+            .map(|(object, origin)| engine.insert(origin, object))
+            .collect();
+        let lookups = match self.lookup {
+            Some(config) => {
+                engine.set_config(config);
+                workload
+                    .lookups()
+                    .map(|(object, origin)| engine.lookup(origin, object))
+                    .collect()
+            }
+            None => Vec::new(),
+        };
+        GraphReports { inserts, lookups }
+    }
+
+    /// Every graph's reports, in graph order: the graphs are independent,
+    /// so they [`fan_out`] one worker per core and merge sequentially,
+    /// bit-identical to one loop over them.
+    fn reports(&self) -> Vec<GraphReports> {
+        let graphs: Vec<usize> = (0..self.graphs).collect();
+        fan_out(&graphs, |&g| self.graph(g))
+    }
+}
+
 /// Aggregated insertion behavior over several graphs (Figure 9's three
 /// panels).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -73,13 +138,6 @@ pub struct InsertionBehavior {
     pub insertions: u64,
 }
 
-/// One graph's raw insertion samples, in insertion order.
-struct InsertionSamples {
-    /// Per-insertion (replicas, messages, flows) triples.
-    per_insert: Vec<(f64, f64, f64)>,
-    duplicates: u64,
-}
-
 /// Runs Figure 9's insertion workload: `graphs` overlays of `nodes`
 /// nodes; `objects` insertions per overlay from random origins, with the
 /// paper's insert parameters (`max_flows`, `num_replicas`).
@@ -91,67 +149,24 @@ pub fn insertion_behavior(
     config: MpilConfig,
     seed: u64,
 ) -> InsertionBehavior {
-    insertion_behavior_on(
-        &ExperimentRunner::default(),
+    let run = StaticRun {
         family,
         nodes,
         graphs,
         objects,
-        config,
+        insert: config,
+        lookup: None,
         seed,
-    )
-}
-
-/// [`insertion_behavior`] on an explicit runner (worker count must not
-/// affect results — the conformance of that claim is tested).
-pub fn insertion_behavior_on(
-    runner: &ExperimentRunner,
-    family: Family,
-    nodes: usize,
-    graphs: usize,
-    objects: usize,
-    config: MpilConfig,
-    seed: u64,
-) -> InsertionBehavior {
-    let graph_indices: Vec<usize> = (0..graphs).collect();
-    let per_graph = runner.map(&graph_indices, |&g| {
-        let gseed = graph_seed(seed, g);
-        let mut rng = SmallRng::seed_from_u64(gseed);
-        let topo = family.generate(nodes, &mut rng);
-        let workload = InsertLookupWorkload::generate(WorkloadConfig {
-            objects,
-            nodes,
-            fixed_origin: None,
-            seed: gseed ^ 0xabcd,
-        });
-        let mut engine = StaticEngine::new(&topo, config, gseed ^ 0x1234);
-        let mut samples = InsertionSamples {
-            per_insert: Vec::with_capacity(objects),
-            duplicates: 0,
-        };
-        for (object, origin) in workload.inserts() {
-            let r = engine.insert(origin, object);
-            samples.per_insert.push((
-                f64::from(r.replicas),
-                r.messages as f64,
-                f64::from(r.flows_created),
-            ));
-            samples.duplicates += r.duplicates;
-        }
-        samples
-    });
-
+    };
     let mut replicas = RunningStats::new();
     let mut traffic = RunningStats::new();
     let mut flows = RunningStats::new();
     let mut duplicates = 0u64;
-    for samples in &per_graph {
-        for &(r, m, f) in &samples.per_insert {
-            replicas.push(r);
-            traffic.push(m);
-            flows.push(f);
-        }
-        duplicates += samples.duplicates;
+    for r in run.reports().iter().flat_map(|g| &g.inserts) {
+        replicas.push(f64::from(r.replicas));
+        traffic.push(r.messages as f64);
+        flows.push(f64::from(r.flows_created));
+        duplicates += r.duplicates;
     }
     InsertionBehavior {
         mean_replicas: replicas.mean(),
@@ -179,15 +194,6 @@ pub struct LookupBehavior {
     pub lookups: u64,
 }
 
-/// One lookup's raw measurements: messages, flows, and — when it
-/// succeeded — (first_reply_hops, messages_until_first_reply).
-type LookupSample = (f64, f64, Option<(f64, f64)>);
-
-/// One graph's raw lookup samples, in lookup order.
-struct LookupSamples {
-    per_lookup: Vec<LookupSample>,
-}
-
 /// Runs the Section 6.1 lookup methodology: for each of `graphs`
 /// overlays, insert `objects` objects with `insert_config`, then look
 /// each up from a fresh random origin with `lookup_config`.
@@ -200,81 +206,29 @@ pub fn lookup_behavior(
     lookup_config: MpilConfig,
     seed: u64,
 ) -> LookupBehavior {
-    lookup_behavior_on(
-        &ExperimentRunner::default(),
+    let run = StaticRun {
         family,
         nodes,
         graphs,
         objects,
-        insert_config,
-        lookup_config,
+        insert: insert_config,
+        lookup: Some(lookup_config),
         seed,
-    )
-}
-
-/// [`lookup_behavior`] on an explicit runner (worker count must not
-/// affect results — the conformance of that claim is tested).
-#[expect(clippy::too_many_arguments, reason = "`lookup_behavior`'s arguments plus the runner")]
-pub fn lookup_behavior_on(
-    runner: &ExperimentRunner,
-    family: Family,
-    nodes: usize,
-    graphs: usize,
-    objects: usize,
-    insert_config: MpilConfig,
-    lookup_config: MpilConfig,
-    seed: u64,
-) -> LookupBehavior {
-    let graph_indices: Vec<usize> = (0..graphs).collect();
-    let per_graph = runner.map(&graph_indices, |&g| {
-        let gseed = graph_seed(seed, g);
-        let mut rng = SmallRng::seed_from_u64(gseed);
-        let topo = family.generate(nodes, &mut rng);
-        let workload = InsertLookupWorkload::generate(WorkloadConfig {
-            objects,
-            nodes,
-            fixed_origin: None,
-            seed: gseed ^ 0xabcd,
-        });
-        let mut engine = StaticEngine::new(&topo, insert_config, gseed ^ 0x1234);
-        for (object, origin) in workload.inserts() {
-            engine.insert(origin, object);
-        }
-        engine.set_config(lookup_config);
-        let mut samples = LookupSamples {
-            per_lookup: Vec::with_capacity(objects),
-        };
-        for (object, origin) in workload.lookups() {
-            let r = engine.lookup(origin, object);
-            let success = r.success.then(|| {
-                (
-                    f64::from(r.first_reply_hops.unwrap_or(0)),
-                    r.messages_until_first_reply as f64,
-                )
-            });
-            samples
-                .per_lookup
-                .push((r.messages as f64, f64::from(r.flows_created), success));
-        }
-        samples
-    });
-
+    };
     let mut hops = RunningStats::new();
     let mut traffic = RunningStats::new();
     let mut first_traffic = RunningStats::new();
     let mut flows = RunningStats::new();
     let mut successes = 0u64;
     let mut total = 0u64;
-    for samples in &per_graph {
-        for &(messages, flow_count, success) in &samples.per_lookup {
-            total += 1;
-            traffic.push(messages);
-            flows.push(flow_count);
-            if let Some((h, first)) = success {
-                successes += 1;
-                hops.push(h);
-                first_traffic.push(first);
-            }
+    for r in run.reports().iter().flat_map(|g| &g.lookups) {
+        total += 1;
+        traffic.push(r.messages as f64);
+        flows.push(f64::from(r.flows_created));
+        if r.success {
+            successes += 1;
+            hops.push(f64::from(r.first_reply_hops.unwrap_or(0)));
+            first_traffic.push(r.messages_until_first_reply as f64);
         }
     }
     LookupBehavior {
@@ -345,18 +299,27 @@ mod tests {
 
     #[test]
     fn parallel_graph_fanout_matches_sequential() {
-        // The merge is ordered, so worker count cannot change results:
-        // one worker (strictly sequential) vs more workers than graphs.
-        let cfg = paper_insert_config();
+        // The merge is ordered, so the fan-out cannot change results:
+        // every graph's reports, one after the other on this thread, vs
+        // the same graphs through `fan_out`, for inserts and lookups.
         let lookup = MpilConfig::default().with_max_flows(8).with_num_replicas(3);
-        let fam = Family::Random { degree: 10 };
-        let seq = ExperimentRunner::new(1);
-        let par = ExperimentRunner::new(4);
-        let a = lookup_behavior_on(&seq, fam, 150, 3, 10, cfg, lookup, 9);
-        let b = lookup_behavior_on(&par, fam, 150, 3, 10, cfg, lookup, 9);
-        assert_eq!(a, b);
-        let a = insertion_behavior_on(&seq, fam, 150, 3, 10, cfg, 9);
-        let b = insertion_behavior_on(&par, fam, 150, 3, 10, cfg, 9);
-        assert_eq!(a, b);
+        let inserts = StaticRun {
+            family: Family::Random { degree: 10 },
+            nodes: 150,
+            graphs: 3,
+            objects: 10,
+            insert: paper_insert_config(),
+            lookup: None,
+            seed: 9,
+        };
+        let lookups = StaticRun {
+            lookup: Some(lookup),
+            ..inserts
+        };
+        for run in [inserts, lookups] {
+            let seq: Vec<_> = (0..run.graphs).map(|g| run.graph(g)).collect();
+            assert_eq!(run.reports(), seq);
+        }
+        assert_eq!(lookups.graph(0).lookups.len(), 10);
     }
 }

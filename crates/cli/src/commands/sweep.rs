@@ -1,8 +1,7 @@
-//! `mpilctl sweep` — one scenario fanned across seeds on the parallel
-//! experiment runner (one worker per core; the results do not depend on
-//! the count), with merged statistics (and optional JSON).
+//! `mpilctl sweep` — one scenario fanned across seeds
+//! ([`mpil_harness::run_seeds`]: one worker per core; the results do not
+//! depend on the count), with merged statistics (and optional JSON).
 
-use mpil_harness::ExperimentRunner;
 use mpil_workload::{Args, RunningStats};
 
 use crate::CliError;
@@ -27,8 +26,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         )));
     };
     let seeds: Vec<u64> = (first..end).collect();
-    let runner = ExperimentRunner::default();
-    let sweep = runner.run_seeds(&scenario, &seeds);
+    let sweep = mpil_harness::run_seeds(&scenario, &seeds);
     if json {
         return Ok(sweep.to_json());
     }
@@ -44,7 +42,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     Ok(format!(
         "{scenario}\n\
          seeds            = {} ({}..{})\n\
-         workers          = {}\n\
          success rate %   : {}\n\
          lookup msgs      : {}\n\
          total msgs       : {}\n\
@@ -53,7 +50,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         seeds.len(),
         seeds.first().copied().unwrap_or(0),
         seeds.last().copied().unwrap_or(0),
-        runner.workers(),
         fmt(&sweep.stats.success_rate),
         fmt(&sweep.stats.lookup_messages),
         fmt(&sweep.stats.total_messages),

@@ -11,10 +11,10 @@
 //! every figure driver speaks: which engine, how many nodes, which
 //! perturbation schedule, which workload.
 //!
-//! On top of both sits the [`ExperimentRunner`]: a bounded worker pool
-//! (`std::thread::scope` threads) that fans scenarios — or one scenario
-//! across many seeds — out in parallel, with deterministic per-seed RNG
-//! streams and order-preserving result collection, so a parallel run is
+//! On top of both sits [`fan_out`]: one `std::thread::scope` worker per
+//! core (at least two) maps scenarios — or one scenario across many
+//! seeds, [`run_seeds`] — with deterministic per-seed RNG streams and
+//! order-preserving result collection, so a parallel run is
 //! bit-identical to a sequential one. The paper's two-stage
 //! perturbation methodology (insert on the static overlay, then flap
 //! and look up) is implemented once, as the stage methods of
@@ -48,10 +48,10 @@ pub mod scenario;
 
 pub use engine::{Counters, DiscoveryEngine, LookupHandle};
 pub use mpil_gossip::LookupStrategy;
-pub use mpil_workload::{peak_rss_mib, RssBudget, TrafficBudget, WallClock, WallClockBudget};
+pub use mpil_workload::{peak_rss_mib, WallClock};
 pub use report::Report;
 pub use runner::{
-    run_prepared, run_scenario, ExperimentRunner, PerturbResult, SeedStats, SeedSweep,
+    fan_out, run_prepared, run_scenario, run_seeds, PerturbResult, SeedStats, SeedSweep,
 };
 pub use scenario::{
     mean_out_degree, EngineSpec, LookupTally, OverlaySource, PerturbRun, PreparedRun, Scenario,

@@ -6,7 +6,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::{run_scenario, EngineSpec, ExperimentRunner, PerturbResult, PerturbRun, Scenario};
+    use crate::{fan_out, run_scenario, EngineSpec, PerturbResult, PerturbRun, Scenario};
 
     fn small_run(idle: u64, offline: u64, p: f64) -> PerturbRun {
         PerturbRun {
@@ -65,7 +65,7 @@ mod tests {
             Scenario::new(EngineSpec::MPIL_DS, small_run(30, 30, 0.5)),
             Scenario::new(EngineSpec::MSPASTRY, small_run(30, 30, 0.5)),
         ];
-        let par = ExperimentRunner::new(2).run_scenarios(&points);
+        let par = fan_out(&points, run_scenario);
         let seq: Vec<_> = points.iter().map(run_scenario).collect();
         assert_eq!(par, seq);
     }

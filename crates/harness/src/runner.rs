@@ -1,4 +1,4 @@
-//! The [`ExperimentRunner`]: one drive loop, many engines, many seeds.
+//! One drive loop, many engines, many seeds.
 //!
 //! [`run_scenario`] reads the paper's two-stage perturbation
 //! methodology (Sections 3 and 6.2) off [`PreparedRun`]: stage 1
@@ -10,14 +10,13 @@
 //!
 //! [`DiscoveryEngine`]: crate::DiscoveryEngine
 //!
-//! [`ExperimentRunner`] fans independent work items — scenario points
-//! or seeds — across a bounded pool of `std::thread::scope` threads.
-//! Each item's RNG streams derive only from its own scenario seed and
-//! results are collected in input order, so a parallel run is
-//! bit-identical to a sequential one.
+//! [`fan_out`] maps independent work items — scenario points, seeds or
+//! graphs — over `std::thread::scope` threads, one per core. Each item's
+//! RNG streams derive only from its own scenario seed and results are
+//! collected in input order, so a parallel run is bit-identical to a
+//! sequential one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use mpil_workload::RunningStats;
 
@@ -64,97 +63,69 @@ pub fn run_prepared(prepared: &mut PreparedRun, run: &PerturbRun) -> PerturbResu
     }
 }
 
-/// A bounded worker pool for fanning experiments out in parallel.
-#[derive(Debug, Clone, Copy)]
-pub struct ExperimentRunner {
-    workers: usize,
-}
-
-impl Default for ExperimentRunner {
-    /// One worker per available core.
-    fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        ExperimentRunner { workers }
-    }
-}
-
-impl ExperimentRunner {
-    /// A runner with exactly `workers` worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers >= 1, "a runner needs at least one worker");
-        ExperimentRunner { workers }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Applies `f` to every item on the worker pool, preserving input
-    /// order in the output.
-    ///
-    /// Items are claimed from a shared atomic cursor, so long and short
-    /// items interleave without static partitioning imbalance.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any worker.
-    #[expect(
-        clippy::expect_used,
-        reason = "P001: a poisoned slot means a sibling worker already panicked, the scoped join re-raises that panic, and past it every index ran to completion"
-    )]
-    pub fn map<I, O, F>(&self, items: &[I], f: F) -> Vec<O>
-    where
-        I: Sync,
-        O: Send,
-        F: Fn(&I) -> O + Sync,
-    {
-        let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(items.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= items.len() {
-                        break;
+/// Applies `f` to every item on scoped worker threads and returns the
+/// results in input order.
+///
+/// One worker runs per core, but at least two whenever there are two
+/// items or more, so the concurrent path is the one every caller and
+/// every test takes, on any host; never more workers than items. Items
+/// are claimed from a shared cursor, so long and short items interleave
+/// without static partitioning. An item's result may depend only on the
+/// item (each scenario derives its RNG streams from its own seed), so
+/// the output equals `items.iter().map(f)`.
+///
+/// # Panics
+///
+/// Propagates a panic from any worker.
+pub fn fan_out<I, O, F>(items: &[I], f: F) -> Vec<O>
+where
+    I: Sync,
+    O: Send,
+    F: Fn(&I) -> O + Sync,
+{
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workers = cores.max(2).min(items.len());
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, O)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut claimed = Vec::new();
+                    loop {
+                        // `Relaxed`: the cursor only hands out indices;
+                        // results reach the caller through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return claimed;
+                        };
+                        claimed.push((i, f(item)));
                     }
-                    let out = f(&items[i]);
-                    *slots[i].lock().expect("poisoned") = Some(out);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("poisoned").expect("all items run"))
-            .collect()
-    }
-
-    /// Runs every scenario, in parallel, preserving input order.
-    pub fn run_scenarios(&self, scenarios: &[Scenario]) -> Vec<PerturbResult> {
-        self.map(scenarios, run_scenario)
-    }
-
-    /// Fans `base` out across `seeds` (each seed gets its own
-    /// deterministic RNG stream derived only from that seed) and merges
-    /// the per-seed results.
-    pub fn run_seeds(&self, base: &Scenario, seeds: &[u64]) -> SeedSweep {
-        let scenarios: Vec<Scenario> = seeds
-            .iter()
-            .map(|&seed| {
-                let mut s = *base;
-                s.run.seed = seed;
-                s
+                })
             })
             .collect();
-        let results = self.run_scenarios(&scenarios);
-        SeedSweep::collect(base.label(), base.to_string(), seeds, results)
-    }
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
+/// Fans `base` out across `seeds` (each seed gets its own deterministic
+/// RNG stream derived only from that seed) and merges the per-seed
+/// results.
+pub fn run_seeds(base: &Scenario, seeds: &[u64]) -> SeedSweep {
+    let scenarios: Vec<Scenario> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut s = *base;
+            s.run.seed = seed;
+            s
+        })
+        .collect();
+    let results = fan_out(&scenarios, run_scenario);
+    SeedSweep::collect(base.label(), base.to_string(), seeds, results)
 }
 
 /// Per-metric statistics across a seed sweep.
@@ -294,6 +265,8 @@ impl SeedSweep {
 mod tests {
     use super::*;
     use crate::scenario::{EngineSpec, OverlaySource};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     fn mini(spec: EngineSpec, p: f64, seed: u64) -> Scenario {
         let mut run = PerturbRun::new(30, 30, p);
@@ -303,18 +276,34 @@ mod tests {
         Scenario::new(spec, run)
     }
 
+    /// The first two items each wait (up to 10 s) until both have
+    /// started, so they can only finish on two different threads; a
+    /// single worker would run them one after the other on one.
     #[test]
-    fn map_preserves_order_and_runs_everything() {
-        let runner = ExperimentRunner::new(3);
+    fn fan_out_matches_map_on_at_least_two_workers() {
+        let started = (Mutex::new(0usize), Condvar::new());
+        let square = |&x: &u64| {
+            if x < 2 {
+                let (count, arrival) = &started;
+                let mut count = count.lock().expect("lock");
+                *count += 1;
+                arrival.notify_all();
+                let wait = Duration::from_secs(10);
+                drop(arrival.wait_timeout_while(count, wait, |n| *n < 2));
+            }
+            (x * x, std::thread::current().id())
+        };
         let items: Vec<u64> = (0..17).collect();
-        let out = runner.map(&items, |&x| x * x);
-        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
+        let out = fan_out(&items, square);
+        let squares: Vec<u64> = out.iter().map(|&(sq, _)| sq).collect();
+        assert_eq!(squares, items.iter().map(|&x| x * x).collect::<Vec<_>>());
+        let first = out[0].1;
+        assert!(out.iter().any(|&(_, t)| t != first), "one thread ran all");
     }
 
     #[test]
-    fn map_on_empty_input_is_empty() {
-        let runner = ExperimentRunner::new(2);
-        let out: Vec<u64> = runner.map(&[] as &[u64], |&x: &u64| x);
+    fn fan_out_on_empty_input_is_empty() {
+        let out: Vec<u64> = fan_out(&[] as &[u64], |&x: &u64| x);
         assert!(out.is_empty());
     }
 
@@ -328,7 +317,7 @@ mod tests {
             ),
             mini(EngineSpec::Chord, 0.5, 3),
         ];
-        let par = ExperimentRunner::new(2).run_scenarios(&pts);
+        let par = fan_out(&pts, run_scenario);
         let seq: Vec<_> = pts.iter().map(run_scenario).collect();
         assert_eq!(par, seq);
     }
@@ -340,7 +329,7 @@ mod tests {
             0.0,
             0,
         );
-        let sweep = ExperimentRunner::new(2).run_seeds(&base, &[5, 6, 7]);
+        let sweep = run_seeds(&base, &[5, 6, 7]);
         assert_eq!(sweep.seeds, vec![5, 6, 7]);
         assert_eq!(sweep.results.len(), 3);
         assert_eq!(sweep.stats.success_rate.count(), 3);

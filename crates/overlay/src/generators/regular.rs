@@ -17,6 +17,12 @@ use crate::topology::{NodeIdx, Topology};
 /// uniform over simple `d`-regular graphs. Disconnected outcomes (possible
 /// only for very small `d`) are retried with fresh randomness.
 ///
+/// A dense graph (`2d ≥ n − 1`) is built as the complement of a random
+/// `(n − 1 − d)`-regular pairing instead (the complete graph when
+/// `d = n − 1`): pairing `d` stubs per node fails more often than not as
+/// `d` nears `n`, and the complement is connected by its degree alone,
+/// since any two non-adjacent nodes share a neighbour.
+///
 /// # Errors
 ///
 /// * [`GenerateError::InfeasibleDegree`] if `d == 0`, `d >= n`, or `n·d`
@@ -50,14 +56,21 @@ pub fn random_regular<R: Rng + ?Sized>(
         });
     }
 
+    let dense = 2 * d >= n - 1;
+    let paired = if dense { n - 1 - d } else { d };
     const MAX_ATTEMPTS: usize = 64;
     for _ in 0..MAX_ATTEMPTS {
-        if let Some(edges) = try_pairing(n, d, rng) {
+        if let Some(edges) = try_pairing(n, paired, rng) {
             let ids = random_ids(n, rng);
-            let edges = edges
-                .iter()
-                .map(|&(a, b)| (NodeIdx::new(a), NodeIdx::new(b)));
-            let topo = Topology::from_parts(ids, Adjacency::from_edges(n, edges));
+            let adjacency = if dense {
+                complement(n, &edges)
+            } else {
+                let edges = edges
+                    .iter()
+                    .map(|&(a, b)| (NodeIdx::new(a), NodeIdx::new(b)));
+                Adjacency::from_edges(n, edges)
+            };
+            let topo = Topology::from_parts(ids, adjacency);
             if crate::stats::is_connected(&topo) {
                 return Ok(topo);
             }
@@ -132,6 +145,20 @@ fn try_pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Vec<(
     None
 }
 
+/// The graph on `n` nodes whose edges are every pair `absent` lacks;
+/// `absent` holds simple edges `(a, b)` with `a < b`.
+fn complement(n: usize, absent: &[(u32, u32)]) -> Adjacency {
+    use fxhash::FxHashSet;
+
+    let absent: FxHashSet<(u32, u32)> = absent.iter().copied().collect();
+    let last = n as u32;
+    let edges = (0..last)
+        .flat_map(|a| (a + 1..last).map(move |b| (a, b)))
+        .filter(|e| !absent.contains(e))
+        .map(|(a, b)| (NodeIdx::new(a), NodeIdx::new(b)));
+    Adjacency::from_edges(n, edges)
+}
+
 fn ord(a: u32, b: u32) -> (u32, u32) {
     if a <= b {
         (a, b)
@@ -190,6 +217,23 @@ mod tests {
             let mut r = SmallRng::seed_from_u64(seed);
             let t = random_regular(100, 4, &mut r).unwrap();
             assert!(crate::stats::is_connected(&t));
+        }
+    }
+
+    /// Every feasible dense degree builds: the complete graph and the
+    /// few nodes past it, at the paper's degree among others.
+    #[test]
+    fn dense_degrees_build_on_every_seed() {
+        for d in [8usize, 16, 32, 100] {
+            for n in (d + 1..=d + 6).filter(|n| (n * d).is_multiple_of(2)) {
+                for seed in 1..=20u64 {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let t = random_regular(n, d, &mut rng)
+                        .unwrap_or_else(|e| panic!("n = {n}, d = {d}, seed {seed}: {e}"));
+                    assert!(t.iter_nodes().all(|v| t.degree(v) == d), "n = {n}, d = {d}");
+                    assert!(crate::stats::is_connected(&t));
+                }
+            }
         }
     }
 

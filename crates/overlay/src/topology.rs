@@ -114,11 +114,6 @@ impl Topology {
         self.adj.neighbors(node).len()
     }
 
-    /// Returns `true` if `a` and `b` are adjacent.
-    pub fn contains_edge(&self, a: NodeIdx, b: NodeIdx) -> bool {
-        self.adj.neighbors(a).binary_search(&b).is_ok()
-    }
-
     /// Iterates over all node handles `0..len`.
     pub fn iter_nodes(&self) -> impl Iterator<Item = NodeIdx> + '_ {
         (0..self.ids.len() as u32).map(NodeIdx::new)
@@ -171,7 +166,7 @@ mod tests {
             let nbrs = t.neighbors(a);
             assert!(nbrs.windows(2).all(|w| w[0] < w[1]));
             for &b in nbrs {
-                assert!(t.contains_edge(b, a));
+                assert!(t.neighbors(b).binary_search(&a).is_ok(), "{b} lacks {a}");
             }
         }
     }

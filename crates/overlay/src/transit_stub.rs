@@ -92,31 +92,6 @@ impl TransitStub {
         let core = self.router_dist[ra * self.router_count + rb];
         2 * HOST_LINK_US + core
     }
-
-    /// Mean host-to-host latency (µs), sampled over `samples`
-    /// deterministic pairs.
-    pub fn mean_latency_us(&self, samples: usize) -> f64 {
-        if self.hosts < 2 {
-            return 0.0;
-        }
-        let samples = samples.max(1);
-        let mut total = 0u64;
-        let mut count = 0u64;
-        for k in 0..samples {
-            let a = (k * 7919) % self.hosts;
-            let b = (k * 104_729 + 1) % self.hosts;
-            if a == b {
-                continue;
-            }
-            total += u64::from(self.latency_us(NodeIdx::new(a as u32), NodeIdx::new(b as u32)));
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total as f64 / count as f64
-        }
-    }
 }
 
 /// Generates the transit-stub hierarchy and attaches `hosts` end hosts
@@ -305,7 +280,17 @@ mod tests {
     #[test]
     fn mean_latency_is_reasonable() {
         let ts = make(200, 4);
-        let mean = ts.mean_latency_us(500);
+        // Over 500 deterministic host pairs, skipping a host paired with
+        // itself.
+        let pairs: Vec<(u32, u32)> = (0..500u32)
+            .map(|k| ((k * 7919) % 200, (k * 104_729 + 1) % 200))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let total: u64 = pairs
+            .iter()
+            .map(|&(a, b)| u64::from(ts.latency_us(NodeIdx::new(a), NodeIdx::new(b))))
+            .sum();
+        let mean = total as f64 / pairs.len() as f64;
         // Two host links minimum, well under a second.
         assert!(mean > 2_000.0);
         assert!(mean < 500_000.0);

@@ -7,7 +7,7 @@
 //! protocol would settle into: perfect leaf sets, and routing tables
 //! filled with a deterministic-random eligible candidate per slot.
 
-use mpil_id::{Id, IdSpace};
+use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -192,64 +192,65 @@ impl RangeArgmin {
     }
 }
 
-/// Checks structural invariants of a converged overlay (used by tests
-/// and debug assertions): leaf sets hold the true ring neighbors, and
-/// every routing-table entry sits in its correct slot.
-pub fn validate_converged(
-    states: &[PastryState],
-    ids: &[Id],
-    space: IdSpace,
-) -> Result<(), String> {
-    let mut order: Vec<usize> = (0..ids.len()).collect();
-    order.sort_by_key(|&i| ids[i]);
-    let n = ids.len();
-    for (pos, &i) in order.iter().enumerate() {
-        let st = &states[i];
-        // Right side must be the true successors.
-        for (k, &(lid, lnode)) in st.leafset.right_side().iter().enumerate() {
-            let expect = order[(pos + k + 1) % n];
-            if lnode.index() != expect {
-                return Err(format!(
-                    "node {i}: right leaf {k} is {lnode}, expected n{expect}"
-                ));
-            }
-            if lid != ids[expect] {
-                return Err(format!("node {i}: right leaf {k} has stale id"));
-            }
-        }
-        for (k, &(_, lnode)) in st.leafset.left_side().iter().enumerate() {
-            let expect = order[(pos + n - ((k + 1) % n)) % n];
-            if lnode.index() != expect {
-                return Err(format!(
-                    "node {i}: left leaf {k} is {lnode}, expected n{expect}"
-                ));
-            }
-        }
-        // Routing table entries live in their slots.
-        for (eid, enode) in st.rt.entries() {
-            let row = space.prefix_match(st.id, eid) as usize;
-            let col = usize::from(space.digit(eid, row));
-            let ok = st
-                .rt
-                .row_entries(row)
-                .iter()
-                .any(|&(xid, xnode)| xid == eid && xnode == enode);
-            if !ok || eid != ids[enode.index()] {
-                return Err(format!(
-                    "node {i}: rt entry {enode} misplaced ({row},{col})"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpil_id::IdSpace;
     use mpil_overlay::random_ids;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// The reference checker of a converged overlay: leaf sets hold the
+    /// true ring neighbors, and every routing-table entry sits in its
+    /// correct slot.
+    fn validate_converged(
+        states: &[PastryState],
+        ids: &[Id],
+        space: IdSpace,
+    ) -> Result<(), String> {
+        let mut order: Vec<usize> = (0..ids.len()).collect();
+        order.sort_by_key(|&i| ids[i]);
+        let n = ids.len();
+        for (pos, &i) in order.iter().enumerate() {
+            let st = &states[i];
+            // Right side must be the true successors.
+            for (k, &(lid, lnode)) in st.leafset.right_side().iter().enumerate() {
+                let expect = order[(pos + k + 1) % n];
+                if lnode.index() != expect {
+                    return Err(format!(
+                        "node {i}: right leaf {k} is {lnode}, expected n{expect}"
+                    ));
+                }
+                if lid != ids[expect] {
+                    return Err(format!("node {i}: right leaf {k} has stale id"));
+                }
+            }
+            for (k, &(_, lnode)) in st.leafset.left_side().iter().enumerate() {
+                let expect = order[(pos + n - ((k + 1) % n)) % n];
+                if lnode.index() != expect {
+                    return Err(format!(
+                        "node {i}: left leaf {k} is {lnode}, expected n{expect}"
+                    ));
+                }
+            }
+            // Routing table entries live in their slots.
+            for (eid, enode) in st.rt.entries() {
+                let row = space.prefix_match(st.id, eid) as usize;
+                let col = usize::from(space.digit(eid, row));
+                let ok = st
+                    .rt
+                    .row_entries(row)
+                    .iter()
+                    .any(|&(xid, xnode)| xid == eid && xnode == enode);
+                if !ok || eid != ids[enode.index()] {
+                    return Err(format!(
+                        "node {i}: rt entry {enode} misplaced ({row},{col})"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 
     fn build(n: usize, seed: u64) -> (Vec<Id>, Vec<PastryState>) {
         let mut rng = SmallRng::seed_from_u64(seed);

@@ -43,11 +43,6 @@ impl LeafSet {
         }
     }
 
-    /// The owner's ID.
-    pub fn own_id(&self) -> Id {
-        self.own
-    }
-
     /// Number of distinct members.
     pub fn len(&self) -> usize {
         let mut m: Vec<NodeIdx> = self.members().collect();

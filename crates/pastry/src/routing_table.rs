@@ -30,11 +30,6 @@ impl RoutingTable {
         }
     }
 
-    /// The owner's ID.
-    pub fn own_id(&self) -> Id {
-        self.own
-    }
-
     /// Number of rows (`M`).
     pub fn num_rows(&self) -> usize {
         self.rows.len()

@@ -6,7 +6,7 @@
 //! table/CSV rendering the bench binaries print, clock-free arrival
 //! pacing (open/closed loop) for the live load generator, the flag
 //! parser every binary of the workspace shares, and the one sanctioned
-//! wall-clock touchpoint ([`WallClock`] and the budgets built on it).
+//! wall-clock touchpoint ([`WallClock`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +18,7 @@ pub mod requests;
 pub mod stats;
 pub mod table;
 
-pub use budget::{peak_rss_mib, RssBudget, TrafficBudget, WallClock, WallClockBudget};
+pub use budget::{peak_rss_mib, WallClock};
 pub use cli::Args;
 pub use pacing::{Pacer, PacingMode};
 pub use requests::{InsertLookupWorkload, WorkloadConfig};

@@ -26,7 +26,8 @@
 //! * [`mpil_analysis`] — closed-form analysis from Section 5 of the paper.
 //! * [`mpil_workload`] — workload generators, experiment harness, statistics.
 //! * [`mpil_harness`] — the `DiscoveryEngine` trait (one impl, for `Sim<P>`),
-//!   `Scenario` descriptors, and the parallel multi-seed `ExperimentRunner`.
+//!   `Scenario` descriptors, and `fan_out`, which maps scenarios, seeds
+//!   or graphs one worker per core.
 //!
 //! Insert from one node, look up from another, on an arbitrary overlay:
 //!
