@@ -22,10 +22,10 @@
 //!
 //! `--budget-s B`, `--max-rss-mib M`, and `--max-msgs-per-lookup T`
 //! turn the run into a CI tripwire: if the point takes longer than `B`
-//! wall-clock seconds, the process's peak RSS exceeds `M` MiB, or
-//! stage-2 lookup traffic averages more than `T` messages per lookup,
-//! the process exits 1 (the point is still printed, so a bad run
-//! remains diagnosable).
+//! wall-clock seconds (a fraction, such as `1.5`, is read as one), the
+//! process's peak RSS exceeds `M` MiB, or stage-2 lookup traffic
+//! averages more than `T` messages per lookup, the process exits 1 (the
+//! point is still printed, so a bad run remains diagnosable).
 
 use mpil_bench::scale_curve::run_point;
 use mpil_bench::Args;
@@ -44,7 +44,7 @@ struct Plan {
     ops: usize,
     p: f64,
     seed: u64,
-    budget_s: u64,
+    budget_s: f64,
     max_rss_mib: f64,
     max_msgs_per_lookup: f64,
 }
@@ -58,9 +58,11 @@ fn plan(args: &Args) -> Result<Plan, String> {
         ops: args.try_value_in("ops", 1..)?.unwrap_or(20),
         p: args.try_value_in("p", 0.0..=1.0)?.unwrap_or(0.5),
         seed: args.try_value("seed")?.unwrap_or(1),
-        budget_s: args.try_value("budget-s")?.unwrap_or(0),
-        max_rss_mib: args.try_value("max-rss-mib")?.unwrap_or(0.0),
-        max_msgs_per_lookup: args.try_value("max-msgs-per-lookup")?.unwrap_or(0.0),
+        budget_s: args.try_value_in("budget-s", 0.0..)?.unwrap_or(0.0),
+        max_rss_mib: args.try_value_in("max-rss-mib", 0.0..)?.unwrap_or(0.0),
+        max_msgs_per_lookup: args
+            .try_value_in("max-msgs-per-lookup", 0.0..)?
+            .unwrap_or(0.0),
     };
     args.finish()?;
     Ok(plan)
@@ -85,7 +87,7 @@ fn main() {
     );
     println!("{}", point.to_json());
     let (secs, mib, msgs) = (point.total_s, point.peak_rss_mib, point.msgs_per_lookup());
-    let broken = if plan.budget_s > 0 && secs >= plan.budget_s as f64 {
+    let broken = if plan.budget_s > 0.0 && secs >= plan.budget_s {
         format!("took {secs:.2}s (budget {}s)", plan.budget_s)
     } else if plan.max_rss_mib > 0.0 && mib > plan.max_rss_mib {
         format!(
@@ -131,16 +133,28 @@ mod tests {
             ("--engine mpil-complete --nodes 1", "--nodes \"1\""),
             ("--nodes 5", "--nodes \"5\""),
             ("--engine chord --ops 0", "--ops \"0\""),
+            ("--budget-s -1", "--budget-s \"-1\""),
+            ("--budget-s NaN", "--budget-s \"NaN\""),
+            ("--budget-s 1,5", "--budget-s \"1,5\""),
+            ("--max-rss-mib NaN", "--max-rss-mib \"NaN\""),
+            ("--max-msgs-per-lookup -5", "--max-msgs-per-lookup \"-5\""),
         ] {
             let why = plan(&Args::parse(line.split(' ').map(String::from)))
                 .err()
                 .unwrap_or_else(|| panic!("{line:?} was accepted"));
             assert!(why.contains(named), "{line:?}: {why}");
+            assert!(
+                !why.contains("Error {"),
+                "{line:?} prints a Debug dump: {why}"
+            );
         }
         let ci = "--engine plumtree --nodes 20000 --seed 1 --budget-s 120 \
                   --max-rss-mib 400 --max-msgs-per-lookup 25";
         let plan = plan(&Args::parse(ci.split_whitespace().map(String::from))).expect("ci's line");
-        assert_eq!((plan.nodes, plan.budget_s), (20_000, 120));
+        assert_eq!((plan.nodes, plan.budget_s), (20_000, 120.0));
+        let line = "--budget-s 1.5";
+        let plan = super::plan(&Args::parse(line.split(' ').map(String::from))).expect(line);
+        assert_eq!(plan.budget_s, 1.5);
     }
 
     /// Every system `mpilctl perturb --system` names is a point here,

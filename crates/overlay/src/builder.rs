@@ -68,6 +68,12 @@ impl TopologyBuilder {
         self.edges.len()
     }
 
+    /// Makes room for `edges` more edges, so a generator that knows its
+    /// edge count up front does not rehash as it adds them.
+    pub(crate) fn reserve(&mut self, edges: usize) {
+        self.edges.reserve(edges);
+    }
+
     /// Adds the undirected edge `{a, b}`. Self-loops and duplicates are
     /// ignored. Returns `true` if the edge was new.
     ///

@@ -21,6 +21,10 @@ use crate::topology::{NodeIdx, Topology};
 /// * connectivity by construction — a degree-weighted random attachment
 ///   tree consumes one stub per node, and remaining stubs are paired
 ///   configuration-model style.
+///
+/// Building costs O(E + n log n): each attachment target is found by a
+/// descent of a Fenwick tree of free stubs, with the same draws, and so
+/// the same graph, as a scan of the attached nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawConfig {
     /// Power-law exponent (Inet's AS model uses ≈ 2.2).
@@ -46,7 +50,8 @@ impl Default for PowerLawConfig {
 /// See [`PowerLawConfig`] for the model. The result is simple (no
 /// self-loops or parallel edges) and connected; realized degrees may fall
 /// slightly below the drawn sequence when stub pairing leaves an odd
-/// remainder, which mirrors how Inet trims infeasible sequences.
+/// remainder, which mirrors how Inet trims infeasible sequences. It
+/// takes O(E + n log n) time for E edges.
 ///
 /// # Errors
 ///
@@ -114,6 +119,7 @@ pub fn power_law<R: Rng + ?Sized>(
     }
 
     let mut b = TopologyBuilder::with_random_ids(n, rng);
+    b.reserve(degrees.iter().sum::<usize>() / 2);
     let mut remaining: Vec<usize> = degrees.clone();
 
     // Phase 1: connectivity. Attach nodes one at a time to a random
@@ -123,42 +129,32 @@ pub fn power_law<R: Rng + ?Sized>(
     // Visit in descending degree so hubs form the core, like Inet's
     // spanning tree over the highest-degree nodes.
     order.sort_by_key(|&v| std::cmp::Reverse(degrees[v as usize]));
-    let mut attached: Vec<u32> = vec![order[0]];
-    // Free stubs among the attached nodes, kept up to date as nodes
-    // attach and edges land: summing them afresh for every node made
-    // this phase quadratic.
+    let mut position = vec![0; n];
+    for (i, &v) in order.iter().enumerate() {
+        position[v as usize] = i;
+    }
+    // Free stubs by attachment position: the first `i` positions are the
+    // attached nodes, so a pick in `0..total_stubs` lands on the node a
+    // scan of them in order would stop at, found in O(log n).
+    let mut free = FreeStubs::new(n);
+    free.add(0, remaining[order[0] as usize]);
     let mut total_stubs = remaining[order[0] as usize];
-    for &v in &order[1..] {
-        debug_assert_eq!(
-            total_stubs,
-            attached
-                .iter()
-                .map(|&a| remaining[a as usize])
-                .sum::<usize>()
-        );
+    for (i, &v) in order.iter().enumerate().skip(1) {
+        debug_assert_eq!(total_stubs, free.prefix(i));
         let target = if total_stubs == 0 {
-            attached[rng.gen_range(0..attached.len())]
+            order[rng.gen_range(0..i)]
         } else {
-            let mut pick = rng.gen_range(0..total_stubs);
-            let mut chosen = attached[0];
-            for &a in &attached {
-                let s = remaining[a as usize];
-                if pick < s {
-                    chosen = a;
-                    break;
-                }
-                pick -= s;
-            }
-            chosen
+            order[free.find(rng.gen_range(0..total_stubs))]
         };
         if b.add_edge(NodeIdx::new(v), NodeIdx::new(target)) {
             remaining[v as usize] = remaining[v as usize].saturating_sub(1);
             if remaining[target as usize] > 0 {
                 remaining[target as usize] -= 1;
+                free.take_one(position[target as usize]);
                 total_stubs -= 1;
             }
         }
-        attached.push(v);
+        free.add(i, remaining[v as usize]);
         total_stubs += remaining[v as usize];
     }
 
@@ -193,6 +189,65 @@ pub fn power_law<R: Rng + ?Sized>(
     }
 
     Ok(b.build())
+}
+
+/// A Fenwick (binary indexed) tree of free stub counts by position.
+struct FreeStubs {
+    /// 1-based: `tree[j]` sums the positions `j - (j & -j) .. j`.
+    tree: Vec<usize>,
+}
+
+impl FreeStubs {
+    fn new(len: usize) -> Self {
+        FreeStubs {
+            tree: vec![0; len + 1],
+        }
+    }
+
+    fn add(&mut self, position: usize, stubs: usize) {
+        let mut j = position + 1;
+        while j < self.tree.len() {
+            self.tree[j] += stubs;
+            j += j & j.wrapping_neg();
+        }
+    }
+
+    fn take_one(&mut self, position: usize) {
+        let mut j = position + 1;
+        while j < self.tree.len() {
+            self.tree[j] -= 1;
+            j += j & j.wrapping_neg();
+        }
+    }
+
+    /// Free stubs at positions `0..end`.
+    fn prefix(&self, end: usize) -> usize {
+        let mut sum = 0;
+        let mut j = end;
+        while j > 0 {
+            sum += self.tree[j];
+            j &= j - 1;
+        }
+        sum
+    }
+
+    /// The first position whose running sum exceeds `pick`, which must
+    /// be below the total: the one a linear scan subtracting each
+    /// position's stubs from `pick` stops at. A position with no free
+    /// stubs is never returned.
+    fn find(&self, mut pick: usize) -> usize {
+        let mut at = 0;
+        let mut step = self.tree.len().next_power_of_two() / 2;
+        while step > 0 {
+            let next = at + step;
+            if next < self.tree.len() && self.tree[next] <= pick {
+                at = next;
+                pick -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        at
+    }
 }
 
 #[cfg(test)]
@@ -264,6 +319,51 @@ mod tests {
             ..PowerLawConfig::default()
         };
         assert!(power_law(100, bad_min, &mut rng).is_err());
+    }
+
+    /// The attachment scan `FreeStubs::find` replaces.
+    fn scan(stubs: &[usize], mut pick: usize) -> usize {
+        for (i, &s) in stubs.iter().enumerate() {
+            if pick < s {
+                return i;
+            }
+            pick -= s;
+        }
+        unreachable!("pick {pick} beyond the total")
+    }
+
+    #[test]
+    fn free_stubs_find_what_a_scan_finds() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for len in [1, 2, 3, 7, 8, 9, 33, 64] {
+            let mut stubs: Vec<usize> = (0..len)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        0
+                    } else {
+                        rng.gen_range(1..6)
+                    }
+                })
+                .collect();
+            let mut free = FreeStubs::new(len);
+            for (i, &s) in stubs.iter().enumerate() {
+                free.add(i, s);
+            }
+            loop {
+                let total: usize = stubs.iter().sum();
+                assert_eq!(free.prefix(len), total);
+                for pick in 0..total {
+                    assert_eq!(free.find(pick), scan(&stubs, pick), "{stubs:?} pick {pick}");
+                }
+                let nonzero: Vec<usize> = (0..len).filter(|&i| stubs[i] > 0).collect();
+                if nonzero.is_empty() {
+                    break;
+                }
+                let at = nonzero[rng.gen_range(0..nonzero.len())];
+                stubs[at] -= 1;
+                free.take_one(at);
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,9 @@
 #   scale:   scale_run at 20k nodes under --budget-s — catches an
 #            accidental O(n²) (or worse) regression in the simulation
 #            kernel long before a full scaling curve would
+#   build:   a 300k-node MPIL point over a power-law overlay under
+#            --budget-s — catches the overlay generator's attachment
+#            going back to a quadratic scan
 #   traffic: a 20k-node plumtree point under --max-msgs-per-lookup —
 #            catches the dissemination layer regressing to flood-scale
 #            lookup traffic
@@ -102,15 +105,16 @@ scripts/oracles.sh \
 # Kernel scale tripwire: a 20k-node gossip point (HyParView maintenance
 # under k-random-walk lookups: 8.5M sends and 16.1M kernel events, 50 %
 # of lookups answered at p = 0.5) must finish well inside the budget.
-# It reads 7-10 s on two shared vCPUs; the old binary-heap kernel
+# It reads 13.7-16.9 s on two shared vCPUs; the old binary-heap kernel
 # grew superlinearly towards ~100s at 100k nodes, so a 120s ceiling
 # trips on any such regression while leaving slack for slow CI
-# machines. The budget is enforced in-process by the same
-# WallClockBudget helper the 10k conformance smoke uses (--budget-s);
-# the outer `timeout` only remains as a hang backstop.
+# machines. scale_run compares the point's wall clock with --budget-s
+# itself and exits 1 past it; the outer `timeout` only remains as a
+# hang backstop.
 #
-# --max-rss-mib is the memory-side tripwire (RssBudget): the
-# allocation-free message plane holds this point at 30-31 MiB peak.
+# --max-rss-mib is the memory-side tripwire (scale_run compares the
+# process's peak RSS with it): the allocation-free message plane holds
+# this point at 30-31 MiB peak.
 # Wheel slots that hoarded drained capacity once held a 20k-node gossip
 # point above 130 MiB, so a 100 MiB ceiling trips on a return of that
 # pathology (or any new kernel memory regression) with ~3x slack.
@@ -118,7 +122,18 @@ timeout 150 ./target/release/scale_run --engine gossip --nodes 20000 --seed 1 \
     --budget-s 120 --max-rss-mib 100 \
     || { echo "ci: 20k-node scale smoke exceeded a budget or failed" >&2; exit 1; }
 
-# Traffic tripwire (TrafficBudget): the whole point of the epidemic
+# Overlay build tripwire: a 300 000-node MPIL point over an Inet-style
+# power-law overlay is almost all graph build. The generator finds each
+# node's attachment target by a descent of a Fenwick tree of free stubs,
+# and the point reads 0.46-0.64 s; a scan of every attached node for
+# each attachment made the build quadratic and read 11.0-16.6 s, so 4 s
+# trips on that scan with slack for a slow machine.
+timeout 60 ./target/release/scale_run --engine mpil-powerlaw --nodes 300000 --ops 20 --seed 1 \
+    --budget-s 4 \
+    || { echo "ci: 300k-node power-law point exceeded its budget or failed" >&2; exit 1; }
+
+# Traffic tripwire (scale_run compares the point's stage-2 messages per
+# lookup with --max-msgs-per-lookup): the whole point of the epidemic
 # stack is that Plumtree tree queries cost a handful of messages per
 # lookup where expanding-ring flooding costs >100. A 20k-node plumtree
 # point runs near 5 msgs/lookup; a 25-message ceiling trips if tree

@@ -121,6 +121,48 @@ fn power_law_and_small_generators_are_pinned() {
     ]);
 }
 
+/// One hash over many small `power_law` graphs: each graph's digest is
+/// fed into a running FNV, so n ≤ 16 (where the second hub is not
+/// pinned) and the powers of two are all held by one row.
+fn power_law_sweep(nodes: impl IntoIterator<Item = usize>, min_degree: usize) -> u64 {
+    let config = generators::PowerLawConfig {
+        min_degree,
+        ..Default::default()
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for n in nodes {
+        for seed in 1..=5 {
+            let t = generators::power_law(n, config, &mut rng(seed)).expect("valid");
+            eat(&mut h, &of(&t).to_le_bytes());
+        }
+    }
+    h
+}
+
+#[test]
+fn power_law_at_scale_and_small_are_pinned() {
+    let power_law = generators::power_law(100_000, Default::default(), &mut rng(POWER_LAW_SEED));
+    check(&[
+        (
+            "power_law(100 000)",
+            of(&power_law.expect("valid")),
+            0xe772_c2f6_a823_0ccf,
+        ),
+        (
+            "power_law(4..=64) x seeds 1..=5",
+            power_law_sweep(4..=64, 2),
+            0xd6f8_3f8e_942f_097e,
+        ),
+        // `min_degree: 1` is what reaches the attachment's fallback
+        // (no attached node has a free stub left).
+        (
+            "power_law({4, 8, 16, 64}, min_degree 1) x seeds 1..=5",
+            power_law_sweep([4, 8, 16, 64], 1),
+            0x4395_2175_8805_8c9a,
+        ),
+    ]);
+}
+
 #[test]
 fn overlay_sources_are_pinned() {
     let source = |src: OverlaySource| {
