@@ -15,15 +15,32 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// The outcome of the paths-limiting computation at one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The plan is four numbers, not a list: copy `i` carries
+/// [`child_quota(i)`](Self::child_quota), `base` plus one for each of
+/// the first `residue` copies, so a forwarding step dealing its quota
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ForwardPlan {
     /// How many candidates to forward to.
     pub m: u32,
-    /// Quota assigned to each forwarded copy (`child_quotas.len() == m`).
-    pub child_quotas: Vec<u32>,
+    /// Quota every forwarded copy carries at least.
+    pub base: u32,
+    /// How many of the copies, the first ones, carry `base + 1`
+    /// (`residue < m`).
+    pub residue: u32,
     /// Flows newly created by this forwarding step (`m - given_flows`);
     /// what Table 3 of the paper sums into the "actual number of flows".
     pub flows_created: u32,
+}
+
+impl ForwardPlan {
+    /// The quota of forwarded copy `i` (`i < m`): the residue is dealt
+    /// one by one from the first copy on.
+    #[inline]
+    pub fn child_quota(&self, i: u32) -> u32 {
+        self.base + u32::from(i < self.residue)
+    }
 }
 
 /// Picks which `m` of the tied candidates a node actually forwards to:
@@ -58,34 +75,26 @@ pub fn select_candidates<T, R: Rng + ?Sized>(
 ///
 /// The invariant the algorithm maintains (verified by the property tests):
 /// the total number of flows an operation ever creates is at most the
-/// originator's `max_flows`, because `flows_created + Σ child_quotas =
-/// quota + given_flows − (m − flows_created) = quota` ... i.e. quota is
-/// conserved: `Σ child_quotas = quota + given_flows − m`.
+/// originator's `max_flows`, because quota is conserved: the copies'
+/// quotas sum to `quota + given_flows − m`. (A `quota` of `u32::MAX`,
+/// which no sender writes, saturates instead of wrapping.)
 ///
 /// # Panics
 ///
 /// Panics if `given_flows` is not 0 or 1.
 pub fn plan_forwarding(quota: u32, given_flows: u32, candidates: usize) -> ForwardPlan {
     assert!(given_flows <= 1, "given_flows is 0 (origin) or 1 (relay)");
-    let budget = quota + given_flows;
+    let budget = quota.saturating_add(given_flows);
     let m = (candidates as u64).min(u64::from(budget)) as u32;
     if m == 0 {
-        return ForwardPlan {
-            m: 0,
-            child_quotas: Vec::new(),
-            flows_created: 0,
-        };
+        return ForwardPlan::default();
     }
     // Quota left to distribute among the m copies.
     let remaining = budget - m;
-    let base = remaining / m;
-    let residue = remaining % m;
-    let child_quotas = (0..m)
-        .map(|i| if i < residue { base + 1 } else { base })
-        .collect();
     ForwardPlan {
         m,
-        child_quotas,
+        base: remaining / m,
+        residue: remaining % m,
         flows_created: m - given_flows,
     }
 }
@@ -94,13 +103,17 @@ pub fn plan_forwarding(quota: u32, given_flows: u32, candidates: usize) -> Forwa
 mod tests {
     use super::*;
 
+    fn quotas(p: &ForwardPlan) -> Vec<u32> {
+        (0..p.m).map(|i| p.child_quota(i)).collect()
+    }
+
     #[test]
     fn origin_single_candidate_consumes_one_flow() {
         // Paper's Figure 6: origin 0001 with max_flows=2 forwards to one
         // node; max_flows becomes 1.
         let p = plan_forwarding(2, 0, 1);
         assert_eq!(p.m, 1);
-        assert_eq!(p.child_quotas, vec![1]);
+        assert_eq!(quotas(&p), vec![1]);
         assert_eq!(p.flows_created, 1);
     }
 
@@ -110,7 +123,7 @@ mod tests {
         // the copy still carries 1.
         let p = plan_forwarding(1, 1, 1);
         assert_eq!(p.m, 1);
-        assert_eq!(p.child_quotas, vec![1]);
+        assert_eq!(quotas(&p), vec![1]);
         assert_eq!(p.flows_created, 0);
     }
 
@@ -120,7 +133,7 @@ mod tests {
         // it forwards to both, each copy carrying 0.
         let p = plan_forwarding(1, 1, 2);
         assert_eq!(p.m, 2);
-        assert_eq!(p.child_quotas, vec![0, 0]);
+        assert_eq!(quotas(&p), vec![0, 0]);
         assert_eq!(p.flows_created, 1);
     }
 
@@ -128,7 +141,7 @@ mod tests {
     fn zero_quota_relay_still_forwards_single_path() {
         let p = plan_forwarding(0, 1, 3);
         assert_eq!(p.m, 1);
-        assert_eq!(p.child_quotas, vec![0]);
+        assert_eq!(quotas(&p), vec![0]);
         assert_eq!(p.flows_created, 0);
     }
 
@@ -136,7 +149,7 @@ mod tests {
     fn zero_quota_origin_sends_nothing() {
         let p = plan_forwarding(0, 0, 3);
         assert_eq!(p.m, 0);
-        assert!(p.child_quotas.is_empty());
+        assert!(quotas(&p).is_empty());
     }
 
     #[test]
@@ -145,7 +158,7 @@ mod tests {
         // residue=1 -> quotas [3,2,2].
         let p = plan_forwarding(10, 0, 3);
         assert_eq!(p.m, 3);
-        assert_eq!(p.child_quotas, vec![3, 2, 2]);
+        assert_eq!(quotas(&p), vec![3, 2, 2]);
         assert_eq!(p.flows_created, 3);
     }
 
@@ -154,7 +167,7 @@ mod tests {
         // Relay, quota 2, 10 candidates: budget 3 -> m=3, remaining 0.
         let p = plan_forwarding(2, 1, 10);
         assert_eq!(p.m, 3);
-        assert_eq!(p.child_quotas, vec![0, 0, 0]);
+        assert_eq!(quotas(&p), vec![0, 0, 0]);
         assert_eq!(p.flows_created, 2);
     }
 
@@ -167,7 +180,7 @@ mod tests {
                     if p.m == 0 {
                         continue;
                     }
-                    let distributed: u32 = p.child_quotas.iter().sum();
+                    let distributed: u32 = quotas(&p).iter().sum();
                     assert_eq!(
                         distributed + p.m,
                         quota + given,

@@ -78,6 +78,7 @@ impl Message {
     }
 
     /// Derives the copy forwarded from `via` with the given child quota.
+    /// (A hop count of `u32::MAX`, which no sender writes, stays there.)
     pub fn forwarded(&self, via: NodeIdx, child_quota: u32) -> Self {
         let mut route = Vec::with_capacity(self.route.len() + 1);
         route.extend_from_slice(&self.route);
@@ -89,7 +90,7 @@ impl Message {
             origin: self.origin,
             quota: child_quota,
             replicas_left: self.replicas_left,
-            hops: self.hops + 1,
+            hops: self.hops.saturating_add(1),
             route,
         }
     }

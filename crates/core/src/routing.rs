@@ -1,6 +1,6 @@
 //! MPIL next-hop selection (Figure 5 of the paper).
 
-use mpil_id::{Id, IdSpace};
+use mpil_id::{common_digits, DigitBits, Id, IdSpace};
 use mpil_overlay::NodeIdx;
 
 use crate::config::{RoutingMetric, SplitPolicy};
@@ -78,9 +78,13 @@ pub fn metric_value(metric: RoutingMetric, space: IdSpace, object: Id, id: Id) -
 /// is at least its own and pushing the tail out — exactly the first
 /// `k` of a stable sort by descending metric. A hub has thousands of
 /// neighbors and a message a few dozen flows, so nearly every neighbor
-/// is turned away on its metric alone; `visited` (a scan of the
-/// message's route for most callers) is asked only of a neighbor that
-/// would otherwise become a candidate.
+/// is turned away on its metric alone, by one comparison with the
+/// least metric that can still enter (a local, raised as the kept set
+/// fills); `visited` (a scan of the message's route for most callers)
+/// is asked only of a neighbor that would otherwise become a
+/// candidate. The metric and the digit width are resolved once per
+/// call, so the per-neighbor work is one metric kernel with its width
+/// a constant, that comparison and a running maximum.
 #[expect(clippy::too_many_arguments, reason = "the inputs of the rule in Figure 5")]
 pub fn routing_decision_policy(
     space: IdSpace,
@@ -93,34 +97,76 @@ pub fn routing_decision_policy(
     budget: u32,
     metric: RoutingMetric,
 ) -> RoutingDecision {
-    let self_metric = metric_value(metric, space, object, ids[node.index()]);
     let keep = match policy {
-        SplitPolicy::MetricTies => 0,
-        SplitPolicy::TopK => (budget.max(1) as usize).min(neighbors.len()),
+        SplitPolicy::MetricTies => None,
+        SplitPolicy::TopK => Some((budget.max(1) as usize).min(neighbors.len())),
     };
-    let mut best_any = 0u32;
-    let mut best_candidate = 0u32;
-    let mut candidates = Vec::with_capacity(keep);
-    // TopK only: `kept[i]` is the metric of `candidates[i]`, descending.
-    let mut kept: Vec<u32> = Vec::with_capacity(keep);
-    for &nbr in neighbors {
-        let m = metric_value(metric, space, object, ids[nbr.index()]);
-        best_any = best_any.max(m);
-        let cannot_enter = match policy {
-            SplitPolicy::MetricTies => m < best_candidate,
-            SplitPolicy::TopK => kept.len() == keep && m <= kept[keep - 1],
-        };
-        if cannot_enter || nbr == node || visited(nbr) {
-            continue;
+    let at = (node, neighbors, ids);
+    match (metric, space.digit_bits()) {
+        (RoutingMetric::CommonDigits, DigitBits::B1) => {
+            decide(|id| common_digits(object, id, 1), at, visited, keep)
         }
-        match policy {
-            SplitPolicy::MetricTies => {
-                if m > best_candidate {
+        (RoutingMetric::CommonDigits, DigitBits::B2) => {
+            decide(|id| common_digits(object, id, 2), at, visited, keep)
+        }
+        (RoutingMetric::CommonDigits, DigitBits::B4) => {
+            decide(|id| common_digits(object, id, 4), at, visited, keep)
+        }
+        (RoutingMetric::CommonDigits, DigitBits::B8) => {
+            decide(|id| common_digits(object, id, 8), at, visited, keep)
+        }
+        (RoutingMetric::PrefixMatch, _) => {
+            decide(|id| space.prefix_match(object, id), at, visited, keep)
+        }
+        (RoutingMetric::SuffixMatch, _) => {
+            decide(|id| space.suffix_match(object, id), at, visited, keep)
+        }
+    }
+}
+
+/// The one scan behind [`routing_decision_policy`] at `node`, for one
+/// metric: `keep` is `None` under `MetricTies` and the number of
+/// candidates to keep under `TopK`.
+#[inline]
+fn decide(
+    value: impl Fn(Id) -> u32,
+    (node, neighbors, ids): (NodeIdx, &[NodeIdx], &[Id]),
+    visited: impl Fn(NodeIdx) -> bool,
+    keep: Option<usize>,
+) -> RoutingDecision {
+    let self_metric = value(ids[node.index()]);
+    let mut best_any = 0u32;
+    let (candidates, candidate_metric) = match keep {
+        None => {
+            let mut best = 0u32;
+            let mut candidates = Vec::new();
+            for &nbr in neighbors {
+                let m = value(ids[nbr.index()]);
+                best_any = best_any.max(m);
+                if m < best || nbr == node || visited(nbr) {
+                    continue;
+                }
+                if m > best {
                     candidates.clear();
+                    best = m;
                 }
                 candidates.push(nbr);
             }
-            SplitPolicy::TopK => {
+            (candidates, best)
+        }
+        Some(keep) => {
+            let mut candidates = Vec::with_capacity(keep);
+            // `kept[i]` is the metric of `candidates[i]`, descending.
+            let mut kept: Vec<u32> = Vec::with_capacity(keep);
+            // The least metric that can still enter: 0 until `keep` are
+            // held, then one above the last one's.
+            let mut floor = 0u32;
+            for &nbr in neighbors {
+                let m = value(ids[nbr.index()]);
+                best_any = best_any.max(m);
+                if m < floor || nbr == node || visited(nbr) {
+                    continue;
+                }
                 if kept.len() == keep {
                     kept.pop();
                     candidates.pop();
@@ -128,15 +174,18 @@ pub fn routing_decision_policy(
                 let at = kept.partition_point(|&have| have >= m);
                 kept.insert(at, m);
                 candidates.insert(at, nbr);
+                if kept.len() == keep {
+                    floor = kept[keep - 1] + 1;
+                }
             }
+            (candidates, kept.first().copied().unwrap_or(0))
         }
-        best_candidate = best_candidate.max(m);
-    }
+    };
     RoutingDecision {
         self_metric,
         is_local_max: neighbors.is_empty() || self_metric >= best_any,
         candidates,
-        candidate_metric: best_candidate,
+        candidate_metric,
     }
 }
 

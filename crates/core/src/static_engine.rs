@@ -6,13 +6,14 @@
 //! defined and every run a deterministic function of the seed.
 //!
 //! What a node does with a copy is the shared routing step
-//! ([`crate::step`]); this world keeps a FIFO queue, one set of nodes
-//! reached per operation (duplicates are met where a copy is enqueued),
-//! and the per-operation reports.
+//! ([`crate::step`]); this world keeps a FIFO queue, two stamps per
+//! node that mark the nodes an operation reached (duplicates are met
+//! where a copy is enqueued) and stored at, and the per-operation
+//! reports. The queue and the stamps live as long as the engine, so
+//! an operation allocates only for the copies it routes and forwards.
 
 use std::collections::VecDeque;
 
-use fxhash::FxHashSet;
 use mpil_id::{Id, IdMap};
 use mpil_overlay::{NodeIdx, Topology};
 use rand::rngs::SmallRng;
@@ -34,6 +35,14 @@ pub struct StaticEngine<'a> {
     stores: Vec<IdMap<NodeIdx>>,
     rng: SmallRng,
     next_msg_id: u64,
+    /// Per node, the stamp (message id + 1) of the last operation that
+    /// reached it; 0 for none.
+    reached: Vec<u64>,
+    /// Per node, the stamp of the last operation that stored at it.
+    stored: Vec<u64>,
+    /// The copies of the running operation not yet handled, in hop
+    /// order; empty between operations.
+    queue: VecDeque<(NodeIdx, Message)>,
 }
 
 impl<'a> StaticEngine<'a> {
@@ -51,6 +60,9 @@ impl<'a> StaticEngine<'a> {
             stores: vec![IdMap::new(); topo.len()],
             rng: SmallRng::seed_from_u64(seed),
             next_msg_id: 0,
+            reached: vec![0; topo.len()],
+            stored: vec![0; topo.len()],
+            queue: VecDeque::new(),
         }
     }
 
@@ -122,11 +134,10 @@ impl<'a> StaticEngine<'a> {
         assert!(origin.index() < self.topo.len(), "origin out of range");
         let msg_id = MessageId(self.next_msg_id);
         self.next_msg_id += 1;
+        let stamp = self.next_msg_id;
 
         let mut ins = InsertReport::default();
         let mut look = LookupReport::default();
-        let mut seen: FxHashSet<NodeIdx> = FxHashSet::default();
-        let mut stored_at: FxHashSet<NodeIdx> = FxHashSet::default();
 
         let initial = Message::initial(
             msg_id,
@@ -139,9 +150,9 @@ impl<'a> StaticEngine<'a> {
 
         // FIFO processing = strict hop order (all copies at hop h are
         // handled before any copy at hop h+1).
-        let mut queue: VecDeque<(NodeIdx, Message)> = VecDeque::new();
+        let queue = &mut self.queue;
         queue.push_back((origin, initial));
-        seen.insert(origin);
+        self.reached[origin.index()] = stamp;
 
         while let Some((at, msg)) = queue.pop_front() {
             let hops = msg.hops;
@@ -175,7 +186,10 @@ impl<'a> StaticEngine<'a> {
             };
             if deposited {
                 self.stores[at.index()].insert(object, origin);
-                stored_at.insert(at);
+                if self.stored[at.index()] != stamp {
+                    self.stored[at.index()] = stamp;
+                    ins.replicas += 1;
+                }
             }
             match kind {
                 MessageKind::Insert => ins.flows_created += flows_created,
@@ -192,7 +206,8 @@ impl<'a> StaticEngine<'a> {
                 // Duplicate accounting happens at reception: a node that
                 // has already received this operation's message counts a
                 // duplicate, and under DS drops it silently.
-                if !seen.insert(target) {
+                let reached = &mut self.reached[target.index()];
+                if *reached == stamp {
                     match kind {
                         MessageKind::Insert => ins.duplicates += 1,
                         MessageKind::Lookup => look.duplicates += 1,
@@ -201,11 +216,11 @@ impl<'a> StaticEngine<'a> {
                         continue;
                     }
                 }
+                *reached = stamp;
                 queue.push_back((target, fwd));
             }
         }
 
-        ins.replicas = stored_at.len() as u32;
         (ins, look)
     }
 }

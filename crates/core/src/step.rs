@@ -8,14 +8,15 @@
 //! callers are [`Agent::receive`](crate::Agent::receive), the receive
 //! path of every simulated and live node, and
 //! [`StaticEngine`](crate::StaticEngine), which runs one operation at a
-//! time and meets duplicates in one set of nodes reached per operation.
+//! time and meets duplicates in a per-node stamp of the last operation
+//! that reached each node.
 
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 use rand::Rng;
 
 use crate::config::MpilConfig;
-use crate::flow::{plan_forwarding, select_candidates};
+use crate::flow::{plan_forwarding, select_candidates, ForwardPlan};
 use crate::message::{Message, MessageKind};
 use crate::routing::routing_decision_policy;
 
@@ -39,21 +40,23 @@ pub enum Verdict {
 }
 
 /// The forwarded copies of one routed message, yielded as
-/// `(next hop, copy)` in the order the flow quota was dealt.
+/// `(next hop, copy)` in the order the flow quota was dealt: the `i`-th
+/// copy carries the plan's [`child_quota(i)`](ForwardPlan::child_quota),
+/// computed as it is yielded.
 #[derive(Debug)]
 pub struct Copies {
     parent: Message,
     via: NodeIdx,
-    targets: std::vec::IntoIter<NodeIdx>,
-    quotas: std::vec::IntoIter<u32>,
+    targets: std::iter::Enumerate<std::vec::IntoIter<NodeIdx>>,
+    plan: ForwardPlan,
 }
 
 impl Iterator for Copies {
     type Item = (NodeIdx, Message);
 
     fn next(&mut self) -> Option<(NodeIdx, Message)> {
-        let target = self.targets.next()?;
-        let quota = self.quotas.next()?;
+        let (i, target) = self.targets.next()?;
+        let quota = self.plan.child_quota(i as u32);
         Some((target, self.parent.forwarded(self.via, quota)))
     }
 }
@@ -88,33 +91,33 @@ pub fn step<R: Rng + ?Sized>(
         ids,
         |n| msg.visited(n),
         config.split_policy,
-        msg.quota + given,
+        msg.quota.saturating_add(given),
         config.metric,
     );
 
+    // A copy arriving with no replicas left (no sender writes one) ends
+    // its flow at the first local maximum instead of wrapping around.
     let mut flow_ends = false;
     if decision.is_local_max {
-        msg.replicas_left -= 1;
+        msg.replicas_left = msg.replicas_left.saturating_sub(1);
         flow_ends = msg.replicas_left == 0;
     }
-    let (mut targets, mut quotas, mut flows_created) = (Vec::new(), Vec::new(), 0);
+    let (mut targets, mut plan) = (Vec::new(), ForwardPlan::default());
     if !flow_ends && !decision.candidates.is_empty() {
-        let plan = plan_forwarding(msg.quota, given, decision.candidates.len());
+        plan = plan_forwarding(msg.quota, given, decision.candidates.len());
         if plan.m > 0 {
             // Choose which tied candidates to use when over quota.
             targets = select_candidates(decision.candidates, plan.m as usize, rng);
-            quotas = plan.child_quotas;
-            flows_created = plan.flows_created;
         }
     }
     Verdict::Routed {
         deposited: decision.is_local_max && msg.kind == MessageKind::Insert,
-        flows_created,
+        flows_created: plan.flows_created,
         copies: Copies {
             parent: msg,
             via: at,
-            targets: targets.into_iter(),
-            quotas: quotas.into_iter(),
+            targets: targets.into_iter().enumerate(),
+            plan,
         },
     }
 }

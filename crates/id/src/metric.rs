@@ -15,12 +15,18 @@ use crate::id::{Id, ID_BITS};
 ///
 /// It is evaluated once per neighbor per routing step, so it works on
 /// words, not digits: the XOR of the two IDs is read as two `u64` and
-/// one `u32`, every non-zero digit of it is folded down to one marker
-/// bit (its lowest), the three marker words are shifted into disjoint
-/// bit lanes of one word where they fit, and a population count gives
-/// the digits that differ. No digit straddles a byte and the count does
-/// not care where in a word a byte sits, so the words are loaded in the
-/// machine's own byte order.
+/// one `u32`, and every non-zero digit of it is folded down to one
+/// marker bit (its lowest). For binary digits the three words are
+/// counted as they are. For wider digits the three marker words are
+/// *added*: each `W`-bit digit position of the sum is a lane holding
+/// how many of the three words differ there, at most 3, and a lane is at
+/// least two bits wide, so no lane carries into the next. One SWAR lane
+/// sum (`lane_sum`) then counts the differing digits of all three
+/// words at once, where a population count per word is a SWAR sequence
+/// of its own on a target without `popcnt` (the default x86-64 one). No
+/// digit straddles a byte and the count does not care where in a word
+/// a byte sits, so the words are loaded in the machine's own byte
+/// order.
 ///
 /// ```
 /// use mpil_id::{common_digits, Id};
@@ -38,14 +44,9 @@ pub fn common_digits(a: Id, b: Id, digit_bits: u8) -> u32 {
     let [x0, x1, x2] = xor_words(&a, &b);
     let differing = match digit_bits {
         1 => x0.count_ones() + x1.count_ones() + x2.count_ones(),
-        // 80 markers on every second bit: two words' worth interleave,
-        // the third is counted on its own.
-        2 => {
-            (markers::<2>(x0) | markers::<2>(x1) << 1).count_ones() + markers::<2>(x2).count_ones()
-        }
-        // 40 (or 20) markers at least four bits apart: all three fit.
-        4 => (markers::<4>(x0) | markers::<4>(x1) << 1 | markers::<4>(x2) << 2).count_ones(),
-        8 => (markers::<8>(x0) | markers::<8>(x1) << 1 | markers::<8>(x2) << 2).count_ones(),
+        2 => lane_sum::<2>(markers::<2>(x0) + markers::<2>(x1) + markers::<2>(x2)),
+        4 => lane_sum::<4>(markers::<4>(x0) + markers::<4>(x1) + markers::<4>(x2)),
+        8 => lane_sum::<8>(markers::<8>(x0) + markers::<8>(x1) + markers::<8>(x2)),
         other => panic!("unsupported digit width {other}"),
     };
     ID_BITS as u32 / u32::from(digit_bits) - differing
@@ -81,6 +82,24 @@ fn markers<const W: u32>(mut x: u64) -> u64 {
     }
     // 0x5555.., 0x1111.., 0x0101..: bit 0 of every W-bit digit.
     x & (u64::MAX / ((1 << W) - 1))
+}
+
+/// The sum of the `W`-bit lanes of `x` (`W` one of 2, 4, 8), each lane
+/// holding at most 3.
+///
+/// 2-bit lanes are added pairwise into 4-bit lanes (at most 6), 4-bit
+/// lanes pairwise into bytes (at most 12), and one multiply by
+/// `0x0101..01` adds every byte into the top one: at most 32 lanes of 3,
+/// so 96 fits there too.
+#[inline]
+fn lane_sum<const W: u32>(mut x: u64) -> u32 {
+    if W == 2 {
+        x = (x & 0x3333_3333_3333_3333) + (x >> 2 & 0x3333_3333_3333_3333);
+    }
+    if W <= 4 {
+        x = (x + (x >> 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+    }
+    (x.wrapping_mul(0x0101_0101_0101_0101) >> 56) as u32
 }
 
 /// Length of the shared prefix, in digits of width `digit_bits`.
@@ -253,8 +272,8 @@ mod tests {
     #[test]
     fn same_offset_in_different_words_counts_separately() {
         // Bytes 0, 8 and 16 open the three words the kernel loads; their
-        // markers share one word after packing, and a wrong lane shift
-        // would merge two of them into one.
+        // markers land in one lane of the sum, and a lane that could not
+        // hold all three would carry into the next.
         for bits in [1u8, 2, 4, 8] {
             let m = 160 / u32::from(bits);
             let per_byte = 8 / usize::from(bits);

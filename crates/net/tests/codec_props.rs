@@ -1,12 +1,15 @@
 //! Property tests: every well-formed frame round-trips; no input slice
 //! can panic the decoder, damaged valid frames included; whatever a
-//! damaged frame still decodes to is a value the encoder can write.
+//! damaged frame still decodes to is a value the encoder can write, and
+//! a Forward it decodes to is a copy every node can route.
 
-use mpil::{Message, MessageId, MessageKind};
+use mpil::{Message, MessageId, MessageKind, MpilConfig, Verdict};
 use mpil_id::Id;
 use mpil_net::{DecodeError, WireMessage};
 use mpil_overlay::NodeIdx;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn arb_id() -> impl Strategy<Value = Id> {
     proptest::array::uniform20(any::<u8>()).prop_map(Id::from_bytes)
@@ -18,9 +21,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
         any::<bool>(),
         arb_id(),
         0u32..10_000,
-        any::<u32>(),
+        // The largest quota and hop count are where a relay's budget
+        // and a forward's hop count would wrap.
+        prop_oneof![any::<u32>(), Just(u32::MAX)],
         0u32..64,
-        0u32..64,
+        prop_oneof![0u32..64, Just(u32::MAX)],
         proptest::collection::vec(0u32..100_000, 0..40),
     )
         .prop_map(
@@ -73,6 +78,31 @@ fn decodes_to_nothing_or_to_a_frame(data: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// A shard hands every Forward it decodes to `mpil::step`: at every
+/// node of a small fixed graph, whatever its quota, replicas or hops,
+/// the copy is routed without an arithmetic overflow, its copies are
+/// made, and no copy carries fewer hops than it arrived with.
+fn every_node_routes(msg: &Message) {
+    // Node 4 has no neighbors, so every copy is at a local maximum there.
+    let neighbors: [&[u32]; 5] = [&[1, 2], &[0, 2, 3], &[0, 1], &[1], &[]];
+    let ids: Vec<Id> = (0..5u64)
+        .map(|i| Id::from_low_u64(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+        .collect();
+    let config = MpilConfig::default();
+    let mut rng = SmallRng::seed_from_u64(1);
+    for (at, list) in neighbors.iter().enumerate() {
+        let list: Vec<NodeIdx> = list.iter().map(|&n| NodeIdx::new(n)).collect();
+        let at = NodeIdx::new(at as u32);
+        let verdict = mpil::step(&config, at, &list, &ids, false, msg.clone(), &mut rng);
+        let Verdict::Routed { copies, .. } = verdict else {
+            panic!("a node holding nothing replied");
+        };
+        for (_, copy) in copies {
+            assert!(copy.hops >= msg.hops);
+        }
+    }
+}
+
 proptest! {
     /// And the format's decision on trailing bytes: a frame ends where
     /// its last field ends, what follows it in the datagram is ignored.
@@ -109,7 +139,9 @@ proptest! {
 
     /// One byte of a valid frame replaced, at every index in turn: the
     /// kind, the route length, a field. (Arbitrary bytes almost never get
-    /// past the version byte; these do.)
+    /// past the version byte; these do.) A Forward among what decodes
+    /// goes through the routing step at every node, as a shard would
+    /// hand it on.
     #[test]
     fn a_frame_with_one_byte_replaced_decodes_to_nothing_or_to_a_frame(
         wire in arb_wire(),
@@ -120,6 +152,9 @@ proptest! {
             let mut data = whole.to_vec();
             data[at] = byte;
             decodes_to_nothing_or_to_a_frame(&data)?;
+            if let Ok(WireMessage::Forward(msg)) = WireMessage::decode(&data) {
+                every_node_routes(&msg);
+            }
         }
     }
 

@@ -40,8 +40,9 @@
 #            baselines' retry table (mpil_sim::Outstanding) or to the
 #            class a send is counted in that moves a single send (the
 #            notes a handler makes through mpil_sim::Cx::note are
-#            pinned by the conformance suite, not here); and a
-#            million-node MPIL build under a peak-RSS ceiling
+#            pinned by the conformance suite, not here); a
+#            million-node MPIL build under a peak-RSS ceiling; and
+#            both MPIL rows' allocation counts under a ceiling
 #   service: an embedded mpild + mpil-load smoke with live churn —
 #            catches the daemon/load-generator path (request tracking,
 #            hedged lookups, drain) failing under perturbation or its
@@ -177,8 +178,16 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
 # same point read 201.0 MiB with the ids and array cloned into the
 # engine instead of moved, and 309.6 MiB with one list per node built
 # and then flattened, so 180 trips on both.
+#
+# The two MPIL rows also hold their allocations (the fourth column, a
+# ceiling on the point's "allocs"; `-` for none). That count repeats
+# exactly from run to run: 92 963 at 50 000 nodes and 985 at 1 000 000,
+# where a routing step allocates its candidate list and the metrics it
+# keeps them by, each forwarded copy its route, and nothing else. A
+# forwarding plan that deals its quotas out of a list of its own again
+# reads 117 527 and 1 185; the ceilings sit between.
 while IFS='|' read -r pins engine; do
-    read -r sent events lookup_msgs flags <<<"$pins"
+    read -r sent events lookup_msgs max_allocs flags <<<"$pins"
     engine=${engine# }
     # shellcheck disable=SC2086 # $flags is a list of flags
     point=$(./target/release/scale_run $flags --seed 1) \
@@ -192,13 +201,23 @@ while IFS='|' read -r pins engine; do
         echo "ci: scale_run $flags --seed 1 moved (pinned: sent $sent, events $events, lookup_msgs $lookup_msgs): $point" >&2
         exit 1
     fi
+    if [[ $max_allocs != - ]]; then
+        if [[ ! $point =~ \"allocs\":\ ([0-9]+), ]]; then
+            echo "ci: scale_run $flags --seed 1 printed no allocs: $point" >&2
+            exit 1
+        fi
+        if (( BASH_REMATCH[1] > max_allocs )); then
+            echo "ci: scale_run $flags --seed 1 made ${BASH_REMATCH[1]} allocations (ceiling $max_allocs)" >&2
+            exit 1
+        fi
+    fi
 done <<'PINS'
-563131 819746 97 --engine plumtree --nodes 1000 --ops 20 --p 0.5 --max-rss-mib 13 | Plumtree active=5 passive=24
-131835 233193 85 --engine chord --nodes 500 --ops 20 --p 0 | Chord
-378674 582804 40 --engine pastry --nodes 250 --ops 20 --p 0 | MSPastry
-131132 198105 120 --engine kademlia --nodes 250 --ops 20 --p 0 | Kademlia k=8 α=3
-359579 56334 41862 --engine mpil-regular --nodes 50000 --ops 2500 --p 0.1 --max-rss-mib 29 | MPIL over random d=8
-2941 472 354 --engine mpil-regular --nodes 1000000 --ops 20 --p 0.1 --max-rss-mib 180 | MPIL over random d=8
+563131 819746 97 - --engine plumtree --nodes 1000 --ops 20 --p 0.5 --max-rss-mib 13 | Plumtree active=5 passive=24
+131835 233193 85 - --engine chord --nodes 500 --ops 20 --p 0 | Chord
+378674 582804 40 - --engine pastry --nodes 250 --ops 20 --p 0 | MSPastry
+131132 198105 120 - --engine kademlia --nodes 250 --ops 20 --p 0 | Kademlia k=8 α=3
+359579 56334 41862 105000 --engine mpil-regular --nodes 50000 --ops 2500 --p 0.1 --max-rss-mib 29 | MPIL over random d=8
+2941 472 354 1085 --engine mpil-regular --nodes 1000000 --ops 20 --p 0.1 --max-rss-mib 180 | MPIL over random d=8
 PINS
 
 # The message ceiling of a service smoke: the node forwards of the run

@@ -93,14 +93,15 @@ proptest! {
         prop_assert!(plan.m as usize <= cands);
         prop_assert!(plan.m <= quota + given);
         if plan.m > 0 {
-            let sum: u32 = plan.child_quotas.iter().sum();
+            let quotas: Vec<u32> = (0..plan.m).map(|i| plan.child_quota(i)).collect();
+            let sum: u32 = quotas.iter().sum();
             prop_assert_eq!(sum + plan.m, quota + given);
             // Round-robin residue: quotas differ by at most one.
-            let min = plan.child_quotas.iter().min().copied().unwrap();
-            let max = plan.child_quotas.iter().max().copied().unwrap();
+            let min = quotas.iter().min().copied().unwrap();
+            let max = quotas.iter().max().copied().unwrap();
             prop_assert!(max - min <= 1);
             // Residue goes to the front.
-            prop_assert!(plan.child_quotas.windows(2).all(|w| w[0] >= w[1]));
+            prop_assert!(quotas.windows(2).all(|w| w[0] >= w[1]));
         }
     }
 
