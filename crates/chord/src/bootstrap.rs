@@ -5,11 +5,17 @@
 //! of joins, we compute the exact fixed point of Chord's maintenance
 //! protocol directly: successor lists from the sorted ring, predecessors,
 //! and every finger `i` as the true successor of `id + 2^i`.
+//!
+//! Most fingers need no search. With `gap` the clockwise distance from a
+//! node to its successor, every start `id + 2^i` with `2^i ≤ gap` lies in
+//! `(id, successor]`, so its finger is the successor: the low
+//! `bitlen(gap)` fingers are set directly, and only the rest (about
+//! `log₂ n` of the 160) binary-search the sorted ring.
 
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
 
-use crate::ring::finger_start;
+use crate::ring::{dist_cw, finger_start};
 use crate::state::ChordState;
 
 /// Successor-list length `r` (Stoica et al. recommend `Ω(log N)`; 8
@@ -60,7 +66,15 @@ pub fn build_converged_states(ids: &[Id]) -> Vec<ChordState> {
                 let pred = ring[(me + n - 1) % n];
                 st.set_predecessor(Some(NodeIdx::new(pred as u32)));
             }
-            for f in 0..mpil_id::ID_BITS {
+            // On a one-node ring the gap is zero and every finger is
+            // searched (each finds the node itself).
+            let succ = ring[(me + 1) % n];
+            let gap = dist_cw(ids[i], ids[succ]);
+            let near = mpil_id::ID_BITS - gap.leading_zeros() as usize;
+            for f in 0..near {
+                st.set_finger(f, NodeIdx::new(succ as u32));
+            }
+            for f in near..mpil_id::ID_BITS {
                 let target = successor_of(finger_start(ids[i], f));
                 st.set_finger(f, NodeIdx::new(target as u32));
             }
@@ -113,6 +127,62 @@ mod tests {
                     Some(node) => assert_eq!(table[node.index()], expect),
                     None => assert_eq!(expect, st.id(), "cleared finger must mean self"),
                 }
+            }
+        }
+    }
+
+    /// Every finger of every node by binary search over the sorted
+    /// ring: the reference the gap rule must reproduce.
+    fn searched_fingers(ids: &[Id]) -> Vec<Vec<Option<NodeIdx>>> {
+        let mut sorted: Vec<(Id, usize)> = ids.iter().copied().zip(0..).collect();
+        sorted.sort();
+        ids.iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                (0..mpil_id::ID_BITS)
+                    .map(|f| {
+                        let start = finger_start(id, f);
+                        let (_, j) =
+                            sorted[sorted.partition_point(|&(s, _)| s < start) % ids.len()];
+                        (j != i).then(|| NodeIdx::new(j as u32))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn gap_rule_matches_the_search_at_its_boundaries() {
+        let low = Id::from_low_u64;
+        let pow = |f| finger_start(Id::ZERO, f);
+        let mut rng = SmallRng::seed_from_u64(23);
+        let rings = [
+            // n = 1, 2 and 3.
+            vec![low(7)],
+            vec![low(100), low(200)],
+            vec![low(5), pow(80), pow(159)],
+            // Gaps of exactly 2^5 and 2^100 (0 → 32, 2^100 → 2^101).
+            vec![Id::ZERO, pow(5), pow(100), pow(101)],
+            // Gaps of 1.
+            vec![low(10), low(11), low(12), pow(150)],
+            // The largest id's successor across the wrap, 4 = 2^2 away,
+            // and MAX − 1 one below it.
+            vec![
+                Id::MAX,
+                low(3),
+                mpil_id::wrapping_sub(Id::MAX, low(1)),
+                pow(159),
+            ],
+            // A gap of 1 across the wrap, and one of 2^160 − 1 (every
+            // finger is the successor, none searched).
+            vec![Id::MAX, Id::ZERO],
+            random_ids(200, &mut rng),
+        ];
+        for ids in &rings {
+            let states = build_converged_states(ids);
+            for (st, expect) in states.iter().zip(searched_fingers(ids)) {
+                let got: Vec<_> = (0..mpil_id::ID_BITS).map(|f| st.finger(f)).collect();
+                assert_eq!(got, expect, "ring {ids:?}, node {}", st.id());
             }
         }
     }

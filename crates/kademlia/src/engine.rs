@@ -135,6 +135,9 @@ pub struct Kademlia {
     next_op: u64,
     next_token: u64,
     next_lookup: u64,
+    /// [`RoutingTable::closest_with`]'s scratch, one table's contacts keyed
+    /// by distance, kept so a `FIND_NODE` allocates only its answer.
+    keyed: Vec<(Id, u32, NodeIdx)>,
 }
 
 /// The Kademlia overlay simulation.
@@ -168,7 +171,12 @@ impl Kademlia {
     fn start_op(&mut self, cx: &mut Cx<'_>, origin: NodeIdx, target: Id, kind: OpKind) {
         let op_id = self.next_op;
         self.next_op += 1;
-        let seeds = self.tables[origin.index()].closest(target, self.config.k, &self.ids);
+        let seeds = self.tables[origin.index()].closest_with(
+            target,
+            self.config.k,
+            &self.ids,
+            &mut self.keyed,
+        );
         let candidates = seeds
             .into_iter()
             .map(|node| Candidate {
@@ -325,7 +333,12 @@ impl Kademlia {
                 find_value,
             } => {
                 let found = find_value && self.stores[to.index()].contains(&target);
-                let mut closer = self.tables[to.index()].closest(target, self.config.k, &self.ids);
+                let mut closer = self.tables[to.index()].closest_with(
+                    target,
+                    self.config.k,
+                    &self.ids,
+                    &mut self.keyed,
+                );
                 closer.retain(|&c| c != from);
                 cx.send(to, from, Class::Reply, Msg::FindReply { op, closer, found });
             }
@@ -495,6 +508,7 @@ impl Protocol for Kademlia {
             next_op: 0,
             next_token: 0,
             next_lookup: 0,
+            keyed: Vec::new(),
             ids,
         }
     }

@@ -156,12 +156,35 @@ impl RoutingTable {
     }
 
     /// The `count` known peers closest to `target` by XOR distance,
-    /// closest first.
+    /// closest first; peers at one distance (duplicate ids) keep table
+    /// order, as a stable sort of the whole table would.
     pub fn closest(&self, target: Id, count: usize, ids: &[Id]) -> Vec<NodeIdx> {
-        let mut all: Vec<NodeIdx> = self.iter().collect();
-        all.sort_by_key(|&p| xor_distance(ids[p.index()], target));
-        all.truncate(count);
-        all
+        self.closest_with(target, count, ids, &mut Vec::new())
+    }
+
+    /// [`closest`](Self::closest) with its scratch: each peer's distance
+    /// is computed once into `keyed`, the `count` nearest are selected in
+    /// linear time, and only they are sorted. A caller that keeps `keyed`
+    /// between calls allocates only the answer.
+    pub fn closest_with(
+        &self,
+        target: Id,
+        count: usize,
+        ids: &[Id],
+        keyed: &mut Vec<(Id, u32, NodeIdx)>,
+    ) -> Vec<NodeIdx> {
+        keyed.clear();
+        keyed.extend(
+            self.iter()
+                .zip(0..)
+                .map(|(p, pos)| (xor_distance(ids[p.index()], target), pos, p)),
+        );
+        if count < keyed.len() {
+            keyed.select_nth_unstable_by_key(count, |&(d, pos, _)| (d, pos));
+            keyed.truncate(count);
+        }
+        keyed.sort_unstable_by_key(|&(d, pos, _)| (d, pos));
+        keyed.iter().map(|&(_, _, p)| p).collect()
     }
 
     /// Every known peer (the frozen neighbor list MPIL routes on).
@@ -367,6 +390,37 @@ mod tests {
         let c = rt.closest(target, 3, &ids);
         // XOR distances from 0b0011: n1→2, n2→1, n3→7, n4→11.
         assert_eq!(c, vec![n(2), n(1), n(3)]);
+    }
+
+    #[test]
+    fn closest_equals_the_full_stable_sort() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        // One scratch for every call: what an earlier table or target
+        // left in it must not leak into an answer.
+        let mut keyed = Vec::new();
+        for round in 0..40 {
+            let mut ids: Vec<Id> = (0..60).map(|_| Id::random(&mut rng)).collect();
+            // Duplicate ids tie on distance: table order must break it.
+            ids[5] = ids[4];
+            ids[9] = ids[4];
+            let k = 1 + round % 6;
+            let mut rt = RoutingTable::new(n(0), ids[0], k);
+            for (i, &id) in ids.iter().enumerate().skip(1) {
+                rt.offer(n(i as u32), id);
+            }
+            let targets = [Id::random(&mut rng), ids[4], ids[0]];
+            for target in targets {
+                let mut all: Vec<NodeIdx> = rt.iter().collect();
+                all.sort_by_key(|&p| xor_distance(ids[p.index()], target));
+                for count in 0..=rt.len() + 1 {
+                    let expect = &all[..count.min(all.len())];
+                    let why = format!("round {round}, count {count}");
+                    assert_eq!(rt.closest(target, count, &ids), expect, "{why}");
+                    let reused = rt.closest_with(target, count, &ids, &mut keyed);
+                    assert_eq!(reused, expect, "{why}, reused scratch");
+                }
+            }
+        }
     }
 
     #[test]

@@ -124,14 +124,18 @@ impl Adjacency {
 impl From<Vec<Vec<NodeIdx>>> for Adjacency {
     /// # Panics
     ///
-    /// Panics if the lists hold more than `u32::MAX` entries together.
+    /// Panics if the lists hold more than `u32::MAX` entries together
+    /// (16 GiB of lists; no flag or frame builds a graph that large).
     fn from(lists: Vec<Vec<NodeIdx>>) -> Self {
+        let entries: usize = lists.iter().map(Vec::len).sum();
+        assert!(u32::try_from(entries).is_ok(), "too many neighbor entries");
         let mut offsets = Vec::with_capacity(lists.len() + 1);
-        let mut adjacent = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        let mut adjacent = Vec::with_capacity(entries);
         offsets.push(0);
         for list in lists {
             adjacent.extend_from_slice(&list);
-            offsets.push(u32::try_from(adjacent.len()).expect("too many neighbor entries"));
+            // At most `entries`, which fits: checked above.
+            offsets.push(adjacent.len() as u32);
         }
         Adjacency { offsets, adjacent }
     }

@@ -83,9 +83,17 @@ pub fn random_regular<R: Rng + ?Sized>(
 
 /// One configuration-model attempt: pair stubs uniformly, then repair
 /// self-loops and parallel edges by degree-preserving edge swaps. Badness
-/// is recomputed from scratch each pass, so the swap bookkeeping only has
-/// to be conservative, never exact. The edges it returns are simple, so
+/// is recomputed from scratch after a pass that left a bad edge in place
+/// (all 64 swap tries for it failed), so the swap bookkeeping only has to
+/// be conservative, never exact. The edges it returns are simple, so
 /// they go into the graph's lists as they are, with no edge set between.
+///
+/// A pass that rewrites every bad edge returns without that recount,
+/// which would find nothing: a swap writes only edges absent from the
+/// pass's `seen` set (and adds them to it), and every edge it leaves in
+/// place was a first occurrence when `seen` was built, so no two edges
+/// are equal and none is a loop. The budget stays 100 counts: the last
+/// pass returns `None` even when it rewrote every bad edge.
 fn try_pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Vec<(u32, u32)>> {
     use fxhash::FxHashSet;
 
@@ -98,10 +106,12 @@ fn try_pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Vec<(
     let mut edges: Vec<(u32, u32)> = stubs.chunks_exact(2).map(|c| ord(c[0], c[1])).collect();
 
     const MAX_PASSES: usize = 100;
-    for _ in 0..MAX_PASSES {
-        let mut seen: FxHashSet<(u32, u32)> =
-            FxHashSet::with_capacity_and_hasher(edges.len(), Default::default());
-        let mut bad: Vec<usize> = Vec::new();
+    let mut seen: FxHashSet<(u32, u32)> =
+        FxHashSet::with_capacity_and_hasher(edges.len(), Default::default());
+    let mut bad: Vec<usize> = Vec::new();
+    for pass in 1..=MAX_PASSES {
+        seen.clear();
+        bad.clear();
         for (i, &e) in edges.iter().enumerate() {
             if e.0 == e.1 || !seen.insert(e) {
                 bad.push(i);
@@ -110,7 +120,7 @@ fn try_pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Vec<(
         if bad.is_empty() {
             return Some(edges);
         }
-        let mut fixed_any = false;
+        let mut fixed = 0;
         for &i in &bad {
             for _ in 0..64 {
                 let j = rng.gen_range(0..edges.len());
@@ -128,18 +138,21 @@ fn try_pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Vec<(
                     continue;
                 }
                 // Conservative update: insert the new edges, leave the old
-                // ones in `seen` (prevents re-creating them this pass; the
-                // next pass rebuilds `seen` exactly).
+                // ones in `seen` (prevents re-creating them this pass; a
+                // recount rebuilds `seen` exactly).
                 seen.insert(e1);
                 seen.insert(e2);
                 edges[i] = e1;
                 edges[j] = e2;
-                fixed_any = true;
+                fixed += 1;
                 break;
             }
         }
-        if !fixed_any {
+        if fixed == 0 {
             return None;
+        }
+        if fixed == bad.len() && pass < MAX_PASSES {
+            return Some(edges);
         }
     }
     None

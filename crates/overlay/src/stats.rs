@@ -6,11 +6,7 @@ use crate::topology::{NodeIdx, Topology};
 
 /// Returns `true` if the topology is connected (or empty).
 pub fn is_connected(topo: &Topology) -> bool {
-    if topo.is_empty() {
-        return true;
-    }
-    let reached = bfs_distances(topo, NodeIdx::new(0));
-    reached.iter().all(|d| d.is_some())
+    components(topo).iter().all(|&c| c == 0)
 }
 
 /// Breadth-first hop distances from `source`; `None` for unreachable nodes.
@@ -18,13 +14,12 @@ pub fn bfs_distances(topo: &Topology, source: NodeIdx) -> Vec<Option<u32>> {
     let mut dist: Vec<Option<u32>> = vec![None; topo.len()];
     let mut queue = VecDeque::new();
     dist[source.index()] = Some(0);
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v.index()].expect("queued nodes have distances");
+    queue.push_back((source, 0));
+    while let Some((v, dv)) = queue.pop_front() {
         for &w in topo.neighbors(v) {
             if dist[w.index()].is_none() {
                 dist[w.index()] = Some(dv + 1);
-                queue.push_back(w);
+                queue.push_back((w, dv + 1));
             }
         }
     }
@@ -34,19 +29,22 @@ pub fn bfs_distances(topo: &Topology, source: NodeIdx) -> Vec<Option<u32>> {
 /// Connected components as a label per node (labels are dense, starting
 /// at 0, in discovery order).
 pub fn components(topo: &Topology) -> Vec<u32> {
-    let mut label: Vec<Option<u32>> = vec![None; topo.len()];
+    // Every node is labelled by the time the outer loop passes it, so
+    // no `UNLABELED` is left in what is returned.
+    const UNLABELED: u32 = u32::MAX;
+    let mut label = vec![UNLABELED; topo.len()];
     let mut next = 0u32;
     for start in topo.iter_nodes() {
-        if label[start.index()].is_some() {
+        if label[start.index()] != UNLABELED {
             continue;
         }
         let mut queue = VecDeque::new();
-        label[start.index()] = Some(next);
+        label[start.index()] = next;
         queue.push_back(start);
         while let Some(v) = queue.pop_front() {
             for &w in topo.neighbors(v) {
-                if label[w.index()].is_none() {
-                    label[w.index()] = Some(next);
+                if label[w.index()] == UNLABELED {
+                    label[w.index()] = next;
                     queue.push_back(w);
                 }
             }
@@ -54,9 +52,6 @@ pub fn components(topo: &Topology) -> Vec<u32> {
         next += 1;
     }
     label
-        .into_iter()
-        .map(|l| l.expect("all nodes labeled"))
-        .collect()
 }
 
 /// Histogram of node degrees: `hist[d]` = number of nodes with degree `d`.

@@ -186,6 +186,13 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
 # keeps them by, each forwarded copy its route, and nothing else. A
 # forwarding plan that deals its quotas out of a list of its own again
 # reads 117 527 and 1 185; the ceilings sit between.
+#
+# The last two rows hold the DHT baselines where their converged state is
+# large: a 2 000-node Kademlia table holds far more than k contacts, so
+# every FIND_NODE picks its k closest out of a long list, and a
+# 10 000-node Chord ring has gaps near 2^147, so each node's fingers are
+# mostly its successor and the rest a search. A shortcut in either that
+# moves one contact or one finger moves a send here (~2 s and ~4 s).
 while IFS='|' read -r pins engine; do
     read -r sent events lookup_msgs max_allocs flags <<<"$pins"
     engine=${engine# }
@@ -218,6 +225,8 @@ done <<'PINS'
 131132 198105 120 - --engine kademlia --nodes 250 --ops 20 --p 0 | Kademlia k=8 α=3
 359579 56334 41862 105000 --engine mpil-regular --nodes 50000 --ops 2500 --p 0.1 --max-rss-mib 29 | MPIL over random d=8
 2941 472 354 1085 --engine mpil-regular --nodes 1000000 --ops 20 --p 0.1 --max-rss-mib 180 | MPIL over random d=8
+1472597 2232490 210 - --engine kademlia --nodes 2000 --ops 20 --p 0 | Kademlia k=8 α=3
+2685949 4742639 137 - --engine chord --nodes 10000 --ops 20 --p 0 | Chord
 PINS
 
 # The message ceiling of a service smoke: the node forwards of the run
