@@ -296,10 +296,7 @@ impl Epidemic {
             if !force {
                 return false;
             }
-            self.members[u]
-                .active
-                .sample_into(1, None, cx.rng(), &mut self.sample_scratch);
-            if let Some(&victim) = self.sample_scratch.first() {
+            if let Some(victim) = self.members[u].active.sample_one(cx.rng()) {
                 self.drop_active(node, victim);
                 cx.send(node, victim, Class::Maintenance, Msg::Disconnect);
                 self.integrate_into_passive(cx, node, victim);
@@ -336,10 +333,7 @@ impl Epidemic {
             return;
         }
         if self.members[u].passive.len() >= self.config.passive_size {
-            self.members[u]
-                .passive
-                .sample_into(1, None, cx.rng(), &mut self.sample_scratch);
-            if let Some(&victim) = self.sample_scratch.first() {
+            if let Some(victim) = self.members[u].passive.sample_one(cx.rng()) {
                 self.members[u].passive.remove(victim);
             }
         }
@@ -355,10 +349,7 @@ impl Epidemic {
         {
             return;
         }
-        self.members[u]
-            .passive
-            .sample_into(1, None, cx.rng(), &mut self.sample_scratch);
-        let Some(&candidate) = self.sample_scratch.first() else {
+        let Some(candidate) = self.members[u].passive.sample_one(cx.rng()) else {
             return; // empty passive view; shuffles will refill it
         };
         let token = self.next_token;
@@ -416,13 +407,7 @@ impl Epidemic {
             // Reactive repair first: an underfull active view promotes
             // a passive candidate without waiting for a shuffle.
             self.try_neighbor(cx, node);
-            self.members[node.index()].active.sample_into(
-                1,
-                None,
-                cx.rng(),
-                &mut self.sample_scratch,
-            );
-            if let Some(&target) = self.sample_scratch.first() {
+            if let Some(target) = self.members[node.index()].active.sample_one(cx.rng()) {
                 self.initiate_shuffle(cx, node, target);
             }
         }

@@ -193,6 +193,17 @@ impl PartialView {
         out.truncate(take);
     }
 
+    /// One neighbor drawn uniformly, or `None` (and no draw) when the
+    /// view is empty: the draw `sample_into(1, None, ..)` makes, without
+    /// copying the view first.
+    pub(crate) fn sample_one<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeIdx> {
+        let entries = self.entries.as_slice();
+        if entries.is_empty() {
+            return None;
+        }
+        Some(entries[rng.gen_range(0..entries.len())])
+    }
+
     /// Checks the structural invariants (property tests).
     ///
     /// # Panics
@@ -224,7 +235,7 @@ impl PartialView {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn node(i: u32) -> NodeIdx {
         NodeIdx::new(i)
@@ -276,5 +287,29 @@ mod tests {
         lone.insert(node(1));
         lone.sample_into(1, Some(node(1)), &mut rng, &mut s);
         assert_eq!(s, [node(1)]);
+    }
+
+    #[test]
+    fn sample_one_is_the_single_draw_of_sample_into() {
+        let mut s = Vec::new();
+        for len in 0..=12u32 {
+            let mut v = PartialView::new(node(0), 12);
+            for p in 1..=len {
+                v.insert(node(p));
+            }
+            for seed in 0..20 {
+                let mut one = SmallRng::seed_from_u64(seed);
+                let mut into = SmallRng::seed_from_u64(seed);
+                v.sample_into(1, None, &mut into, &mut s);
+                assert_eq!(v.sample_one(&mut one), s.first().copied());
+                assert_eq!(one.next_u64(), into.next_u64(), "same draws taken");
+            }
+        }
+        // An empty view draws nothing at all.
+        let empty = PartialView::new(node(0), 4);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut untouched = SmallRng::seed_from_u64(3);
+        assert_eq!(empty.sample_one(&mut rng), None);
+        assert_eq!(rng.next_u64(), untouched.next_u64());
     }
 }

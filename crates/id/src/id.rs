@@ -12,9 +12,13 @@ pub const ID_BYTES: usize = ID_BITS / 8;
 
 /// A 160-bit identifier in the MPIL/Pastry key space.
 ///
-/// Stored big-endian: byte 0 holds the most significant bits. The derived
-/// `Ord` therefore orders IDs as 160-bit unsigned integers, which is what
-/// Pastry's leaf set and numeric-closeness tests require.
+/// Stored big-endian: byte 0 holds the most significant bits, so byte
+/// order is the order of IDs as 160-bit unsigned integers, which is what
+/// Pastry's leaf set, Chord's ring and Kademlia's XOR sort require. `Ord`
+/// compares the ID as three big-endian words (bits 0–63, 64–127 and
+/// 128–159; one load and one byte swap each) rather than the twenty
+/// bytes one by one; it is the same order. `Eq` and `Hash` are derived and still see the bytes,
+/// so hash-map layouts do not depend on how `Ord` is computed.
 ///
 /// ```
 /// use mpil_id::Id;
@@ -23,7 +27,7 @@ pub const ID_BYTES: usize = ID_BITS / 8;
 /// assert!(a < b);
 /// assert_eq!((a ^ b), Id::from_low_u64(12));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Id(pub(crate) [u8; ID_BYTES]);
 
 impl Id {
@@ -179,6 +183,20 @@ impl Id {
         out[8..16].copy_from_slice(&mid.to_be_bytes());
         out[16..].copy_from_slice(&lo.to_be_bytes());
         Id(out)
+    }
+}
+
+impl Ord for Id {
+    #[inline]
+    fn cmp(&self, other: &Id) -> std::cmp::Ordering {
+        self.words().cmp(&other.words())
+    }
+}
+
+impl PartialOrd for Id {
+    #[inline]
+    fn partial_cmp(&self, other: &Id) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 

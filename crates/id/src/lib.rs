@@ -37,5 +37,5 @@ mod space;
 pub use id::{Id, ParseIdError, ID_BITS, ID_BYTES};
 pub use map::{IdMap, IdSet};
 pub use metric::{common_digits, prefix_match_digits, suffix_match_digits, xor_distance};
-pub use num::{numeric_distance, ring_distance, wrapping_add, wrapping_sub};
+pub use num::{clockwise_offset, numeric_distance, ring_distance, wrapping_add, wrapping_sub};
 pub use space::{DigitBits, IdSpace, InvalidDigitBits};

@@ -110,8 +110,9 @@ impl<V> IdMap<V> {
         (slot_hash(id) >> 32) as usize & self.mask()
     }
 
-    /// Looks up the value stored under `id`.
-    pub fn get(&self, id: &Id) -> Option<&V> {
+    /// The slot holding `id`, if any.
+    #[inline]
+    fn find(&self, id: &Id) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
@@ -120,31 +121,22 @@ impl<V> IdMap<V> {
         loop {
             match &self.slots[i] {
                 None => return None,
-                Some((k, v)) if k == id => return Some(v),
+                Some((k, _)) if k == id => return Some(i),
                 Some(_) => i = (i + 1) & mask,
             }
         }
     }
 
+    /// Looks up the value stored under `id`.
+    pub fn get(&self, id: &Id) -> Option<&V> {
+        let i = self.find(id)?;
+        self.slots[i].as_ref().map(|(_, v)| v)
+    }
+
     /// Looks up the value stored under `id`, mutably.
     pub fn get_mut(&mut self, id: &Id) -> Option<&mut V> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.mask();
-        let mut i = self.start_slot(id);
-        loop {
-            match &self.slots[i] {
-                None => return None,
-                Some((k, _)) if k == id => {
-                    let Some((_, v)) = self.slots[i].as_mut() else {
-                        unreachable!("matched above");
-                    };
-                    return Some(v);
-                }
-                Some(_) => i = (i + 1) & mask,
-            }
-        }
+        let i = self.find(id)?;
+        self.slots[i].as_mut().map(|(_, v)| v)
     }
 
     /// Returns `true` if `id` has an entry.
@@ -179,21 +171,9 @@ impl<V> IdMap<V> {
     /// Uses backward-shift deletion, keeping probe chains tombstone-free
     /// (and layout a pure function of the operation history).
     pub fn remove(&mut self, id: &Id) -> Option<V> {
-        if self.len == 0 {
-            return None;
-        }
+        let i = self.find(id)?;
+        let (_, value) = self.slots[i].take()?;
         let mask = self.mask();
-        let mut i = self.start_slot(id);
-        loop {
-            match &self.slots[i] {
-                None => return None,
-                Some((k, _)) if k == id => break,
-                Some(_) => i = (i + 1) & mask,
-            }
-        }
-        let Some((_, value)) = self.slots[i].take() else {
-            unreachable!("matched above");
-        };
         self.len -= 1;
         // Shift the probe chain back over the hole.
         let mut hole = i;

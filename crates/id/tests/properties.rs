@@ -169,4 +169,65 @@ proptest! {
         prop_assert_eq!(id.as_bytes(), &bytes);
         let _ = ID_BYTES;
     }
+
+    // `Ord` compares big-endian words; these three hold it to byte order.
+    #[test]
+    fn order_is_byte_order_on_random_pairs(a in arb_id(), b in arb_id()) {
+        prop_assert_eq!(a.cmp(&b), a.to_bytes().cmp(&b.to_bytes()));
+        prop_assert_eq!(a.partial_cmp(&b), Some(a.cmp(&b)));
+    }
+
+    #[test]
+    fn order_is_byte_order_at_every_byte(
+        a in arb_id(),
+        tail in arb_id(),
+        x in any::<u8>(),
+        y in any::<u8>(),
+    ) {
+        let edges = [Id::ZERO, Id::MAX];
+        for pos in 0..ID_BYTES {
+            // Pairs that differ only at `pos`, from a random ID and from
+            // both ends of the space.
+            for base in edges.iter().copied().chain([a]) {
+                let mut lo = base.to_bytes();
+                let mut hi = lo;
+                lo[pos] = x.min(y);
+                hi[pos] = x.max(y);
+                let (lo, hi) = (Id::from_bytes(lo), Id::from_bytes(hi));
+                prop_assert_eq!(lo.cmp(&hi), x.min(y).cmp(&x.max(y)));
+                prop_assert_eq!(lo.cmp(&hi), lo.to_bytes().cmp(&hi.to_bytes()));
+                prop_assert_eq!(hi.cmp(&lo), hi.to_bytes().cmp(&lo.to_bytes()));
+                for edge in edges {
+                    prop_assert_eq!(lo.cmp(&edge), lo.to_bytes().cmp(&edge.to_bytes()));
+                }
+            }
+            // A first difference at `pos` with unrelated bytes after it.
+            let mut b = a.to_bytes();
+            b[pos..].copy_from_slice(&tail.as_bytes()[pos..]);
+            let b = Id::from_bytes(b);
+            prop_assert_eq!(a.cmp(&b), a.to_bytes().cmp(&b.to_bytes()));
+            prop_assert_eq!(b.cmp(&a), b.to_bytes().cmp(&a.to_bytes()));
+        }
+    }
+
+    #[test]
+    fn sorting_ids_is_sorting_bytes(
+        base in arb_id(),
+        ids in prop::collection::vec((0..ID_BYTES, arb_id()), 0..40),
+    ) {
+        // Each ID shares a random-length prefix with `base`, so the sort
+        // has to decide on every byte position, not only the first.
+        let mut ids: Vec<Id> = ids
+            .into_iter()
+            .map(|(shared, id)| {
+                let mut b = base.to_bytes();
+                b[shared..].copy_from_slice(&id.as_bytes()[shared..]);
+                Id::from_bytes(b)
+            })
+            .collect();
+        let mut by_bytes = ids.clone();
+        by_bytes.sort_by_key(|id| id.to_bytes());
+        ids.sort();
+        prop_assert_eq!(ids, by_bytes);
+    }
 }

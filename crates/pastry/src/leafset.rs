@@ -1,12 +1,14 @@
 //! The Pastry leaf set: the `l/2` numerically closest nodes on each side
 //! of the owner's position on the 2^160 identifier ring.
 
-use mpil_id::{ring_distance, wrapping_sub, Id};
+use mpil_id::{clockwise_offset, ring_distance, Id};
 use mpil_overlay::NodeIdx;
 
-/// Clockwise distance from `a` to `b` on the ring (`b - a mod 2^160`).
-fn cw(a: Id, b: Id) -> Id {
-    wrapping_sub(b, a)
+/// Clockwise distance from `a` to `b` on the ring (`b - a mod 2^160`),
+/// as the native integers [`clockwise_offset`] orders by.
+#[inline]
+fn cw(a: Id, b: Id) -> (u128, u32) {
+    clockwise_offset(a, b)
 }
 
 /// A leaf set with capacity `l/2` per side.
@@ -79,28 +81,30 @@ impl LeafSet {
         &self.left
     }
 
-    /// Offers a candidate; it is kept if it is among the `l/2` nearest on
-    /// either side. Returns `true` if the membership changed.
+    /// Offers a candidate to each side that does not hold `node` yet; it
+    /// is kept on a side if it is among the `l/2` nearest there. Each
+    /// side stays sorted nearest-first: the candidate goes in by binary
+    /// search on its ring offset from the owner, after any member at the
+    /// same offset (so an earlier offer wins a tie), and the side is cut
+    /// back to `l/2`. Returns `true` if `node` is on either side
+    /// afterwards, unless it was already on both (then `false`).
     ///
     /// # Panics
     ///
     /// Panics if the candidate carries the owner's own ID.
     pub fn consider(&mut self, id: Id, node: NodeIdx) -> bool {
         assert!(id != self.own, "cannot insert the owner into its leaf set");
+        let own = self.own;
         let already_left = self.left.iter().any(|&(_, n)| n == node);
         let already_right = self.right.iter().any(|&(_, n)| n == node);
         if already_left && already_right {
             return false;
         }
-        if !already_left {
-            self.left.push((id, node));
-        }
-        if !already_right {
-            self.right.push((id, node));
-        }
-        self.normalize();
-        // The candidate stuck if it survived trimming on either side.
-        self.left.iter().any(|&(_, n)| n == node) || self.right.iter().any(|&(_, n)| n == node)
+        let kept_left =
+            already_left || insert_by(&mut self.left, self.half, id, node, |x| cw(x, own));
+        let kept_right =
+            already_right || insert_by(&mut self.right, self.half, id, node, |x| cw(own, x));
+        kept_left || kept_right
     }
 
     /// Is `key` within the arc covered by the leaf set (from the farthest
@@ -166,26 +170,31 @@ impl LeafSet {
     }
 }
 
-// The insert logic above is easier to keep obviously-correct by
-// re-sorting; provide the real implementation as methods that maintain
-// the invariant.
-impl LeafSet {
-    /// Re-sorts both sides and trims them to capacity. Called internally;
-    /// public for tests of invariant restoration.
-    pub fn normalize(&mut self) {
-        let own = self.own;
-        self.right.sort_by_key(|&(id, _)| cw(own, id));
-        self.right.dedup_by_key(|&mut (_, n)| n);
-        self.right.truncate(self.half);
-        self.left.sort_by_key(|&(id, _)| cw(id, own));
-        self.left.dedup_by_key(|&mut (_, n)| n);
-        self.left.truncate(self.half);
+/// Inserts `(id, node)` into `side`, sorted nearest-first by `offset`,
+/// after every entry at an equal offset, and cuts `side` back to `half`.
+/// Returns whether the entry stayed.
+fn insert_by(
+    side: &mut Vec<(Id, NodeIdx)>,
+    half: usize,
+    id: Id,
+    node: NodeIdx,
+    offset: impl Fn(Id) -> (u128, u32),
+) -> bool {
+    let key = offset(id);
+    let at = side.partition_point(|&(x, _)| offset(x) <= key);
+    if at >= half {
+        return false;
     }
+    side.insert(at, (id, node));
+    side.truncate(half);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpil_id::{wrapping_add, wrapping_sub};
+    use proptest::prelude::*;
 
     fn id(v: u64) -> Id {
         Id::from_low_u64(v)
@@ -199,7 +208,6 @@ mod tests {
         let mut ls = LeafSet::new(id(own), l);
         for &(v, i) in candidates {
             ls.consider(id(v), n(i));
-            ls.normalize();
         }
         ls
     }
@@ -288,8 +296,7 @@ mod tests {
     #[test]
     fn duplicate_consider_is_noop() {
         let mut ls = build(100, 4, &[(95, 1)]);
-        ls.consider(id(95), n(1));
-        ls.normalize();
+        assert!(!ls.consider(id(95), n(1)), "already on both sides");
         assert_eq!(ls.members().count(), 2, "once per side");
         assert_eq!(ls.len(), 1, "one distinct member");
     }
@@ -323,5 +330,105 @@ mod tests {
         assert!(!ls.covers(id(2)));
         assert!(ls.covers(id(1)));
         assert_eq!(ls.closest(id(2), |_| false), None);
+    }
+
+    /// What `consider` and `remove` did before each side was kept in
+    /// order: push the candidate on each side that lacks its node, then
+    /// re-sort both sides by ring offset (a stable sort over offsets
+    /// computed as `Id`s), drop a node's repeats and cut back to `l/2`.
+    struct Resort {
+        own: Id,
+        half: usize,
+        left: Vec<(Id, NodeIdx)>,
+        right: Vec<(Id, NodeIdx)>,
+    }
+
+    impl Resort {
+        fn consider(&mut self, id: Id, node: NodeIdx) -> bool {
+            let already_left = self.left.iter().any(|&(_, n)| n == node);
+            let already_right = self.right.iter().any(|&(_, n)| n == node);
+            if already_left && already_right {
+                return false;
+            }
+            if !already_left {
+                self.left.push((id, node));
+            }
+            if !already_right {
+                self.right.push((id, node));
+            }
+            self.normalize();
+            self.left.iter().any(|&(_, n)| n == node) || self.right.iter().any(|&(_, n)| n == node)
+        }
+
+        fn normalize(&mut self) {
+            let own = self.own;
+            self.right.sort_by_key(|&(id, _)| wrapping_sub(id, own));
+            self.right.dedup_by_key(|&mut (_, n)| n);
+            self.right.truncate(self.half);
+            self.left.sort_by_key(|&(id, _)| wrapping_sub(own, id));
+            self.left.dedup_by_key(|&mut (_, n)| n);
+            self.left.truncate(self.half);
+        }
+
+        fn remove(&mut self, node: NodeIdx) -> bool {
+            let before = self.left.len() + self.right.len();
+            self.left.retain(|&(_, n)| n != node);
+            self.right.retain(|&(_, n)| n != node);
+            before != self.left.len() + self.right.len()
+        }
+    }
+
+    fn arb_id() -> impl Strategy<Value = Id> {
+        proptest::array::uniform20(any::<u8>()).prop_map(Id::from_bytes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Kept in order, a leaf set is what re-sorting made of it, side
+        /// for side and answer for answer: owners at both ends of the
+        /// ring, candidates just either side of the owner (so some wrap
+        /// past 2^160), far ones, one id under several nodes, nodes
+        /// offered again under the same or another id, and removals.
+        #[test]
+        fn consider_and_remove_match_the_resort(
+            own_at in 0u8..4,
+            random_own in arb_id(),
+            l in prop::sample::select(vec![2usize, 4, 16]),
+            pool in proptest::array::uniform4(arb_id()),
+            ops in prop::collection::vec(
+                (0u8..10, 0u32..12, 1u64..6, arb_id(), 0usize..4),
+                1..80,
+            ),
+        ) {
+            let own = match own_at {
+                0 => Id::ZERO,
+                1 => Id::MAX,
+                _ => random_own,
+            };
+            let mut ls = LeafSet::new(own, l);
+            let mut reference = Resort { own, half: l / 2, left: Vec::new(), right: Vec::new() };
+            for (kind, node, delta, random, shared) in ops {
+                let node = n(node);
+                let near = Id::from_low_u64(delta);
+                let id = match kind {
+                    0..=2 => wrapping_add(own, near),
+                    3..=5 => wrapping_sub(own, near),
+                    6 => random,
+                    7 => pool[shared],
+                    8 => wrapping_add(own, Id::from_low_u64(node.index() as u64 + 1)),
+                    _ => {
+                        prop_assert_eq!(ls.remove(node), reference.remove(node));
+                        continue;
+                    }
+                };
+                if id == own {
+                    continue;
+                }
+                prop_assert_eq!(ls.consider(id, node), reference.consider(id, node));
+                prop_assert_eq!(ls.left_side(), &reference.left[..]);
+                prop_assert_eq!(ls.right_side(), &reference.right[..]);
+            }
+        }
     }
 }

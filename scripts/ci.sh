@@ -193,6 +193,12 @@ timeout 150 ./target/release/scale_run --engine plumtree --nodes 20000 --seed 1 
 # 10 000-node Chord ring has gaps near 2^147, so each node's fingers are
 # mostly its successor and the rest a search. A shortcut in either that
 # moves one contact or one finger moves a send here (~2 s and ~4 s).
+#
+# The last row holds MSPastry's leaf-set repair. The 250-node row runs
+# at --p 0, where no node fails and no leaf set shrinks; at --p 0.2 a
+# declared failure leaves a leaf set with room, which pulls a survivor's
+# members, and each of them goes through LeafSet::consider. A side kept
+# in another order or cut at another length moves a send here (~0.5 s).
 while IFS='|' read -r pins engine; do
     read -r sent events lookup_msgs max_allocs flags <<<"$pins"
     engine=${engine# }
@@ -227,6 +233,7 @@ done <<'PINS'
 2941 472 354 1085 --engine mpil-regular --nodes 1000000 --ops 20 --p 0.1 --max-rss-mib 180 | MPIL over random d=8
 1472597 2232490 210 - --engine kademlia --nodes 2000 --ops 20 --p 0 | Kademlia k=8 α=3
 2685949 4742639 137 - --engine chord --nodes 10000 --ops 20 --p 0 | Chord
+729345 1061354 70 - --engine pastry --nodes 500 --ops 20 --p 0.2 | MSPastry
 PINS
 
 # The message ceiling of a service smoke: the node forwards of the run
