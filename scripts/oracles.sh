@@ -4,9 +4,10 @@
 # recorded. A refactor of the simulator, an engine or the harness that
 # moves one RNG draw, one send or one same-tick order changes a hash.
 #
-# The default set is the thirteen figure binaries that finish in seconds
+# The default set is the sixteen figure binaries that finish in seconds
 # (~30 s together; seven are the static engine's own Section 6.1 outputs,
-# both split policies and all three metrics among them); --all adds
+# both split policies and all three metrics among them, and two are the
+# analytical model's Figs. 7 and 8); --all adds
 # fig1_pastry_perturbation (~110 s) and fig11_perturbation (~190 s).
 # --record runs everything and rewrites scripts/oracles.sha256 — only on
 # a commit whose output is the new reference (a change that is *meant* to
@@ -49,6 +50,9 @@ oracle ext_dht_comparison ext_dht_comparison --nodes 200 --ops 40
 oracle ext_link_loss ext_link_loss
 oracle ext_overlay_independence ext_overlay_independence
 oracle ext_churn_traces ext_churn_traces
+oracle ablation_baselines ablation_baselines
+oracle fig7_local_maxima fig7_local_maxima
+oracle fig8_complete_replicas fig8_complete_replicas
 if [[ -n "$mode" ]]; then
     oracle fig1_pastry_perturbation fig1_pastry_perturbation
     oracle fig11_perturbation fig11_perturbation
