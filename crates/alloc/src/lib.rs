@@ -31,6 +31,7 @@
 //! adds nothing but counter bumps around `std::alloc::System`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -8,7 +8,7 @@
 ///
 /// Panics if `x <= 0` (the reflection branch is not needed here and
 /// keeping the domain positive avoids silent nonsense).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma domain is x > 0, got {x}");
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
@@ -39,7 +39,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// Natural log of the binomial coefficient `C(n, k)`.
 ///
 /// Returns `-inf` for `k > n`.
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_binomial(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }

@@ -38,9 +38,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod lgamma;
 mod model;
 
-pub use lgamma::{ln_binomial, ln_gamma};
 pub use model::{AnalysisModel, DegreeDistribution};

@@ -112,22 +112,6 @@ impl AnalysisModel {
         self.m
     }
 
-    /// `A(k)`: probability a random ID is `k`-common with the message.
-    pub fn k_common_probability(&self, k: usize) -> f64 {
-        self.pmf.get(k).copied().unwrap_or(0.0)
-    }
-
-    /// `B(k) = P(X < k)`: probability a random ID matches fewer than `k`
-    /// digits.
-    pub fn cdf_exclusive(&self, k: usize) -> f64 {
-        1.0 - self.tail_excl.get(k).copied().unwrap_or(0.0)
-    }
-
-    /// `D(k) = P(X <= k)`.
-    pub fn cdf_inclusive(&self, k: usize) -> f64 {
-        1.0 - self.tail_incl.get(k).copied().unwrap_or(0.0)
-    }
-
     /// `C(d)`: probability that a node of degree `d` is a local maximum
     /// (every neighbor strictly less common than it).
     pub fn local_max_probability(&self, degree: usize) -> f64 {
@@ -162,7 +146,7 @@ impl AnalysisModel {
     /// at degrees 8, 20 and 50, this one 266.8, 120.1 and 51.7
     /// (`mpilctl analyze --what local-maxima`); a generated topology
     /// measures the latter.
-    pub fn local_max_probability_with_ties(&self, degree: usize) -> f64 {
+    pub(crate) fn local_max_probability_with_ties(&self, degree: usize) -> f64 {
         let d = degree as f64;
         let mut c = 0.0;
         for k in 1..=self.m {
@@ -192,12 +176,13 @@ impl AnalysisModel {
         n as f64 * self.local_max_probability_with_ties(degree)
     }
 
-    /// Expected number of local maxima under an arbitrary degree
-    /// distribution (the general formula of Section 5.1).
-    pub fn expected_local_maxima(&self, n: usize, degrees: &DegreeDistribution) -> f64 {
+    /// Tie-aware expected local maxima under an arbitrary degree
+    /// distribution: the general formula of Section 5.1 with each degree's
+    /// `C(d)` counting ties, as a simulation measures.
+    pub fn expected_local_maxima_with_ties(&self, n: usize, degrees: &DegreeDistribution) -> f64 {
         let c: f64 = degrees
             .iter()
-            .map(|(d, p)| p * self.local_max_probability(d))
+            .map(|(d, p)| p * self.local_max_probability_with_ties(d))
             .sum();
         n as f64 * c
     }
@@ -239,24 +224,24 @@ mod tests {
     #[test]
     fn pmf_sums_to_one() {
         for model in [AnalysisModel::base4(), AnalysisModel::base16()] {
-            let sum: f64 = (0..=model.num_digits())
-                .map(|k| model.k_common_probability(k))
-                .sum();
+            let sum: f64 = model.pmf.iter().sum();
             assert!((sum - 1.0).abs() < 1e-12, "pmf sums to {sum}");
         }
     }
 
     #[test]
     fn cdfs_are_monotone_and_consistent() {
+        // The tails are `1 - B(k)` and `1 - D(k)` of the CDFs
+        // `B(k) = P(X < k)` and `D(k) = P(X <= k)`.
         let m = AnalysisModel::base4();
         for k in 0..80 {
-            assert!(m.cdf_exclusive(k) <= m.cdf_exclusive(k + 1) + 1e-15);
-            assert!(m.cdf_inclusive(k) <= m.cdf_inclusive(k + 1) + 1e-15);
+            assert!(m.tail_excl[k + 1] <= m.tail_excl[k] + 1e-15);
+            assert!(m.tail_incl[k + 1] <= m.tail_incl[k] + 1e-15);
             // D(k) = B(k) + A(k)
-            let diff = m.cdf_inclusive(k) - m.cdf_exclusive(k) - m.k_common_probability(k);
+            let diff = m.tail_excl[k] - m.tail_incl[k] - m.pmf[k];
             assert!(diff.abs() < 1e-12, "k={k}: {diff}");
         }
-        assert!((m.cdf_inclusive(80) - 1.0).abs() < 1e-12);
+        assert!(m.tail_incl[80].abs() < 1e-12);
     }
 
     #[test]
@@ -328,8 +313,8 @@ mod tests {
     fn general_formula_matches_regular_for_point_mass() {
         let m = AnalysisModel::base4();
         let dist = DegreeDistribution::new(vec![(30, 1.0)]);
-        let a = m.expected_local_maxima(5000, &dist);
-        let b = m.expected_local_maxima_regular(5000, 30);
+        let a = m.expected_local_maxima_with_ties(5000, &dist);
+        let b = m.expected_local_maxima_regular_with_ties(5000, 30);
         assert!((a - b).abs() < 1e-9);
     }
 
@@ -337,9 +322,9 @@ mod tests {
     fn mixed_degree_distribution_interpolates() {
         let m = AnalysisModel::base4();
         let dist = DegreeDistribution::new(vec![(10, 0.5), (100, 0.5)]);
-        let mixed = m.expected_local_maxima(1000, &dist);
-        let lo = m.expected_local_maxima_regular(1000, 100);
-        let hi = m.expected_local_maxima_regular(1000, 10);
+        let mixed = m.expected_local_maxima_with_ties(1000, &dist);
+        let lo = m.expected_local_maxima_regular_with_ties(1000, 100);
+        let hi = m.expected_local_maxima_regular_with_ties(1000, 10);
         assert!(mixed > lo && mixed < hi);
     }
 

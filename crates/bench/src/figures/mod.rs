@@ -14,7 +14,7 @@ use mpil_harness::{fan_out, EngineSpec, PerturbRun, Scenario};
 
 use crate::Args;
 
-pub mod ablations;
+pub(crate) mod ablations;
 pub mod analysis;
 pub mod extensions;
 pub mod perturbation;

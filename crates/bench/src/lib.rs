@@ -30,7 +30,7 @@
 //! (machine-readable output), and `--seed <u64>`, and none takes a
 //! worker count (each runs one worker per core); each refuses, with
 //! exit status 2 and the flag named, a command line it cannot read
-//! (see [`print`]).
+//! (see [`print()`]).
 //!
 //! Since the `mpil-harness` refactor, every binary is a thin shim over
 //! a [`figures`] function: the experiments fan out through
@@ -41,9 +41,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod figures;
-pub mod scale;
+mod scale;
 pub mod scale_curve;
 pub mod static_exp;
 

@@ -7,7 +7,7 @@
 
 /// Parameters for the static-overlay experiments (Section 6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticScale {
+pub(crate) struct StaticScale {
     /// Overlay sizes to sweep.
     pub sizes: &'static [usize],
     /// Independent graphs per size.
@@ -19,7 +19,7 @@ pub struct StaticScale {
 }
 
 /// The paper's Section 6.1 numbers.
-pub const STATIC_FULL: StaticScale = StaticScale {
+pub(crate) const STATIC_FULL: StaticScale = StaticScale {
     sizes: &[4000, 8000, 16000],
     graphs: 10,
     objects: 100,
@@ -27,7 +27,7 @@ pub const STATIC_FULL: StaticScale = StaticScale {
 };
 
 /// A laptop-friendly reduction preserving the trends.
-pub const STATIC_QUICK: StaticScale = StaticScale {
+pub(crate) const STATIC_QUICK: StaticScale = StaticScale {
     sizes: &[1000, 2000, 4000],
     graphs: 3,
     objects: 60,
@@ -36,7 +36,7 @@ pub const STATIC_QUICK: StaticScale = StaticScale {
 
 /// Parameters for the perturbation experiments (Sections 3 and 6.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerturbScale {
+pub(crate) struct PerturbScale {
     /// Overlay size (the paper uses 1000).
     pub nodes: usize,
     /// Insert/lookup pairs.
@@ -46,7 +46,7 @@ pub struct PerturbScale {
 }
 
 /// The paper's Section 6.2 numbers.
-pub const PERTURB_FULL: PerturbScale = PerturbScale {
+pub(crate) const PERTURB_FULL: PerturbScale = PerturbScale {
     nodes: 1000,
     operations: 1000,
     probabilities: &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
@@ -54,14 +54,14 @@ pub const PERTURB_FULL: PerturbScale = PerturbScale {
 
 /// A reduction that keeps 1000 nodes (the overlay structure matters) but
 /// fewer operations and probability points.
-pub const PERTURB_QUICK: PerturbScale = PerturbScale {
+pub(crate) const PERTURB_QUICK: PerturbScale = PerturbScale {
     nodes: 1000,
     operations: 120,
     probabilities: &[0.2, 0.4, 0.6, 0.8, 1.0],
 };
 
 /// Picks a static scale.
-pub fn static_scale(full: bool) -> StaticScale {
+pub(crate) fn static_scale(full: bool) -> StaticScale {
     if full {
         STATIC_FULL
     } else {
@@ -70,7 +70,7 @@ pub fn static_scale(full: bool) -> StaticScale {
 }
 
 /// Picks a perturbation scale.
-pub fn perturb_scale(full: bool) -> PerturbScale {
+pub(crate) fn perturb_scale(full: bool) -> PerturbScale {
     if full {
         PERTURB_FULL
     } else {

@@ -10,8 +10,8 @@
 //! `sim-engines` workload, `benchmark/README.md`, is the ledger of
 //! record for the kernel's speed).
 
-pub use mpil_harness::peak_rss_mib;
-use mpil_harness::{EngineSpec, PerturbRun, Scenario, WallClock};
+use mpil_harness::{EngineSpec, PerturbRun, Scenario};
+use mpil_workload::{peak_rss_mib, WallClock};
 
 /// One measured point on a scaling curve.
 #[derive(Debug, Clone)]

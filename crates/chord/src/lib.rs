@@ -10,7 +10,7 @@
 //!   Chord's maintenance (stabilize / fix-fingers / check-predecessor)
 //!   is the canonical alternative to Pastry's probing;
 //! * a **third frozen overlay for MPIL** in the overlay-independence
-//!   experiments: [`ChordSim::neighbor_lists`] exposes each node's
+//!   experiments: [`Chord::neighbor_lists`] exposes each node's
 //!   successors ∪ fingers ∪ predecessor as a static graph that
 //!   [`mpil::DynamicNetwork`](https://docs.rs/mpil) routes on with no
 //!   maintenance at all — extending the paper's Section 6.2 result
@@ -50,12 +50,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod bootstrap;
-pub mod config;
-pub mod engine;
+mod bootstrap;
+mod config;
+mod engine;
 pub mod ring;
-pub mod state;
+mod state;
 
 pub use bootstrap::build_converged_states;
 pub use config::ChordConfig;

@@ -62,21 +62,24 @@ impl ChordState {
         self.predecessor
     }
 
-    /// Finger `i` (the cached successor of `id + 2^i`), if known.
-    pub fn finger(&self, i: usize) -> Option<NodeIdx> {
+    /// Finger `i` (the cached successor of `id + 2^i`), if known. The
+    /// engine routes through [`ChordState::closest_preceding`]; tests
+    /// read single slots.
+    #[cfg(test)]
+    pub(crate) fn finger(&self, i: usize) -> Option<NodeIdx> {
         self.fingers[i]
     }
 
     /// Installs finger `i`. Pointing a finger at the node itself clears
     /// the slot instead (routing to self is never useful).
-    pub fn set_finger(&mut self, i: usize, target: NodeIdx) {
+    pub(crate) fn set_finger(&mut self, i: usize, target: NodeIdx) {
         self.fingers[i] = (target != self.node).then_some(target);
     }
 
     /// Offers `candidate` (with identifier `cand_id`) as a predecessor,
     /// per Chord's `notify`: adopted iff there is no predecessor or the
     /// candidate lies in `(predecessor, self)`.
-    pub fn offer_predecessor(&mut self, candidate: NodeIdx, cand_id: Id, ids: &[Id]) {
+    pub(crate) fn offer_predecessor(&mut self, candidate: NodeIdx, cand_id: Id, ids: &[Id]) {
         if candidate == self.node {
             return;
         }
@@ -92,7 +95,7 @@ impl ChordState {
 
     /// Offers `candidate` as a successor; it is inserted at its clockwise
     /// rank if it improves the list. Returns `true` if the list changed.
-    pub fn offer_successor(&mut self, candidate: NodeIdx, ids: &[Id]) -> bool {
+    pub(crate) fn offer_successor(&mut self, candidate: NodeIdx, ids: &[Id]) -> bool {
         if candidate == self.node || self.successors.contains(&candidate) {
             return false;
         }
@@ -113,7 +116,7 @@ impl ChordState {
     /// Replaces the successor list wholesale with `head` followed by
     /// `rest` (the reply of a stabilize round), restoring the clockwise
     /// ordering and de-duplication invariants.
-    pub fn adopt_successor_list(&mut self, head: NodeIdx, rest: &[NodeIdx], ids: &[Id]) {
+    pub(crate) fn adopt_successor_list(&mut self, head: NodeIdx, rest: &[NodeIdx], ids: &[Id]) {
         let mut merged: Vec<NodeIdx> = Vec::with_capacity(rest.len() + 1);
         for &cand in std::iter::once(&head).chain(rest) {
             if cand != self.node && !merged.contains(&cand) {
@@ -129,7 +132,7 @@ impl ChordState {
 
     /// Removes every pointer to `dead` (failure declaration). Returns
     /// `true` if anything was removed.
-    pub fn remove_node(&mut self, dead: NodeIdx) -> bool {
+    pub(crate) fn remove_node(&mut self, dead: NodeIdx) -> bool {
         let mut removed = false;
         let before = self.successors.len();
         self.successors.retain(|&s| s != dead);
@@ -171,7 +174,7 @@ impl ChordState {
     /// Chord's `closest_preceding_node`, searching the finger table and
     /// the successor list. Returns `None` when no known peer lies in
     /// `(self, key)`.
-    pub fn closest_preceding(&self, key: Id, ids: &[Id]) -> Option<NodeIdx> {
+    pub(crate) fn closest_preceding(&self, key: Id, ids: &[Id]) -> Option<NodeIdx> {
         let mut best: Option<NodeIdx> = None;
         let mut consider = |cand: NodeIdx| {
             let cid = ids[cand.index()];

@@ -10,7 +10,7 @@ use crate::CliError;
 /// # Errors
 ///
 /// [`CliError`] on an unknown `--what` or a flag it cannot read.
-pub fn run(args: &Args) -> Result<String, CliError> {
+pub(crate) fn run(args: &Args) -> Result<String, CliError> {
     let what = args.value("what").unwrap_or("local-maxima").to_string();
     // The complete-overlay replica formula needs two nodes at least.
     let fewest = if what == "replicas" { 2 } else { 0 };

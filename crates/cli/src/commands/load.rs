@@ -16,7 +16,7 @@ use crate::CliError;
 ///
 /// [`CliError`] when the daemon is unreachable, fails to spawn, or a
 /// gate is violated (the error then starts with the JSON report line).
-pub fn run(args: &Args) -> Result<String, CliError> {
+pub(crate) fn run(args: &Args) -> Result<String, CliError> {
     let (report, failures) = mpild::front::load(args).map_err(CliError)?;
     if failures.is_empty() {
         Ok(report)

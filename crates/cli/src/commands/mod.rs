@@ -1,13 +1,13 @@
 //! `mpilctl` subcommands. Each module exposes
 //! `run(&Args) -> Result<String, CliError>`.
 
-pub mod analyze;
-pub mod load;
-pub mod overlay;
-pub mod perturb;
-pub mod serve;
-pub mod simulate;
-pub mod sweep;
+pub(crate) mod analyze;
+pub(crate) mod load;
+pub(crate) mod overlay;
+pub(crate) mod perturb;
+pub(crate) mod serve;
+pub(crate) mod simulate;
+pub(crate) mod sweep;
 
 use crate::CliError;
 use mpil_harness::OverlaySource;

@@ -12,7 +12,7 @@ use crate::CliError;
 ///
 /// [`CliError`] on unknown families, infeasible parameters or a flag it
 /// cannot read.
-pub fn run(args: &Args) -> Result<String, CliError> {
+pub(crate) fn run(args: &Args) -> Result<String, CliError> {
     let (family, source, nodes) = super::read_family(args, "powerlaw")?;
     let seed = args.try_value("seed")?.unwrap_or(42u64);
     args.finish()?;

@@ -51,7 +51,7 @@ pub(crate) fn parse_scenario(args: &Args) -> Result<Scenario, CliError> {
 /// # Errors
 ///
 /// [`CliError`] on an unknown `--system` or a flag it cannot read.
-pub fn run(args: &Args) -> Result<String, CliError> {
+pub(crate) fn run(args: &Args) -> Result<String, CliError> {
     let scenario = parse_scenario(args)?;
     args.finish()?;
     Ok(format!("{scenario}\n{}", detail(run_scenario(&scenario))))

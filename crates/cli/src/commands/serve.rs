@@ -16,6 +16,6 @@ use crate::CliError;
 ///
 /// [`CliError`] if the control socket cannot bind or the cluster fails
 /// to spawn.
-pub fn run(args: &Args) -> Result<String, CliError> {
+pub(crate) fn run(args: &Args) -> Result<String, CliError> {
     mpild::front::serve(args).map_err(CliError)
 }

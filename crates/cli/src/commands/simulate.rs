@@ -16,7 +16,7 @@ use crate::CliError;
 ///
 /// [`CliError`] on unknown families, invalid MPIL parameters or a flag it
 /// cannot read.
-pub fn run(args: &Args) -> Result<String, CliError> {
+pub(crate) fn run(args: &Args) -> Result<String, CliError> {
     let (family, source, nodes) = super::read_family(args, "regular")?;
     let ops = args.try_value_in("ops", 1..)?.unwrap_or(100usize);
     let max_flows = args.try_value("max-flows")?.unwrap_or(10u32);

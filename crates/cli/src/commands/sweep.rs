@@ -11,7 +11,7 @@ use crate::CliError;
 /// # Errors
 ///
 /// [`CliError`] on an unknown `--system` or a flag it cannot read.
-pub fn run(args: &Args) -> Result<String, CliError> {
+pub(crate) fn run(args: &Args) -> Result<String, CliError> {
     let scenario = super::perturb::parse_scenario(args)?;
     let count = args.try_value("seeds")?.unwrap_or(8u64);
     let json = args.flag("json");

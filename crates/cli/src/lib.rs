@@ -19,8 +19,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod commands;
+mod commands;
 
 use mpil_harness::{EngineSpec, OverlaySource};
 use mpil_workload::Args;

@@ -241,7 +241,7 @@ impl Protocol for Mpil {
                 Wire::Forward(m) => self.handle_forward(cx, to, m),
                 Wire::Reply { msg_id, hops } => cx.complete_lookup(msg_id.0, hops),
                 Wire::Heartbeat { object, holder } => {
-                    self.registries[to.index()].heartbeat(object, holder, cx.now());
+                    self.registries[to.index()].heartbeat(object, holder);
                 }
                 Wire::Delete { object } => self.agents[to.index()].delete(object),
             },

@@ -51,7 +51,7 @@ impl ForwardPlan {
 /// shared helper exists because `partial_shuffle` places its selection
 /// at the **tail** of the slice, which individual call sites have
 /// gotten wrong by truncating to the head.
-pub fn select_candidates<T, R: Rng + ?Sized>(
+pub(crate) fn select_candidates<T, R: Rng + ?Sized>(
     mut candidates: Vec<T>,
     m: usize,
     rng: &mut R,

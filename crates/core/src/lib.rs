@@ -22,7 +22,7 @@
 //! is what buys overlay-independence.
 //!
 //! What one node does with one copy of a message — Figure 5 — is one
-//! function, [`step`], free of any world; one node's state around it
+//! function, [`step()`], free of any world; one node's state around it
 //! (replica store, bounded duplicate memory) is one [`Agent`]. Two
 //! execution engines in this crate (and the live shards of `mpil_net`,
 //! which host [`Agent`]s too) run them:
@@ -57,26 +57,27 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod agent;
-pub mod baselines;
-pub mod config;
-pub mod deletion;
-pub mod flow;
-pub mod message;
-pub mod node;
-pub mod report;
-pub mod routing;
-pub mod static_engine;
-pub mod step;
+mod agent;
+mod baselines;
+mod config;
+mod deletion;
+mod flow;
+mod message;
+mod node;
+mod report;
+mod routing;
+mod static_engine;
+mod step;
 
 pub use agent::{DynamicConfig, DynamicNetwork, LookupStatus, Mpil};
 pub use baselines::UnstructuredEngine;
 pub use config::{ConfigError, MpilConfig, RoutingMetric, SplitPolicy};
-pub use flow::{plan_forwarding, select_candidates, ForwardPlan};
+pub use flow::{plan_forwarding, ForwardPlan};
 pub use message::{Message, MessageId, MessageKind};
 pub use node::{Agent, Receipt};
 pub use report::{InsertReport, LookupReport};
-pub use routing::{metric_value, routing_decision, routing_decision_policy, RoutingDecision};
+pub use routing::{routing_decision, RoutingDecision};
 pub use static_engine::StaticEngine;
 pub use step::{step, Copies, Verdict};

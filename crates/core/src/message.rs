@@ -96,7 +96,7 @@ impl Message {
     }
 
     /// Has this copy already visited `node`?
-    pub fn visited(&self, node: NodeIdx) -> bool {
+    pub(crate) fn visited(&self, node: NodeIdx) -> bool {
         self.route.contains(&node)
     }
 }

@@ -51,17 +51,6 @@ pub fn routing_decision(
     )
 }
 
-/// Evaluates one neighbor's closeness under the configured metric
-/// (higher is closer for all three).
-#[inline]
-pub fn metric_value(metric: RoutingMetric, space: IdSpace, object: Id, id: Id) -> u32 {
-    match metric {
-        RoutingMetric::CommonDigits => space.common_digits(object, id),
-        RoutingMetric::PrefixMatch => space.prefix_match(object, id),
-        RoutingMetric::SuffixMatch => space.suffix_match(object, id),
-    }
-}
-
 /// Like [`routing_decision`], but parameterized by the forwarding
 /// fan-out rule.
 ///
@@ -86,7 +75,7 @@ pub fn metric_value(metric: RoutingMetric, space: IdSpace, object: Id, id: Id) -
 /// call, so the per-neighbor work is one metric kernel with its width
 /// a constant, that comparison and a running maximum.
 #[expect(clippy::too_many_arguments, reason = "the inputs of the rule in Figure 5")]
-pub fn routing_decision_policy(
+pub(crate) fn routing_decision_policy(
     space: IdSpace,
     object: Id,
     node: NodeIdx,
@@ -195,6 +184,17 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
+
+    /// One neighbor's closeness under `metric` (higher is closer for all
+    /// three), one call per neighbor: the reference the kernel's
+    /// resolved-once metric is held to.
+    fn metric_value(metric: RoutingMetric, space: IdSpace, object: Id, id: Id) -> u32 {
+        match metric {
+            RoutingMetric::CommonDigits => space.common_digits(object, id),
+            RoutingMetric::PrefixMatch => space.prefix_match(object, id),
+            RoutingMetric::SuffixMatch => space.suffix_match(object, id),
+        }
+    }
 
     /// Builds the 4-bit toy IDs from the paper's figures, embedded in the
     /// low bits of 160-bit IDs. All high bits are zero, so they are

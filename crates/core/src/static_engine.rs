@@ -6,7 +6,7 @@
 //! defined and every run a deterministic function of the seed.
 //!
 //! What a node does with a copy is the shared routing step
-//! ([`crate::step`]); this world keeps a FIFO queue, two stamps per
+//! ([`crate::step()`]); this world keeps a FIFO queue, two stamps per
 //! node that mark the nodes an operation reached (duplicates are met
 //! where a copy is enqueued) and stored at, and the per-operation
 //! reports. The queue and the stamps live as long as the engine, so

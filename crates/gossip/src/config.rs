@@ -8,7 +8,7 @@ use mpil_sim::SimDuration;
 /// Plumtree broadcast that plants the pointer at nearly every node;
 /// [`LookupStrategy::KRandomWalk`] and [`LookupStrategy::ExpandingRing`]
 /// search for the few replicas that insert walks leave behind (their
-/// dials are constants in [`crate::epidemic`]).
+/// dials are constants beside [`crate::Epidemic`]'s handlers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LookupStrategy {
     /// Independent random walks, each with a hop budget (Lv et al.'s
@@ -33,8 +33,8 @@ pub enum LookupStrategy {
 /// The dials of the two-layer epidemic stack ([`crate::EpidemicSim`])
 /// that its drivers turn: HyParView's view bounds, the gossip period and
 /// the lookup strategy. Every other HyParView/Plumtree parameter (shuffle
-/// sizes, timeouts, walk lengths, query TTLs) is a constant in
-/// [`crate::epidemic`] beside the handler that reads it.
+/// sizes, timeouts, walk lengths, query TTLs) is a constant beside the
+/// [`crate::Epidemic`] handler that reads it.
 ///
 /// Defaults follow the HyParView/Plumtree papers scaled to the suite's
 /// workloads: a small symmetric active view (the tree rides on it) and a

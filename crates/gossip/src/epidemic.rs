@@ -326,18 +326,13 @@ impl Epidemic {
     /// overflow, never displacing toward the active view).
     fn integrate_into_passive(&mut self, cx: &mut Cx<'_>, node: NodeIdx, peer: NodeIdx) {
         let u = node.index();
-        if peer == node
-            || self.members[u].active.contains(peer)
-            || self.members[u].passive.contains(peer)
-        {
+        if self.members[u].active.contains(peer) {
             return;
         }
-        if self.members[u].passive.len() >= self.config.passive_size {
-            if let Some(victim) = self.members[u].passive.sample_one(cx.rng()) {
-                self.members[u].passive.remove(victim);
-            }
-        }
-        self.members[u].passive.insert(peer);
+        let rng = cx.rng();
+        self.members[u]
+            .passive
+            .insert_evicting(peer, |len| rng.gen_range(0..len));
     }
 
     /// Starts a NEIGHBOR promotion of a random passive candidate if the

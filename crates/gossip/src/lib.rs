@@ -34,18 +34,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod config;
-pub mod epidemic;
-pub mod membership;
+mod config;
+mod epidemic;
+mod membership;
 mod peers;
 mod ticker;
-pub mod view;
+mod view;
 
 pub use config::{EpidemicConfig, LookupStrategy};
 pub use epidemic::{Epidemic, EpidemicSim};
 pub use membership::{build_converged_membership, Membership};
 pub use view::PartialView;
-
-/// Outcome of one lookup (the shared engine-agnostic enum).
-pub use mpil_sim::LookupOutcome;

@@ -30,10 +30,10 @@ impl<const N: usize> InlinePeers<N> {
         self.len += 1;
     }
 
-    /// Order-preserving removal of the first slot, like
-    /// `Vec::remove(0)`.
-    pub fn remove_first(&mut self) {
-        self.slots.copy_within(1..self.len as usize, 0);
+    /// Order-preserving removal of slot `slot`, like `Vec::remove`.
+    pub(crate) fn remove(&mut self, slot: usize) {
+        assert!(slot < self.len as usize, "slot {slot} of {}", self.len);
+        self.slots.copy_within(slot + 1..self.len as usize, slot);
         self.len -= 1;
     }
 
@@ -65,10 +65,11 @@ mod tests {
 
     proptest! {
         /// Entries read back in push order, as many as were pushed, and
-        /// `retain` and `remove_first` keep that order as `Vec` does.
+        /// `retain` and `remove` keep that order as `Vec` does.
         #[test]
         fn inline_peers_read_back_in_push_order(
             pushed in prop::collection::vec(0u32..64, 0..8),
+            at in 0usize..8,
         ) {
             let mut peers = InlinePeers::<7>::new();
             let mut model: Vec<NodeIdx> = Vec::new();
@@ -82,8 +83,8 @@ mod tests {
             model.retain(|p| p.index() % 2 == 0);
             prop_assert_eq!(peers.as_slice(), model.as_slice());
             if !model.is_empty() {
-                peers.remove_first();
-                model.remove(0);
+                peers.remove(at % model.len());
+                model.remove(at % model.len());
                 prop_assert_eq!(peers.as_slice(), model.as_slice());
             }
             peers.clear();

@@ -55,11 +55,11 @@ impl Entries {
         }
     }
 
-    fn remove_first(&mut self) {
+    fn remove(&mut self, slot: usize) {
         match self {
-            Entries::Inline(peers) => peers.remove_first(),
+            Entries::Inline(peers) => peers.remove(slot),
             Entries::Heap(v) => {
-                v.remove(0);
+                v.remove(slot);
             }
         }
     }
@@ -157,11 +157,24 @@ impl PartialView {
     /// full view evicts its oldest entry (slots keep insertion order).
     /// Returns whether the view changed.
     pub fn insert(&mut self, peer: NodeIdx) -> bool {
+        self.insert_evicting(peer, |_| 0)
+    }
+
+    /// [`PartialView::insert`], with the slot a full view gives up chosen
+    /// by `victim` from the view's length (HyParView's passive view draws
+    /// it uniformly). `victim` is asked only when `peer` goes into a full
+    /// view; the other entries keep their order. One scan of the view for
+    /// `peer`, none for the victim.
+    pub(crate) fn insert_evicting(
+        &mut self,
+        peer: NodeIdx,
+        victim: impl FnOnce(usize) -> usize,
+    ) -> bool {
         if peer == self.owner || self.contains(peer) {
             return false;
         }
         if self.len() == self.capacity {
-            self.entries.remove_first();
+            self.entries.remove(victim(self.len()));
         }
         self.entries.push(peer);
         true
@@ -172,7 +185,7 @@ impl PartialView {
     /// Fisher–Yates over the slot order, so the draw is a pure function
     /// of the RNG stream; engines pass a reused scratch vector so
     /// steady-state shuffles and walk steps allocate nothing.
-    pub fn sample_into<R: Rng + ?Sized>(
+    pub(crate) fn sample_into<R: Rng + ?Sized>(
         &self,
         k: usize,
         exclude: Option<NodeIdx>,
@@ -235,7 +248,7 @@ impl PartialView {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn node(i: u32) -> NodeIdx {
         NodeIdx::new(i)
@@ -264,6 +277,50 @@ mod tests {
         assert!(!v.remove(node(9)));
         assert_eq!(v.peers(), [node(3)]);
         v.assert_invariants();
+    }
+
+    #[test]
+    fn a_drawn_victim_leaves_and_the_rest_keep_their_order() {
+        let mut v = PartialView::new(node(0), 4);
+        for p in 1..=4 {
+            v.insert(node(p));
+        }
+        let asked = |_| panic!("a peer that does not go in draws no victim");
+        assert!(!v.insert_evicting(node(3), asked));
+        assert!(!v.insert_evicting(node(0), asked));
+        assert!(v.insert_evicting(node(5), |len| {
+            assert_eq!(len, 4);
+            1
+        }));
+        assert_eq!(v.peers(), [node(1), node(3), node(4), node(5)]);
+        v.assert_invariants();
+    }
+
+    #[test]
+    fn random_eviction_matches_draw_remove_insert() {
+        // The reference admits in three steps: a victim drawn with
+        // `sample_one`, removed by value, then `insert`. Eviction by slot
+        // takes the same draws and leaves the same slots, inline and on
+        // the heap.
+        for capacity in [6, 12] {
+            let mut peers = SmallRng::seed_from_u64(capacity as u64);
+            let (mut fast, mut slow) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
+            let mut by_slot = PartialView::new(node(0), capacity);
+            let mut by_value = by_slot.clone();
+            for _ in 0..2_000 {
+                let peer = node(peers.gen_range(0..3 * capacity as u32));
+                by_slot.insert_evicting(peer, |len| fast.gen_range(0..len));
+                if peer != node(0) && !by_value.contains(peer) {
+                    if by_value.len() >= capacity {
+                        let victim = by_value.sample_one(&mut slow).unwrap();
+                        by_value.remove(victim);
+                    }
+                    by_value.insert(peer);
+                }
+                assert_eq!(by_slot, by_value);
+                assert_eq!(fast.next_u64(), slow.next_u64(), "same draws taken");
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Availability, LookupOutcome, NetStats, Protocol, Sim, SimDuration, SimTime};
-
-pub use mpil_sim::Counters;
+use mpil_sim::{
+    Availability, Counters, LookupOutcome, NetStats, Protocol, Sim, SimDuration, SimTime,
+};
 
 /// An opaque handle to a lookup in flight, engine-independent.
 ///

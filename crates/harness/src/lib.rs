@@ -35,20 +35,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // P001
 
 #[cfg(test)]
 mod dhts;
-pub mod engine;
+mod engine;
 #[cfg(test)]
 mod perturb;
-pub mod report;
-pub mod runner;
-pub mod scenario;
+mod report;
+mod runner;
+mod scenario;
 
-pub use engine::{Counters, DiscoveryEngine, LookupHandle};
+pub use engine::{DiscoveryEngine, LookupHandle};
 pub use mpil_gossip::LookupStrategy;
-pub use mpil_workload::{peak_rss_mib, WallClock};
 pub use report::Report;
 pub use runner::{
     fan_out, run_prepared, run_scenario, run_seeds, PerturbResult, SeedStats, SeedSweep,

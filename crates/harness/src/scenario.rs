@@ -16,8 +16,9 @@ use mpil_chord::{Chord, ChordConfig};
 use mpil_gossip::{Epidemic, EpidemicConfig, LookupStrategy};
 use mpil_id::Id;
 use mpil_kademlia::{Kademlia, KademliaConfig};
+use mpil_overlay::generators::GenerateError;
 use mpil_overlay::{generators, random_ids, transit_stub};
-use mpil_overlay::{Adjacency, GenerateError, NodeIdx, Topology};
+use mpil_overlay::{Adjacency, NodeIdx, Topology};
 use mpil_pastry::{Pastry, PastryConfig};
 use mpil_sim::{
     AlwaysOn, ConstantLatency, Flapping, FlappingConfig, LatencyModel, LookupOutcome, Protocol,

@@ -11,12 +11,12 @@
 //! a new substrate gets every test here by adding a single line.
 
 use mpil_harness::{
-    run_scenario, Counters, DiscoveryEngine, EngineSpec, OverlaySource, PerturbRun, PreparedRun,
-    Scenario, WallClock,
+    run_scenario, DiscoveryEngine, EngineSpec, OverlaySource, PerturbRun, PreparedRun, Scenario,
 };
 use mpil_id::Id;
 use mpil_overlay::NodeIdx;
-use mpil_sim::{Flapping, FlappingConfig, SimDuration};
+use mpil_sim::{Counters, Flapping, FlappingConfig, SimDuration};
+use mpil_workload::WallClock;
 
 /// Every engine spec the suite exercises — THE list. A substrate added
 /// here runs the entire conformance suite.

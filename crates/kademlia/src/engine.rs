@@ -17,7 +17,7 @@ use mpil_sim::{Class, Event, Note, Protocol, Sim, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::config::KademliaConfig;
-use crate::table::{Admission, RoutingTable};
+use crate::table::{random_target_in_bucket, Admission, RoutingTable};
 
 /// RPC timeout, the probe timeout of the other baselines; an unanswered
 /// query marks the peer failed for the operation and evicts it from the
@@ -447,16 +447,10 @@ impl Kademlia {
                         .collect();
                     if !occupied.is_empty() {
                         let pick = occupied[cx.rng().gen_range(0..occupied.len())];
-                        let target = {
-                            let rng = cx.rng();
-                            // Borrow dance: random_id_in_bucket needs the
-                            // table and the rng; split via a local copy of
-                            // the id is not possible, so draw bits first.
-                            let mut draw = [0u8; 20];
-                            rng.fill(&mut draw);
-                            let table = &self.tables[node.index()];
-                            random_target_in_bucket(table.id(), pick, &draw)
-                        };
+                        let mut draw = [0u8; 20];
+                        cx.rng().fill(&mut draw);
+                        let target =
+                            random_target_in_bucket(self.tables[node.index()].id(), pick, &draw);
                         self.start_op(cx, node, target, OpKind::Refresh);
                     }
                 }
@@ -464,23 +458,6 @@ impl Kademlia {
             }
         }
     }
-}
-
-/// Deterministic variant of
-/// [`RoutingTable::random_id_in_bucket`](crate::table::RoutingTable::random_id_in_bucket)
-/// that takes pre-drawn random bytes (avoids borrowing the table and the
-/// kernel RNG simultaneously).
-fn random_target_in_bucket(own: Id, bucket: usize, draw: &[u8; 20]) -> Id {
-    let mut bytes = own.to_bytes();
-    let flip_byte = mpil_id::ID_BYTES - 1 - bucket / 8;
-    bytes[flip_byte] ^= 1u8 << (bucket % 8);
-    for b in 0..bucket {
-        let byte = mpil_id::ID_BYTES - 1 - b / 8;
-        if draw[byte] & (1u8 << (b % 8)) != 0 {
-            bytes[byte] ^= 1u8 << (b % 8);
-        }
-    }
-    Id::from_bytes(bytes)
 }
 
 impl Protocol for Kademlia {

@@ -10,7 +10,7 @@
 //!   closest structured relative of MPIL — same metric family, single
 //!   search frontier managed by the originator — and the most
 //!   informative head-to-head comparison under perturbation;
-//! * a **fourth frozen overlay for MPIL**: [`KademliaSim::neighbor_lists`]
+//! * a **fourth frozen overlay for MPIL**: [`Kademlia::neighbor_lists`]
 //!   exposes each node's bucket contents as a static graph for the
 //!   overlay-independence experiments.
 //!
@@ -47,11 +47,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod config;
-pub mod engine;
-pub mod table;
+mod config;
+mod engine;
+mod table;
 
 pub use config::KademliaConfig;
 pub use engine::{Kademlia, KademliaSim, LookupOutcome};
-pub use table::{build_converged_tables, Admission, KBucket, RoutingTable};
+pub use table::{bucket_index, build_converged_tables, Admission, KBucket, RoutingTable};

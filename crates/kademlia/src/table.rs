@@ -166,7 +166,7 @@ impl RoutingTable {
     /// is computed once into `keyed`, the `count` nearest are selected in
     /// linear time, and only they are sorted. A caller that keeps `keyed`
     /// between calls allocates only the answer.
-    pub fn closest_with(
+    pub(crate) fn closest_with(
         &self,
         target: Id,
         count: usize,
@@ -196,24 +196,25 @@ impl RoutingTable {
     pub fn bucket(&self, i: usize) -> &KBucket {
         &self.buckets[i]
     }
+}
 
-    /// A uniformly random identifier falling in bucket `i`'s distance
-    /// range (used by bucket refresh): distance from us in
-    /// `[2^i, 2^(i+1))`.
-    pub fn random_id_in_bucket<R: rand::Rng + ?Sized>(&self, i: usize, rng: &mut R) -> Id {
-        assert!(i < ID_BITS, "bucket index out of range");
-        // Start from our own ID, flip bit i, randomize bits below i.
-        let mut bytes = self.id.to_bytes();
-        let flip_byte = mpil_id::ID_BYTES - 1 - i / 8;
-        bytes[flip_byte] ^= 1u8 << (i % 8);
-        for b in 0..i {
-            let byte = mpil_id::ID_BYTES - 1 - b / 8;
-            if rng.gen::<bool>() {
-                bytes[byte] ^= 1u8 << (b % 8);
-            }
+/// An identifier in bucket `bucket`'s distance range from `own`
+/// (`[2^bucket, 2^(bucket+1))`, used by bucket refresh): `own` with bit
+/// `bucket` flipped and each bit below it flipped where `draw` has that
+/// bit set, so uniform draws give a uniform target. The bytes are drawn
+/// before the call, so the kernel RNG and the table are never borrowed
+/// together.
+pub(crate) fn random_target_in_bucket(own: Id, bucket: usize, draw: &[u8; 20]) -> Id {
+    let mut bytes = own.to_bytes();
+    let flip_byte = mpil_id::ID_BYTES - 1 - bucket / 8;
+    bytes[flip_byte] ^= 1u8 << (bucket % 8);
+    for b in 0..bucket {
+        let byte = mpil_id::ID_BYTES - 1 - b / 8;
+        if draw[byte] & (1u8 << (b % 8)) != 0 {
+            bytes[byte] ^= 1u8 << (b % 8);
         }
-        Id::from_bytes(bytes)
     }
+    Id::from_bytes(bytes)
 }
 
 /// Builds the converged routing table of every node: each bucket holds
@@ -321,7 +322,7 @@ mod tests {
     use super::*;
     use crate::KademliaConfig;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn n(i: u32) -> NodeIdx {
         NodeIdx::new(i)
@@ -492,11 +493,16 @@ mod tests {
     fn random_id_in_bucket_lands_in_range() {
         let mut rng = SmallRng::seed_from_u64(9);
         let id = Id::random(&mut rng);
-        let rt = RoutingTable::new(n(0), id, 8);
-        for i in [0usize, 7, 63, 100, 159] {
+        for i in 0..ID_BITS {
+            let mut draws = vec![[0u8; 20], [0xff; 20]];
             for _ in 0..16 {
-                let r = rt.random_id_in_bucket(i, &mut rng);
-                assert_eq!(bucket_index(id, r), Some(i));
+                let mut draw = [0u8; 20];
+                rng.fill(&mut draw);
+                draws.push(draw);
+            }
+            for draw in &draws {
+                let r = random_target_in_bucket(id, i, draw);
+                assert_eq!(bucket_index(id, r), Some(i), "bucket {i}, draw {draw:?}");
             }
         }
     }

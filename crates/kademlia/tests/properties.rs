@@ -1,7 +1,7 @@
 //! Property-based tests for k-buckets and the converged routing tables.
 
 use mpil_id::{xor_distance, Id};
-use mpil_kademlia::table::bucket_index;
+use mpil_kademlia::bucket_index;
 use mpil_kademlia::{build_converged_tables, Admission, KBucket, KademliaConfig};
 use mpil_overlay::NodeIdx;
 use proptest::prelude::*;

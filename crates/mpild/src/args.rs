@@ -18,7 +18,7 @@ use crate::load::{ChurnPlan, LoadConfig};
 ///
 /// Names the flag whose value does not parse, or a `--timeout-ms` of
 /// zero (a daemon that times out every request).
-pub fn daemon_config(args: &Args) -> Result<DaemonConfig, String> {
+pub(crate) fn daemon_config(args: &Args) -> Result<DaemonConfig, String> {
     let defaults = DaemonConfig::default();
     let max_flows = args.try_value("max-flows")?;
     let replicas = args.try_value("replicas")?;
@@ -67,7 +67,7 @@ pub fn daemon_config(args: &Args) -> Result<DaemonConfig, String> {
 /// run with: zero `--nodes`, `--objects`, `--window`, `--workers` or
 /// `--churn-period-ms`, a `--churn-length-ms` past `u32::MAX`, a
 /// `--rate` that is not positive and finite.
-pub fn load_config(args: &Args, nodes: Option<usize>) -> Result<LoadConfig, String> {
+pub(crate) fn load_config(args: &Args, nodes: Option<usize>) -> Result<LoadConfig, String> {
     let defaults = LoadConfig::default();
     // Read whether or not there is a period: a flag that was not read
     // is a flag `Args::finish` refuses.

@@ -21,7 +21,7 @@ use super::{Core, CtrlRequest, CtrlResponse, DaemonConfig, DaemonReport, World};
 
 /// One attempt the core submitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Attempt {
+pub(super) struct Attempt {
     pub at: Duration,
     pub id: MessageId,
     pub kind: MessageKind,
@@ -32,7 +32,7 @@ pub struct Attempt {
 
 /// One response the core sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Answer {
+pub(super) struct Answer {
     pub at: Duration,
     pub to: u32,
     pub token: u64,
@@ -44,7 +44,7 @@ pub struct Answer {
 /// A cluster and a client that do what the test says and remember what
 /// the core did.
 #[derive(Debug, Default)]
-pub struct FakeWorld {
+pub(super) struct FakeWorld {
     /// The driver's clock, stamped on what is logged.
     pub now: Duration,
     pub parked: Vec<bool>,
@@ -113,11 +113,11 @@ impl World for FakeWorld {
 }
 
 /// The address every request of [`VirtualDaemon::request`] comes from.
-pub const CLIENT: u32 = 7;
+pub(super) const CLIENT: u32 = 7;
 
 /// A [`Core`] over a [`FakeWorld`], driven turn by turn like the shell
 /// drives it: every input is followed by `on_wake` at the same instant.
-pub struct VirtualDaemon {
+pub(super) struct VirtualDaemon {
     pub core: Core<FakeWorld>,
     pub now: Duration,
 }
@@ -125,7 +125,7 @@ pub struct VirtualDaemon {
 impl VirtualDaemon {
     /// A daemon at time zero, its spares parked, its entry cycle drawn
     /// from `config.seed`.
-    pub fn new(config: &DaemonConfig) -> Self {
+    pub(super) fn new(config: &DaemonConfig) -> Self {
         let mut parked = vec![false; config.nodes];
         parked.resize(config.nodes + config.spares, true);
         let world = FakeWorld {
@@ -139,13 +139,13 @@ impl VirtualDaemon {
         }
     }
 
-    pub fn world(&mut self) -> &mut FakeWorld {
+    pub(super) fn world(&mut self) -> &mut FakeWorld {
         self.core.world_mut()
     }
 
     /// Moves the clock to `now` and ends a turn there. Nothing due on
     /// the way is looked at: that is [`VirtualDaemon::advance_to`].
-    pub fn wake_at(&mut self, now: Duration) {
+    pub(super) fn wake_at(&mut self, now: Duration) {
         assert!(now >= self.now, "time runs forward");
         self.now = now;
         self.world().now = now;
@@ -154,7 +154,7 @@ impl VirtualDaemon {
 
     /// Runs the clock up to `until`, waking the core at every instant
     /// it asks to be woken at on the way, and at `until`.
-    pub fn advance_to(&mut self, until: Duration) {
+    pub(super) fn advance_to(&mut self, until: Duration) {
         while !self.core.finished(self.now) {
             match self.core.next_wake() {
                 Some(at) if at < until => self.wake_at(at.max(self.now)),
@@ -165,19 +165,19 @@ impl VirtualDaemon {
     }
 
     /// A request from `from`, now.
-    pub fn request_from(&mut self, from: u32, token: u64, req: CtrlRequest) {
+    pub(super) fn request_from(&mut self, from: u32, token: u64, req: CtrlRequest) {
         self.core.on_request(self.now, &from, &req.encode(token));
         self.core.on_wake(self.now);
     }
 
     /// A request from [`CLIENT`], now.
-    pub fn request(&mut self, token: u64, req: CtrlRequest) {
+    pub(super) fn request(&mut self, token: u64, req: CtrlRequest) {
         self.request_from(CLIENT, token, req);
     }
 
     /// The event that answers `attempt`, now: a reply to a lookup, a
     /// store-ack to an announce, from the node it went in through.
-    pub fn answer(&mut self, attempt: &Attempt) {
+    pub(super) fn answer(&mut self, attempt: &Attempt) {
         let (msg_id, object, holder) = (attempt.id, attempt.object, attempt.origin);
         let event = match attempt.kind {
             MessageKind::Lookup => ClientEvent::Reply {
@@ -197,13 +197,13 @@ impl VirtualDaemon {
     }
 
     /// The control plane closes, now.
-    pub fn close(&mut self) {
+    pub(super) fn close(&mut self) {
         self.core.on_closed(self.now);
         self.core.on_wake(self.now);
     }
 
     /// The responses sent under `token` so far.
-    pub fn answers_to(&mut self, token: u64) -> Vec<Answer> {
+    pub(super) fn answers_to(&mut self, token: u64) -> Vec<Answer> {
         let answers = &self.world().answers;
         answers
             .iter()
@@ -213,7 +213,7 @@ impl VirtualDaemon {
     }
 
     /// Runs the clock until the core says it has finished, then ends it.
-    pub fn run_to_finish(mut self) -> (FakeWorld, DaemonReport) {
+    pub(super) fn run_to_finish(mut self) -> (FakeWorld, DaemonReport) {
         while !self.core.finished(self.now) {
             let Some(at) = self.core.next_wake() else {
                 unreachable!("a drain has a deadline");

@@ -9,8 +9,7 @@
 //! stderr. A flag that cannot be read the way it was written is refused
 //! by name before anything starts ([`Args::finish`]): a gate that
 //! cannot be read fails the run. The flags themselves are read by
-//! [`args::daemon_config`](crate::args::daemon_config) and
-//! [`args::load_config`](crate::args::load_config).
+//! `args::daemon_config` and `args::load_config`.
 
 use std::io::Write;
 use std::net::SocketAddr;
@@ -27,7 +26,7 @@ use crate::load::{
 use crate::proto::CtrlRequest;
 
 /// `mpild --help`.
-pub const SERVE_USAGE: &str = "\
+pub(crate) const SERVE_USAGE: &str = "\
 mpild — MPIL service daemon (control plane on loopback UDP)
 
   --port P         control port (default 0 = ephemeral, printed on stdout)
@@ -52,7 +51,7 @@ prints its final report as one JSON line.
 ";
 
 /// `mpil-load --help`.
-pub const LOAD_USAGE: &str = "\
+pub(crate) const LOAD_USAGE: &str = "\
 mpil-load — load generator for mpild
 
 Target (pick one):

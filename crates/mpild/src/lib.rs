@@ -42,20 +42,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // P001
 
-pub mod args;
+mod args;
 pub mod daemon;
 pub mod front;
-pub mod load;
+mod load;
 pub mod proto;
-
-pub use daemon::{
-    ChannelControl, ChannelCtrlClient, ControlPlane, Daemon, DaemonConfig, DaemonError,
-    DaemonReport, Inbox, Input, UdpControl,
-};
-pub use load::{
-    probe_live_nodes, run_embedded, run_load, ChurnPlan, CtrlConnection, CtrlKind, LoadConfig,
-    LoadError, LoadReport, PhaseReport, UdpCtrlClient,
-};
-pub use proto::{CtrlDecodeError, CtrlRequest, CtrlResponse, StatsBody, CTRL_VERSION};

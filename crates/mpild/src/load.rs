@@ -1,9 +1,9 @@
 //! `mpil-load`: the daemon's load generator.
 //!
-//! Drives a running [`Daemon`](crate::daemon::Daemon) through its
+//! Drives a running [`crate::daemon::Daemon`] through its
 //! control plane with the paper's insert-then-lookup workload
 //! ([`InsertLookupWorkload`]), paced by the clock-free
-//! [`Pacer`](mpil_workload::Pacer):
+//! [`mpil_workload::Pacer`]:
 //!
 //! 1. **Announce phase** — closed loop (`workers` outstanding): the
 //!    object table is inserted as fast as the daemon confirms replicas.
@@ -42,7 +42,7 @@ const MIN_READ_TIMEOUT: Duration = Duration::from_micros(50);
 const ADMIN_BASE: u64 = 1 << 63;
 
 /// A client's connection to the daemon's control plane.
-pub trait CtrlConnection {
+pub(crate) trait CtrlConnection {
     /// Sends one request frame.
     ///
     /// # Errors
@@ -71,7 +71,7 @@ impl CtrlConnection for ChannelCtrlClient {
 
 /// UDP client of a daemon's [`UdpControl`] socket.
 #[derive(Debug)]
-pub struct UdpCtrlClient {
+pub(crate) struct UdpCtrlClient {
     socket: UdpSocket,
     /// The read timeout the socket has now: changing it is a system
     /// call, made only when a different wait is asked for.
@@ -84,7 +84,7 @@ impl UdpCtrlClient {
     /// # Errors
     ///
     /// Socket `bind`/`connect` failure.
-    pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
+    pub(crate) fn connect(addr: SocketAddr) -> std::io::Result<Self> {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         socket.connect(addr)?;
         Ok(UdpCtrlClient {
@@ -126,7 +126,7 @@ impl CtrlConnection for UdpCtrlClient {
 /// Mid-run churn: every `period`, perturb `count` random nodes for
 /// `length` (via the admin plane, concurrent with the measurement).
 #[derive(Debug, Clone, Copy)]
-pub struct ChurnPlan {
+pub(crate) struct ChurnPlan {
     /// Interval between perturbation volleys.
     pub period: Duration,
     /// Nodes perturbed per volley.
@@ -137,7 +137,7 @@ pub struct ChurnPlan {
 
 /// Load-generation parameters.
 #[derive(Debug, Clone, Copy)]
-pub struct LoadConfig {
+pub(crate) struct LoadConfig {
     /// Object table size (announce phase inserts each once).
     pub objects: usize,
     /// Lookup count (cycling over the object table).
@@ -182,7 +182,7 @@ impl Default for LoadConfig {
 
 /// A load-generation failure (daemon unreachable, spawn failure).
 #[derive(Debug)]
-pub struct LoadError(pub String);
+pub(crate) struct LoadError(pub String);
 
 impl std::fmt::Display for LoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -200,7 +200,7 @@ impl From<std::io::Error> for LoadError {
 
 /// One phase's results.
 #[derive(Debug, Clone, Default)]
-pub struct PhaseReport {
+pub(crate) struct PhaseReport {
     /// Requests issued.
     pub issued: u64,
     /// Requests answered positively (replica confirmed / object found).
@@ -225,7 +225,7 @@ pub struct PhaseReport {
 
 impl PhaseReport {
     /// Positive answers as a percentage of issued requests.
-    pub fn success_pct(&self) -> f64 {
+    pub(crate) fn success_pct(&self) -> f64 {
         if self.issued == 0 {
             100.0
         } else {
@@ -255,7 +255,7 @@ impl PhaseReport {
 
 /// The full load run: both phases plus churn accounting.
 #[derive(Debug, Clone, Default)]
-pub struct LoadReport {
+pub(crate) struct LoadReport {
     /// Announce (insert) phase.
     pub announce: PhaseReport,
     /// Lookup (measurement) phase.
@@ -268,7 +268,7 @@ pub struct LoadReport {
 
 impl LoadReport {
     /// One-line JSON rendering.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             "{{\"announce\":{},\"lookup\":{},\"churn_volleys\":{},\"churn_perturbs\":{}}}",
             self.announce.to_json(),
@@ -470,7 +470,7 @@ fn run_phase<C: CtrlConnection>(
 /// # Errors
 ///
 /// [`LoadError`] when the control connection dies.
-pub fn run_load<C: CtrlConnection>(
+pub(crate) fn run_load<C: CtrlConnection>(
     conn: &mut C,
     config: &LoadConfig,
 ) -> Result<LoadReport, LoadError> {
@@ -535,7 +535,7 @@ fn timeout_floor(t: Duration) -> Duration {
 /// # Errors
 ///
 /// [`LoadError`] when the daemon does not answer within `timeout`.
-pub fn probe_live_nodes<C: CtrlConnection>(
+pub(crate) fn probe_live_nodes<C: CtrlConnection>(
     conn: &mut C,
     timeout: Duration,
 ) -> Result<usize, LoadError> {
@@ -558,7 +558,7 @@ pub fn probe_live_nodes<C: CtrlConnection>(
 
 /// Which control plane an embedded run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CtrlKind {
+pub(crate) enum CtrlKind {
     /// Real loopback-UDP datagrams (exercises the full wire path).
     Udp,
     /// In-process channels (deterministic delivery; the CI smoke).
@@ -573,7 +573,7 @@ pub enum CtrlKind {
 /// # Errors
 ///
 /// [`LoadError`] when the daemon fails to spawn or the run dies.
-pub fn run_embedded(
+pub(crate) fn run_embedded(
     daemon: DaemonConfig,
     load: &LoadConfig,
     ctrl: CtrlKind,

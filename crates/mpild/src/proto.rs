@@ -24,11 +24,11 @@
 //! (`tests/proto_props.rs` pins both).
 //!
 //! The format is versioned exactly like the data-plane codec in
-//! `mpil_net::codec`: a daemon never guesses at frames from a different
+//! `mpil_net` ([`mpil_net::WireMessage`]): a daemon never guesses at frames from a different
 //! protocol revision.
 
 use mpil_id::{Id, ID_BYTES};
-use mpil_net::codec::Reader;
+use mpil_net::Reader;
 
 /// Control protocol revision. Bump on any frame-layout change.
 pub const CTRL_VERSION: u8 = 1;

@@ -598,10 +598,10 @@ impl LiveCluster {
     }
 
     /// The default drain deadline of [`LiveCluster::shutdown`].
-    pub const DEFAULT_DRAIN: Duration = Duration::from_millis(500);
+    pub(crate) const DEFAULT_DRAIN: Duration = Duration::from_millis(500);
 
     /// Stops every node and returns their counters, draining in-flight
-    /// traffic first (bounded by [`LiveCluster::DEFAULT_DRAIN`]).
+    /// traffic first (for at most 500 ms).
     pub fn shutdown(self) -> Vec<NodeStats> {
         self.shutdown_drain(Self::DEFAULT_DRAIN)
     }

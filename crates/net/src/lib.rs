@@ -6,21 +6,21 @@
 //! paper's experiments deterministically, this crate is what a
 //! downstream user would actually deploy in-process:
 //!
-//! * [`codec`] — a versioned binary wire format for MPIL messages
+//! * `codec` — [`WireMessage`], a versioned binary wire format for MPIL messages
 //!   (documented byte-for-byte; round-trip property-tested);
-//! * [`transport`] — a [`Transport`] abstraction with an in-process
+//! * `transport` — a [`Transport`] abstraction with an in-process
 //!   `std::sync::mpsc` channel mesh and a loopback UDP mesh;
-//! * [`node`] — one overlay node: the simulator's [`mpil::Agent`],
-//!   counters, perturbation control;
+//! * `node` — one overlay node: the simulator's [`mpil::Agent`],
+//!   its counters ([`NodeStats`]), perturbation control;
 //! * `shard` — the evented loop that hosts a share of the nodes, one
 //!   per core: the very receive path the simulator runs
 //!   ([`mpil::Agent::receive`]), its results sent on, with a hop between
 //!   two nodes of one shard handed over in memory instead of through the
 //!   transport;
-//! * [`cluster`] — [`LiveCluster`]: spawn a topology over those shards,
+//! * `cluster` — [`LiveCluster`]: spawn a topology over those shards,
 //!   insert/lookup through any entry node, perturb nodes at will, and
 //!   shut down cleanly (draining in-flight traffic first);
-//! * [`request`] — [`RequestTracker`]: per-request timeout/retry
+//! * `request` — [`RequestTracker`]: per-request timeout/retry
 //!   bookkeeping for pipelined clients such as the `mpild` daemon.
 //!
 //! ```
@@ -48,22 +48,23 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![expect(clippy::disallowed_types, reason = "D002: the wall-clock zone (sockets and timeouts)")]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // P001
 
-pub mod cluster;
-pub mod codec;
-pub mod node;
-pub mod request;
+mod cluster;
+mod codec;
+mod node;
+mod request;
 mod shard;
-pub mod transport;
+mod transport;
 
 pub use cluster::{
     ClientEvent, LiveCluster, LiveClusterBuilder, LiveLookup, SpawnError, TransportKind,
 };
-pub use codec::{DecodeError, EncodeError, WireMessage, WIRE_VERSION};
+pub use codec::{DecodeError, EncodeError, Reader, WireMessage, WIRE_VERSION};
 pub use node::NodeStats;
 pub use request::{Pending, RequestTracker, RetryPolicy};
 pub use transport::{
-    ChannelMesh, ChannelTransport, Transport, TransportError, UdpMesh, UdpTransport,
+    ChannelMesh, ChannelTransport, Transport, TransportError, UdpMesh, UdpTransport, MAX_DATAGRAM,
 };

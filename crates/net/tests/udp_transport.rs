@@ -10,7 +10,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use mpil::MessageId;
 use mpil_id::Id;
-use mpil_net::transport::MAX_DATAGRAM;
+use mpil_net::MAX_DATAGRAM;
 use mpil_net::{Transport, TransportError, UdpMesh, WireMessage};
 use mpil_overlay::NodeIdx;
 

@@ -3,7 +3,7 @@
 //! The paper's static-overlay study (Section 6.1) runs over power-law
 //! graphs ([`power_law`]) and 100-regular random graphs
 //! ([`random_regular`]); the analysis (Section 5) additionally covers
-//! [`complete`] topologies. The simple shapes ([`ring`], [`line()`],
+//! [`complete()`] topologies. The simple shapes ([`ring`], [`line()`],
 //! [`star`], [`grid`]) exercise overlay-independence in tests and the
 //! pathological-overlay example.
 

@@ -27,11 +27,12 @@
 //! let topo: Topology = generators::random_regular(100, 6, &mut rng)?;
 //! assert_eq!(topo.len(), 100);
 //! assert!(topo.iter_nodes().all(|n| topo.degree(n) == 6));
-//! # Ok::<(), mpil_overlay::GenerateError>(())
+//! # Ok::<(), mpil_overlay::generators::GenerateError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod generators;
 pub mod stats;
@@ -43,5 +44,4 @@ mod topology;
 
 pub use adjacency::Adjacency;
 pub use builder::{random_ids, TopologyBuilder};
-pub use generators::GenerateError;
 pub use topology::{NodeIdx, Topology};

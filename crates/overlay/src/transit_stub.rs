@@ -69,11 +69,6 @@ impl TransitStub {
         self.hosts
     }
 
-    /// Number of routers in the underlying hierarchy.
-    pub fn router_count(&self) -> usize {
-        self.router_count
-    }
-
     /// One-way latency between two hosts, in microseconds.
     ///
     /// Loopback (`a == b`) is 0.
@@ -306,7 +301,7 @@ mod tests {
     fn router_count_matches_hierarchy() {
         let ts = make(10, 5);
         // 2 domains * 4 routers + 8 transit routers * 3 stubs * 8 routers
-        assert_eq!(ts.router_count(), 8 + 192);
+        assert_eq!(ts.router_count, 8 + 192);
         assert_eq!(ts.hosts(), 10);
     }
 }

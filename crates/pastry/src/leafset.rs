@@ -59,7 +59,7 @@ impl LeafSet {
     }
 
     /// Returns `true` if either side has free capacity.
-    pub fn has_room(&self) -> bool {
+    pub(crate) fn has_room(&self) -> bool {
         self.left.len() < self.half || self.right.len() < self.half
     }
 
@@ -160,7 +160,7 @@ impl LeafSet {
 
     /// The farthest live member on the side that lost `hint` (used to pull
     /// a replacement leaf set during repair); falls back to any member.
-    pub fn repair_contact(&self, exclude: impl Fn(NodeIdx) -> bool) -> Option<NodeIdx> {
+    pub(crate) fn repair_contact(&self, exclude: impl Fn(NodeIdx) -> bool) -> Option<NodeIdx> {
         self.right
             .iter()
             .rev()

@@ -29,15 +29,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod bootstrap;
-pub mod config;
-pub mod engine;
-pub mod leafset;
-pub mod routing_table;
-pub mod state;
+mod bootstrap;
+mod config;
+mod engine;
+mod leafset;
+mod routing_table;
+mod state;
 
-pub use bootstrap::build_converged_states;
+pub use bootstrap::{build_converged_states, build_converged_states_partial};
 pub use config::PastryConfig;
 pub use engine::{LookupOutcome, Pastry, PastrySim};
 pub use leafset::LeafSet;

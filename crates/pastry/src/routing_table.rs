@@ -31,13 +31,13 @@ impl RoutingTable {
     }
 
     /// Number of rows (`M`).
-    pub fn num_rows(&self) -> usize {
+    pub(crate) fn num_rows(&self) -> usize {
         self.rows.len()
     }
 
     /// The `(row, col)` slot a candidate with ID `id` belongs in, or
     /// `None` for the owner's own ID.
-    pub fn slot_for(&self, id: Id) -> Option<(usize, usize)> {
+    pub(crate) fn slot_for(&self, id: Id) -> Option<(usize, usize)> {
         if id == self.own {
             return None;
         }

@@ -93,7 +93,7 @@ impl PastryState {
 
     /// All nodes this state knows about (leaf set ∪ routing table), with
     /// IDs; may yield a node more than once.
-    pub fn known_nodes(&self) -> impl Iterator<Item = (Id, NodeIdx)> + '_ {
+    pub(crate) fn known_nodes(&self) -> impl Iterator<Item = (Id, NodeIdx)> + '_ {
         self.leafset
             .left_side()
             .iter()

@@ -3,7 +3,7 @@
 
 use mpil_id::{ring_distance, Id};
 use mpil_overlay::{random_ids, NodeIdx};
-use mpil_pastry::bootstrap::build_converged_states_partial;
+use mpil_pastry::build_converged_states_partial;
 use mpil_pastry::{LookupOutcome, PastryConfig, PastrySim};
 use mpil_sim::{AlwaysOn, ConstantLatency, Counters, SimDuration};
 use rand::rngs::SmallRng;

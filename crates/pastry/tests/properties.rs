@@ -2,7 +2,7 @@
 
 use mpil_id::{ring_distance, Id, IdSpace};
 use mpil_overlay::{random_ids, NodeIdx};
-use mpil_pastry::bootstrap::build_converged_states;
+use mpil_pastry::build_converged_states;
 use mpil_pastry::{LeafSet, NextHop, RoutingTable};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

@@ -34,16 +34,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod availability;
-pub mod engine;
-pub mod latency;
-pub mod net;
-pub mod outcome;
-pub mod outstanding;
-pub mod pool;
-pub mod rng;
-pub mod time;
+mod availability;
+mod engine;
+mod latency;
+mod net;
+mod outcome;
+mod outstanding;
+mod pool;
+mod rng;
+mod time;
 mod wheel;
 
 pub use availability::{AlwaysOn, Availability, Flapping, FlappingConfig, TraceChurn};

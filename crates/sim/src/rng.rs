@@ -6,7 +6,7 @@
 //! the result is stable, O(1), and independent of query order.
 
 /// SplitMix64 finalizer: a fast, well-mixed 64-bit hash.
-pub fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -14,12 +14,12 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Mixes a seed with two coordinates (e.g. node index and period index).
-pub fn hash3(seed: u64, a: u64, b: u64) -> u64 {
+pub(crate) fn hash3(seed: u64, a: u64, b: u64) -> u64 {
     splitmix64(seed ^ splitmix64(a ^ splitmix64(b)))
 }
 
 /// A uniform f64 in `[0, 1)` derived from `(seed, a, b)`.
-pub fn unit_f64(seed: u64, a: u64, b: u64) -> f64 {
+pub(crate) fn unit_f64(seed: u64, a: u64, b: u64) -> f64 {
     // 53 high-quality bits -> [0,1).
     (hash3(seed, a, b) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }

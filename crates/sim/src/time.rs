@@ -50,13 +50,12 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn duration_since(self, earlier: SimTime) -> SimDuration {
         assert!(earlier.0 <= self.0, "duration_since of a later instant");
         SimDuration(self.0 - earlier.0)
     }
 
-    /// Saturating version of [`SimTime::duration_since`]: returns zero if
-    /// `earlier` is later.
+    /// The span since `earlier`, or zero if `earlier` is later.
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }

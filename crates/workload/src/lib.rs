@@ -10,17 +10,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod budget;
-pub mod cli;
-pub mod pacing;
-pub mod requests;
-pub mod stats;
-pub mod table;
+mod budget;
+mod cli;
+mod pacing;
+mod requests;
+mod stats;
+mod table;
 
 pub use budget::{peak_rss_mib, WallClock};
 pub use cli::Args;
-pub use pacing::{Pacer, PacingMode};
+pub use pacing::Pacer;
 pub use requests::{InsertLookupWorkload, WorkloadConfig};
 pub use stats::{Percentiles, RunningStats};
-pub use table::{Align, Table};
+pub use table::Table;

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 /// The arrival discipline of a [`Pacer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PacingMode {
+pub(crate) enum PacingMode {
     /// Fixed-schedule arrivals: request `i` (0-based) is due at
     /// `i / rate_per_s` seconds after time zero.
     Open {
@@ -100,11 +100,6 @@ impl Pacer {
             issued: 0,
             completed: 0,
         }
-    }
-
-    /// The arrival discipline.
-    pub fn mode(&self) -> PacingMode {
-        self.mode
     }
 
     /// The in-flight window (worker count in closed-loop mode).

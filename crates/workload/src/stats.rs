@@ -57,7 +57,7 @@ impl RunningStats {
     }
 
     /// Population variance.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 /// Column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
+pub(crate) enum Align {
     /// Left-justified (labels).
     Left,
     /// Right-justified (numbers).

@@ -8,7 +8,7 @@
 //! discrete-event simulator; this example is the "production" path: a
 //! 64-node overlay hosted by one shard thread per core, each with its
 //! own loopback UDP socket, speaking the versioned wire format of
-//! [`mpil_net::codec`] to the other shards and to the client. It inserts object pointers, perturbs a quarter
+//! [`mpil_net::WireMessage`] to the other shards and to the client. It inserts object pointers, perturbs a quarter
 //! of the fleet (nodes silently drop every datagram, exactly the
 //! paper's model of an unresponsive host), and shows lookups riding
 //! through on redundant flows.

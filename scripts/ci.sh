@@ -21,6 +21,10 @@
 #            D001-D003, P001, S001 — see README "Determinism contract &
 #            lint rules"); then scripts/lint-selftest.sh, the same gate
 #            held to a known-bad and a known-good fixture
+#   docs:    cargo doc of every workspace crate but the vendor/ stubs,
+#            rustdoc warnings denied: an intra-doc link that does not
+#            resolve, is ambiguous, or points at an item no longer public
+#            fails here
 #   bench:   cargo check of the benchmark package (benchmark/), which is
 #            outside the workspace: a change to a public item it uses
 #            fails here instead of when the benchmark next runs
@@ -85,6 +89,10 @@ fi
 contract=(-D warnings -W clippy::iter_over_hash_type -W clippy::allow_attributes_without_reason)
 cargo clippy --workspace --all-targets -- "${contract[@]}"
 scripts/lint-selftest.sh "${contract[@]}"
+# The vendor/ stubs stand in for external crates; their docs are not ours.
+undocumented=()
+for stub in $stubs; do undocumented+=(--exclude "$stub"); done
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet "${undocumented[@]}"
 # The benchmark's committed Cargo.lock is stale, so the check cannot run
 # --locked and rewrites it; it is put back byte for byte either way.
 bench_lock=$(mktemp)

@@ -5,7 +5,10 @@
 # exactly the lines bad.rs marks `//~ <lint>`, naming each such lint, so
 # deleting a line of clippy.toml or a flag cannot switch a rule off.
 # P001's zone is three crate-root attributes, and an `#[expect]` under a
-# deleted one still holds: those are checked by name.
+# deleted one still holds: those are checked by name, as is the
+# `unreachable_pub` warning every library root carries (without it a
+# `pub` item no other crate can reach compiles silently, and the
+# `dead_code` lint cannot see it).
 #
 # Usage: scripts/lint-selftest.sh <the lint flags of ci.sh's clippy step>
 set -euo pipefail
@@ -23,4 +26,6 @@ done
 bare=$(grep -L '^#!\[warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)\]' \
     ../../crates/{net,harness,mpild}/src/lib.rs || true)
 [[ -z "$bare" ]] || { echo "lint-selftest: no P001 attribute at the root of" $bare >&2; exit 1; }
+bare=$(grep -L '^#!\[warn(unreachable_pub)\]' ../../crates/*/src/lib.rs || true)
+[[ -z "$bare" ]] || { echo "lint-selftest: no unreachable_pub warning at the root of" $bare >&2; exit 1; }
 echo "lint-selftest: OK"

@@ -57,12 +57,7 @@ fn analysis_general_formula_matches_power_law_simulation() {
     let hist = stats::degree_histogram(&topo);
     let dist = DegreeDistribution::from_histogram(&hist);
     let model = AnalysisModel::base4();
-    // Tie-aware, degree-weighted expectation.
-    let expected: f64 = n as f64
-        * dist
-            .iter()
-            .map(|(d, p)| p * model.local_max_probability_with_ties(d))
-            .sum::<f64>();
+    let expected = model.expected_local_maxima_with_ties(n, &dist);
 
     let trials = 60;
     let mut total = 0usize;
